@@ -16,7 +16,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/nezha-dag/nezha/internal/graph"
 	"github.com/nezha-dag/nezha/internal/types"
@@ -51,6 +51,17 @@ type ACG struct {
 	// are assigned consecutively from 0 (types.NewEpoch), so a slice beats
 	// a map on every hot sorter lookup.
 	sims []*types.SimResult
+
+	// unitAddr interns every unit's address to its vertex id, once, so no
+	// later phase hashes a key: transaction id's units are
+	// unitAddr[unitOff[id]:unitOff[id+1]], its len(Reads) read units first,
+	// each group in the simulation result's own order.
+	unitAddr []int32
+	unitOff  []int32
+	// addrOff[j] is where address j's units start in the one arena the
+	// Reads/Writes slices of all addresses are carved from (reads, then
+	// writes); the sorter sizes its per-address scratch by it.
+	addrOff []int32
 }
 
 // BuildACG constructs the ACG from one epoch's simulation results in
@@ -67,61 +78,150 @@ type ACG struct {
 // BuildACG is the sequential reference implementation; BuildACGSharded is
 // the key-sharded parallel builder that must produce an identical graph.
 func BuildACG(sims []*types.SimResult) *ACG {
-	acg := &ACG{
-		index: make(map[types.Key]int),
-		sims:  make([]*types.SimResult, denseSimLen(sims)),
-	}
+	acg := newACG(sims)
 
-	// Pass 1: collect every accessed key so vertices can be numbered in
-	// key order. A sorted, deduplicated key slice gives each address its
-	// deterministic subscript.
+	// Pass 1: number every accessed key in first-occurrence order and
+	// record each unit under that provisional number — the only time a
+	// key is hashed.
 	keys := make([]types.Key, 0, len(sims)*2)
-	seen := make(map[types.Key]struct{}, len(sims)*2)
+	n := 0
 	for _, sim := range sims {
-		for _, r := range sim.Reads {
-			if _, ok := seen[r.Key]; !ok {
-				seen[r.Key] = struct{}{}
-				keys = append(keys, r.Key)
-			}
-		}
-		for _, w := range sim.Writes {
-			if _, ok := seen[w.Key]; !ok {
-				seen[w.Key] = struct{}{}
-				keys = append(keys, w.Key)
-			}
-		}
+		acg.sims[sim.Tx.ID] = sim
+		n = internUnits(sim, acg.index, &keys, acg.unitAddr, n)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 
-	acg.Addrs = make([]AddressSet, len(keys))
-	for i, k := range keys {
-		acg.Addrs[i] = AddressSet{Key: k}
-		acg.index[k] = i
+	// Vertices are numbered in key order, which gives each address its
+	// deterministic subscript; the units follow.
+	perm := acg.numberVertices(keys)
+	for i, p := range acg.unitAddr {
+		acg.unitAddr[i] = perm[p]
 	}
-	acg.Deps = graph.NewDirected(len(keys))
 
 	// Pass 2: map units onto address sets and record address dependencies
 	// (write address → read address of the same transaction; same-address
 	// read+write pairs add no edge, cf. T5 in the paper's Fig. 4).
+	acg.fillAddressSets(sims)
 	for _, sim := range sims {
-		id := sim.Tx.ID
-		acg.sims[id] = sim
-		for _, r := range sim.Reads {
-			j := acg.index[r.Key]
-			acg.Addrs[j].Reads = append(acg.Addrs[j].Reads, id)
-		}
-		for _, w := range sim.Writes {
-			i := acg.index[w.Key]
-			acg.Addrs[i].Writes = append(acg.Addrs[i].Writes, id)
-			for _, r := range sim.Reads {
-				if r.Key == w.Key {
-					continue
+		reads, writes := acg.units(sim.Tx.ID)
+		for _, i := range writes {
+			for _, j := range reads {
+				if i != j {
+					acg.Deps.AddEdge(int(i), int(j))
 				}
-				acg.Deps.AddEdge(i, acg.index[r.Key])
 			}
 		}
 	}
 	return acg
+}
+
+// newACG allocates the per-transaction tables: the dense sims lookup and the
+// unit offsets (gaps in the id space own no units).
+func newACG(sims []*types.SimResult) *ACG {
+	n := denseSimLen(sims)
+	acg := &ACG{
+		index:   make(map[types.Key]int, 2*len(sims)),
+		sims:    make([]*types.SimResult, n),
+		unitOff: make([]int32, n+1),
+	}
+	for _, sim := range sims {
+		acg.unitOff[sim.Tx.ID+1] = int32(len(sim.Reads) + len(sim.Writes))
+	}
+	for id := 0; id < n; id++ {
+		acg.unitOff[id+1] += acg.unitOff[id]
+	}
+	acg.unitAddr = make([]int32, acg.unitOff[n])
+	return acg
+}
+
+// internUnits writes one transaction's unit addresses into units[n:] as
+// numbers drawn from index — a key seen for the first time gets the next
+// number and joins keys — and returns the next free position.
+func internUnits(sim *types.SimResult, index map[types.Key]int, keys *[]types.Key, units []int32, n int) int {
+	intern := func(k types.Key) {
+		p, ok := index[k]
+		if !ok {
+			p = len(*keys)
+			index[k] = p
+			*keys = append(*keys, k)
+		}
+		units[n] = int32(p)
+		n++
+	}
+	for _, r := range sim.Reads {
+		intern(r.Key)
+	}
+	for _, w := range sim.Writes {
+		intern(w.Key)
+	}
+	return n
+}
+
+// numberVertices creates one vertex per key, numbered in key-byte order,
+// and returns the map from a key's position in keys to its vertex id.
+func (a *ACG) numberVertices(keys []types.Key) []int32 {
+	order := make([]int32, len(keys))
+	for p := range order {
+		order[p] = int32(p)
+	}
+	slices.SortFunc(order, func(p, q int32) int { return keys[p].Compare(keys[q]) })
+	perm := make([]int32, len(keys))
+	a.Addrs = make([]AddressSet, len(keys))
+	for v, p := range order {
+		perm[p] = int32(v)
+		a.Addrs[v].Key = keys[p]
+		a.index[keys[p]] = v
+	}
+	a.Deps = graph.NewDirected(len(keys))
+	return perm
+}
+
+// fillAddressSets carves every address's Reads and Writes out of one arena,
+// count-then-fill over the interned units; walking sims in ascending id
+// order leaves each list in ascending id order.
+func (a *ACG) fillAddressSets(sims []*types.SimResult) {
+	v := len(a.Addrs)
+	nReads := make([]int32, v)
+	a.addrOff = make([]int32, v+1)
+	for _, sim := range sims {
+		reads, writes := a.units(sim.Tx.ID)
+		for _, j := range reads {
+			nReads[j]++
+		}
+		for _, j := range writes {
+			a.addrOff[j+1]++
+		}
+	}
+	for j := 0; j < v; j++ {
+		a.addrOff[j+1] += a.addrOff[j] + nReads[j]
+	}
+	// Each list starts empty with exactly its final capacity, so the
+	// appends below fill the arena in place.
+	arena := make([]types.TxID, a.addrOff[v])
+	for j := 0; j < v; j++ {
+		lo, mid, hi := a.addrOff[j], a.addrOff[j]+nReads[j], a.addrOff[j+1]
+		a.Addrs[j].Reads, a.Addrs[j].Writes = arena[lo:lo:mid], arena[mid:mid:hi]
+	}
+	for _, sim := range sims {
+		id := sim.Tx.ID
+		reads, writes := a.units(id)
+		for _, j := range reads {
+			a.Addrs[j].Reads = append(a.Addrs[j].Reads, id)
+		}
+		for _, j := range writes {
+			a.Addrs[j].Writes = append(a.Addrs[j].Writes, id)
+		}
+	}
+}
+
+// units returns the vertex ids of a transaction's read units and of its
+// write units.
+func (a *ACG) units(id types.TxID) (reads, writes []int32) {
+	lo, hi := a.unitOff[id], a.unitOff[id+1]
+	mid := lo
+	if lo < hi { // a gap in the id space has no simulation result
+		mid += int32(len(a.sims[id].Reads))
+	}
+	return a.unitAddr[lo:mid], a.unitAddr[mid:hi]
 }
 
 // NumAddresses returns the number of accessed addresses (vertices).
@@ -129,13 +229,7 @@ func (a *ACG) NumAddresses() int { return len(a.Addrs) }
 
 // NumUnits returns the total number of read/write units mapped into the
 // graph, the size measure behind the paper's O(u·N) construction bound.
-func (a *ACG) NumUnits() int {
-	total := 0
-	for i := range a.Addrs {
-		total += len(a.Addrs[i].Reads) + len(a.Addrs[i].Writes)
-	}
-	return total
-}
+func (a *ACG) NumUnits() int { return len(a.unitAddr) }
 
 // AddressIndex returns the vertex id of a key, or -1 when the key was not
 // accessed this epoch.

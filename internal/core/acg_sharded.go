@@ -1,26 +1,23 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
-	"github.com/nezha-dag/nezha/internal/graph"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
 // BuildACGSharded is the key-sharded parallel twin of BuildACG: the epoch's
 // transactions are partitioned into `shards` contiguous ranges, each range
-// builds per-shard address sets and edge lists with worker-local maps, and
-// the partial results merge deterministically in key order. The resulting
-// ACG is identical to the sequential build — same vertex subscripts, same
-// unit order inside every address set, same dependency edges in the same
-// insertion order:
+// interns its keys and collects its dependency edges with worker-local
+// maps, and the partial results merge deterministically in key order. The
+// resulting ACG is identical to the sequential build — same vertex
+// subscripts, same unit order inside every address set, same dependency
+// edges in the same insertion order:
 //
 //   - Subscripts: the merged key set is the union of the shard key sets,
-//     sorted by key bytes — exactly the sequential pass-1 result.
-//   - Unit order: shards cover ascending, contiguous id ranges and are
-//     concatenated in shard order, so every address set lists transactions
-//     by ascending id, as the sequential pass 2 does.
+//     sorted by key bytes — exactly the sequential numbering.
+//   - Unit order: both builders fill the address sets from the interned
+//     units with the same sequential count-then-fill pass.
 //   - Edge order: each shard keeps its edges in local first-occurrence
 //     order; replaying shards in order through AddEdge (which drops
 //     duplicates) inserts every edge at its global first occurrence.
@@ -36,9 +33,12 @@ func BuildACGSharded(sims []*types.SimResult, shards int) *ACG {
 	}
 
 	bounds := shardBounds(len(sims), shards)
+	acg := newACG(sims)
 
-	// Pass 1 (parallel): every shard collects the keys its transactions
-	// touch in a local set.
+	// Pass 1 (parallel): every shard numbers the keys its transactions
+	// touch in a local map and records its units under those local
+	// numbers. Shards own disjoint id ranges, so their slots in sims and
+	// unitAddr are disjoint too.
 	localKeys := make([][]types.Key, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
@@ -46,141 +46,78 @@ func BuildACGSharded(sims []*types.SimResult, shards int) *ACG {
 		go func(s int) {
 			defer wg.Done()
 			part := sims[bounds[s]:bounds[s+1]]
-			seen := make(map[types.Key]struct{}, 2*len(part))
+			local := make(map[types.Key]int, 2*len(part))
 			keys := make([]types.Key, 0, 2*len(part))
+			n := int(acg.unitOff[part[0].Tx.ID])
 			for _, sim := range part {
-				for _, r := range sim.Reads {
-					if _, ok := seen[r.Key]; !ok {
-						seen[r.Key] = struct{}{}
-						keys = append(keys, r.Key)
-					}
-				}
-				for _, w := range sim.Writes {
-					if _, ok := seen[w.Key]; !ok {
-						seen[w.Key] = struct{}{}
-						keys = append(keys, w.Key)
-					}
-				}
+				acg.sims[sim.Tx.ID] = sim
+				n = internUnits(sim, local, &keys, acg.unitAddr, n)
 			}
 			localKeys[s] = keys
 		}(s)
 	}
 	wg.Wait()
 
-	// Merge 1 (sequential): union the shard key sets, then sort for the
-	// deterministic subscript numbering.
-	seen := make(map[types.Key]struct{}, 2*len(sims))
+	// Merge 1 (sequential): union the shard key sets, remembering each
+	// local number's place in the union, then number the vertices.
 	keys := make([]types.Key, 0, 2*len(sims))
-	for _, lk := range localKeys {
-		for _, k := range lk {
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
+	toUnion := make([][]int32, shards)
+	for s, lk := range localKeys {
+		toUnion[s] = make([]int32, len(lk))
+		for p, k := range lk {
+			u, ok := acg.index[k]
+			if !ok {
+				u = len(keys)
+				acg.index[k] = u
 				keys = append(keys, k)
 			}
+			toUnion[s][p] = int32(u)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	perm := acg.numberVertices(keys)
 
-	acg := &ACG{
-		index: make(map[types.Key]int, len(keys)),
-		sims:  make([]*types.SimResult, denseSimLen(sims)),
-	}
-	acg.Addrs = make([]AddressSet, len(keys))
-	for i, k := range keys {
-		acg.Addrs[i] = AddressSet{Key: k}
-		acg.index[k] = i
-	}
-	acg.Deps = graph.NewDirected(len(keys))
-
-	// Pass 2 (parallel): shards map their units onto vertex-indexed local
-	// sets and record dependency edges, deduplicated locally, in the same
-	// nested order the sequential pass uses (per transaction: per write,
-	// per read). acg.index is read-only from here on, so the shards can
-	// share it. sims is dense-indexed, and shard id ranges are disjoint,
-	// so the concurrent writes land on disjoint slots.
-	parts := make([]*acgShardPart, shards)
+	// Pass 2 (parallel): shards rewrite their units to vertex ids and
+	// record dependency edges, deduplicated locally, in the same nested
+	// order the sequential pass uses (per transaction: per write, per
+	// read).
+	parts := make([]acgShardPart, shards)
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			part := &acgShardPart{
-				reads:    make(map[int][]types.TxID),
-				writes:   make(map[int][]types.TxID),
-				edgeSeen: make(map[int64]struct{}),
+			part := sims[bounds[s]:bounds[s+1]]
+			lo, hi := acg.unitOff[part[0].Tx.ID], acg.unitOff[part[len(part)-1].Tx.ID+1]
+			for i, p := range acg.unitAddr[lo:hi] {
+				acg.unitAddr[int(lo)+i] = perm[toUnion[s][p]]
 			}
-			for _, sim := range sims[bounds[s]:bounds[s+1]] {
-				id := sim.Tx.ID
-				acg.sims[id] = sim
-				for _, r := range sim.Reads {
-					j := acg.index[r.Key]
-					part.reads[j] = append(part.reads[j], id)
-				}
-				for _, w := range sim.Writes {
-					i := acg.index[w.Key]
-					part.writes[i] = append(part.writes[i], id)
-					for _, r := range sim.Reads {
-						if r.Key == w.Key {
-							continue
+			parts[s].edgeSeen = make(map[int64]struct{})
+			for _, sim := range part {
+				reads, writes := acg.units(sim.Tx.ID)
+				for _, i := range writes {
+					for _, j := range reads {
+						if i != j {
+							parts[s].addEdge(int(i), int(j), len(keys))
 						}
-						part.addEdge(i, acg.index[r.Key], len(keys))
 					}
 				}
 			}
-			parts[s] = part
 		}(s)
 	}
 	wg.Wait()
 
-	// Merge 2a (parallel over vertex chunks): concatenate the shard
-	// partials in shard order — each vertex's slots are written by exactly
-	// one worker.
-	chunk := (len(keys) + shards - 1) / shards
-	for lo := 0; lo < len(keys); lo += chunk {
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				var nr, nw int
-				for _, p := range parts {
-					nr += len(p.reads[v])
-					nw += len(p.writes[v])
-				}
-				addr := &acg.Addrs[v]
-				if nr > 0 {
-					addr.Reads = make([]types.TxID, 0, nr)
-					for _, p := range parts {
-						addr.Reads = append(addr.Reads, p.reads[v]...)
-					}
-				}
-				if nw > 0 {
-					addr.Writes = make([]types.TxID, 0, nw)
-					for _, p := range parts {
-						addr.Writes = append(addr.Writes, p.writes[v]...)
-					}
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	// Merge 2b (sequential): replay the shard edge lists in shard order;
-	// AddEdge coalesces cross-shard duplicates.
-	for _, p := range parts {
-		for _, e := range p.edges {
+	// Merge 2 (sequential): fill the address sets, then replay the shard
+	// edge lists in shard order; AddEdge coalesces cross-shard duplicates.
+	acg.fillAddressSets(sims)
+	for s := range parts {
+		for _, e := range parts[s].edges {
 			acg.Deps.AddEdge(e[0], e[1])
 		}
 	}
 	return acg
 }
 
-// acgShardPart is one shard's worker-local build state.
+// acgShardPart is one shard's worker-local edge list.
 type acgShardPart struct {
-	reads    map[int][]types.TxID
-	writes   map[int][]types.TxID
 	edges    [][2]int
 	edgeSeen map[int64]struct{}
 }

@@ -51,40 +51,34 @@ func conflictClusters(acg *ACG, ranks []int) [][]int {
 		}
 	}
 
-	for _, sim := range acg.sims {
-		if sim == nil {
-			continue
-		}
-		first := int32(-1)
-		for _, r := range sim.Reads {
-			j := int32(acg.index[r.Key])
-			if first < 0 {
-				first = j
-			} else {
-				union(first, j)
-			}
-		}
-		for _, w := range sim.Writes {
-			j := int32(acg.index[w.Key])
-			if first < 0 {
-				first = j
-			} else {
-				union(first, j)
-			}
+	for id := range acg.sims {
+		units := acg.unitAddr[acg.unitOff[id]:acg.unitOff[id+1]]
+		for _, j := range units {
+			union(units[0], j)
 		}
 	}
 
-	clusterOf := make([]int, n) // root vertex -> 1+cluster index
-	var clusters [][]int
+	// Count, then fill: clusters are numbered by first appearance in rank
+	// order and carved from one arena.
+	clusterOf := make([]int32, n) // root vertex -> 1+cluster index
+	var sizes []int
 	for _, j := range ranks {
 		root := find(int32(j))
-		c := clusterOf[root]
-		if c == 0 {
-			clusters = append(clusters, nil)
-			c = len(clusters)
-			clusterOf[root] = c
+		if clusterOf[root] == 0 {
+			sizes = append(sizes, 0)
+			clusterOf[root] = int32(len(sizes))
 		}
-		clusters[c-1] = append(clusters[c-1], j)
+		sizes[clusterOf[root]-1]++
+	}
+	arena := make([]int, 0, n)
+	clusters := make([][]int, len(sizes))
+	for c, size := range sizes {
+		clusters[c] = arena[len(arena) : len(arena) : len(arena)+size]
+		arena = arena[:len(arena)+size]
+	}
+	for _, j := range ranks {
+		c := clusterOf[find(int32(j))] - 1
+		clusters[c] = append(clusters[c], j)
 	}
 	return clusters
 }

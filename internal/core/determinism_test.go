@@ -13,9 +13,13 @@ import (
 // smallBankSims generates one epoch of SmallBank simulation results at the
 // given Zipfian skew via the workload fast path.
 func smallBankSims(t *testing.T, seed int64, n int, skew float64) []*types.SimResult {
+	return smallBankSimsN(t, seed, n, skew, 2_000)
+}
+
+func smallBankSimsN(t *testing.T, seed int64, n int, skew float64, accounts uint64) []*types.SimResult {
 	t.Helper()
 	gen, err := workload.NewGenerator(workload.Config{
-		Seed: seed, Accounts: 2_000, Skew: skew, InitialBalance: 10_000,
+		Seed: seed, Accounts: accounts, Skew: skew, InitialBalance: 10_000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/check"
@@ -50,8 +51,9 @@ func FuzzSchedule(f *testing.F) {
 
 // FuzzRankDivision targets Algorithm 1 in isolation: on any byte-derived
 // epoch, sorting-rank division must emit a permutation of the address
-// vertices, deterministically, and identically for the sequential and
-// sharded ACG builders.
+// vertices, deterministically, identically for the sequential and sharded
+// ACG builders, and — pick for pick — the sequence of the rescanning
+// reference implementation.
 func FuzzRankDivision(f *testing.F) {
 	f.Add([]byte{7, 0x05, 0, 1, 0x05, 1, 2, 0x05, 2, 0})
 	f.Add([]byte{1, 0x0F, 0, 0, 0, 0})
@@ -79,6 +81,9 @@ func FuzzRankDivision(f *testing.F) {
 					t.Fatalf("heur=%d: rank division is nondeterministic at %d", heur, i)
 				}
 			}
+			if ref := core.RefRankAddresses(acg, heur); !slices.Equal(ranks, ref) {
+				t.Fatalf("heur=%d: ranks %v, reference %v", heur, ranks, ref)
+			}
 			sharded := core.RankAddresses(core.BuildACGSharded(sims, 4), heur)
 			for i := range ranks {
 				if ranks[i] != sharded[i] {
@@ -87,4 +92,39 @@ func FuzzRankDivision(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCoverAbortsMatchesReferenceOnShapes runs the safety sweep's greedy
+// cover against its reference over the differential harness's adversarial
+// epoch shapes: the victim order must match choice for choice.
+func TestCoverAbortsMatchesReferenceOnShapes(t *testing.T) {
+	shapes := []check.GenConfig{
+		{Shape: check.ShapeSingleHotKey, ReadRatio: 0.5},
+		{Shape: check.ShapeZipf, Skew: 0.9, ReadRatio: 0.4},
+		{Shape: check.ShapeCycleHeavy},
+		{Shape: check.ShapeMultiWrite},
+	}
+	for _, gen := range shapes {
+		pairs := 0
+		for seed := int64(1); seed <= 12; seed++ {
+			for _, size := range [][2]int{{60, 6}, {300, 24}, {900, 48}} {
+				gen.Seed, gen.Txs, gen.Keys = seed, size[0], size[1]
+				_, sims := check.Generate(gen)
+				for _, cfg := range []core.Config{
+					core.DefaultConfig(),
+					{Reorder: false, Heuristic: core.RankMinSubscript},
+				} {
+					got, want, n := core.CoverOrders(t, sims, cfg)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%v seed=%d txs=%d keys=%d reorder=%v: %d pairs, victim order %v, reference %v",
+							gen.Shape, seed, gen.Txs, gen.Keys, cfg.Reorder, n, got, want)
+					}
+					pairs += n
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Errorf("%v: no epoch produced a violating pair, the shape tests nothing", gen.Shape)
+		}
+	}
 }

@@ -28,9 +28,13 @@ const (
 //
 //   - Fast path (no cycle blocking): a min-heap of zero-in-degree vertices
 //     pops the smallest subscript, exactly Kahn's algorithm — O(V+E) total.
-//   - Cycle path: when no vertex has zero in-degree, scan the remaining
-//     vertices for the minimum in-degree and apply the configured
-//     heuristic. Each scan is O(V), paid only once per cycle-blocked round.
+//   - Cycle path: when no vertex has zero in-degree, the heuristic's pick
+//     is the top of a lazily updated heap over the remaining vertices keyed
+//     (in-degree ↑, out-degree ↓, subscript ↑). The heap is built at the
+//     first blocked round — an acyclic graph never pays for it — and from
+//     then on remove files one entry per in-degree change, so all blocked
+//     rounds together cost O((V+E)·log(V+E)) instead of two O(V) scans
+//     each.
 func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 	g := acg.Deps
 	n := g.N()
@@ -38,23 +42,26 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 		return nil
 	}
 
-	inDeg := make([]int, n)
-	removed := make([]bool, n)
-	for v := 0; v < n; v++ {
-		inDeg[v] = g.InDegree(v)
-	}
+	inDeg := make([]int32, n)
 	// outDeg tracks live out-degree (edges toward non-removed vertices),
 	// which the max-out-degree heuristic consults.
-	outDeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		outDeg[v] = g.OutDegree(v)
-	}
-	// Reverse adjacency so removing a vertex can decrement the live
+	outDeg := make([]int32, n)
+	// Reverse adjacency (vertex v's predecessors are rev[revOff[v]:
+	// revOff[v+1]]) so removing a vertex can decrement the live
 	// out-degrees of its predecessors.
-	rev := make([][]int, n)
+	revOff := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		inDeg[v] = int32(g.InDegree(v))
+		outDeg[v] = int32(g.OutDegree(v))
+		revOff[v+1] = revOff[v] + inDeg[v]
+	}
+	rev := make([]int32, revOff[n])
+	fill := make([]int32, n)
+	copy(fill, revOff)
 	for u := 0; u < n; u++ {
 		for _, v := range g.Out(u) {
-			rev[v] = append(rev[v], u)
+			rev[fill[v]] = int32(u)
+			fill[v]++
 		}
 	}
 
@@ -64,6 +71,21 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 			zero.Push(v)
 		}
 	}
+
+	removed := make([]bool, n)
+	// blocked files every live vertex under (in-degree, out-degree) as of
+	// filing; it stays empty until the first cycle-blocked round.
+	type filed struct{ in, out, v int32 }
+	blocked := lazyHeap[filed]{less: func(a, b filed) bool {
+		if a.in != b.in {
+			return a.in < b.in
+		}
+		if heuristic == RankMaxOutDegree && a.out != b.out {
+			return a.out > b.out
+		}
+		return a.v < b.v
+	}}
+	built := false
 
 	seq := make([]int, 0, n)
 	remove := func(u int) {
@@ -76,9 +98,13 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 			inDeg[v]--
 			if inDeg[v] == 0 {
 				zero.Push(v)
+			} else if built {
+				// A lower in-degree is a better key, which cannot wait for
+				// the old entry to surface: file a fresh one.
+				blocked.push(filed{inDeg[v], outDeg[v], int32(v)})
 			}
 		}
-		for _, p := range rev[u] {
+		for _, p := range rev[revOff[u]:revOff[u+1]] {
 			if !removed[p] {
 				outDeg[p]--
 			}
@@ -87,35 +113,37 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 
 	for len(seq) < n {
 		if zero.Len() > 0 {
-			u := zero.Pop()
-			if removed[u] {
-				continue
-			}
-			remove(u)
+			remove(zero.Pop())
 			continue
 		}
-		// Cycles block every remaining vertex: find the minimum live
-		// in-degree, then apply the heuristic.
-		min := -1
-		for v := 0; v < n; v++ {
-			if !removed[v] && (min == -1 || inDeg[v] < inDeg[min]) {
-				min = v
-			}
-		}
-		selected := min
-		if heuristic == RankMaxOutDegree {
+		// Cycles block every remaining vertex.
+		if !built {
+			built = true
+			blocked.a = make([]filed, 0, n-len(seq))
 			for v := 0; v < n; v++ {
-				if removed[v] || inDeg[v] != inDeg[min] {
-					continue
-				}
-				// First vertex with the maximum out-degree: strict
-				// inequality keeps the lowest subscript among ties.
-				if outDeg[v] > outDeg[selected] {
-					selected = v
+				if !removed[v] {
+					blocked.a = append(blocked.a, filed{inDeg[v], outDeg[v], int32(v)})
 				}
 			}
+			blocked.init()
 		}
-		remove(selected)
+		// Every live vertex has exactly one entry filed under its current
+		// in-degree; that entry's out-degree can only be too high, i.e.
+		// its filed key too good, so once the top is current it is the
+		// heuristic's pick.
+		for {
+			top := &blocked.a[0]
+			if v := top.v; removed[v] || top.in != inDeg[v] {
+				blocked.pop()
+			} else if top.out != outDeg[v] {
+				top.out = outDeg[v]
+				blocked.fixTop()
+			} else {
+				blocked.pop()
+				remove(int(v))
+				break
+			}
+		}
 	}
 	return seq
 }

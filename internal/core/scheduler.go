@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/metrics"
@@ -151,6 +152,9 @@ func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.Ph
 	srt := newSorter(acg, n.cfg.Reorder, n.cfg.InjectFault)
 	if par > 1 {
 		clusters := conflictClusters(acg, ranks)
+		// Largest first (ties keep rank order) so that one dominant
+		// cluster does not start last and leave the other workers idle.
+		slices.SortStableFunc(clusters, func(a, b []int) int { return len(b) - len(a) })
 		pb.SortClusters = len(clusters)
 		pb.MaxClusterAddrs = maxClusterLen(clusters)
 		srt.runParallel(clusters, par)
@@ -160,7 +164,7 @@ func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.Ph
 	} else {
 		srt.run(ranks)
 		if !n.cfg.SkipSafetySweep {
-			srt.safetySweep()
+			srt.safetySweep(ranks)
 		}
 	}
 	srt.finish()

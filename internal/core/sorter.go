@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,8 +15,9 @@ import (
 const initialSeq types.Seq = 1
 
 // sorter carries the mutable state of hierarchical sorting across the
-// addresses of one epoch. All per-transaction state is held in dense slices
-// indexed by epoch-local id: the maps the original implementation used
+// addresses of one epoch. All of it — per-transaction state, per-address
+// state and the scratch of every pass — is held in dense slices indexed by
+// epoch-local id or by vertex id and allocated once per Schedule: maps
 // dominated the scheduler's allocation profile, and dense slots are what
 // lets conflict-disjoint clusters run on separate goroutines without locks
 // (disjoint indices, no shared map buckets).
@@ -34,29 +36,54 @@ type sorter struct {
 	// initialSeq in finish()), so 0 never leaks into a schedule.
 	seqOf   []types.Seq
 	aborted []bool
-	// used[j] records every sequence number carried by a unit on address
-	// j ("while writeSeq is assigned", Algorithm 2 line 31): two writes
-	// on one address must never share a number.
-	used []map[types.Seq]bool
+	// used[j] is a bitset over the sequence numbers carried by a unit on
+	// address j ("while writeSeq is assigned", Algorithm 2 line 31): two
+	// writes on one address must never share a number. Every address
+	// starts with one word carved from a shared array — enough for the
+	// numbers below 64, all a low-contention epoch hands out — and grows
+	// its own copy on demand.
+	used [][]uint64
 	// maxAssigned[j] is the highest sequence number present on address j,
 	// consulted by the reordering enhancement (§IV-D: "find the maximum
 	// assigned sequence number on A_j and A_j+1").
 	maxAssigned []types.Seq
+	// readAt[id] == j+1 marks transaction id as a live reader of the
+	// address j being sorted, bumpedAt[id] == j+1 as re-sequenced by the
+	// line-17 bump there. An address is sorted once, so its stamp never
+	// recurs and the marks need no clearing.
+	readAt, bumpedAt []int32
 	// rescued counts transactions the §IV-D reordering re-sequenced
 	// instead of aborting — atomic because clusters sort in parallel.
 	rescued atomic.Int64
+
+	// Safety-sweep scratch. live mirrors the ACG's unit arena: address j
+	// parks its live readers and writers, sorted, in its own range.
+	// incident[id] counts the uncovered violating pairs touching id and
+	// adjOff[id] locates id's incidence list (see coverAborts).
+	live             []types.TxID
+	incident, adjOff []int32
 }
 
 func newSorter(acg *ACG, reorder bool, fault Fault) *sorter {
-	return &sorter{
+	txs, addrs := len(acg.sims), len(acg.Addrs)
+	s := &sorter{
 		acg:         acg,
 		reorder:     reorder,
 		fault:       fault,
-		seqOf:       make([]types.Seq, len(acg.sims)),
-		aborted:     make([]bool, len(acg.sims)),
-		used:        make([]map[types.Seq]bool, len(acg.Addrs)),
-		maxAssigned: make([]types.Seq, len(acg.Addrs)),
+		seqOf:       make([]types.Seq, txs),
+		aborted:     make([]bool, txs),
+		used:        make([][]uint64, addrs),
+		maxAssigned: make([]types.Seq, addrs),
 	}
+	perTx := make([]int32, 4*txs)
+	s.readAt, s.bumpedAt = perTx[:txs], perTx[txs:2*txs]
+	s.incident, s.adjOff = perTx[2*txs:3*txs], perTx[3*txs:]
+	s.live = make([]types.TxID, len(acg.unitAddr))
+	words := make([]uint64, addrs)
+	for j := range s.used {
+		s.used[j] = words[j : j+1 : j+1]
+	}
+	return s
 }
 
 // assign gives tx the sequence number seq and propagates it to every
@@ -65,31 +92,36 @@ func newSorter(acg *ACG, reorder bool, fault Fault) *sorter {
 // later writes skip a number, which is harmless and keeps this O(u).
 func (s *sorter) assign(id types.TxID, seq types.Seq) {
 	s.seqOf[id] = seq
-	sim := s.acg.sims[id]
-	mark := func(k types.Key) {
-		j := s.acg.index[k]
-		if s.used[j] == nil {
-			s.used[j] = make(map[types.Seq]bool)
+	word, bit := int(seq>>6), uint64(1)<<(seq&63)
+	for _, j := range s.acg.unitAddr[s.acg.unitOff[id]:s.acg.unitOff[id+1]] {
+		u := s.used[j]
+		if word >= len(u) {
+			if word >= cap(u) {
+				u = append(make([]uint64, 0, max(word+1, 2*len(u))), u...)
+			}
+			u = u[:word+1] // make zeroed the words this uncovers
+			s.used[j] = u
 		}
-		s.used[j][seq] = true
+		u[word] |= bit
 		if seq > s.maxAssigned[j] {
 			s.maxAssigned[j] = seq
 		}
 	}
-	for _, r := range sim.Reads {
-		mark(r.Key)
-	}
-	for _, w := range sim.Writes {
-		mark(w.Key)
-	}
+}
+
+// isUsed reports whether some unit on address j carries (or carried) seq.
+func (s *sorter) isUsed(j int, seq types.Seq) bool {
+	u, word := s.used[j], int(seq>>6)
+	return word < len(u) && u[word]&(1<<(seq&63)) != 0
 }
 
 // abortTx marks the transaction aborted; its units are ignored by every
 // address processed afterwards.
 func (s *sorter) abortTx(id types.TxID) { s.aborted[id] = true }
 
-// run executes Algorithm 2 on every address in rank order — the sequential
-// reference the parallel path must reproduce byte for byte.
+// run executes Algorithm 2 on the given addresses in order. Over the whole
+// rank order it is the sequential reference the parallel path must
+// reproduce byte for byte; over one cluster it is a parallel worker's job.
 func (s *sorter) run(ranks []int) {
 	for _, j := range ranks {
 		s.sortAddress(j)
@@ -100,21 +132,19 @@ func (s *sorter) run(ranks []int) {
 // conflict-closure clusters (see cluster.go) touch pairwise-disjoint
 // transaction and address state, so workers process whole clusters
 // concurrently — each cluster's addresses strictly in rank order — and the
-// final sorter state is identical to run's. Clusters are drained
-// largest-first purely for load balance; the order cannot affect the
-// result.
+// final sorter state is identical to run's.
 func (s *sorter) runParallel(clusters [][]int, workers int) {
-	bySize := scheduleOrder(clusters)
-	if workers > len(bySize) {
-		workers = len(bySize)
-	}
-	if workers <= 1 {
-		for _, c := range bySize {
-			for _, j := range clusters[c] {
-				s.sortAddress(j)
-			}
-		}
-		return
+	drainClusters(clusters, workers, func() func([]int) { return s.run })
+}
+
+// drainClusters hands every cluster, in order, to one of `workers`
+// goroutines. Each goroutine calls newWorker once and feeds the clusters it
+// draws to the function it got, so that function may own scratch. The order
+// matters for load balance only (Schedule puts the largest first); it cannot
+// affect the result.
+func drainClusters(clusters [][]int, workers int, newWorker func() func(cluster []int)) {
+	if workers > len(clusters) {
+		workers = len(clusters)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -122,14 +152,13 @@ func (s *sorter) runParallel(clusters [][]int, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			work := newWorker()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(bySize) {
+				if i >= len(clusters) {
 					return
 				}
-				for _, j := range clusters[bySize[i]] {
-					s.sortAddress(j)
-				}
+				work(clusters[i])
 			}
 		}()
 	}
@@ -153,70 +182,51 @@ func (s *sorter) finish() {
 	}
 }
 
-// sortAddress is Algorithm 2 (transaction sorting) on one address.
+// sortAddress is Algorithm 2 (transaction sorting) on one address. Units of
+// transactions aborted on earlier addresses no longer constrain anyone, so
+// every loop skips them.
 func (s *sorter) sortAddress(j int) {
 	addr := &s.acg.Addrs[j]
-
-	// Live units: transactions aborted on earlier addresses no longer
-	// constrain anyone.
-	reads := make([]types.TxID, 0, len(addr.Reads))
-	for _, id := range addr.Reads {
-		if !s.aborted[id] {
-			reads = append(reads, id)
-		}
-	}
-	writes := make([]types.TxID, 0, len(addr.Writes))
-	for _, id := range addr.Writes {
-		if !s.aborted[id] {
-			writes = append(writes, id)
-		}
-	}
+	stamp := int32(j) + 1
 
 	// --- Read phase (lines 3–15) ---
-	var maxRead types.Seq // 0 = "no read units on this address" (line 25)
-	if len(reads) > 0 {
-		var sortedReads []types.TxID
-		for _, id := range reads {
-			if s.seqOf[id] != 0 {
-				sortedReads = append(sortedReads, id)
-			}
+	// maxRead is the read ceiling; 0 = "no read units on this address"
+	// (line 25). minSeq/maxRead range over the reads sorted on earlier
+	// addresses.
+	var minSeq, maxRead types.Seq
+	anyRead, unsorted := false, false
+	for _, id := range addr.Reads {
+		if s.aborted[id] {
+			continue
 		}
-		if len(sortedReads) == 0 {
-			// All reads share the initial number: reads never conflict
-			// with each other (rule 3 of §IV-C).
-			for _, id := range reads {
-				s.assign(id, initialSeq)
-			}
-			maxRead = initialSeq
-		} else {
-			minSeq, maxSeq := s.seqOf[sortedReads[0]], s.seqOf[sortedReads[0]]
-			for _, id := range sortedReads[1:] {
-				if q := s.seqOf[id]; q < minSeq {
-					minSeq = q
-				} else if q > maxSeq {
-					maxSeq = q
-				}
-			}
-			maxRead = maxSeq
-			for _, id := range reads {
-				if s.seqOf[id] == 0 {
-					s.assign(id, minSeq)
-				}
+		anyRead = true
+		s.readAt[id] = stamp
+		q := s.seqOf[id]
+		if q == 0 {
+			unsorted = true
+			continue
+		}
+		if maxRead == 0 || q < minSeq {
+			minSeq = q
+		}
+		if q > maxRead {
+			maxRead = q
+		}
+	}
+	if anyRead && maxRead == 0 {
+		// All reads share the initial number: reads never conflict with
+		// each other (rule 3 of §IV-C).
+		minSeq, maxRead = initialSeq, initialSeq
+	}
+	if unsorted {
+		for _, id := range addr.Reads {
+			if !s.aborted[id] && s.seqOf[id] == 0 {
+				s.assign(id, minSeq)
 			}
 		}
 	}
 
 	// --- Write phase ---
-	readsHere := make(map[types.TxID]bool, len(reads))
-	for _, id := range reads {
-		readsHere[id] = true
-	}
-	var sortedWrites []types.TxID
-	for _, id := range writes {
-		if s.seqOf[id] != 0 {
-			sortedWrites = append(sortedWrites, id)
-		}
-	}
 
 	// Lines 17–19: a sorted write unit whose read unit sits on the same
 	// address must move above every read (the read-before-write rule).
@@ -226,9 +236,11 @@ func (s *sorter) sortAddress(j int) {
 	// the write actually sits at or below the read ceiling — re-bumping a
 	// transaction that is already safely above every read would silently
 	// invalidate the numbers it carries on earlier-ranked addresses.
-	bumped := make(map[types.TxID]bool)
-	for _, id := range sortedWrites {
-		if !readsHere[id] || s.seqOf[id] > maxRead {
+	for _, id := range addr.Writes {
+		if s.aborted[id] || s.seqOf[id] == 0 {
+			continue
+		}
+		if s.readAt[id] != stamp || s.seqOf[id] > maxRead {
 			continue
 		}
 		// The new number must clear this address's read ceiling AND every
@@ -237,8 +249,9 @@ func (s *sorter) sortAddress(j int) {
 		// write sequenced there earlier (a write-write conflict the
 		// safety sweep would have to abort).
 		target := maxRead + 1
-		for _, w := range s.acg.sims[id].Writes {
-			if m := s.maxAssigned[s.acg.index[w.Key]]; m >= target {
+		_, writes := s.acg.units(id)
+		for _, w := range writes {
+			if m := s.maxAssigned[w]; m >= target {
 				target = m + 1
 			}
 		}
@@ -246,7 +259,7 @@ func (s *sorter) sortAddress(j int) {
 		if target > maxRead {
 			maxRead = target
 		}
-		bumped[id] = true
+		s.bumpedAt[id] = stamp
 	}
 
 	// Lines 20–24: any other sorted write below the read ceiling is
@@ -257,18 +270,18 @@ func (s *sorter) sortAddress(j int) {
 	// [FabricSharp] allows flipping. Bumping a transaction that also
 	// reads would drag its read units above writes it observed the
 	// snapshot past, converting one abort into several.
-	for _, id := range sortedWrites {
-		if bumped[id] || s.aborted[id] {
+	for _, id := range addr.Writes {
+		if s.aborted[id] || s.seqOf[id] == 0 || s.bumpedAt[id] == stamp {
 			continue
 		}
 		if s.seqOf[id] >= maxRead {
 			continue
 		}
-		sim := s.acg.sims[id]
-		if s.reorder && len(sim.Writes) >= 2 && len(sim.Reads) == 0 {
+		reads, writes := s.acg.units(id)
+		if s.reorder && len(writes) >= 2 && len(reads) == 0 {
 			var top types.Seq
-			for _, w := range sim.Writes {
-				if m := s.maxAssigned[s.acg.index[w.Key]]; m > top {
+			for _, w := range writes {
+				if m := s.maxAssigned[w]; m > top {
 					top = m
 				}
 			}
@@ -296,11 +309,11 @@ func (s *sorter) sortAddress(j int) {
 	if maxRead > 0 {
 		writeSeq = maxRead + 1
 	}
-	for _, id := range writes {
-		if s.seqOf[id] != 0 {
+	for _, id := range addr.Writes {
+		if s.aborted[id] || s.seqOf[id] != 0 {
 			continue
 		}
-		for s.used[j] != nil && s.used[j][writeSeq] {
+		for s.isUsed(j, writeSeq) {
 			writeSeq++
 		}
 		s.assign(id, writeSeq)
@@ -313,13 +326,9 @@ func (s *sorter) sortAddress(j int) {
 // sequence number than every committed read of a *different* transaction,
 // and committed writes must carry pairwise-distinct numbers. Cross-address
 // reassignments (the line-17 bump and the §IV-D reordering) can violate
-// these in rare interleavings.
-func (s *sorter) safetySweep() {
-	all := make([]int, len(s.acg.Addrs))
-	for j := range all {
-		all[j] = j
-	}
-	s.coverAborts(s.collectViolations(all))
+// these in rare interleavings. addrs lists every address, in any order.
+func (s *sorter) safetySweep(addrs []int) {
+	s.newSweeper()(addrs)
 }
 
 // safetySweepParallel runs the sweep per conflict-closure cluster on the
@@ -329,171 +338,222 @@ func (s *sorter) safetySweep() {
 // cluster never changes another cluster's counts, so the victim set —
 // which is all that reaches the schedule — matches the sequential sweep's.
 func (s *sorter) safetySweepParallel(clusters [][]int, workers int) {
-	bySize := scheduleOrder(clusters)
-	if workers > len(bySize) {
-		workers = len(bySize)
-	}
-	if workers <= 1 {
-		for _, c := range bySize {
-			s.coverAborts(s.collectViolations(clusters[c]))
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(bySize) {
-					return
-				}
-				c := clusters[bySize[i]]
-				s.coverAborts(s.collectViolations(c))
-			}
-		}()
-	}
-	wg.Wait()
+	drainClusters(clusters, workers, s.newSweeper)
 }
+
+// newSweeper returns a function that sweeps one set of addresses per call,
+// reusing its buffers from call to call.
+func (s *sorter) newSweeper() func(addrs []int) {
+	var sw sweeper
+	return func(addrs []int) {
+		for _, victim := range s.coverAborts(s.collectViolations(addrs, &sw), &sw) {
+			s.abortTx(types.TxID(victim))
+		}
+	}
+}
+
+// sweeper is the working memory of one safety-sweep worker. Whatever is
+// indexed by transaction or address lives in the sorter instead, shared:
+// concurrent workers sweep disjoint clusters, hence disjoint slots.
+type sweeper struct {
+	contested  []contested
+	pairs      []violation
+	adj        []int32     // incidence lists, see coverAborts
+	candidates []candidate // the victim heap, see coverAborts
+	victims    []int32
+}
+
+// candidate is a transaction on at least one violating pair, filed under
+// the number of uncovered pairs it had when last looked at.
+type candidate struct{ count, id int32 }
 
 // violation is one per-address pair of committed transactions whose
 // sequence numbers break a strict-serializability invariant.
 type violation struct{ a, b types.TxID }
 
-// collectViolations gathers the violating pairs on the given addresses.
-func (s *sorter) collectViolations(addrs []int) []violation {
-	var pairs []violation
+// contested is an address with at least one violating pair: its live
+// readers and its live writers, both in ascending (sequence, id) order.
+type contested struct{ readers, writers []types.TxID }
+
+// collectViolations gathers the violating pairs on the given addresses,
+// count-then-fill: the first pass sorts each address's live units into the
+// address's own range of s.live and bounds its pair count, the second
+// fills a buffer of that size from the addresses that had any.
+func (s *sorter) collectViolations(addrs []int, sw *sweeper) []violation {
+	sw.contested = sw.contested[:0]
+	bound := 0
 	for _, j := range addrs {
 		addr := &s.acg.Addrs[j]
-		readers := make([]types.TxID, 0, len(addr.Reads))
-		for _, id := range addr.Reads {
-			if !s.aborted[id] {
-				readers = append(readers, id)
-			}
+		if len(addr.Writes) == 0 {
+			continue
 		}
-		writers := make([]types.TxID, 0, len(addr.Writes))
-		for _, id := range addr.Writes {
-			if !s.aborted[id] {
-				writers = append(writers, id)
-			}
+		lo := int(s.acg.addrOff[j])
+		mid, hi := lo+len(addr.Reads), int(s.acg.addrOff[j+1])
+		a := contested{
+			readers: s.liveBySeq(addr.Reads, s.live[lo:lo:mid]),
+			writers: s.liveBySeq(addr.Writes, s.live[mid:mid:hi]),
 		}
-		sortBySeqID(readers, s.seqOf)
-		sortBySeqID(writers, s.seqOf)
-
-		// Write-write: equal numbers collide. Every pair within an
-		// equal-seq run is violating (pairing only neighbors would let a
-		// middle-victim cover leave the outer two still colliding).
-		for i := 0; i < len(writers); {
-			j := i + 1
-			for j < len(writers) && s.seqOf[writers[j]] == s.seqOf[writers[i]] {
-				j++
-			}
-			for a := i; a < j; a++ {
-				for b := a + 1; b < j; b++ {
-					pairs = append(pairs, violation{writers[a], writers[b]})
-				}
-			}
-			i = j
+		before := bound
+		for i := 0; i < len(a.writers); {
+			end, tail := s.writeRun(a, i)
+			// The bound counts a read+write transaction against itself.
+			bound += (end-i)*(end-i-1)/2 + (end-i)*len(tail)
+			i = end
 		}
-		// Read-write: a write at or below a different transaction's read
-		// must follow it in some serial order — impossible without
-		// re-execution, so the pair is violating. readers is sorted by
-		// seq: for each write, everything from the first reader with
-		// seq >= w.seq onward conflicts.
-		for _, w := range writers {
-			wq := s.seqOf[w]
-			lo, hi := 0, len(readers)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if s.seqOf[readers[mid]] < wq {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			for _, r := range readers[lo:] {
-				if r != w {
-					pairs = append(pairs, violation{w, r})
-				}
-			}
+		if bound > before {
+			sw.contested = append(sw.contested, a)
 		}
 	}
+
+	pairs := slices.Grow(sw.pairs[:0], bound)
+	for _, a := range sw.contested {
+		for i := 0; i < len(a.writers); {
+			end, tail := s.writeRun(a, i)
+			run := a.writers[i:end]
+			// Write-write: equal numbers collide. Every pair within an
+			// equal-seq run is violating (pairing only neighbors would let
+			// a middle-victim cover leave the outer two still colliding).
+			for x, w := range run {
+				for _, other := range run[x+1:] {
+					pairs = append(pairs, violation{w, other})
+				}
+			}
+			// Read-write: a write at or below a different transaction's
+			// read must follow it in some serial order — impossible
+			// without re-execution, so the pair is violating.
+			for _, w := range run {
+				for _, r := range tail {
+					if r != w {
+						pairs = append(pairs, violation{w, r})
+					}
+				}
+			}
+			i = end
+		}
+	}
+	sw.pairs = pairs
 	return pairs
 }
 
-// coverAborts aborts a greedy vertex cover of the violating pairs — the
-// same flavor of victim selection the CG baseline's cycle removal uses —
-// because one reassigned reader frequently conflicts with many writers,
-// and aborting the reader alone resolves all of those pairs at once.
-// Aborting can only remove constraints, never add them, so the loop
-// terminates with a violation-free schedule, deterministically: the victim
-// each round is the maximum (count, id) pair, a total order, so the scan
-// order over the count map cannot change the choice.
-func (s *sorter) coverAborts(pairs []violation) {
-	if len(pairs) == 0 {
-		return
-	}
-	count := make(map[types.TxID]int, len(pairs))
-	for _, p := range pairs {
-		count[p.a]++
-		count[p.b]++
-	}
-	for len(pairs) > 0 {
-		victim := types.TxID(0)
-		best := 0
-		//nezha:nondeterminism-ok max with a total (count, id) tie-break is iteration-order-insensitive
-		for id, c := range count {
-			if c > best || (c == best && c > 0 && id > victim) {
-				victim, best = id, c
-			}
+// liveBySeq appends the non-aborted ids to buf, which has the room, and
+// sorts them in ascending (sequence, id) order.
+func (s *sorter) liveBySeq(ids, buf []types.TxID) []types.TxID {
+	for _, id := range ids {
+		if !s.aborted[id] {
+			buf = append(buf, id)
 		}
-		s.abortTx(victim)
-		kept := pairs[:0]
-		for _, p := range pairs {
-			if p.a == victim || p.b == victim {
-				count[p.a]--
-				count[p.b]--
-				continue
-			}
-			kept = append(kept, p)
-		}
-		pairs = kept
 	}
-}
-
-// scheduleOrder returns cluster indices sorted by descending size (ties by
-// ascending index): draining big clusters first keeps the worker pool
-// balanced when one cluster dominates.
-func scheduleOrder(clusters [][]int) []int {
-	order := make([]int, len(clusters))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := order[a], order[b]
-		if len(clusters[ca]) != len(clusters[cb]) {
-			return len(clusters[ca]) > len(clusters[cb])
+	slices.SortFunc(buf, func(a, b types.TxID) int {
+		if c := cmp.Compare(s.seqOf[a], s.seqOf[b]); c != 0 {
+			return c
 		}
-		return ca < cb
+		return cmp.Compare(a, b)
 	})
-	return order
+	return buf
 }
 
-// sortBySeqID sorts ids in ascending (sequence, id) order in place.
-func sortBySeqID(ids []types.TxID, seqOf []types.Seq) {
-	// Insertion sort: the slices here are per-address write lists, which
-	// are short except under extreme skew, and the input is already
-	// nearly sorted by id.
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0; k-- {
-			a, b := ids[k-1], ids[k]
-			qa, qb := seqOf[a], seqOf[b]
-			if qa < qb || (qa == qb && a < b) {
-				break
-			}
-			ids[k-1], ids[k] = ids[k], ids[k-1]
+// writeRun returns the end of the run of equal-sequence writers starting at
+// a.writers[i], and the readers the whole run conflicts with: readers are
+// sorted by sequence, so everything from the first one at or above the
+// run's number onward.
+func (s *sorter) writeRun(a contested, i int) (end int, tail []types.TxID) {
+	q := s.seqOf[a.writers[i]]
+	end = i + 1
+	for end < len(a.writers) && s.seqOf[a.writers[end]] == q {
+		end++
+	}
+	lo, hi := 0, len(a.readers)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s.seqOf[a.readers[mid]] < q {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	return end, a.readers[lo:]
+}
+
+// coverAborts picks the transactions the sweep aborts: a greedy vertex cover
+// of the violating pairs — the same flavor of victim selection the CG
+// baseline's cycle removal uses — because one reassigned reader frequently
+// conflicts with many writers, and aborting the reader alone resolves all
+// of those pairs at once. Aborting can only remove constraints, never add
+// them, so the loop terminates with every pair covered, deterministically:
+// the victim each round is the transaction with the maximum (uncovered
+// pairs, id), a total order. The victims are returned in the order chosen.
+//
+// Cost is O((txs + pairs)·log txs): the pairs are turned once into
+// per-transaction incidence lists (a pair collected twice is listed twice,
+// and counts twice) and the candidates sit in a max-heap keyed (count, id).
+// A victim only walks its own list, lowering each neighbour's count; the
+// neighbour's heap entry is left filed under the old, higher count and
+// re-filed when it reaches the top, so the top, once current, is the true
+// maximum.
+func (s *sorter) coverAborts(pairs []violation, sw *sweeper) []int32 {
+	if len(pairs) == 0 {
+		return nil
+	}
+	sw.victims = sw.victims[:0]
+	// s.incident is all zero between calls: every pair that raises two
+	// counts here lowers the same two when its first end is chosen.
+	heap := lazyHeap[candidate]{a: sw.candidates[:0], less: func(a, b candidate) bool {
+		if a.count != b.count {
+			return a.count > b.count
+		}
+		return a.id > b.id
+	}}
+	for _, p := range pairs {
+		for _, id := range [2]types.TxID{p.a, p.b} {
+			if s.incident[id] == 0 {
+				heap.a = append(heap.a, candidate{id: int32(id)})
+			}
+			s.incident[id]++
+		}
+	}
+	// Lay the lists out back to back, each closed by -1, and fill them
+	// from the back, which leaves adjOff[id] at the front of id's list.
+	size := 2*len(pairs) + len(heap.a)
+	adj := slices.Grow(sw.adj[:0], size)[:size]
+	n := int32(0)
+	for i := range heap.a {
+		c := &heap.a[i]
+		c.count = s.incident[c.id]
+		n += c.count
+		adj[n] = -1
+		s.adjOff[c.id] = n
+		n++
+	}
+	for _, p := range pairs {
+		s.adjOff[p.a]--
+		adj[s.adjOff[p.a]] = int32(p.b)
+		s.adjOff[p.b]--
+		adj[s.adjOff[p.b]] = int32(p.a)
+	}
+
+	heap.init()
+	for len(heap.a) > 0 {
+		top := &heap.a[0]
+		if now := s.incident[top.id]; now < top.count {
+			top.count = now
+			heap.fixTop()
+			continue
+		}
+		if top.count == 0 {
+			break // nothing is filed higher: every pair is covered
+		}
+		victim := top.id
+		heap.pop()
+		sw.victims = append(sw.victims, victim)
+		// The victim's remaining pairs are the ones whose other end still
+		// counts them; an earlier victim's count is already zero.
+		s.incident[victim] = 0
+		for i := s.adjOff[victim]; adj[i] >= 0; i++ {
+			if other := adj[i]; s.incident[other] > 0 {
+				s.incident[other]--
+			}
+		}
+	}
+	sw.adj, sw.candidates = adj, heap.a
+	return sw.victims
 }
