@@ -1,9 +1,12 @@
 package nezha_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/bench"
@@ -222,6 +225,73 @@ func BenchmarkMVCCRead(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(keys)), "reads/epoch")
 	})
+}
+
+// commitFixture is the state-commit micro-benchmark's input: a 20 000-cell
+// genesis (the repo benchmark's state size) behind a StateDB with a live
+// MVCC view, and a cycle of epoch-sized write sets — 950 distinct cells,
+// 8-byte values, sorted by key the way the commit overlay hands them over.
+func commitFixture(tb testing.TB) (*statedb.StateDB, [][]types.WriteEntry) {
+	const cells, perCommit, batches = 20_000, 950, 32
+	genesis := make([]types.WriteEntry, cells)
+	for i := range genesis {
+		genesis[i] = types.WriteEntry{Key: types.KeyFromUint64(uint64(i)), Value: make([]byte, 8)}
+	}
+	db := statedb.Open(kvstore.NewMemory(), mpt.EmptyRoot)
+	if _, err := db.Commit(genesis); err != nil {
+		tb.Fatal(err)
+	}
+	db.View()
+	rng := rand.New(rand.NewSource(15))
+	sets := make([][]types.WriteEntry, batches)
+	for i := range sets {
+		for _, cell := range rng.Perm(cells)[:perCommit] {
+			value := binary.BigEndian.AppendUint64(nil, rng.Uint64()|1)
+			sets[i] = append(sets[i], types.WriteEntry{Key: genesis[cell].Key, Value: value})
+		}
+		slices.SortFunc(sets[i], func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) })
+	}
+	return db, sets
+}
+
+// BenchmarkStateCommit prices one epoch's state commit end to end below
+// the node: StateDB.Commit (MVCC versions, the trie's batch update, node
+// encoding and hashing, the store flush) plus the watermark advance the
+// node performs once the epoch is durable.
+func BenchmarkStateCommit(b *testing.B) {
+	db, sets := commitFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Commit(sets[i%len(sets)]); err != nil {
+			b.Fatal(err)
+		}
+		db.AdvanceWatermark()
+	}
+	b.ReportMetric(float64(len(sets[0])), "writes/commit")
+}
+
+// TestCommitAllocationBudget bounds the same commit at 12 heap allocations
+// per written key (the per-key trie path this replaced took 44: a copy of
+// every node on every key's path, an rlp.Item tree per node, three copies
+// of every encoding). What is left is a copy of each touched node, the
+// value copies, the store's map keys and the MVCC versions; a per-node
+// Item tree or a per-key path copy coming back would blow the budget.
+func TestCommitAllocationBudget(t *testing.T) {
+	db, sets := commitFixture(t)
+	i := 0
+	perCommit := testing.AllocsPerRun(len(sets), func() {
+		if _, err := db.Commit(sets[i%len(sets)]); err != nil {
+			t.Fatal(err)
+		}
+		db.AdvanceWatermark()
+		i++
+	})
+	if perKey := perCommit / float64(len(sets[0])); perKey > 12 {
+		t.Fatalf("state commit allocates %.1f objects per written key, budget 12", perKey)
+	} else {
+		t.Logf("state commit: %.1f allocations per written key", perKey)
+	}
 }
 
 // BenchmarkPrefetch prices the prefetcher stage's two steady-state paths:

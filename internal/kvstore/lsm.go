@@ -188,7 +188,7 @@ func (s *LSM) Get(key []byte) ([]byte, bool, error) {
 // Put implements Store.
 func (s *LSM) Put(key, value []byte) error {
 	b := &Batch{}
-	b.Put(key, value)
+	b.Put(key, append([]byte(nil), value...)) // Store.Put borrows value; Batch.Put keeps it
 	return s.Apply(b)
 }
 

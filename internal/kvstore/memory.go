@@ -44,16 +44,19 @@ func (m *Memory) Put(key, value []byte) error {
 	if m.closed {
 		return ErrClosed
 	}
-	m.putLocked(key, value)
+	m.putLocked(key, append([]byte(nil), value...))
 	return nil
 }
 
+// putLocked stores value itself (the caller passes a buffer the store may
+// keep) with one map operation; a grown map means a new key, which
+// invalidates the sorted index.
 func (m *Memory) putLocked(key, value []byte) {
-	k := string(key)
-	if _, existed := m.data[k]; !existed {
+	before := len(m.data)
+	m.data[string(key)] = value
+	if len(m.data) != before {
 		m.dirty = true
 	}
-	m.data[k] = append([]byte(nil), value...)
 }
 
 // Delete implements Store.

@@ -122,6 +122,9 @@ type sinkSpec struct{ pkg, recv, name, what string }
 // state (or its audit trail) across replicas.
 var sinks = []sinkSpec{
 	{"rlp", "", "Encode", "canonical RLP encoding"},
+	{"rlp", "", "AppendString", "canonical RLP encoding"},
+	{"rlp", "", "AppendListHeader", "canonical RLP encoding"},
+	{"mpt", "Trie", "Update", "state-trie batch write"},
 	{"mpt", "Trie", "Put", "state-trie write"},
 	{"mpt", "Trie", "Delete", "state-trie delete"},
 	{"journal", "Recorder", "Emit", "deterministic journal event"},

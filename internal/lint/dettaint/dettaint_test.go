@@ -11,5 +11,5 @@ func TestDettaint(t *testing.T) {
 	// Dependency packages listed first, as the real checker's `go list
 	// -deps` ordering does, so summaries flow bottom-up.
 	analysistest.Run(t, analysistest.TestData(), dettaint.Analyzer,
-		"rlp", "journal", "helper", "a", "mempool", "ok/mempool")
+		"rlp", "journal", "mpt", "helper", "a", "mempool", "ok/mempool")
 }

@@ -6,6 +6,7 @@ import (
 
 	"helper"
 	"journal"
+	"mpt"
 	"rlp"
 )
 
@@ -115,4 +116,34 @@ func emitWinner(r *journal.Recorder, a, b chan uint64) {
 	case v = <-b:
 	}
 	r.Emit("winner", journal.F("v", v)) // want `nondeterministic value .* flows into deterministic journal event`
+}
+
+// The commit path's entry point: an overlay flattened in map order must
+// not reach the trie's batch update unsorted (the batch descent requires
+// key order, and every replica must hand over the same batch).
+func commitOverlayUnsorted(tr *mpt.Trie, overlay map[string][]byte) error {
+	var writes []mpt.Write
+	for k, v := range overlay {
+		writes = append(writes, mpt.Write{Key: k, Value: v})
+	}
+	return tr.Update(writes) // want `nondeterministic ordering .* flows into state-trie batch write`
+}
+
+// Sorting the flattened overlay is the fix the node applies.
+func commitOverlaySorted(tr *mpt.Trie, overlay map[string][]byte) error {
+	var writes []mpt.Write
+	for k, v := range overlay {
+		writes = append(writes, mpt.Write{Key: k, Value: v})
+	}
+	sort.Slice(writes, func(i, j int) bool { return writes[i].Key < writes[j].Key })
+	return tr.Update(writes)
+}
+
+// The exported append encoder is a sink like Encode.
+func appendKeysUnsorted(m map[string]int) []byte {
+	var out []byte
+	for k := range m {
+		out = rlp.AppendString(out, []byte(k)) // want `nondeterministic ordering .* flows into canonical RLP encoding`
+	}
+	return out
 }

@@ -11,3 +11,7 @@ type Item struct {
 
 // Encode is the sink: the canonical byte encoding of it.
 func Encode(it Item) []byte { return []byte(it.S) }
+
+// AppendString is the streaming sink the trie's node encoder uses: the
+// canonical encoding of s appended to dst.
+func AppendString(dst, s []byte) []byte { return append(dst, s...) }

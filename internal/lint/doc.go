@@ -12,7 +12,7 @@
 //	detsource       time.Now, global math/rand, os.Getenv in those packages
 //	dettaint        flow-sensitive, interprocedural taint: nondeterministic
 //	                ordering/values must not reach consensus-critical sinks
-//	                (rlp.Encode, Trie.Put/Delete, Recorder.Emit) anywhere
+//	                (rlp.Encode/Append*, Trie.Update/Put/Delete, Recorder.Emit) anywhere
 //	                in the tree; diagnostics carry the source→sink path
 //	failpoint       failpoint names registered in internal/fail/names.go;
 //	                arming helpers confined to tests and internal/chaos

@@ -90,11 +90,18 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value — a pre-bucketed source
+// (the MVCC depth histogram) replays a bucket in one call.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v (le semantics)
-	h.counts[i].Add(1)
-	h.sum.add(v)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.sum.add(v * float64(n))
+	h.count.Add(n)
 }
 
 // ObserveDuration records a duration in seconds — the Prometheus base

@@ -227,11 +227,13 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.Observe(0.5)
 	}
-	for i := 0; i < 25; i++ {
-		h.Observe(1.5)
-	}
+	h.ObserveN(1.5, 25) // a pre-bucketed source replays a bucket at once
+	h.ObserveN(3, 0)
 	for i := 0; i < 25; i++ {
 		h.Observe(3)
+	}
+	if h.Count() != 100 || h.Sum() != 50*0.5+25*1.5+25*3 {
+		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
 	}
 	cases := []struct{ q, want float64 }{
 		{0.25, 0.5},  // rank 25 of 50 in bucket (0,1] → halfway

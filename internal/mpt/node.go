@@ -11,9 +11,14 @@
 //     system relies on — determinism, history independence, Merkle proofs —
 //     is preserved.
 //
-// Tries are copy-on-write: mutating operations share unchanged subtrees, so
-// holding an old root cheaply snapshots the state of a previous epoch,
-// which is exactly what deferred execution needs (§III-B).
+// Tries are copy-on-write per commit: an update copies a node the first
+// time it touches it after a Commit and mutates that copy in place from
+// then on (generation stamps tell the two apart), so the nodes of the last
+// committed root are never written to and a failed update or flush falls
+// back to that root by restoring one pointer. Snapshots of older epochs do
+// not share in-memory nodes at all — they reopen their root by hash over
+// the append-only node store, which is what deferred execution needs
+// (§III-B).
 package mpt
 
 import (
@@ -37,6 +42,7 @@ type branchNode struct {
 	value    []byte
 	hash     types.Hash
 	hasHash  bool
+	gen      uint64 // Trie.gen at creation or copy; see Trie.gen
 }
 
 // shortNode compresses a run of nibbles. If val is valueNode the node is a
@@ -46,6 +52,7 @@ type shortNode struct {
 	val     node
 	hash    types.Hash
 	hasHash bool
+	gen     uint64 // Trie.gen at creation or copy; see Trie.gen
 }
 
 // hashNode references a persisted node not yet loaded into memory.
@@ -59,20 +66,6 @@ func (n *shortNode) cachedHash() (types.Hash, bool)  { return n.hash, n.hasHash 
 func (n hashNode) cachedHash() (types.Hash, bool)    { return types.Hash(n), true }
 func (n valueNode) cachedHash() (types.Hash, bool)   { return types.Hash{}, false }
 
-// copyBranch returns a mutable copy with the hash cache cleared.
-func (n *branchNode) copy() *branchNode {
-	c := *n
-	c.hasHash = false
-	return &c
-}
-
-// copyShort returns a mutable copy with the hash cache cleared.
-func (n *shortNode) copy() *shortNode {
-	c := *n
-	c.hasHash = false
-	return &c
-}
-
 // keyToNibbles expands a byte key into hex nibbles.
 func keyToNibbles(key []byte) []byte {
 	out := make([]byte, len(key)*2)
@@ -83,39 +76,24 @@ func keyToNibbles(key []byte) []byte {
 	return out
 }
 
-// prefixLen returns the length of the common prefix of a and b.
-func prefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
-// hexPrefixEncode packs nibbles into bytes with the Ethereum hex-prefix
+// appendHexPrefix appends nibbles packed with the Ethereum hex-prefix
 // scheme: the first nibble carries the leaf flag (2) and the odd-length
 // flag (1).
-func hexPrefixEncode(nibbles []byte, leaf bool) []byte {
+func appendHexPrefix(dst, nibbles []byte, leaf bool) []byte {
 	var flag byte
 	if leaf {
 		flag = 2
 	}
-	odd := len(nibbles) % 2
-	out := make([]byte, 1+len(nibbles)/2)
-	out[0] = (flag | byte(odd)) << 4
-	if odd == 1 {
-		out[0] |= nibbles[0]
+	if len(nibbles)%2 == 1 {
+		dst = append(dst, (flag|1)<<4|nibbles[0])
 		nibbles = nibbles[1:]
+	} else {
+		dst = append(dst, flag<<4)
 	}
 	for i := 0; i < len(nibbles); i += 2 {
-		out[1+i/2] = nibbles[i]<<4 | nibbles[i+1]
+		dst = append(dst, nibbles[i]<<4|nibbles[i+1])
 	}
-	return out
+	return dst
 }
 
 // hexPrefixDecode unpacks a hex-prefix encoded key.
@@ -136,58 +114,6 @@ func hexPrefixDecode(b []byte) (nibbles []byte, leaf bool, err error) {
 		nibbles = append(nibbles, c>>4, c&0x0f)
 	}
 	return nibbles, leaf, nil
-}
-
-// encodeNode RLP-encodes a node, with children referenced by hash. store
-// receives the (hash → encoding) pair of every freshly-hashed descendant.
-func encodeNode(n node, store func(h types.Hash, enc []byte)) (types.Hash, []byte) {
-	switch n := n.(type) {
-	case *shortNode:
-		var item rlp.Item
-		if v, isLeaf := n.val.(valueNode); isLeaf {
-			item = rlp.List(rlp.String(hexPrefixEncode(n.key, true)), rlp.String(v))
-		} else {
-			childHash := hashNodeRef(n.val, store)
-			item = rlp.List(rlp.String(hexPrefixEncode(n.key, false)), rlp.String(childHash[:]))
-		}
-		enc := rlp.Encode(item)
-		h := types.HashBytes(enc)
-		n.hash, n.hasHash = h, true
-		if store != nil {
-			store(h, enc)
-		}
-		return h, enc
-	case *branchNode:
-		items := make([]rlp.Item, 17)
-		for i, child := range n.children {
-			if child == nil {
-				items[i] = rlp.String(nil)
-				continue
-			}
-			childHash := hashNodeRef(child, store)
-			items[i] = rlp.String(childHash[:])
-		}
-		items[16] = rlp.String(n.value)
-		enc := rlp.Encode(rlp.List(items...))
-		h := types.HashBytes(enc)
-		n.hash, n.hasHash = h, true
-		if store != nil {
-			store(h, enc)
-		}
-		return h, enc
-	default:
-		panic(fmt.Sprintf("mpt: encodeNode on %T", n))
-	}
-}
-
-// hashNodeRef returns the hash of a child reference, encoding it first when
-// its cache is cold.
-func hashNodeRef(n node, store func(h types.Hash, enc []byte)) types.Hash {
-	if h, ok := n.cachedHash(); ok {
-		return h
-	}
-	h, _ := encodeNode(n, store)
-	return h
 }
 
 // decodeNode parses a persisted node encoding.

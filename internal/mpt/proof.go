@@ -22,6 +22,7 @@ type Proof struct {
 // same proof object proves membership (value returned by VerifyProof) or
 // absence (VerifyProof returns found=false).
 func (t *Trie) Prove(key []byte) (*Proof, error) {
+	t.RootHash() // a node's encoding names its children by hash
 	proof := &Proof{}
 	err := t.prove(t.root, keyToNibbles(key), proof)
 	if err != nil {
@@ -41,8 +42,7 @@ func (t *Trie) prove(n node, path []byte, proof *Proof) error {
 		}
 		return t.prove(resolved, path, proof)
 	case *shortNode:
-		_, enc := encodeNode(n.copy(), nil)
-		proof.Nodes = append(proof.Nodes, enc)
+		proof.Nodes = append(proof.Nodes, t.encoding(n))
 		if len(path) < len(n.key) || !bytes.Equal(n.key, path[:len(n.key)]) {
 			return nil // divergence proves absence
 		}
@@ -51,8 +51,7 @@ func (t *Trie) prove(n node, path []byte, proof *Proof) error {
 		}
 		return t.prove(n.val, path[len(n.key):], proof)
 	case *branchNode:
-		_, enc := encodeNode(n.copy(), nil)
-		proof.Nodes = append(proof.Nodes, enc)
+		proof.Nodes = append(proof.Nodes, t.encoding(n))
 		if len(path) == 0 {
 			return nil
 		}

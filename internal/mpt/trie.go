@@ -2,11 +2,14 @@ package mpt
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/rlp"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
@@ -18,21 +21,58 @@ var ErrMissingNode = errors.New("mpt: missing trie node")
 var EmptyRoot = types.ZeroHash
 
 // Trie is a Merkle Patricia Trie over a node store. It is NOT safe for
-// concurrent mutation; the statedb layer serializes writers and clones
-// tries for snapshot readers.
+// concurrent mutation; the statedb layer serializes writers and opens
+// separate tries for snapshot readers.
+//
+// Updates are all-or-nothing between Commits: Update, Put and Delete edit
+// the in-memory tree, Commit flushes it, and an error from any of them
+// leaves the trie at the root of the last successful Commit.
 type Trie struct {
 	store kvstore.Store
 	root  node
-	// dirty accumulates freshly-encoded nodes between Commits.
-	dirty map[types.Hash][]byte
+	// committed is the root as of the last successful Commit (or New);
+	// no update ever writes to a node reachable from it.
+	committed node
+	// gen stamps the nodes created or copied since then. An update copies
+	// a node carrying an older stamp before changing it and mutates one
+	// carrying this stamp in place, so a commit copies each node it
+	// touches once however many keys pass through it.
+	gen uint64
+	// pending holds the encodings RootHash produced since the last
+	// Commit, in hashing order; Commit sorts and flushes them.
+	pending []encodedNode
+
+	// Scratch reused across calls: the de-duplicated batch being applied,
+	// the payload of the node being encoded, the tail of the chunk
+	// encodings are carved from, and the sort keys and the store batch of
+	// the flush.
+	batch   []entry
+	one     [1]entry
+	payload []byte
+	arena   []byte
+	order   []sortKey
+	flush   kvstore.Batch
+}
+
+// encodedNode is one freshly hashed node on its way to the store.
+type encodedNode struct {
+	hash types.Hash
+	enc  []byte
+}
+
+// sortKey orders pending[index] by the first word of its hash.
+type sortKey struct {
+	word  uint64
+	index uint32
 }
 
 // New opens the trie rooted at root (EmptyRoot for a fresh trie) over the
 // given node store.
 func New(root types.Hash, store kvstore.Store) *Trie {
-	t := &Trie{store: store, dirty: make(map[types.Hash][]byte)}
+	t := &Trie{store: store, gen: 1}
 	if root != EmptyRoot {
 		t.root = hashNode(root)
+		t.committed = t.root
 	}
 	return t
 }
@@ -42,9 +82,6 @@ func (t *Trie) resolve(n node) (node, error) {
 	h, ok := n.(hashNode)
 	if !ok {
 		return n, nil
-	}
-	if enc, dirty := t.dirty[types.Hash(h)]; dirty {
-		return decodeNode(enc)
 	}
 	enc, found, err := t.store.Get(h[:])
 	if err != nil {
@@ -98,220 +135,293 @@ func (t *Trie) get(n node, path []byte) ([]byte, bool, error) {
 	}
 }
 
-// Put inserts or replaces key → value. An empty value deletes the key,
-// matching Ethereum semantics.
-func (t *Trie) Put(key, value []byte) error {
-	if len(value) == 0 {
-		return t.Delete(key)
+// entry is one write of a batch: key → value, an empty value deleting the
+// key. Paths are read off the key a nibble at a time, never materialised.
+type entry struct{ key, value []byte }
+
+// nibbles is the length of the entry's path.
+func (e entry) nibbles() int { return 2 * len(e.key) }
+
+// nibble returns the d-th nibble of the entry's path.
+func (e entry) nibble(d int) byte {
+	if d&1 == 0 {
+		return e.key[d>>1] >> 4
 	}
-	newRoot, err := t.insert(t.root, keyToNibbles(key), append([]byte(nil), value...))
+	return e.key[d>>1] & 0x0f
+}
+
+// matchLen is how many nibbles of key the entry's path follows from depth.
+func matchLen(key []byte, e entry, depth int) int {
+	n := min(len(key), e.nibbles()-depth)
+	for i := 0; i < n; i++ {
+		if key[i] != e.nibble(depth+i) {
+			return i
+		}
+	}
+	return n
+}
+
+// Update applies one batch of writes — an epoch's write set — in a single
+// descent. The batch must be sorted ascending by key; of several writes to
+// one key the last wins; an empty value deletes the key, matching Ethereum
+// semantics. Values are copied, the caller keeps its buffers.
+func (t *Trie) Update(writes []types.WriteEntry) error {
+	batch := t.batch[:0]
+	for i := range writes {
+		batch = append(batch, entry{key: writes[i].Key[:], value: writes[i].Value})
+	}
+	err := t.update(batch)
+	clear(batch) // do not pin the caller's buffers
+	t.batch = batch[:0]
+	return err
+}
+
+// Put inserts or replaces key → value; an empty value deletes the key.
+func (t *Trie) Put(key, value []byte) error {
+	t.one[0] = entry{key: key, value: value}
+	err := t.update(t.one[:])
+	t.one[0] = entry{}
+	return err
+}
+
+// Delete removes key; deleting an absent key is a no-op.
+func (t *Trie) Delete(key []byte) error { return t.Put(key, nil) }
+
+// update is the one way into the tree: it checks the batch's order, keeps
+// the last of equal keys (compacting batch in place) and applies what is
+// left to the root.
+func (t *Trie) update(batch []entry) error {
+	n := 0
+	for i, e := range batch {
+		if n > 0 {
+			switch c := bytes.Compare(batch[n-1].key, e.key); {
+			case c > 0:
+				t.rollback()
+				return fmt.Errorf("mpt: update batch not sorted at entry %d", i)
+			case c == 0:
+				n--
+			}
+		}
+		batch[n] = e
+		n++
+	}
+	root, _, err := t.apply(t.root, 0, batch[:n])
 	if err != nil {
+		t.rollback()
 		return err
 	}
-	t.root = newRoot
+	t.root = root
 	return nil
 }
 
-func (t *Trie) insert(n node, path []byte, value []byte) (node, error) {
+// rollback abandons everything since the last Commit. Only nodes stamped
+// with the current generation were written to, and none of them is
+// reachable from the committed root.
+func (t *Trie) rollback() {
+	t.root = t.committed
+	t.pending = t.pending[:0]
+	t.gen++
+}
+
+// apply rewrites the subtree n, which sits depth nibbles down a path every
+// entry of the sorted batch shares, and returns its replacement and whether
+// anything changed. An unchanged subtree is returned as it came, so a
+// delete of an absent key dirties nothing.
+func (t *Trie) apply(n node, depth int, batch []entry) (node, bool, error) {
+	if len(batch) == 0 {
+		return n, false, nil
+	}
 	switch n := n.(type) {
 	case nil:
 		// A value with no children below it is always a leaf — even with
 		// an empty remaining path. (Representing it as a value-only
 		// branch would break history independence: the same content
-		// would hash differently depending on insertion order.)
-		return &shortNode{key: path, val: valueNode(value)}, nil
-	case hashNode:
-		resolved, err := t.resolve(n)
-		if err != nil {
-			return nil, err
-		}
-		return t.insert(resolved, path, value)
-	case *shortNode:
-		match := prefixLen(n.key, path)
-		if match == len(n.key) {
-			rest := path[match:]
-			if v, isLeaf := n.val.(valueNode); isLeaf {
-				if len(rest) == 0 {
-					c := n.copy()
-					c.val = valueNode(value)
-					return c, nil
-				}
-				// Split the leaf: its value moves to a branch value slot.
-				branch := &branchNode{value: []byte(v)}
-				child, err := t.insert(nil, rest[1:], value)
-				if err != nil {
-					return nil, err
-				}
-				branch.children[rest[0]] = child
-				if len(n.key) == 0 {
-					return branch, nil
-				}
-				return &shortNode{key: n.key, val: branch}, nil
+		// would hash differently depending on insertion order.) The first
+		// put becomes that leaf; the rest of the batch then splits it.
+		for i, e := range batch {
+			if len(e.value) == 0 {
+				continue
 			}
-			child, err := t.insert(n.val, rest, value)
-			if err != nil {
-				return nil, err
+			key := make([]byte, e.nibbles()-depth)
+			for j := range key {
+				key[j] = e.nibble(depth + j)
 			}
-			c := n.copy()
-			c.val = child
-			return c, nil
+			leaf := &shortNode{key: key, val: valueNode(bytes.Clone(e.value)), gen: t.gen}
+			out, _, err := t.applyShort(leaf, depth, batch[i+1:])
+			return out, true, err
 		}
-		// Paths diverge inside n.key: make a branch at the divergence.
-		branch := &branchNode{}
-		// Remainder of the existing short node.
-		existingRest := n.key[match:]
-		if len(existingRest) == 1 && !isLeafNode(n.val) {
-			branch.children[existingRest[0]] = n.val
-		} else if isLeafNode(n.val) && len(existingRest) == 1 {
-			branch.children[existingRest[0]] = &shortNode{key: nil, val: n.val}
-		} else {
-			branch.children[existingRest[0]] = &shortNode{key: existingRest[1:], val: n.val}
-		}
-		// New value.
-		newRest := path[match:]
-		if len(newRest) == 0 {
-			branch.value = value
-		} else {
-			child, err := t.insert(nil, newRest[1:], value)
-			if err != nil {
-				return nil, err
-			}
-			branch.children[newRest[0]] = child
-		}
-		if match == 0 {
-			return branch, nil
-		}
-		return &shortNode{key: path[:match], val: branch}, nil
-	case *branchNode:
-		c := n.copy()
-		if len(path) == 0 {
-			c.value = value
-			return c, nil
-		}
-		child, err := t.insert(n.children[path[0]], path[1:], value)
-		if err != nil {
-			return nil, err
-		}
-		c.children[path[0]] = child
-		return c, nil
-	default:
-		return nil, fmt.Errorf("mpt: insert into %T", n)
-	}
-}
-
-func isLeafNode(n node) bool {
-	_, ok := n.(valueNode)
-	return ok
-}
-
-// Delete removes key; deleting an absent key is a no-op.
-func (t *Trie) Delete(key []byte) error {
-	newRoot, _, err := t.remove(t.root, keyToNibbles(key))
-	if err != nil {
-		return err
-	}
-	t.root = newRoot
-	return nil
-}
-
-// remove returns the replacement node and whether anything changed.
-func (t *Trie) remove(n node, path []byte) (node, bool, error) {
-	switch n := n.(type) {
-	case nil:
 		return nil, false, nil
 	case hashNode:
 		resolved, err := t.resolve(n)
 		if err != nil {
 			return nil, false, err
 		}
-		return t.remove(resolved, path)
-	case *shortNode:
-		if len(path) < len(n.key) || !bytes.Equal(n.key, path[:len(n.key)]) {
-			return n, false, nil
+		out, changed, err := t.apply(resolved, depth, batch)
+		if err != nil || !changed {
+			return n, false, err
 		}
-		rest := path[len(n.key):]
-		if v, isLeaf := n.val.(valueNode); isLeaf {
-			_ = v
-			if len(rest) == 0 {
+		return out, true, nil
+	case *shortNode:
+		return t.applyShort(n, depth, batch)
+	case *branchNode:
+		return t.applyBranch(n, depth, batch)
+	default:
+		return nil, false, fmt.Errorf("mpt: update of %T", n)
+	}
+}
+
+func (t *Trie) applyShort(n *shortNode, depth int, batch []entry) (node, bool, error) {
+	if len(batch) == 0 {
+		return n, false, nil
+	}
+	// m is how far the whole batch follows n.key; the batch is sorted, so
+	// the entry that leaves it first is the first or the last.
+	m := matchLen(n.key, batch[0], depth)
+	if len(batch) > 1 {
+		m = min(m, matchLen(n.key, batch[len(batch)-1], depth))
+	}
+	value, isLeaf := n.val.(valueNode)
+	if m == len(n.key) {
+		if !isLeaf {
+			child, changed, err := t.apply(n.val, depth+m, batch)
+			if err != nil || !changed {
+				return n, false, err
+			}
+			if _, ok := child.(*branchNode); !ok {
+				return t.prefixed(n.key, child), true, nil // the branch below collapsed
+			}
+			c := t.ownShort(n)
+			c.val = child
+			return c, true, nil
+		}
+		if e := batch[0]; len(batch) == 1 && e.nibbles() == depth+m {
+			if len(e.value) == 0 {
 				return nil, true, nil
 			}
-			return n, false, nil
+			c := t.ownShort(n)
+			c.val = valueNode(bytes.Clone(e.value))
+			return c, true, nil
 		}
-		child, changed, err := t.remove(n.val, rest)
-		if err != nil || !changed {
-			return n, changed, err
-		}
-		return t.collapseShort(n.key, child)
-	case *branchNode:
-		c := n.copy()
-		if len(path) == 0 {
-			if n.value == nil {
-				return n, false, nil
+	}
+	// The batch leaves n's path after m nibbles (or runs on below a
+	// leaf): stand the branch that belongs there, holding what n holds
+	// beyond that point, and let the batch apply to it.
+	b := &branchNode{gen: t.gen}
+	switch rest := n.key[m:]; {
+	case len(rest) == 0:
+		b.value = value
+	case len(rest) == 1 && !isLeaf:
+		b.children[rest[0]] = n.val
+	default:
+		b.children[rest[0]] = &shortNode{key: rest[1:], val: n.val, gen: t.gen}
+	}
+	out, changed, err := t.applyBranch(b, depth+m, batch)
+	if err != nil || !changed {
+		return n, false, err
+	}
+	return t.prefixed(n.key[:m], out), true, nil
+}
+
+func (t *Trie) applyBranch(n *branchNode, depth int, batch []entry) (node, bool, error) {
+	b, changed := n, false
+	if e := batch[0]; e.nibbles() == depth {
+		if len(e.value) > 0 || b.value != nil {
+			b, changed = t.ownBranch(b), true
+			b.value = nil
+			if len(e.value) > 0 {
+				b.value = bytes.Clone(e.value)
 			}
-			c.value = nil
-			return t.collapseBranch(c)
 		}
-		child, changed, err := t.remove(n.children[path[0]], path[1:])
-		if err != nil || !changed {
-			return n, changed, err
+		batch = batch[1:]
+	}
+	for len(batch) > 0 {
+		nib, end := batch[0].nibble(depth), 1
+		for end < len(batch) && batch[end].nibble(depth) == nib {
+			end++
 		}
-		c.children[path[0]] = child
-		return t.collapseBranch(c)
-	default:
-		return nil, false, fmt.Errorf("mpt: remove from %T", n)
-	}
-}
-
-// collapseShort re-attaches a (possibly collapsed) child under a prefix.
-func (t *Trie) collapseShort(prefix []byte, child node) (node, bool, error) {
-	switch child := child.(type) {
-	case nil:
-		return nil, true, nil
-	case *shortNode:
-		merged := &shortNode{key: append(append([]byte(nil), prefix...), child.key...), val: child.val}
-		return merged, true, nil
-	default:
-		return &shortNode{key: prefix, val: child}, true, nil
-	}
-}
-
-// collapseBranch simplifies a branch that may have dropped to one child or
-// value-only after a removal.
-func (t *Trie) collapseBranch(n *branchNode) (node, bool, error) {
-	liveIdx := -1
-	liveCount := 0
-	for i, c := range n.children {
-		if c != nil {
-			liveIdx = i
-			liveCount++
-		}
-	}
-	switch {
-	case liveCount == 0 && n.value == nil:
-		return nil, true, nil
-	case liveCount == 0:
-		// Value-only branch collapses to an empty-key leaf (canonical
-		// form; see insert).
-		return &shortNode{key: nil, val: valueNode(n.value)}, true, nil
-	case liveCount == 1 && n.value == nil:
-		// Merge the lone child upward.
-		child, err := t.resolve(n.children[liveIdx])
+		child, ch, err := t.apply(b.children[nib], depth+1, batch[:end])
 		if err != nil {
 			return nil, false, err
 		}
-		switch child := child.(type) {
-		case *shortNode:
-			merged := &shortNode{
-				key: append([]byte{byte(liveIdx)}, child.key...),
-				val: child.val,
-			}
-			return merged, true, nil
-		default:
-			return &shortNode{key: []byte{byte(liveIdx)}, val: child}, true, nil
+		if ch {
+			b, changed = t.ownBranch(b), true
+			b.children[nib] = child
 		}
-	default:
-		return n, true, nil
+		batch = batch[end:]
 	}
+	if !changed {
+		return n, false, nil
+	}
+	out, err := t.collapse(b)
+	return out, true, err
+}
+
+// ownShort returns n if this commit already owns it, a copy stamped with
+// the commit's generation otherwise; either way the hash cache is cleared,
+// the caller is about to change the node.
+func (t *Trie) ownShort(n *shortNode) *shortNode {
+	if n.gen != t.gen {
+		c := *n
+		c.gen = t.gen
+		n = &c
+	}
+	n.hasHash = false
+	return n
+}
+
+// ownBranch is ownShort for branches.
+func (t *Trie) ownBranch(n *branchNode) *branchNode {
+	if n.gen != t.gen {
+		c := *n
+		c.gen = t.gen
+		n = &c
+	}
+	n.hasHash = false
+	return n
+}
+
+// prefixed returns child under a run of nibbles, merging two short nodes
+// into one so the tree keeps its canonical form.
+func (t *Trie) prefixed(prefix []byte, child node) node {
+	if len(prefix) == 0 || child == nil {
+		return child
+	}
+	if s, ok := child.(*shortNode); ok {
+		return &shortNode{key: slices.Concat(prefix, s.key), val: s.val, gen: t.gen}
+	}
+	return &shortNode{key: prefix, val: child, gen: t.gen}
+}
+
+// collapse simplifies a branch an update may have left with fewer than two
+// occupants.
+func (t *Trie) collapse(b *branchNode) (node, error) {
+	live, idx := 0, 0
+	for i, c := range b.children {
+		if c != nil {
+			live, idx = live+1, i
+		}
+	}
+	switch {
+	case live > 1 || live == 1 && b.value != nil:
+		return b, nil
+	case live == 0 && b.value == nil:
+		return nil, nil
+	case live == 0:
+		// Value-only branch collapses to an empty-key leaf (canonical
+		// form; see apply).
+		return &shortNode{val: valueNode(b.value), gen: t.gen}, nil
+	}
+	// Merge the lone child upward. A child that is itself a branch stays
+	// behind its hash reference: it did not change.
+	child := b.children[idx]
+	resolved, err := t.resolve(child)
+	if err != nil {
+		return nil, err
+	}
+	if s, ok := resolved.(*shortNode); ok {
+		child = s
+	}
+	return t.prefixed([]byte{byte(idx)}, child), nil
 }
 
 // RootHash computes (and caches) the current root hash, buffering freshly
@@ -320,35 +430,147 @@ func (t *Trie) RootHash() types.Hash {
 	if t.root == nil {
 		return EmptyRoot
 	}
-	return hashNodeRef(t.root, func(h types.Hash, enc []byte) {
-		t.dirty[h] = enc
-	})
+	return t.hash(t.root)
 }
 
-// Commit hashes the trie and persists every node reachable from new
-// insertions into the store atomically, returning the root hash.
+// hash returns n's hash, first encoding — children before parents, each
+// node once — whatever below it has no cached hash yet.
+func (t *Trie) hash(n node) types.Hash {
+	switch n := n.(type) {
+	case hashNode:
+		return types.Hash(n)
+	case *shortNode:
+		if !n.hasHash {
+			if _, isLeaf := n.val.(valueNode); !isLeaf {
+				t.hash(n.val)
+			}
+			n.hash, n.hasHash = t.encode(n), true
+		}
+		return n.hash
+	case *branchNode:
+		if !n.hasHash {
+			for _, c := range n.children {
+				if c != nil {
+					t.hash(c)
+				}
+			}
+			n.hash, n.hasHash = t.encode(n), true
+		}
+		return n.hash
+	default:
+		panic(fmt.Sprintf("mpt: hash of %T", n))
+	}
+}
+
+// arenaChunk is the size of the buffers node encodings are carved from.
+// The store keeps the encodings (kvstore.Batch.Put), so a chunk lives as
+// long as any node in it; the open chunk carries over between commits and
+// only the few bytes left at the end of a full one are wasted.
+const arenaChunk = 64 << 10
+
+// encode writes n's encoding into the arena, hashes it, queues it for the
+// next Commit and returns the hash. n's children carry their hashes.
+func (t *Trie) encode(n node) types.Hash {
+	t.payload = appendPayload(t.payload[:0], n)
+	if need := len(t.payload) + 9; cap(t.arena)-len(t.arena) < need {
+		t.arena = make([]byte, 0, max(arenaChunk, need))
+	}
+	start := len(t.arena)
+	t.arena = append(rlp.AppendListHeader(t.arena, len(t.payload)), t.payload...)
+	enc := t.arena[start:len(t.arena):len(t.arena)]
+	h := types.HashBytes(enc)
+	t.pending = append(t.pending, encodedNode{hash: h, enc: enc})
+	return h
+}
+
+// appendPayload appends the RLP list payload of n — children referenced by
+// their cached hashes — to dst.
+func appendPayload(dst []byte, n node) []byte {
+	switch n := n.(type) {
+	case *shortNode:
+		v, isLeaf := n.val.(valueNode)
+		var hp [40]byte // room for a 32-byte key's path; longer ones spill to the heap
+		dst = rlp.AppendString(dst, appendHexPrefix(hp[:0], n.key, isLeaf))
+		if isLeaf {
+			return rlp.AppendString(dst, v)
+		}
+		return appendRef(dst, n.val)
+	case *branchNode:
+		for _, c := range n.children {
+			if c == nil {
+				dst = append(dst, 0x80)
+			} else {
+				dst = appendRef(dst, c)
+			}
+		}
+		return rlp.AppendString(dst, n.value)
+	default:
+		panic(fmt.Sprintf("mpt: encode of %T", n))
+	}
+}
+
+// appendRef appends the hash reference to a child that carries its hash.
+func appendRef(dst []byte, child node) []byte {
+	switch c := child.(type) {
+	case hashNode:
+		return rlp.AppendString(dst, c[:])
+	case *shortNode:
+		return rlp.AppendString(dst, c.hash[:])
+	case *branchNode:
+		return rlp.AppendString(dst, c.hash[:])
+	default:
+		panic(fmt.Sprintf("mpt: reference to %T", child))
+	}
+}
+
+// encoding returns a fresh copy of n's encoding (for proofs). n's children
+// carry their hashes.
+func (t *Trie) encoding(n node) []byte {
+	t.payload = appendPayload(t.payload[:0], n)
+	return append(rlp.AppendListHeader(make([]byte, 0, len(t.payload)+9), len(t.payload)), t.payload...)
+}
+
+// Commit hashes the trie and persists every node created since the last
+// Commit into the store atomically, returning the root hash. If the store
+// refuses the batch the trie is back at the previously committed root.
 func (t *Trie) Commit() (types.Hash, error) {
 	root := t.RootHash()
-	if len(t.dirty) == 0 {
-		return root, nil
+	if len(t.pending) > 0 {
+		// Sorted node order: the store state would be identical either
+		// way (nodes are keyed by hash), but hashing order would tie the
+		// WAL byte stream to the shape of the update — sorted commits
+		// keep replica WALs diffable and torn-log replays reproducible
+		// (found by nezha-vet). Equal encodings (two leaves with the same
+		// tail and value) are written once.
+		// Sorting pointer-free (first hash word, index) pairs keeps the
+		// garbage collector's write barriers out of the swaps.
+		order := t.order[:0]
+		for i := range t.pending {
+			order = append(order, sortKey{word: binary.BigEndian.Uint64(t.pending[i].hash[:]), index: uint32(i)})
+		}
+		slices.SortFunc(order, func(a, b sortKey) int {
+			if c := cmp.Compare(a.word, b.word); c != 0 {
+				return c
+			}
+			return bytes.Compare(t.pending[a.index].hash[:], t.pending[b.index].hash[:])
+		})
+		for i, k := range order {
+			if e := &t.pending[k.index]; i == 0 || e.hash != t.pending[order[i-1].index].hash {
+				t.flush.Put(e.hash[:], e.enc)
+			}
+		}
+		t.order = order[:0]
+		err := t.store.Apply(&t.flush)
+		t.flush.Reset()
+		if err != nil {
+			t.rollback()
+			return types.Hash{}, fmt.Errorf("mpt: commit: %w", err)
+		}
+		clear(t.pending)
+		t.pending = t.pending[:0]
 	}
-	batch := &kvstore.Batch{}
-	// Sorted node order: the store state would be identical either way
-	// (nodes are keyed by hash), but map order would make the WAL byte
-	// stream differ per process — sorted commits keep replica WALs
-	// diffable and torn-log replays reproducible (found by nezha-vet).
-	hashes := make([]types.Hash, 0, len(t.dirty))
-	for h := range t.dirty {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
-	for _, h := range hashes {
-		batch.Put(h[:], t.dirty[h])
-	}
-	if err := t.store.Apply(batch); err != nil {
-		return types.Hash{}, fmt.Errorf("mpt: commit: %w", err)
-	}
-	t.dirty = make(map[types.Hash][]byte)
+	t.committed = t.root
+	t.gen++
 	return root, nil
 }
 

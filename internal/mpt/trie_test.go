@@ -194,6 +194,37 @@ func TestHistoryIndependence(t *testing.T) {
 		if r1 != r2 || r2 != r3 {
 			t.Fatalf("trial %d: roots differ across insertion orders: %s %s %s", trial, r1, r2, r3)
 		}
+
+		// The same content as one batch, and as two batches with a commit
+		// after each, reaches the root the keys reach one at a time.
+		var batch []entry
+		for k, v := range content {
+			batch = append(batch, entry{key: []byte(k), value: []byte(v)})
+		}
+		sort.Slice(batch, func(i, j int) bool { return bytes.Compare(batch[i].key, batch[j].key) < 0 })
+		odd, even := []entry{}, []entry{}
+		for i, e := range batch {
+			if i%2 == 0 {
+				even = append(even, e)
+			} else {
+				odd = append(odd, e)
+			}
+		}
+		oneBatch, twoCommits := newTestTrie(), newTestTrie()
+		if err := oneBatch.update(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, half := range [][]entry{odd, even} {
+			if err := twoCommits.update(half); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twoCommits.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b1, b2 := oneBatch.RootHash(), twoCommits.RootHash(); b1 != r1 || b2 != r1 {
+			t.Fatalf("trial %d: one batch %s, two commits %s, one key at a time %s", trial, b1, b2, r1)
+		}
 	}
 }
 

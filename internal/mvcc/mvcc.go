@@ -50,11 +50,16 @@
 //
 // SetWatermark(w) declares that no live view reads below generation w
 // (the node advances w to the generation of its last persisted epoch).
-// GC then FOLDS each chain: the newest version at or below w becomes the
-// new base and every version at or below w is dropped. Folding — rather
-// than dropping — is what keeps rule 2 honest: a later read between w and
-// a surviving version still sees the folded value. Reads below the
-// watermark return ErrBelowWatermark.
+// GC then FOLDS each chain that holds versions: the newest version at or
+// below w becomes the new base and every version at or below w is dropped.
+// Folding — rather than dropping — is what keeps rule 2 honest: a later
+// read between w and a surviving version still sees the folded value.
+// Reads below the watermark return ErrBelowWatermark.
+//
+// Only a commit creates versions, so each shard lists the chains written
+// since they were last folded empty and GC visits those alone: an epoch's
+// bookkeeping costs O(keys written), not O(keys cached). The live chain
+// and version counts are running counters for the same reason.
 package mvcc
 
 import (
@@ -81,7 +86,8 @@ const numShards = 16
 
 // DepthBuckets are the chain-depth histogram bounds GC records into
 // (Stats.DepthBuckets counts chains with depth <=1, <=2, <=4, <=8, <=16,
-// and a final overflow bucket).
+// and a final overflow bucket). GC samples the chains it folds — those
+// written since the previous fold — not the version-less rest of the cache.
 var DepthBuckets = []float64{1, 2, 4, 8, 16}
 
 // numDepthBuckets is len(DepthBuckets) plus the overflow bucket.
@@ -104,8 +110,9 @@ type Stats struct {
 	PrefetchSkipped uint64
 	// GCVersions counts versions dropped (folded) by SetWatermark.
 	GCVersions uint64
-	// DepthBuckets histograms chain depth (version count) observed at GC
-	// time; bounds are DepthBuckets plus a final overflow bucket.
+	// DepthBuckets histograms the depth (version count) of the chains GC
+	// folded, observed just before the fold; bounds are DepthBuckets plus
+	// a final overflow bucket.
 	DepthBuckets [numDepthBuckets]uint64
 	// Chains is the number of live chains (cache entries).
 	Chains uint64
@@ -128,6 +135,8 @@ type chain struct {
 	// prefetched marks a base the prefetcher loaded; the first read
 	// through it clears the mark and counts a prefetch hit.
 	prefetched bool
+	// listed marks a chain on its shard's written list.
+	listed bool
 }
 
 // shard is one lock domain of the store.
@@ -135,6 +144,10 @@ type shard struct {
 	mu       sync.RWMutex
 	chains   map[types.Key]*chain
 	reserved map[types.Key]struct{}
+	// written lists the chains that may hold versions: CommitEpoch adds a
+	// chain when it appends to it, SetWatermark drops it once it folds
+	// empty (or finds a rollback already emptied it).
+	written []*chain
 }
 
 // Store is the multi-version state core. Safe for concurrent use; the
@@ -155,6 +168,8 @@ type Store struct {
 	prefetchSkipped atomic.Uint64
 	gcVersions      atomic.Uint64
 	depthBuckets    [numDepthBuckets]atomic.Uint64
+	chains          atomic.Uint64 // live chains
+	versions        atomic.Int64  // live versions
 
 	shards [numShards]shard
 }
@@ -257,12 +272,19 @@ func (st *Store) readAt(k types.Key, gen uint64) ([]byte, error) {
 		return val, nil
 	}
 	if c == nil {
-		c = &chain{}
-		sh.chains[k] = c
+		c = st.newChain(sh, k)
 	}
 	c.base = val
 	c.baseLoaded = true
 	return val, nil
+}
+
+// newChain adds an empty chain for k to its (locked) shard.
+func (st *Store) newChain(sh *shard, k types.Key) *chain {
+	c := &chain{}
+	sh.chains[k] = c
+	st.chains.Add(1)
+	return c
 }
 
 // resolve returns the chain's value at generation gen, whether the chain
@@ -322,8 +344,7 @@ func (st *Store) CommitEpoch(writes []types.WriteEntry, load Loader) (uint64, er
 		sh.mu.Lock()
 		c := sh.chains[w.Key]
 		if c == nil {
-			c = &chain{}
-			sh.chains[w.Key] = c
+			c = st.newChain(sh, w.Key)
 		}
 		if !c.baseLoaded && len(c.versions) == 0 {
 			sh.mu.Unlock()
@@ -341,6 +362,11 @@ func (st *Store) CommitEpoch(writes []types.WriteEntry, load Loader) (uint64, er
 			c.baseLoaded = true
 		}
 		c.versions = append(c.versions, version{gen: gen, gv: st.nextGV.Add(1), val: w.Value})
+		st.versions.Add(1)
+		if !c.listed {
+			c.listed = true
+			sh.written = append(sh.written, c)
+		}
 		sh.mu.Unlock()
 	}
 	st.gen.Store(gen)
@@ -360,18 +386,22 @@ func (st *Store) RollbackEpoch(writes []types.WriteEntry) {
 }
 
 // dropVersionsAt removes each listed key's trailing version if it sits at
-// exactly the given generation (the failed commit's appends).
+// exactly the given generation (the failed commit's appends). A chain it
+// empties stays on its shard's written list until the next fold skips it.
 func (st *Store) dropVersionsAt(gen uint64, writes []types.WriteEntry) {
+	dropped := 0
 	for _, w := range writes {
 		sh := st.shardOf(w.Key)
 		sh.mu.Lock()
 		if c := sh.chains[w.Key]; c != nil && len(c.versions) > 0 {
 			if last := len(c.versions) - 1; c.versions[last].gen == gen {
 				c.versions = c.versions[:last]
+				dropped++
 			}
 		}
 		sh.mu.Unlock()
 	}
+	st.versions.Add(-int64(dropped))
 }
 
 // Prefetch pulls a cold key's value into the cache so the next epoch's
@@ -401,8 +431,7 @@ func (st *Store) Prefetch(k types.Key) error {
 		return nil
 	}
 	if c == nil {
-		c = &chain{}
-		sh.chains[k] = c
+		c = st.newChain(sh, k)
 	}
 	c.base = val
 	c.baseLoaded = true
@@ -411,12 +440,12 @@ func (st *Store) Prefetch(k types.Key) error {
 	return nil
 }
 
-// SetWatermark advances the GC watermark to w and folds every chain:
-// the newest version at or below w becomes the chain's base and versions
-// at or below w are dropped. Lowering the watermark is a no-op, and w is
-// clamped to the current generation (a watermark above every committed
-// generation would invalidate even the head view). Returns the number of
-// versions collected.
+// SetWatermark advances the GC watermark to w and folds every chain that
+// holds versions: the newest version at or below w becomes the chain's
+// base and versions at or below w are dropped. Lowering the watermark is a
+// no-op, and w is clamped to the current generation (a watermark above
+// every committed generation would invalidate even the head view). Returns
+// the number of versions collected.
 func (st *Store) SetWatermark(w uint64) int {
 	if g := st.gen.Load(); w > g {
 		w = g
@@ -431,39 +460,60 @@ func (st *Store) SetWatermark(w uint64) int {
 		}
 	}
 	collected := 0
+	var depths [numDepthBuckets]uint64
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		for _, c := range sh.chains { //nezha:nondeterminism-ok fold is per-chain and commutative; only the commutative collected count crosses chains
-			st.observeDepth(len(c.versions))
-			cut := 0
-			for cut < len(c.versions) && c.versions[cut].gen <= w {
-				cut++
+		keep := sh.written[:0]
+		for _, c := range sh.written {
+			if len(c.versions) > 0 {
+				depths[depthBucket(len(c.versions))]++
+				collected += c.fold(w)
 			}
-			if cut == 0 {
-				continue
+			if len(c.versions) > 0 {
+				keep = append(keep, c)
+			} else {
+				c.listed = false
 			}
-			c.base = c.versions[cut-1].val
-			c.baseLoaded = true
-			c.prefetched = false
-			c.versions = append(c.versions[:0], c.versions[cut:]...)
-			collected += cut
 		}
+		clear(sh.written[len(keep):])
+		sh.written = keep
 		sh.mu.Unlock()
 	}
+	for i, n := range depths {
+		st.depthBuckets[i].Add(n)
+	}
 	st.gcVersions.Add(uint64(collected))
+	st.versions.Add(-int64(collected))
 	return collected
 }
 
-// observeDepth records one chain's version count into the depth histogram.
-func (st *Store) observeDepth(depth int) {
+// fold makes the newest version at or below w the chain's base, drops the
+// versions at or below w and returns how many that was.
+func (c *chain) fold(w uint64) int {
+	cut := 0
+	for cut < len(c.versions) && c.versions[cut].gen <= w {
+		cut++
+	}
+	if cut == 0 {
+		return 0
+	}
+	c.base = c.versions[cut-1].val
+	c.baseLoaded = true
+	c.prefetched = false
+	c.versions = append(c.versions[:0], c.versions[cut:]...)
+	return cut
+}
+
+// depthBucket is the index of the depth histogram bucket a chain of the
+// given version count falls into.
+func depthBucket(depth int) int {
 	for i, bound := range DepthBuckets {
 		if float64(depth) <= bound {
-			st.depthBuckets[i].Add(1)
-			return
+			return i
 		}
 	}
-	st.depthBuckets[numDepthBuckets-1].Add(1)
+	return numDepthBuckets - 1
 }
 
 // Stats snapshots the store's counters.
@@ -475,18 +525,11 @@ func (st *Store) Stats() Stats {
 		PrefetchHits:    st.prefetchHits.Load(),
 		PrefetchSkipped: st.prefetchSkipped.Load(),
 		GCVersions:      st.gcVersions.Load(),
+		Chains:          st.chains.Load(),
+		Versions:        uint64(st.versions.Load()),
 	}
 	for i := range st.depthBuckets {
 		s.DepthBuckets[i] = st.depthBuckets[i].Load()
-	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		s.Chains += uint64(len(sh.chains))
-		for _, c := range sh.chains { //nezha:nondeterminism-ok summing version counts is commutative
-			s.Versions += uint64(len(c.versions))
-		}
-		sh.mu.RUnlock()
 	}
 	return s
 }
@@ -494,10 +537,14 @@ func (st *Store) Stats() Stats {
 // CheckInvariants walks every chain and verifies the structural rules the
 // read path relies on: versions strictly ascending in generation, global
 // version ids strictly ascending within a chain, no version at or below
-// the watermark, and versions-imply-base. Tests and the fuzz target call
-// it; it is not on any hot path.
+// the watermark, and versions-imply-base — plus the two the bookkeeping
+// relies on: a chain holding versions is on its shard's written list (GC
+// would never fold it otherwise), and the running chain and version counts
+// equal a recount. Call it between operations, not concurrently with a
+// commit; tests and the fuzz target do, it is not on any hot path.
 func (st *Store) CheckInvariants() error {
 	w := st.watermark.Load()
+	var chains, versions uint64
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
@@ -506,11 +553,21 @@ func (st *Store) CheckInvariants() error {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
+		listed := make(map[*chain]bool, len(sh.written))
+		for _, c := range sh.written {
+			listed[c] = true
+		}
 		for _, k := range keys {
 			c := sh.chains[k]
+			chains++
+			versions += uint64(len(c.versions))
 			if len(c.versions) > 0 && !c.baseLoaded {
 				sh.mu.RUnlock()
 				return fmt.Errorf("mvcc: key %x has versions but no base", k[:4])
+			}
+			if len(c.versions) > 0 && !(c.listed && listed[c]) {
+				sh.mu.RUnlock()
+				return fmt.Errorf("mvcc: key %x has versions but is not listed for GC", k[:4])
 			}
 			for j, v := range c.versions {
 				if v.gen <= w {
@@ -524,6 +581,9 @@ func (st *Store) CheckInvariants() error {
 			}
 		}
 		sh.mu.RUnlock()
+	}
+	if got := st.Stats(); got.Chains != chains || got.Versions != versions {
+		return fmt.Errorf("mvcc: counters say %d chains, %d versions; the store holds %d, %d", got.Chains, got.Versions, chains, versions)
 	}
 	return nil
 }

@@ -281,6 +281,13 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 						t.Errorf("reader: %v", err)
 						return
 					}
+					if st.Watermark() > g {
+						// GC passed the view between Get's watermark check
+						// and its read; a view's reader must not outlive
+						// its generation (see Store.View), so the value
+						// carries no guarantee.
+						break
+					}
 					if len(got) != 1 || uint64(got[0]) > g {
 						t.Errorf("reader at gen %d saw future value %v", g, got)
 						return
@@ -389,5 +396,66 @@ func TestLoaderErrorPropagates(t *testing.T) {
 	}
 	if _, err := st.CommitEpoch([]types.WriteEntry{{Key: key(1)}}, nil); !errors.Is(err, boom) {
 		t.Fatalf("commit err = %v, want loader error", err)
+	}
+}
+
+// TestFoldVisitsWrittenChainsOnly pins the epoch bookkeeping: GC samples
+// and folds the chains a commit wrote — not the read-only rest of the
+// cache — a rolled-back write leaves nothing to fold, a chain the watermark
+// did not reach stays listed for the next fold, and the running chain and
+// version counts match a recount throughout (CheckInvariants recounts).
+func TestFoldVisitsWrittenChainsOnly(t *testing.T) {
+	b := newBackend()
+	st := New(0, b.load)
+	for i := byte(0); i < 100; i++ { // a read-only working set
+		if _, err := st.Head().Get(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sampled := func() (n uint64) {
+		for _, c := range st.Stats().DepthBuckets {
+			n += c
+		}
+		return n
+	}
+	check := func(chains, versions uint64) {
+		t.Helper()
+		if err := st.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if s := st.Stats(); s.Chains != chains || s.Versions != versions {
+			t.Fatalf("chains=%d versions=%d, want %d/%d", s.Chains, s.Versions, chains, versions)
+		}
+	}
+	check(100, 0)
+
+	commit(t, st, b, []types.WriteEntry{{Key: key(1), Value: []byte("a")}, {Key: key(200), Value: []byte("b")}})
+	check(101, 2)
+	if got := st.SetWatermark(1); got != 2 || sampled() != 2 {
+		t.Fatalf("fold collected %d versions from %d sampled chains, want 2 from 2", got, sampled())
+	}
+	check(101, 0)
+
+	// Rolled back: the next fold finds the chains empty and samples nothing.
+	writes := []types.WriteEntry{{Key: key(2), Value: []byte("c")}, {Key: key(201), Value: []byte("d")}}
+	if _, err := st.CommitEpoch(writes, b.load); err != nil {
+		t.Fatal(err)
+	}
+	check(102, 2)
+	st.RollbackEpoch(writes)
+	check(102, 0)
+	commit(t, st, b, []types.WriteEntry{{Key: key(3), Value: []byte("e")}}) // gen 2
+	commit(t, st, b, []types.WriteEntry{{Key: key(3), Value: []byte("f")}}) // gen 3
+	if got := st.SetWatermark(2); got != 1 || sampled() != 3 {
+		t.Fatalf("fold collected %d, sampled %d chains in all; want 1 and 3", got, sampled())
+	}
+	check(102, 1)
+	// key(3) still holds its gen-3 version and must be folded next time.
+	if got := st.SetWatermark(3); got != 1 || sampled() != 4 {
+		t.Fatalf("second fold collected %d, sampled %d chains in all; want 1 and 4", got, sampled())
+	}
+	check(102, 0)
+	if got, err := st.Head().Get(key(3)); err != nil || string(got) != "f" {
+		t.Fatalf("read after folds = %q, %v; want f", got, err)
 	}
 }

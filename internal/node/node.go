@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -137,6 +138,10 @@ type Node struct {
 	// the genesis root. Validation accepts a block whose StateRoot
 	// matches the root of a processed epoch below its height.
 	roots map[uint64]types.Hash
+	// rootEpoch indexes roots the other way: each recorded root → the
+	// first epoch that produced it (empty epochs repeat a root), so the
+	// root check is one lookup however long the history grows.
+	rootEpoch map[types.Hash]uint64
 	// preval is the in-flight background signature prevalidation, if any
 	// (see pipeline.go).
 	preval *prevalidation
@@ -206,8 +211,25 @@ func New(id string, store kvstore.Store, cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("node: genesis: %w", err)
 		}
 	}
-	n.roots = map[uint64]types.Hash{0: n.state.Root()}
+	n.setRootsLocked(map[uint64]types.Hash{0: n.state.Root()})
 	return n, nil
+}
+
+// setRootsLocked installs a root history and rebuilds its index.
+func (n *Node) setRootsLocked(roots map[uint64]types.Hash) {
+	n.roots = roots
+	n.rootEpoch = make(map[types.Hash]uint64, len(roots))
+	for e, root := range roots { //nezha:nondeterminism-ok the index keeps the minimum epoch per root, whatever the order
+		n.recordRootLocked(e, root)
+	}
+}
+
+// recordRootLocked records root as the state after epoch e.
+func (n *Node) recordRootLocked(e uint64, root types.Hash) {
+	n.roots[e] = root
+	if first, ok := n.rootEpoch[root]; !ok || e < first {
+		n.rootEpoch[root] = e
+	}
 }
 
 // ID returns the node identifier.
@@ -426,7 +448,7 @@ func (n *Node) processBlocksLocked(e uint64, blocks []*types.Block) (*EpochResul
 	if err := fail.HitTag(fail.NodeDivergeRoot, n.id); err != nil {
 		root[0] ^= 0x01
 	}
-	n.roots[e] = root
+	n.recordRootLocked(e, root)
 	n.ledger.Finalize(e)
 	if n.cfg.Persist {
 		if err := n.persistEpochLocked(e, er.epoch.Blocks); err != nil {
@@ -467,12 +489,8 @@ func (n *Node) validSignatures(b *types.Block) bool {
 // epoch strictly below the block's height (the paper's lockstep clusters
 // make this "the previous epoch" in practice; see DESIGN.md §7).
 func (n *Node) validStateRootLocked(b *types.Block) bool {
-	for epoch, root := range n.roots {
-		if epoch < b.Header.Height && root == b.Header.StateRoot {
-			return true
-		}
-	}
-	return false
+	first, ok := n.rootEpoch[b.Header.StateRoot]
+	return ok && first < b.Header.Height
 }
 
 // CommitSchedule is the commitment phase (§III-B) as a reusable function:
@@ -631,17 +649,22 @@ func (ov *overlay) put(k types.Key, v []byte) {
 	s.mu.Unlock()
 }
 
-// entries flattens the overlay in sorted key order (determinism for the
-// trie walk; the MPT is history-independent, but a deterministic order
-// keeps profiles stable).
+// entries flattens the overlay in ascending key order — the order the
+// state trie's batch update descends in (statedb.Commit would otherwise
+// sort a copy), and the one that makes every replica hand the trie the
+// same batch.
 func (ov *overlay) entries() []types.WriteEntry {
-	var out []types.WriteEntry
+	n := 0
+	for i := range ov.shards {
+		n += len(ov.shards[i].m)
+	}
+	out := make([]types.WriteEntry, 0, n)
 	for i := range ov.shards {
 		for k, v := range ov.shards[i].m {
 			out = append(out, types.WriteEntry{Key: k, Value: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	slices.SortFunc(out, func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -426,3 +426,42 @@ func BenchmarkPipelineEpoch(b *testing.B) {
 		})
 	}
 }
+
+// TestStateRootCheckUsesFirstEpochIndex pins the validation rule on the
+// root → first-epoch index: a block may cite the root of any epoch strictly
+// below its height, a root recorded at two epochs (an empty epoch repeats
+// its predecessor's) counts from the earlier one, and the root of a later
+// epoch — or an unknown one — is refused.
+func TestStateRootCheckUsesFirstEpochIndex(t *testing.T) {
+	n, err := New("x", kvstore.NewMemory(), testConfig(1, core.MustNewScheduler(core.DefaultConfig())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genesis, _ := n.RootAt(0)
+	r1, r3 := types.HashBytes([]byte("epoch 1")), types.HashBytes([]byte("epoch 3"))
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.recordRootLocked(2, r1) // out of order on purpose: restore walks a map
+	n.recordRootLocked(1, r1)
+	n.recordRootLocked(3, r3)
+	for _, tc := range []struct {
+		name   string
+		root   types.Hash
+		height uint64
+		want   bool
+	}{
+		{"genesis root at height 1", genesis, 1, true},
+		{"repeated root, from its first epoch on", r1, 2, true},
+		{"repeated root, later still", r1, 4, true},
+		{"repeated root at its own first epoch", r1, 1, false},
+		{"root of the block's own epoch", r3, 3, false},
+		{"root of a later epoch", r3, 2, false},
+		{"root of the previous epoch", r3, 4, true},
+		{"unknown root", types.HashBytes([]byte("forged")), 9, false},
+	} {
+		b := &types.Block{Header: types.BlockHeader{Height: tc.height, StateRoot: tc.root}}
+		if got := n.validStateRootLocked(b); got != tc.want {
+			t.Errorf("%s: accepted = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

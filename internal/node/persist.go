@@ -143,7 +143,7 @@ func (n *Node) restoreFromStore() (bool, error) {
 		return false, fmt.Errorf("node: replay persisted blocks: %w", err)
 	}
 	n.nextEpoch = next
-	n.roots = roots
+	n.setRootsLocked(roots)
 	if err := n.auditRecovery(blocks); err != nil {
 		return false, err
 	}

@@ -196,6 +196,14 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 	if n2.StateRoot() != wantRoot {
 		t.Fatalf("restart root %s, want %s", n2.StateRoot().Short(), wantRoot.Short())
 	}
+	// The root index comes back with the root history: a block citing the
+	// restored head root is valid at the next height.
+	n2.mu.Lock()
+	cites := &types.Block{Header: types.BlockHeader{Height: wantEpoch, StateRoot: wantRoot}}
+	if !n2.validStateRootLocked(cites) || len(n2.rootEpoch) == 0 {
+		t.Fatal("restored node refuses its own head root")
+	}
+	n2.mu.Unlock()
 	// The ledger must have replayed the canonical chains.
 	for c := uint32(0); c < 2; c++ {
 		if n2.Ledger().Height(c) < wantEpoch-1 {

@@ -89,15 +89,13 @@ func (n *Node) recordMVCCMetrics(cur mvcc.Stats) {
 	reg.Gauge("nezha_mvcc_live_versions",
 		"Committed versions retained above the GC watermark.", nl).Set(float64(cur.Versions))
 	depth := reg.Histogram("nezha_mvcc_chain_depth",
-		"Version-chain depth observed at GC time.", mvcc.DepthBuckets, nl)
+		"Depth of the version chains GC folded (chains written since the previous fold).", mvcc.DepthBuckets, nl)
 	for i, count := range cur.DepthBuckets {
 		rep := 2 * mvcc.DepthBuckets[len(mvcc.DepthBuckets)-1] // overflow bucket representative
 		if i < len(mvcc.DepthBuckets) {
 			rep = mvcc.DepthBuckets[i]
 		}
-		for seen := prev.DepthBuckets[i]; seen < count; seen++ {
-			depth.Observe(rep)
-		}
+		depth.ObserveN(rep, count-prev.DepthBuckets[i])
 	}
 }
 

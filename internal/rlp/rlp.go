@@ -81,25 +81,35 @@ func Encode(it Item) []byte {
 func appendItem(dst []byte, it Item) []byte {
 	switch it.K {
 	case KindString:
-		return appendString(dst, it.Str)
+		return AppendString(dst, it.Str)
 	case KindList:
 		var payload []byte
 		for _, sub := range it.List {
 			payload = appendItem(payload, sub)
 		}
-		dst = appendLength(dst, 0xc0, len(payload))
+		dst = AppendListHeader(dst, len(payload))
 		return append(dst, payload...)
 	default:
 		panic(fmt.Sprintf("rlp: encode item of kind %d", it.K))
 	}
 }
 
-func appendString(dst, s []byte) []byte {
+// AppendString appends the encoding of the byte string s to dst. Together
+// with AppendListHeader it lets a hot caller (the MPT node encoder) write
+// an encoding straight into a reused buffer without building an Item tree;
+// the bytes are exactly what Encode(String(s)) produces.
+func AppendString(dst, s []byte) []byte {
 	if len(s) == 1 && s[0] < 0x80 {
 		return append(dst, s[0])
 	}
 	dst = appendLength(dst, 0x80, len(s))
 	return append(dst, s...)
+}
+
+// AppendListHeader appends the header of a list whose already-encoded
+// items total payloadLen bytes; the caller appends that payload next.
+func AppendListHeader(dst []byte, payloadLen int) []byte {
+	return appendLength(dst, 0xc0, payloadLen)
 }
 
 func appendLength(dst []byte, base byte, length int) []byte {

@@ -8,6 +8,7 @@ package statedb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/nezha-dag/nezha/internal/journal"
@@ -167,10 +168,15 @@ func (s *StateDB) MVCCStats() (stats mvcc.Stats, ok bool) {
 	return mv.Stats(), true
 }
 
-// Commit applies the writes of one epoch to the trie, persists the new
-// nodes, and returns the new root. Writes must already be conflict-free
-// (distinct keys or intentional last-writer-wins order); the concurrency-
-// control layer guarantees that.
+// Commit applies the writes of one epoch to the trie as one batch, persists
+// the new nodes, and returns the new root. Writes must already be
+// conflict-free (distinct keys or intentional last-writer-wins order); the
+// concurrency-control layer guarantees that. The commit overlay hands them
+// over sorted by key, which the trie's batch descent requires; any other
+// order is sorted here first (stably, so the last writer still wins).
+//
+// The commit is all-or-nothing: when the store refuses the flush, the
+// trie, the root and every view are where they were before the call.
 //
 // When the MVCC cache exists the commit follows its protocol: reserve the
 // written keys, append the new versions while the trie still resolves
@@ -207,16 +213,20 @@ func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
 			s.jr.Emit(journal.StateRollback, mv.Gen(), journal.F("writes", uint64(len(writes))))
 		}
 	}
-	for _, w := range writes {
-		if err := s.trie.Put(w.Key[:], w.Value); err != nil {
-			rollback()
-			return types.Hash{}, fmt.Errorf("statedb: apply write: %w", err)
-		}
+	byKey := func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) }
+	if !slices.IsSortedFunc(writes, byKey) {
+		writes = slices.Clone(writes)
+		slices.SortStableFunc(writes, byKey)
 	}
-	root, err := s.trie.Commit()
+	err := s.trie.Update(writes)
+	var root types.Hash
+	if err == nil {
+		root, err = s.trie.Commit()
+	}
 	if err != nil {
+		// The trie is back at s.root by itself; unwind the versions.
 		rollback()
-		return types.Hash{}, err
+		return types.Hash{}, fmt.Errorf("statedb: commit: %w", err)
 	}
 	s.root = root
 	gen := uint64(0)

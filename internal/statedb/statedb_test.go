@@ -2,6 +2,7 @@ package statedb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -232,5 +233,84 @@ func TestDeleteViaEmptyValue(t *testing.T) {
 	}
 	if !bytes.Equal(nil, v) {
 		t.Fatal("deleted value not nil")
+	}
+}
+
+// flakyStore refuses the next `failures` Apply calls.
+type flakyStore struct {
+	kvstore.Store
+	failures int
+}
+
+func (s *flakyStore) Apply(b *kvstore.Batch) error {
+	if s.failures > 0 {
+		s.failures--
+		return errors.New("injected apply failure")
+	}
+	return s.Store.Apply(b)
+}
+
+// TestFailedFlushLeavesNoPhantomWrites: when the store refuses an epoch's
+// flush, nothing of the epoch is visible — not through Root, not through
+// Get (the MVCC loader reads through it), not through a view opened after
+// the failure — and the retried commit reaches the root a database that
+// never failed reaches. The per-key trie path used to keep the refused
+// writes in the head trie while the root and the versions rolled back.
+func TestFailedFlushLeavesNoPhantomWrites(t *testing.T) {
+	store := &flakyStore{Store: kvstore.NewMemory()}
+	db, twin := Open(store, mpt.EmptyRoot), Open(kvstore.NewMemory(), mpt.EmptyRoot)
+	var genesis, epoch []types.WriteEntry
+	for i := uint64(0); i < 300; i++ {
+		genesis = append(genesis, types.WriteEntry{Key: keyN(i), Value: []byte(fmt.Sprintf("old-%d", i))})
+	}
+	for i := uint64(250); i < 350; i++ { // overwrites and new keys
+		epoch = append(epoch, types.WriteEntry{Key: keyN(i), Value: []byte(fmt.Sprintf("new-%d", i))})
+	}
+	epoch = append(epoch, types.WriteEntry{Key: keyN(7)}) // and a delete
+	for _, d := range []*StateDB{db, twin} {
+		if _, err := d.Commit(genesis); err != nil {
+			t.Fatal(err)
+		}
+		d.View() // commits go through the MVCC protocol
+	}
+	root := db.Root()
+
+	store.failures = 1
+	if _, err := db.Commit(epoch); err == nil {
+		t.Fatal("commit over a failing store succeeded")
+	}
+	if db.Root() != root {
+		t.Fatalf("root moved to %s on a failed commit", db.Root().Short())
+	}
+	view := db.View()
+	for _, w := range epoch {
+		want, _ := twin.Get(w.Key)
+		if got, err := db.Get(w.Key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%s) = %q, %v after a failed commit; committed value %q", w.Key, got, err, want)
+		}
+		if got, err := view.Get(w.Key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("fresh view reads %q, %v for %s after a failed commit; committed value %q", got, err, w.Key, want)
+		}
+	}
+
+	got, err := db.Commit(epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Commit(epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || db.Root() != want {
+		t.Fatalf("retried commit reaches %s, the never-failed twin %s", got.Short(), want.Short())
+	}
+	if v, err := db.View().Get(keyN(300)); err != nil || string(v) != "new-300" {
+		t.Fatalf("view after retry = %q, %v", v, err)
+	}
+	// Everything the new root references made it into the store.
+	reopened := Open(store, got)
+	n := 0
+	if err := reopened.Iterate(func(types.Key, []byte) bool { n++; return true }); err != nil || n != 349 {
+		t.Fatalf("reopened state holds %d cells, %v; want 349", n, err)
 	}
 }
