@@ -120,6 +120,13 @@ type Config struct {
 	JournalDir string
 	// Verbose, when set, receives the scenario's event log as it happens.
 	Verbose io.Writer
+
+	// signed signs the workload and turns signature verification on in
+	// every node (and pool), so crash→restore→resync runs with it: restored
+	// and synced blocks are decoded, carry no verdict, and are verified in
+	// full. Signing changes sender addresses and with them every hash, so
+	// it is a scenario of its own (TestScenarioSigned), not a default.
+	signed bool
 }
 
 func (c Config) withDefaults() Config {
@@ -406,6 +413,7 @@ func (h *harness) setup(root string) error {
 		Seed:     h.cfg.Seed,
 		Accounts: uint64(h.cfg.Accounts),
 		Skew:     0.5, InitialBalance: 1_000,
+		Sign: h.cfg.signed,
 	})
 	if err != nil {
 		return err
@@ -424,12 +432,13 @@ func (h *harness) setup(root string) error {
 		Persist:           true,
 		SyncBatch:         syncBatch,
 		SnapshotExecution: h.cfg.SnapshotExec,
+		VerifySignatures:  h.cfg.signed,
 	}
 	if h.cfg.Mempool {
 		// The defaults suit the scenario's scale (blockTxs per round per
 		// miner); the generator's global nonce counter is sparse per
 		// sender, so StrictNonce stays off.
-		h.nodeCfg.Mempool = &mempool.Config{}
+		h.nodeCfg.Mempool = &mempool.Config{VerifySignatures: h.cfg.signed}
 	}
 
 	h.net = p2p.NewNetwork(p2p.Config{QueueLen: 512, Seed: h.cfg.Seed})

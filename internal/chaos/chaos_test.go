@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"github.com/nezha-dag/nezha/internal/crypto"
 )
 
 // TestScenarioConverges runs single seeded scenarios end to end: faults
@@ -107,5 +109,39 @@ func TestScenarioMempoolConverges(t *testing.T) {
 	}
 	if res.Epochs < minEpochs {
 		t.Fatalf("only %d epochs processed", res.Epochs)
+	}
+}
+
+// TestScenarioSigned is the one scenario with signatures on: an existing
+// seed, the shortest schedule, mempool-fed miners, every pool and every
+// validation stage verifying. Crash, restore, partition and resync must
+// converge exactly as they do unsigned, and no fault may cost an honest
+// signature its block. In-process gossip and sync hand over transaction
+// objects, so verdicts travel with them; what a restarted node decodes from
+// its store carries none (node.TestNodeRestartFromPersistedStore).
+func TestScenarioSigned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node chaos scenario")
+	}
+	count := func(outcome string) float64 { return crypto.SigCounter(outcome).Value() }
+	full0, bad0 := count("full"), count("bad")
+	res, err := Run(Config{Seed: 1, Rounds: 24, Dir: t.TempDir(), Mempool: true, signed: true})
+	if err != nil {
+		t.Fatalf("harness: %v", err)
+	}
+	if res.Failure != nil {
+		for _, ev := range res.Events {
+			t.Log(ev)
+		}
+		t.Fatal(res.Failure.Error())
+	}
+	if res.Epochs < minEpochs || res.CrashRestarts < 1 {
+		t.Fatalf("%d epochs, %d crash restarts", res.Epochs, res.CrashRestarts)
+	}
+	if full := count("full") - full0; full == 0 {
+		t.Fatal("a signed scenario ran without a single signature verification")
+	}
+	if bad := count("bad") - bad0; bad != 0 {
+		t.Fatalf("%v honest signatures rejected", bad)
 	}
 }

@@ -81,7 +81,8 @@ func (k *Key) SignTx(tx *types.Transaction) {
 }
 
 // VerifyTx checks that the transaction carries a valid signature from the
-// owner of its From address.
+// owner of its From address. It is the full check every time; the paths
+// that may meet a transaction twice call VerifyTxOnce.
 func VerifyTx(tx *types.Transaction) error {
 	if len(tx.Sig) != SigBytes {
 		return fmt.Errorf("%w: signature blob is %d bytes, want %d", ErrBadSignature, len(tx.Sig), SigBytes)

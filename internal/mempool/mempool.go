@@ -95,10 +95,10 @@ type Config struct {
 	// draw nonces from a global counter, which is sparse per sender;
 	// enable it together with the generators' PerSenderNonces option.
 	StrictNonce bool
-	// VerifySignatures makes admission verify every signature — the
-	// ingestion twin of the pipeline's background prevalidation, batched
-	// across Workers in AdmitBatch so the per-tx cost is amortized the
-	// same way (the pattern of node's checkSignatures).
+	// VerifySignatures makes admission check every signature with
+	// crypto.VerifyTxOnce (AdmitBatch: one pass across Workers). The
+	// verdict stays on the transaction, so a node fed from this pool does
+	// not verify it again.
 	VerifySignatures bool
 	// Workers sizes AdmitBatch's signature-verification pool; 0 means
 	// GOMAXPROCS.
@@ -280,7 +280,7 @@ func (p *Pool) Floor(addr types.Address) uint64 {
 // into nezha_mempool_dropped_total.
 func (p *Pool) Admit(tx *types.Transaction) error {
 	if p.cfg.VerifySignatures {
-		if err := crypto.VerifyTx(tx); err != nil {
+		if err := crypto.VerifyTxOnce(tx); err != nil {
 			p.drop(dropSig)
 			return fmt.Errorf("%w: %v", ErrBadSignature, err)
 		}
@@ -428,41 +428,23 @@ func (p *Pool) weaker(a *types.Transaction, addrA types.Address, b *types.Transa
 	return a.Nonce > b.Nonce
 }
 
-// AdmitBatch admits a batch, verifying signatures across the worker pool
-// first (the batched twin of the node pipeline's background
-// prevalidation — an atomic work counter over Workers goroutines, so a
-// gossip burst pays per-core signature cost, not per-tx). It returns the
-// number admitted and one error slot per input (nil = admitted).
+// AdmitBatch admits a batch, checking signatures across the worker pool
+// first (crypto.VerifyTxsOnce, so a gossip burst pays per-core signature
+// cost, not per-tx). It returns the number admitted and one error slot per
+// input (nil = admitted).
 func (p *Pool) AdmitBatch(txs []*types.Transaction) (int, []error) {
-	errs := make([]error, len(txs))
-	if p.cfg.VerifySignatures && len(txs) > 0 {
-		workers := p.cfg.Workers
-		if workers > len(txs) {
-			workers = len(txs)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(txs) {
-						return
-					}
-					if err := crypto.VerifyTx(txs[i]); err != nil {
-						errs[i] = fmt.Errorf("%w: %v", ErrBadSignature, err)
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	var errs []error
+	if p.cfg.VerifySignatures {
+		errs = crypto.VerifyTxsOnce(txs, p.cfg.Workers)
+	}
+	if errs == nil {
+		errs = make([]error, len(txs))
 	}
 	admitted := 0
 	for i, tx := range txs {
 		if errs[i] != nil {
 			p.drop(dropSig)
+			errs[i] = fmt.Errorf("%w: %v", ErrBadSignature, errs[i])
 			continue
 		}
 		if errs[i] = p.admitVerified(tx); errs[i] == nil {

@@ -61,8 +61,10 @@ type Config struct {
 	// before committing (a paranoia mode used by tests; adds latency).
 	VerifySchedules bool
 	// VerifySignatures makes the validation phase check every block
-	// transaction's signature; blocks carrying an invalid signature are
-	// discarded like blocks with a bad state root.
+	// transaction's signature (crypto.VerifyTxOnce: a transaction this
+	// node's pool or an in-process peer already checked is not verified
+	// again); blocks carrying an invalid signature are discarded like
+	// blocks with a bad state root.
 	VerifySignatures bool
 	// GenesisWrites seeds the state before epoch 1 (e.g. initial account
 	// balances).
@@ -73,9 +75,10 @@ type Config struct {
 	// deterministic fork choice converges before epochs finalize.
 	ConfirmDepth uint64
 	// Parallelism sizes the pipeline's background work — the signature
-	// prevalidation of epoch e+1 that overlaps epoch e's commit; 0 means
-	// Workers. It is distinct from Workers so the overlapped stage can be
-	// kept off the critical path's cores.
+	// prevalidation of epoch e+1 that overlaps epoch e's commit, for the
+	// transactions that reach it unverified; 0 means Workers. It is
+	// distinct from Workers so the overlapped stage can be kept off the
+	// critical path's cores.
 	Parallelism int
 	// Persist stores canonical blocks and chain metadata in the node's
 	// key-value store after every epoch, and New restores them on
@@ -473,14 +476,6 @@ func (n *Node) processBlocksLocked(e uint64, blocks []*types.Block) (*EpochResul
 		journal.F("aborted", uint64(stats.Aborted)),
 		journal.F("txs", uint64(stats.Txs)))
 	return er.res, nil
-}
-
-// validSignatures checks every transaction signature in a block across the
-// worker pool (signature verification is the validation phase's dominant
-// cost on real chains). It is the inline fallback for blocks the
-// background prevalidation did not cover.
-func (n *Node) validSignatures(b *types.Block) bool {
-	return n.checkSignatures(b, n.cfg.Workers)
 }
 
 // validStateRootLocked implements the validation-phase root check. OHIE's

@@ -29,7 +29,10 @@ import (
 // stage therefore kicks a background signature prevalidation of epoch
 // e+1 (kickPrevalidation) that runs under epoch e's MPT/LSM commit; the
 // next validate stage collects it (takePrevalidation) and falls back to
-// inline checking for any block the background pass did not cover.
+// inline checking for any block the background pass did not cover. Either
+// way a transaction that already carries a verdict — admitted by this
+// node's pool, checked by an in-process peer — is not verified again
+// (crypto.VerifyTxOnce; DESIGN.md §18).
 
 // stage is one named step of the epoch pipeline. run receives the stage's
 // StageStat with Name and Workers pre-filled and may refine Tasks, Busy,
@@ -141,24 +144,27 @@ func (n *Node) validateStage(er *epochRun, ss *metrics.StageStat) error {
 	pv := n.takePrevalidation(er.number)
 	ss.Tasks = len(er.blocks)
 	ss.Workers = n.cfg.Workers
+	var sigOK map[types.Hash]bool
 	if pv != nil {
 		// Time the background pass spent under the previous commit —
 		// latency this epoch did not pay.
 		ss.Overlap = pv.elapsed
 		n.tracer.Span(n.id+"/background", "prevalidate", pv.started, pv.elapsed,
 			map[string]any{"epoch": er.number, "blocks": len(pv.ok)})
+		sigOK = pv.ok
+	}
+	if n.cfg.VerifySignatures {
+		var rest []*types.Block // what the background pass did not cover
+		for _, b := range er.blocks {
+			if _, covered := sigOK[b.Hash()]; !covered {
+				rest = append(rest, b)
+			}
+		}
+		sigOK = checkSignatures(rest, n.cfg.Workers, sigOK)
 	}
 	valid := er.blocks[:0]
 	for _, b := range er.blocks {
-		sigOK := true
-		if n.cfg.VerifySignatures {
-			if verdict, ok := pv.lookup(b.Hash()); ok {
-				sigOK = verdict
-			} else {
-				sigOK = n.validSignatures(b)
-			}
-		}
-		if sigOK && n.validStateRootLocked(b) {
+		if (!n.cfg.VerifySignatures || sigOK[b.Hash()]) && n.validStateRootLocked(b) {
 			valid = append(valid, b)
 		} else {
 			h := b.Hash()
@@ -426,16 +432,6 @@ type prevalidation struct {
 	elapsed time.Duration
 }
 
-// lookup returns the prevalidated verdict for a block, if the background
-// pass covered it. Nil-receiver safe: no prevalidation means no verdicts.
-func (pv *prevalidation) lookup(h types.Hash) (verdict, covered bool) {
-	if pv == nil {
-		return false, false
-	}
-	v, ok := pv.ok[h]
-	return v, ok
-}
-
 // kickPrevalidation starts checking epoch e's block signatures in the
 // background. Caller holds n.mu; the goroutine itself must not touch any
 // mu-guarded state — it reads only the ledger (internally locked; blocks
@@ -450,18 +446,12 @@ func (n *Node) kickPrevalidation(e uint64) {
 	if !ok || len(blocks) == 0 {
 		return
 	}
-	pv := &prevalidation{
-		epoch: e,
-		done:  make(chan struct{}),
-		ok:    make(map[types.Hash]bool, len(blocks)),
-	}
+	pv := &prevalidation{epoch: e, done: make(chan struct{})}
 	n.preval = pv
 	workers := n.parallelism()
 	go func() {
 		pv.started = time.Now()
-		for _, b := range blocks {
-			pv.ok[b.Hash()] = n.checkSignatures(b, workers)
-		}
+		pv.ok = checkSignatures(blocks, workers, nil)
 		pv.elapsed = time.Since(pv.started)
 		close(pv.done)
 	}()
@@ -563,40 +553,33 @@ func (n *Node) takePrefetch(e uint64) *prefetchRun {
 	return pf
 }
 
-// checkSignatures verifies every transaction signature in a block across
-// the given number of workers.
-func (n *Node) checkSignatures(b *types.Block, workers int) bool {
-	if workers > len(b.Txs) {
-		workers = len(b.Txs)
+// checkSignatures verifies the blocks' transactions in one flat pass across
+// the given number of workers (signature verification is the validation
+// phase's dominant cost on real chains) and adds one verdict per block to
+// ok: true when every signature in it is valid. A transaction that already
+// carries a verdict costs a digest, not a verification.
+func checkSignatures(blocks []*types.Block, workers int, ok map[types.Hash]bool) map[types.Hash]bool {
+	if ok == nil {
+		ok = make(map[types.Hash]bool, len(blocks))
 	}
-	if workers <= 1 {
-		for _, tx := range b.Txs {
-			if crypto.VerifyTx(tx) != nil {
-				return false
+	var txs []*types.Transaction
+	for _, b := range blocks {
+		txs = append(txs, b.Txs...)
+	}
+	errs := crypto.VerifyTxsOnce(txs, workers)
+	for _, b := range blocks {
+		ok[b.Hash()] = true
+		if errs == nil {
+			continue
+		}
+		for _, err := range errs[:len(b.Txs)] {
+			if err != nil {
+				ok[b.Hash()] = false
 			}
 		}
-		return true
+		errs = errs[len(b.Txs):]
 	}
-	var bad atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !bad.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(b.Txs) {
-					return
-				}
-				if crypto.VerifyTx(b.Txs[i]) != nil {
-					bad.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return !bad.Load()
+	return ok
 }
 
 // Per-epoch scratch pools. Epochs allocate a results buffer sized to the

@@ -155,8 +155,9 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 		}
 		cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
 		cfg.Persist = true
+		cfg.VerifySignatures = true
 		gen, err := workload.NewGenerator(workload.Config{
-			Seed: 6, Accounts: 200, Skew: 0.3, InitialBalance: 1_000,
+			Seed: 6, Accounts: 200, Skew: 0.3, InitialBalance: 1_000, Sign: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +172,7 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 
 	n1, store1 := open()
 	gen, err := workload.NewGenerator(workload.Config{
-		Seed: 6, Accounts: 200, Skew: 0.3, InitialBalance: 1_000,
+		Seed: 6, Accounts: 200, Skew: 0.3, InitialBalance: 1_000, Sign: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +183,26 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 	wantEpoch, wantRoot := n1.NextEpoch(), n1.StateRoot()
 	if wantEpoch < 3 {
 		t.Fatalf("only reached epoch %d", wantEpoch-1)
+	}
+	// verdicts counts the processed epochs' transactions with and without
+	// a signature verdict attached.
+	verdicts := func(n *Node) (with, without int) {
+		for e := uint64(1); e < wantEpoch; e++ {
+			blocks, _ := n.Ledger().EpochBlocks(e)
+			for _, b := range blocks {
+				for _, tx := range b.Txs {
+					if tx.SigVerified() {
+						with++
+					} else {
+						without++
+					}
+				}
+			}
+		}
+		return with, without
+	}
+	if with, without := verdicts(n1); with == 0 || without != 0 {
+		t.Fatalf("before restart %d processed transactions carry a verdict and %d do not", with, without)
 	}
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)
@@ -195,6 +216,11 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 	}
 	if n2.StateRoot() != wantRoot {
 		t.Fatalf("restart root %s, want %s", n2.StateRoot().Short(), wantRoot.Short())
+	}
+	// Verdicts ride on objects, not in the store: what restore decoded has
+	// none, so anything re-validated later is verified in full.
+	if with, without := verdicts(n2); with != 0 || without == 0 {
+		t.Fatalf("after restart %d restored transactions carry a verdict (%d do not)", with, without)
 	}
 	// The root index comes back with the root history: a block citing the
 	// restored head root is valid at the next height.

@@ -26,10 +26,12 @@ package stress
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/consensus"
 	"github.com/nezha-dag/nezha/internal/core"
+	"github.com/nezha-dag/nezha/internal/crypto"
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/kvstore"
@@ -85,6 +87,10 @@ type Config struct {
 	// dumps every node's journal there on exit — the forensics artifact
 	// the soak tier uploads.
 	JournalDir string
+
+	// settled, when set, sees every submitted transaction the measured
+	// node settles, with its outcome (tests only).
+	settled func(h types.Hash, committed bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -118,17 +124,30 @@ type Report struct {
 	OpenLoop  bool
 	TargetTPS float64
 
+	// Every submitted transaction ends in exactly one of the next four:
+	// Submitted == Committed + Aborted + Lost + InFlight.
 	Submitted int // transactions offered to admission
 	Admitted  int // transactions accepted into the pool
-	Committed int // transactions committed by the pipeline
-	Aborted   int // scheduler aborts (re-executed serially, still final)
+	Committed int // submitted transactions the measured node committed
+	Aborted   int // aborted by the scheduler or failed in execution: final, nothing retries them
 	Lost      int // in-flight entries reclaimed after lostAfter (dropped or stranded in stale forks)
+	InFlight  int // still unsettled when the run ended
 	Epochs    uint64
 
+	// SigFull[i] is how many full Ed25519 verifications node i's admission
+	// ran (VerifySignatures runs only), SigPipeline how many all the
+	// nodes' validation stages added. In-process gossip hands every pool
+	// the same transaction objects, so the verdict the first pool attaches
+	// is carried by every other pool and by every pipeline.
+	SigFull     []int
+	SigPipeline int
+
 	CommitTPS float64
-	// P50/P95/P99 are admission-to-commit latencies, estimated from a
-	// fixed-bucket histogram (resolution is bucket width).
-	P50, P95, P99 time.Duration
+	// P50/P95/P99 are admission-to-commit latencies of the Committed
+	// transactions, estimated from a fixed-bucket histogram (resolution is
+	// bucket width); LatencySamples is how many it holds.
+	P50, P95, P99  time.Duration
+	LatencySamples uint64
 	// MaxCommitGap is the longest observed wall-clock gap between
 	// consecutive epoch commits — the watermark-liveness figure.
 	MaxCommitGap time.Duration
@@ -143,17 +162,25 @@ func (r *Report) String() string {
 	if r.OpenLoop {
 		mode = fmt.Sprintf("open-loop @ %.0f TPS", r.TargetTPS)
 	}
-	return fmt.Sprintf(
+	s := fmt.Sprintf(
 		"stress: %s, %d nodes, %s, %v\n"+
-			"  submitted %d, admitted %d, committed %d (aborted-and-retried %d, lost %d), %d epochs\n"+
+			"  submitted %d, admitted %d, %d epochs\n"+
+			"  submitted = committed %d + aborted %d + lost %d + in flight %d\n"+
 			"  commit throughput %.0f tx/s\n"+
-			"  latency p50 %v  p95 %v  p99 %v (admission→commit)\n"+
+			"  latency p50 %v  p95 %v  p99 %v (admission→commit, committed only)\n"+
 			"  max commit gap %v, final epoch %d, root %s",
 		r.Workload, r.Nodes, mode, r.Duration.Round(time.Millisecond),
-		r.Submitted, r.Admitted, r.Committed, r.Aborted, r.Lost, r.Epochs,
+		r.Submitted, r.Admitted, r.Epochs,
+		r.Committed, r.Aborted, r.Lost, r.InFlight,
 		r.CommitTPS,
 		r.P50.Round(10*time.Microsecond), r.P95.Round(10*time.Microsecond), r.P99.Round(10*time.Microsecond),
 		r.MaxCommitGap.Round(time.Millisecond), r.FinalEpoch, r.FinalRoot.Short())
+	if r.SigFull != nil {
+		s += fmt.Sprintf("\n  full signature verifies: %v at admission per node, %d in the pipelines"+
+			" (in-process gossip shares transaction objects, so verdicts travel with them)",
+			r.SigFull, r.SigPipeline)
+	}
+	return s
 }
 
 // submitBatch caps how many transactions one pacing round generates, so
@@ -242,6 +269,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		OpenLoop: cfg.TargetTPS > 0, TargetTPS: cfg.TargetTPS,
 	}
 	submitTimes := make(map[types.Hash]time.Time, cfg.InFlight)
+	sigFull := crypto.SigCounter("full").Value()
+	if cfg.VerifySignatures {
+		rep.SigFull = make([]int, cfg.Nodes)
+	}
 	start := time.Now()
 	lastCommit := start
 	lastSweep := start
@@ -274,6 +305,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			// Instant gossip: the batch reaches every miner's pool. Each
 			// pool admits independently; epoch assembly dedupes by hash.
 			for mi, m := range miners {
+				if cfg.VerifySignatures {
+					// This loop is the only admission in the process, so what
+					// reaches a pool without a verdict is what it verifies.
+					for _, tx := range batch {
+						if !tx.SigVerified() {
+							rep.SigFull[mi]++
+						}
+					}
+				}
 				n, _ := m.Pool().AdmitBatch(batch)
 				if mi == 0 {
 					rep.Admitted += n
@@ -329,7 +369,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				if !ok {
 					continue
 				}
-				etxs := types.NewEpoch(r.Epoch, blocks).Txs
+				// The node numbered the transactions over the blocks that
+				// survived validation; the schedule speaks in those ids.
+				etxs := types.NewEpoch(r.Epoch, slices.DeleteFunc(blocks, func(b *types.Block) bool {
+					return slices.Contains(r.Discarded, b.Hash())
+				})).Txs
 				// A committed epoch is final: advance this node's own
 				// inclusion floors past its transactions, so a tx one
 				// miner included stops being re-assembled by the others
@@ -344,12 +388,21 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				lastCommit = commitTime
 				rep.Epochs++
-				rep.Committed += r.Stats.Committed
-				rep.Aborted += r.Stats.Aborted
 				for _, tx := range etxs {
-					if t0, ok := submitTimes[tx.Hash()]; ok {
+					t0, ok := submitTimes[tx.Hash()]
+					if !ok {
+						continue // reclaimed as lost before its block made it
+					}
+					delete(submitTimes, tx.Hash())
+					committed := r.Schedule.IsCommitted(tx.ID)
+					if committed {
+						rep.Committed++
 						latency.ObserveDuration(commitTime.Sub(t0))
-						delete(submitTimes, tx.Hash())
+					} else {
+						rep.Aborted++
+					}
+					if cfg.settled != nil {
+						cfg.settled(tx.Hash(), committed)
 					}
 				}
 			}
@@ -384,6 +437,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	rep.Duration = time.Since(start)
+	rep.InFlight = len(submitTimes)
+	if cfg.VerifySignatures {
+		rep.SigPipeline = int(crypto.SigCounter("full").Value() - sigFull)
+		for _, n := range rep.SigFull {
+			rep.SigPipeline -= n
+		}
+	}
 	rep.FinalEpoch = nodes[0].NextEpoch() - 1
 	rep.FinalRoot = nodes[0].StateRoot()
 	if rep.Duration > 0 {
@@ -392,6 +452,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	quantile := func(q float64) time.Duration {
 		return time.Duration(latency.Quantile(q) * float64(time.Second))
 	}
+	rep.LatencySamples = latency.Count()
 	if latency.Count() > 0 {
 		rep.P50, rep.P95, rep.P99 = quantile(0.50), quantile(0.95), quantile(0.99)
 	}

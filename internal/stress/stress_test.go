@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/fail"
+	"github.com/nezha-dag/nezha/internal/types"
 )
 
 func shortRun(t *testing.T, cfg Config) *Report {
@@ -95,6 +96,70 @@ func TestChaosFailpointsHoldOracles(t *testing.T) {
 	if rep.Admitted >= rep.Submitted {
 		t.Fatalf("admission faults armed but nothing dropped (admitted %d of %d)",
 			rep.Admitted, rep.Submitted)
+	}
+}
+
+// TestAccountingIdentityUnderAborts drives hot keys so the scheduler aborts
+// plenty, and pins the report's arithmetic: every submitted transaction is
+// committed, aborted, lost or still in flight — exactly one of them — and
+// only committed ones feed the latency histogram.
+func TestAccountingIdentityUnderAborts(t *testing.T) {
+	w, err := NewWorkload("smallbank", Options{Seed: 9, Accounts: 40, Skew: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome := map[types.Hash]bool{}
+	rep := shortRun(t, Config{
+		Workload: w, Nodes: 2, BlockSize: 100,
+		settled: func(h types.Hash, committed bool) {
+			if _, twice := outcome[h]; twice {
+				t.Errorf("transaction %s settled twice", h.Short())
+			}
+			outcome[h] = committed
+		},
+	})
+	if rep.Aborted == 0 || rep.Committed == 0 {
+		t.Fatalf("hot keys should both commit and abort: %v", rep)
+	}
+	if got := rep.Committed + rep.Aborted + rep.Lost + rep.InFlight; got != rep.Submitted {
+		t.Fatalf("committed+aborted+lost+in-flight = %d, submitted %d\n%v", got, rep.Submitted, rep)
+	}
+	committed := 0
+	for _, ok := range outcome {
+		if ok {
+			committed++
+		}
+	}
+	if committed != rep.Committed || len(outcome)-committed != rep.Aborted {
+		t.Fatalf("settled %d committed and %d aborted, report says %d and %d",
+			committed, len(outcome)-committed, rep.Committed, rep.Aborted)
+	}
+	if rep.LatencySamples != uint64(rep.Committed) {
+		t.Fatalf("histogram holds %d samples for %d committed transactions (%d aborted)",
+			rep.LatencySamples, rep.Committed, rep.Aborted)
+	}
+	if !strings.Contains(rep.String(), "aborted") || strings.Contains(rep.String(), "retried") {
+		t.Fatalf("report wording:\n%v", rep)
+	}
+}
+
+// TestSignedRunReportsVerifiesPerNode: with signatures on, the first pool
+// pays one full verify per transaction and everything downstream of it —
+// the other pools, every pipeline — carries the verdict.
+func TestSignedRunReportsVerifiesPerNode(t *testing.T) {
+	w, err := NewWorkload("smallbank", Options{Seed: 4, Accounts: 300, Skew: 0.3, Sign: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := shortRun(t, Config{Workload: w, Nodes: 2, BlockSize: 100, VerifySignatures: true, Duration: time.Second})
+	if rep.Committed == 0 {
+		t.Fatalf("nothing committed: %v", rep)
+	}
+	if len(rep.SigFull) != 2 || rep.SigFull[0] != rep.Submitted || rep.SigFull[1] != 0 || rep.SigPipeline != 0 {
+		t.Fatalf("full verifies %v at admission, %d in pipelines, for %d submitted", rep.SigFull, rep.SigPipeline, rep.Submitted)
+	}
+	if !strings.Contains(rep.String(), "full signature verifies") {
+		t.Fatalf("report omits the signature line:\n%v", rep)
 	}
 }
 

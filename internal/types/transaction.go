@@ -1,8 +1,10 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // TxID identifies a transaction within one epoch. IDs are assigned after the
@@ -29,20 +31,29 @@ type Transaction struct {
 	Gas     uint64
 	Payload []byte
 
-	// Sig is the transaction signature. The reproduction signs with a
-	// deterministic HMAC-style construction (see internal/crypto within
-	// the node pipeline); consensus-layer tests verify it, while the
-	// concurrency-control benchmarks skip signing to isolate the phases
-	// the paper measures.
+	// Sig is the transaction signature: the signer's 32-byte Ed25519
+	// public key followed by the 64-byte signature over SigningContent
+	// (internal/crypto signs and verifies). Neither Hash nor a block's
+	// TxRoot covers it. The concurrency-control benchmarks skip signing to
+	// isolate the phases the paper measures.
 	Sig []byte
 
 	hash *Hash // memoized content hash
+
+	// sigOK is the signature verdict: zero, or the sigDigest of the bytes
+	// a caller verified. Plain words moved with sync/atomic functions: a
+	// transaction is shared between goroutines and also copied by value,
+	// which vet's copylocks forbids for the atomic types.
+	sigOK [4]uint32
 }
 
 // SigningContent returns the canonical byte encoding of the transaction
 // fields covered by the hash and signature.
 func (t *Transaction) SigningContent() []byte {
-	buf := make([]byte, 0, 2*AddressLen+3*8+len(t.Payload))
+	return t.appendSigningContent(make([]byte, 0, 2*AddressLen+3*8+len(t.Payload)))
+}
+
+func (t *Transaction) appendSigningContent(buf []byte) []byte {
 	buf = append(buf, t.From[:]...)
 	buf = append(buf, t.To[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, t.Nonce)
@@ -61,6 +72,43 @@ func (t *Transaction) Hash() Hash {
 	h := HashBytes(t.SigningContent())
 	t.hash = &h
 	return h
+}
+
+// sigDigest folds exactly the bytes a signature check reads — the signing
+// content, Sig, and Sig's length, which keeps the split between the two
+// unambiguous — into 128 bits of SHA-256. Hash cannot stand in: it leaves
+// Sig out. The first word is never zero, so zero words mean "no verdict".
+func (t *Transaction) sigDigest() (d [4]uint32) {
+	var stack [256]byte // SmallBank calls fit; a longer payload spills to the heap
+	buf := append(t.appendSigningContent(stack[:0]), t.Sig...)
+	sum := sha256.Sum256(binary.BigEndian.AppendUint64(buf, uint64(len(t.Sig))))
+	for i := range d {
+		d[i] = binary.BigEndian.Uint32(sum[4*i:])
+	}
+	d[0] |= 1
+	return d
+}
+
+// SigVerified reports whether a positive signature verdict for exactly the
+// current signed content and signature bytes is attached. A verdict copied
+// along with the struct stops matching once any of those bytes change;
+// decoded transactions start without one.
+func (t *Transaction) SigVerified() bool {
+	for i, w := range t.sigDigest() {
+		if atomic.LoadUint32(&t.sigOK[i]) != w {
+			return false
+		}
+	}
+	return true
+}
+
+// MarkSigVerified attaches the verdict; only a caller that has just
+// verified the signature may (crypto.VerifyTxOnce). Racing markers store
+// the same words, and a half-stored verdict reads as none.
+func (t *Transaction) MarkSigVerified() {
+	for i, w := range t.sigDigest() {
+		atomic.StoreUint32(&t.sigOK[i], w)
+	}
 }
 
 // String implements fmt.Stringer.
