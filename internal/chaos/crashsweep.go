@@ -155,7 +155,7 @@ type crashTrialSpec struct {
 	site     fail.Name // runtime or recovery crash site; "" for WAL-mutation trials
 	recovery bool      // arm the site at a scripted mid-run restart instead of at runtime
 	serial   bool      // run both nodes on the serial pipeline (node/stage-serial)
-	tiny     bool      // tiny memtable + aggressive compaction (kvstore/flush, kvstore/compact)
+	tiny     bool      // tiny memtable + aggressive compaction (kvstore/flush, kvstore/compact, kvstore/table-write)
 	mempool  bool      // front the victim's miner with the mempool
 	evict    bool      // tiny mempool caps so eviction decisions fire
 	tornFrac float64   // >0: truncate the WAL to this fraction at a scripted restart
@@ -178,7 +178,7 @@ func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 		}
 		sp := crashTrialSpec{name: "site:" + string(name), site: name}
 		switch name {
-		case fail.KVFlush, fail.KVCompact:
+		case fail.KVFlush, fail.KVCompact, fail.KVTableWrite:
 			sp.tiny = true
 		case fail.KVWALReplay, fail.NodeRestore:
 			sp.recovery = true
@@ -460,7 +460,8 @@ func (c *crashTrial) incarnateVictim() error {
 	opts.FailTag = sweepVictimID
 	if c.sp.tiny {
 		// Force flushes and compactions inside the trial window so the
-		// kvstore/flush and kvstore/compact sites actually fire.
+		// kvstore/flush, kvstore/compact and kvstore/table-write sites
+		// actually fire.
 		opts.MemtableBytes = 2 << 10
 		opts.CompactAt = 2
 	}

@@ -17,12 +17,13 @@ const (
 	BenchDisarmed Name = "bench/disarmed"
 
 	// kvstore: the durability path (internal/kvstore).
-	KVWALAppend Name = "kvstore/wal-append" // WAL record append, before the buffered write
-	KVWALSync   Name = "kvstore/wal-sync"   // WAL fsync
-	KVWALReplay Name = "kvstore/wal-replay" // WAL record replay during recovery, per intact record
-	KVApply     Name = "kvstore/apply"      // memtable apply of a committed batch
-	KVFlush     Name = "kvstore/flush"      // memtable -> SSTable flush
-	KVCompact   Name = "kvstore/compact"    // SSTable compaction
+	KVWALAppend  Name = "kvstore/wal-append"  // WAL record append, before the buffered write
+	KVWALSync    Name = "kvstore/wal-sync"    // WAL fsync
+	KVWALReplay  Name = "kvstore/wal-replay"  // WAL record replay during recovery, per intact record
+	KVApply      Name = "kvstore/apply"       // memtable apply of a committed batch
+	KVFlush      Name = "kvstore/flush"       // memtable -> SSTable flush
+	KVCompact    Name = "kvstore/compact"     // SSTable compaction
+	KVTableWrite Name = "kvstore/table-write" // SSTable file written under its temp name, before the rename
 
 	// node: epoch pipeline handoffs and the persistence path (internal/node).
 	NodeSubmit        Name = "node/submit"         // transaction submission
@@ -60,6 +61,7 @@ func AllNames() []Name {
 		KVApply,
 		KVFlush,
 		KVCompact,
+		KVTableWrite,
 		NodeSubmit,
 		NodePersist,
 		NodePersistDone,

@@ -1,9 +1,13 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/nezha-dag/nezha/internal/fail"
 )
@@ -95,9 +99,10 @@ func TestWALAppendCrashMidBatchRecovers(t *testing.T) {
 	}
 }
 
-// TestFlushFailpointKeepsMemtableServing: an injected flush error must not
-// lose the memtable — reads keep serving from memory and a later flush
-// succeeds.
+// TestFlushFailpointKeepsMemtableServing: an injected flush error fires on
+// the worker. It must not lose the sealed memtable — reads keep serving
+// from memory — and it comes back exactly once, from the next Apply or
+// Flush, before that call writes anything; the flush itself is retried.
 func TestFlushFailpointKeepsMemtableServing(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
@@ -126,6 +131,189 @@ func TestFlushFailpointKeepsMemtableServing(t *testing.T) {
 	}
 	if v, found, _ := s.Get([]byte("k07")); !found || string(v) != "v" {
 		t.Fatalf("data lost across flush: %q %v", v, found)
+	}
+
+	// The same through Apply: the batch that fills the memtable seals it and
+	// succeeds; the worker's error belongs to the NEXT batch, which is
+	// refused whole.
+	fail.Enable("kvstore/flush", fail.Spec{Mode: fail.ModeError, Tag: "victim", Count: 1})
+	if err := s.Put([]byte("big"), make([]byte, 1<<20)); err != nil {
+		t.Fatalf("the sealing batch is durable and must succeed: %v", err)
+	}
+	waitWorker(s)
+	walBefore := mWALRecords.Value()
+	if err := s.Put([]byte("refused"), []byte("x")); !errors.Is(err, fail.ErrInjected) {
+		t.Fatalf("Put after a failed background flush = %v, want the injected error", err)
+	}
+	if mWALRecords.Value() != walBefore {
+		t.Fatal("the refused batch reached the WAL")
+	}
+	if _, found, _ := s.Get([]byte("refused")); found {
+		t.Fatal("the refused batch is visible")
+	}
+	if v, found, _ := s.Get([]byte("big")); !found || len(v) != 1<<20 {
+		t.Fatal("sealed memtable stopped serving after its flush failed")
+	}
+	if err := s.Put([]byte("refused"), []byte("x")); err != nil {
+		t.Fatalf("the error must surface once: %v", err)
+	}
+	tables := s.TableCount()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s.TableCount() < tables || s.TableCount() < 2 {
+		t.Fatalf("the failed flush was not retried: %d tables", s.TableCount())
+	}
+}
+
+// waitWorker blocks until the store's worker goroutine, if any, has exited.
+func waitWorker(s *LSM) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.working {
+		s.idle.Wait()
+	}
+}
+
+// TestBackgroundCrashSurfacesOnCaller: a fail.Crash on the worker must not
+// take the process down from a goroutine no harness guards. It is parked,
+// reads go on, and the next Apply or Flush panics with it on the caller's
+// goroutine — every time, a crashed store stays crashed — leaving a
+// directory that reopens to everything acknowledged.
+func TestBackgroundCrashSurfacesOnCaller(t *testing.T) {
+	for _, site := range []fail.Name{fail.KVFlush, fail.KVTableWrite, fail.KVCompact} {
+		t.Run(string(site), func(t *testing.T) {
+			fail.Reset()
+			defer fail.Reset()
+			dir := t.TempDir()
+			s, err := OpenLSM(dir, LSMOptions{MemtableBytes: 1 << 10, CompactAt: 2, FailTag: "victim"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fail.Enable(site, fail.Spec{Mode: fail.ModePanic, Tag: "victim", After: 1, Count: 1})
+			crashed := func(op func() error) (crashed bool) {
+				defer func() {
+					if r := recover(); r != nil {
+						if !fail.IsCrash(r) {
+							panic(r)
+						}
+						crashed = true
+					}
+				}()
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+				return false
+			}
+			acked := 0
+			for ; acked < 200; acked++ {
+				k := []byte(fmt.Sprintf("key-%03d", acked))
+				if crashed(func() error { return s.Put(k, bytes.Repeat([]byte{'v'}, 100)) }) {
+					break
+				}
+			}
+			if acked == 200 {
+				t.Fatal("the armed crash never reached a caller")
+			}
+			if _, _, err := s.Get([]byte("key-000")); err != nil {
+				t.Fatalf("reads must go on over a parked crash: %v", err)
+			}
+			if !crashed(s.Flush) || !crashed(func() error { return s.Put([]byte("late"), nil) }) {
+				t.Fatal("a crashed store came back to life")
+			}
+			waitWorker(s) // the worker is gone: the handle can be abandoned like a killed process
+
+			re, err := OpenLSM(dir, DefaultLSMOptions())
+			if err != nil {
+				t.Fatalf("reopen after a background crash at %s: %v", site, err)
+			}
+			defer re.Close()
+			for i := 0; i < acked; i++ {
+				if _, found, err := re.Get([]byte(fmt.Sprintf("key-%03d", i))); err != nil || !found {
+					t.Fatalf("acknowledged key-%03d lost (found=%v err=%v)", i, found, err)
+				}
+			}
+			if _, found, _ := re.Get([]byte("late")); found {
+				t.Fatal("a batch refused by the crash is visible after reopen")
+			}
+			if err := re.Flush(); err != nil { // also waits for the recovered sealed memtable's flush
+				t.Fatal(err)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+				t.Fatalf("reopen left torn table files behind: %v", left)
+			}
+		})
+	}
+}
+
+// TestTornTableFileIsIgnored: whatever a killed table write leaves under the
+// temporary name — here a file with no footer — must not stop the store
+// from opening.
+func TestTornTableFileIsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	fillWAL(t, dir, 10, "a")
+	torn := filepath.Join(dir, "000007.sst.tmp")
+	if err := os.WriteFile(torn, []byte("half a table"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenLSM(dir, DefaultLSMOptions())
+	if err != nil {
+		t.Fatalf("a torn table write bricked the store: %v", err)
+	}
+	defer s.Close()
+	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("torn table file survived the open: %v", err)
+	}
+	if _, found, _ := s.Get([]byte("a-k03")); !found {
+		t.Fatal("data lost")
+	}
+}
+
+// TestWriteStallIsBoundedAndCounted: with the worker slowed down, writers
+// outrun it. They must then wait — there is one sealed memtable at most,
+// and neither it nor the active one is ever more than a batch over the
+// limit — and the wait must show in the stall counters.
+func TestWriteStallIsBoundedAndCounted(t *testing.T) {
+	fail.Reset()
+	defer fail.Reset()
+	const limit, valueLen = 1 << 10, 200
+	s, err := OpenLSM(t.TempDir(), LSMOptions{MemtableBytes: limit, CompactAt: 4, FailTag: "victim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fail.Enable("kvstore/flush", fail.Spec{Mode: fail.ModeDelay, Tag: "victim", Delay: 20 * time.Millisecond})
+	stalls, seconds := mWriteStalls.Value(), mWriteStallSeconds.Value()
+	start := time.Now()
+	for i := 0; i < 40; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%03d", i)), make([]byte, valueLen)); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.RLock()
+		unflushed := s.mem.bytes
+		if s.sealed != nil {
+			unflushed += s.sealed.bytes
+		}
+		s.mu.RUnlock()
+		if unflushed >= 2*(limit+valueLen+100) {
+			t.Fatalf("after put %d the memtables hold %d bytes at a limit of %d each: the writer did not wait", i, unflushed, limit)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	flushes := s.TableCount() // CompactAt 4 may have merged some; a lower bound is enough
+	if d := mWriteStalls.Value() - stalls; d < 2 {
+		t.Fatalf("nezha_lsm_write_stalls_total moved by %.0f over %d slowed flushes", d, flushes)
+	}
+	waited := mWriteStallSeconds.Value() - seconds
+	if waited <= 0 || waited > time.Since(start).Seconds() {
+		t.Fatalf("nezha_lsm_write_stall_seconds_total moved by %.3f s in a %.3f s test", waited, time.Since(start).Seconds())
+	}
+	for i := 0; i < 40; i++ {
+		if _, found, _ := s.Get([]byte(fmt.Sprintf("key-%03d", i))); !found {
+			t.Fatalf("key-%03d lost", i)
+		}
 	}
 }
 

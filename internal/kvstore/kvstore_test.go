@@ -2,14 +2,23 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"github.com/nezha-dag/nezha/internal/fail"
 )
 
 // openStores returns one of each backend, named, for table-driven tests.
@@ -340,35 +349,93 @@ func TestLSMOptionsValidation(t *testing.T) {
 
 // TestLSMMatchesMemoryModel drives both backends with an identical random
 // operation stream and cross-checks every read — the LSM store must be
-// observationally equivalent to the trivial map.
+// observationally equivalent to the trivial map. The LSM is closed and
+// reopened at random points, some of them with a sealed log segment on
+// disk (a flush that failed), and readers hammer Get and Iter from other
+// goroutines while the worker flushes and compacts underneath them.
 func TestLSMMatchesMemoryModel(t *testing.T) {
-	lsm, err := OpenLSM(t.TempDir(), LSMOptions{MemtableBytes: 1 << 9, CompactAt: 3})
+	fail.Reset()
+	defer fail.Reset()
+	dir := t.TempDir()
+	opts := LSMOptions{MemtableBytes: 1 << 9, CompactAt: 3, FailTag: "model"}
+	lsm, err := OpenLSM(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lsm.Close()
+	defer func() { lsm.Close() }()
 	mem := NewMemory()
 	defer mem.Close()
 
+	var current atomic.Pointer[LSM]
+	current.Store(lsm)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched() // the writer sets the pace, not the readers
+				}
+				s := current.Load()
+				if _, _, err := s.Get([]byte(fmt.Sprintf("key%03d", rng.Intn(200)))); err != nil && err != ErrClosed {
+					t.Errorf("reader %d: Get: %v", r, err)
+					return
+				}
+				if i%16 != 0 {
+					continue
+				}
+				var last []byte
+				err := s.Iter([]byte("key050"), []byte("key150"), func(k, v []byte) bool {
+					if last != nil && bytes.Compare(last, k) >= 0 {
+						t.Errorf("reader %d: Iter went from %q to %q", r, last, k)
+						return false
+					}
+					last = append(last[:0], k...)
+					return true
+				})
+				if err != nil && err != ErrClosed {
+					t.Errorf("reader %d: Iter: %v", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
+
 	rng := rand.New(rand.NewSource(77))
+	reopens, sealedOnDisk := 0, 0
+	// both applies one write to the model and to the LSM, where a parked
+	// worker error (the injected flush failure) refuses it once.
+	both := func(op func(Store) error) {
+		t.Helper()
+		if err := op(mem); err != nil {
+			t.Fatal(err)
+		}
+		err := op(lsm)
+		if errors.Is(err, fail.ErrInjected) {
+			err = op(lsm)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 5000; i++ {
 		k := []byte(fmt.Sprintf("key%03d", rng.Intn(200)))
 		switch rng.Intn(4) {
 		case 0:
-			if err := lsm.Delete(k); err != nil {
-				t.Fatal(err)
-			}
-			if err := mem.Delete(k); err != nil {
-				t.Fatal(err)
-			}
+			both(func(s Store) error { return s.Delete(k) })
 		default:
 			v := []byte(fmt.Sprintf("val%d", i))
-			if err := lsm.Put(k, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := mem.Put(k, v); err != nil {
-				t.Fatal(err)
-			}
+			both(func(s Store) error { return s.Put(k, v) })
 		}
 		if i%97 == 0 {
 			probe := []byte(fmt.Sprintf("key%03d", rng.Intn(200)))
@@ -378,6 +445,36 @@ func TestLSMMatchesMemoryModel(t *testing.T) {
 				t.Fatalf("op %d: lsm(%q,%v,%v) != mem(%q,%v,%v)", i, lv, lok, lerr, mv, mok, merr)
 			}
 		}
+		if i%400 == 399 {
+			// One close in three finds a sealed memtable the worker could
+			// not write: everything is flushed, one more write lands, and
+			// its flush fails, retry included.
+			if reopens%3 == 0 {
+				if err := lsm.Flush(); err != nil {
+					t.Fatalf("op %d: flush: %v", i, err)
+				}
+				both(func(s Store) error { return s.Put([]byte("key000"), []byte("sealed")) })
+				fail.Enable(fail.KVFlush, fail.Spec{Mode: fail.ModeError, Tag: "model"})
+				if err := lsm.Flush(); !errors.Is(err, fail.ErrInjected) {
+					t.Fatalf("op %d: Flush = %v with the flush failpoint armed", i, err)
+				}
+			}
+			if err := lsm.Close(); err != nil && !errors.Is(err, fail.ErrInjected) {
+				t.Fatalf("op %d: close: %v", i, err)
+			}
+			fail.Reset()
+			if _, err := os.Stat(filepath.Join(dir, "wal.sealed")); err == nil {
+				sealedOnDisk++
+			}
+			if lsm, err = OpenLSM(dir, opts); err != nil {
+				t.Fatalf("op %d: reopen: %v", i, err)
+			}
+			current.Store(lsm)
+			reopens++
+		}
+	}
+	if reopens < 5 || sealedOnDisk < 2 {
+		t.Fatalf("%d reopens, %d of them with a sealed segment on disk: the test lost its coverage", reopens, sealedOnDisk)
 	}
 	// Final full comparison via iteration.
 	collect := func(s Store) map[string]string {
@@ -399,6 +496,87 @@ func TestLSMMatchesMemoryModel(t *testing.T) {
 			t.Fatalf("key %s: %q vs %q", k, lAll[k], v)
 		}
 	}
+}
+
+// TestCompactionAmortised pins what the newest-suffix rule buys: over 200
+// flushes of a tiny memtable every merge takes the newest tables and gives
+// its output a higher number than any input, the table count stays
+// logarithmic, and so does the rewrite cost per ingested byte — the old
+// merge-everything compaction rewrote the whole store every CompactAt
+// flushes, O(flushes) per byte.
+func TestCompactionAmortised(t *testing.T) {
+	const flushes, compactAt = 200, 4
+	s, err := OpenLSM(t.TempDir(), LSMOptions{MemtableBytes: 1 << 20, CompactAt: compactAt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	numbers := func() []uint64 {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		out := make([]uint64, len(s.tables))
+		for i, tab := range s.tables {
+			if _, err := fmt.Sscanf(filepath.Base(tab.path), "%d.sst", &out[i]); err != nil {
+				t.Fatalf("table file name %q: %v", tab.path, err)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(5))
+	written, ingested := mTableBytes.Value(), 0
+	merges, maxTables := 0, 0
+	for f := 0; f < flushes; f++ {
+		for i := 0; i < 20; i++ {
+			// Append-mostly: fresh keys, one in ten an overwrite or a delete.
+			k := []byte(fmt.Sprintf("key-%06d", f*20+i))
+			if rng.Intn(10) == 0 {
+				k = []byte(fmt.Sprintf("key-%06d", rng.Intn(f*20+i+1)))
+			}
+			v := make([]byte, 50+rng.Intn(100))
+			if rng.Intn(20) == 0 {
+				err = s.Delete(k)
+			} else {
+				err = s.Put(k, v)
+				ingested += len(v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingested += len(k)
+		}
+		before := numbers()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		after := numbers()
+		maxTables = max(maxTables, len(after))
+		// What is left of the old tables must be a prefix of them: the
+		// merge, if any, took a suffix — the newest — plus the new table.
+		kept := after[:len(after)-1]
+		if len(kept) > len(before) || !slices.Equal(kept, before[:len(kept)]) {
+			t.Fatalf("flush %d: tables %v -> %v: not a newest-suffix merge", f, before, after)
+		}
+		newest, floor := after[len(after)-1], uint64(0)
+		if len(before) > 0 {
+			floor = before[len(before)-1]
+		}
+		if len(kept) < len(before) {
+			merges++
+			floor++ // the flushed table took the number in between
+		}
+		if newest <= floor {
+			t.Fatalf("flush %d: tables %v -> %v: output number %d is not above every input's", f, before, after, newest)
+		}
+	}
+	log2 := math.Log2(flushes)
+	if merges == 0 || float64(maxTables) > compactAt+log2 {
+		t.Fatalf("%d merges, up to %d tables live: want some merges and at most CompactAt + log2(flushes) = %.1f tables", merges, maxTables, compactAt+log2)
+	}
+	amp := (mTableBytes.Value() - written) / float64(ingested)
+	if amp > 2*log2 {
+		t.Fatalf("wrote %.1f table bytes per ingested byte, want at most 2*log2(%d) = %.1f", amp, flushes, 2*log2)
+	}
+	t.Logf("%d flushes: %d merges, at most %d tables, %.2f table bytes written per ingested byte", flushes, merges, maxTables, amp)
 }
 
 func TestMemoryConcurrentAccess(t *testing.T) {
@@ -436,10 +614,10 @@ func TestSkiplistOrderedQuick(t *testing.T) {
 			sl.put(append([]byte(nil), k...), []byte{byte(i)}, false)
 		}
 		var got []string
-		sl.scan(nil, func(k, v []byte, tomb bool) bool {
-			got = append(got, string(k))
-			return true
-		})
+		next := sl.cursor(nil)
+		for e, ok, _ := next(); ok; e, ok, _ = next() {
+			got = append(got, string(e.key))
+		}
 		return sort.StringsAreSorted(got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -484,4 +662,71 @@ func BenchmarkLSMGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLSMChainCommit is the commit path's view of the store without a
+// node around it: one op is one epoch-sized batch (2 300 operations,
+// 32-byte hash-like keys, ~250-byte values) into a store that keeps
+// growing, as a chain's does. The stream is append-mostly with a
+// recent-block bias (pebble-bench's WorkloadConfig shape): nine operations
+// in ten write a key never seen, the rest rewrite one, four times in five
+// from the last eight batches. Beside ns/op it reports the slowest single
+// Apply — the stall a commit would have seen — and the table bytes written
+// per ingested byte, flushes and compactions together. The store grows with
+// b.N, so compare two trees at the same fixed -benchtime Nx.
+func BenchmarkLSMChainCommit(b *testing.B) {
+	const batchOps, valueLen, recent = 2300, 250, 8
+	s, err := OpenLSM(b.TempDir(), DefaultLSMOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	key := func(id uint64) []byte { // a hash stand-in (splitmix64): fixed per id, spread over the key space
+		k := make([]byte, 0, 32)
+		for x := id; len(k) < 32; {
+			x += 0x9e3779b97f4a7c15
+			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			k = binary.LittleEndian.AppendUint64(k, z^z>>31)
+		}
+		return k
+	}
+	var (
+		next     uint64 // ids 0..next-1 have been written
+		ingested int
+		slowest  time.Duration
+		batch    Batch
+	)
+	written := mTableBytes.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch.Reset()
+		for op := 0; op < batchOps; op++ {
+			id := next
+			switch {
+			case next == 0 || rng.Intn(10) != 0:
+				next++
+			case rng.Intn(5) != 0:
+				id = next - 1 - uint64(rng.Int63n(int64(min(next, recent*batchOps))))
+			default:
+				id = uint64(rng.Int63n(int64(next)))
+			}
+			v := make([]byte, valueLen-20+rng.Intn(40))
+			batch.Put(key(id), v)
+			ingested += 32 + len(v)
+		}
+		b.StartTimer()
+		start := time.Now()
+		if err := s.Apply(&batch); err != nil {
+			b.Fatal(err)
+		}
+		slowest = max(slowest, time.Since(start))
+	}
+	b.StopTimer()
+	if err := s.Close(); err != nil { // waits for the worker, so every table write is counted
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(slowest)/1e6, "max-apply-ms")
+	b.ReportMetric((mTableBytes.Value()-written)/float64(ingested), "table-bytes/ingested-byte")
 }

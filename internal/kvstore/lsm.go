@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/metrics"
@@ -22,7 +23,13 @@ var (
 	mFlushBytes = metrics.Default().Counter("nezha_lsm_flush_bytes_total",
 		"Payload bytes flushed out of memtables.")
 	mCompactions = metrics.Default().Counter("nezha_lsm_compactions_total",
-		"Full (size-tiered) compactions run.")
+		"Compactions run (newest-suffix merges into one table).")
+	mTableBytes = metrics.Default().Counter("nezha_lsm_table_bytes_total",
+		"Bytes written to SSTable files by flushes and compactions.")
+	mWriteStalls = metrics.Default().Counter("nezha_lsm_write_stalls_total",
+		"Apply calls that waited because the previous sealed memtable was still being flushed.")
+	mWriteStallSeconds = metrics.Default().Counter("nezha_lsm_write_stall_seconds_total",
+		"Time Apply calls spent in write stalls.")
 	mTables = metrics.Default().Gauge("nezha_lsm_tables",
 		"Live SSTables across all open stores.")
 	mWALRecords = metrics.Default().Counter("nezha_lsm_wal_records_total",
@@ -46,11 +53,11 @@ func WALCorruptions() float64 { return mWALCorruption.Value() }
 
 // LSMOptions tunes the LSM store.
 type LSMOptions struct {
-	// MemtableBytes is the approximate memtable payload size that
-	// triggers a flush to a new SSTable.
+	// MemtableBytes is the approximate memtable payload size at which the
+	// memtable is sealed and flushed to a new SSTable.
 	MemtableBytes int
-	// CompactAt is the number of SSTables that triggers a full
-	// (size-tiered, single-output) compaction.
+	// CompactAt is the number of SSTables at which a flush is followed by a
+	// compaction of the newest tables (see LSM).
 	CompactAt int
 	// FailTag names this store instance for failpoint scoping: armed
 	// kvstore/* failpoints with a matching Spec.Tag hit only this store.
@@ -64,31 +71,53 @@ func DefaultLSMOptions() LSMOptions {
 	return LSMOptions{MemtableBytes: 4 << 20, CompactAt: 6}
 }
 
-// LSM is the durable LevelDB-style store: writes land in the WAL and the
-// skiplist memtable; full memtables flush to numbered SSTable files; reads
-// consult the memtable first and then tables newest-first; compaction
-// periodically merges all tables into one. It is safe for concurrent use.
+// LSM is the durable LevelDB-style store. A write appends to the WAL and
+// inserts into the skiplist memtable, nothing else: a full memtable is
+// sealed — it keeps serving reads, its WAL segment is moved aside — and
+// handed to a worker goroutine that writes it out as a numbered SSTable and
+// then compacts. Reads consult the memtable, the sealed memtable and the
+// tables newest-first. It is safe for concurrent use.
 //
+// The worker lives only while there is sealed work, so an idle or abandoned
+// store owns no goroutine. There is at most one sealed memtable: a writer
+// that fills the next one before the worker is done waits (a counted write
+// stall). What goes wrong on the worker is parked and surfaces on the next
+// Apply or Flush, before that call writes anything: an error is returned
+// once and the work retried, an injected crash (fail.Crash) panics again on
+// the caller's goroutine.
+//
+// A compaction merges the newest tables, tables[i:], into one, for the
+// smallest i whose table is no larger than everything newer than it: each
+// byte is rewritten O(log(store/memtable)) times, not once per compaction.
 // Recovery needs no manifest: live tables are the *.sst files in the
 // directory, with higher file numbers taking precedence, and a compaction
-// output always carries a higher number than its inputs — so a crash
-// between "write merged table" and "remove inputs" leaves a state that
-// reads identically.
+// output always carries a higher number than its inputs, which are the
+// newest — so a crash between "rename merged table" and "remove inputs"
+// leaves a state that reads identically. Tombstones are dropped only when
+// every table is merged. Tables reach their names by rename, so a torn
+// write is a leftover *.tmp, removed at open.
 type LSM struct {
 	mu     sync.RWMutex
 	opts   LSMOptions
 	dir    string
 	mem    *skiplist
+	sealed *skiplist // full memtable being flushed, immutable; its log is wal.sealed
 	log    *wal
-	tables []*sstable // ascending file number; later = newer
-	nextNo uint64
+	tables []*sstable // ascending file number; later = newer. Replaced, never edited in place
+	nextNo uint64     // next table number; the worker's once the store is open
 	closed bool
+
+	working bool       // a worker goroutine is running
+	idle    *sync.Cond // on mu: the worker installed a table, parked something or exited
+	bgErr   error      // parked worker error, returned once by the next Apply/Flush
+	crash   any        // parked fail.Crash from the worker, re-panicked by every later Apply/Flush
 }
 
 var _ Store = (*LSM)(nil)
 
 // OpenLSM opens (or creates) a store rooted at dir, replaying any
-// write-ahead log left by a previous process.
+// write-ahead log left by a previous process. A sealed segment left behind
+// goes back to a worker as the sealed memtable it was.
 func OpenLSM(dir string, opts LSMOptions) (*LSM, error) {
 	if opts.MemtableBytes <= 0 || opts.CompactAt <= 1 {
 		return nil, fmt.Errorf("kvstore: invalid LSM options %+v", opts)
@@ -96,7 +125,8 @@ func OpenLSM(dir string, opts LSMOptions) (*LSM, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: create dir: %w", err)
 	}
-	s := &LSM{opts: opts, dir: dir, mem: newSkiplist(), nextNo: 1}
+	s := &LSM{opts: opts, dir: dir, nextNo: 1}
+	s.idle = sync.NewCond(&s.mu)
 
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -105,6 +135,11 @@ func OpenLSM(dir string, opts LSMOptions) (*LSM, error) {
 	var numbers []uint64
 	for _, e := range entries {
 		name := e.Name()
+		if strings.HasSuffix(name, ".sst.tmp") { // a table write the last process did not finish
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, fmt.Errorf("kvstore: remove torn table: %w", err)
+			}
+		}
 		if !strings.HasSuffix(name, ".sst") {
 			continue
 		}
@@ -116,46 +151,64 @@ func OpenLSM(dir string, opts LSMOptions) (*LSM, error) {
 	}
 	sort.Slice(numbers, func(i, j int) bool { return numbers[i] < numbers[j] })
 	for _, no := range numbers {
-		t, err := openSSTable(s.tablePath(no))
+		raw, err := os.ReadFile(s.tablePath(no))
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: read sstable: %w", err)
+		}
+		t, err := parseSSTable(s.tablePath(no), raw)
 		if err != nil {
 			return nil, err
 		}
 		s.tables = append(s.tables, t)
-		if no >= s.nextNo {
-			s.nextNo = no + 1
-		}
+		s.nextNo = no + 1
+	}
+
+	if s.sealed, err = s.replay(s.sealedPath()); err != nil {
+		return nil, err
+	}
+	if s.mem, err = s.replay(s.walPath()); err != nil {
+		return nil, err
+	}
+	if s.log, err = openWAL(s.walPath(), opts.FailTag); err != nil {
+		return nil, err
 	}
 	mTables.Add(float64(len(s.tables)))
+	if s.sealed.length == 0 {
+		s.sealed = nil
+	}
+	s.kickLocked() // no one else has the store yet
+	return s, nil
+}
 
-	// Replay the WAL into a fresh memtable, then truncate any torn tail
-	// before reopening the same log for append. The truncation matters:
-	// appending after leftover garbage would strand every later record
-	// behind an unreadable span, which the next recovery must reject as
-	// corruption (it cannot tell stranded records from planted ones).
-	walPath := filepath.Join(dir, "wal.log")
-	validLen, err := replayWAL(walPath, opts.FailTag, func(op byte, key, value []byte) {
+// replay rebuilds a memtable from the log at path (none is an empty one) and
+// cuts any torn tail off the file. The truncation matters for the log that is
+// appended to again: appending after leftover garbage would strand every
+// later record behind an unreadable span, which the next recovery must
+// reject as corruption (it cannot tell stranded records from planted ones).
+func (s *LSM) replay(path string) (*skiplist, error) {
+	mem := newSkiplist()
+	validLen, err := replayWAL(path, s.opts.FailTag, func(op byte, key, value []byte) {
 		k := append([]byte(nil), key...)
 		v := append([]byte(nil), value...)
-		s.mem.put(k, v, op == walOpDelete)
+		mem.put(k, v, op == walOpDelete)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if fi, statErr := os.Stat(walPath); statErr == nil && fi.Size() > validLen {
-		if err := os.Truncate(walPath, validLen); err != nil {
+	if fi, statErr := os.Stat(path); statErr == nil && fi.Size() > validLen {
+		if err := os.Truncate(path, validLen); err != nil {
 			return nil, fmt.Errorf("kvstore: truncate torn wal tail: %w", err)
 		}
 	}
-	s.log, err = openWAL(walPath, opts.FailTag)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return mem, nil
 }
 
 func (s *LSM) tablePath(no uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%06d.sst", no))
 }
+
+func (s *LSM) walPath() string    { return filepath.Join(s.dir, "wal.log") }
+func (s *LSM) sealedPath() string { return filepath.Join(s.dir, "wal.sealed") }
 
 // Get implements Store.
 func (s *LSM) Get(key []byte) ([]byte, bool, error) {
@@ -164,25 +217,20 @@ func (s *LSM) Get(key []byte) ([]byte, bool, error) {
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	if v, tomb, ok := s.mem.get(key); ok {
-		if tomb {
-			return nil, false, nil
-		}
-		return append([]byte(nil), v...), true, nil
+	v, tomb, ok := s.mem.get(key)
+	if !ok && s.sealed != nil {
+		v, tomb, ok = s.sealed.get(key)
 	}
-	for i := len(s.tables) - 1; i >= 0; i-- {
-		v, tomb, ok, err := s.tables[i].get(key)
-		if err != nil {
+	for i := len(s.tables) - 1; i >= 0 && !ok; i-- {
+		var err error
+		if v, tomb, ok, err = s.tables[i].get(key); err != nil {
 			return nil, false, err
 		}
-		if ok {
-			if tomb {
-				return nil, false, nil
-			}
-			return append([]byte(nil), v...), true, nil
-		}
 	}
-	return nil, false, nil
+	if !ok || tomb {
+		return nil, false, nil
+	}
+	return append([]byte(nil), v...), true, nil
 }
 
 // Put implements Store.
@@ -199,13 +247,27 @@ func (s *LSM) Delete(key []byte) error {
 	return s.Apply(b)
 }
 
-// Apply implements Store: the batch hits the WAL first, then the memtable,
-// and may trigger a flush and compaction.
+// Apply implements Store: the batch hits the WAL, then the memtable. Table
+// I/O is the worker's; Apply waits for it only when the memtable is full
+// again before the previous one is flushed.
 func (s *LSM) Apply(b *Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
+	}
+	full := func() bool { return s.mem.bytes >= s.opts.MemtableBytes }
+	start := time.Now()
+	waited, err := s.awaitLocked(func() bool { return s.sealed == nil || !full() })
+	if waited {
+		mWriteStalls.Inc()
+		mWriteStallSeconds.Add(time.Since(start).Seconds())
+	}
+	if err == nil && full() {
+		err = s.sealLocked()
+	}
+	if err != nil {
+		return err
 	}
 	// The batch-commit failpoint fires before any op reaches the WAL, so
 	// an injected error is clean: nothing of the batch is durable.
@@ -227,162 +289,236 @@ func (s *LSM) Apply(b *Batch) error {
 	for _, op := range b.ops {
 		s.mem.put(op.key, op.value, op.delete)
 	}
-	if s.mem.bytes >= s.opts.MemtableBytes {
-		if err := s.flushLocked(); err != nil {
-			return err
-		}
+	if full() && s.sealed == nil {
+		// Seal now, so the flush overlaps whatever the caller does next.
+		// The batch is durable: a failure to seal is the next call's.
+		s.bgErr = s.sealLocked()
 	}
 	return nil
 }
 
-// flushLocked writes the memtable to a new SSTable, truncates the WAL, and
-// compacts when the table count crosses the threshold.
-func (s *LSM) flushLocked() error {
-	if s.mem.length == 0 {
-		return nil
+// awaitLocked blocks until done holds, surfacing first whatever the worker
+// parked: a crash panics here, on the caller's goroutine; an error is
+// returned once, with the failed work handed to a fresh worker.
+func (s *LSM) awaitLocked(done func() bool) (waited bool, err error) {
+	for {
+		if s.crash != nil {
+			panic(s.crash)
+		}
+		if err := s.bgErr; err != nil {
+			s.bgErr = nil
+			s.kickLocked()
+			return waited, err
+		}
+		if done() {
+			return waited, nil
+		}
+		s.kickLocked()
+		waited = true
+		s.idle.Wait()
 	}
+}
+
+// sealLocked makes the memtable the sealed one (there must be none), rotates
+// its log aside with it and starts the worker.
+func (s *LSM) sealLocked() error {
+	if err := s.log.rotate(s.sealedPath()); err != nil {
+		return err
+	}
+	s.sealed, s.mem = s.mem, newSkiplist()
+	s.kickLocked()
+	return nil
+}
+
+// kickLocked starts the worker if there is sealed work nobody is doing and
+// nothing parked that a caller has yet to see.
+func (s *LSM) kickLocked() {
+	if s.sealed != nil && !s.working && s.bgErr == nil && s.crash == nil {
+		s.working = true
+		go s.work()
+	}
+}
+
+// work is the worker goroutine: flush the sealed memtable, compact, and
+// again if another memtable was sealed meanwhile; exit when nothing is
+// sealed or something went wrong.
+func (s *LSM) work() {
+	s.mu.Lock()
+	for s.sealed != nil && s.bgErr == nil && s.crash == nil {
+		s.mu.Unlock()
+		crash, err := s.maintain()
+		s.mu.Lock()
+		s.crash = crash
+		if err != nil { // nil must not wipe a seal failure Apply parked meanwhile
+			s.bgErr = err
+		}
+	}
+	s.working = false
+	s.idle.Broadcast()
+	s.mu.Unlock()
+}
+
+// maintain is one round of background work. An injected crash is recovered
+// into the return value for work to park; any other panic keeps unwinding.
+func (s *LSM) maintain() (crash any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if !fail.IsCrash(r) {
+				panic(r)
+			}
+			crash = r
+		}
+	}()
+	if err := s.flushSealed(); err != nil {
+		return nil, err
+	}
+	return nil, s.compact()
+}
+
+// flushSealed writes the sealed memtable out as the newest table, installs
+// it and drops the sealed log segment, in that order: until the table has
+// its name the segment is what recovery reads, and a crash after leaves both,
+// which flushes the same records again into a newer, identical table.
+func (s *LSM) flushSealed() error {
 	if err := fail.HitTag(fail.KVFlush, s.opts.FailTag); err != nil {
 		return err
 	}
-	mFlushes.Inc()
-	mFlushBytes.Add(float64(s.mem.bytes))
-	entries := make([]sstEntry, 0, s.mem.length)
-	s.mem.scan(nil, func(key, value []byte, tombstone bool) bool {
-		entries = append(entries, sstEntry{key: key, value: value, tombstone: tombstone})
-		return true
-	})
-	no := s.nextNo
-	s.nextNo++
-	if err := writeSSTable(s.tablePath(no), entries); err != nil {
-		return err
-	}
-	t, err := openSSTable(s.tablePath(no))
+	mem := s.sealed // stable: only this goroutine clears it, and nothing is sealed over it
+	image, err := mergeImage([]run{mem.cursor(nil)}, mem.bytes, false)
 	if err != nil {
 		return err
 	}
-	s.tables = append(s.tables, t)
+	t, err := s.writeTable(image)
+	if err != nil {
+		return err
+	}
+	mFlushes.Inc()
+	mFlushBytes.Add(float64(mem.bytes))
 	mTables.Add(1)
-
-	// The memtable is durable in the table now: reset the log.
-	if err := s.log.close(); err != nil {
-		return err
-	}
-	walPath := filepath.Join(s.dir, "wal.log")
-	if err := os.Remove(walPath); err != nil {
-		return fmt.Errorf("kvstore: reset wal: %w", err)
-	}
-	if s.log, err = openWAL(walPath, s.opts.FailTag); err != nil {
-		return err
-	}
-	s.mem = newSkiplist()
-
-	if len(s.tables) >= s.opts.CompactAt {
-		return s.compactLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tables = append(s.tables, t)
+	s.sealed = nil
+	s.idle.Broadcast()
+	if err := os.Remove(s.sealedPath()); err != nil {
+		return fmt.Errorf("kvstore: drop sealed wal: %w", err)
 	}
 	return nil
 }
 
-// compactLocked merges every table into one, dropping shadowed versions and
-// tombstones (a full compaction may discard tombstones because no older
-// table remains underneath).
-func (s *LSM) compactLocked() error {
+// compact, once CompactAt tables have piled up, merges the newest suffix of
+// them (see LSM) into one table with a streaming merge over the sorted
+// inputs, swaps it in and removes the input files.
+func (s *LSM) compact() error {
+	tables := s.tables // only this goroutine replaces the slice
+	first := suffixStart(tables)
+	if len(tables) < s.opts.CompactAt || first < 0 {
+		return nil
+	}
 	if err := fail.HitTag(fail.KVCompact, s.opts.FailTag); err != nil {
 		return err
 	}
-	merged := make(map[string]sstEntry)
-	// Oldest to newest: later tables overwrite.
-	for _, t := range s.tables {
-		err := t.scan(nil, func(e sstEntry) bool {
-			merged[string(e.key)] = e
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k, e := range merged {
-		if !e.tombstone {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	entries := make([]sstEntry, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, merged[k])
-	}
-
-	no := s.nextNo
-	s.nextNo++
-	if err := writeSSTable(s.tablePath(no), entries); err != nil {
-		return err
-	}
-	t, err := openSSTable(s.tablePath(no))
+	inputs := tables[first:]
+	image, err := mergeTables(inputs, first == 0)
 	if err != nil {
 		return err
 	}
-	old := s.tables
-	s.tables = []*sstable{t}
+	t, err := s.writeTable(image)
+	if err != nil {
+		return err
+	}
 	mCompactions.Inc()
-	mTables.Add(float64(1 - len(old))) // the merged output replaced len(old) inputs
-	for _, o := range old {
-		if err := os.Remove(o.path); err != nil {
+	mTables.Add(float64(1 - len(inputs)))
+	s.mu.Lock()
+	s.tables = append(tables[:first:first], t)
+	s.mu.Unlock()
+	for _, in := range inputs {
+		if err := os.Remove(in.path); err != nil {
 			return fmt.Errorf("kvstore: remove compacted table: %w", err)
 		}
 	}
 	return nil
 }
 
-// Iter implements Store with a k-way merge across the memtable and all
-// tables, newest version winning, tombstones masking.
+// suffixStart picks a compaction's inputs, tables[i:]: the smallest i whose
+// table is no larger than all the newer ones together, -1 if there is none
+// (each table then outweighs everything after it, so they are few).
+func suffixStart(tables []*sstable) int {
+	newer := 0
+	for _, t := range tables {
+		newer += t.size
+	}
+	for i, t := range tables {
+		if newer -= t.size; t.size <= newer {
+			return i
+		}
+	}
+	return -1
+}
+
+// writeTable gives a finished image the next table number: written under a
+// temporary name, renamed into place, parsed where it stands. A crash
+// mid-write leaves a *.tmp for OpenLSM to remove, never a torn *.sst.
+func (s *LSM) writeTable(image []byte) (*sstable, error) {
+	path := s.tablePath(s.nextNo)
+	s.nextNo++
+	err := os.WriteFile(path+".tmp", image, 0o644)
+	if err == nil {
+		err = fail.HitTag(fail.KVTableWrite, s.opts.FailTag)
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		_ = os.Remove(path + ".tmp") // best effort: OpenLSM sweeps leftovers anyway
+		return nil, fmt.Errorf("kvstore: write sstable: %w", err)
+	}
+	mTableBytes.Add(float64(len(image)))
+	return parseSSTable(path, image)
+}
+
+// Iter implements Store with a streaming merge across the memtable, the
+// sealed memtable and all tables, newest version winning, tombstones
+// masking. fn runs without the store's lock and may call back into the
+// store; the slices it is handed alias store memory and must not be
+// modified.
 func (s *LSM) Iter(start, end []byte, fn func(key, value []byte) bool) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	// Materialize the visible range. Simpler than a streaming merge and
-	// adequate for the ranges the reproduction scans (state flushes and
-	// tests); the memtable and tables are immutable snapshots under RLock.
-	merged := make(map[string]sstEntry)
-	for _, t := range s.tables {
-		err := t.scan(start, func(e sstEntry) bool {
-			if end != nil && bytes.Compare(e.key, end) >= 0 {
-				return false
-			}
-			merged[string(e.key)] = e
-			return true
-		})
-		if err != nil {
-			s.mu.RUnlock()
-			return err
-		}
+	inRange := func(key []byte) bool { return end == nil || bytes.Compare(key, end) < 0 }
+	// The sealed memtable and the tables never change; the memtable does
+	// once the lock is dropped, so its part of the range is copied (it is
+	// bounded by MemtableBytes).
+	var active []sstEntry
+	next := s.mem.cursor(start)
+	for e, ok, _ := next(); ok && inRange(e.key); e, ok, _ = next() {
+		active = append(active, e)
 	}
-	s.mem.scan(start, func(key, value []byte, tombstone bool) bool {
-		if end != nil && bytes.Compare(key, end) >= 0 {
-			return false
-		}
-		merged[string(key)] = sstEntry{key: key, value: value, tombstone: tombstone}
-		return true
-	})
+	runs := make([]run, 0, len(s.tables)+2)
+	for _, t := range s.tables {
+		runs = append(runs, t.cursor(start))
+	}
+	if s.sealed != nil {
+		runs = append(runs, s.sealed.cursor(start))
+	}
 	s.mu.RUnlock()
 
-	keys := make([]string, 0, len(merged))
-	for k, e := range merged {
-		if !e.tombstone {
-			keys = append(keys, k)
+	runs = append(runs, func() (e sstEntry, ok bool, err error) {
+		if ok = len(active) > 0; ok {
+			e, active = active[0], active[1:]
 		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn([]byte(k), merged[k].value) {
-			return nil
-		}
-	}
-	return nil
+		return e, ok, nil
+	})
+	return mergeRuns(runs, func(e sstEntry) bool {
+		return inRange(e.key) && (e.tombstone || fn(e.key, e.value))
+	})
 }
 
-// Flush forces the memtable to disk; exposed so the node can persist state
+// Flush forces the memtable to disk and returns once the worker has
+// written it and finished compacting; exposed so the node can persist state
 // at epoch boundaries and tests can exercise the table path.
 func (s *LSM) Flush() error {
 	s.mu.Lock()
@@ -390,7 +526,15 @@ func (s *LSM) Flush() error {
 	if s.closed {
 		return ErrClosed
 	}
-	return s.flushLocked()
+	drained := func() bool { return s.sealed == nil && !s.working }
+	if _, err := s.awaitLocked(drained); err != nil || s.mem.length == 0 {
+		return err
+	}
+	if err := s.sealLocked(); err != nil {
+		return err
+	}
+	_, err := s.awaitLocked(drained)
+	return err
 }
 
 // TableCount reports how many SSTables are live (test instrumentation).
@@ -400,14 +544,22 @@ func (s *LSM) TableCount() int {
 	return len(s.tables)
 }
 
-// Close implements Store.
+// Close implements Store. It waits for the worker to finish what it has in
+// hand; a sealed memtable it could not flush stays on disk as its log
+// segment and is picked up at the next open.
 func (s *LSM) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
+	for s.working {
+		s.idle.Wait()
+	}
 	s.closed = true
 	mTables.Add(-float64(len(s.tables)))
-	return s.log.close()
+	if err := s.log.close(); err != nil {
+		return err
+	}
+	return s.bgErr // a worker error no Apply or Flush came back for
 }

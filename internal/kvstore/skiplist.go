@@ -93,17 +93,22 @@ func (s *skiplist) get(key []byte) (value []byte, tombstone, ok bool) {
 	return node.value, node.tombstone, true
 }
 
-// scan walks entries with key >= start in order, including tombstones.
-func (s *skiplist) scan(start []byte, fn func(key, value []byte, tombstone bool) bool) {
+// cursor returns a run over the entries with key >= start, in order,
+// tombstones included. The list must not change while the run is in use.
+func (s *skiplist) cursor(start []byte) run {
 	node := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for node.next[i] != nil && bytes.Compare(node.next[i].key, start) < 0 {
 			node = node.next[i]
 		}
 	}
-	for node = node.next[0]; node != nil; node = node.next[0] {
-		if !fn(node.key, node.value, node.tombstone) {
-			return
+	node = node.next[0]
+	return func() (sstEntry, bool, error) {
+		if node == nil {
+			return sstEntry{}, false, nil
 		}
+		e := sstEntry{key: node.key, value: node.value, tombstone: node.tombstone}
+		node = node.next[0]
+		return e, true, nil
 	}
 }

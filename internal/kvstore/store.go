@@ -4,8 +4,11 @@
 //
 //   - Memory: a mutex-guarded ordered map, for tests and pure benchmarks.
 //   - LSM: a log-structured merge store in the LevelDB tradition —
-//     write-ahead log, skiplist memtable, sorted-string-table files, and
-//     size-tiered compaction — durable across restarts.
+//     write-ahead log, skiplist memtable, sorted-string-table files —
+//     durable across restarts. Writers only append to the log and insert
+//     into the memtable; a worker goroutine flushes sealed memtables and
+//     compacts the newest tables with a streaming merge, off the write
+//     path.
 //
 // Keys and values are arbitrary byte strings; iteration is in ascending
 // lexicographic key order.

@@ -22,16 +22,23 @@ import (
 // the caller, and survived, while mid-log corruption is rejected with
 // ErrWALCorrupt. See replayWAL for the classification contract.
 type wal struct {
-	f *os.File
-	w *bufio.Writer
+	f    *os.File
+	w    *bufio.Writer
+	path string
 	// tag scopes this log's failpoints to its owning store (see
 	// LSMOptions.FailTag).
 	tag string
+	// buf is the record being encoded, reused from one append to the next.
+	buf []byte
 }
 
 const (
 	walOpPut    = 1
 	walOpDelete = 2
+	// walBufferBytes sizes the log's write buffer: an epoch's batch is
+	// several hundred KiB, which bufio's 4 KiB default turns into as many
+	// write calls as it has pages.
+	walBufferBytes = 64 << 10
 )
 
 // ErrWALCorrupt reports mid-log write-ahead-log corruption: a record whose
@@ -46,12 +53,20 @@ var ErrWALCorrupt = errors.New("kvstore: wal corrupt")
 // distinguishes it from corruption.
 var errWALTruncated = errors.New("record truncated by end of file")
 
-func openWAL(path, tag string) (*wal, error) {
+func openLogFile(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open wal: %w", err)
 	}
-	return &wal{f: f, w: bufio.NewWriter(f), tag: tag}, nil
+	return f, nil
+}
+
+func openWAL(path, tag string) (*wal, error) {
+	f, err := openLogFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return &wal{f: f, w: bufio.NewWriterSize(f, walBufferBytes), path: path, tag: tag}, nil
 }
 
 // append writes one record. Sync durability is left to the caller (sync).
@@ -59,24 +74,41 @@ func (w *wal) append(op byte, key, value []byte) error {
 	if err := fail.HitTag(fail.KVWALAppend, w.tag); err != nil {
 		return err
 	}
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key)+len(value))
-	payload = append(payload, op)
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = binary.AppendUvarint(payload, uint64(len(value)))
-	payload = append(payload, key...)
-	payload = append(payload, value...)
-
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(crc[:]); err != nil {
-		return fmt.Errorf("kvstore: wal write: %w", err)
-	}
-	if _, err := w.w.Write(payload); err != nil {
+	b := append(w.buf[:0], 0, 0, 0, 0, op) // the CRC goes in once the payload is complete
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = binary.AppendUvarint(b, uint64(len(value)))
+	b = append(b, key...)
+	b = append(b, value...)
+	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(b[4:]))
+	w.buf = b
+	if _, err := w.w.Write(b); err != nil {
 		return fmt.Errorf("kvstore: wal write: %w", err)
 	}
 	mWALRecords.Inc()
-	mWALBytes.Add(float64(len(crc) + len(payload)))
+	mWALBytes.Add(float64(len(b)))
 	return nil
+}
+
+// rotate moves the log written so far aside — a sealed segment, complete
+// and never appended to again — and continues in a fresh file at the same
+// path. The rename comes first: until the fresh file is open the log keeps
+// its records and its handle, so a failure leaves it appendable.
+func (w *wal) rotate(aside string) error {
+	if err := w.w.Flush(); err != nil {
+		return err
+	}
+	if err := os.Rename(w.path, aside); err != nil {
+		return fmt.Errorf("kvstore: seal wal: %w", err)
+	}
+	f, err := openLogFile(w.path)
+	if err != nil {
+		_ = os.Rename(aside, w.path) // best effort: the open handle follows the file either way
+		return err
+	}
+	sealed := w.f
+	w.f = f
+	w.w.Reset(f)
+	return sealed.Close()
 }
 
 // sync flushes buffered records to the OS. (fsync is intentionally skipped:

@@ -131,3 +131,26 @@ func TestWALCleanLogMovesNoCounters(t *testing.T) {
 		t.Fatalf("clean replay moved nezha_wal_corruption_total by %.0f", d)
 	}
 }
+
+// TestWALAppendAllocs: a record is encoded into the log's own buffer, so
+// appending allocates nothing once that buffer has grown to the record size
+// (2.9 records per transaction pass through here).
+func TestWALAppendAllocs(t *testing.T) {
+	w, err := openWAL(filepath.Join(t.TempDir(), "wal"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	key, value := make([]byte, 32), make([]byte, 250)
+	if err := w.append(walOpPut, key, value); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := w.append(walOpPut, key, value); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("wal.append allocates %.1f times per record, want 0", allocs)
+	}
+}
