@@ -127,6 +127,25 @@ type Config struct {
 	// full. Signing changes sender addresses and with them every hash, so
 	// it is a scenario of its own (TestScenarioSigned), not a default.
 	signed bool
+	// wide gives the nodes different commit widths (wideWorkers, by index)
+	// and every block wideBlockTxs transactions, enough for each epoch's
+	// trie flush to fan out: replicas that cut the same commit across a
+	// different number of workers must still agree on every root
+	// (TestScenarioMixedWorkers).
+	wide bool
+}
+
+// The wide scenario's shape.
+const wideBlockTxs = 160
+
+var wideWorkers = [...]int{1, 2, 3, 16}
+
+// txsPerBlock is how many transactions a block carries.
+func (c Config) txsPerBlock() int {
+	if c.wide {
+		return wideBlockTxs
+	}
+	return blockTxs
 }
 
 func (c Config) withDefaults() Config {
@@ -202,6 +221,9 @@ type Result struct {
 	MempoolFaults int
 	// Stalls counts peer-stall faults (probabilistic delivery drops).
 	Stalls int
+	// CommitWidths is, per node, the widest commit-stage fan-out it
+	// recorded since it last (re)started; 0 if it processed nothing since.
+	CommitWidths []int
 	// Events is the scenario's fault/recovery log.
 	Events []string
 	// Failure is nil when the cluster converged.
@@ -418,7 +440,7 @@ func (h *harness) setup(root string) error {
 	if err != nil {
 		return err
 	}
-	h.txs = gen.Txs(h.cfg.Rounds * blocksPerRound * blockTxs)
+	h.txs = gen.Txs(h.cfg.Rounds * blocksPerRound * h.cfg.txsPerBlock())
 	genesis, err := gen.GenesisWrites(h.txs)
 	if err != nil {
 		return err
@@ -486,13 +508,16 @@ func (h *harness) open(cn *chaosNode) error {
 	}
 	cfg := h.nodeCfg
 	cfg.Scheduler = core.MustNewScheduler(core.DefaultConfig())
+	if h.cfg.wide {
+		cfg.Workers = wideWorkers[cn.idx%len(wideWorkers)]
+	}
 	n, err := node.New(cn.id, store, cfg)
 	if err != nil {
 		store.Close()
 		return err
 	}
 	cn.store, cn.n = store, n
-	cn.miner = node.NewMiner(n, cn.addr, blockTxs)
+	cn.miner = node.NewMiner(n, cn.addr, h.cfg.txsPerBlock())
 	cn.syncer = node.NewSyncer(n, cn.ep, cn.peers, node.SyncConfig{
 		RequestTimeout: 40 * time.Millisecond,
 		BackoffBase:    15 * time.Millisecond,
@@ -856,7 +881,7 @@ func (h *harness) mine(r int) {
 		}
 		cn := candidates[h.rng.Intn(len(candidates))]
 		if h.txCursor < len(h.txs) {
-			end := h.txCursor + blockTxs
+			end := h.txCursor + h.cfg.txsPerBlock()
 			if end > len(h.txs) {
 				end = len(h.txs)
 			}
@@ -1134,6 +1159,17 @@ func (h *harness) converge() {
 				return
 			}
 		}
+	}
+	for _, cn := range h.nodes {
+		width := 0
+		for _, es := range cn.n.Metrics().Epochs() {
+			for _, st := range es.Stages {
+				if st.Name == "commit" {
+					width = max(width, st.Workers)
+				}
+			}
+		}
+		h.res.CommitWidths = append(h.res.CommitWidths, width)
 	}
 	h.eventf(r, "converged: %d epochs, %d blocks, roots identical on all %d nodes",
 		h.res.Epochs, h.res.Blocks, len(h.nodes))

@@ -112,6 +112,42 @@ func TestScenarioMempoolConverges(t *testing.T) {
 	}
 }
 
+// TestScenarioMixedWorkers: four nodes whose commits fan out across 1, 2, 3
+// and 16 workers process the same epochs — each large enough for the trie
+// to cut its flush — through crash, restore, partition and resync, and
+// converge on one root per epoch: the commit width is not part of the
+// state.
+func TestScenarioMixedWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node chaos scenario")
+	}
+	res, err := Run(Config{Seed: 18, Rounds: 24, Accounts: 2_000, Dir: t.TempDir(), wide: true})
+	if err != nil {
+		t.Fatalf("harness: %v", err)
+	}
+	if res.Failure != nil {
+		for _, ev := range res.Events {
+			t.Log(ev)
+		}
+		t.Fatal(res.Failure.Error())
+	}
+	if res.Epochs < minEpochs {
+		t.Fatalf("only %d epochs processed", res.Epochs)
+	}
+	// The epochs really were cut: every node that processed anything since
+	// its last restart did so at its own width, and they differ.
+	distinct := map[int]bool{}
+	for i, width := range res.CommitWidths {
+		if width != 0 && width != wideWorkers[i] {
+			t.Fatalf("node %d committed %d wide, configured %d: %v", i, width, wideWorkers[i], res.CommitWidths)
+		}
+		distinct[width] = true
+	}
+	if len(distinct) < 3 {
+		t.Fatalf("commit widths %v: the scenario compared fewer than three", res.CommitWidths)
+	}
+}
+
 // TestScenarioSigned is the one scenario with signatures on: an existing
 // seed, the shortest schedule, mempool-fed miners, every pool and every
 // validation stage verifying. Crash, restore, partition and resync must

@@ -20,6 +20,12 @@ import (
 // interleaved with RootHash, Commit and reopen-from-hash — through both and
 // comparing everything observable after every step.
 //
+// Every program runs at each fan-out width with the threshold taken away
+// (newOracleTrie), so even these tiny batches are cut at a root branch,
+// their subtrees rewritten, hashed and sorted by separate workers and the
+// queues merged — and must still match the reference in everything above,
+// which is what "the width changes nothing" means.
+//
 // A program is a byte string so the fuzzer can drive the same harness:
 //
 //	step   := header entry*
@@ -111,12 +117,34 @@ func storeContents(s kvstore.Store) map[string]string {
 	return out
 }
 
-// runBatchOracle runs the program through a Trie (updated through apply,
-// normally (*Trie).update) and the reference, and returns the first
-// difference it can observe.
-func runBatchOracle(program []byte, apply func(*Trie, []entry) error) error {
+// oracleWidths are the fan-out widths every program runs at: inline, the
+// reference box's two, one that does not divide sixteen, and the most.
+var oracleWidths = [4]int{1, 2, 3, 16}
+
+// newOracleTrie opens a trie that fans out across width workers whatever
+// the batch size.
+func newOracleTrie(root types.Hash, store kvstore.Store, width int) *Trie {
+	tr := New(root, store)
+	tr.SetWorkers(width)
+	tr.fanMin = 1
+	return tr
+}
+
+// trieOps is how the oracle drives the trie under test; the meta-tests
+// plant their faults by replacing one.
+type trieOps struct {
+	update func(*Trie, []entry) error
+	hash   func(*Trie) types.Hash
+	commit func(*Trie) (types.Hash, error)
+}
+
+var realOps = trieOps{update: (*Trie).update, hash: (*Trie).RootHash, commit: (*Trie).Commit}
+
+// runBatchOracle runs the program through a Trie of the given width and the
+// reference, and returns the first difference it can observe.
+func runBatchOracle(program []byte, width int, ops trieOps) error {
 	store, refStore := &recordingStore{Memory: kvstore.NewMemory()}, &recordingStore{Memory: kvstore.NewMemory()}
-	tr, ref := New(EmptyRoot, store), newRefTrie(EmptyRoot, refStore)
+	tr, ref := newOracleTrie(EmptyRoot, store, width), newRefTrie(EmptyRoot, refStore)
 	shadow := map[string]string{}
 	insertOnly := true // no delete and no repeated key since the last commit
 
@@ -132,13 +160,13 @@ func runBatchOracle(program []byte, apply func(*Trie, []entry) error) error {
 				shadow[string(e.key)] = string(e.value)
 			}
 		}
-		if err := apply(tr, append([]entry(nil), step.batch...)); err != nil {
+		if err := ops.update(tr, append([]entry(nil), step.batch...)); err != nil {
 			return fmt.Errorf("step %d: update: %w", i, err)
 		}
 		if step.then == 0 {
 			continue
 		}
-		root, refRoot := tr.RootHash(), ref.RootHash()
+		root, refRoot := ops.hash(tr), ref.RootHash()
 		if root != refRoot {
 			return fmt.Errorf("step %d: root %s, reference %s", i, root.Short(), refRoot.Short())
 		}
@@ -149,7 +177,7 @@ func runBatchOracle(program []byte, apply func(*Trie, []entry) error) error {
 			continue
 		}
 		commits, refCommits := len(store.writes), len(refStore.writes)
-		if got, err := tr.Commit(); err != nil || got != root {
+		if got, err := ops.commit(tr); err != nil || got != root {
 			return fmt.Errorf("step %d: commit = %s, %v; root was %s", i, got.Short(), err, root.Short())
 		}
 		if _, err := ref.Commit(); err != nil {
@@ -182,7 +210,7 @@ func runBatchOracle(program []byte, apply func(*Trie, []entry) error) error {
 		}
 		insertOnly = true
 		if step.then == 3 {
-			tr, ref = New(root, store), newRefTrie(root, refStore)
+			tr, ref = newOracleTrie(root, store, width), newRefTrie(root, refStore)
 		}
 	}
 	return nil
@@ -245,19 +273,44 @@ var handBuiltOraclePrograms = map[string][]byte{
 	"delete-absent": {3<<2 | 2, 0x03, 1, 0x07, 1, 0x0b, 1, 2<<2 | 2, 0x43, 0, 0x02, 0, 2<<2 | 2, 0x43, 0, 0x0f, 1},
 	// Everything deleted in one batch.
 	"delete-all": {3<<2 | 3, 0x00, 1, 0x03, 1, 0x07, 1, 3<<2 | 2, 0x00, 0, 0x03, 0, 0x07, 0},
+	// The shapes a fan-out meets at the root. 00, 01, 10, 11 stand a root
+	// branch over two sub-branches; after a reopen the root and both
+	// children are hash references the workers resolve side by side, both
+	// subtrees change in one batch (a sub-branch splits, the other
+	// collapses), the empty key lands on the root branch itself, and then
+	// everything under nibble 1 and the empty key go, which collapses the
+	// root branch into an extension.
+	"fan-reopen-collapse": {4<<2 | 3, 0x01, 1, 0x05, 1, 0x09, 2, 0x0d, 3,
+		5<<2 | 3, 0x00, 3, 0x02, 1, 0x0a, 1, 0x05, 0, 0x0d, 0,
+		3<<2 | 3, 0x00, 0, 0x09, 0, 0x0a, 0},
+	// Several updates, one of them hashed, before one Commit: a subtree a
+	// worker hashed is dirtied again through both nibbles.
+	"fan-updates-before-commit": {2<<2 | 0, 0x01, 1, 0x09, 1, 2<<2 | 1, 0x05, 1, 0x0d, 1,
+		2<<2 | 0, 0x01, 2, 0x0a, 1, 2<<2 | 2, 0x09, 0, 0x02, 3},
+	// The root a leaf, then a short node over a branch (both keys start
+	// 0), then a branch once nibble 1 arrives; and back.
+	"fan-short-root": {1<<2 | 2, 0x01, 1, 1<<2 | 2, 0x05, 1, 2<<2 | 3, 0x09, 1, 0x0d, 1, 2<<2 | 2, 0x09, 0, 0x0d, 0},
+	// The same leaf tail and value under both nibbles: two workers queue
+	// one encoding each, and the merge must write it once.
+	"fan-equal-leaves": {4<<2 | 2, 0x02, 1, 0x0a, 1, 0x06, 1, 0x0e, 1},
 }
 
 func TestBatchMatchesReference(t *testing.T) {
-	for name, program := range handBuiltOraclePrograms {
-		if err := runBatchOracle(program, (*Trie).update); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, width := range oracleWidths {
+		for name, program := range handBuiltOraclePrograms {
+			if err := runBatchOracle(program, width, realOps); err != nil {
+				t.Errorf("width %d, %s: %v", width, name, err)
+			}
 		}
-	}
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 400; trial++ {
-		program := randomOracleProgram(rng)
-		if err := runBatchOracle(program, (*Trie).update); err != nil {
-			t.Fatalf("trial %d, program %x: %v", trial, program, err)
+		// Fewer programs at the wider widths: every step of every program
+		// starts that many goroutines three times over, which is what the
+		// race detector is slowest at.
+		rng := rand.New(rand.NewSource(15))
+		for trial := 0; trial < 400/width; trial++ {
+			program := randomOracleProgram(rng)
+			if err := runBatchOracle(program, width, realOps); err != nil {
+				t.Fatalf("width %d, trial %d, program %x: %v", width, trial, program, err)
+			}
 		}
 	}
 }
@@ -290,14 +343,16 @@ func TestBatchOracleBites(t *testing.T) {
 		})
 		return err
 	}
-	if err := runBatchOracle(handBuiltOraclePrograms["overwrite-hashed"], staleHash); err == nil {
+	planted := realOps
+	planted.update = staleHash
+	if err := runBatchOracle(handBuiltOraclePrograms["overwrite-hashed"], 1, planted); err == nil {
 		t.Fatal("a stale hash on an overwritten leaf goes unnoticed")
 	}
 	rng := rand.New(rand.NewSource(15))
 	caught := 0
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {
-		if runBatchOracle(randomOracleProgram(rng), staleHash) != nil {
+		if runBatchOracle(randomOracleProgram(rng), 1, planted) != nil {
 			caught++
 		}
 	}
@@ -324,16 +379,24 @@ func walkOwned(tr *Trie, n node, fn func(node)) {
 	}
 }
 
+// FuzzTrieBatch: the first byte of the input picks the fan-out width (its
+// low two bits index oracleWidths), the rest is the program.
 func FuzzTrieBatch(f *testing.F) {
-	for _, program := range handBuiltOraclePrograms {
-		f.Add(program)
+	for w := range oracleWidths {
+		for _, program := range handBuiltOraclePrograms {
+			f.Add(append([]byte{byte(w)}, program...))
+		}
+		f.Add(append([]byte{byte(w)}, randomOracleProgram(rand.New(rand.NewSource(1)))...))
 	}
-	f.Add(randomOracleProgram(rand.New(rand.NewSource(1))))
-	f.Fuzz(func(t *testing.T, program []byte) {
+	f.Fuzz(func(t *testing.T, input []byte) {
+		if len(input) == 0 {
+			return
+		}
+		width, program := oracleWidths[input[0]&3], input[1:]
 		if len(program) > 1024 {
 			program = program[:1024] // bound trie size, not coverage
 		}
-		if err := runBatchOracle(program, (*Trie).update); err != nil {
+		if err := runBatchOracle(program, width, realOps); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -359,9 +422,21 @@ func stateBatch(rng *rand.Rand, n, space int) []types.WriteEntry {
 }
 
 // TestBatchWALBytesMatchReference pins "same nodes, same order, same
-// bytes": on a durable store, epoch-shaped commits through Update leave
-// the write-ahead log byte-identical to the reference's.
+// bytes": on a durable store, epoch-shaped commits through Update — keys
+// under all sixteen nibbles, batches on both sides of the fan-out
+// threshold — leave the write-ahead log byte-identical to the reference's
+// at every width.
 func TestBatchWALBytesMatchReference(t *testing.T) {
+	for _, width := range oracleWidths {
+		if err := walBytesMatchReference(t, width, (*Trie).Commit); err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+	}
+}
+
+// walBytesMatchReference runs the comparison at one width, committing the
+// trie under test through commit.
+func walBytesMatchReference(t *testing.T, width int, commit func(*Trie) (types.Hash, error)) error {
 	open := func() (*kvstore.LSM, string) {
 		dir := t.TempDir()
 		s, err := kvstore.OpenLSM(dir, kvstore.LSMOptions{MemtableBytes: 1 << 30, CompactAt: 4})
@@ -374,36 +449,38 @@ func TestBatchWALBytesMatchReference(t *testing.T) {
 	store, wal := open()
 	refStore, refWAL := open()
 	tr, ref := New(EmptyRoot, store), newRefTrie(EmptyRoot, refStore)
+	tr.SetWorkers(width)
 	rng := rand.New(rand.NewSource(3))
-	for commit, size := range []int{2000, 100, 100, 1, 300} {
+	for i, size := range []int{2000, 100, 100, 1, 300} {
 		writes := stateBatch(rng, size, 3000)
 		if err := tr.Update(writes); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		for _, w := range writes {
 			if err := ref.Put(w.Key[:], w.Value); err != nil {
-				t.Fatal(err)
+				return err
 			}
 		}
-		root, err := tr.Commit()
+		root, err := commit(tr)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if refRoot, err := ref.Commit(); err != nil || refRoot != root {
-			t.Fatalf("commit %d: root %s, reference %s (%v)", commit, root.Short(), refRoot.Short(), err)
+			return fmt.Errorf("commit %d: root %s, reference %s (%v)", i, root.Short(), refRoot.Short(), err)
 		}
 		got, err := os.ReadFile(wal)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		want, err := os.ReadFile(refWAL)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if len(got) == 0 || !bytes.Equal(got, want) {
-			t.Fatalf("commit %d: WAL is %d bytes, reference %d, or they differ", commit, len(got), len(want))
+			return fmt.Errorf("commit %d: WAL is %d bytes, reference %d, or they differ", i, len(got), len(want))
 		}
 	}
+	return nil
 }
 
 func TestUpdateRejectsUnsortedBatch(t *testing.T) {

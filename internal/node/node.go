@@ -106,7 +106,8 @@ type Config struct {
 	// stage can warm them under the previous epoch's commit. Nil means
 	// contract read sets are not predicted; native transfers are always
 	// predicted from the sender/recipient balance cells. Mispredictions
-	// are harmless — the prefetch is a pure cache warm-up.
+	// are harmless — the prefetch is a pure cache warm-up. It is called
+	// on the prefetch goroutine, beside the pipeline: a pure function.
 	PredictReads func(tx *types.Transaction) []types.Key
 	// Mempool, when set, replaces the miner's flat FIFO transaction pool
 	// with the sharded admission-controlled pool of internal/mempool:
@@ -494,12 +495,14 @@ func (n *Node) validStateRootLocked(b *types.Block) bool {
 // then flush to the state trie in one batch. The benchmark harness calls it
 // directly to measure commit latency per scheme.
 func CommitSchedule(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int) (types.Hash, error) {
-	return commitScheduleInto(db, sims, sched, workers, newOverlay())
+	root, _, err := commitScheduleInto(db, sims, sched, workers, newOverlay())
+	return root, err
 }
 
 // commitScheduleInto is CommitSchedule writing through a caller-supplied
-// (possibly pooled) overlay. The overlay must be empty.
-func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int, ov *overlay) (types.Hash, error) {
+// (possibly pooled) overlay, which must be empty; the flush gets the same
+// workers, and how the trie used them is reported.
+func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int, ov *overlay) (types.Hash, mpt.FanStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -510,7 +513,7 @@ func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *typ
 	for _, group := range sched.Groups() {
 		applyGroup(ov, group, byID, workers)
 	}
-	return db.Commit(ov.entries())
+	return db.CommitWide(ov.entries(), workers)
 }
 
 // simulate speculatively executes one transaction against a state reader

@@ -64,7 +64,8 @@ type epochRun struct {
 // mvccStages is the speculative pipeline of §III-B — validation,
 // concurrent execution, concurrency control, group-concurrent commitment —
 // over the copy-free MVCC view, with the read-set prefetch of epoch e+1
-// kicked just before epoch e's commit so it rides under the trie flush.
+// kicked just before epoch e's commit so its key derivation runs under the
+// trie flush (see kickPrefetch for what can and cannot overlap it).
 var mvccStages = []stage{
 	{"validate", fail.NodeStageValidate, (*Node).validateStage},
 	{"execute", fail.NodeStageExecute, (*Node).executeStage},
@@ -365,16 +366,13 @@ func groupDigest(groups [][]types.TxID) uint64 {
 }
 
 // prefetchStage kicks the background read-set prefetch of the NEXT epoch:
-// a goroutine walks epoch e+1's predicted read keys and pulls the cold
-// ones into the MVCC version cache while epoch e's commit flushes the
-// trie. The next executeStage collects it (takePrefetch) and credits the
-// hidden time as overlap. The stage itself only launches the goroutine.
+// a goroutine derives epoch e+1's predicted read keys and pulls the cold
+// ones into the MVCC version cache around epoch e's commit. The next
+// executeStage collects it (takePrefetch) and credits the hidden time as
+// overlap. The stage itself only fetches the blocks and launches the
+// goroutine; its Tasks is the number of transactions handed over.
 func (n *Node) prefetchStage(er *epochRun, ss *metrics.StageStat) error {
-	n.kickPrefetch(er.number + 1)
-	if n.prefetch != nil {
-		ss.Tasks = n.prefetch.keys
-	}
-	ss.Workers = 1
+	ss.Tasks = n.kickPrefetch(er.number + 1)
 	return nil
 }
 
@@ -385,11 +383,16 @@ func (n *Node) prefetchStage(er *epochRun, ss *metrics.StageStat) error {
 func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 	n.kickPrevalidation(er.number + 1)
 	ss.Tasks = er.sched.CommittedCount()
-	ss.Workers = n.cfg.Workers
+	start := time.Now()
 	ov := overlayPool.Get().(*overlay)
-	if _, err := commitScheduleInto(n.state, er.sims, er.sched, n.cfg.Workers, ov); err != nil {
+	_, fan, err := commitScheduleInto(n.state, er.sims, er.sched, n.cfg.Workers, ov)
+	if err != nil {
 		return fmt.Errorf("node: commit epoch %d: %w", er.number, err)
 	}
+	// The width the trie's flush actually used; busy is this goroutine
+	// throughout plus what the other workers did beside it.
+	ss.Workers = fan.Workers
+	ss.Busy = time.Since(start) + fan.Beside
 	ov.reset()
 	overlayPool.Put(ov)
 	return nil
@@ -498,46 +501,52 @@ func (n *Node) predictReads(tx *types.Transaction) []types.Key {
 }
 
 // kickPrefetch starts pulling epoch e's predicted read set into the MVCC
-// version cache in the background. Caller holds n.mu; like the signature
-// prevalidation, the goroutine must not touch mu-guarded state — it reads
-// the ledger (internally locked) and the statedb (internally locked) and
-// writes only its own record. It is kicked before the commit stage so the
-// trie walks ride under the flush; the mvcc reservation protocol makes the
-// concurrent loads safe, and keys the commit is about to write are
-// skipped as reserved.
-func (n *Node) kickPrefetch(e uint64) {
-	blocks, ok := n.ledger.EpochBlocks(e)
-	if !ok || len(blocks) == 0 {
-		return
-	}
-	var keys []types.Key
-	seen := make(map[types.Key]struct{})
+// version cache in the background and returns how many transactions it
+// handed over. Caller holds n.mu; like the signature prevalidation, the
+// goroutine must not touch mu-guarded state — it reads the immutable
+// config, the blocks (immutable once in the ledger) and the statedb
+// (internally locked) and writes only its own record. It is kicked before
+// the commit stage so that deriving the keys — a SHA-256 per storage key —
+// and skipping the warm ones run under the flush. The walks of cold keys
+// cannot: mvcc.Prefetch loads through StateDB.Get, which takes the read
+// lock the commit holds exclusively, so they park until the flush is done
+// (the mvcc reservation protocol keeps a load that straddles it safe, and
+// keys the commit is about to write are skipped as reserved).
+func (n *Node) kickPrefetch(e uint64) int {
+	blocks, _ := n.ledger.EpochBlocks(e) // none while the epoch is incomplete
+	txs := 0
 	for _, b := range blocks {
-		for _, tx := range b.Txs {
-			for _, k := range n.predictReads(tx) {
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
+		txs += len(b.Txs)
 	}
-	if len(keys) == 0 {
-		return
+	if txs == 0 {
+		return 0
 	}
-	pf := &prefetchRun{epoch: e, done: make(chan struct{}), keys: len(keys)}
+	pf := &prefetchRun{epoch: e, done: make(chan struct{})}
 	n.prefetch = pf
 	go func() {
 		pf.started = time.Now()
+		seen := make(map[types.Key]struct{}, 2*txs)
+		var keys []types.Key
+		for _, b := range blocks {
+			for _, tx := range b.Txs {
+				for _, k := range n.predictReads(tx) {
+					if _, dup := seen[k]; !dup {
+						seen[k] = struct{}{}
+						keys = append(keys, k)
+					}
+				}
+			}
+		}
 		for _, k := range keys {
 			// Load errors are non-fatal here: the execute stage will hit
 			// the same error on the synchronous path and report it there.
 			_ = n.state.Prefetch(k)
 		}
+		pf.keys = len(keys)
 		pf.elapsed = time.Since(pf.started)
 		close(pf.done)
 	}()
+	return txs
 }
 
 // takePrefetch claims the pending background prefetch for epoch e, waiting

@@ -216,3 +216,50 @@ func TestPrevalidationCatchesForgery(t *testing.T) {
 		t.Fatalf("%d blocks discarded, want exactly the forged one", discarded)
 	}
 }
+
+// TestPipelineCommitStageOccupancy: the commit stage reports the width its
+// trie flush actually used — the node's Workers on an epoch large enough to
+// fan out, one below the threshold — and a busy span that makes its
+// occupancy a number in (0, 1] instead of a constant 0. The prefetch stage
+// counts the transactions it handed to the background run.
+func TestPipelineCommitStageOccupancy(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		perBlock  int
+		wantWidth int
+	}{{"fanned-out", 400, 4}, {"inline", 20, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen, err := workload.NewGenerator(workload.Config{Seed: 18, Accounts: 5_000, InitialBalance: 1_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			txs := gen.Txs(2 * tc.perBlock)
+			cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
+			cfg.GenesisWrites = genesisFor(t, gen, txs)
+			n, err := New("occupancy-"+tc.name, kvstore.NewMemory(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			miner := NewMiner(n, types.AddressFromUint64(9), tc.perBlock)
+			miner.AddTxs(txs)
+			mineAhead(t, n, miner, 2)
+			if _, err := n.ProcessReadyEpochs(); err != nil {
+				t.Fatal(err)
+			}
+			epochs := n.Metrics().Epochs()
+			if len(epochs) != 2 || epochs[0].Txs != tc.perBlock {
+				t.Fatalf("epochs: %+v", epochs)
+			}
+			for _, es := range epochs {
+				commit := es.Stages[4]
+				if occ := commit.Occupancy(); commit.Workers != tc.wantWidth || occ <= 0 || occ > 1 {
+					t.Fatalf("epoch %d: commit stage ran %d wide (want %d) at occupancy %.3f, busy %v of %v",
+						es.Epoch, commit.Workers, tc.wantWidth, occ, commit.Busy, commit.Duration)
+				}
+			}
+			if got := epochs[0].Stages[3]; got.Name != "prefetch" || got.Tasks != epochs[1].Txs {
+				t.Fatalf("prefetch stage of epoch 1 reports %d tasks, epoch 2 has %d transactions", got.Tasks, epochs[1].Txs)
+			}
+		})
+	}
+}

@@ -2,7 +2,9 @@ package node
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/core"
@@ -85,6 +87,8 @@ func TestNodeTracerSpans(t *testing.T) {
 	}
 }
 
+var registrySeriesRuns atomic.Int64
+
 // TestNodeRegistrySeries: processing an epoch populates the process-wide
 // registry with the node's stage and epoch series.
 func TestNodeRegistrySeries(t *testing.T) {
@@ -98,8 +102,10 @@ func TestNodeRegistrySeries(t *testing.T) {
 	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
 	cfg.GenesisWrites = genesisFor(t, gen, txs)
 	// A unique node id keeps this test's series disjoint from other tests
-	// sharing the default registry.
-	n, err := New("registry-series-node", kvstore.NewMemory(), cfg)
+	// sharing the default registry — and from its own earlier runs in the
+	// process (-count, -cpu 1,4).
+	id := fmt.Sprintf("registry-series-node-%d", registrySeriesRuns.Add(1))
+	n, err := New(id, kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +114,7 @@ func TestNodeRegistrySeries(t *testing.T) {
 	growEpochs(t, n, []*Miner{miner}, 1)
 
 	reg := metrics.Default()
-	nl := metrics.Label{Name: "node", Value: "registry-series-node"}
+	nl := metrics.Label{Name: "node", Value: id}
 	if got := reg.Counter("nezha_epochs_processed_total", "", nl).Value(); got < 1 {
 		t.Fatalf("epochs processed = %v", got)
 	}

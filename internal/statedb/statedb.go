@@ -183,6 +183,15 @@ func (s *StateDB) MVCCStats() (stats mvcc.Stats, ok bool) {
 // pre-flush values, flush, then release the reservations. Readers pinned
 // before the commit keep seeing the old values throughout.
 func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
+	root, _, err := s.CommitWide(writes, 0)
+	return root, err
+}
+
+// CommitWide is Commit with the trie's share of the work — descent, hashing,
+// flush ordering — spread over up to workers goroutines when the batch is
+// large enough to pay for it (0 means GOMAXPROCS; the result does not depend
+// on the width). It also reports how the trie used them.
+func (s *StateDB) CommitWide(writes []types.WriteEntry, workers int) (types.Hash, mpt.FanStats, error) {
 	s.mu.Lock()
 	mv := s.mv
 	if mv != nil && len(writes) > 0 {
@@ -200,7 +209,7 @@ func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
 		}
 		if _, err := mv.CommitEpoch(writes, load); err != nil {
 			s.mu.Unlock()
-			return types.Hash{}, err
+			return types.Hash{}, mpt.FanStats{}, err
 		}
 	}
 	defer s.mu.Unlock()
@@ -218,15 +227,17 @@ func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
 		writes = slices.Clone(writes)
 		slices.SortStableFunc(writes, byKey)
 	}
+	s.trie.SetWorkers(workers)
 	err := s.trie.Update(writes)
 	var root types.Hash
 	if err == nil {
 		root, err = s.trie.Commit()
 	}
+	fan := s.trie.Stats()
 	if err != nil {
 		// The trie is back at s.root by itself; unwind the versions.
 		rollback()
-		return types.Hash{}, fmt.Errorf("statedb: commit: %w", err)
+		return types.Hash{}, fan, fmt.Errorf("statedb: commit: %w", err)
 	}
 	s.root = root
 	gen := uint64(0)
@@ -235,7 +246,7 @@ func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
 	}
 	s.jr.Emit(journal.StateCommit, gen,
 		journal.F("writes", uint64(len(writes))), journal.F("root", journal.FoldBytes(root[:])))
-	return root, nil
+	return root, fan, nil
 }
 
 // Iterate walks the head state in key order (test and tooling support).

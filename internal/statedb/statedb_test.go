@@ -255,15 +255,23 @@ func (s *flakyStore) Apply(b *kvstore.Batch) error {
 // Get (the MVCC loader reads through it), not through a view opened after
 // the failure — and the retried commit reaches the root a database that
 // never failed reaches. The per-key trie path used to keep the refused
-// writes in the head trie while the root and the versions rolled back.
+// writes in the head trie while the root and the versions rolled back. The
+// epoch is large enough for the trie to fan it out, so at widths above one
+// the refused flush is a merge of several workers' queues.
 func TestFailedFlushLeavesNoPhantomWrites(t *testing.T) {
+	for _, workers := range []int{1, 2, 16} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { failedFlushLeavesNoPhantomWrites(t, workers) })
+	}
+}
+
+func failedFlushLeavesNoPhantomWrites(t *testing.T, workers int) {
 	store := &flakyStore{Store: kvstore.NewMemory()}
 	db, twin := Open(store, mpt.EmptyRoot), Open(kvstore.NewMemory(), mpt.EmptyRoot)
 	var genesis, epoch []types.WriteEntry
 	for i := uint64(0); i < 300; i++ {
 		genesis = append(genesis, types.WriteEntry{Key: keyN(i), Value: []byte(fmt.Sprintf("old-%d", i))})
 	}
-	for i := uint64(250); i < 350; i++ { // overwrites and new keys
+	for i := uint64(250); i < 450; i++ { // overwrites and new keys
 		epoch = append(epoch, types.WriteEntry{Key: keyN(i), Value: []byte(fmt.Sprintf("new-%d", i))})
 	}
 	epoch = append(epoch, types.WriteEntry{Key: keyN(7)}) // and a delete
@@ -276,8 +284,10 @@ func TestFailedFlushLeavesNoPhantomWrites(t *testing.T) {
 	root := db.Root()
 
 	store.failures = 1
-	if _, err := db.Commit(epoch); err == nil {
+	if _, fan, err := db.CommitWide(epoch, workers); err == nil {
 		t.Fatal("commit over a failing store succeeded")
+	} else if fan.Workers != workers {
+		t.Fatalf("the refused commit ran %d wide, want %d", fan.Workers, workers)
 	}
 	if db.Root() != root {
 		t.Fatalf("root moved to %s on a failed commit", db.Root().Short())
@@ -293,11 +303,11 @@ func TestFailedFlushLeavesNoPhantomWrites(t *testing.T) {
 		}
 	}
 
-	got, err := db.Commit(epoch)
+	got, _, err := db.CommitWide(epoch, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := twin.Commit(epoch)
+	want, _, err := twin.CommitWide(epoch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +320,7 @@ func TestFailedFlushLeavesNoPhantomWrites(t *testing.T) {
 	// Everything the new root references made it into the store.
 	reopened := Open(store, got)
 	n := 0
-	if err := reopened.Iterate(func(types.Key, []byte) bool { n++; return true }); err != nil || n != 349 {
-		t.Fatalf("reopened state holds %d cells, %v; want 349", n, err)
+	if err := reopened.Iterate(func(types.Key, []byte) bool { n++; return true }); err != nil || n != 449 {
+		t.Fatalf("reopened state holds %d cells, %v; want 449", n, err)
 	}
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/kvstore"
@@ -126,5 +130,97 @@ func TestMVCCStatsAbsentWithoutViews(t *testing.T) {
 	}
 	if db.AdvanceWatermark() != 0 {
 		t.Fatal("watermark advance without a store must be a no-op")
+	}
+}
+
+// TestFannedOutCommitUnderReaders runs epoch-sized commits, fanned out
+// across workers, under View.Get, Prefetch and Root readers (run with
+// -race). Every commit rewrites every cell with its round number, so the
+// cells a view reads must all carry one round, between the last commit
+// finished before the view was taken and the last one started since; Root
+// must be a root the sequential twin reached.
+func TestFannedOutCommitUnderReaders(t *testing.T) {
+	const cells, rounds, workers = 600, 12, 4
+	round := func(r int) []types.WriteEntry {
+		writes := make([]types.WriteEntry, cells)
+		for i := range writes {
+			writes[i] = types.WriteEntry{Key: keyN(uint64(i)), Value: []byte{byte(r)}}
+		}
+		return writes
+	}
+	db, twin := Open(kvstore.NewMemory(), mpt.EmptyRoot), Open(kvstore.NewMemory(), mpt.EmptyRoot)
+	roots := map[types.Hash]bool{}
+	for r := 0; r <= rounds; r++ {
+		root, _, err := twin.CommitWide(round(r), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots[root] = true
+	}
+	if _, err := db.Commit(round(0)); err != nil {
+		t.Fatal(err)
+	}
+	db.View()
+
+	var started, finished atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(fn func(rng *rand.Rand) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(18))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fn(rng); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		reader(func(rng *rand.Rand) error {
+			lo := finished.Load()
+			view := db.View()
+			var seen []byte
+			for j := 0; j < 8; j++ {
+				v, err := view.Get(keyN(uint64(rng.Intn(cells))))
+				if err != nil || len(v) != 1 {
+					return fmt.Errorf("view read %x, %v", v, err)
+				}
+				seen = append(seen, v[0])
+			}
+			hi := started.Load()
+			if slices.Min(seen) != slices.Max(seen) || int64(seen[0]) < lo || int64(seen[0]) > hi {
+				return fmt.Errorf("one view read rounds %v with commits %d..%d possible", seen, lo, hi)
+			}
+			return nil
+		})
+	}
+	reader(func(rng *rand.Rand) error { return db.Prefetch(keyN(uint64(rng.Intn(cells)))) })
+	reader(func(*rand.Rand) error {
+		if root := db.Root(); !roots[root] {
+			return fmt.Errorf("root %s is no round's root", root.Short())
+		}
+		return nil
+	})
+
+	for r := 1; r <= rounds; r++ {
+		started.Store(int64(r))
+		_, fan, err := db.CommitWide(round(r), workers)
+		if err != nil || fan.Workers != workers {
+			t.Fatalf("round %d: commit ran %d wide, %v", r, fan.Workers, err)
+		}
+		finished.Store(int64(r))
+	}
+	close(stop)
+	wg.Wait()
+	if db.Root() != twin.Root() {
+		t.Fatalf("fanned-out commits reach %s, the sequential twin %s", db.Root().Short(), twin.Root().Short())
 	}
 }
