@@ -10,10 +10,9 @@
 //	nezha-bench -list                   # list experiment names
 //
 // -parallelism sets the scheduler core's fan-out (sharded ACG build and
-// cluster-parallel sorting) and the node's background prevalidation pool:
-// 0 uses GOMAXPROCS, 1 forces the sequential reference core. Every setting
-// produces byte-identical schedules; the knob only trades goroutine
-// overhead against multi-core speedup.
+// cluster-parallel sorting): 0 uses GOMAXPROCS, 1 forces the sequential
+// reference core. Every setting produces byte-identical schedules; the knob
+// only trades goroutine overhead against multi-core speedup.
 //
 // Absolute numbers depend on the machine; EXPERIMENTS.md records the shape
 // comparisons against the paper.

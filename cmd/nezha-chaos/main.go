@@ -61,8 +61,6 @@ func scenarioFlags(fs *flag.FlagSet) *chaos.Config {
 	fs.IntVar(&cfg.Rounds, "rounds", 0, "fault-active rounds (0 = default 36)")
 	fs.IntVar(&cfg.Accounts, "accounts", 0, "workload accounts (0 = default 300)")
 	fs.StringVar(&cfg.Dir, "dir", "", "scratch dir for node stores (default: temp, removed)")
-	fs.BoolVar(&cfg.SnapshotExec, "snapshot-exec", false, "use the legacy snapshot-copy executor instead of the MVCC view default")
-	fs.BoolVar(&cfg.Mempool, "mempool", false, "front every miner with the admission-controlled mempool and inject admission faults")
 	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "dump per-node flight-recorder journals here (default: only on failure, to a kept temp dir)")
 	return cfg
 }

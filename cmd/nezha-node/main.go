@@ -31,6 +31,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/node"
 	"github.com/nezha-dag/nezha/internal/p2p"
@@ -136,6 +137,8 @@ func run() error {
 			ConfirmDepth:     3,
 			Persist:          persist,
 			RetainEpochStats: *retain,
+			// The client proposes the whole workload up front: caps lifted.
+			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
 		})
 		if err != nil {
 			return err
@@ -216,7 +219,10 @@ func run() error {
 					if txs, err := p.node.HandleMessage(p.ep, msg); err != nil {
 						return fmt.Errorf("%s: %w", p.node.ID(), err)
 					} else if len(txs) > 0 && p.miner != nil {
-						p.miner.AddTxs(txs)
+						// The client sends each once: a refusal is a loss.
+						if got := p.miner.AddTxs(txs); got != len(txs) {
+							return fmt.Errorf("%s: pool admitted %d of %d proposed transactions", p.node.ID(), got, len(txs))
+						}
 					}
 				default:
 					drained = true

@@ -18,6 +18,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/dag"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
 	"github.com/nezha-dag/nezha/internal/p2p"
 	"github.com/nezha-dag/nezha/internal/types"
@@ -67,6 +68,8 @@ func run() error {
 			Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
 			GenesisWrites: genesis,
 			ConfirmDepth:  3,
+			// Every miner preloads the whole workload: lift the pool's caps.
+			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
 		})
 		if err != nil {
 			return err
@@ -76,7 +79,9 @@ func run() error {
 			return err
 		}
 		m := node.NewMiner(n, types.AddressFromUint64(uint64(i)), 100)
-		m.AddTxs(txs)
+		if got := m.AddTxs(txs); got != len(txs) {
+			return fmt.Errorf("%s: pool admitted %d of %d transactions", id, got, len(txs))
+		}
 		peers[i] = &peer{node: n, miner: m, ep: ep}
 	}
 

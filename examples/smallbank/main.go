@@ -18,6 +18,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
@@ -63,6 +64,8 @@ func run(name string, sched types.Scheduler, txCount int, skew float64, epochs i
 		Scheduler:     sched,
 		Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
 		GenesisWrites: genesis,
+		// The whole workload is preloaded: lift the pool's caps.
+		Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
 	})
 	if err != nil {
 		return err
@@ -70,7 +73,9 @@ func run(name string, sched types.Scheduler, txCount int, skew float64, epochs i
 
 	start := time.Now()
 	miner := node.NewMiner(n, types.AddressFromUint64(1), (txCount+1)/2)
-	miner.AddTxs(txs)
+	if got := miner.AddTxs(txs); got != len(txs) {
+		return fmt.Errorf("pool admitted %d of %d transactions", got, len(txs))
+	}
 	processed := 0
 	for processed < epochs {
 		b, err := miner.Mine(context.Background())
@@ -91,10 +96,11 @@ func run(name string, sched types.Scheduler, txCount int, skew float64, epochs i
 	sum := n.Metrics().Summarize()
 	fmt.Printf("%-7s %d epochs x ~%d txs: committed %d, aborted %d (%.1f%%)\n",
 		name, sum.Epochs, txCount, sum.Committed, sum.Aborted, 100*sum.AbortRate())
-	fmt.Printf("        phases: validate %v, execute %v, control %v, commit %v (wall %v)\n",
-		sum.Validate.Round(time.Microsecond), sum.Execute.Round(time.Microsecond),
-		sum.Control.Round(time.Microsecond), sum.Commit.Round(time.Microsecond),
-		elapsed.Round(time.Millisecond))
+	fmt.Print("        stages:")
+	for _, st := range sum.Stages {
+		fmt.Printf(" %s %v,", st.Name, st.Duration.Round(time.Microsecond))
+	}
+	fmt.Printf(" total %v (wall %v)\n", sum.Total().Round(time.Microsecond), elapsed.Round(time.Millisecond))
 	fmt.Printf("        final state root: %s\n\n", n.StateRoot().Short())
 	return nil
 }

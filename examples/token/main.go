@@ -17,6 +17,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/contracts/token"
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
@@ -52,13 +53,17 @@ func run(txCount int, skew, mint float64) error {
 		Scheduler:     core.MustNewScheduler(core.DefaultConfig()),
 		Contracts:     map[types.Address][]byte{token.ContractAddress: token.Program()},
 		GenesisWrites: genesis,
+		// The whole workload is preloaded: lift the pool's caps.
+		Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
 	})
 	if err != nil {
 		return err
 	}
 
 	miner := node.NewMiner(n, types.AddressFromUint64(1), (txCount+1)/2)
-	miner.AddTxs(txs)
+	if got := miner.AddTxs(txs); got != len(txs) {
+		return fmt.Errorf("pool admitted %d of %d transactions", got, len(txs))
+	}
 	start := time.Now()
 	for n.NextEpoch() == 1 {
 		b, err := miner.Mine(context.Background())
@@ -77,9 +82,9 @@ func run(txCount int, skew, mint float64) error {
 	fmt.Printf("token workload: %d txs at skew %.1f (mint ratio %.1f)\n", stats.Txs, skew, mint)
 	fmt.Printf("  committed %d, scheduler aborts %d, execution reverts %d\n",
 		stats.Committed, stats.Aborted, stats.ExecutionFailed)
-	fmt.Printf("  phases: execute %v, control %v, commit %v (wall %v)\n",
-		stats.Execute.Round(time.Microsecond), stats.Control.Round(time.Microsecond),
-		stats.Commit.Round(time.Microsecond), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("  stages: execute %v, schedule %v, commit %v (wall %v)\n",
+		stats.Stage("execute").Duration.Round(time.Microsecond), stats.Stage("schedule").Duration.Round(time.Microsecond),
+		stats.Stage("commit").Duration.Round(time.Microsecond), time.Since(start).Round(time.Millisecond))
 
 	supply, err := n.State().Get(token.SupplyKey())
 	if err != nil {

@@ -33,9 +33,8 @@ type Options struct {
 	Reps int
 	// Workers sizes execution/commit pools; 0 = GOMAXPROCS.
 	Workers int
-	// Parallelism is the scheduler-core fan-out (sharded ACG build,
-	// cluster-parallel sorting) and the node pipeline's background pool:
-	// 0 = GOMAXPROCS, 1 = the sequential reference core.
+	// Parallelism is the scheduler-core fan-out (sharded ACG build, cluster-
+	// parallel sorting): 0 = GOMAXPROCS, 1 = the sequential reference core.
 	Parallelism int
 	// MaxCycles bounds how many circuits the CG baseline may hold for
 	// exact greedy cover before falling back to streaming removal.

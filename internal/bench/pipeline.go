@@ -41,7 +41,6 @@ func runPipeline(o Options, omega int, skew float64, sched types.Scheduler, seed
 		Consensus:     consensus.Params{Chains: omega, DifficultyBits: 0},
 		Scheduler:     sched,
 		Workers:       o.Workers,
-		Parallelism:   o.Parallelism,
 		Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
 		GenesisWrites: genesis,
 	})

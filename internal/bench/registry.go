@@ -26,7 +26,6 @@ func Experiments() []Experiment {
 		{"ablation-writemix", "A5 (extension): read-only mix sensitivity", AblationWriteMix},
 		{"occ-abort", "Extension: plain OCC vs CG vs Nezha abort rates", OCCAbortComparison},
 		{"scheduler-comparison", "Extension: occ/occda/cg/nezha abort + phase breakdown", SchedulerComparison},
-		{"exec-alloc", "Extension: MVCC view vs snapshot-copy execution allocations", ExecAllocComparison},
 		{"stages", "Extension: staged pipeline occupancy and cross-epoch overlap", StagePipeline},
 	}
 }

@@ -101,18 +101,6 @@ type Config struct {
 	// Dir is the scratch root for per-node LSM directories. Empty means a
 	// temp directory that is removed when the scenario ends.
 	Dir string
-	// SnapshotExec switches every node to the legacy snapshot-copy
-	// execution path instead of the MVCC view default — CI runs the sweep
-	// once per mode, so an executor-specific convergence bug is pinned to
-	// its executor.
-	SnapshotExec bool
-	// Mempool fronts every miner with the admission-controlled pool of
-	// internal/mempool instead of the legacy flat pool, and adds
-	// admission-fault injection to the schedule — the sweep then proves
-	// convergence holds when block assembly runs through the new
-	// ingestion path. Off keeps the schedule byte-identical to historical
-	// seeds.
-	Mempool bool
 	// JournalDir, when set, receives every node's flight-recorder journal
 	// (one <node>.journal per node) whether or not the scenario fails.
 	// When empty, journals are dumped only on failure, into a preserved
@@ -216,8 +204,7 @@ type Result struct {
 	// StorageErrors counts injected storage errors a node observed and
 	// survived.
 	StorageErrors int
-	// MempoolFaults counts admission-fault windows armed against miner
-	// pools (Config.Mempool scenarios only).
+	// MempoolFaults counts admission-fault windows armed against pools.
 	MempoolFaults int
 	// Stalls counts peer-stall faults (probabilistic delivery drops).
 	Stalls int
@@ -446,21 +433,18 @@ func (h *harness) setup(root string) error {
 		return err
 	}
 	h.nodeCfg = node.Config{
-		Consensus:         consensus.Params{Chains: h.cfg.Chains},
-		Workers:           workers,
-		Contracts:         map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
-		GenesisWrites:     genesis,
-		ConfirmDepth:      confirmDepth,
-		Persist:           true,
-		SyncBatch:         syncBatch,
-		SnapshotExecution: h.cfg.SnapshotExec,
-		VerifySignatures:  h.cfg.signed,
-	}
-	if h.cfg.Mempool {
-		// The defaults suit the scenario's scale (blockTxs per round per
-		// miner); the generator's global nonce counter is sparse per
+		Consensus:        consensus.Params{Chains: h.cfg.Chains},
+		Workers:          workers,
+		Contracts:        map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
+		GenesisWrites:    genesis,
+		ConfirmDepth:     confirmDepth,
+		Persist:          true,
+		SyncBatch:        syncBatch,
+		VerifySignatures: h.cfg.signed,
+		// Caps lifted: what a lost block leaves queued waits, never
+		// refused. The generator's global nonce counter is sparse per
 		// sender, so StrictNonce stays off.
-		h.nodeCfg.Mempool = &mempool.Config{VerifySignatures: h.cfg.signed}
+		Mempool: mempool.Config{ShardCap: -1, SenderCap: -1, VerifySignatures: h.cfg.signed},
 	}
 
 	h.net = p2p.NewNetwork(p2p.Config{QueueLen: 512, Seed: h.cfg.Seed})
@@ -539,9 +523,9 @@ func (h *harness) teardown() {
 }
 
 // buildSchedule precomputes the fault plan: one mandatory fault of every
-// kind in disjoint round windows (so every seed exercises crash-restart,
-// partition/heal, storage error, and peer stall at least once), plus
-// seeded extras.
+// kind (crash-restart, partition/heal, storage error and peer stall in
+// disjoint round windows, an admission-fault window anywhere), plus seeded
+// extras.
 func (h *harness) buildSchedule() map[int][]fault {
 	sched := make(map[int][]fault)
 	add := func(r int, f fault) { sched[r] = append(sched[r], f) }
@@ -559,12 +543,7 @@ func (h *harness) buildSchedule() map[int][]fault {
 	add(pick(3*R/4, R-2), fault{
 		kind: faultStall, node: h.rng.Intn(h.cfg.Nodes), duration: 3,
 	})
-	// Mempool scenarios get one mandatory admission-fault window on top.
-	// All mempool draws short-circuit on the flag, so non-mempool
-	// schedules stay byte-identical to historical seeds.
-	if h.cfg.Mempool {
-		add(pick(2, R-2), fault{kind: faultMempool, node: h.rng.Intn(h.cfg.Nodes), duration: 2})
-	}
+	add(pick(2, R-2), fault{kind: faultMempool, node: h.rng.Intn(h.cfg.Nodes), duration: 2})
 
 	for r := 2; r < R-2; r++ {
 		if h.rng.Float64() < 0.05 {
@@ -582,7 +561,7 @@ func (h *harness) buildSchedule() map[int][]fault {
 		if h.rng.Float64() < 0.04 {
 			add(r, fault{kind: faultPartition, node: h.rng.Intn(h.cfg.Nodes), duration: 3})
 		}
-		if h.cfg.Mempool && h.rng.Float64() < 0.08 {
+		if h.rng.Float64() < 0.08 {
 			add(r, fault{kind: faultMempool, node: h.rng.Intn(h.cfg.Nodes), duration: 2})
 		}
 	}
@@ -688,9 +667,6 @@ func (h *harness) applyFault(r int, f fault) {
 		h.res.Stalls++
 		h.eventf(r, "stalling deliveries to %s for %d rounds", cn.id, f.duration)
 	case faultMempool:
-		if !h.cfg.Mempool {
-			return
-		}
 		cn := h.pickAlive(f.node)
 		if cn == nil {
 			return
@@ -885,8 +861,8 @@ func (h *harness) mine(r int) {
 			if end > len(h.txs) {
 				end = len(h.txs)
 			}
-			// Guarded: with the mempool front end, feeding the pool runs
-			// admission (and its failpoint) rather than a plain append.
+			// Guarded: feeding the pool runs admission and its failpoint,
+			// which refuses some of the batch by design (count unchecked).
 			batch := h.txs[h.txCursor:end]
 			h.guard(r, cn, func() error {
 				cn.miner.AddTxs(batch)

@@ -86,15 +86,15 @@ func TestSweepAggregates(t *testing.T) {
 	}
 }
 
-// TestScenarioMempoolConverges runs the sweep's mempool mode: miners
-// front the admission-controlled pool, admission faults drop fed
-// transactions at one node, and convergence must hold regardless —
-// admission shapes block content, never block execution.
+// TestScenarioMempoolConverges pins the admission-fault window every
+// schedule carries: admission faults drop fed transactions at one node's
+// pool, and convergence must hold regardless — admission shapes block
+// content, never block execution.
 func TestScenarioMempoolConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node chaos scenario")
 	}
-	res, err := Run(Config{Seed: 5, Dir: t.TempDir(), Mempool: true})
+	res, err := Run(Config{Seed: 5, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestScenarioMempoolConverges(t *testing.T) {
 		t.Fatal(res.Failure.Error())
 	}
 	if res.MempoolFaults < 1 {
-		t.Fatalf("mempool mode armed no admission faults\n%s", strings.Join(res.Events, "\n"))
+		t.Fatalf("the schedule armed no admission faults\n%s", strings.Join(res.Events, "\n"))
 	}
 	if res.Epochs < minEpochs {
 		t.Fatalf("only %d epochs processed", res.Epochs)
@@ -149,8 +149,8 @@ func TestScenarioMixedWorkers(t *testing.T) {
 }
 
 // TestScenarioSigned is the one scenario with signatures on: an existing
-// seed, the shortest schedule, mempool-fed miners, every pool and every
-// validation stage verifying. Crash, restore, partition and resync must
+// seed, the shortest schedule, every pool and every validation stage
+// verifying. Crash, restore, partition and resync must
 // converge exactly as they do unsigned, and no fault may cost an honest
 // signature its block. In-process gossip and sync hand over transaction
 // objects, so verdicts travel with them; what a restarted node decodes from
@@ -161,7 +161,7 @@ func TestScenarioSigned(t *testing.T) {
 	}
 	count := func(outcome string) float64 { return crypto.SigCounter(outcome).Value() }
 	full0, bad0 := count("full"), count("bad")
-	res, err := Run(Config{Seed: 1, Rounds: 24, Dir: t.TempDir(), Mempool: true, signed: true})
+	res, err := Run(Config{Seed: 1, Rounds: 24, Dir: t.TempDir(), signed: true})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}

@@ -156,7 +156,6 @@ type crashTrialSpec struct {
 	recovery bool      // arm the site at a scripted mid-run restart instead of at runtime
 	serial   bool      // run both nodes on the serial pipeline (node/stage-serial)
 	tiny     bool      // tiny memtable + aggressive compaction (kvstore/flush, kvstore/compact, kvstore/table-write)
-	mempool  bool      // front the victim's miner with the mempool
 	evict    bool      // tiny mempool caps so eviction decisions fire
 	tornFrac float64   // >0: truncate the WAL to this fraction at a scripted restart
 	corrupt  bool      // flip a mid-log WAL byte; recovery must reject loudly
@@ -184,11 +183,9 @@ func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 			sp.recovery = true
 		case fail.NodeStageSerial:
 			sp.serial = true
-		case fail.MempoolAdmit:
-			sp.mempool = true
 		case fail.MempoolEvict:
-			sp.mempool, sp.evict = true, true
-		case fail.KVWALAppend, fail.KVWALSync, fail.KVApply,
+			sp.evict = true
+		case fail.MempoolAdmit, fail.KVWALAppend, fail.KVWALSync, fail.KVApply,
 			fail.NodeSubmit, fail.NodePersist, fail.NodePersistDone,
 			fail.NodeDivergeRoot, fail.NodeStageValidate, fail.NodeStageExecute,
 			fail.NodeStageSchedule, fail.NodeStageCommit, fail.NodeStagePrefetch:
@@ -276,9 +273,13 @@ type crashTrial struct {
 	// resubmitted the full sequence (duplicates are benign).
 	mined []*types.Block
 
-	victim  *node.Node
-	vstore  *kvstore.LSM
-	vminer  *node.Miner
+	victim *node.Node
+	vstore *kvstore.LSM
+	vminer *node.Miner
+	// tick stamps the victim's blocks across its incarnations: the stamp
+	// feeds the header hash and the hash picks the OHIE chain, so a wall
+	// clock would make the epochs a trial reaches vary from run to run.
+	tick    uint64
 	twin    *node.Node
 	tstore  *kvstore.Memory
 	crashes int
@@ -351,14 +352,11 @@ func (c *crashTrial) setup() error {
 		GenesisWrites: genesis,
 		ConfirmDepth:  confirmDepth,
 		Persist:       true,
+		Mempool:       mempool.Config{ShardCap: -1, SenderCap: -1},
 	}
-	if c.sp.mempool {
-		c.nodeCfg.Mempool = &mempool.Config{}
-		if c.sp.evict {
-			// One tiny shard so admission pressure forces eviction
-			// decisions every round.
-			c.nodeCfg.Mempool = &mempool.Config{Shards: 1, ShardCap: 8}
-		}
+	if c.sp.evict {
+		// One tiny shard: admission pressure forces evictions every round.
+		c.nodeCfg.Mempool = mempool.Config{Shards: 1, ShardCap: 8}
 	}
 
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
@@ -476,6 +474,10 @@ func (c *crashTrial) incarnateVictim() error {
 	}
 	c.vstore, c.victim = store, n
 	c.vminer = node.NewMiner(n, types.AddressFromUint64(0x51), blockTxs)
+	c.vminer.SetClock(func() uint64 {
+		c.tick++
+		return c.tick
+	})
 	return nil
 }
 

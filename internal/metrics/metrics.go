@@ -83,21 +83,36 @@ type EpochStats struct {
 	Aborted          int
 	ExecutionFailed  int
 
-	Validate time.Duration
-	Execute  time.Duration
-	Control  time.Duration
-	Commit   time.Duration
-	// ControlBreakdown splits Control into the Fig. 10 sub-phases.
+	// ControlBreakdown splits the schedule stage into Fig. 10's sub-phases.
 	ControlBreakdown types.PhaseBreakdown
 	// Stages lists the pipeline stages in execution order with their
-	// queue/occupancy counters (the staged-pipeline view of the four
-	// phase durations above).
+	// durations and queue/occupancy counters. The paper's phases are stages
+	// by name: validate, execute, schedule, commit (serial: validate, serial).
 	Stages []StageStat
 }
 
+// Stage returns the epoch's sample of the named stage, zero when the
+// epoch did not run it.
+func (e EpochStats) Stage(name string) StageStat { return stageNamed(e.Stages, name) }
+
 // Total returns the end-to-end processing latency of the epoch.
-func (e EpochStats) Total() time.Duration {
-	return e.Validate + e.Execute + e.Control + e.Commit
+func (e EpochStats) Total() time.Duration { return totalDuration(e.Stages) }
+
+func stageNamed(stages []StageStat, name string) StageStat {
+	for _, st := range stages {
+		if st.Name == name {
+			return st
+		}
+	}
+	return StageStat{}
+}
+
+func totalDuration(stages []StageStat) time.Duration {
+	var d time.Duration
+	for _, st := range stages {
+		d += st.Duration
+	}
+	return d
 }
 
 // AbortRate returns aborted/(committed+aborted), counting scheduler aborts
@@ -203,11 +218,6 @@ type Summary struct {
 	Committed int
 	Aborted   int
 
-	Validate time.Duration
-	Execute  time.Duration
-	Control  time.Duration
-	Commit   time.Duration
-
 	ControlBreakdown types.PhaseBreakdown
 	// Stages aggregates per-stage samples by name, preserving first-seen
 	// stage order. Aggregated stats carry Capacity (the summed
@@ -217,10 +227,12 @@ type Summary struct {
 	Stages []StageStat
 }
 
+// Stage returns the aggregate of the named stage, zero when no retained
+// epoch ran it.
+func (s Summary) Stage(name string) StageStat { return stageNamed(s.Stages, name) }
+
 // Total returns the summed end-to-end latency.
-func (s Summary) Total() time.Duration {
-	return s.Validate + s.Execute + s.Control + s.Commit
-}
+func (s Summary) Total() time.Duration { return totalDuration(s.Stages) }
 
 // AbortRate returns the aggregate scheduler abort rate.
 func (s Summary) AbortRate() float64 {
@@ -254,10 +266,6 @@ func (c *Collector) Summarize() Summary {
 		s.Txs += e.Txs
 		s.Committed += e.Committed
 		s.Aborted += e.Aborted
-		s.Validate += e.Validate
-		s.Execute += e.Execute
-		s.Control += e.Control
-		s.Commit += e.Commit
 		s.ControlBreakdown.Add(e.ControlBreakdown)
 		for _, st := range e.Stages {
 			i, ok := stageIdx[st.Name]

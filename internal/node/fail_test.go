@@ -50,7 +50,7 @@ func persistCrashNode(t *testing.T, dir string) (*Node, kvstore.Store, *workload
 func growUntilCrash(t *testing.T, n *Node, gen *workload.Generator, epochs uint64) (crashed bool) {
 	t.Helper()
 	miner := NewMiner(n, types.AddressFromUint64(1), 100)
-	miner.AddTxs(gen.Txs(400))
+	preload(t, miner, gen.Txs(400))
 	defer func() {
 		if r := recover(); r != nil {
 			if !fail.IsCrash(r) {
@@ -186,7 +186,7 @@ func TestPersistFailureHealsBeforeNextEpoch(t *testing.T) {
 		Mode: fail.ModeError, Tag: "crashnode", After: 1, Count: 1,
 	})
 	miner := NewMiner(n, types.AddressFromUint64(1), 100)
-	miner.AddTxs(gen.Txs(400))
+	preload(t, miner, gen.Txs(400))
 	ctx := context.Background()
 	injected := false
 	for i := 0; n.NextEpoch() <= 3; i++ {

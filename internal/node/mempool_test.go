@@ -2,19 +2,21 @@ package node
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mempool"
+	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
-// TestMempoolFedMinerPipeline drives the full pipeline with the miner's
-// flat pool replaced by the admission-controlled mempool: transactions
-// enter via batched admission, blocks assemble from the pool's
-// deterministic order, and epochs commit as usual.
+// TestMempoolFedMinerPipeline drives the full pipeline from a strict-nonce
+// pool: transactions enter via batched admission, blocks assemble from the
+// pool's deterministic order, and epochs commit as usual.
 func TestMempoolFedMinerPipeline(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 7, Accounts: 500, Skew: 0.3, InitialBalance: 10_000,
@@ -26,23 +28,19 @@ func TestMempoolFedMinerPipeline(t *testing.T) {
 	txs := gen.Txs(600)
 	cfg := testConfig(3, core.MustNewScheduler(core.DefaultConfig()))
 	cfg.GenesisWrites = genesisFor(t, gen, txs)
-	cfg.Mempool = &mempool.Config{StrictNonce: true, ShardCap: -1, SenderCap: -1}
+	cfg.Mempool.StrictNonce = true
 	n, err := New("mp-full", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(99), 100)
-	if miner.Pool() == nil {
-		t.Fatal("mempool knob set but miner has no pool")
-	}
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	if got := miner.PoolSize(); got != 600 {
 		t.Fatalf("pool = %d, want 600", got)
 	}
 	// Gossip echo: re-adding the same batch must not double-queue.
-	miner.AddTxs(txs)
-	if got := miner.PoolSize(); got != 600 {
-		t.Fatalf("pool after re-add = %d, want 600", got)
+	if got := miner.AddTxs(txs); got != 0 || miner.PoolSize() != 600 {
+		t.Fatalf("re-add admitted %d, pool = %d; want 0 and 600", got, miner.PoolSize())
 	}
 
 	growEpochs(t, n, []*Miner{miner}, 2)
@@ -57,9 +55,9 @@ func TestMempoolFedMinerPipeline(t *testing.T) {
 	}
 }
 
-// TestMempoolMinerConvergence replays every mempool-assembled block into
-// a second, mempool-free node: both must process identical epochs and
-// agree on every state root — the mempool only changes which transactions
+// TestMempoolMinerConvergence replays every pool-assembled block into a
+// second node that never mines: both must process identical epochs and
+// agree on every state root — the pool only changes which transactions
 // enter blocks, never how blocks execute.
 func TestMempoolMinerConvergence(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
@@ -70,24 +68,23 @@ func TestMempoolMinerConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	txs := gen.Txs(400)
-	build := func(id string, mp *mempool.Config) *Node {
+	build := func(id string) *Node {
 		cfg := testConfig(4, core.MustNewScheduler(core.DefaultConfig()))
 		cfg.GenesisWrites = genesisFor(t, gen, txs)
-		cfg.Mempool = mp
+		cfg.Mempool.StrictNonce = true
 		n, err := New(id, kvstore.NewMemory(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return n
 	}
-	n1 := build("mp-n1", &mempool.Config{StrictNonce: true, ShardCap: -1, SenderCap: -1})
-	n2 := build("mp-n2", nil)
+	n1, n2 := build("mp-n1"), build("mp-n2")
 	if n1.StateRoot() != n2.StateRoot() {
 		t.Fatal("genesis roots differ")
 	}
 
 	miner := NewMiner(n1, types.AddressFromUint64(1), 50)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	ctx := context.Background()
 	for i := 0; !n1.Ledger().EpochReady(3, 0); i++ {
 		if i > 5000 {
@@ -117,16 +114,82 @@ func TestMempoolMinerConvergence(t *testing.T) {
 	}
 }
 
-// TestMinerWithoutKnobHasNoPool pins the default: a nil Config.Mempool
-// keeps the legacy flat pool (the byte-identical path the assembled-epoch
-// tests and differential oracles depend on).
-func TestMinerWithoutKnobHasNoPool(t *testing.T) {
-	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	n, err := New("flat", kvstore.NewMemory(), cfg)
+// droppedTotal sums nezha_mempool_dropped_total over every reason for one
+// node's pool. The series is process-wide: compare before and after.
+func droppedTotal(t *testing.T, node string) float64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := metrics.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "nezha_mempool_dropped_total{") || !strings.Contains(line, `node="`+node+`"`) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestMinerPreloadLosesNothing: a caller that preloads a whole workload
+// lifts the caps it would overrun, and then admission queues every
+// transaction; the same stream into the zero-value pool is refused past
+// the default per-sender cap, and AddTxs's count says so — ingest never
+// truncates silently.
+func TestMinerPreloadLosesNothing(t *testing.T) {
+	gen, err := workload.NewGenerator(workload.Config{
+		Seed: 3, Accounts: 1000, Skew: 1.0, InitialBalance: 10_000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := NewMiner(n, types.AddressFromUint64(1), 10); m.Pool() != nil {
-		t.Fatal("miner grew a mempool without the config knob")
+	txs := gen.Txs(2000)
+	perSender := make(map[types.Address]int)
+	hottest := 0
+	for _, tx := range txs {
+		perSender[tx.From]++
+		hottest = max(hottest, perSender[tx.From])
+	}
+	if hottest <= 64 {
+		t.Fatalf("the workload's hottest sender has %d transactions; the test needs one past the default SenderCap", hottest)
+	}
+	overCap := 0 // what the default SenderCap of 64 must refuse
+	for _, c := range perSender {
+		overCap += max(c-64, 0)
+	}
+
+	miner := func(id string, mp mempool.Config) *Miner {
+		cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
+		cfg.Mempool = mp
+		n, err := New(id, kvstore.NewMemory(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewMiner(n, types.AddressFromUint64(1), 100)
+	}
+
+	lifted := miner("preload-lifted", mempool.Config{ShardCap: -1, SenderCap: -1})
+	before := droppedTotal(t, "preload-lifted")
+	if got := lifted.AddTxs(txs); got != len(txs) || lifted.PoolSize() != len(txs) {
+		t.Fatalf("caps lifted: admitted %d, pool %d, submitted %d", got, lifted.PoolSize(), len(txs))
+	}
+	if d := droppedTotal(t, "preload-lifted") - before; d != 0 {
+		t.Fatalf("caps lifted: nezha_mempool_dropped_total moved by %v", d)
+	}
+
+	capped := miner("preload-default", mempool.Config{})
+	before = droppedTotal(t, "preload-default")
+	got := capped.AddTxs(txs)
+	if got != len(txs)-overCap || capped.PoolSize() != got {
+		t.Fatalf("defaults: admitted %d, pool %d; want %d (%d submitted, %d past SenderCap)",
+			got, capped.PoolSize(), len(txs)-overCap, len(txs), overCap)
+	}
+	if d := droppedTotal(t, "preload-default") - before; int(d) != overCap {
+		t.Fatalf("defaults: nezha_mempool_dropped_total moved by %v, want %d", d, overCap)
 	}
 }

@@ -2,7 +2,7 @@ package node
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/consensus"
@@ -10,142 +10,77 @@ import (
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
-// Miner drives block production for one node: it keeps a transaction pool,
-// assembles block templates over the node's current tips and latest
-// processed state root, and runs the OHIE proof of work.
-//
-// The pool is one of two implementations. The default is the legacy flat
-// FIFO slice — kept byte-identical because the assembled-epoch tests and
-// the differential oracles depend on its ordering. With Config.Mempool
-// set, the miner instead fronts an internal/mempool.Pool: AddTxs becomes
-// batched admission and assembly takes the pool's deterministic
-// priority/nonce order.
+// Miner drives block production for one node: it fronts an
+// admission-controlled transaction pool (internal/mempool), assembles block
+// templates in the pool's deterministic priority/nonce order over the node's
+// current tips and latest processed state root, and runs the OHIE PoW.
 type Miner struct {
 	node      *Node
 	addr      types.Address
 	blockSize int
-
-	// mp, when non-nil, replaces the flat pool below entirely.
-	mp *mempool.Pool
-
-	mu    sync.Mutex
-	pool  []*types.Transaction
-	seen  map[types.Hash]bool
-	seed  uint64
-	clock func() uint64
+	mp        *mempool.Pool
+	seed      atomic.Uint64
+	clock     func() uint64
 }
 
 // NewMiner attaches a miner to a node. blockSize caps transactions per
-// block (the paper uses 200, §VI-A).
+// block (the paper uses 200, §VI-A). The pool is built from the node's
+// Config.Mempool.
 func NewMiner(n *Node, addr types.Address, blockSize int) *Miner {
+	mpCfg := n.cfg.Mempool
+	if mpCfg.Tag == "" {
+		mpCfg.Tag = n.id
+	}
 	m := &Miner{
 		node:      n,
 		addr:      addr,
 		blockSize: blockSize,
-		seen:      make(map[types.Hash]bool),
-		seed:      uint64(types.HashBytes(addr[:])[0]) << 32, // disjoint nonce ranges per miner
+		mp:        mempool.New(mpCfg),
 		clock:     func() uint64 { return uint64(time.Now().UnixMilli()) },
 	}
-	if n.cfg.Mempool != nil {
-		mpCfg := *n.cfg.Mempool
-		if mpCfg.Tag == "" {
-			mpCfg.Tag = n.id
-		}
-		m.mp = mempool.New(mpCfg)
-	}
+	m.seed.Store(uint64(types.HashBytes(addr[:])[0]) << 32) // disjoint nonce ranges per miner
 	return m
 }
 
-// Pool exposes the miner's admission-controlled mempool (nil when the
-// node runs the legacy flat pool). Submitters that want typed
-// backpressure — rather than AddTxs's fire-and-forget — admit through it
-// directly.
+// SetClock replaces the source of block timestamps (wall-clock
+// milliseconds by default); call it before the first Mine. The stamp feeds
+// the header hash and the hash picks the OHIE chain, so a harness that
+// needs the same blocks on every run drives the miner from a logical clock.
+func (m *Miner) SetClock(clock func() uint64) { m.clock = clock }
+
+// Pool exposes the miner's mempool (never nil) for submitters that want a
+// typed refusal per transaction rather than AddTxs's count.
 func (m *Miner) Pool() *mempool.Pool { return m.mp }
 
-// AddTxs queues transactions, dropping ones already seen. With a mempool
-// attached this is batched admission; rejections (duplicates, rate
-// limits, capacity) are counted in nezha_mempool_dropped_total rather
-// than reported — gossip redelivery is not a caller that can react.
-func (m *Miner) AddTxs(txs []*types.Transaction) {
-	if m.mp != nil {
-		m.mp.AdmitBatch(txs)
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, tx := range txs {
-		h := tx.Hash()
-		if m.seen[h] {
-			continue
-		}
-		m.seen[h] = true
-		m.pool = append(m.pool, tx)
-	}
+// AddTxs admits a batch and returns how many transactions the pool queued.
+// The rest were refused (duplicate, nonce included, rate, capacity) and are
+// counted by reason in nezha_mempool_dropped_total; a caller that owns the
+// transactions checks the count, gossip redelivery ignores it.
+func (m *Miner) AddTxs(txs []*types.Transaction) int {
+	admitted, _ := m.mp.AdmitBatch(txs)
+	return admitted
 }
 
 // PoolSize returns the number of queued transactions.
-func (m *Miner) PoolSize() int {
-	if m.mp != nil {
-		return m.mp.Len()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pool)
-}
+func (m *Miner) PoolSize() int { return m.mp.Len() }
 
 // Mine assembles and mines one block. The transactions leave the pool only
-// on success; a cancelled search returns them.
+// on success: Assemble is a peek, so a cancelled search forfeits nothing.
 func (m *Miner) Mine(ctx context.Context) (*types.Block, error) {
-	var txs []*types.Transaction
-	m.mu.Lock()
-	if m.mp != nil {
-		// Assemble is a peek: the transactions stay queued until the
-		// search succeeds, so a cancelled attempt forfeits nothing.
-		txs = m.mp.Assemble(m.blockSize)
-	} else {
-		take := m.blockSize
-		if take > len(m.pool) {
-			take = len(m.pool)
-		}
-		txs = append([]*types.Transaction(nil), m.pool[:take]...)
-	}
-	m.seed += 1_000_000 // fresh nonce range per attempt
-	seed := m.seed
-	m.mu.Unlock()
-
+	txs := m.mp.Assemble(m.blockSize)
 	b, err := consensus.Mine(ctx, consensus.Template{
 		Ledger:    m.node.Ledger(),
 		StateRoot: m.node.StateRoot(),
 		Txs:       txs,
 		Miner:     m.addr,
 		Time:      m.clock(),
-		NonceSeed: seed,
+		NonceSeed: m.seed.Add(1_000_000), // fresh nonce range per attempt
 	}, m.node.cfg.Consensus)
 	if err != nil {
 		return nil, err
 	}
-	if m.mp != nil {
-		// Success: advance each sender's inclusion floor past the mined
-		// nonces so gossip echoes bounce off admission.
-		m.mp.MarkIncluded(txs)
-		return b, nil
-	}
-	// Remove the mined transactions; the pool may have grown while the
-	// nonce search ran.
-	mined := make(map[types.Hash]bool, len(txs))
-	for _, tx := range txs {
-		mined[tx.Hash()] = true
-	}
-	m.mu.Lock()
-	kept := m.pool[:0]
-	for _, tx := range m.pool {
-		if mined[tx.Hash()] {
-			delete(m.seen, tx.Hash())
-			continue
-		}
-		kept = append(kept, tx)
-	}
-	m.pool = kept
-	m.mu.Unlock()
+	// Advance each sender's inclusion floor past the mined nonces so gossip
+	// echoes bounce off admission.
+	m.mp.MarkIncluded(txs)
 	return b, nil
 }

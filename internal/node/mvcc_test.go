@@ -1,11 +1,13 @@
 package node
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
@@ -15,15 +17,15 @@ import (
 // header hash, which feeds DAG chain assignment).
 func fixMinerClock(m *Miner) {
 	var tick uint64
-	m.clock = func() uint64 {
+	m.SetClock(func() uint64 {
 		tick++
 		return tick
-	}
+	})
 }
 
-// growNode drives one node through the given number of epochs over a
-// fixed SmallBank workload and returns the per-epoch roots.
-func growNode(t *testing.T, id string, snapshotExec bool, epochs uint64) map[uint64]types.Hash {
+// refWorkload is the contended SmallBank stream the executor-reference
+// tests run, with a node whose genesis funds it.
+func refWorkload(t *testing.T, id string, count int) (*Node, []*types.Transaction) {
 	t.Helper()
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 77, Accounts: 150, Skew: 0.6, InitialBalance: 5_000,
@@ -31,9 +33,8 @@ func growNode(t *testing.T, id string, snapshotExec bool, epochs uint64) map[uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	txs := gen.Txs(400)
+	txs := gen.Txs(count)
 	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.SnapshotExecution = snapshotExec
 	cfg.PredictReads = func(tx *types.Transaction) []types.Key {
 		return smallbank.PredictCall(tx.Payload)
 	}
@@ -42,39 +43,37 @@ func growNode(t *testing.T, id string, snapshotExec bool, epochs uint64) map[uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	miner := NewMiner(n, types.AddressFromUint64(5), 50)
-	fixMinerClock(miner)
-	miner.AddTxs(txs)
-	growEpochs(t, n, []*Miner{miner}, epochs)
-
-	roots := make(map[uint64]types.Hash)
-	for e := uint64(0); ; e++ {
-		r, ok := n.RootAt(e)
-		if !ok {
-			break
-		}
-		roots[e] = r
-	}
-	return roots
+	return n, txs
 }
 
-// TestMVCCMatchesSnapshotExecution runs the same workload through the MVCC
-// view pipeline and the legacy snapshot-copy pipeline and asserts byte-
-// identical per-epoch roots — the node-level version of the differential
-// acceptance criterion (internal/check sweeps it across shapes).
-func TestMVCCMatchesSnapshotExecution(t *testing.T) {
-	mvccRoots := growNode(t, "mvcc-mode", false, 4)
-	snapRoots := growNode(t, "snap-mode", true, 4)
-	if len(mvccRoots) < 3 {
-		t.Fatalf("only %d roots recorded", len(mvccRoots))
+// TestMVCCMatchesSnapshotMined mines a workload into epochs and runs
+// each through the node's pipeline and the snapshot-copy executor
+// reference (exec_ref_test.go): every transaction's read values, every
+// schedule and every root must be identical — the node-level version of
+// the differential internal/check sweeps across shapes.
+func TestMVCCMatchesSnapshotMined(t *testing.T) {
+	n, txs := refWorkload(t, "mvcc-mined", 400)
+	ref, err := newExecRef(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(mvccRoots) != len(snapRoots) {
-		t.Fatalf("epoch counts differ: %d vs %d", len(mvccRoots), len(snapRoots))
-	}
-	for e, r := range mvccRoots {
-		if other := snapRoots[e]; other != r {
-			t.Fatalf("epoch %d: mvcc root %x != snapshot root %x", e, r[:4], other[:4])
+	miner := NewMiner(n, types.AddressFromUint64(5), 50)
+	fixMinerClock(miner)
+	preload(t, miner, txs)
+	// The whole backlog first, so the epochs also run with the background
+	// prefetch and its version-cache fills in play.
+	mineAhead(t, n, miner, 4)
+	for e := uint64(1); e <= 4; e++ {
+		blocks, ok := n.Ledger().EpochBlocks(e)
+		if !ok {
+			t.Fatalf("epoch %d not assembled", e)
 		}
+		if err := ref.process(n, blocks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum := n.Metrics().Summarize(); sum.Committed == 0 || sum.Aborted == 0 {
+		t.Fatalf("the comparison needs commits and aborts to mean anything: %+v", sum)
 	}
 }
 
@@ -100,7 +99,7 @@ func TestPrefetcherWarmsCache(t *testing.T) {
 	}
 	miner := NewMiner(n, types.AddressFromUint64(6), 40)
 	fixMinerClock(miner)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	// Mine the whole backlog first: the prefetcher only fires when epoch
 	// e+1 is already assembled while epoch e commits.
 	mineAhead(t, n, miner, 5)
@@ -123,59 +122,91 @@ func TestPrefetcherWarmsCache(t *testing.T) {
 	}
 }
 
-// TestMVCCMatchesSnapshotAssembled removes mining from the comparison:
-// both modes process the SAME externally-assembled epochs and must agree
-// on every schedule and root.
+// assembledEpoch cuts epoch e (0-based) of the stream into two 100-tx
+// blocks carrying the node's current root.
+func assembledEpoch(n *Node, txs []*types.Transaction, e int) []*types.Block {
+	var blocks []*types.Block
+	for c := 0; c < 2; c++ {
+		blocks = append(blocks, &types.Block{
+			Header: types.BlockHeader{
+				Height:    n.NextEpoch(),
+				StateRoot: n.StateRoot(),
+				Miner:     types.AddressFromUint64(9),
+			},
+			Txs: txs[e*200+c*100 : e*200+(c+1)*100],
+		})
+	}
+	return blocks
+}
+
+// TestMVCCMatchesSnapshotAssembled removes mining from the comparison: the
+// node and the executor reference process the SAME externally-assembled
+// epochs and must agree on every read, schedule and root.
 func TestMVCCMatchesSnapshotAssembled(t *testing.T) {
-	gen, err := workload.NewGenerator(workload.Config{
-		Seed: 77, Accounts: 150, Skew: 0.6, InitialBalance: 5_000,
-	})
+	n, txs := refWorkload(t, "mvcc-assembled", 600)
+	ref, err := newExecRef(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	txs := gen.Txs(600)
-	mk := func(id string, snapExec bool) *Node {
-		cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-		cfg.SnapshotExecution = snapExec
-		cfg.GenesisWrites = genesisFor(t, gen, txs)
-		n, err := New(id, kvstore.NewMemory(), cfg)
-		if err != nil {
+	for e := 0; e < 3; e++ {
+		if err := ref.process(n, assembledEpoch(n, txs, e)); err != nil {
 			t.Fatal(err)
 		}
-		return n
 	}
-	n1, n2 := mk("mv", false), mk("sn", true)
-	const per = 200
-	for e := 0; e < 3; e++ {
-		chunk := txs[e*per : (e+1)*per]
-		mkBlocks := func(n *Node) []*types.Block {
-			var blocks []*types.Block
-			for c := 0; c < 2; c++ {
-				blocks = append(blocks, &types.Block{
-					Header: types.BlockHeader{
-						Height:    n.NextEpoch(),
-						StateRoot: n.StateRoot(),
-						Miner:     types.AddressFromUint64(9),
-					},
-					Txs: chunk[c*100 : (c+1)*100],
-				})
+}
+
+// staleReader serves one cell as it was before the previous epoch and
+// everything else live — a read path that missed a commit.
+type staleReader struct {
+	statedb.Reader
+	key types.Key
+	old []byte
+}
+
+func (s staleReader) Get(k types.Key) ([]byte, error) {
+	if k == s.key {
+		return s.old, nil
+	}
+	return s.Reader.Get(k)
+}
+
+// TestExecOracleBites is the meta-test: an executor that reads one cell
+// stale — the fault a broken version chain or a missed reservation would
+// produce — must be told apart by the reference, otherwise the two tests
+// above pin nothing about what the MVCC view serves.
+func TestExecOracleBites(t *testing.T) {
+	n, txs := refWorkload(t, "mvcc-bites", 600)
+	ref, err := newExecRef(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := n.state.Snapshot()
+	if err := ref.process(n, assembledEpoch(n, txs, 0)); err != nil {
+		t.Fatalf("honest epoch: %v", err)
+	}
+	// Plant: a cell epoch 2 reads and epoch 1 changed, served at its
+	// pre-epoch-1 value.
+	var stale staleReader
+	for _, tx := range txs[200:400] {
+		for _, rd := range n.simulate(tx, n.state).Reads {
+			old, err := pre.Get(rd.Key)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return blocks
+			if !bytes.Equal(old, rd.Value) {
+				stale.key, stale.old = rd.Key, old
+			}
 		}
-		r1, err := n1.ProcessAssembledEpoch(mkBlocks(n1))
-		if err != nil {
-			t.Fatalf("mvcc epoch %d: %v", e+1, err)
-		}
-		r2, err := n2.ProcessAssembledEpoch(mkBlocks(n2))
-		if err != nil {
-			t.Fatalf("snapshot epoch %d: %v", e+1, err)
-		}
-		if !r1.Schedule.Equal(r2.Schedule) {
-			t.Fatalf("epoch %d: schedules differ", e+1)
-		}
-		if r1.StateRoot != r2.StateRoot {
-			t.Fatalf("epoch %d: roots differ %x vs %x", e+1, r1.StateRoot[:4], r2.StateRoot[:4])
-		}
+	}
+	if stale.old == nil {
+		t.Fatal("epoch 2 reads nothing epoch 1 changed; the plant has no target")
+	}
+	ref.view = func(n *Node) statedb.Reader {
+		stale.Reader = liveView(n)
+		return stale
+	}
+	if err := ref.process(n, assembledEpoch(n, txs, 1)); err == nil {
+		t.Fatal("a stale read goes unnoticed")
 	}
 }
 

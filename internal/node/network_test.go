@@ -76,7 +76,7 @@ func TestGossipNetworkConvergesOnRoots(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := NewMiner(n, types.AddressFromUint64(uint64(i)), 50)
-		m.AddTxs(txs)
+		preload(t, m, txs)
 		peers[i] = &peer{node: n, miner: m, ep: ep}
 	}
 
@@ -207,7 +207,7 @@ func TestPipelineOverLSMStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(5), 100)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	growEpochs(t, n, []*Miner{miner}, 1)
 	if n.Metrics().Summarize().Committed == 0 {
 		t.Fatal("nothing committed over LSM")
@@ -269,7 +269,7 @@ func TestSignatureValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(1), 30)
-	miner.AddTxs(txs[:30])
+	preload(t, miner, txs[:30])
 	growEpochs(t, n, []*Miner{miner}, 1)
 	sum := n.Metrics().Summarize()
 	if sum.Committed == 0 {
@@ -281,7 +281,7 @@ func TestSignatureValidation(t *testing.T) {
 	forged := txs[30:60]
 	forged[0].Value += 1 // content no longer matches its signature
 	forged[0].Sig = append([]byte(nil), forged[0].Sig...)
-	miner.AddTxs(forged)
+	preload(t, miner, forged)
 	b, err := miner.Mine(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestTokenWorkloadPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(1), 150)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	growEpochs(t, n, []*Miner{miner}, 1)
 
 	sum := n.Metrics().Summarize()

@@ -52,7 +52,8 @@ type Config struct {
 	// paper's serial baseline: transactions execute and commit one by
 	// one with no speculation.
 	Scheduler types.Scheduler
-	// Workers sizes the execution/commit pool; 0 means GOMAXPROCS.
+	// Workers sizes the execution/commit pool and the background signature
+	// prevalidation that overlaps the commit; 0 means GOMAXPROCS.
 	Workers int
 	// Contracts maps addresses to MiniVM bytecode. Transactions to other
 	// addresses are treated as plain value transfers.
@@ -74,12 +75,6 @@ type Config struct {
 	// single-miner settings; multi-miner networks need >= 1 so that
 	// deterministic fork choice converges before epochs finalize.
 	ConfirmDepth uint64
-	// Parallelism sizes the pipeline's background work — the signature
-	// prevalidation of epoch e+1 that overlaps epoch e's commit, for the
-	// transactions that reach it unverified; 0 means Workers. It is
-	// distinct from Workers so the overlapped stage can be kept off the
-	// critical path's cores.
-	Parallelism int
 	// Persist stores canonical blocks and chain metadata in the node's
 	// key-value store after every epoch, and New restores them on
 	// reopen — the restart durability a real full node has. Off by
@@ -96,11 +91,6 @@ type Config struct {
 	// long-offline joiner would otherwise make its peer serialize the
 	// entire chain into one message. 0 means DefaultSyncBatch.
 	SyncBatch int
-	// SnapshotExecution selects the legacy per-epoch snapshot-copy
-	// execution path instead of the copy-free MVCC view. It is retained
-	// as the differential reference: internal/check runs both modes over
-	// identical epochs and asserts identical roots and commit groups.
-	SnapshotExecution bool
 	// PredictReads, when set, predicts the state keys a contract
 	// transaction will read (from its payload alone) so the prefetcher
 	// stage can warm them under the previous epoch's commit. Nil means
@@ -109,15 +99,12 @@ type Config struct {
 	// are harmless — the prefetch is a pure cache warm-up. It is called
 	// on the prefetch goroutine, beside the pipeline: a pure function.
 	PredictReads func(tx *types.Transaction) []types.Key
-	// Mempool, when set, replaces the miner's flat FIFO transaction pool
-	// with the sharded admission-controlled pool of internal/mempool:
-	// AddTxs becomes batched admission (typed backpressure errors, rate
-	// limits, deterministic eviction) and block assembly takes the pool's
-	// priority/nonce order. Nil — the default — keeps the legacy pool,
-	// byte-identical to pre-mempool behaviour; the assembled-epoch tests
-	// and the differential oracles rely on that. The Tag is filled with
-	// the node id when empty.
-	Mempool *mempool.Config
+	// Mempool configures the admission-controlled pool every Miner of this
+	// node fronts (internal/mempool). The zero value means the pool's
+	// defaults, which bound each sender's queue; a caller that preloads a
+	// whole workload lifts the caps it would overrun (ShardCap/SenderCap).
+	// The Tag is filled with the node id when empty.
+	Mempool mempool.Config
 }
 
 // Node is one full node. Public methods are safe for concurrent use.
@@ -165,14 +152,6 @@ type Node struct {
 	// tracer, when set, records per-stage spans for Chrome trace-event
 	// export (see telemetry.go). Nil means no tracing.
 	tracer *metrics.Tracer
-}
-
-// parallelism resolves cfg.Parallelism (0 means Workers).
-func (n *Node) parallelism() int {
-	if n.cfg.Parallelism > 0 {
-		return n.cfg.Parallelism
-	}
-	return n.cfg.Workers
 }
 
 // New creates a node over the given block/state store.
@@ -430,12 +409,9 @@ func (n *Node) processBlocksLocked(e uint64, blocks []*types.Block) (*EpochResul
 		stats:  &stats,
 		res:    &EpochResult{Epoch: e},
 	}
-	stages := mvccStages
-	switch {
-	case n.cfg.Scheduler == nil:
+	stages := pipelineStages
+	if n.cfg.Scheduler == nil {
 		stages = serialStages
-	case n.cfg.SnapshotExecution:
-		stages = snapshotStages
 	}
 	err := n.runStages(er, stages)
 	putResultsBuf(er.results)
@@ -516,8 +492,8 @@ func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *typ
 	return db.CommitWide(ov.entries(), workers)
 }
 
-// simulate speculatively executes one transaction against a state reader
-// (the epoch's snapshot or MVCC view).
+// simulate executes one transaction against a state reader (the epoch's
+// MVCC view, or the live StateDB in the serial baseline).
 func (n *Node) simulate(tx *types.Transaction, state statedb.Reader) *types.SimResult {
 	sim := &types.SimResult{Tx: tx}
 	code, isContract := n.cfg.Contracts[tx.To]
@@ -599,7 +575,7 @@ func applyGroup(ov *overlay, group []types.TxID, byID map[types.TxID]*types.SimR
 	wg.Wait()
 }
 
-// verifyAgainstState adapts a state reader (snapshot or MVCC view) to
+// verifyAgainstState adapts the epoch's state reader to
 // core.VerifySchedule's map interface.
 func verifyAgainstState(state statedb.Reader, sims []*types.SimResult, sched *types.Schedule) error {
 	// The verifier only reads keys that appear in some read set; collect

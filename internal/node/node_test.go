@@ -12,12 +12,14 @@ import (
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/dag"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
 // testConfig returns a node config with the SmallBank contract deployed,
-// instant mining, k chains, and the Nezha scheduler.
+// instant mining, k chains, the Nezha scheduler, and a pool with its caps
+// lifted: the tests preload whole workloads, skewed ones included.
 func testConfig(k int, sched types.Scheduler) Config {
 	return Config{
 		Consensus:       consensus.Params{Chains: k, DifficultyBits: 0},
@@ -25,6 +27,16 @@ func testConfig(k int, sched types.Scheduler) Config {
 		Workers:         4,
 		Contracts:       map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
 		VerifySchedules: true,
+		Mempool:         mempool.Config{ShardCap: -1, SenderCap: -1},
+	}
+}
+
+// preload admits a whole workload into the miner's pool and fails the test
+// if admission refused any of it.
+func preload(t testing.TB, m *Miner, txs []*types.Transaction) {
+	t.Helper()
+	if got := m.AddTxs(txs); got != len(txs) {
+		t.Fatalf("preload: the pool admitted %d of %d transactions", got, len(txs))
 	}
 }
 
@@ -84,7 +96,7 @@ func TestSingleNodePipelineSmallBank(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(99), 100)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	if miner.PoolSize() != 600 {
 		t.Fatalf("pool = %d", miner.PoolSize())
 	}
@@ -155,7 +167,7 @@ func TestNodesAgreeOnStateRoot(t *testing.T) {
 
 	// One miner attached to n1; every block is replayed into n2.
 	miner := NewMiner(n1, types.AddressFromUint64(1), 50)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	ctx := context.Background()
 	for i := 0; !n1.Ledger().EpochReady(3, 0); i++ {
 		if i > 5000 {
@@ -205,7 +217,7 @@ func TestCGSchedulerInPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(7), 100)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	growEpochs(t, n, []*Miner{miner}, 1)
 	if n.Metrics().Summarize().Committed == 0 {
 		t.Fatal("CG pipeline committed nothing")
@@ -229,7 +241,7 @@ func TestSerialBaselinePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(3), 100)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	growEpochs(t, n, []*Miner{miner}, 1)
 	sum := n.Metrics().Summarize()
 	if sum.Aborted != 0 {
@@ -272,7 +284,7 @@ func TestSerialAndNezhaConvergeOnConflictFreeWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		miner := NewMiner(n, types.AddressFromUint64(50), 100)
-		miner.AddTxs(txs)
+		preload(t, miner, txs)
 		growEpochs(t, n, []*Miner{miner}, 1)
 		return n.StateRoot()
 	}
@@ -306,7 +318,7 @@ func TestValidationDiscardsBadStateRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(1), 10)
-	miner.AddTxs([]*types.Transaction{{
+	preload(t, miner, []*types.Transaction{{
 		From: types.AddressFromUint64(1), To: types.AddressFromUint64(2),
 		Value: 5, Gas: 1000, Nonce: 1,
 	}})
@@ -349,7 +361,7 @@ func TestNativeTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(9), 10)
-	miner.AddTxs([]*types.Transaction{
+	preload(t, miner, []*types.Transaction{
 		{From: alice, To: bob, Value: 30, Gas: 1000, Nonce: 1},
 		{From: alice, To: bob, Value: 1000, Gas: 1000, Nonce: 2}, // over-balance: saturates
 	})
@@ -399,13 +411,14 @@ func BenchmarkPipelineEpoch(b *testing.B) {
 				Scheduler:     core.MustNewScheduler(core.DefaultConfig()),
 				Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
 				GenesisWrites: genesis,
+				Mempool:       mempool.Config{ShardCap: -1, SenderCap: -1},
 			}
 			n, err := New("bench", kvstore.NewMemory(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			miner := NewMiner(n, types.AddressFromUint64(1), 200)
-			miner.AddTxs(txs)
+			preload(b, miner, txs)
 			ctx := context.Background()
 			b.ResetTimer()
 			processed := uint64(0)

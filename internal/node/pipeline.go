@@ -16,12 +16,11 @@ import (
 
 // The epoch pipeline as named stages.
 //
-// processBlocksLocked used to be one monolithic body; it is now a stage
-// list, each stage a named function over the shared epochRun scratch. The
-// stage boundary is also the measurement boundary: runStages times every
-// stage into a metrics.StageStat (queue depth, worker count, busy time)
-// and keeps the legacy EpochStats phase fields in sync, so the per-phase
-// numbers reported by earlier versions are unchanged.
+// processBlocksLocked runs a stage list, each stage a named function over
+// the shared epochRun scratch. The stage boundary is also the measurement
+// boundary: runStages times every stage into a metrics.StageStat (queue
+// depth, worker count, busy time) appended to EpochStats.Stages, the one
+// record the per-phase numbers are read from.
 //
 // Cross-epoch overlap: the only inter-epoch dependency is the state
 // snapshot — execution of epoch e+1 needs the post-commit state of epoch
@@ -51,7 +50,7 @@ type epochRun struct {
 	blocks []*types.Block
 
 	epoch      *types.Epoch
-	state      statedb.Reader     // pre-epoch read state: MVCC view or copied snapshot
+	state      statedb.Reader     // pre-epoch read state: the MVCC view
 	results    []*types.SimResult // pooled; nil-ed and returned after the epoch
 	sims       []*types.SimResult // results minus execution failures
 	execFailed []types.TxID
@@ -61,26 +60,16 @@ type epochRun struct {
 	res   *EpochResult
 }
 
-// mvccStages is the speculative pipeline of §III-B — validation,
+// pipelineStages is the speculative pipeline of §III-B — validation,
 // concurrent execution, concurrency control, group-concurrent commitment —
 // over the copy-free MVCC view, with the read-set prefetch of epoch e+1
 // kicked just before epoch e's commit so its key derivation runs under the
 // trie flush (see kickPrefetch for what can and cannot overlap it).
-var mvccStages = []stage{
+var pipelineStages = []stage{
 	{"validate", fail.NodeStageValidate, (*Node).validateStage},
 	{"execute", fail.NodeStageExecute, (*Node).executeStage},
 	{"schedule", fail.NodeStageSchedule, (*Node).scheduleStage},
 	{"prefetch", fail.NodeStagePrefetch, (*Node).prefetchStage},
-	{"commit", fail.NodeStageCommit, (*Node).commitStage},
-}
-
-// snapshotStages is the same pipeline over a per-epoch snapshot copy — the
-// pre-MVCC behaviour, kept as the differential reference
-// (Config.SnapshotExecution).
-var snapshotStages = []stage{
-	{"validate", fail.NodeStageValidate, (*Node).validateStage},
-	{"execute", fail.NodeStageExecute, (*Node).executeStage},
-	{"schedule", fail.NodeStageSchedule, (*Node).scheduleStage},
 	{"commit", fail.NodeStageCommit, (*Node).commitStage},
 }
 
@@ -91,8 +80,7 @@ var serialStages = []stage{
 }
 
 // runStages drives the pipeline: each stage is timed into a StageStat
-// appended to stats.Stages, and its duration is mirrored onto the legacy
-// phase field the stage corresponds to.
+// appended to stats.Stages.
 func (n *Node) runStages(er *epochRun, stages []stage) error {
 	for _, st := range stages {
 		// Stage-handoff failpoint: an injected error aborts the epoch
@@ -117,22 +105,6 @@ func (n *Node) runStages(er *epochRun, stages []stage) error {
 			"workers":   ss.Workers,
 			"occupancy": ss.Occupancy(),
 		})
-
-		switch st.name {
-		case "validate":
-			er.stats.Validate = ss.Duration
-		case "execute":
-			er.stats.Execute = ss.Duration
-		case "schedule":
-			er.stats.Control = ss.Duration
-		case "commit":
-			er.stats.Commit = ss.Duration
-		case "serial":
-			// Serial processing has no distinct phases: report the time
-			// as execute+commit, split evenly for display purposes.
-			er.stats.Execute = ss.Duration / 2
-			er.stats.Commit = ss.Duration - er.stats.Execute
-		}
 	}
 	return nil
 }
@@ -237,24 +209,19 @@ func AssemblyDigests(epoch uint64, blocks []*types.Block) (blockDigest, txDigest
 }
 
 // executeStage speculatively executes the epoch's transactions against the
-// pre-epoch state on the worker pool. The default read path is a copy-free
-// MVCC view (no per-epoch state duplication; the background prefetch of
-// this epoch's read set is collected first and its hidden time credited
-// as overlap); Config.SnapshotExecution selects the legacy snapshot copy.
-// Workers pull indices from an atomic counter (cheaper than a channel at
-// this fan-out) and write disjoint slots of the pooled results buffer;
-// per-worker busy spans feed the stage's occupancy counters.
+// pre-epoch state on the worker pool, reading through a copy-free MVCC view
+// (the background prefetch of this epoch's read set is collected first and
+// its hidden time credited as overlap). Workers pull indices from an atomic
+// counter (cheaper than a channel at this fan-out) and write disjoint slots
+// of the pooled results buffer; per-worker busy spans feed the stage's
+// occupancy counters.
 func (n *Node) executeStage(er *epochRun, ss *metrics.StageStat) error {
-	if n.cfg.SnapshotExecution {
-		er.state = n.state.Snapshot()
-	} else {
-		if pf := n.takePrefetch(er.number); pf != nil {
-			ss.Overlap = pf.elapsed
-			n.tracer.Span(n.id+"/background", "prefetch", pf.started, pf.elapsed,
-				map[string]any{"epoch": er.number, "keys": pf.keys})
-		}
-		er.state = n.state.View()
+	if pf := n.takePrefetch(er.number); pf != nil {
+		ss.Overlap = pf.elapsed
+		n.tracer.Span(n.id+"/background", "prefetch", pf.started, pf.elapsed,
+			map[string]any{"epoch": er.number, "keys": pf.keys})
 	}
+	er.state = n.state.View()
 	txs := er.epoch.Txs
 	er.results = getResultsBuf(len(txs))
 	workers := n.cfg.Workers
@@ -401,12 +368,12 @@ func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 // serialStage is the baseline of §VI-B: execute and commit each
 // transaction in order against the live state, no speculation, no aborts
 // (failed executions are skipped, as a failed EVM transaction would be).
+// It reads the live StateDB: the loop is single-threaded under n.mu.
 func (n *Node) serialStage(er *epochRun, ss *metrics.StageStat) error {
 	sched := types.NewSchedule()
 	seq := types.Seq(1)
 	for _, tx := range er.epoch.Txs {
-		snap := n.state.Snapshot()
-		sim := n.simulate(tx, snap)
+		sim := n.simulate(tx, n.state)
 		if sim.Err != nil {
 			sched.Abort(tx.ID, types.AbortExecution)
 			er.stats.ExecutionFailed++
@@ -451,7 +418,7 @@ func (n *Node) kickPrevalidation(e uint64) {
 	}
 	pv := &prevalidation{epoch: e, done: make(chan struct{})}
 	n.preval = pv
-	workers := n.parallelism()
+	workers := n.cfg.Workers
 	go func() {
 		pv.started = time.Now()
 		pv.ok = checkSignatures(blocks, workers, nil)

@@ -8,7 +8,6 @@ import (
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/crypto"
 	"github.com/nezha-dag/nezha/internal/kvstore"
-	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
@@ -23,14 +22,13 @@ func sigVerifications(outcome string) int {
 
 // signedPoolNode builds a verifying node fed by a verifying mempool, with
 // the generator's accounts funded.
-func signedPoolNode(t *testing.T, id string, gen *workload.Generator, txs []*types.Transaction, withPool bool) *Node {
+func signedPoolNode(t *testing.T, id string, gen *workload.Generator, txs []*types.Transaction) *Node {
 	t.Helper()
 	cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
 	cfg.VerifySignatures = true
 	cfg.GenesisWrites = genesisFor(t, gen, txs)
-	if withPool {
-		cfg.Mempool = &mempool.Config{StrictNonce: true, ShardCap: -1, SenderCap: -1, VerifySignatures: true}
-	}
+	cfg.Mempool.StrictNonce = true
+	cfg.Mempool.VerifySignatures = true
 	n, err := New(id, kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +50,11 @@ func TestSignaturesVerifiedExactlyOnce(t *testing.T) {
 	}
 	const total = 240
 	txs := gen.Txs(total)
-	n1 := signedPoolNode(t, "once-admit", gen, txs, true)
+	n1 := signedPoolNode(t, "once-admit", gen, txs)
 	miner := NewMiner(n1, types.AddressFromUint64(5), 60)
 
 	full0, bad0 := sigVerifications("full"), sigVerifications("bad")
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	if got := sigVerifications("full") - full0; got != total {
 		t.Fatalf("admission ran %d full verifications for %d transactions", got, total)
 	}
@@ -78,7 +76,7 @@ func TestSignaturesVerifiedExactlyOnce(t *testing.T) {
 	}
 
 	// The peer and restore path: the same blocks as bytes.
-	n2 := signedPoolNode(t, "once-peer", gen, txs, false)
+	n2 := signedPoolNode(t, "once-peer", gen, txs)
 	mined := 0
 	for e := uint64(1); e < n1.NextEpoch(); e++ {
 		blocks, ok := n1.Ledger().EpochBlocks(e)
@@ -144,7 +142,7 @@ func TestForgedSignatureUnderHonestHash(t *testing.T) {
 	}
 	for name, corrupt := range forge {
 		t.Run(name, func(t *testing.T) {
-			n := signedPoolNode(t, "twin-"+name, gen, txs, true)
+			n := signedPoolNode(t, "twin-"+name, gen, txs)
 			miner := NewMiner(n, types.AddressFromUint64(6), 40)
 			if admitted, _ := miner.Pool().AdmitBatch(txs); admitted != len(txs) {
 				t.Fatalf("admitted %d of %d", admitted, len(txs))

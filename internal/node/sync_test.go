@@ -38,7 +38,7 @@ func TestLateJoinerSyncsToSameRoot(t *testing.T) {
 	}
 	veteran := build("veteran")
 	miner := NewMiner(veteran, types.AddressFromUint64(1), 100)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	growEpochs(t, veteran, []*Miner{miner}, 3)
 	if veteran.NextEpoch() < 4 {
 		t.Fatalf("veteran only reached epoch %d", veteran.NextEpoch()-1)
@@ -178,7 +178,7 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n1, types.AddressFromUint64(1), 100)
-	miner.AddTxs(gen.Txs(400))
+	preload(t, miner, gen.Txs(400))
 	growEpochs(t, n1, []*Miner{miner}, 2)
 	wantEpoch, wantRoot := n1.NextEpoch(), n1.StateRoot()
 	if wantEpoch < 3 {
@@ -238,7 +238,7 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 	}
 	// And the node keeps processing new epochs after restart.
 	miner2 := NewMiner(n2, types.AddressFromUint64(1), 100)
-	miner2.AddTxs(gen.Txs(200))
+	preload(t, miner2, gen.Txs(200))
 	growEpochs(t, n2, []*Miner{miner2}, wantEpoch)
 	if n2.NextEpoch() <= wantEpoch {
 		t.Fatal("node did not progress after restart")

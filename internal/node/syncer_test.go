@@ -36,7 +36,7 @@ func syncTestNodes(t *testing.T, syncBatch int) (veteran, joiner *Node, vetEp, j
 	}
 	veteran = build("veteran")
 	miner := NewMiner(veteran, types.AddressFromUint64(1), 100)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	growEpochs(t, veteran, []*Miner{miner}, 3)
 
 	net = p2p.NewNetwork(p2p.Config{QueueLen: 64})

@@ -36,7 +36,7 @@ func TestNodeTracerSpans(t *testing.T) {
 	n.SetTracer(tracer)
 
 	miner := NewMiner(n, types.AddressFromUint64(5), 50)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	mineAhead(t, n, miner, 3) // backlog → prevalidation overlap
 	results, err := n.ProcessReadyEpochs()
 	if err != nil {
@@ -110,7 +110,7 @@ func TestNodeRegistrySeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	miner := NewMiner(n, types.AddressFromUint64(8), 80)
-	miner.AddTxs(txs)
+	preload(t, miner, txs)
 	growEpochs(t, n, []*Miner{miner}, 1)
 
 	reg := metrics.Default()

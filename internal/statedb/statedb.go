@@ -18,9 +18,9 @@ import (
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
-// Reader is the read API speculative execution runs against: either a
-// copied Snapshot (the legacy per-epoch path, retained as the differential
-// reference) or a copy-free mvcc.View. It matches vm.StateReader.
+// Reader is the read API execution runs against: a copy-free mvcc.View,
+// the StateDB itself, or a copied Snapshot (the references' read path). It
+// matches vm.StateReader.
 type Reader interface {
 	Get(k types.Key) ([]byte, error)
 }

@@ -242,7 +242,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			GenesisWrites:    cfg.Workload.Genesis(),
 			VerifySignatures: cfg.VerifySignatures,
 			RetainEpochStats: 64,
-			Mempool:          &mpCfg,
+			Mempool:          mpCfg,
 		})
 		if err != nil {
 			return nil, err
