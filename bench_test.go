@@ -294,47 +294,6 @@ func TestCommitAllocationBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkPrefetch prices the prefetcher stage's two steady-state paths:
-// "skip-warm" re-offers already-cached keys (the common case once the
-// working set is resident) and "hit-read" resolves prefetched keys
-// through a view — the latency execution actually sees on a prefetch hit.
-func BenchmarkPrefetch(b *testing.B) {
-	db := statedb.Open(kvstore.NewMemory(), mpt.EmptyRoot)
-	const n = 4096
-	writes := make([]types.WriteEntry, n)
-	keys := make([]types.Key, n)
-	for i := range writes {
-		keys[i] = types.KeyFromUint64(uint64(i))
-		writes[i] = types.WriteEntry{Key: keys[i], Value: []byte{byte(i), byte(i >> 8)}}
-	}
-	if _, err := db.Commit(writes); err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range keys {
-		if err := db.Prefetch(k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("skip-warm", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := db.Prefetch(keys[i%n]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hit-read", func(b *testing.B) {
-		v := db.View()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := v.Get(keys[i%n]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkOCCDA prices the dependency-aware hybrid at the paper's epoch
 // sizes against the contention levels where plain OCC degrades — the
 // rescue pass (PhaseBreakdown.Cycle) is the cost being bought.

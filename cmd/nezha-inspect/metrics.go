@@ -75,10 +75,11 @@ func runMetricsCmd(args []string) error {
 }
 
 // printMVCCSummary derives the version-cache health numbers from the raw
-// nezha_mvcc_* families: hit rates are ratios of counters the exposition
-// only shows as absolutes, and the mean chain depth folds the depth
-// histogram. Printed only when at least one mvcc family survived the
-// filter, so `-filter nezha_mvcc` gives the full picture in one screen.
+// nezha_mvcc_* families (and the look-ahead outcomes beside them): rates are
+// ratios of counters the exposition only shows as absolutes, and the mean
+// chain depth folds the depth histogram. Printed only when at least one mvcc
+// family survived the filter, so `-filter nezha_mvcc` gives the full picture
+// in one screen.
 func printMVCCSummary(fams map[string]*expoFamily, shown []string) {
 	seen := false
 	for _, name := range shown {
@@ -127,13 +128,19 @@ func printMVCCSummary(fams map[string]*expoFamily, shown []string) {
 		fmt.Printf("  %-28s %s (%s hits, %s misses)\n", "version-cache hit rate",
 			ratio(hits, hits+misses), formatNum(hits), formatNum(misses))
 	}
-	pf, okPf := total("nezha_mvcc_prefetched_keys_total")
-	pfHits, okPfH := total("nezha_mvcc_prefetch_hits_total")
-	pfSkip, _ := total("nezha_mvcc_prefetch_skipped_total")
-	if okPf || okPfH {
+	// What warms the cache for an epoch is the look-ahead run that executed
+	// it early; the share of epochs that adopted theirs says how often.
+	if f, ok := fams["nezha_node_lookahead_total"]; ok {
+		var adopted, all float64
+		for _, s := range f.samples {
+			all += s.value
+			if strings.Contains(s.labels, `outcome="adopted"`) {
+				adopted += s.value
+			}
+		}
 		header()
-		fmt.Printf("  %-28s %s (%s warmed, %s used, %s skipped warm)\n", "prefetch hit rate",
-			ratio(pfHits, pf), formatNum(pf), formatNum(pfHits), formatNum(pfSkip))
+		fmt.Printf("  %-28s %s (%s of %s epochs ran ahead of their turn)\n", "look-ahead adoption rate",
+			ratio(adopted, all), formatNum(adopted), formatNum(all))
 	}
 	if gc, ok := total("nezha_mvcc_gc_versions_total"); ok {
 		header()

@@ -188,7 +188,7 @@ func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 		case fail.MempoolAdmit, fail.KVWALAppend, fail.KVWALSync, fail.KVApply,
 			fail.NodeSubmit, fail.NodePersist, fail.NodePersistDone,
 			fail.NodeDivergeRoot, fail.NodeStageValidate, fail.NodeStageExecute,
-			fail.NodeStageSchedule, fail.NodeStageCommit, fail.NodeStagePrefetch:
+			fail.NodeStageSchedule, fail.NodeStageCommit, fail.NodeStageSeal:
 			// Default trial: panic the site at runtime, tagged to the victim.
 		default:
 			return nil, fmt.Errorf("chaos: registered failpoint %q is neither swept nor exempted — decide its crash-recovery story", name)

@@ -134,9 +134,10 @@ func Footprint(op Op, acct1, acct2 uint64) (reads, writes []types.Key) {
 
 // PredictCall returns the state keys a SmallBank call payload will read —
 // the contract's Footprint, recovered from the calldata alone, without
-// executing anything. The pipeline's read-set prefetcher uses it to warm
-// the MVCC version cache one epoch ahead; a malformed payload predicts
-// nothing (the call will revert anyway).
+// executing anything. The benchmarks use it to size working sets (and
+// benchmark/ still hands it to node.Config.PredictReads, which the node no
+// longer consults); a malformed payload predicts nothing (the call will
+// revert anyway).
 func PredictCall(payload []byte) []types.Key {
 	if len(payload) <= offAcct2+8 {
 		return nil

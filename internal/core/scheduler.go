@@ -14,7 +14,7 @@ import (
 // reason, and the §IV-D reorder rescues (aborts the enhancement avoided).
 var (
 	schedRuns = metrics.Default().Counter("nezha_sched_runs_total",
-		"Scheduler invocations (one per epoch).", schemeLabel)
+		"Scheduler invocations: one per processed epoch, plus one per look-ahead run a node started and then discarded.", schemeLabel)
 	schedTxs = metrics.Default().Counter("nezha_sched_txs_total",
 		"Simulation results entering concurrency control.", schemeLabel)
 	schedCommits = metrics.Default().Counter("nezha_sched_commits_total",

@@ -36,7 +36,7 @@ const (
 	NodeStageSchedule Name = "node/stage-schedule" // handoff into the schedule stage
 	NodeStageCommit   Name = "node/stage-commit"   // handoff into the commit stage
 	NodeStageSerial   Name = "node/stage-serial"   // handoff into the serial-baseline stage
-	NodeStagePrefetch Name = "node/stage-prefetch" // handoff into the read-set prefetch stage
+	NodeStageSeal     Name = "node/stage-seal"     // inside the commit stage, between publish (writes readable as an MVCC generation) and seal (trie, root, store batch)
 
 	// p2p: the in-process network fabric (internal/p2p).
 	P2PDrop  Name = "p2p/drop"  // message delivery drop decision
@@ -72,7 +72,7 @@ func AllNames() []Name {
 		NodeStageSchedule,
 		NodeStageCommit,
 		NodeStageSerial,
-		NodeStagePrefetch,
+		NodeStageSeal,
 		P2PDrop,
 		P2PStall,
 		MempoolAdmit,

@@ -14,8 +14,8 @@ import (
 
 // StageStat records one named pipeline stage of one epoch: its wall-clock
 // span, how many work items it fanned out, the goroutines serving it, the
-// summed per-worker busy span, and how much of its cost ran hidden under
-// the previous epoch's commit (the cross-epoch overlap).
+// summed per-worker busy span, and how much of its cost ran in the
+// background before the epoch was processed (the cross-epoch overlap).
 type StageStat struct {
 	Name     string
 	Duration time.Duration
@@ -28,34 +28,37 @@ type StageStat struct {
 	// Busy is the summed wall-clock span of the stage's workers; with
 	// Duration and Workers it yields the pool occupancy.
 	Busy time.Duration
-	// Overlap is work this stage would have done that already ran in the
-	// background, overlapped with the previous epoch's commit.
+	// Overlap is how long work this stage would have done took in the
+	// background instead: under the previous epoch's commit and, for an
+	// adopted look-ahead run, between the epochs. Duration is then only
+	// what the stage still waited for it to end.
 	Overlap time.Duration
-	// Capacity is the summed Duration×Workers over the samples this stat
-	// aggregates. Zero on a single-epoch sample (where Duration×Workers
+	// Capacity is the summed (Duration+Overlap)×Workers over the samples this stat
+	// aggregates. Zero on a single-epoch sample (where that product
 	// is the capacity); Summarize fills it so occupancy stays duration-
 	// weighted across epochs whose worker counts differ.
 	Capacity time.Duration
 }
 
-// capacitySpan returns the worker-capacity wall-clock this sample covers.
-func (s StageStat) capacitySpan() time.Duration {
+// CapacitySpan returns the worker-capacity wall-clock this sample covers:
+// the workers for as long as the stage's work took, hidden part included.
+func (s StageStat) CapacitySpan() time.Duration {
 	if s.Capacity > 0 {
 		return s.Capacity
 	}
-	return s.Duration * time.Duration(s.Workers)
+	return (s.Duration + s.Overlap) * time.Duration(s.Workers)
 }
 
 // Occupancy returns the fraction of the stage's worker capacity that was
-// busy: Busy / (Duration × Workers) for a single-epoch sample, and
-// Busy / ΣᵢDurationᵢ×Workersᵢ for an aggregated one — each epoch's
+// busy: Busy / ((Duration + Overlap) × Workers) for a single-epoch sample, and
+// Busy / Σᵢ(Durationᵢ+Overlapᵢ)×Workersᵢ for an aggregated one — each epoch's
 // occupancy weighted by its capacity, so epochs that ran longer or wider
 // count proportionally more (keeping max Workers across epochs, as
 // aggregation once did, overstated the denominator of narrow epochs and
 // understated busy pools). 0 when the stage kept no busy span (inline
 // stages); values near 1 mean a balanced, saturated pool.
 func (s StageStat) Occupancy() float64 {
-	span := s.capacitySpan()
+	span := s.CapacitySpan()
 	if span <= 0 || s.Busy <= 0 {
 		return 0
 	}
@@ -71,7 +74,7 @@ func (s *StageStat) add(o StageStat) {
 	}
 	s.Busy += o.Busy
 	s.Overlap += o.Overlap
-	s.Capacity += o.capacitySpan()
+	s.Capacity += o.CapacitySpan()
 }
 
 // EpochStats records one processed epoch.

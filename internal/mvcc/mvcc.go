@@ -1,6 +1,6 @@
 // Package mvcc is the multi-version state core: per-key version chains in
 // front of the authenticated trie, so that execution, commitment, and the
-// next epoch's read-set prefetch share one copy-free structure instead of
+// next epoch's early execution share one copy-free structure instead of
 // each epoch duplicating the state into a fresh snapshot (the Octopus-style
 // store ROADMAP item 1 calls for).
 //
@@ -42,9 +42,21 @@
 //
 // Epoch-scoped write reservations (ReserveEpoch/ReleaseEpoch) mark the
 // keys a commit is about to write. They are a cheap go-away signal for
-// the background prefetcher — loading a reserved key would be wasted work,
-// its chain is about to be warmed by CommitEpoch itself — and a defensive
-// guard on the copy-on-read path, which refuses to cache a reserved key.
+// Prefetch — loading a reserved key would be wasted work, its chain is
+// about to be warmed by CommitEpoch itself — and a defensive guard on the
+// copy-on-read path, which refuses to cache a reserved key.
+//
+// # Reading a generation before its flush
+//
+// CommitEpoch returns with the new generation readable, and the backend
+// flush only follows. A view at that generation is consistent from that
+// moment, flush or no flush: a key the commit wrote resolves from its chain
+// (rule 1), and a key it did not write has the same backend value before,
+// during and after the flush (rule 2) — the load merely waits if the
+// backend serializes it behind the flush. The node's look-ahead run reads
+// such a view to execute the next epoch while the trie seals. The one
+// thing that can take the generation away again is RollbackEpoch, and it
+// puts an obligation on the view's owner; see there.
 //
 // # Garbage collection
 //
@@ -101,7 +113,10 @@ type Stats struct {
 	Hits uint64
 	// Misses counts reads that had to fall through to the backend.
 	Misses uint64
-	// Prefetched counts keys the prefetcher pulled cold into the cache.
+	// Prefetched counts keys Prefetch pulled cold into the cache. The node
+	// no longer calls Prefetch (its look-ahead run warms the cache by
+	// executing), so on a node the three Prefetch* counters read 0; they and
+	// Prefetch stay while benchmark/ names them (ROADMAP item 2(a)).
 	Prefetched uint64
 	// PrefetchHits counts prefetched keys a later read actually used.
 	PrefetchHits uint64
@@ -132,8 +147,8 @@ type chain struct {
 	versions   []version // ascending by gen
 	base       []byte
 	baseLoaded bool
-	// prefetched marks a base the prefetcher loaded; the first read
-	// through it clears the mark and counts a prefetch hit.
+	// prefetched marks a base Prefetch loaded; the first read through it
+	// clears the mark and counts a prefetch hit.
 	prefetched bool
 	// listed marks a chain on its shard's written list.
 	listed bool
@@ -374,11 +389,20 @@ func (st *Store) CommitEpoch(writes []types.WriteEntry, load Loader) (uint64, er
 }
 
 // RollbackEpoch undoes the latest CommitEpoch after the backend flush
-// FAILED: the appended versions never reached the trie, and a retried
-// epoch must not observe them. Only valid immediately after a successful
-// CommitEpoch whose flush did not land — the commit lock the caller holds
-// guarantees no view was created at the rolled-back generation (View
-// blocks on the same lock), so nothing can have read the versions.
+// FAILED or was refused: the appended versions never reached the trie, and a
+// retried epoch must not observe them. Only valid immediately after a
+// successful CommitEpoch whose flush did not land, before any other commit.
+//
+// A view may exist at the rolled-back generation — statedb.PublishAndSeal
+// hands one out between CommitEpoch and the flush — and may be read while
+// this runs and after. What it returns from then on is unspecified — a
+// version about to be dropped, or the value under it — but it cannot damage
+// the store: reads append no versions, and the
+// only thing a read caches is a backend value for a chain that has no
+// versions, which is the value of every generation still live. The rule is
+// therefore on the view's owner, not on the store: it stops its readers,
+// waits for them to return and drops everything they computed, and it does
+// so before it starts the commit that will reuse the generation number.
 func (st *Store) RollbackEpoch(writes []types.WriteEntry) {
 	gen := st.gen.Load()
 	st.dropVersionsAt(gen, writes)
@@ -404,10 +428,10 @@ func (st *Store) dropVersionsAt(gen uint64, writes []types.WriteEntry) {
 	st.versions.Add(-int64(dropped))
 }
 
-// Prefetch pulls a cold key's value into the cache so the next epoch's
-// execution finds it warm. Keys already chained or reserved by the
-// in-flight commit are skipped. Safe to run concurrently with CommitEpoch
-// and the backend flush.
+// Prefetch pulls a cold key's value into the cache so a later read finds it
+// warm. Keys already chained or reserved by the in-flight commit are
+// skipped. Safe to run concurrently with CommitEpoch and the backend flush.
+// Nothing in the node calls it any more (see Stats.Prefetched).
 func (st *Store) Prefetch(k types.Key) error {
 	sh := st.shardOf(k)
 	sh.mu.RLock()

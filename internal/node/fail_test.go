@@ -283,3 +283,74 @@ func TestStageHandoffFailpoint(t *testing.T) {
 		t.Fatal("retried epoch did not commit")
 	}
 }
+
+// TestRefusedSealDiscardsLookahead: a commit refused between publish and
+// seal (node/stage-seal as an error) has by then started the next epoch's
+// look-ahead run on versions that are about to be rolled back. The node
+// must unwind all of it — versions gone, the run stopped, waited for and
+// dropped, the version cache structurally sound — and the retried epoch and
+// the one after it, which now has no run to adopt, must reach the roots of a
+// twin whose seal was never refused.
+func TestRefusedSealDiscardsLookahead(t *testing.T) {
+	defer fail.Reset()
+	l, genesis := lookaheadScript(t)
+	n := lookaheadNode(t, "refused-seal", 2, genesis, true)
+	twin := lookaheadNode(t, "refused-seal-twin", 2, genesis, true)
+	for e := uint64(1); e <= 4; e++ {
+		l.submit(n, e)
+		l.submit(twin, e)
+	}
+	if _, err := n.ProcessEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	root, stats := n.StateRoot(), func() (versions uint64) {
+		s, _ := n.State().MVCCStats()
+		return s.Versions
+	}
+	versions := stats()
+	before := lookaheadOutcomes(n)
+
+	fail.Enable("node/stage-seal", fail.Spec{Mode: fail.ModeError, Tag: "refused-seal", Count: 1})
+	if _, err := n.ProcessEpoch(2); !errors.Is(err, fail.ErrInjected) {
+		t.Fatalf("epoch 2 over a refused seal: %v", err)
+	}
+	if n.ahead != nil {
+		t.Fatal("the refused epoch left its look-ahead run pending")
+	}
+	// Epoch 2 itself adopted the run epoch 1 started; the one it started for
+	// epoch 3 is the discarded one.
+	if got := lookaheadOutcomes(n).sub(before); got != (outcomes{adopted: 1, discarded: 1}) {
+		t.Fatalf("look-ahead outcomes across the refused seal: %+v", got)
+	}
+	if n.StateRoot() != root || n.NextEpoch() != 2 || stats() != versions {
+		t.Fatalf("the refused seal moved the node: root %s (was %s), next epoch %d, %d live versions (were %d)",
+			n.StateRoot().Short(), root.Short(), n.NextEpoch(), stats(), versions)
+	}
+	if err := n.State().CheckInvariants(); err != nil {
+		t.Fatalf("version cache after the rollback: %v", err)
+	}
+
+	for e := uint64(1); e <= 4; e++ {
+		want, err := twin.ProcessEpoch(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e == 1 {
+			continue
+		}
+		got, err := n.ProcessEpoch(e)
+		if err != nil {
+			t.Fatalf("epoch %d after the refused seal: %v", e, err)
+		}
+		if err := sameEpoch(got, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The retry of epoch 2 found no run; 3 and 4 adopt again.
+	if got := lookaheadOutcomes(n).sub(before); got != (outcomes{adopted: 3, discarded: 1, none: 1}) {
+		t.Fatalf("look-ahead outcomes after the retry: %+v", got)
+	}
+	if err := n.State().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

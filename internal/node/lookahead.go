@@ -1,0 +1,163 @@
+package node
+
+import (
+	"slices"
+	"sync/atomic"
+	"time"
+
+	"github.com/nezha-dag/nezha/internal/mvcc"
+	"github.com/nezha-dag/nezha/internal/types"
+)
+
+// The look-ahead run: epoch e+1 executed and scheduled in the background
+// against the state epoch e has published, while e's trie seals and, after
+// ProcessEpoch(e) has returned, while the caller does whatever it does
+// between epochs.
+//
+// The run makes two assumptions it cannot check — that every block the
+// ledger holds for e+1 survives validation (validity depends on e's root,
+// which the seal is still computing) and that nothing else moves the state
+// before e+1 is processed — so ProcessEpoch(e+1) checks them for it:
+// the validate stage adopts the run iff it ran for exactly the ordered
+// block list validation let through, at exactly the generation the node's
+// state is at; anything else stops it, waits for it and drops it, and the
+// epoch takes the inline path. An adopted run's execution and schedule are
+// what the inline stages would have computed: same helpers (executeTxs,
+// controlTxs), same state, same transactions in the same order.
+//
+// The run only reads: the node's immutable config, the blocks (immutable
+// once in the ledger), its own copies of their transactions, the view, and
+// the store through StateDB.Get. In particular it never writes a ledger
+// Transaction and never reads one's ID: in-process peers share those
+// objects, one object can recur in adjacent epochs, and every composition
+// renumbers them (types.NewEpoch), so the run numbers private field-wise
+// copies by its own dedupe instead. It takes no lock of the node; a cold
+// read parks on the StateDB's lock until the seal is over, which is why the
+// node never waits for a run while it holds that lock.
+
+// lookahead is one background run. blocks and view are fixed before the
+// goroutine starts; it writes each group of result fields strictly before
+// closing the channel that guards the group.
+type lookahead struct {
+	epoch  uint64
+	blocks []*types.Block // the ledger's ordered list for epoch, all assumed valid
+	view   *mvcc.View     // the state the previous epoch published
+	stop   atomic.Bool    // set by the owner to abandon the run
+
+	flattened chan struct{} // guards txs
+	executed  chan struct{} // guards exec, execTime
+	done      chan struct{} // guards the rest
+
+	started   time.Time
+	txs       []*types.Transaction // the ledger's objects in dedupe order; the run only reads them
+	exec      execution            // over private copies of txs, numbered by position
+	sched     *types.Schedule
+	breakdown types.PhaseBreakdown
+	err       error // the scheduler's; the adopting schedule stage returns it
+
+	execTime, schedTime, elapsed time.Duration
+}
+
+// nextLookahead prepares, without starting, the run for epoch e when the
+// ledger already holds the epoch as the node would process it next. Caller
+// holds n.mu.
+func (n *Node) nextLookahead(e uint64) *lookahead {
+	if !n.ledger.EpochReady(e, n.cfg.ConfirmDepth) {
+		return nil
+	}
+	blocks, ok := n.ledger.EpochBlocks(e)
+	if !ok {
+		return nil
+	}
+	return &lookahead{
+		epoch: e, blocks: blocks,
+		flattened: make(chan struct{}), executed: make(chan struct{}), done: make(chan struct{}),
+	}
+}
+
+// startLookahead starts a prepared run on the just-published view and makes
+// it the node's pending one. It is called between publish and seal, under
+// the StateDB's commit lock, so it does nothing but launch the goroutine.
+func (n *Node) startLookahead(la *lookahead, view *mvcc.View) {
+	if la == nil {
+		return
+	}
+	la.view = view
+	n.ahead = la
+	go la.run(n)
+}
+
+func (la *lookahead) run(n *Node) {
+	defer close(la.done)
+	la.started = time.Now()
+	la.txs = types.DedupeTxs(la.blocks)
+	own := make([]types.Transaction, len(la.txs))
+	txs := make([]*types.Transaction, len(la.txs))
+	for i, tx := range la.txs {
+		own[i] = tx.DetachedCopy(types.TxID(i))
+		txs[i] = &own[i]
+	}
+	close(la.flattened)
+	la.exec = n.executeTxs(txs, la.view, &la.stop)
+	la.execTime = time.Since(la.started)
+	close(la.executed)
+	if !la.stop.Load() {
+		start := time.Now()
+		la.sched, la.breakdown, la.err = n.controlTxs(la.exec.sims, la.exec.failed)
+		la.schedTime = time.Since(start)
+	}
+	la.elapsed = time.Since(la.started)
+}
+
+// flattenedTxs waits for the run's dedupe and returns the epoch's
+// transactions — the ledger's objects, for the adopting epoch to number.
+func (la *lookahead) flattenedTxs() []*types.Transaction {
+	<-la.flattened
+	return la.txs
+}
+
+// adoptLookahead decides the fate of the pending run, now that validation
+// has fixed the epoch's block list: the epoch owns the run (er.ahead) and
+// reads the state it read (er.state) iff it is adopted.
+func (n *Node) adoptLookahead(er *epochRun, valid []*types.Block) bool {
+	la := n.ahead
+	n.ahead = nil
+	if la == nil {
+		if n.cfg.Scheduler != nil {
+			n.recordLookahead("none")
+		}
+		return false
+	}
+	head := n.state.View()
+	if la.epoch != er.number || la.view.Gen() != head.Gen() || !slices.Equal(la.blocks, valid) {
+		n.discardLookahead(la)
+		return false
+	}
+	er.ahead, er.state = la, head
+	n.recordLookahead("adopted")
+	return true
+}
+
+// abandon stops the run, waits for its goroutine to exit and lets go of what
+// it computed. The caller must not hold the StateDB's commit lock: a worker
+// of the run may be parked on it.
+func (la *lookahead) abandon() {
+	la.stop.Store(true)
+	<-la.done
+	putResultsBuf(la.exec.results)
+	la.exec = execution{}
+}
+
+// discardLookahead abandons a run no epoch adopted.
+func (n *Node) discardLookahead(la *lookahead) {
+	la.abandon()
+	n.recordLookahead("discarded")
+}
+
+// dropLookahead discards the node's pending run, if any. Caller holds n.mu.
+func (n *Node) dropLookahead() {
+	if la := n.ahead; la != nil {
+		n.ahead = nil
+		n.discardLookahead(la)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/statedb"
@@ -35,9 +34,6 @@ func refWorkload(t *testing.T, id string, count int) (*Node, []*types.Transactio
 	}
 	txs := gen.Txs(count)
 	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.PredictReads = func(tx *types.Transaction) []types.Key {
-		return smallbank.PredictCall(tx.Payload)
-	}
 	cfg.GenesisWrites = genesisFor(t, gen, txs)
 	n, err := New(id, kvstore.NewMemory(), cfg)
 	if err != nil {
@@ -60,8 +56,8 @@ func TestMVCCMatchesSnapshotMined(t *testing.T) {
 	miner := NewMiner(n, types.AddressFromUint64(5), 50)
 	fixMinerClock(miner)
 	preload(t, miner, txs)
-	// The whole backlog first, so the epochs also run with the background
-	// prefetch and its version-cache fills in play.
+	// The whole backlog first, so the node's own epochs adopt look-ahead
+	// runs while the reference executes each of them inline.
 	mineAhead(t, n, miner, 4)
 	for e := uint64(1); e <= 4; e++ {
 		blocks, ok := n.Ledger().EpochBlocks(e)
@@ -74,51 +70,6 @@ func TestMVCCMatchesSnapshotMined(t *testing.T) {
 	}
 	if sum := n.Metrics().Summarize(); sum.Committed == 0 || sum.Aborted == 0 {
 		t.Fatalf("the comparison needs commits and aborts to mean anything: %+v", sum)
-	}
-}
-
-// TestPrefetcherWarmsCache checks the prefetch stage actually ran: over a
-// multi-epoch SmallBank run with payload prediction wired, prefetched keys
-// must be non-zero and some of them must have been used by execution.
-func TestPrefetcherWarmsCache(t *testing.T) {
-	gen, err := workload.NewGenerator(workload.Config{
-		Seed: 31, Accounts: 120, Skew: 0.2, InitialBalance: 5_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	txs := gen.Txs(300)
-	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.PredictReads = func(tx *types.Transaction) []types.Key {
-		return smallbank.PredictCall(tx.Payload)
-	}
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
-	n, err := New("prefetch-node", kvstore.NewMemory(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	miner := NewMiner(n, types.AddressFromUint64(6), 40)
-	fixMinerClock(miner)
-	preload(t, miner, txs)
-	// Mine the whole backlog first: the prefetcher only fires when epoch
-	// e+1 is already assembled while epoch e commits.
-	mineAhead(t, n, miner, 5)
-	if _, err := n.ProcessReadyEpochs(); err != nil {
-		t.Fatal(err)
-	}
-
-	stats, ok := n.State().MVCCStats()
-	if !ok {
-		t.Fatal("mvcc store missing after mvcc-mode run")
-	}
-	if stats.Prefetched == 0 {
-		t.Fatalf("no keys prefetched: %+v", stats)
-	}
-	if stats.PrefetchHits == 0 {
-		t.Fatalf("no prefetched key was used: %+v", stats)
-	}
-	if stats.GCVersions == 0 {
-		t.Fatalf("watermark never folded a version: %+v", stats)
 	}
 }
 
@@ -207,26 +158,5 @@ func TestExecOracleBites(t *testing.T) {
 	}
 	if err := ref.process(n, assembledEpoch(n, txs, 1)); err == nil {
 		t.Fatal("a stale read goes unnoticed")
-	}
-}
-
-// TestPredictReadsTransfers: native transfers predict exactly the two
-// balance cells without any configured predictor.
-func TestPredictReadsTransfers(t *testing.T) {
-	cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
-	n, err := New("predict", kvstore.NewMemory(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := &types.Transaction{From: types.AddressFromUint64(1), To: types.AddressFromUint64(2)}
-	keys := n.predictReads(tx)
-	want := []types.Key{types.BalanceKey(tx.From), types.BalanceKey(tx.To)}
-	if len(keys) != 2 || keys[0] != want[0] || keys[1] != want[1] {
-		t.Fatalf("predicted %v, want %v", keys, want)
-	}
-	// Contract calls without a predictor predict nothing.
-	ctx := &types.Transaction{From: tx.From, To: smallbank.ContractAddress}
-	if got := n.predictReads(ctx); got != nil {
-		t.Fatalf("contract prediction without hook = %v, want nil", got)
 	}
 }

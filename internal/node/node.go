@@ -52,8 +52,9 @@ type Config struct {
 	// paper's serial baseline: transactions execute and commit one by
 	// one with no speculation.
 	Scheduler types.Scheduler
-	// Workers sizes the execution/commit pool and the background signature
-	// prevalidation that overlaps the commit; 0 means GOMAXPROCS.
+	// Workers sizes the execution/commit pool and the two background runs
+	// that overlap the commit (signature prevalidation and the look-ahead
+	// execution of the next epoch); 0 means GOMAXPROCS.
 	Workers int
 	// Contracts maps addresses to MiniVM bytecode. Transactions to other
 	// addresses are treated as plain value transfers.
@@ -91,13 +92,10 @@ type Config struct {
 	// long-offline joiner would otherwise make its peer serialize the
 	// entire chain into one message. 0 means DefaultSyncBatch.
 	SyncBatch int
-	// PredictReads, when set, predicts the state keys a contract
-	// transaction will read (from its payload alone) so the prefetcher
-	// stage can warm them under the previous epoch's commit. Nil means
-	// contract read sets are not predicted; native transfers are always
-	// predicted from the sender/recipient balance cells. Mispredictions
-	// are harmless — the prefetch is a pure cache warm-up. It is called
-	// on the prefetch goroutine, beside the pipeline: a pure function.
+	// PredictReads is no longer consulted. It fed the read-set prefetcher,
+	// which the look-ahead run replaced: executing the next epoch early
+	// warms the version cache with the reads it really makes. The field
+	// stays only because benchmark/ sets it (ROADMAP item 2(a) unpins it).
 	PredictReads func(tx *types.Transaction) []types.Key
 	// Mempool configures the admission-controlled pool every Miner of this
 	// node fronts (internal/mempool). The zero value means the pool's
@@ -136,9 +134,10 @@ type Node struct {
 	// preval is the in-flight background signature prevalidation, if any
 	// (see pipeline.go).
 	preval *prevalidation
-	// prefetch is the in-flight background read-set prefetch, if any
-	// (see pipeline.go).
-	prefetch *prefetchRun
+	// ahead is the look-ahead run the last commit started for the next
+	// epoch, if any (see lookahead.go). Whoever clears the field stops and
+	// waits for the run unless an epoch adopts it.
+	ahead *lookahead
 	// prevMVCC is the last-exported MVCC stats snapshot; the telemetry
 	// hook diffs against it so registry counters stay monotonic.
 	prevMVCC mvcc.Stats
@@ -416,6 +415,9 @@ func (n *Node) processBlocksLocked(e uint64, blocks []*types.Block) (*EpochResul
 	err := n.runStages(er, stages)
 	putResultsBuf(er.results)
 	if err != nil {
+		if er.ahead != nil {
+			er.ahead.abandon() // adopted, then the epoch failed: the retry runs inline
+		}
 		return nil, err
 	}
 
@@ -471,25 +473,32 @@ func (n *Node) validStateRootLocked(b *types.Block) bool {
 // then flush to the state trie in one batch. The benchmark harness calls it
 // directly to measure commit latency per scheme.
 func CommitSchedule(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int) (types.Hash, error) {
-	root, _, err := commitScheduleInto(db, sims, sched, workers, newOverlay())
+	root, _, err := commitScheduleInto(db, sims, sched, workers, newOverlay(), nil)
 	return root, err
 }
 
 // commitScheduleInto is CommitSchedule writing through a caller-supplied
 // (possibly pooled) overlay, which must be empty; the flush gets the same
-// workers, and how the trie used them is reported.
-func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int, ov *overlay) (types.Hash, mpt.FanStats, error) {
+// workers, and how the trie used them is reported. published is
+// statedb.PublishAndSeal's: it runs once the cells are readable, before
+// they are sealed.
+func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int, ov *overlay, published func(*mvcc.View) error) (types.Hash, mpt.FanStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	byID := make(map[types.TxID]*types.SimResult, len(sims))
+	// Transaction ids are dense within an epoch: index, don't hash.
+	var top types.TxID
+	for _, sim := range sims {
+		top = max(top, sim.Tx.ID)
+	}
+	byID := make([]*types.SimResult, int(top)+1)
 	for _, sim := range sims {
 		byID[sim.Tx.ID] = sim
 	}
 	for _, group := range sched.Groups() {
 		applyGroup(ov, group, byID, workers)
 	}
-	return db.CommitWide(ov.entries(), workers)
+	return db.PublishAndSeal(ov.entries(), workers, published)
 }
 
 // simulate executes one transaction against a state reader (the epoch's
@@ -546,7 +555,7 @@ func (n *Node) simulateTransfer(tx *types.Transaction, state statedb.Reader, sim
 // applyGroup installs one commit group's writes. Transactions inside a
 // group touch pairwise-distinct keys (scheduler invariant), so the workers
 // can write shards concurrently without ordering.
-func applyGroup(ov *overlay, group []types.TxID, byID map[types.TxID]*types.SimResult, workers int) {
+func applyGroup(ov *overlay, group []types.TxID, byID []*types.SimResult, workers int) {
 	if len(group) < 2*workers {
 		for _, id := range group {
 			for _, w := range byID[id].Writes {

@@ -10,6 +10,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/metrics"
+	"github.com/nezha-dag/nezha/internal/mvcc"
 	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
 )
@@ -22,16 +23,22 @@ import (
 // depth, worker count, busy time) appended to EpochStats.Stages, the one
 // record the per-phase numbers are read from.
 //
-// Cross-epoch overlap: the only inter-epoch dependency is the state
-// snapshot — execution of epoch e+1 needs the post-commit state of epoch
-// e, but signature validation of e+1 needs no state at all. The commit
-// stage therefore kicks a background signature prevalidation of epoch
-// e+1 (kickPrevalidation) that runs under epoch e's MPT/LSM commit; the
-// next validate stage collects it (takePrevalidation) and falls back to
-// inline checking for any block the background pass did not cover. Either
-// way a transaction that already carries a verdict — admitted by this
-// node's pool, checked by an in-process peer — is not verified again
-// (crypto.VerifyTxOnce; DESIGN.md §18).
+// Cross-epoch overlap: epoch e+1 depends on epoch e through the VALUES e
+// commits, not through e's trie nodes, hashes, root or store batch, and
+// its signature validation depends on no state at all. The commit stage of
+// epoch e therefore starts two background runs for e+1. Signature
+// prevalidation (kickPrevalidation) rides under the whole commit; the next
+// validate stage collects it (takePrevalidation) and checks inline any
+// block it did not cover, and either way a transaction that already carries
+// a verdict — admitted by this node's pool, checked by an in-process peer —
+// is not verified again (crypto.VerifyTxOnce; DESIGN.md §18). The
+// look-ahead run (lookahead.go) starts the moment e's writes are published
+// as an MVCC generation, executes and schedules e+1 against a view pinned
+// there while e's trie seals, and is adopted by ProcessEpoch(e+1) when it
+// turns out to have run on exactly the blocks and the state that epoch
+// validates; anything else joins it, drops it and runs the stages inline.
+// What an epoch still waits for is the seal before it: ProcessEpoch(e)
+// returns e's sealed, persisted root.
 
 // stage is one named step of the epoch pipeline. run receives the stage's
 // StageStat with Name and Workers pre-filled and may refine Tasks, Busy,
@@ -56,20 +63,22 @@ type epochRun struct {
 	execFailed []types.TxID
 	sched      *types.Schedule
 
+	// ahead is the look-ahead run the validate stage adopted, if it did.
+	ahead *lookahead
+
 	stats *metrics.EpochStats
 	res   *EpochResult
 }
 
 // pipelineStages is the speculative pipeline of §III-B — validation,
 // concurrent execution, concurrency control, group-concurrent commitment —
-// over the copy-free MVCC view, with the read-set prefetch of epoch e+1
-// kicked just before epoch e's commit so its key derivation runs under the
-// trie flush (see kickPrefetch for what can and cannot overlap it).
+// over the copy-free MVCC view. An epoch that adopts a look-ahead run walks
+// the same four stages; its execute and schedule stages collect what the run
+// computed instead of computing it.
 var pipelineStages = []stage{
 	{"validate", fail.NodeStageValidate, (*Node).validateStage},
 	{"execute", fail.NodeStageExecute, (*Node).executeStage},
 	{"schedule", fail.NodeStageSchedule, (*Node).scheduleStage},
-	{"prefetch", fail.NodeStagePrefetch, (*Node).prefetchStage},
 	{"commit", fail.NodeStageCommit, (*Node).commitStage},
 }
 
@@ -146,7 +155,15 @@ func (n *Node) validateStage(er *epochRun, ss *metrics.StageStat) error {
 				journal.F("block", journal.FoldBytes(h[:])))
 		}
 	}
-	er.epoch = types.NewEpoch(er.number, valid)
+	// The look-ahead run, if any, assumed the ledger's blocks would all
+	// survive and read the state the previous epoch published. Only now are
+	// both known; an adopted epoch is numbered along the run's own dedupe
+	// instead of hashing the epoch a second time.
+	if n.adoptLookahead(er, valid) {
+		er.epoch = types.NewEpochFrom(er.number, valid, er.ahead.flattenedTxs())
+	} else {
+		er.epoch = types.NewEpoch(er.number, valid)
+	}
 	er.stats.Txs = len(er.epoch.Txs)
 	// The assembled composition — which blocks survived validation, in
 	// what order, carrying which transactions — is the scheduler's entire
@@ -208,75 +225,123 @@ func AssemblyDigests(epoch uint64, blocks []*types.Block) (blockDigest, txDigest
 	return assemblyDigests(blocks, ep.Txs)
 }
 
-// executeStage speculatively executes the epoch's transactions against the
-// pre-epoch state on the worker pool, reading through a copy-free MVCC view
-// (the background prefetch of this epoch's read set is collected first and
-// its hidden time credited as overlap). Workers pull indices from an atomic
-// counter (cheaper than a channel at this fan-out) and write disjoint slots
-// of the pooled results buffer; per-worker busy spans feed the stage's
-// occupancy counters.
-func (n *Node) executeStage(er *epochRun, ss *metrics.StageStat) error {
-	if pf := n.takePrefetch(er.number); pf != nil {
-		ss.Overlap = pf.elapsed
-		n.tracer.Span(n.id+"/background", "prefetch", pf.started, pf.elapsed,
-			map[string]any{"epoch": er.number, "keys": pf.keys})
-	}
-	er.state = n.state.View()
-	txs := er.epoch.Txs
-	er.results = getResultsBuf(len(txs))
-	workers := n.cfg.Workers
-	if workers > len(txs) && len(txs) > 0 {
-		workers = len(txs)
-	}
-	ss.Tasks = len(txs)
-	ss.Workers = workers
+// execution is what speculative execution of one epoch produced.
+type execution struct {
+	results []*types.SimResult // pooled, one per transaction; returned to the pool after the epoch
+	sims    []*types.SimResult // results minus execution failures, ascending by id
+	failed  []types.TxID
+	workers int
+	busy    time.Duration // summed per-worker spans
+}
 
-	busy := make([]time.Duration, workers)
+// executeTxs speculatively executes txs against state on the worker pool —
+// the execute stage's body, and the look-ahead run's. Workers pull indices
+// from an atomic counter (cheaper than a channel at this fan-out) and write
+// disjoint slots of the pooled results buffer; per-worker busy spans feed
+// the stage's occupancy counters. It touches nothing n.mu guards. A set stop
+// (the look-ahead's owner giving up; nil in the stage) ends the workers at
+// their next transaction and leaves sims and failed unbuilt.
+func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *atomic.Bool) execution {
+	ex := execution{results: getResultsBuf(len(txs)), workers: n.cfg.Workers}
+	if ex.workers > len(txs) && len(txs) > 0 {
+		ex.workers = len(txs)
+	}
+	busy := make([]time.Duration, ex.workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < ex.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			t0 := time.Now()
-			for {
+			for stop == nil || !stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(txs) {
 					break
 				}
-				er.results[i] = n.simulate(txs[i], er.state)
+				ex.results[i] = n.simulate(txs[i], state)
 			}
 			busy[w] = time.Since(t0)
 		}(w)
 	}
 	wg.Wait()
 	for _, d := range busy {
-		ss.Busy += d
+		ex.busy += d
 	}
-
-	er.sims = make([]*types.SimResult, 0, len(er.results))
-	for _, r := range er.results {
+	if stop != nil && stop.Load() {
+		return ex
+	}
+	ex.sims = make([]*types.SimResult, 0, len(ex.results))
+	for _, r := range ex.results {
 		if r.Err != nil {
-			er.execFailed = append(er.execFailed, r.Tx.ID)
+			ex.failed = append(ex.failed, r.Tx.ID)
 			continue
 		}
-		er.sims = append(er.sims, r)
+		ex.sims = append(ex.sims, r)
 	}
-	er.stats.ExecutionFailed = len(er.execFailed)
-	return nil
+	return ex
 }
 
-// scheduleStage runs the configured concurrency-control scheme and folds
-// execution failures into the abort set.
-func (n *Node) scheduleStage(er *epochRun, ss *metrics.StageStat) error {
-	sched, breakdown, err := n.cfg.Scheduler.Schedule(er.sims)
+// controlTxs runs the configured concurrency-control scheme over the
+// successful simulations and folds the failed ones into the abort set — the
+// schedule stage's body, and the look-ahead run's.
+func (n *Node) controlTxs(sims []*types.SimResult, failed []types.TxID) (*types.Schedule, types.PhaseBreakdown, error) {
+	sched, breakdown, err := n.cfg.Scheduler.Schedule(sims)
 	if err != nil {
-		return fmt.Errorf("node: schedule epoch %d: %w", er.number, err)
+		return nil, breakdown, err
 	}
-	for _, id := range er.execFailed {
+	for _, id := range failed {
 		sched.Abort(id, types.AbortExecution)
 	}
 	sched.NormalizeAborts()
+	return sched, breakdown, nil
+}
+
+// executeStage speculatively executes the epoch's transactions against the
+// pre-epoch state, reading through a copy-free MVCC view — or, in an epoch
+// that adopted a look-ahead run, waits for the run's execution and takes it
+// over: same Tasks, Workers and Busy, the wait as the stage's Duration and
+// the time the run spent executing as Overlap (the convention the validate
+// stage set: how long the background work took, whatever was left to wait).
+func (n *Node) executeStage(er *epochRun, ss *metrics.StageStat) error {
+	var ex execution
+	if la := er.ahead; la != nil {
+		<-la.executed
+		ss.Overlap = la.execTime
+		ex = la.exec
+		la.exec.results = nil // the epoch returns the buffer to the pool now
+	} else {
+		er.state = n.state.View()
+		ex = n.executeTxs(er.epoch.Txs, er.state, nil)
+	}
+	er.results, er.sims, er.execFailed = ex.results, ex.sims, ex.failed
+	er.stats.ExecutionFailed = len(ex.failed)
+	ss.Tasks = len(ex.results)
+	ss.Workers = ex.workers
+	ss.Busy = ex.busy
+	return nil
+}
+
+// scheduleStage runs concurrency control — or waits for the adopted run's —
+// and journals and, when asked, verifies the schedule either way.
+func (n *Node) scheduleStage(er *epochRun, ss *metrics.StageStat) error {
+	var (
+		sched     *types.Schedule
+		breakdown types.PhaseBreakdown
+		err       error
+	)
+	if la := er.ahead; la != nil {
+		<-la.done
+		ss.Overlap = la.schedTime
+		sched, breakdown, err = la.sched, la.breakdown, la.err
+		n.tracer.Span(n.id+"/background", "lookahead", la.started, la.elapsed,
+			map[string]any{"epoch": er.number, "txs": len(er.results)})
+	} else {
+		sched, breakdown, err = n.controlTxs(er.sims, er.execFailed)
+	}
+	if err != nil {
+		return fmt.Errorf("node: schedule epoch %d: %w", er.number, err)
+	}
 	er.sched = sched
 	er.stats.Aborted = sched.AbortedCount() - len(er.execFailed)
 	er.stats.ControlBreakdown = breakdown
@@ -332,28 +397,34 @@ func groupDigest(groups [][]types.TxID) uint64 {
 	return h
 }
 
-// prefetchStage kicks the background read-set prefetch of the NEXT epoch:
-// a goroutine derives epoch e+1's predicted read keys and pulls the cold
-// ones into the MVCC version cache around epoch e's commit. The next
-// executeStage collects it (takePrefetch) and credits the hidden time as
-// overlap. The stage itself only fetches the blocks and launches the
-// goroutine; its Tasks is the number of transactions handed over.
-func (n *Node) prefetchStage(er *epochRun, ss *metrics.StageStat) error {
-	ss.Tasks = n.kickPrefetch(er.number + 1)
-	return nil
-}
-
-// commitStage applies the commit groups concurrently to a pooled overlay
-// and flushes the updated cells to the trie and store. Before the flush
-// starts it kicks the background signature prevalidation of the NEXT
-// epoch, so that work rides under this epoch's MPT/LSM commit.
+// commitStage applies the commit groups concurrently to a pooled overlay,
+// publishes the updated cells as the next MVCC generation and seals them
+// into the trie and the store. Before the commit starts it kicks the
+// background signature prevalidation of the NEXT epoch, and between publish
+// and seal the look-ahead run for it, so that work rides under this epoch's
+// MPT/LSM commit.
 func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 	n.kickPrevalidation(er.number + 1)
+	next := n.nextLookahead(er.number + 1)
 	ss.Tasks = er.sched.CommittedCount()
 	start := time.Now()
 	ov := overlayPool.Get().(*overlay)
-	_, fan, err := commitScheduleInto(n.state, er.sims, er.sched, n.cfg.Workers, ov)
+	_, fan, err := commitScheduleInto(n.state, er.sims, er.sched, n.cfg.Workers, ov, func(view *mvcc.View) error {
+		n.startLookahead(next, view)
+		// Failpoint: the epoch's writes are readable but not yet in the
+		// trie. An injected error is a refused seal; an injected panic is a
+		// crash that must recover to the previous epoch's root.
+		if err := fail.HitTag(fail.NodeStageSeal, n.id); err != nil {
+			return fmt.Errorf("seal: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
+		// The versions are rolled back and the StateDB's lock is free again:
+		// only now can the run — perhaps parked on that lock for a cold key,
+		// perhaps holding values of the generation that no longer exists —
+		// be stopped, waited for and dropped, so the retried epoch finds none.
+		n.dropLookahead()
 		return fmt.Errorf("node: commit epoch %d: %w", er.number, err)
 	}
 	// The width the trie's flush actually used; busy is this goroutine
@@ -439,94 +510,6 @@ func (n *Node) takePrevalidation(e uint64) *prevalidation {
 	}
 	<-pv.done
 	return pv
-}
-
-// prefetchRun is one background read-set prefetch for an upcoming epoch.
-// The goroutine writes keys/loaded/elapsed strictly before closing done,
-// so a reader that waits on done observes all of them.
-type prefetchRun struct {
-	epoch   uint64
-	done    chan struct{}
-	keys    int // predicted keys walked
-	started time.Time
-	elapsed time.Duration
-}
-
-// predictReads guesses the state keys a transaction will read from its
-// payload alone — the prefetcher's input. Native transfers touch exactly
-// the sender and recipient balance cells; contract read sets come from
-// cfg.PredictReads when the embedder can derive them (the chaos harness
-// does for SmallBank). A misprediction only costs a wasted cache fill.
-func (n *Node) predictReads(tx *types.Transaction) []types.Key {
-	if _, isContract := n.cfg.Contracts[tx.To]; isContract {
-		if n.cfg.PredictReads != nil {
-			return n.cfg.PredictReads(tx)
-		}
-		return nil
-	}
-	return []types.Key{types.BalanceKey(tx.From), types.BalanceKey(tx.To)}
-}
-
-// kickPrefetch starts pulling epoch e's predicted read set into the MVCC
-// version cache in the background and returns how many transactions it
-// handed over. Caller holds n.mu; like the signature prevalidation, the
-// goroutine must not touch mu-guarded state — it reads the immutable
-// config, the blocks (immutable once in the ledger) and the statedb
-// (internally locked) and writes only its own record. It is kicked before
-// the commit stage so that deriving the keys — a SHA-256 per storage key —
-// and skipping the warm ones run under the flush. The walks of cold keys
-// cannot: mvcc.Prefetch loads through StateDB.Get, which takes the read
-// lock the commit holds exclusively, so they park until the flush is done
-// (the mvcc reservation protocol keeps a load that straddles it safe, and
-// keys the commit is about to write are skipped as reserved).
-func (n *Node) kickPrefetch(e uint64) int {
-	blocks, _ := n.ledger.EpochBlocks(e) // none while the epoch is incomplete
-	txs := 0
-	for _, b := range blocks {
-		txs += len(b.Txs)
-	}
-	if txs == 0 {
-		return 0
-	}
-	pf := &prefetchRun{epoch: e, done: make(chan struct{})}
-	n.prefetch = pf
-	go func() {
-		pf.started = time.Now()
-		seen := make(map[types.Key]struct{}, 2*txs)
-		var keys []types.Key
-		for _, b := range blocks {
-			for _, tx := range b.Txs {
-				for _, k := range n.predictReads(tx) {
-					if _, dup := seen[k]; !dup {
-						seen[k] = struct{}{}
-						keys = append(keys, k)
-					}
-				}
-			}
-		}
-		for _, k := range keys {
-			// Load errors are non-fatal here: the execute stage will hit
-			// the same error on the synchronous path and report it there.
-			_ = n.state.Prefetch(k)
-		}
-		pf.keys = len(keys)
-		pf.elapsed = time.Since(pf.started)
-		close(pf.done)
-	}()
-	return txs
-}
-
-// takePrefetch claims the pending background prefetch for epoch e, waiting
-// for it to finish. A run for a different epoch is dropped without
-// waiting — its goroutine only warms the shared cache, which is harmless.
-func (n *Node) takePrefetch(e uint64) *prefetchRun {
-	pf := n.prefetch
-	n.prefetch = nil
-	if pf == nil || pf.epoch != e {
-		return nil
-	}
-	<-pf.done
-	return pf
 }
 
 // checkSignatures verifies the blocks' transactions in one flat pass across

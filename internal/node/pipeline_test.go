@@ -32,10 +32,9 @@ func mineAhead(t *testing.T, n *Node, m *Miner, epochs uint64) {
 	}
 }
 
-// TestStagesRecordedConcurrent: the concurrent pipeline reports its named
-// stages (including the MVCC read-set prefetch kick before commit), with
-// the by-name lookup and the total derived from them and task counts
-// matching the epoch.
+// TestStagesRecordedConcurrent: the concurrent pipeline reports its four
+// named stages, with the by-name lookup and the total derived from them and
+// task counts matching the epoch.
 func TestStagesRecordedConcurrent(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 11, Accounts: 200, Skew: 0.3, InitialBalance: 1_000,
@@ -59,7 +58,7 @@ func TestStagesRecordedConcurrent(t *testing.T) {
 		t.Fatal("no epochs recorded")
 	}
 	for _, es := range epochs {
-		want := []string{"validate", "execute", "schedule", "prefetch", "commit"}
+		want := []string{"validate", "execute", "schedule", "commit"}
 		if len(es.Stages) != len(want) {
 			t.Fatalf("epoch %d: %d stages recorded, want %d", es.Epoch, len(es.Stages), len(want))
 		}
@@ -86,7 +85,7 @@ func TestStagesRecordedConcurrent(t *testing.T) {
 
 	// The aggregated summary carries the same stage names.
 	sum := n.Metrics().Summarize()
-	if len(sum.Stages) != 5 || sum.Stages[0].Name != "validate" {
+	if len(sum.Stages) != 4 || sum.Stages[0].Name != "validate" {
 		t.Fatalf("summary stages: %+v", sum.Stages)
 	}
 }
@@ -264,8 +263,9 @@ func TestPrevalidationCatchesForgery(t *testing.T) {
 // TestPipelineCommitStageOccupancy: the commit stage reports the width its
 // trie flush actually used — the node's Workers on an epoch large enough to
 // fan out, one below the threshold — and a busy span that makes its
-// occupancy a number in (0, 1] instead of a constant 0. The prefetch stage
-// counts the transactions it handed to the background run.
+// occupancy a number in (0, 1] instead of a constant 0. The second epoch was
+// already in the ledger when the first committed, so it adopts the look-ahead
+// run: same task counts, the run's time reported as overlap.
 func TestPipelineCommitStageOccupancy(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -287,22 +287,30 @@ func TestPipelineCommitStageOccupancy(t *testing.T) {
 			miner := NewMiner(n, types.AddressFromUint64(9), tc.perBlock)
 			preload(t, miner, txs)
 			mineAhead(t, n, miner, 2)
+			before := lookaheadOutcomes(n)
 			if _, err := n.ProcessReadyEpochs(); err != nil {
 				t.Fatal(err)
+			}
+			if got := lookaheadOutcomes(n).sub(before); got != (outcomes{adopted: 1, none: 1}) {
+				t.Fatalf("look-ahead outcomes over two epochs: %+v, want the second to adopt", got)
 			}
 			epochs := n.Metrics().Epochs()
 			if len(epochs) != 2 || epochs[0].Txs != tc.perBlock {
 				t.Fatalf("epochs: %+v", epochs)
 			}
 			for _, es := range epochs {
-				commit := es.Stages[4]
+				commit := es.Stages[3]
 				if occ := commit.Occupancy(); commit.Workers != tc.wantWidth || occ <= 0 || occ > 1 {
 					t.Fatalf("epoch %d: commit stage ran %d wide (want %d) at occupancy %.3f, busy %v of %v",
 						es.Epoch, commit.Workers, tc.wantWidth, occ, commit.Busy, commit.Duration)
 				}
 			}
-			if got := epochs[0].Stages[3]; got.Name != "prefetch" || got.Tasks != epochs[1].Txs {
-				t.Fatalf("prefetch stage of epoch 1 reports %d tasks, epoch 2 has %d transactions", got.Tasks, epochs[1].Txs)
+			if first := epochs[0]; first.Stage("execute").Overlap != 0 || first.Stage("schedule").Overlap != 0 {
+				t.Fatalf("epoch 1 reports overlap with no epoch before it: %+v", first.Stages)
+			}
+			exec, sched := epochs[1].Stage("execute"), epochs[1].Stage("schedule")
+			if exec.Tasks != epochs[1].Txs || exec.Busy <= 0 || sched.Tasks == 0 {
+				t.Fatalf("the adopting epoch's stages do not report the run's work: execute %+v, schedule %+v", exec, sched)
 			}
 		})
 	}

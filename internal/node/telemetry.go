@@ -7,8 +7,6 @@ package node
 // several nodes in one process; a production deployment has one.
 
 import (
-	"time"
-
 	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/mvcc"
 )
@@ -28,14 +26,22 @@ func (n *Node) recordStageMetrics(stage string, ss metrics.StageStat) {
 		"Summed per-worker busy span per stage; divide by capacity for occupancy.",
 		nl, sl).Add(ss.Busy.Seconds())
 	reg.Counter("nezha_stage_capacity_seconds_total",
-		"Summed duration*workers per stage (the occupancy denominator).",
-		nl, sl).Add((ss.Duration * time.Duration(ss.Workers)).Seconds())
+		"Summed (duration+overlap)*workers per stage (the occupancy denominator).",
+		nl, sl).Add(ss.CapacitySpan().Seconds())
 	reg.Counter("nezha_stage_overlap_seconds_total",
-		"Stage work that ran hidden under the previous epoch's commit.",
+		"Stage work that ran in the background before the epoch was processed (signature prevalidation, the look-ahead run's execution and scheduling).",
 		nl, sl).Add(ss.Overlap.Seconds())
 	reg.Gauge("nezha_stage_occupancy",
 		"Worker-pool occupancy of the stage in the last processed epoch.",
 		nl, sl).Set(ss.Occupancy())
+}
+
+// recordLookahead counts what became of the look-ahead run one epoch of the
+// concurrent pipeline could have adopted.
+func (n *Node) recordLookahead(outcome string) {
+	metrics.Default().Counter("nezha_node_lookahead_total",
+		"Epochs by the fate of the look-ahead run started for them under the previous commit: adopted, discarded (blocks or state differed from what it assumed, or the epoch around it failed), none (first epoch, lagging ledger, assembled epoch).",
+		metrics.Label{Name: "node", Value: n.id}, metrics.Label{Name: "outcome", Value: outcome}).Inc()
 }
 
 // recordEpochMetrics exports epoch-level counters after the epoch
@@ -76,12 +82,6 @@ func (n *Node) recordMVCCMetrics(cur mvcc.Stats) {
 		"Execution reads served by the MVCC version cache.", nl).Add(float64(cur.Hits - prev.Hits))
 	reg.Counter("nezha_mvcc_cache_misses_total",
 		"Execution reads that fell through to the state trie.", nl).Add(float64(cur.Misses - prev.Misses))
-	reg.Counter("nezha_mvcc_prefetched_keys_total",
-		"Cold keys the read-set prefetcher pulled into the version cache.", nl).Add(float64(cur.Prefetched - prev.Prefetched))
-	reg.Counter("nezha_mvcc_prefetch_hits_total",
-		"Prefetched keys a later execution read actually used (hit-rate numerator).", nl).Add(float64(cur.PrefetchHits - prev.PrefetchHits))
-	reg.Counter("nezha_mvcc_prefetch_skipped_total",
-		"Prefetch requests dropped because the key was warm or reserved by a commit.", nl).Add(float64(cur.PrefetchSkipped - prev.PrefetchSkipped))
 	reg.Counter("nezha_mvcc_gc_versions_total",
 		"Versions folded into chain bases by the GC watermark.", nl).Add(float64(cur.GCVersions - prev.GCVersions))
 	reg.Gauge("nezha_mvcc_live_chains",
@@ -100,7 +100,7 @@ func (n *Node) recordMVCCMetrics(cur mvcc.Stats) {
 }
 
 // SetTracer attaches an epoch tracer: every subsequent stage records a
-// span (and the background prevalidation its overlap span), exportable
+// span (and the background prevalidation and look-ahead run theirs), exportable
 // as Chrome trace-event JSON. Pass nil to stop tracing.
 func (n *Node) SetTracer(t *metrics.Tracer) {
 	n.mu.Lock()

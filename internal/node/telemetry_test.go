@@ -16,7 +16,8 @@ import (
 
 // TestNodeTracerSpans: an attached tracer records one span per pipeline
 // stage per epoch on the node's track, and with a signed backlog the
-// background prevalidation appears on the <id>/background track.
+// background prevalidation and the adopted look-ahead runs appear on the
+// <id>/background track.
 func TestNodeTracerSpans(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 21, Accounts: 150, Skew: 0.2, InitialBalance: 1_000, Sign: true,
@@ -81,6 +82,9 @@ func TestNodeTracerSpans(t *testing.T) {
 	}
 	if spans["prevalidate"] == 0 {
 		t.Fatal("no prevalidate span despite a signed backlog")
+	}
+	if spans["lookahead"] != len(results)-1 {
+		t.Fatalf("%d lookahead spans: every epoch after the first had a run to adopt", spans["lookahead"])
 	}
 	if !tracks["traced"] || !tracks["traced/background"] {
 		t.Fatalf("tracks = %v", tracks)

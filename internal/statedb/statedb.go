@@ -115,15 +115,21 @@ func (s *StateDB) View() *mvcc.View {
 func (s *StateDB) ensureMVCC() *mvcc.Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.ensureMVCCLocked()
+}
+
+func (s *StateDB) ensureMVCCLocked() *mvcc.Store {
 	if s.mv == nil {
 		s.mv = mvcc.New(0, s.Get)
 	}
 	return s.mv
 }
 
-// Prefetch pulls a cold key into the version cache (the pipeline's
-// prefetcher stage walks the next epoch's predicted read sets with it,
-// overlapped with the current epoch's commit).
+// Prefetch pulls a cold key into the version cache. The node no longer
+// consults it — the look-ahead run that executes the next epoch early warms
+// the cache with the reads it really makes — and it stays, with
+// mvcc.Store.Prefetch, while benchmark/ names the counters it feeds
+// (ROADMAP item 2(a)).
 func (s *StateDB) Prefetch(k types.Key) error {
 	s.mu.RLock()
 	mv := s.mv
@@ -168,6 +174,19 @@ func (s *StateDB) MVCCStats() (stats mvcc.Stats, ok bool) {
 	return mv.Stats(), true
 }
 
+// CheckInvariants runs mvcc.Store.CheckInvariants on the version cache, nil
+// before the first View call creates it (test support: the fault tests
+// look at the cache after a refused commit). Not concurrently with a commit.
+func (s *StateDB) CheckInvariants() error {
+	s.mu.RLock()
+	mv := s.mv
+	s.mu.RUnlock()
+	if mv == nil {
+		return nil
+	}
+	return mv.CheckInvariants()
+}
+
 // Commit applies the writes of one epoch to the trie as one batch, persists
 // the new nodes, and returns the new root. Writes must already be
 // conflict-free (distinct keys or intentional last-writer-wins order); the
@@ -180,8 +199,10 @@ func (s *StateDB) MVCCStats() (stats mvcc.Stats, ok bool) {
 //
 // When the MVCC cache exists the commit follows its protocol: reserve the
 // written keys, append the new versions while the trie still resolves
-// pre-flush values, flush, then release the reservations. Readers pinned
-// before the commit keep seeing the old values throughout.
+// pre-flush values (publish), flush, then release the reservations (seal).
+// Readers pinned before the commit keep seeing the old values throughout.
+// PublishAndSeal is the same commit with the caller let in between the
+// halves.
 func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
 	root, _, err := s.CommitWide(writes, 0)
 	return root, err
@@ -192,9 +213,35 @@ func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
 // large enough to pay for it (0 means GOMAXPROCS; the result does not depend
 // on the width). It also reports how the trie used them.
 func (s *StateDB) CommitWide(writes []types.WriteEntry, workers int) (types.Hash, mpt.FanStats, error) {
+	return s.PublishAndSeal(writes, workers, nil)
+}
+
+// PublishAndSeal is the commit in its two halves, with the caller let in
+// between them. Publish makes the writes readable — reservations, then the
+// new versions appended as the next MVCC generation, the point from which
+// the next epoch can execute. Seal makes them authenticated and durable:
+// trie descent, hashing, the store batch, then the reservations released.
+// published, when non-nil, runs between the two with a view pinned at the
+// just-published generation (the current one when writes is empty); the
+// view is built from the version store directly, so handing it out takes no
+// lock of the StateDB.
+//
+// published runs under the commit lock: it must not call back into the
+// StateDB, and a reader it starts whose key is cold parks until the seal is
+// over. An error from it, like a flush the store refuses, leaves the trie
+// and the root where they were and rolls the published versions back. A
+// reader started on the view may by then have seen them, so its owner stops
+// it, waits for it and drops what it computed — after this call returns,
+// never inside published, where the wait would be for a reader parked on the
+// lock this call holds (see mvcc.RollbackEpoch).
+func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, published func(*mvcc.View) error) (types.Hash, mpt.FanStats, error) {
 	s.mu.Lock()
 	mv := s.mv
-	if mv != nil && len(writes) > 0 {
+	if published != nil {
+		mv = s.ensureMVCCLocked()
+	}
+	staged := mv != nil && len(writes) > 0
+	if staged {
 		keys := make([]types.Key, len(writes))
 		for i, w := range writes {
 			keys[i] = w.Key
@@ -202,24 +249,31 @@ func (s *StateDB) CommitWide(writes []types.WriteEntry, workers int) (types.Hash
 		mv.ReserveEpoch(keys)
 		defer mv.ReleaseEpoch()
 		s.jr.Emit(journal.StateReserve, mv.Gen(), journal.F("keys", uint64(len(keys))))
+	}
+	defer s.mu.Unlock()
+	if staged {
 		// Pre-flush trie reads, under the already-held write lock.
 		load := func(k types.Key) ([]byte, error) {
 			v, _, err := s.trie.Get(k[:])
 			return v, err
 		}
 		if _, err := mv.CommitEpoch(writes, load); err != nil {
-			s.mu.Unlock()
 			return types.Hash{}, mpt.FanStats{}, err
 		}
 	}
-	defer s.mu.Unlock()
-	// A failed flush must also unwind the versions staged above: the
+	// A refused seal must also unwind the versions staged above: the
 	// writes never reached the trie, and a retried epoch reading a view
 	// would otherwise see phantom state no other node computed.
 	rollback := func() {
-		if mv != nil && len(writes) > 0 {
+		if staged {
 			mv.RollbackEpoch(writes)
 			s.jr.Emit(journal.StateRollback, mv.Gen(), journal.F("writes", uint64(len(writes))))
+		}
+	}
+	if published != nil {
+		if err := published(mv.Head()); err != nil {
+			rollback()
+			return types.Hash{}, mpt.FanStats{}, err
 		}
 	}
 	byKey := func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) }

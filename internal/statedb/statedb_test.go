@@ -9,6 +9,7 @@ import (
 
 	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mpt"
+	"github.com/nezha-dag/nezha/internal/mvcc"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
@@ -322,5 +323,91 @@ func failedFlushLeavesNoPhantomWrites(t *testing.T, workers int) {
 	n := 0
 	if err := reopened.Iterate(func(types.Key, []byte) bool { n++; return true }); err != nil || n != 449 {
 		t.Fatalf("reopened state holds %d cells, %v; want 449", n, err)
+	}
+}
+
+// TestPublishAndSealBetweenTheHalves: the view PublishAndSeal hands out
+// reads the epoch's writes before the trie has them, a reader started on it
+// whose key is cold parks until the seal is over and then reads on, and a
+// refusal from between the halves unwinds the publication — root, Get and
+// fresh views where they were, the version cache sound once the reader has
+// been waited for — after which the retry reaches a never-refused twin's root.
+func TestPublishAndSealBetweenTheHalves(t *testing.T) {
+	db, twin := Open(kvstore.NewMemory(), mpt.EmptyRoot), Open(kvstore.NewMemory(), mpt.EmptyRoot)
+	var genesis, epoch []types.WriteEntry
+	for i := uint64(0); i < 300; i++ {
+		genesis = append(genesis, types.WriteEntry{Key: keyN(i), Value: []byte(fmt.Sprintf("old-%d", i))})
+	}
+	for i := uint64(250); i < 450; i++ {
+		epoch = append(epoch, types.WriteEntry{Key: keyN(i), Value: []byte(fmt.Sprintf("new-%d", i))})
+	}
+	for _, d := range []*StateDB{db, twin} {
+		if _, err := d.Commit(genesis); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, gen := db.Root(), db.View().Gen()
+
+	// between starts a reader on the published view: a written key (warm by
+	// construction) on the spot, a cold unwritten one from a goroutine that
+	// can only finish once the commit lock is free again.
+	type read struct {
+		val []byte
+		err error
+	}
+	var cold chan read
+	refuse := errors.New("refused between publish and seal")
+	between := func(verdict error, coldKey uint64) func(*mvcc.View) error {
+		return func(v *mvcc.View) error {
+			if v.Gen() != gen+1 {
+				t.Errorf("published view at generation %d, want %d", v.Gen(), gen+1)
+			}
+			if got, err := v.Get(keyN(300)); err != nil || string(got) != "new-300" {
+				t.Errorf("published view reads %q, %v for a key the epoch wrote", got, err)
+			}
+			cold = make(chan read, 1)
+			go func() {
+				val, err := v.Get(keyN(coldKey))
+				cold <- read{val, err}
+			}()
+			return verdict
+		}
+	}
+
+	if _, _, err := db.PublishAndSeal(epoch, 2, between(refuse, 7)); !errors.Is(err, refuse) {
+		t.Fatalf("refused commit returned %v", err)
+	}
+	if got := <-cold; got.err != nil || string(got.val) != "old-7" {
+		t.Fatalf("reader parked across the refusal read %q, %v", got.val, got.err)
+	}
+	if db.Root() != root || db.View().Gen() != gen {
+		t.Fatalf("the refusal left root %s at generation %d, was %s at %d", db.Root().Short(), db.View().Gen(), root.Short(), gen)
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range epoch {
+		want, _ := twin.Get(w.Key)
+		if got, err := db.View().Get(w.Key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("fresh view reads %q, %v for %s after the refusal; committed value %q", got, err, w.Key, want)
+		}
+	}
+
+	got, _, err := db.PublishAndSeal(epoch, 2, between(nil, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := <-cold; r.err != nil || string(r.val) != "old-8" {
+		t.Fatalf("reader parked across the seal read %q, %v", r.val, r.err)
+	}
+	want, err := twin.Commit(epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || db.Root() != want {
+		t.Fatalf("retried commit reaches %s, the never-refused twin %s", got.Short(), want.Short())
+	}
+	if err := db.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -152,9 +152,31 @@ type Epoch struct {
 // TxIDs and dropping duplicate transactions ("picks transactions that first
 // appear in all verified blocks", §III-B).
 func NewEpoch(number uint64, blocks []*Block) *Epoch {
-	e := &Epoch{Number: number, Blocks: blocks}
-	seen := make(map[Hash]struct{})
-	var id TxID
+	return NewEpochFrom(number, blocks, DedupeTxs(blocks))
+}
+
+// NewEpochFrom is NewEpoch for a caller that already holds DedupeTxs(blocks):
+// it numbers txs in that order and hashes nothing a second time.
+func NewEpochFrom(number uint64, blocks []*Block, txs []*Transaction) *Epoch {
+	for i, tx := range txs {
+		tx.ID = TxID(i)
+	}
+	return &Epoch{Number: number, Blocks: blocks, Txs: txs}
+}
+
+// DedupeTxs flattens the ordered block set into the epoch's transaction
+// order: block by block, a transaction whose content hash appeared earlier
+// dropped. It writes nothing the blocks reach — not Transaction.ID, and not
+// the memoized hash of a transaction that came through dag.Ledger.Add, which
+// memoizes every hash under the ledger's lock — so it may run beside
+// goroutines that are numbering the same objects for another epoch.
+func DedupeTxs(blocks []*Block) []*Transaction {
+	total := 0
+	for _, b := range blocks {
+		total += len(b.Txs)
+	}
+	seen := make(map[Hash]struct{}, total)
+	txs := make([]*Transaction, 0, total)
 	for _, b := range blocks {
 		for _, tx := range b.Txs {
 			h := tx.Hash()
@@ -162,12 +184,10 @@ func NewEpoch(number uint64, blocks []*Block) *Epoch {
 				continue
 			}
 			seen[h] = struct{}{}
-			tx.ID = id
-			id++
-			e.Txs = append(e.Txs, tx)
+			txs = append(txs, tx)
 		}
 	}
-	return e
+	return txs
 }
 
 // BlockConcurrency returns ω_e, the number of concurrent blocks in the

@@ -60,6 +60,13 @@ func (p *PhaseBreakdown) Add(o PhaseBreakdown) {
 // must be deterministic — every node runs the scheduler independently on the
 // same input and the chain is only consistent if they all derive the same
 // schedule.
+//
+// A node calls Schedule from its pipeline goroutine or from the background
+// goroutine of a look-ahead run, one call at a time per node; nodes that
+// share one Scheduler value (in-process clusters do) call it concurrently.
+// Implementations therefore keep no per-instance scratch: core, cg, occ and
+// occda hold nothing but immutable configuration and build their working
+// state per call.
 type Scheduler interface {
 	// Name identifies the scheme in benchmark output ("nezha", "cg", ...).
 	Name() string

@@ -74,6 +74,20 @@ func (t *Transaction) Hash() Hash {
 	return h
 }
 
+// DetachedCopy returns a private copy of the transaction numbered id, for a
+// reader working beside the goroutines that own t (the node's look-ahead
+// run). It is field-wise on purpose: it neither reads nor carries t.ID,
+// which every epoch composition rewrites on the shared object, and it
+// leaves out the signature verdict, whose words only sync/atomic may touch.
+// Payload, Sig and the memoized hash are shared, none of them written once
+// the transaction is in a ledger.
+func (t *Transaction) DetachedCopy(id TxID) Transaction {
+	return Transaction{
+		ID: id, From: t.From, To: t.To, Nonce: t.Nonce, Value: t.Value, Gas: t.Gas,
+		Payload: t.Payload, Sig: t.Sig, hash: t.hash,
+	}
+}
+
 // sigDigest folds exactly the bytes a signature check reads — the signing
 // content, Sig, and Sig's length, which keeps the split between the two
 // unambiguous — into 128 bits of SHA-256. Hash cannot stand in: it leaves
