@@ -20,6 +20,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/occda"
 	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
+	"github.com/nezha-dag/nezha/internal/vm"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
@@ -168,27 +169,19 @@ func BenchmarkAblationWriteMix(b *testing.B) { runExperiment(b, "ablation-writem
 
 func BenchmarkOCCAbortComparison(b *testing.B) { runExperiment(b, "occ-abort") }
 
-// BenchmarkMVCCRead compares the two execution read paths over one hot
-// SmallBank working set: "view" resolves through the shared MVCC version
-// cache (warm after the first pass — near-zero allocations), "snapshot"
-// pays a fresh per-epoch state copy the way the legacy executor does. The
-// alloc delta between the sub-benchmarks is the per-epoch copy the MVCC
-// refactor removes; the benchstat gate holds both.
-func BenchmarkMVCCRead(b *testing.B) {
+// smallBankState generates n SmallBank transactions over 2 000 accounts at
+// the given skew and commits the cells they touch into a fresh StateDB.
+func smallBankState(b *testing.B, n int, skew float64) ([]*types.Transaction, *statedb.StateDB) {
 	gen, err := workload.NewGenerator(workload.Config{
-		Seed: 3, Accounts: 2_000, Skew: 0.6, InitialBalance: 10_000,
+		Seed: 3, Accounts: 2_000, Skew: skew, InitialBalance: 10_000,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	txs := gen.Txs(400)
+	txs := gen.Txs(n)
 	snap, err := gen.Snapshot(txs)
 	if err != nil {
 		b.Fatal(err)
-	}
-	var keys []types.Key
-	for _, tx := range txs {
-		keys = append(keys, smallbank.PredictCall(tx.Payload)...)
 	}
 	seed := make([]types.WriteEntry, 0, len(snap))
 	for k, v := range snap {
@@ -197,6 +190,21 @@ func BenchmarkMVCCRead(b *testing.B) {
 	db := statedb.Open(kvstore.NewMemory(), mpt.EmptyRoot)
 	if _, err := db.Commit(seed); err != nil {
 		b.Fatal(err)
+	}
+	return txs, db
+}
+
+// BenchmarkMVCCRead compares the two execution read paths over one hot
+// SmallBank working set: "view" resolves through the shared MVCC version
+// cache (warm after the first pass — near-zero allocations), "snapshot"
+// pays a fresh per-epoch state copy the way the legacy executor does. The
+// alloc delta between the sub-benchmarks is the per-epoch copy the MVCC
+// refactor removes; the benchstat gate holds both.
+func BenchmarkMVCCRead(b *testing.B) {
+	txs, db := smallBankState(b, 400, 0.6)
+	var keys []types.Key
+	for _, tx := range txs {
+		keys = append(keys, smallbank.PredictCall(tx.Payload)...)
 	}
 	b.Run("view", func(b *testing.B) {
 		db.View() // warm the store once so iterations measure steady state
@@ -225,6 +233,30 @@ func BenchmarkMVCCRead(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(keys)), "reads/epoch")
 	})
+}
+
+// BenchmarkVMExecute is the speculative-execution stage's inner loop: the
+// SmallBank mix, one vm.Execute per iteration, reading through a warm MVCC
+// view as an epoch's workers do. allocs/op is what a transaction's result
+// costs (Result, the two sets, the write values).
+func BenchmarkVMExecute(b *testing.B) {
+	txs, db := smallBankState(b, 1_000, 0.2)
+	view, program := db.View(), smallbank.Program()
+	execute := func(tx *types.Transaction) {
+		if _, err := vm.Execute(program, vm.Context{
+			Contract: tx.To, Caller: tx.From, Payload: tx.Payload, GasLimit: tx.Gas,
+		}, view); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, tx := range txs {
+		execute(tx) // warm the version cache
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		execute(txs[i%len(txs)])
+	}
 }
 
 // commitFixture is the state-commit micro-benchmark's input: a 20 000-cell

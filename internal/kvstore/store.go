@@ -2,7 +2,10 @@
 // the substitute for the LevelDB instance the paper's prototype stores block
 // and state data in (§V). Two backends implement one Store interface:
 //
-//   - Memory: a mutex-guarded ordered map, for tests and pure benchmarks.
+//   - Memory: a hash index of pointer-free slots over append-only records
+//     in chunks the store owns, so the garbage collector has nothing to walk
+//     however many keys it holds; never pruned. For tests, benchmarks and
+//     nodes that need no durability.
 //   - LSM: a log-structured merge store in the LevelDB tradition —
 //     write-ahead log, skiplist memtable, sorted-string-table files —
 //     durable across restarts. Writers only append to the log and insert

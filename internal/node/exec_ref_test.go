@@ -51,7 +51,7 @@ func (r *execRef) process(n *Node, blocks []*types.Block) error {
 	var sims []*types.SimResult
 	var failed []types.TxID
 	for _, tx := range types.NewEpoch(n.NextEpoch(), valid).Txs {
-		want, got := n.simulate(tx, snap), n.simulate(tx, view)
+		want, got := simulated(n, tx, snap), simulated(n, tx, view)
 		if err := sameReads(got, want); err != nil {
 			return fmt.Errorf("tx %d: %w", tx.ID, err)
 		}
@@ -85,6 +85,13 @@ func (r *execRef) process(n *Node, blocks []*types.Block) error {
 		return fmt.Errorf("epoch %d: node root %s, reference root %s", res.Epoch, res.StateRoot, root)
 	}
 	return nil
+}
+
+// simulated is one transaction's execution in a result of its own.
+func simulated(n *Node, tx *types.Transaction, state statedb.Reader) *types.SimResult {
+	sim := new(types.SimResult)
+	n.simulate(tx, state, sim)
+	return sim
 }
 
 // sameReads compares what two executions of one transaction observed.

@@ -144,7 +144,6 @@ func (n *Node) adoptLookahead(er *epochRun, valid []*types.Block) bool {
 func (la *lookahead) abandon() {
 	la.stop.Store(true)
 	<-la.done
-	putResultsBuf(la.exec.results)
 	la.exec = execution{}
 }
 

@@ -139,7 +139,7 @@ func TestExecOracleBites(t *testing.T) {
 	// pre-epoch-1 value.
 	var stale staleReader
 	for _, tx := range txs[200:400] {
-		for _, rd := range n.simulate(tx, n.state).Reads {
+		for _, rd := range simulated(n, tx, n.state).Reads {
 			old, err := pre.Get(rd.Key)
 			if err != nil {
 				t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/nezha-dag/nezha/internal/consensus"
@@ -413,7 +412,6 @@ func (n *Node) processBlocksLocked(e uint64, blocks []*types.Block) (*EpochResul
 		stages = serialStages
 	}
 	err := n.runStages(er, stages)
-	putResultsBuf(er.results)
 	if err != nil {
 		if er.ahead != nil {
 			er.ahead.abandon() // adopted, then the epoch failed: the retry runs inline
@@ -502,13 +500,14 @@ func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *typ
 }
 
 // simulate executes one transaction against a state reader (the epoch's
-// MVCC view, or the live StateDB in the serial baseline).
-func (n *Node) simulate(tx *types.Transaction, state statedb.Reader) *types.SimResult {
-	sim := &types.SimResult{Tx: tx}
+// MVCC view, or the live StateDB in the serial baseline) into sim, which
+// must be zero.
+func (n *Node) simulate(tx *types.Transaction, state statedb.Reader, sim *types.SimResult) {
+	sim.Tx = tx
 	code, isContract := n.cfg.Contracts[tx.To]
 	if !isContract {
 		n.simulateTransfer(tx, state, sim)
-		return sim
+		return
 	}
 	res, err := vm.Execute(code, vm.Context{
 		Contract: tx.To,
@@ -522,7 +521,6 @@ func (n *Node) simulate(tx *types.Transaction, state statedb.Reader) *types.SimR
 		sim.Writes = res.Writes
 		sim.GasUsed = res.GasUsed
 	}
-	return sim
 }
 
 // simulateTransfer is the native value-transfer path: move tx.Value from
@@ -539,17 +537,21 @@ func (n *Node) simulateTransfer(tx *types.Transaction, state statedb.Reader, sim
 		sim.Err = err
 		return
 	}
-	sim.Reads = []types.ReadEntry{{Key: fromKey, Value: fromRaw}, {Key: toKey, Value: toRaw}}
 	from, to := decodeU64(fromRaw), decodeU64(toRaw)
 	amount := tx.Value
 	if amount > from {
 		amount = from
 	}
-	sim.Writes = []types.WriteEntry{
-		{Key: fromKey, Value: encodeU64(from - amount)},
-		{Key: toKey, Value: encodeU64(to + amount)},
+	// Two entries per set, built in key order.
+	first, second := 0, 1
+	if toKey.Less(fromKey) {
+		first, second = 1, 0
 	}
-	sortEntries(sim)
+	sim.Reads, sim.Writes = make([]types.ReadEntry, 2), make([]types.WriteEntry, 2)
+	sim.Reads[first] = types.ReadEntry{Key: fromKey, Value: fromRaw}
+	sim.Reads[second] = types.ReadEntry{Key: toKey, Value: toRaw}
+	sim.Writes[first] = types.WriteEntry{Key: fromKey, Value: encodeU64(from - amount)}
+	sim.Writes[second] = types.WriteEntry{Key: toKey, Value: encodeU64(to + amount)}
 }
 
 // applyGroup installs one commit group's writes. Transactions inside a
@@ -649,11 +651,6 @@ func (ov *overlay) entries() []types.WriteEntry {
 	}
 	slices.SortFunc(out, func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) })
 	return out
-}
-
-func sortEntries(sim *types.SimResult) {
-	sort.Slice(sim.Reads, func(i, j int) bool { return sim.Reads[i].Key.Less(sim.Reads[j].Key) })
-	sort.Slice(sim.Writes, func(i, j int) bool { return sim.Writes[i].Key.Less(sim.Writes[j].Key) })
 }
 
 func encodeU64(v uint64) []byte {

@@ -58,8 +58,7 @@ type epochRun struct {
 
 	epoch      *types.Epoch
 	state      statedb.Reader     // pre-epoch read state: the MVCC view
-	results    []*types.SimResult // pooled; nil-ed and returned after the epoch
-	sims       []*types.SimResult // results minus execution failures
+	sims       []*types.SimResult // executions that did not fail, ascending by id
 	execFailed []types.TxID
 	sched      *types.Schedule
 
@@ -227,8 +226,8 @@ func AssemblyDigests(epoch uint64, blocks []*types.Block) (blockDigest, txDigest
 
 // execution is what speculative execution of one epoch produced.
 type execution struct {
-	results []*types.SimResult // pooled, one per transaction; returned to the pool after the epoch
-	sims    []*types.SimResult // results minus execution failures, ascending by id
+	txs     int                // transactions handed to the workers
+	sims    []*types.SimResult // executions that did not fail, ascending by id
 	failed  []types.TxID
 	workers int
 	busy    time.Duration // summed per-worker spans
@@ -236,13 +235,15 @@ type execution struct {
 
 // executeTxs speculatively executes txs against state on the worker pool —
 // the execute stage's body, and the look-ahead run's. Workers pull indices
-// from an atomic counter (cheaper than a channel at this fan-out) and write
-// disjoint slots of the pooled results buffer; per-worker busy spans feed
-// the stage's occupancy counters. It touches nothing n.mu guards. A set stop
-// (the look-ahead's owner giving up; nil in the stage) ends the workers at
-// their next transaction and leaves sims and failed unbuilt.
+// from an atomic counter (cheaper than a channel at this fan-out) and fill
+// disjoint slots of one slab of results, which lives as long as sims points
+// into it; per-worker busy spans feed the stage's occupancy counters. It
+// touches nothing n.mu guards. A set stop (the look-ahead's owner giving up;
+// nil in the stage) ends the workers at their next transaction and leaves
+// sims and failed unbuilt.
 func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *atomic.Bool) execution {
-	ex := execution{results: getResultsBuf(len(txs)), workers: n.cfg.Workers}
+	ex := execution{txs: len(txs), workers: n.cfg.Workers}
+	results := make([]types.SimResult, len(txs))
 	if ex.workers > len(txs) && len(txs) > 0 {
 		ex.workers = len(txs)
 	}
@@ -259,7 +260,7 @@ func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *
 				if i >= len(txs) {
 					break
 				}
-				ex.results[i] = n.simulate(txs[i], state)
+				n.simulate(txs[i], state, &results[i])
 			}
 			busy[w] = time.Since(t0)
 		}(w)
@@ -271,8 +272,9 @@ func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *
 	if stop != nil && stop.Load() {
 		return ex
 	}
-	ex.sims = make([]*types.SimResult, 0, len(ex.results))
-	for _, r := range ex.results {
+	ex.sims = make([]*types.SimResult, 0, len(results))
+	for i := range results {
+		r := &results[i]
 		if r.Err != nil {
 			ex.failed = append(ex.failed, r.Tx.ID)
 			continue
@@ -309,14 +311,13 @@ func (n *Node) executeStage(er *epochRun, ss *metrics.StageStat) error {
 		<-la.executed
 		ss.Overlap = la.execTime
 		ex = la.exec
-		la.exec.results = nil // the epoch returns the buffer to the pool now
 	} else {
 		er.state = n.state.View()
 		ex = n.executeTxs(er.epoch.Txs, er.state, nil)
 	}
-	er.results, er.sims, er.execFailed = ex.results, ex.sims, ex.failed
+	er.sims, er.execFailed = ex.sims, ex.failed
 	er.stats.ExecutionFailed = len(ex.failed)
-	ss.Tasks = len(ex.results)
+	ss.Tasks = ex.txs
 	ss.Workers = ex.workers
 	ss.Busy = ex.busy
 	return nil
@@ -335,7 +336,7 @@ func (n *Node) scheduleStage(er *epochRun, ss *metrics.StageStat) error {
 		ss.Overlap = la.schedTime
 		sched, breakdown, err = la.sched, la.breakdown, la.err
 		n.tracer.Span(n.id+"/background", "lookahead", la.started, la.elapsed,
-			map[string]any{"epoch": er.number, "txs": len(er.results)})
+			map[string]any{"epoch": er.number, "txs": len(er.epoch.Txs)})
 	} else {
 		sched, breakdown, err = n.controlTxs(er.sims, er.execFailed)
 	}
@@ -444,7 +445,8 @@ func (n *Node) serialStage(er *epochRun, ss *metrics.StageStat) error {
 	sched := types.NewSchedule()
 	seq := types.Seq(1)
 	for _, tx := range er.epoch.Txs {
-		sim := n.simulate(tx, n.state)
+		var sim types.SimResult
+		n.simulate(tx, n.state, &sim)
 		if sim.Err != nil {
 			sched.Abort(tx.ID, types.AbortExecution)
 			er.stats.ExecutionFailed++
@@ -541,36 +543,9 @@ func checkSignatures(blocks []*types.Block, workers int, ok map[types.Hash]bool)
 	return ok
 }
 
-// Per-epoch scratch pools. Epochs allocate a results buffer sized to the
-// transaction count and a 16-shard commit overlay; both are recycled
-// across epochs (and across nodes — the pools are package-level, and the
-// buffers carry no node identity).
-var (
-	simResultsPool sync.Pool
-	overlayPool    = sync.Pool{New: func() any { return newOverlay() }}
-)
-
-// getResultsBuf returns a pooled simulation-results buffer with length n.
-func getResultsBuf(n int) []*types.SimResult {
-	if v := simResultsPool.Get(); v != nil {
-		if buf := v.([]*types.SimResult); cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]*types.SimResult, n)
-}
-
-// putResultsBuf nils the buffer (dropping the sim references for the GC)
-// and returns it to the pool.
-func putResultsBuf(buf []*types.SimResult) {
-	if buf == nil {
-		return
-	}
-	for i := range buf {
-		buf[i] = nil
-	}
-	simResultsPool.Put(buf[:0]) //nolint:staticcheck // slice headers are cheap relative to the backing array win
-}
+// overlayPool recycles the 16-shard commit overlay across epochs (and across
+// nodes: the pool is package-level, and an overlay carries no node identity).
+var overlayPool = sync.Pool{New: func() any { return newOverlay() }}
 
 // reset clears the overlay's shard maps for reuse.
 func (ov *overlay) reset() {

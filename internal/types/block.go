@@ -108,26 +108,39 @@ func (b *Block) AssignedChain(k int) uint32 {
 
 // ComputeTxRoot returns the Merkle root over the block's transaction
 // hashes. An empty block has the zero root. Odd levels duplicate the last
-// node, the conventional Bitcoin-style construction.
+// node, the conventional Bitcoin-style construction. The leaf slice is the
+// only allocation: every level is folded into the front of the one below.
 func ComputeTxRoot(txs []*Transaction) Hash {
 	if len(txs) == 0 {
 		return ZeroHash
 	}
-	level := make([]Hash, len(txs))
-	for i, tx := range txs {
-		level[i] = tx.Hash()
-	}
+	level := txLeaves(txs)
 	for len(level) > 1 {
-		if len(level)%2 == 1 {
-			level = append(level, level[len(level)-1])
-		}
-		next := make([]Hash, len(level)/2)
-		for i := range next {
-			next[i] = HashConcat(level[2*i][:], level[2*i+1][:])
-		}
-		level = next
+		level = foldLevel(level)
 	}
 	return level[0]
+}
+
+func txLeaves(txs []*Transaction) []Hash {
+	leaves := make([]Hash, len(txs))
+	for i, tx := range txs {
+		leaves[i] = tx.Hash()
+	}
+	return leaves
+}
+
+// foldLevel overwrites the front half of a Merkle level with its parents and
+// returns that half; an odd level pairs its last node with itself. Parent i
+// is written after children 2i and 2i+1 are read, and never over a child
+// still to be read.
+func foldLevel(level []Hash) []Hash {
+	n := len(level)
+	half := (n + 1) / 2
+	for i := 0; i < half; i++ {
+		right := min(2*i+1, n-1)
+		level[i] = HashConcat(level[2*i][:], level[right][:])
+	}
+	return level[:half]
 }
 
 // String implements fmt.Stringer.

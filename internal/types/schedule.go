@@ -1,8 +1,9 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Seq is a Lamport-style sequence number assigned by concurrency control
@@ -105,11 +106,11 @@ func (s *Schedule) Groups() [][]TxID {
 	for seq := range bySeq {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	groups := make([][]TxID, len(seqs))
 	for i, seq := range seqs {
 		ids := bySeq[seq]
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		slices.Sort(ids)
 		groups[i] = ids
 	}
 	return groups
@@ -122,12 +123,8 @@ func (s *Schedule) SerialOrder() []TxID {
 	for id := range s.Seqs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		si, sj := s.Seqs[ids[i]], s.Seqs[ids[j]]
-		if si != sj {
-			return si < sj
-		}
-		return ids[i] < ids[j]
+	slices.SortFunc(ids, func(a, b TxID) int {
+		return cmp.Or(cmp.Compare(s.Seqs[a], s.Seqs[b]), cmp.Compare(a, b))
 	})
 	return ids
 }
@@ -135,7 +132,7 @@ func (s *Schedule) SerialOrder() []TxID {
 // NormalizeAborts sorts the abort list by id; schedulers call it before
 // returning so that schedules compare byte-for-byte across nodes.
 func (s *Schedule) NormalizeAborts() {
-	sort.Slice(s.Aborted, func(i, j int) bool { return s.Aborted[i].ID < s.Aborted[j].ID })
+	slices.SortFunc(s.Aborted, func(a, b Abort) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // Equal reports whether two schedules are identical (same commits with the

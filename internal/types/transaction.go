@@ -69,7 +69,8 @@ func (t *Transaction) Hash() Hash {
 	if t.hash != nil {
 		return *t.hash
 	}
-	h := HashBytes(t.SigningContent())
+	var stack [256]byte // SmallBank calls fit; a longer payload spills to the heap
+	h := HashBytes(t.appendSigningContent(stack[:0]))
 	t.hash = &h
 	return h
 }

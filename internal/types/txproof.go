@@ -27,23 +27,13 @@ func ProveTx(txs []*Transaction, index int) (*TxProof, error) {
 	if index < 0 || index >= len(txs) {
 		return nil, fmt.Errorf("types: tx index %d out of range [0,%d)", index, len(txs))
 	}
-	level := make([]Hash, len(txs))
-	for i, tx := range txs {
-		level[i] = tx.Hash()
-	}
+	level := txLeaves(txs)
 	proof := &TxProof{Index: index}
 	pos := index
 	for len(level) > 1 {
-		if len(level)%2 == 1 {
-			level = append(level, level[len(level)-1])
-		}
-		sibling := pos ^ 1 // the paired node
+		sibling := min(pos^1, len(level)-1) // the paired node; the last of an odd level pairs with itself
 		proof.Siblings = append(proof.Siblings, level[sibling])
-		next := make([]Hash, len(level)/2)
-		for i := range next {
-			next[i] = HashConcat(level[2*i][:], level[2*i+1][:])
-		}
-		level = next
+		level = foldLevel(level)
 		pos /= 2
 	}
 	return proof, nil

@@ -21,7 +21,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/nezha-dag/nezha/internal/types"
 )
@@ -116,49 +117,111 @@ type Result struct {
 
 // Execute runs the program to completion. An error return of ErrRevert or
 // ErrOutOfGas still carries a valid GasUsed in the result.
+//
+// The machine state is pooled and nothing in the Result points into it: the
+// result outlives the call (the node's look-ahead run keeps results for an
+// epoch), the state is another call's the moment this one returns.
 func Execute(program []byte, ctx Context, state StateReader) (*Result, error) {
-	ex := &execution{
-		program: program,
-		ctx:     ctx,
-		state:   state,
-		gas:     ctx.GasLimit,
-		written: make(map[types.Key][]byte),
-		readVal: make(map[types.Key][]byte),
-	}
+	ex := execPool.Get().(*execution)
+	ex.program, ex.payload, ex.contract = program, ctx.Payload, ctx.Contract
+	ex.state, ex.gas = state, ctx.GasLimit
 	err := ex.run()
-	res := &Result{
-		GasUsed:    ctx.GasLimit - ex.gas,
-		ReturnWord: ex.returnWord,
-		Returned:   ex.returned,
-	}
-	// Deduplicated, key-sorted sets for deterministic downstream use.
-	for k, v := range ex.readVal {
-		res.Reads = append(res.Reads, types.ReadEntry{Key: k, Value: v})
-	}
-	sort.Slice(res.Reads, func(i, j int) bool { return res.Reads[i].Key.Less(res.Reads[j].Key) })
-	for k, v := range ex.written {
-		res.Writes = append(res.Writes, types.WriteEntry{Key: k, Value: v})
-	}
-	sort.Slice(res.Writes, func(i, j int) bool { return res.Writes[i].Key.Less(res.Writes[j].Key) })
+	res := ex.result(ctx.GasLimit)
+	ex.release()
 	return res, err
 }
 
+// execPool recycles machine states, and with them the array behind cells. A
+// state on Execute's stack would have to carry that array inline, and a
+// struct one of whose slices points into itself is moved to the heap whole:
+// 2 KiB of operand stack allocated per call.
+var execPool = sync.Pool{New: func() any { return new(execution) }}
+
 type execution struct {
-	program []byte
-	ctx     Context
-	state   StateReader
-	gas     uint64
+	program  []byte
+	payload  []byte
+	contract types.Address
+	state    StateReader
+	gas      uint64
 
 	pc    int
-	stack []uint64
+	sp    int // operands on the stack; slots at and above sp are garbage
+	stack [maxStack]uint64
 
-	// written is the transaction-local write buffer (read-your-writes);
-	// readVal records first-read snapshot values per key.
-	written map[types.Key][]byte
-	readVal map[types.Key][]byte
+	// cells is every storage cell the call has touched, in ascending order
+	// of state key: the read set and the write buffer in one, so the result's
+	// sets are a copy of it as it stands. A contract call touches a handful
+	// of cells, which a scan finds faster than a map hashes, and a cell is
+	// found by the (table, key) words the program names it with, so its
+	// state key is derived once however often it is read and written. The
+	// backing array is reused across calls.
+	cells []cell
 
 	returnWord uint64
 	returned   bool
+}
+
+// cell is one touched storage cell.
+type cell struct {
+	table, key uint64
+	sk         types.Key
+	// read: the snapshot was asked, val is its answer (the StateReader's
+	// buffer, borrowed until release). Stays set once the cell is written.
+	read bool
+	val  []byte
+	// written: word is the call's latest write, and what its reads see.
+	written bool
+	word    uint64
+}
+
+// result copies the outcome out of the machine state: one allocation per
+// non-empty set plus one buffer all write values are carved from.
+func (ex *execution) result(gasLimit uint64) *Result {
+	res := &Result{
+		GasUsed:    gasLimit - ex.gas,
+		ReturnWord: ex.returnWord,
+		Returned:   ex.returned,
+	}
+	reads, writes := 0, 0
+	for i := range ex.cells {
+		if ex.cells[i].read {
+			reads++
+		}
+		if ex.cells[i].written {
+			writes++
+		}
+	}
+	if reads > 0 {
+		res.Reads = make([]types.ReadEntry, 0, reads)
+	}
+	var words []byte
+	if writes > 0 {
+		res.Writes = make([]types.WriteEntry, 0, writes)
+		words = make([]byte, 8*writes)
+	}
+	for i := range ex.cells {
+		c := &ex.cells[i]
+		if c.read {
+			res.Reads = append(res.Reads, types.ReadEntry{Key: c.sk, Value: c.val})
+		}
+		if c.written {
+			binary.BigEndian.PutUint64(words, c.word)
+			res.Writes = append(res.Writes, types.WriteEntry{Key: c.sk, Value: words[:8:8]})
+			words = words[8:]
+		}
+	}
+	return res
+}
+
+// release drops every reference the call borrowed and returns the state to
+// the pool.
+func (ex *execution) release() {
+	ex.program, ex.payload, ex.state = nil, nil, nil
+	clear(ex.cells)
+	ex.cells = ex.cells[:0]
+	ex.pc, ex.sp = 0, 0
+	ex.returnWord, ex.returned = 0, false
+	execPool.Put(ex)
 }
 
 func (ex *execution) charge(cost uint64) error {
@@ -171,29 +234,45 @@ func (ex *execution) charge(cost uint64) error {
 }
 
 func (ex *execution) push(v uint64) error {
-	if len(ex.stack) >= maxStack {
+	if ex.sp >= maxStack {
 		return ErrStackOverflow
 	}
-	ex.stack = append(ex.stack, v)
+	ex.stack[ex.sp] = v
+	ex.sp++
 	return nil
 }
 
 func (ex *execution) pop() (uint64, error) {
-	if len(ex.stack) == 0 {
+	if ex.sp == 0 {
 		return 0, ErrStackUnderflow
 	}
-	v := ex.stack[len(ex.stack)-1]
-	ex.stack = ex.stack[:len(ex.stack)-1]
-	return v, nil
+	ex.sp--
+	return ex.stack[ex.sp], nil
 }
 
 // storageKey maps a (table, key) pair onto the global state key.
-func (ex *execution) storageKey(table, key uint64) types.Key {
+func storageKey(contract types.Address, table, key uint64) types.Key {
 	var slotPre [16]byte
 	binary.BigEndian.PutUint64(slotPre[:8], table)
 	binary.BigEndian.PutUint64(slotPre[8:], key)
-	slot := types.HashBytes(slotPre[:])
-	return types.StorageKey(ex.ctx.Contract, slot)
+	return types.StorageKey(contract, types.HashBytes(slotPre[:]))
+}
+
+// cell returns the record of the storage cell (table, key), adding it in
+// state-key order if the call has not touched it yet.
+func (ex *execution) cell(table, key uint64) *cell {
+	for i := range ex.cells {
+		if c := &ex.cells[i]; c.table == table && c.key == key {
+			return c
+		}
+	}
+	sk := storageKey(ex.contract, table, key)
+	at := 0
+	for at < len(ex.cells) && ex.cells[at].sk.Less(sk) {
+		at++
+	}
+	ex.cells = slices.Insert(ex.cells, at, cell{table: table, key: key, sk: sk})
+	return &ex.cells[at]
 }
 
 func (ex *execution) imm(n int) ([]byte, error) {
@@ -259,8 +338,8 @@ func (ex *execution) step(op byte) error {
 		}
 		i := int(off[0])
 		var v uint64
-		if i < len(ex.ctx.Payload) {
-			v = uint64(ex.ctx.Payload[i])
+		if i < len(ex.payload) {
+			v = uint64(ex.payload[i])
 		}
 		return ex.push(v)
 	case OpCalldataWord:
@@ -273,15 +352,15 @@ func (ex *execution) step(op byte) error {
 		}
 		i := int(off[0])
 		var v uint64
-		if i+8 <= len(ex.ctx.Payload) {
-			v = binary.BigEndian.Uint64(ex.ctx.Payload[i : i+8])
+		if i+8 <= len(ex.payload) {
+			v = binary.BigEndian.Uint64(ex.payload[i : i+8])
 		}
 		return ex.push(v)
 	case OpCalldataSize:
 		if err := ex.charge(gasBase); err != nil {
 			return err
 		}
-		return ex.push(uint64(len(ex.ctx.Payload)))
+		return ex.push(uint64(len(ex.payload)))
 	case OpPop:
 		if err := ex.charge(gasBase); err != nil {
 			return err
@@ -300,14 +379,9 @@ func (ex *execution) step(op byte) error {
 		if err != nil {
 			return err
 		}
-		sk := ex.storageKey(table, key)
-		raw, err := ex.load(sk)
+		v, err := ex.load(ex.cell(table, key))
 		if err != nil {
 			return err
-		}
-		var v uint64
-		if len(raw) == 8 {
-			v = binary.BigEndian.Uint64(raw)
 		}
 		return ex.push(v)
 	case OpSstore:
@@ -326,8 +400,8 @@ func (ex *execution) step(op byte) error {
 		if err != nil {
 			return err
 		}
-		sk := ex.storageKey(table, key)
-		ex.written[sk] = binary.BigEndian.AppendUint64(nil, value)
+		c := ex.cell(table, key)
+		c.written, c.word = true, value
 		return nil
 	case OpJump:
 		if err := ex.charge(gasJump); err != nil {
@@ -368,19 +442,19 @@ func (ex *execution) step(op byte) error {
 			return err
 		}
 		depth := int(op-OpDup1) + 1
-		if len(ex.stack) < depth {
+		if ex.sp < depth {
 			return ErrStackUnderflow
 		}
-		return ex.push(ex.stack[len(ex.stack)-depth])
+		return ex.push(ex.stack[ex.sp-depth])
 	case OpSwap1, OpSwap2:
 		if err := ex.charge(gasBase); err != nil {
 			return err
 		}
 		depth := int(op-OpSwap1) + 1
-		if len(ex.stack) < depth+1 {
+		if ex.sp < depth+1 {
 			return ErrStackUnderflow
 		}
-		top := len(ex.stack) - 1
+		top := ex.sp - 1
 		ex.stack[top], ex.stack[top-depth] = ex.stack[top-depth], ex.stack[top]
 		return nil
 	case OpReturn:
@@ -401,21 +475,25 @@ func (ex *execution) step(op byte) error {
 	}
 }
 
-// load reads a key through the write buffer, recording a snapshot read only
-// when the buffer misses.
-func (ex *execution) load(k types.Key) ([]byte, error) {
-	if v, ok := ex.written[k]; ok {
-		return v, nil
+// load reads a cell's word: the call's own write if there is one — not a
+// read of the snapshot, so not recorded — else the snapshot value, asked for
+// and recorded on the first read only. A cell that does not hold exactly one
+// word reads as zero.
+func (ex *execution) load(c *cell) (uint64, error) {
+	if c.written {
+		return c.word, nil
 	}
-	if v, ok := ex.readVal[k]; ok {
-		return v, nil
+	if !c.read {
+		v, err := ex.state.Get(c.sk)
+		if err != nil {
+			return 0, fmt.Errorf("vm: state read: %w", err)
+		}
+		c.read, c.val = true, v
 	}
-	v, err := ex.state.Get(k)
-	if err != nil {
-		return nil, fmt.Errorf("vm: state read: %w", err)
+	if len(c.val) == 8 {
+		return binary.BigEndian.Uint64(c.val), nil
 	}
-	ex.readVal[k] = v
-	return v, nil
+	return 0, nil
 }
 
 func (ex *execution) jump(target int) error {

@@ -95,8 +95,7 @@ func TestCalldataOutOfRangeReadsZero(t *testing.T) {
 
 func TestStorageRoundTripAndLogging(t *testing.T) {
 	k := func(table, key uint64) types.Key {
-		ex := &execution{ctx: Context{}}
-		return ex.storageKey(table, key)
+		return storageKey(types.Address{}, table, key)
 	}
 	state := MapReader{k(1, 5): {0, 0, 0, 0, 0, 0, 0, 42}}
 
