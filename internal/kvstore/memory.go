@@ -86,11 +86,8 @@ const (
 	slotDead  = ^uint64(0)
 
 	memMinSlots = 64
-	// Chunk capacities double from memMinChunk to memChunk, so that a store
-	// holding a few records stays small; a record longer than the current
-	// step gets a chunk of its own.
-	memMinChunk = 4 << 10
-	memChunk    = 256 << 10
+	// memChunk is a chunk's capacity; a longer record gets a chunk of its own.
+	memChunk = 256 << 10
 )
 
 // MemoryStats is a Memory's size.
@@ -258,11 +255,7 @@ func (m *Memory) appendRecord(key, value []byte) uint64 {
 	need := recordLen(key, value)
 	c := len(m.chunks) - 1
 	if c < 0 || cap(m.chunks[c])-len(m.chunks[c]) < need {
-		size := memMinChunk
-		if c >= 0 {
-			size = min(2*cap(m.chunks[c]), memChunk)
-		}
-		size = max(size, need)
+		size := max(memChunk, need)
 		m.chunks = append(m.chunks, make([]byte, 0, size))
 		m.reserved += int64(size)
 		c++

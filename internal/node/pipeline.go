@@ -226,7 +226,6 @@ func AssemblyDigests(epoch uint64, blocks []*types.Block) (blockDigest, txDigest
 
 // execution is what speculative execution of one epoch produced.
 type execution struct {
-	txs     int                // transactions handed to the workers
 	sims    []*types.SimResult // executions that did not fail, ascending by id
 	failed  []types.TxID
 	workers int
@@ -242,7 +241,7 @@ type execution struct {
 // nil in the stage) ends the workers at their next transaction and leaves
 // sims and failed unbuilt.
 func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *atomic.Bool) execution {
-	ex := execution{txs: len(txs), workers: n.cfg.Workers}
+	ex := execution{workers: n.cfg.Workers}
 	results := make([]types.SimResult, len(txs))
 	if ex.workers > len(txs) && len(txs) > 0 {
 		ex.workers = len(txs)
@@ -317,7 +316,7 @@ func (n *Node) executeStage(er *epochRun, ss *metrics.StageStat) error {
 	}
 	er.sims, er.execFailed = ex.sims, ex.failed
 	er.stats.ExecutionFailed = len(ex.failed)
-	ss.Tasks = ex.txs
+	ss.Tasks = len(er.epoch.Txs)
 	ss.Workers = ex.workers
 	ss.Busy = ex.busy
 	return nil

@@ -33,41 +33,17 @@ func HashBytes(data []byte) Hash {
 	return sha256.Sum256(data)
 }
 
-// hashConcatStack is the longest concatenation HashConcat assembles on its
-// own stack. Every key derivation and Merkle fold in the system is at most 64
-// bytes.
-const hashConcatStack = 128
-
 // HashConcat returns the SHA-256 digest of the concatenation of the given
-// byte slices. Up to hashConcatStack bytes the parts are joined in a stack
-// buffer and hashed in one call, which allocates nothing on any toolchain. A
-// streaming digest is reached through hash.Hash; where the compiler cannot
-// see through that (before go1.24) it is a heap object per call and forces
-// the callers' arrays to the heap with it.
+// byte slices. The parts are joined in a stack buffer and hashed in one call:
+// every key derivation and Merkle fold in the system is at most 64 bytes, so
+// nothing is allocated; a longer input spills to the heap through append.
 func HashConcat(parts ...[]byte) Hash {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	if n > hashConcatStack {
-		return hashConcatStreaming(parts)
-	}
-	var buf [hashConcatStack]byte
+	var buf [128]byte
 	b := buf[:0]
 	for _, p := range parts {
 		b = append(b, p...)
 	}
 	return sha256.Sum256(b)
-}
-
-func hashConcatStreaming(parts [][]byte) Hash {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	var out Hash
-	h.Sum(out[:0])
-	return out
 }
 
 // Bytes returns the hash as a byte slice.

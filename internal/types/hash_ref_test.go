@@ -42,7 +42,7 @@ func refComputeTxRoot(txs []*Transaction) Hash {
 
 // TestHashConcatMatchesStreaming: every total length from nothing to well
 // past the stack buffer, cut in two at every boundary and in three at some,
-// hashes as the streaming digest does — on either side of hashConcatStack
+// hashes as the streaming digest does — on either side of the 128-byte buffer
 // and exactly on it.
 func TestHashConcatMatchesStreaming(t *testing.T) {
 	data := make([]byte, 300)

@@ -155,6 +155,13 @@ type execution struct {
 	// found by the (table, key) words the program names it with, so its
 	// state key is derived once however often it is read and written. The
 	// backing array is reused across calls.
+	//
+	// The scan and the ordered insert make a call that touches n distinct
+	// cells cost O(n²) cell visits, and gas does not price that: the first
+	// touch of a cell costs at least gasSload, so n ≤ GasLimit/gasSload.
+	// SmallBank and the token contract touch at most four. A contract whose
+	// loop over calldata can reach thousands of cells needs an index here
+	// (or a cap) before it is deployed.
 	cells []cell
 
 	returnWord uint64
