@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -119,50 +118,15 @@ func BenchmarkNezhaSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkNezhaScheduleParallelism pits the sequential reference core
-// (Parallelism=1) against the sharded/cluster-parallel core on one 4096-tx
-// SmallBank epoch — the speedup headline of the parallel scheduling core.
-// Both configurations produce byte-identical schedules (asserted by
-// TestParallelScheduleMatchesSequential in internal/core).
-func BenchmarkNezhaScheduleParallelism(b *testing.B) {
-	sims := benchSims(b, 4096, 0.2)
-	for _, par := range []int{1, 0} { // 1 = sequential reference, 0 = GOMAXPROCS
-		name := "sequential"
-		if par != 1 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Parallelism = par
-			sched := core.MustNewScheduler(cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sched.Schedule(sims); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(sims)), "txs/epoch")
-		})
-	}
-}
-
-// BenchmarkBuildACG covers both graph builders on the same 4096-tx epoch:
-// the sequential reference and the key-sharded parallel builder.
+// BenchmarkBuildACG is the graph-construction phase alone on one 4096-tx
+// epoch.
 func BenchmarkBuildACG(b *testing.B) {
 	sims := benchSims(b, 4096, 0.2)
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.BuildACG(sims)
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.BuildACGSharded(sims, runtime.GOMAXPROCS(0))
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.BuildACG(sims)
+	}
 }
 
 func BenchmarkAblationWriteMix(b *testing.B) { runExperiment(b, "ablation-writemix") }

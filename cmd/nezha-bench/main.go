@@ -6,13 +6,11 @@
 //	nezha-bench -exp all                # every experiment, paper parameters
 //	nezha-bench -exp fig9 -quick        # one experiment, shrunk for a fast pass
 //	nezha-bench -exp fig11 -csv         # CSV instead of a text table
-//	nezha-bench -exp stages -parallelism 4   # staged-pipeline profile, 4-way core
+//	nezha-bench -exp stages             # staged-pipeline profile
 //	nezha-bench -list                   # list experiment names
 //
-// -parallelism sets the scheduler core's fan-out (sharded ACG build and
-// cluster-parallel sorting): 0 uses GOMAXPROCS, 1 forces the sequential
-// reference core. Every setting produces byte-identical schedules; the knob
-// only trades goroutine overhead against multi-core speedup.
+// -workers sizes the execution and commit pools; the scheduler itself runs
+// on one goroutine per epoch.
 //
 // Absolute numbers depend on the machine; EXPERIMENTS.md records the shape
 // comparisons against the paper.
@@ -45,7 +43,6 @@ func run() error {
 		reps      = flag.Int("reps", 0, "epochs per data point (0 = default)")
 		blockSize = flag.Int("blocksize", 0, "transactions per block (0 = default)")
 		workers   = flag.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
-		par       = flag.Int("parallelism", 0, "scheduler-core fan-out (0 = GOMAXPROCS, 1 = sequential reference)")
 		addr      = flag.String("metrics-addr", "", "serve /metrics, /healthz, and pprof during the run (empty = off)")
 	)
 	flag.Parse()
@@ -57,10 +54,6 @@ func run() error {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics\n", srv.Addr())
-	}
-
-	if *par < 0 {
-		return fmt.Errorf("-parallelism must be >= 0 (0 = GOMAXPROCS, 1 = sequential reference), got %d", *par)
 	}
 
 	if *list {
@@ -76,7 +69,6 @@ func run() error {
 	}
 	opts.Seed = *seed
 	opts.Workers = *workers
-	opts.Parallelism = *par
 	if *reps > 0 {
 		opts.Reps = *reps
 	}

@@ -5,10 +5,13 @@
 //
 //	nezha-check run     -seeds 10 -txs 256 -keys 64        # full sweep
 //	nezha-check replay  -seed 7 -profile multi-write-rescue # one failing trial, verbose
+//	nezha-check execdiff -seeds 5                           # MVCC vs snapshot-copy executor
 //	nezha-check corpus  -dir .                              # regenerate fuzz seed corpora
 //
-// run exits nonzero on any divergence and prints the exact replay command
-// for each failure.
+// Every trial schedules its epoch twice with fresh schedulers (the two
+// schedules must be equal), checks the schedule against serial replay and
+// runs the CG baseline beside it. run exits nonzero on any divergence and
+// prints the exact replay command for each failure.
 package main
 
 import (
@@ -17,7 +20,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -61,19 +63,6 @@ commands:
   corpus    write the fuzz seed corpora under testdata/fuzz/ (run from repo root)`)
 }
 
-// parseParallelisms turns "1,2,4,8" into a slice.
-func parseParallelisms(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || p < 1 {
-			return nil, fmt.Errorf("bad parallelism list %q", s)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // cgBudget returns the CLI's baseline budget: tight enough that trials
 // whose cycle enumeration explodes (the paper's documented CG failure mode)
 // surface quickly as cg-skipped rather than stalling the sweep.
@@ -104,7 +93,6 @@ func cmdRun(args []string) error {
 	txs := fs.Int("txs", 256, "transactions per epoch")
 	keys := fs.Int("keys", 64, "address-space size")
 	profiles := fs.String("profiles", "all", "comma-separated profile names, or 'all'")
-	par := fs.String("par", "1,2,4,8", "parallelism levels to diff")
 	cgSecs := fs.Int("cg-budget", 5, "CG baseline time budget per trial, seconds (0 skips CG)")
 	vet := fs.Bool("vet", false, "run the nezha-vet analyzers over the tree first (tier 0)")
 	verbose := fs.Bool("v", false, "one line per trial")
@@ -114,10 +102,6 @@ func cmdRun(args []string) error {
 		if err := runVet(); err != nil {
 			return err
 		}
-	}
-	pars, err := parseParallelisms(*par)
-	if err != nil {
-		return err
 	}
 	var profs []check.Profile
 	if *profiles == "all" {
@@ -132,14 +116,13 @@ func cmdRun(args []string) error {
 		}
 	}
 	cfg := check.RunConfig{
-		StartSeed:    *startSeed,
-		Seeds:        *seeds,
-		Txs:          *txs,
-		Keys:         *keys,
-		Profiles:     profs,
-		Parallelisms: pars,
-		CG:           cgBudget(*cgSecs),
-		SkipCG:       *cgSecs == 0,
+		StartSeed: *startSeed,
+		Seeds:     *seeds,
+		Txs:       *txs,
+		Keys:      *keys,
+		Profiles:  profs,
+		CG:        cgBudget(*cgSecs),
+		SkipCG:    *cgSecs == 0,
 	}
 	if *verbose {
 		cfg.Verbose = os.Stdout
@@ -167,21 +150,15 @@ func cmdExecDiff(args []string) error {
 	epochs := fs.Int("epochs", 4, "committed generations per trial")
 	txs := fs.Int("txs", 256, "transactions per epoch")
 	keys := fs.Int("keys", 64, "address-space size")
-	par := fs.String("par", "1,2,4,8", "parallelism levels to diff")
 	verbose := fs.Bool("v", false, "one line per trial")
 	fs.Parse(args)
 
-	pars, err := parseParallelisms(*par)
-	if err != nil {
-		return err
-	}
 	cfg := check.ExecDiffRunConfig{
-		StartSeed:    *startSeed,
-		Seeds:        *seeds,
-		Epochs:       *epochs,
-		Txs:          *txs,
-		Keys:         *keys,
-		Parallelisms: pars,
+		StartSeed: *startSeed,
+		Seeds:     *seeds,
+		Epochs:    *epochs,
+		Txs:       *txs,
+		Keys:      *keys,
 	}
 	if *verbose {
 		cfg.Verbose = os.Stdout
@@ -204,16 +181,11 @@ func cmdReplay(args []string) error {
 	profile := fs.String("profile", "mixed", "profile name")
 	txs := fs.Int("txs", 256, "transactions per epoch")
 	keys := fs.Int("keys", 64, "address-space size")
-	par := fs.String("par", "1,2,4,8", "parallelism levels to diff")
 	cgSecs := fs.Int("cg-budget", 5, "CG baseline time budget, seconds (0 skips CG)")
 	fs.Parse(args)
 
 	if *seed < 0 {
 		return fmt.Errorf("replay: -seed is required")
-	}
-	pars, err := parseParallelisms(*par)
-	if err != nil {
-		return err
 	}
 	p, err := check.ProfileByName(*profile)
 	if err != nil {
@@ -225,10 +197,9 @@ func cmdReplay(args []string) error {
 	gen.Keys = *keys
 
 	res := check.RunTrial(check.TrialConfig{
-		Gen:          gen,
-		Parallelisms: pars,
-		CG:           cgBudget(*cgSecs),
-		SkipCG:       *cgSecs == 0,
+		Gen:    gen,
+		CG:     cgBudget(*cgSecs),
+		SkipCG: *cgSecs == 0,
 	})
 	fmt.Printf("profile=%s seed=%d txs=%d keys=%d\n", p.Name, gen.Seed, res.Txs, gen.Keys)
 	fmt.Printf("nezha: committed=%d aborted=%d rescued=%d\n", res.Committed, res.Aborted, res.Rescued)
@@ -404,9 +375,9 @@ func epochStateless() []byte {
 	return out
 }
 
-// epochParallel crosses the scheduler's 128-tx sequential-fallback
-// threshold so fuzzing actually reaches the sharded builder and the
-// cluster-parallel sorter.
+// epochParallel is the corpus's largest epoch, 160 transactions over 16
+// keys. The name dates from the parallel scheduler path, since deleted; it
+// stays so the checked-in corpus file keeps its name.
 func epochParallel() []byte {
 	out := []byte{15}
 	for i := 0; i < 160; i++ {

@@ -25,7 +25,7 @@ func AblationReordering(o Options) (*Table, error) {
 		return core.MustNewScheduler(core.Config{Reorder: false, Heuristic: core.RankMaxOutDegree})
 	}
 	for _, skew := range []float64{0.6, 0.8, 0.9, 1.0} {
-		full, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler(o) }, 1, skew)
+		full, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler() }, 1, skew)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +91,7 @@ func AblationCommitConcurrency(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched, _, err := nezhaScheduler(o).Schedule(sims)
+		sched, _, err := nezhaScheduler().Schedule(sims)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func AblationGraphConstruction(o Options) (*Table, error) {
 	}
 	for _, skew := range []float64{0.2, 0.6} {
 		for _, omega := range []int{4, 8, 12} {
-			nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler(o) }, omega, skew)
+			nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler() }, omega, skew)
 			if err != nil {
 				return nil, err
 			}
@@ -219,7 +219,7 @@ func AblationWriteMix(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			run, err := runScheme(o, nezhaScheduler(o), snapshot, sims)
+			run, err := runScheme(o, nezhaScheduler(), snapshot, sims)
 			if err != nil {
 				return nil, err
 			}
@@ -274,7 +274,7 @@ func OCCAbortComparison(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler(o) }, 4, skew)
+		nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler() }, 4, skew)
 		if err != nil {
 			return nil, err
 		}

@@ -33,9 +33,6 @@ type Options struct {
 	Reps int
 	// Workers sizes execution/commit pools; 0 = GOMAXPROCS.
 	Workers int
-	// Parallelism is the scheduler-core fan-out (sharded ACG build, cluster-
-	// parallel sorting): 0 = GOMAXPROCS, 1 = the sequential reference core.
-	Parallelism int
 	// MaxCycles bounds how many circuits the CG baseline may hold for
 	// exact greedy cover before falling back to streaming removal.
 	MaxCycles int
@@ -164,12 +161,9 @@ func buildSims(o Options, omega int, skew float64, seedSalt int64) (map[types.Ke
 	return snapshot, sims, nil
 }
 
-// nezhaScheduler returns the paper's full Nezha configuration with the
-// option set's core parallelism.
-func nezhaScheduler(o Options) types.Scheduler {
-	cfg := core.DefaultConfig()
-	cfg.Parallelism = o.Parallelism
-	return core.MustNewScheduler(cfg)
+// nezhaScheduler returns the paper's full Nezha configuration.
+func nezhaScheduler() types.Scheduler {
+	return core.MustNewScheduler(core.DefaultConfig())
 }
 
 // cgScheduler returns the strawman baseline with the configured caps.

@@ -29,7 +29,7 @@ func Fig10(o Options) (*Table, error) {
 			name string
 			mk   func() types.Scheduler
 		}{
-			{"nezha", func() types.Scheduler { return nezhaScheduler(o) }},
+			{"nezha", func() types.Scheduler { return nezhaScheduler() }},
 			{"cg", func() types.Scheduler { return cgScheduler(o) }},
 		} {
 			run, err := averageScheme(o, scheme.mk, omega, skew)

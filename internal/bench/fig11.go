@@ -21,7 +21,7 @@ func Fig11(o Options) (*Table, error) {
 	}
 	const omega = 1
 	for _, skew := range []float64{0.6, 0.7, 0.8, 0.9, 1.0} {
-		nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler(o) }, omega, skew)
+		nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler() }, omega, skew)
 		if err != nil {
 			return nil, err
 		}

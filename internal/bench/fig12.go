@@ -30,7 +30,7 @@ func Fig12(o Options) (*Table, error) {
 			for _, mk := range []func() types.Scheduler{
 				func() types.Scheduler { return nil }, // serial
 				func() types.Scheduler { return cgScheduler(o) },
-				func() types.Scheduler { return nezhaScheduler(o) },
+				func() types.Scheduler { return nezhaScheduler() },
 			} {
 				sum, err := runPipeline(o, omega, skew, mk(), int64(omega*100)+int64(skew*10))
 				if errors.Is(err, cg.ErrCycleExplosion) {

@@ -114,7 +114,7 @@ func Fig9(o Options) (*Table, error) {
 	}
 	for _, skew := range []float64{0.2, 0.4, 0.6, 0.8} {
 		for _, omega := range []int{2, 4, 6, 8, 10, 12} {
-			nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler(o) }, omega, skew)
+			nz, err := averageScheme(o, func() types.Scheduler { return nezhaScheduler() }, omega, skew)
 			if err != nil {
 				return nil, err
 			}

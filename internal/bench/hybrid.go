@@ -31,7 +31,7 @@ func SchedulerComparison(o Options) (*Table, error) {
 		{"occ", func() types.Scheduler { return occ.NewScheduler() }},
 		{"occda", func() types.Scheduler { return occda.NewScheduler() }},
 		{"cg", func() types.Scheduler { return cgScheduler(o) }},
-		{"nezha", func() types.Scheduler { return nezhaScheduler(o) }},
+		{"nezha", func() types.Scheduler { return nezhaScheduler() }},
 	}
 	for _, skew := range []float64{0.4, 0.6, 0.8, 1.0} {
 		for _, scheme := range schemes {

@@ -7,9 +7,7 @@ import (
 // StagePipeline (extension) profiles the staged epoch pipeline: per-stage
 // wall-clock share, queue depth, pool occupancy, and the cross-epoch
 // overlap won by prevalidating the next epoch's signatures under the
-// current commit. It also reports the parallel scheduler core's fan-out
-// shape (ACG build shards, conflict clusters) from the control-phase
-// breakdown.
+// current commit.
 func StagePipeline(o Options) (*Table, error) {
 	t := &Table{
 		Title:  "Extension — staged pipeline: per-stage latency, occupancy, and overlap",
@@ -21,7 +19,7 @@ func StagePipeline(o Options) (*Table, error) {
 	}
 	const omega = 4
 	for _, skew := range []float64{0.2, 0.6} {
-		sum, err := runPipeline(o, omega, skew, nezhaScheduler(o), int64(skew*100)+3)
+		sum, err := runPipeline(o, omega, skew, nezhaScheduler(), int64(skew*100)+3)
 		if err != nil {
 			return nil, err
 		}
@@ -36,10 +34,6 @@ func StagePipeline(o Options) (*Table, error) {
 				ms(float64(st.Overlap.Microseconds()) / 1000),
 			})
 		}
-		bd := sum.ControlBreakdown
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"skew %.1f scheduler core: %d ACG shards, %d conflict clusters (largest %d addrs) over %d epochs",
-			skew, bd.Shards, bd.SortClusters, bd.MaxClusterAddrs, sum.Epochs))
 	}
 	return t, nil
 }

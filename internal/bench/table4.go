@@ -23,7 +23,7 @@ func Table4(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nezha, err := runPipeline(o, omega, 0, nezhaScheduler(o), int64(omega))
+		nezha, err := runPipeline(o, omega, 0, nezhaScheduler(), int64(omega))
 		if err != nil {
 			return nil, err
 		}

@@ -153,7 +153,7 @@ func TestHarnessCatchesFlippedRescue(t *testing.T) {
 	if fail == nil {
 		t.Fatal("flipped rescue comparison survived 120 seeds — the oracle has no teeth")
 	}
-	if fail.Kind != FailOracle && fail.Kind != FailParallelism {
+	if fail.Kind != FailOracle && fail.Kind != FailNondeterminism {
 		t.Fatalf("unexpected failure kind %s: %s", fail.Kind, fail.Error())
 	}
 	if len(fail.Minimized) == 0 || len(fail.Minimized) >= fail.Gen.Txs {

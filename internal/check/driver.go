@@ -18,9 +18,9 @@ type FailureKind string
 const (
 	// FailSchedulerError: a scheduler returned an unexpected error.
 	FailSchedulerError FailureKind = "scheduler-error"
-	// FailParallelism: the Nezha scheduler produced different schedules at
-	// different parallelism levels — the determinism contract of PR 1.
-	FailParallelism FailureKind = "parallelism-divergence"
+	// FailNondeterminism: the Nezha scheduler produced two different
+	// schedules for the same epoch — every node must derive the same one.
+	FailNondeterminism FailureKind = "nondeterminism"
 	// FailOracle: the Nezha schedule failed the serial-replay oracle.
 	FailOracle FailureKind = "oracle-violation"
 	// FailCGOracle: the CG baseline's schedule failed the oracle.
@@ -61,11 +61,7 @@ func (f *Failure) Error() string {
 type TrialConfig struct {
 	// Gen parameterizes the epoch under test.
 	Gen GenConfig
-	// Parallelisms are the scheduler fan-outs compared for identity.
-	// Defaults to 1, 2, 4, 8.
-	Parallelisms []int
-	// Core overrides the base scheduler config (Parallelism is set per
-	// level); nil means core.DefaultConfig().
+	// Core overrides the scheduler config; nil means core.DefaultConfig().
 	Core *core.Config
 	// CG overrides the baseline config; nil means cg.DefaultConfig().
 	CG *cg.Config
@@ -83,9 +79,6 @@ type TrialConfig struct {
 
 func (c TrialConfig) withDefaults() TrialConfig {
 	c.Gen = c.Gen.withDefaults()
-	if len(c.Parallelisms) == 0 {
-		c.Parallelisms = []int{1, 2, 4, 8}
-	}
 	if c.Core == nil {
 		cc := core.DefaultConfig()
 		c.Core = &cc
@@ -159,33 +152,13 @@ func renumber(sims []*types.SimResult, keep []int) []*types.SimResult {
 // first divergence found (nil if clean). res, when non-nil, receives the
 // trial statistics.
 func diffCheck(cfg TrialConfig, snapshot map[types.Key][]byte, sims []*types.SimResult, res *TrialResult) *Failure {
-	// (a) Nezha at every parallelism level: schedules must be identical.
-	var ref *types.Schedule
-	for _, par := range cfg.Parallelisms {
-		cc := *cfg.Core
-		cc.Parallelism = par
-		sch, err := core.NewScheduler(cc)
-		if err != nil {
-			return &Failure{Kind: FailSchedulerError, Detail: fmt.Sprintf("nezha config (par=%d): %v", par, err)}
-		}
-		out, pb, err := sch.Schedule(sims)
-		if err != nil {
-			return &Failure{Kind: FailSchedulerError, Detail: fmt.Sprintf("nezha (par=%d): %v", par, err)}
-		}
-		if cfg.Mutate != nil {
-			cfg.Mutate(out, sims)
-		}
-		if ref == nil {
-			ref = out
-			if res != nil {
-				res.Rescued = pb.Rescued
-			}
-		} else if !ref.Equal(out) {
-			return &Failure{Kind: FailParallelism,
-				Detail: fmt.Sprintf("parallelism %d vs %d: %s", cfg.Parallelisms[0], par, diffSchedules(ref, out))}
-		}
+	// (a) Nezha, twice: the same epoch must get the same schedule.
+	ref, pb, fail := scheduleTwice(*cfg.Core, sims, cfg.Mutate)
+	if fail != nil {
+		return fail
 	}
 	if res != nil {
+		res.Rescued = pb.Rescued
 		res.Committed = ref.CommittedCount()
 		res.Aborted = ref.AbortedCount()
 	}
@@ -245,6 +218,32 @@ func diffCheck(cfg TrialConfig, snapshot map[types.Key][]byte, sims []*types.Sim
 		}
 	}
 	return nil
+}
+
+// scheduleTwice schedules the epoch with two fresh schedulers and fails
+// unless both give the same schedule: the dynamic guard behind nezha-vet's
+// detmap and detsource, which a map iteration order or a wall-clock read
+// reaching the output trips. mutate, when set, post-processes each schedule
+// (see TrialConfig.Mutate).
+func scheduleTwice(cfg core.Config, sims []*types.SimResult, mutate func(*types.Schedule, []*types.SimResult)) (*types.Schedule, types.PhaseBreakdown, *Failure) {
+	var outs [2]*types.Schedule
+	var pb types.PhaseBreakdown
+	for i := range outs {
+		sch, err := core.NewScheduler(cfg)
+		if err != nil {
+			return nil, pb, &Failure{Kind: FailSchedulerError, Detail: fmt.Sprintf("nezha config: %v", err)}
+		}
+		if outs[i], pb, err = sch.Schedule(sims); err != nil {
+			return nil, pb, &Failure{Kind: FailSchedulerError, Detail: fmt.Sprintf("nezha: %v", err)}
+		}
+		if mutate != nil {
+			mutate(outs[i], sims)
+		}
+	}
+	if !outs[0].Equal(outs[1]) {
+		return nil, pb, &Failure{Kind: FailNondeterminism, Detail: "scheduled twice: " + diffSchedules(outs[0], outs[1])}
+	}
+	return outs[0], pb, nil
 }
 
 // simKeys returns the distinct keys a simulation touches: the read∪write

@@ -4,12 +4,11 @@ package check
 // executed twice — once reading through the MVCC version cache
 // (statedb.View, the pipeline's default), once through per-epoch copied
 // snapshots (the retained legacy path) — must observe identical read
-// values, produce identical schedules at every parallelism level, and
-// commit to byte-identical per-epoch roots. Unlike the single-epoch
-// scheduler differential (driver.go), state here EVOLVES: epoch e's
-// writes are epoch e+1's read values, so a stale version, a phantom from
-// an unreleased reservation, or an over-eager GC fold shows up as a root
-// divergence within a few epochs.
+// values, produce identical schedules, and commit to byte-identical
+// per-epoch roots. Unlike the single-epoch scheduler differential
+// (driver.go), state here EVOLVES: epoch e's writes are epoch e+1's read
+// values, so a stale version, a phantom from an unreleased reservation, or
+// an over-eager GC fold shows up as a root divergence within a few epochs.
 
 import (
 	"bytes"
@@ -37,9 +36,6 @@ type ExecDiffConfig struct {
 	Gen GenConfig
 	// Epochs is the number of committed generations. Defaults to 4.
 	Epochs int
-	// Parallelisms are the scheduler fan-outs compared per epoch.
-	// Defaults to 1, 2, 4, 8.
-	Parallelisms []int
 	// Workers is the commit fan-out. Defaults to 4.
 	Workers int
 }
@@ -48,9 +44,6 @@ func (c ExecDiffConfig) withDefaults() ExecDiffConfig {
 	c.Gen = c.Gen.withDefaults()
 	if c.Epochs == 0 {
 		c.Epochs = 4
-	}
-	if len(c.Parallelisms) == 0 {
-		c.Parallelisms = []int{1, 2, 4, 8}
 	}
 	if c.Workers == 0 {
 		c.Workers = 4
@@ -127,28 +120,13 @@ func (ex *executor) execEpoch(templates []*types.SimResult, epoch int) ([]*types
 	return sims, nil
 }
 
-// scheduleEpoch schedules one executed epoch at every parallelism level,
-// requiring identical output, and verifies it against the serial-replay
-// oracle.
-func scheduleEpoch(cfg ExecDiffConfig, sims []*types.SimResult, epoch int) (*types.Schedule, *Failure) {
-	var ref *types.Schedule
-	for _, par := range cfg.Parallelisms {
-		cc := core.DefaultConfig()
-		cc.Parallelism = par
-		sch, err := core.NewScheduler(cc)
-		if err != nil {
-			return nil, &Failure{Kind: FailSchedulerError, Detail: fmt.Sprintf("epoch %d (par=%d): %v", epoch, par, err)}
-		}
-		out, _, err := sch.Schedule(sims)
-		if err != nil {
-			return nil, &Failure{Kind: FailSchedulerError, Detail: fmt.Sprintf("epoch %d (par=%d): %v", epoch, par, err)}
-		}
-		if ref == nil {
-			ref = out
-		} else if !ref.Equal(out) {
-			return nil, &Failure{Kind: FailParallelism,
-				Detail: fmt.Sprintf("epoch %d parallelism %d vs %d: %s", epoch, cfg.Parallelisms[0], par, diffSchedules(ref, out))}
-		}
+// scheduleEpoch schedules one executed epoch twice, requiring identical
+// output, and verifies it against the serial-replay oracle.
+func scheduleEpoch(sims []*types.SimResult, epoch int) (*types.Schedule, *Failure) {
+	ref, _, fail := scheduleTwice(core.DefaultConfig(), sims, nil)
+	if fail != nil {
+		fail.Detail = fmt.Sprintf("epoch %d: %s", epoch, fail.Detail)
+		return nil, fail
 	}
 	// The epoch's pre-state, reconstructed from the recorded reads, is
 	// exactly what serial replay must reproduce.
@@ -190,12 +168,12 @@ func RunExecDiff(cfg ExecDiffConfig) *Failure {
 			return f
 		}
 
-		sched, fail := scheduleEpoch(cfg, mvccSims, e)
+		sched, fail := scheduleEpoch(mvccSims, e)
 		if fail != nil {
 			fail.Gen = cfg.Gen
 			return fail
 		}
-		snapSched, fail := scheduleEpoch(cfg, snapSims, e)
+		snapSched, fail := scheduleEpoch(snapSims, e)
 		if fail != nil {
 			fail.Gen = cfg.Gen
 			return fail
@@ -253,8 +231,6 @@ type ExecDiffRunConfig struct {
 	Epochs int
 	// Txs and Keys override the per-trial epoch dimensions.
 	Txs, Keys int
-	// Parallelisms defaults to 1, 2, 4, 8.
-	Parallelisms []int
 	// MaxFailures stops the sweep early; 0 means 5.
 	MaxFailures int
 	// Verbose, when non-nil, receives one progress line per trial.
@@ -300,7 +276,7 @@ func RunExecDiffSweep(cfg ExecDiffRunConfig) *ExecDiffReport {
 			if cfg.Keys != 0 {
 				gen.Keys = cfg.Keys
 			}
-			fail := RunExecDiff(ExecDiffConfig{Gen: gen, Epochs: cfg.Epochs, Parallelisms: cfg.Parallelisms})
+			fail := RunExecDiff(ExecDiffConfig{Gen: gen, Epochs: cfg.Epochs})
 			rep.Trials++
 			if cfg.Verbose != nil {
 				status := "ok"

@@ -1,8 +1,7 @@
 // Package check is the differential correctness harness: a deterministic,
 // seed-driven adversarial workload generator plus a driver that runs every
-// generated epoch through the Nezha scheduler at several parallelism
-// levels, the CG baseline, and the core.VerifySchedule serial-replay
-// oracle, failing with a minimized, seed-replayable reproduction on any
+// generated epoch through the Nezha scheduler (twice, for determinism), the
+// CG baseline, and the core.VerifySchedule serial-replay oracle, failing with a minimized, seed-replayable reproduction on any
 // divergence.
 //
 // The point is to exercise conflict structures the SmallBank-shaped

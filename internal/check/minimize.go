@@ -1,8 +1,8 @@
 package check
 
 // maxMinimizeProbes bounds the predicate invocations one minimization may
-// spend: each probe schedules the candidate epoch at every parallelism
-// level, so an unbounded ddmin on a large epoch could dominate a CI run.
+// spend: each probe schedules the candidate epoch twice and replays it, so
+// an unbounded ddmin on a large epoch could dominate a CI run.
 const maxMinimizeProbes = 2000
 
 // Minimize shrinks a failing index set with the ddmin algorithm [Zeller &

@@ -56,8 +56,6 @@ type RunConfig struct {
 	Txs, Keys int
 	// Profiles defaults to Profiles().
 	Profiles []Profile
-	// Parallelisms defaults to 1, 2, 4, 8.
-	Parallelisms []int
 	// MaxFailures stops the sweep early; 0 means 5.
 	MaxFailures int
 	// CG overrides the baseline budget (nil means cg.DefaultConfig());
@@ -139,7 +137,7 @@ func Run(cfg RunConfig) *Report {
 			if cfg.Keys != 0 {
 				gen.Keys = cfg.Keys
 			}
-			res := RunTrial(TrialConfig{Gen: gen, Parallelisms: cfg.Parallelisms, CG: cfg.CG, SkipCG: cfg.SkipCG})
+			res := RunTrial(TrialConfig{Gen: gen, CG: cfg.CG, SkipCG: cfg.SkipCG})
 			rep.Trials++
 			stats.Trials++
 			stats.Committed += res.Committed

@@ -8,11 +8,12 @@
 //
 //	BuildACG            O(u·N): map every read/write unit onto its address
 //	RankAddresses       Algorithm 1: optimized topological sort of address deps
-//	assignSequences     Algorithm 2 per address, in rank order (+ reordering, §IV-D)
+//	sorter.run          Algorithm 2 per address, in rank order (+ reordering, §IV-D)
 //	safetySweep         conservative final pass enforcing serializability
 //
-// All stages are strictly deterministic: addresses are ordered by key bytes
-// ("subscript" order in the paper), transactions by epoch-local id.
+// The stages run one after another on the caller's goroutine and are
+// strictly deterministic: addresses are ordered by key bytes ("subscript"
+// order in the paper), transactions by epoch-local id.
 package core
 
 import (
@@ -74,36 +75,101 @@ type ACG struct {
 // ("determined according to their subscripts") fall out for free.
 // Transaction ids must be epoch-local (consecutive from 0, as types.NewEpoch
 // assigns them): the graph indexes transactions densely by id.
-//
-// BuildACG is the sequential reference implementation; BuildACGSharded is
-// the key-sharded parallel builder that must produce an identical graph.
 func BuildACG(sims []*types.SimResult) *ACG {
-	acg := newACG(sims)
+	n := denseSimLen(sims)
+	acg := &ACG{
+		index:   make(map[types.Key]int, 2*len(sims)),
+		sims:    make([]*types.SimResult, n),
+		unitOff: make([]int32, n+1),
+	}
+	// Unit offsets per transaction; gaps in the id space own no units.
+	for _, sim := range sims {
+		acg.sims[sim.Tx.ID] = sim
+		acg.unitOff[sim.Tx.ID+1] = int32(len(sim.Reads) + len(sim.Writes))
+	}
+	for id := 0; id < n; id++ {
+		acg.unitOff[id+1] += acg.unitOff[id]
+	}
+	acg.unitAddr = make([]int32, acg.unitOff[n])
 
 	// Pass 1: number every accessed key in first-occurrence order and
 	// record each unit under that provisional number — the only time a
 	// key is hashed.
 	keys := make([]types.Key, 0, len(sims)*2)
-	n := 0
+	u := 0
+	intern := func(k types.Key) {
+		p, ok := acg.index[k]
+		if !ok {
+			p = len(keys)
+			acg.index[k] = p
+			keys = append(keys, k)
+		}
+		acg.unitAddr[u] = int32(p)
+		u++
+	}
 	for _, sim := range sims {
-		acg.sims[sim.Tx.ID] = sim
-		n = internUnits(sim, acg.index, &keys, acg.unitAddr, n)
+		for _, r := range sim.Reads {
+			intern(r.Key)
+		}
+		for _, w := range sim.Writes {
+			intern(w.Key)
+		}
 	}
 
 	// Vertices are numbered in key order, which gives each address its
 	// deterministic subscript; the units follow.
-	perm := acg.numberVertices(keys)
+	order := make([]int32, len(keys))
+	for p := range order {
+		order[p] = int32(p)
+	}
+	slices.SortFunc(order, func(p, q int32) int { return keys[p].Compare(keys[q]) })
+	perm := make([]int32, len(keys))
+	acg.Addrs = make([]AddressSet, len(keys))
+	for v, p := range order {
+		perm[p] = int32(v)
+		acg.Addrs[v].Key = keys[p]
+		acg.index[keys[p]] = v
+	}
 	for i, p := range acg.unitAddr {
 		acg.unitAddr[i] = perm[p]
 	}
 
-	// Pass 2: map units onto address sets and record address dependencies
-	// (write address → read address of the same transaction; same-address
-	// read+write pairs add no edge, cf. T5 in the paper's Fig. 4).
-	acg.fillAddressSets(sims)
+	// Pass 2: count every address's units and carve its Reads and Writes
+	// out of one arena, each list empty with exactly its final capacity.
+	v := len(keys)
+	nReads := make([]int32, v)
+	acg.addrOff = make([]int32, v+1)
 	for _, sim := range sims {
 		reads, writes := acg.units(sim.Tx.ID)
+		for _, j := range reads {
+			nReads[j]++
+		}
+		for _, j := range writes {
+			acg.addrOff[j+1]++
+		}
+	}
+	for j := 0; j < v; j++ {
+		acg.addrOff[j+1] += acg.addrOff[j] + nReads[j]
+	}
+	arena := make([]types.TxID, acg.addrOff[v])
+	for j := 0; j < v; j++ {
+		lo, mid, hi := acg.addrOff[j], acg.addrOff[j]+nReads[j], acg.addrOff[j+1]
+		acg.Addrs[j].Reads, acg.Addrs[j].Writes = arena[lo:lo:mid], arena[mid:mid:hi]
+	}
+
+	// Pass 3: fill the lists in place — ascending id order leaves each in
+	// ascending id order — and record address dependencies (write address
+	// → read address of the same transaction; same-address read+write
+	// pairs add no edge, cf. T5 in the paper's Fig. 4).
+	acg.Deps = graph.NewDirected(v)
+	for _, sim := range sims {
+		id := sim.Tx.ID
+		reads, writes := acg.units(id)
+		for _, j := range reads {
+			acg.Addrs[j].Reads = append(acg.Addrs[j].Reads, id)
+		}
 		for _, i := range writes {
+			acg.Addrs[i].Writes = append(acg.Addrs[i].Writes, id)
 			for _, j := range reads {
 				if i != j {
 					acg.Deps.AddEdge(int(i), int(j))
@@ -112,105 +178,6 @@ func BuildACG(sims []*types.SimResult) *ACG {
 		}
 	}
 	return acg
-}
-
-// newACG allocates the per-transaction tables: the dense sims lookup and the
-// unit offsets (gaps in the id space own no units).
-func newACG(sims []*types.SimResult) *ACG {
-	n := denseSimLen(sims)
-	acg := &ACG{
-		index:   make(map[types.Key]int, 2*len(sims)),
-		sims:    make([]*types.SimResult, n),
-		unitOff: make([]int32, n+1),
-	}
-	for _, sim := range sims {
-		acg.unitOff[sim.Tx.ID+1] = int32(len(sim.Reads) + len(sim.Writes))
-	}
-	for id := 0; id < n; id++ {
-		acg.unitOff[id+1] += acg.unitOff[id]
-	}
-	acg.unitAddr = make([]int32, acg.unitOff[n])
-	return acg
-}
-
-// internUnits writes one transaction's unit addresses into units[n:] as
-// numbers drawn from index — a key seen for the first time gets the next
-// number and joins keys — and returns the next free position.
-func internUnits(sim *types.SimResult, index map[types.Key]int, keys *[]types.Key, units []int32, n int) int {
-	intern := func(k types.Key) {
-		p, ok := index[k]
-		if !ok {
-			p = len(*keys)
-			index[k] = p
-			*keys = append(*keys, k)
-		}
-		units[n] = int32(p)
-		n++
-	}
-	for _, r := range sim.Reads {
-		intern(r.Key)
-	}
-	for _, w := range sim.Writes {
-		intern(w.Key)
-	}
-	return n
-}
-
-// numberVertices creates one vertex per key, numbered in key-byte order,
-// and returns the map from a key's position in keys to its vertex id.
-func (a *ACG) numberVertices(keys []types.Key) []int32 {
-	order := make([]int32, len(keys))
-	for p := range order {
-		order[p] = int32(p)
-	}
-	slices.SortFunc(order, func(p, q int32) int { return keys[p].Compare(keys[q]) })
-	perm := make([]int32, len(keys))
-	a.Addrs = make([]AddressSet, len(keys))
-	for v, p := range order {
-		perm[p] = int32(v)
-		a.Addrs[v].Key = keys[p]
-		a.index[keys[p]] = v
-	}
-	a.Deps = graph.NewDirected(len(keys))
-	return perm
-}
-
-// fillAddressSets carves every address's Reads and Writes out of one arena,
-// count-then-fill over the interned units; walking sims in ascending id
-// order leaves each list in ascending id order.
-func (a *ACG) fillAddressSets(sims []*types.SimResult) {
-	v := len(a.Addrs)
-	nReads := make([]int32, v)
-	a.addrOff = make([]int32, v+1)
-	for _, sim := range sims {
-		reads, writes := a.units(sim.Tx.ID)
-		for _, j := range reads {
-			nReads[j]++
-		}
-		for _, j := range writes {
-			a.addrOff[j+1]++
-		}
-	}
-	for j := 0; j < v; j++ {
-		a.addrOff[j+1] += a.addrOff[j] + nReads[j]
-	}
-	// Each list starts empty with exactly its final capacity, so the
-	// appends below fill the arena in place.
-	arena := make([]types.TxID, a.addrOff[v])
-	for j := 0; j < v; j++ {
-		lo, mid, hi := a.addrOff[j], a.addrOff[j]+nReads[j], a.addrOff[j+1]
-		a.Addrs[j].Reads, a.Addrs[j].Writes = arena[lo:lo:mid], arena[mid:mid:hi]
-	}
-	for _, sim := range sims {
-		id := sim.Tx.ID
-		reads, writes := a.units(id)
-		for _, j := range reads {
-			a.Addrs[j].Reads = append(a.Addrs[j].Reads, id)
-		}
-		for _, j := range writes {
-			a.Addrs[j].Writes = append(a.Addrs[j].Writes, id)
-		}
-	}
 }
 
 // units returns the vertex ids of a transaction's read units and of its

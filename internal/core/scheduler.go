@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"slices"
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/metrics"
@@ -41,12 +39,10 @@ type Config struct {
 	// this; the schedules may then (rarely) violate strict per-address
 	// invariants.
 	SkipSafetySweep bool
-	// Parallelism is the worker fan-out of the sharded ACG builder and
-	// the cluster-parallel sorter: 0 means GOMAXPROCS, 1 selects the
-	// sequential reference implementations, and negative values are
-	// rejected. Every setting produces byte-identical schedules — the
-	// knob trades goroutine overhead against multi-core speedup, never
-	// determinism (the cross-implementation tests assert exactly that).
+	// Parallelism is read by nothing: the scheduler runs on the caller's
+	// goroutine. It stays compiled only because the repo benchmark
+	// (benchmark/layers.go) still sets it; ROADMAP item 2(a) deletes it
+	// together with that line.
 	Parallelism int
 	// InjectFault deliberately breaks one scheduler rule (see Fault).
 	// Only the differential harness's meta-tests set it, to prove the
@@ -56,16 +52,10 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration evaluated in the paper:
-// reordering on, max-out-degree rank heuristic, safety sweep on, and the
-// parallel core sized to the machine.
+// reordering on, max-out-degree rank heuristic, safety sweep on.
 func DefaultConfig() Config {
 	return Config{Reorder: true, Heuristic: RankMaxOutDegree}
 }
-
-// minParallelTxs is the epoch size below which Schedule always takes the
-// sequential path: goroutine fan-out costs more than it saves on tiny
-// epochs. Output is unaffected — both paths produce identical schedules.
-const minParallelTxs = 128
 
 // Scheduler is the Nezha concurrency-control scheme (§IV). It is stateless
 // across epochs and safe for concurrent use by multiple goroutines (each
@@ -82,9 +72,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	case RankMaxOutDegree, RankMinSubscript:
 	default:
 		return nil, fmt.Errorf("core: unknown rank heuristic %d", cfg.Heuristic)
-	}
-	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("core: negative parallelism %d", cfg.Parallelism)
 	}
 	switch cfg.InjectFault {
 	case FaultNone, FaultFlipRescue, FaultDropStatelessSeq:
@@ -107,41 +94,15 @@ func MustNewScheduler(cfg Config) *Scheduler {
 // Name implements types.Scheduler.
 func (n *Scheduler) Name() string { return "nezha" }
 
-// parallelism resolves the configured fan-out for an epoch of the given
-// size: 0 expands to GOMAXPROCS, and epochs below minParallelTxs always
-// run sequentially.
-func (n *Scheduler) parallelism(txs int) int {
-	p := n.cfg.Parallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if txs < minParallelTxs {
-		return 1
-	}
-	return p
-}
-
 // Schedule implements types.Scheduler: ACG construction, sorting-rank
 // division, per-address transaction sorting (plus reordering and the safety
-// sweep), then schedule assembly. The returned breakdown maps onto the
-// paper's Fig. 10 phases and records the fan-out shape of the parallel
-// core (shards, conflict clusters).
-//
-// With Parallelism != 1 the graph is built by the key-sharded parallel
-// builder and sorting fans out across conflict-closure clusters; the
-// schedule is byte-identical to the sequential reference either way.
+// sweep), then schedule assembly, all on the caller's goroutine. The
+// returned breakdown maps onto the paper's Fig. 10 phases.
 func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.PhaseBreakdown, error) {
 	var pb types.PhaseBreakdown
-	par := n.parallelism(len(sims))
 
 	start := time.Now() //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
-	var acg *ACG
-	if par > 1 {
-		acg = BuildACGSharded(sims, par)
-	} else {
-		acg = BuildACG(sims)
-	}
-	pb.Shards = par
+	acg := BuildACG(sims)
 	pb.Graph = time.Since(start) //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
 
 	start = time.Now() //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
@@ -150,22 +111,9 @@ func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.Ph
 
 	start = time.Now() //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
 	srt := newSorter(acg, n.cfg.Reorder, n.cfg.InjectFault)
-	if par > 1 {
-		clusters := conflictClusters(acg, ranks)
-		// Largest first (ties keep rank order) so that one dominant
-		// cluster does not start last and leave the other workers idle.
-		slices.SortStableFunc(clusters, func(a, b []int) int { return len(b) - len(a) })
-		pb.SortClusters = len(clusters)
-		pb.MaxClusterAddrs = maxClusterLen(clusters)
-		srt.runParallel(clusters, par)
-		if !n.cfg.SkipSafetySweep {
-			srt.safetySweepParallel(clusters, par)
-		}
-	} else {
-		srt.run(ranks)
-		if !n.cfg.SkipSafetySweep {
-			srt.safetySweep(ranks)
-		}
+	srt.run(ranks)
+	if !n.cfg.SkipSafetySweep {
+		srt.safetySweep(ranks)
 	}
 	srt.finish()
 
@@ -180,7 +128,7 @@ func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.Ph
 	}
 	sched.NormalizeAborts()
 	pb.Sort = time.Since(start) //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
-	pb.Rescued = int(srt.rescued.Load())
+	pb.Rescued = srt.rescued
 
 	schedRuns.Inc()
 	schedTxs.Add(float64(len(sims)))

@@ -3,8 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/nezha-dag/nezha/internal/types"
 )
@@ -18,9 +16,7 @@ const initialSeq types.Seq = 1
 // addresses of one epoch. All of it — per-transaction state, per-address
 // state and the scratch of every pass — is held in dense slices indexed by
 // epoch-local id or by vertex id and allocated once per Schedule: maps
-// dominated the scheduler's allocation profile, and dense slots are what
-// lets conflict-disjoint clusters run on separate goroutines without locks
-// (disjoint indices, no shared map buckets).
+// dominated the scheduler's allocation profile.
 type sorter struct {
 	acg     *ACG
 	reorder bool
@@ -53,8 +49,8 @@ type sorter struct {
 	// recurs and the marks need no clearing.
 	readAt, bumpedAt []int32
 	// rescued counts transactions the §IV-D reordering re-sequenced
-	// instead of aborting — atomic because clusters sort in parallel.
-	rescued atomic.Int64
+	// instead of aborting.
+	rescued int
 
 	// Safety-sweep scratch. live mirrors the ACG's unit arena: address j
 	// parks its live readers and writers, sorted, in its own range.
@@ -119,50 +115,11 @@ func (s *sorter) isUsed(j int, seq types.Seq) bool {
 // address processed afterwards.
 func (s *sorter) abortTx(id types.TxID) { s.aborted[id] = true }
 
-// run executes Algorithm 2 on the given addresses in order. Over the whole
-// rank order it is the sequential reference the parallel path must
-// reproduce byte for byte; over one cluster it is a parallel worker's job.
+// run executes Algorithm 2 on the addresses in rank order.
 func (s *sorter) run(ranks []int) {
 	for _, j := range ranks {
 		s.sortAddress(j)
 	}
-}
-
-// runParallel executes Algorithm 2 with cluster-level parallelism: the
-// conflict-closure clusters (see cluster.go) touch pairwise-disjoint
-// transaction and address state, so workers process whole clusters
-// concurrently — each cluster's addresses strictly in rank order — and the
-// final sorter state is identical to run's.
-func (s *sorter) runParallel(clusters [][]int, workers int) {
-	drainClusters(clusters, workers, func() func([]int) { return s.run })
-}
-
-// drainClusters hands every cluster, in order, to one of `workers`
-// goroutines. Each goroutine calls newWorker once and feeds the clusters it
-// draws to the function it got, so that function may own scratch. The order
-// matters for load balance only (Schedule puts the largest first); it cannot
-// affect the result.
-func drainClusters(clusters [][]int, workers int, newWorker func() func(cluster []int)) {
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work := newWorker()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(clusters) {
-					return
-				}
-				work(clusters[i])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // finish assigns initialSeq to every live transaction the per-address
@@ -296,7 +253,7 @@ func (s *sorter) sortAddress(j int) {
 				top = maxRead
 			}
 			s.assign(id, top+1)
-			s.rescued.Add(1)
+			s.rescued++
 			continue
 		}
 		s.abortTx(id)
@@ -328,33 +285,14 @@ func (s *sorter) sortAddress(j int) {
 // reassignments (the line-17 bump and the §IV-D reordering) can violate
 // these in rare interleavings. addrs lists every address, in any order.
 func (s *sorter) safetySweep(addrs []int) {
-	s.newSweeper()(addrs)
-}
-
-// safetySweepParallel runs the sweep per conflict-closure cluster on the
-// worker pool. Violating pairs only ever join transactions sharing an
-// address, so every pair is intra-cluster, and the global greedy cover
-// decomposes exactly into the per-cluster covers: a victim chosen in one
-// cluster never changes another cluster's counts, so the victim set —
-// which is all that reaches the schedule — matches the sequential sweep's.
-func (s *sorter) safetySweepParallel(clusters [][]int, workers int) {
-	drainClusters(clusters, workers, s.newSweeper)
-}
-
-// newSweeper returns a function that sweeps one set of addresses per call,
-// reusing its buffers from call to call.
-func (s *sorter) newSweeper() func(addrs []int) {
 	var sw sweeper
-	return func(addrs []int) {
-		for _, victim := range s.coverAborts(s.collectViolations(addrs, &sw), &sw) {
-			s.abortTx(types.TxID(victim))
-		}
+	for _, victim := range s.coverAborts(s.collectViolations(addrs, &sw), &sw) {
+		s.abortTx(types.TxID(victim))
 	}
 }
 
-// sweeper is the working memory of one safety-sweep worker. Whatever is
-// indexed by transaction or address lives in the sorter instead, shared:
-// concurrent workers sweep disjoint clusters, hence disjoint slots.
+// sweeper is the safety sweep's working memory. Whatever is indexed by
+// transaction or address lives in the sorter instead.
 type sweeper struct {
 	contested  []contested
 	pairs      []violation

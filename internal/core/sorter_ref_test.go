@@ -146,11 +146,11 @@ func coverOrder(t testing.TB, pairs []violation, txs int) []types.TxID {
 	}
 	for id, c := range s.incident {
 		if c != 0 {
-			t.Fatalf("incident[%d] = %d after the cover, want 0: the next cluster's cover would start from a wrong count", id, c)
+			t.Fatalf("incident[%d] = %d after the cover, want 0: a second cover would start from a wrong count", id, c)
 		}
 	}
-	// The sweeper's buffers carry over from cluster to cluster; a second
-	// cover must not see the first one's leftovers.
+	// A second cover on the same sweeper must not see the first one's
+	// leftovers.
 	again := s.coverAborts(pairs, &sw)
 	for i, v := range again {
 		if len(again) != len(order) || types.TxID(v) != order[i] {

@@ -346,7 +346,6 @@ func (n *Node) scheduleStage(er *epochRun, ss *metrics.StageStat) error {
 	er.stats.Aborted = sched.AbortedCount() - len(er.execFailed)
 	er.stats.ControlBreakdown = breakdown
 	ss.Tasks = len(er.sims)
-	ss.Workers = breakdown.Shards
 
 	// The scheduler's phase output is the replica-deterministic artifact
 	// divergence forensics align on; the digest folds the group layout so

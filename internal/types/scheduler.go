@@ -16,18 +16,6 @@ type PhaseBreakdown struct {
 	Cycle time.Duration
 	Sort  time.Duration
 
-	// Shards is the worker fan-out the graph-construction phase ran with
-	// (1 = the sequential reference builder).
-	Shards int
-	// SortClusters is how many independent conflict clusters the sorting
-	// phase fanned out across; 0 means the sequential path ran. Clusters
-	// are the unit of sort-phase parallelism: addresses in different
-	// clusters share no transaction state.
-	SortClusters int
-	// MaxClusterAddrs is the address count of the largest cluster — the
-	// sequential grain that bounds sort-phase speedup (one giant cluster
-	// means the sorting of a contended epoch cannot parallelize).
-	MaxClusterAddrs int
 	// Rescued counts transactions the reordering enhancement (§IV-D)
 	// re-sequenced above their conflicts instead of aborting — each one
 	// is an abort the enhanced design avoided (the Fig. 11 gap between
@@ -38,20 +26,11 @@ type PhaseBreakdown struct {
 // Total returns the sum of all sub-phases.
 func (p PhaseBreakdown) Total() time.Duration { return p.Graph + p.Cycle + p.Sort }
 
-// Add accumulates another breakdown into p. Durations and cluster counts
-// sum; Shards and MaxClusterAddrs keep their maximum (they are per-epoch
-// shapes, not additive quantities).
+// Add accumulates another breakdown into p: every field sums.
 func (p *PhaseBreakdown) Add(o PhaseBreakdown) {
 	p.Graph += o.Graph
 	p.Cycle += o.Cycle
 	p.Sort += o.Sort
-	if o.Shards > p.Shards {
-		p.Shards = o.Shards
-	}
-	p.SortClusters += o.SortClusters
-	if o.MaxClusterAddrs > p.MaxClusterAddrs {
-		p.MaxClusterAddrs = o.MaxClusterAddrs
-	}
 	p.Rescued += o.Rescued
 }
 
