@@ -143,13 +143,9 @@ func smallBankState(b *testing.B, n int, skew float64) ([]*types.Transaction, *s
 		b.Fatal(err)
 	}
 	txs := gen.Txs(n)
-	snap, err := gen.Snapshot(txs)
+	seed, err := gen.GenesisWrites(txs)
 	if err != nil {
 		b.Fatal(err)
-	}
-	seed := make([]types.WriteEntry, 0, len(snap))
-	for k, v := range snap {
-		seed = append(seed, types.WriteEntry{Key: k, Value: v})
 	}
 	db := statedb.Open(kvstore.NewMemory(), mpt.EmptyRoot)
 	if _, err := db.Commit(seed); err != nil {

@@ -8,20 +8,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"time"
 
+	"github.com/nezha-dag/nezha/internal/cluster"
 	"github.com/nezha-dag/nezha/internal/consensus"
 	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
-	"github.com/nezha-dag/nezha/internal/core"
-	"github.com/nezha-dag/nezha/internal/dag"
-	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
 	"github.com/nezha-dag/nezha/internal/p2p"
-	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
@@ -51,101 +47,57 @@ func run() error {
 		return err
 	}
 
-	net := p2p.NewNetwork(p2p.Config{Latency: latency, Jitter: latency, QueueLen: 4096})
-	defer net.Close()
-
-	type peer struct {
-		node  *node.Node
-		miner *node.Miner
-		ep    *p2p.Endpoint
+	ids := make([]string, numNodes)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("node-%d", i)
 	}
-	peers := make([]*peer, numNodes)
-	for i := range peers {
-		id := fmt.Sprintf("node-%d", i)
-		n, err := node.New(id, kvstore.NewMemory(), node.Config{
+	c, err := cluster.New(cluster.Config{
+		IDs:       ids,
+		Miners:    numNodes,
+		BlockSize: 100,
+		Node: node.Config{
 			Consensus:     consensus.Params{Chains: numChains, DifficultyBits: 5},
-			Scheduler:     core.MustNewScheduler(core.DefaultConfig()),
-			Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
+			Contracts:     smallbank.Contracts(),
 			GenesisWrites: genesis,
 			ConfirmDepth:  3,
 			// Every miner preloads the whole workload: lift the pool's caps.
 			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
-		})
-		if err != nil {
-			return err
-		}
-		ep, err := net.Join(id)
-		if err != nil {
-			return err
-		}
-		m := node.NewMiner(n, types.AddressFromUint64(uint64(i)), 100)
-		if got := m.AddTxs(txs); got != len(txs) {
-			return fmt.Errorf("%s: pool admitted %d of %d transactions", id, got, len(txs))
-		}
-		peers[i] = &peer{node: n, miner: m, ep: ep}
+		},
+		PerMember: cluster.Nezha,
+		Fabric:    &p2p.Config{Latency: latency, Jitter: latency, QueueLen: 4096},
+	})
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	if err := c.Preload(txs); err != nil {
+		return err
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	fmt.Printf("%d nodes mining %d parallel chains, gossiping over a simulated LAN...\n", numNodes, numChains)
 
-	for peers[0].node.NextEpoch() <= targetEpoc {
-		if ctx.Err() != nil {
-			return errors.New("timed out before reaching the target epoch")
+	for c.Members[0].Node.NextEpoch() <= targetEpoc {
+		results, err := c.Round(ctx)
+		if err != nil {
+			return fmt.Errorf("target epoch not reached: %w", err)
 		}
-		time.Sleep(4 * latency) // let gossip settle between rounds
-		for _, p := range peers {
-			mineCtx, mineCancel := context.WithTimeout(ctx, 200*time.Millisecond)
-			b, err := p.miner.Mine(mineCtx)
-			mineCancel()
-			if err != nil {
-				continue
-			}
-			if p.node.SubmitBlock(b) == nil {
-				p.ep.Broadcast(p2p.Message{Type: p2p.MsgBlock, Block: b})
-			}
-		}
-		for _, p := range peers {
-			for drained := false; !drained; {
-				select {
-				case msg := <-p.ep.Inbox():
-					err := p.node.SubmitBlock(msg.Block)
-					if err != nil && !errors.Is(err, dag.ErrDuplicateBlock) &&
-						!errors.Is(err, dag.ErrBelowFinal) && !errors.Is(err, dag.ErrUnknownParent) {
-						return err
-					}
-				default:
-					drained = true
-				}
-			}
-			results, err := p.node.ProcessReadyEpochs()
-			if err != nil {
-				return err
-			}
-			for _, r := range results {
+		for i, res := range results {
+			for _, r := range res {
 				fmt.Printf("  %s processed epoch %d: %4d txs -> root %s\n",
-					p.node.ID(), r.Epoch, r.Stats.Txs, r.StateRoot.Short())
+					c.Members[i].ID, r.Epoch, r.Stats.Txs, r.StateRoot.Short())
 			}
 		}
 	}
 
 	fmt.Println("\nagreement check:")
-	byEpoch := map[uint64]map[types.Hash][]string{}
-	for _, p := range peers {
-		e := p.node.NextEpoch() - 1
-		if byEpoch[e] == nil {
-			byEpoch[e] = map[types.Hash][]string{}
-		}
-		byEpoch[e][p.node.StateRoot()] = append(byEpoch[e][p.node.StateRoot()], p.node.ID())
+	if err := c.Agree(); err != nil {
+		return err
 	}
-	for e, roots := range byEpoch {
-		if len(roots) > 1 {
-			return fmt.Errorf("epoch %d: nodes disagree: %v", e, roots)
-		}
-		for root, ids := range roots {
-			fmt.Printf("  epoch %d: %v all at root %s\n", e, ids, root.Short())
-		}
+	for _, m := range c.Members {
+		fmt.Printf("  %s: epochs 0-%d, head root %s\n", m.ID, m.Node.NextEpoch()-1, m.Node.StateRoot().Short())
 	}
-	fmt.Println("all nodes at the same epoch agree — deterministic scheduling held across the network")
+	fmt.Println("every epoch two nodes both processed has one root — deterministic scheduling held across the network")
 	return nil
 }

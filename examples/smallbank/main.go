@@ -14,13 +14,11 @@ import (
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/cg"
+	"github.com/nezha-dag/nezha/internal/cluster"
 	"github.com/nezha-dag/nezha/internal/consensus"
 	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
-	"github.com/nezha-dag/nezha/internal/core"
-	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
-	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
@@ -31,22 +29,22 @@ func main() {
 	flag.Parse()
 
 	schemes := []struct {
-		name string
-		mk   func() types.Scheduler
+		name      string
+		perMember func(int, *node.Config)
 	}{
-		{"nezha", func() types.Scheduler { return core.MustNewScheduler(core.DefaultConfig()) }},
-		{"cg", func() types.Scheduler { return cg.NewScheduler(cg.DefaultConfig()) }},
-		{"serial", func() types.Scheduler { return nil }},
+		{"nezha", cluster.Nezha},
+		{"cg", func(_ int, cfg *node.Config) { cfg.Scheduler = cg.NewScheduler(cg.DefaultConfig()) }},
+		{"serial", nil},
 	}
 
 	for _, scheme := range schemes {
-		if err := run(scheme.name, scheme.mk(), *txCount, *skew, *epochs); err != nil {
+		if err := run(scheme.name, scheme.perMember, *txCount, *skew, *epochs); err != nil {
 			log.Fatalf("%s: %v", scheme.name, err)
 		}
 	}
 }
 
-func run(name string, sched types.Scheduler, txCount int, skew float64, epochs int) error {
+func run(name string, perMember func(int, *node.Config), txCount int, skew float64, epochs int) error {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 7, Accounts: 10_000, Skew: skew, InitialBalance: 10_000,
 	})
@@ -59,37 +57,32 @@ func run(name string, sched types.Scheduler, txCount int, skew float64, epochs i
 		return err
 	}
 
-	n, err := node.New(name, kvstore.NewMemory(), node.Config{
-		Consensus:     consensus.Params{Chains: 2, DifficultyBits: 0},
-		Scheduler:     sched,
-		Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
-		GenesisWrites: genesis,
-		// The whole workload is preloaded: lift the pool's caps.
-		Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
+	c, err := cluster.New(cluster.Config{
+		IDs:       []string{name},
+		Miners:    1,
+		BlockSize: (txCount + 1) / 2,
+		Node: node.Config{
+			Consensus:     consensus.Params{Chains: 2, DifficultyBits: 0},
+			Contracts:     smallbank.Contracts(),
+			GenesisWrites: genesis,
+			// The whole workload is preloaded: lift the pool's caps.
+			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
+		},
+		PerMember: perMember,
 	})
 	if err != nil {
 		return err
 	}
+	defer c.Close()
 
-	start := time.Now()
-	miner := node.NewMiner(n, types.AddressFromUint64(1), (txCount+1)/2)
-	if got := miner.AddTxs(txs); got != len(txs) {
-		return fmt.Errorf("pool admitted %d of %d transactions", got, len(txs))
+	n, start := c.Members[0].Node, time.Now()
+	if err := c.Preload(txs); err != nil {
+		return err
 	}
-	processed := 0
-	for processed < epochs {
-		b, err := miner.Mine(context.Background())
-		if err != nil {
+	for n.NextEpoch() <= uint64(epochs) {
+		if _, err := c.Round(context.Background()); err != nil {
 			return err
 		}
-		if err := n.SubmitBlock(b); err != nil {
-			continue // hash landed on a chain that already advanced
-		}
-		results, err := n.ProcessReadyEpochs()
-		if err != nil {
-			return err
-		}
-		processed += len(results)
 	}
 	elapsed := time.Since(start)
 

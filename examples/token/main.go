@@ -13,13 +13,11 @@ import (
 	"log"
 	"time"
 
+	"github.com/nezha-dag/nezha/internal/cluster"
 	"github.com/nezha-dag/nezha/internal/consensus"
 	"github.com/nezha-dag/nezha/internal/contracts/token"
-	"github.com/nezha-dag/nezha/internal/core"
-	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
-	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
@@ -48,32 +46,30 @@ func run(txCount int, skew, mint float64) error {
 		return err
 	}
 
-	n, err := node.New("token-node", kvstore.NewMemory(), node.Config{
-		Consensus:     consensus.Params{Chains: 2, DifficultyBits: 0},
-		Scheduler:     core.MustNewScheduler(core.DefaultConfig()),
-		Contracts:     map[types.Address][]byte{token.ContractAddress: token.Program()},
-		GenesisWrites: genesis,
-		// The whole workload is preloaded: lift the pool's caps.
-		Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
+	c, err := cluster.New(cluster.Config{
+		IDs:       []string{"token-node"},
+		Miners:    1,
+		BlockSize: (txCount + 1) / 2,
+		Node: node.Config{
+			Consensus:     consensus.Params{Chains: 2, DifficultyBits: 0},
+			Contracts:     token.Contracts(),
+			GenesisWrites: genesis,
+			// The whole workload is preloaded: lift the pool's caps.
+			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1},
+		},
+		PerMember: cluster.Nezha,
 	})
 	if err != nil {
 		return err
 	}
-
-	miner := node.NewMiner(n, types.AddressFromUint64(1), (txCount+1)/2)
-	if got := miner.AddTxs(txs); got != len(txs) {
-		return fmt.Errorf("pool admitted %d of %d transactions", got, len(txs))
+	defer c.Close()
+	if err := c.Preload(txs); err != nil {
+		return err
 	}
+	n := c.Members[0].Node
 	start := time.Now()
 	for n.NextEpoch() == 1 {
-		b, err := miner.Mine(context.Background())
-		if err != nil {
-			return err
-		}
-		if err := n.SubmitBlock(b); err != nil {
-			continue
-		}
-		if _, err := n.ProcessReadyEpochs(); err != nil {
+		if _, err := c.Round(context.Background()); err != nil {
 			return err
 		}
 	}

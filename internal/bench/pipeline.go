@@ -28,20 +28,16 @@ func runPipeline(o Options, omega int, skew float64, sched types.Scheduler, seed
 	}
 	perEpoch := omega * o.BlockSize
 	txs := gen.Txs(perEpoch * o.Reps)
-	snap, err := gen.Snapshot(txs)
+	genesis, err := gen.GenesisWrites(txs)
 	if err != nil {
 		return metrics.Summary{}, err
-	}
-	genesis := make([]types.WriteEntry, 0, len(snap))
-	for k, v := range snap {
-		genesis = append(genesis, types.WriteEntry{Key: k, Value: v})
 	}
 
 	n, err := node.New("bench", kvstore.NewMemory(), node.Config{
 		Consensus:     consensus.Params{Chains: omega, DifficultyBits: 0},
 		Scheduler:     sched,
 		Workers:       o.Workers,
-		Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
+		Contracts:     smallbank.Contracts(),
 		GenesisWrites: genesis,
 	})
 	if err != nil {

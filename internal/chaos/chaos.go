@@ -1,13 +1,13 @@
 // Package chaos is the fault-injection convergence harness: an in-process
 // multi-node cluster (real Node, Miner, Syncer, LSM store, and simulated
-// p2p fabric) driven by a seeded workload while a seeded fault scheduler
-// crash-restarts nodes, partitions and heals the network, injects storage
-// errors, and stalls peers. After the fault rounds every failpoint is
-// disarmed, the network heals, crashed nodes restart from their on-disk
-// state, and the cluster must CONVERGE: every node reaches the same epoch
-// watermark and reports byte-for-byte identical state roots for every
-// processed epoch, with each restarted node's recovered roots matching
-// what the cluster had already agreed on.
+// p2p fabric, built by internal/cluster) driven by a seeded workload while
+// a seeded fault scheduler crash-restarts nodes, partitions and heals the
+// network, injects storage errors, and stalls peers. After the fault rounds
+// every failpoint is disarmed, the network heals, crashed nodes restart
+// from their on-disk state, and the cluster must CONVERGE: every node
+// reaches the same epoch watermark and reports byte-for-byte identical
+// state roots for every processed epoch, with each restarted node's
+// recovered roots matching what the cluster had already agreed on.
 //
 // Determinism and replay: the workload, the fault schedule, and every
 // probabilistic failpoint draw from the scenario seed, so a failing seed
@@ -22,14 +22,15 @@
 // so the block DAG grows linearly and any state divergence is attributable
 // to the injected faults rather than to probabilistic fork-choice finality
 // (fork convergence under concurrent mining is
-// TestGossipNetworkConvergesOnRoots' job). The two-holder rule counts only
-// nodes that can actually receive the broadcast — a stalled node's armed
-// delivery-drop makes it a holder on paper only (see mine) — otherwise a
-// solo miner can persist a private lineage whose crash-replay later
-// collides with the cluster's re-mined history (the seed-3 divergence,
-// ROADMAP item 6). Faults still create real disagreement — crashed nodes
-// lose their unpersisted ledger tail, partitioned and stalled nodes miss
-// broadcasts — which the self-healing sync layer must repair.
+// cluster.TestGossipNetworkConvergesOnRoots' job). The two-holder rule
+// counts only nodes that can actually receive the broadcast — a stalled
+// node's armed delivery-drop makes it a holder on paper only (see mine) —
+// otherwise a solo miner can persist a private lineage whose crash-replay
+// later collides with the cluster's re-mined history (the seed-3
+// divergence, ROADMAP item 6). Faults still create real disagreement —
+// crashed nodes lose their unpersisted ledger tail, partitioned and
+// stalled nodes miss broadcasts — which the self-healing sync layer must
+// repair.
 //
 // Failpoints are process-global, so scenarios must not run concurrently;
 // Run executes its seed sweep sequentially.
@@ -43,12 +44,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
+	"github.com/nezha-dag/nezha/internal/cluster"
 	"github.com/nezha-dag/nezha/internal/consensus"
 	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
-	"github.com/nezha-dag/nezha/internal/core"
-	"github.com/nezha-dag/nezha/internal/dag"
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/kvstore"
@@ -246,16 +247,9 @@ type pendingCrash struct {
 
 // chaosNode is one cluster member plus its harness bookkeeping.
 type chaosNode struct {
-	idx   int
-	id    string
-	dir   string
-	addr  types.Address
-	peers []string
-
-	n      *node.Node
-	store  kvstore.Store
-	ep     *p2p.Endpoint
-	miner  *node.Miner
+	*cluster.Member
+	idx    int
+	peers  []string
 	syncer *node.Syncer
 
 	down         bool
@@ -269,9 +263,8 @@ type chaosNode struct {
 type harness struct {
 	cfg      Config
 	rng      *rand.Rand
-	net      *p2p.Network
+	c        *cluster.Cluster
 	nodes    []*chaosNode
-	nodeCfg  node.Config
 	txs      []*types.Transaction
 	txCursor int
 	schedule map[int][]fault
@@ -280,10 +273,6 @@ type harness struct {
 	// history (every broadcast block). Mining eligibility and the
 	// convergence target both derive from it.
 	maxHeights []uint64
-	// agreed[e] is the first state root any node reported for epoch e;
-	// every later report must match it byte for byte.
-	agreed   map[uint64]types.Hash
-	agreedBy map[uint64]string
 	// armedSites maps failpoint name -> target node id while armed, so two
 	// faults never fight over one site (Enable replaces).
 	armedSites map[fail.Name]string
@@ -339,8 +328,6 @@ func Run(cfg Config) (*Result, error) {
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		maxHeights: make([]uint64, cfg.Chains),
-		agreed:     make(map[uint64]types.Hash),
-		agreedBy:   make(map[uint64]string),
 		armedSites: make(map[fail.Name]string),
 		now:        time.Unix(0, 0).Add(time.Hour),
 		res:        &Result{Seed: cfg.Seed},
@@ -348,7 +335,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := h.setup(root); err != nil {
 		return nil, err
 	}
-	defer h.teardown()
+	defer h.c.Close()
 
 	h.schedule = h.buildSchedule()
 	for r := 0; r < cfg.Rounds && h.fail == nil; r++ {
@@ -432,94 +419,64 @@ func (h *harness) setup(root string) error {
 	if err != nil {
 		return err
 	}
-	h.nodeCfg = node.Config{
-		Consensus:        consensus.Params{Chains: h.cfg.Chains},
-		Workers:          workers,
-		Contracts:        map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
-		GenesisWrites:    genesis,
-		ConfirmDepth:     confirmDepth,
-		Persist:          true,
-		SyncBatch:        syncBatch,
-		VerifySignatures: h.cfg.signed,
-		// Caps lifted: what a lost block leaves queued waits, never
-		// refused. The generator's global nonce counter is sparse per
-		// sender, so StrictNonce stays off.
-		Mempool: mempool.Config{ShardCap: -1, SenderCap: -1, VerifySignatures: h.cfg.signed},
-	}
-
-	h.net = p2p.NewNetwork(p2p.Config{QueueLen: 512, Seed: h.cfg.Seed})
 	ids := make([]string, h.cfg.Nodes)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("n%d", i)
 	}
-	for i, id := range ids {
-		var peers []string
-		for _, p := range ids {
-			if p != id {
-				peers = append(peers, p)
+	h.c, err = cluster.New(cluster.Config{
+		IDs:       ids,
+		Miners:    len(ids),
+		BlockSize: h.cfg.txsPerBlock(),
+		Node: node.Config{
+			Consensus:        consensus.Params{Chains: h.cfg.Chains},
+			Workers:          workers,
+			Contracts:        smallbank.Contracts(),
+			GenesisWrites:    genesis,
+			ConfirmDepth:     confirmDepth,
+			Persist:          true,
+			SyncBatch:        syncBatch,
+			VerifySignatures: h.cfg.signed,
+			// Caps lifted: what a lost block leaves queued waits, never
+			// refused. The generator's global nonce counter is sparse per
+			// sender, so StrictNonce stays off.
+			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1, VerifySignatures: h.cfg.signed},
+		},
+		PerMember: func(i int, cfg *node.Config) {
+			cluster.Nezha(i, cfg)
+			if h.cfg.wide {
+				cfg.Workers = wideWorkers[i%len(wideWorkers)]
 			}
-		}
-		cn := &chaosNode{
-			idx:   i,
-			id:    id,
-			dir:   filepath.Join(root, fmt.Sprintf("seed%d-%s", h.cfg.Seed, id)),
-			addr:  types.AddressFromUint64(uint64(i + 1)),
-			peers: peers,
-		}
-		if err := os.MkdirAll(cn.dir, 0o755); err != nil {
-			return err
-		}
-		if cn.ep, err = h.net.Join(id); err != nil {
-			return err
-		}
-		if err := h.open(cn); err != nil {
-			return err
-		}
+		},
+		// Each node's LSM directory; a crash restart reopens it and node.New
+		// restores whatever the node persisted.
+		Open: func(id string) (kvstore.Store, error) {
+			opts := kvstore.DefaultLSMOptions()
+			opts.FailTag = id
+			return kvstore.OpenLSM(filepath.Join(root, fmt.Sprintf("seed%d-%s", h.cfg.Seed, id)), opts)
+		},
+		Fabric: &p2p.Config{QueueLen: 512, Seed: h.cfg.Seed},
+	})
+	if err != nil {
+		return err
+	}
+	for i, m := range h.c.Members {
+		cn := &chaosNode{Member: m, idx: i, peers: slices.Delete(slices.Clone(ids), i, i+1)}
+		h.newSyncer(cn)
 		h.nodes = append(h.nodes, cn)
 	}
 	return nil
 }
 
-// open (re)opens a node over its LSM directory and rebuilds its miner and
-// syncer. Used at setup and at crash restart; node.New restores any
-// persisted state it finds.
-func (h *harness) open(cn *chaosNode) error {
-	opts := kvstore.DefaultLSMOptions()
-	opts.FailTag = cn.id
-	store, err := kvstore.OpenLSM(cn.dir, opts)
-	if err != nil {
-		return err
-	}
-	cfg := h.nodeCfg
-	cfg.Scheduler = core.MustNewScheduler(core.DefaultConfig())
-	if h.cfg.wide {
-		cfg.Workers = wideWorkers[cn.idx%len(wideWorkers)]
-	}
-	n, err := node.New(cn.id, store, cfg)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	cn.store, cn.n = store, n
-	cn.miner = node.NewMiner(n, cn.addr, h.cfg.txsPerBlock())
-	cn.syncer = node.NewSyncer(n, cn.ep, cn.peers, node.SyncConfig{
+// newSyncer gives a node that just opened a fresh syncer: sync state dies
+// with the process.
+func (h *harness) newSyncer(cn *chaosNode) {
+	cn.syncer = node.NewSyncer(cn.Node, cn.Endpoint, cn.peers, node.SyncConfig{
 		RequestTimeout: 40 * time.Millisecond,
 		BackoffBase:    15 * time.Millisecond,
 		BackoffMax:     120 * time.Millisecond,
 		DemoteAfter:    2,
 		Seed:           h.cfg.Seed + int64(cn.idx),
 	})
-	return nil
-}
-
-// teardown closes surviving stores and the network.
-func (h *harness) teardown() {
-	for _, cn := range h.nodes {
-		if !cn.down && cn.store != nil {
-			cn.store.Close()
-		}
-	}
-	h.net.Close()
 }
 
 // buildSchedule precomputes the fault plan: one mandatory fault of every
@@ -573,7 +530,7 @@ func (h *harness) buildSchedule() map[int][]fault {
 // stalls.
 func (h *harness) beginRound(r int) {
 	if h.healAt != 0 && r >= h.healAt {
-		h.net.Heal()
+		h.c.Network().Heal()
 		h.minority, h.healAt = nil, 0
 		h.eventf(r, "partition healed")
 	}
@@ -590,14 +547,14 @@ func (h *harness) beginRound(r int) {
 			h.kill(r, cn, "forced kill, failpoint "+string(cn.pending.site)+" never fired")
 		}
 		if cn.stalledUntil != 0 && r >= cn.stalledUntil {
-			if h.armedSites[fail.P2PDrop] == cn.id {
+			if h.armedSites[fail.P2PDrop] == cn.ID {
 				fail.Disable(fail.P2PDrop)
 				delete(h.armedSites, fail.P2PDrop)
 			}
 			cn.stalledUntil = 0
 		}
 		if cn.mpFaultUntil != 0 && r >= cn.mpFaultUntil {
-			if h.armedSites[fail.MempoolAdmit] == cn.id {
+			if h.armedSites[fail.MempoolAdmit] == cn.ID {
 				fail.Disable(fail.MempoolAdmit)
 				delete(h.armedSites, fail.MempoolAdmit)
 			}
@@ -621,11 +578,11 @@ func (h *harness) applyFault(r int, f fault) {
 		if _, taken := h.armedSites[f.site]; taken {
 			return
 		}
-		fail.Enable(f.site, fail.Spec{Mode: fail.ModePanic, Tag: cn.id, Count: 1})
-		h.armedSites[f.site] = cn.id
+		fail.Enable(f.site, fail.Spec{Mode: fail.ModePanic, Tag: cn.ID, Count: 1})
+		h.armedSites[f.site] = cn.ID
 		cn.pending = &pendingCrash{site: f.site, forceAt: r + crashForceAfter, downFor: f.duration}
 		h.journalFault(cn, "crash", string(f.site))
-		h.eventf(r, "armed crash failpoint %s@%s", f.site, cn.id)
+		h.eventf(r, "armed crash failpoint %s@%s", f.site, cn.ID)
 	case faultStorage:
 		cn := h.pickAlive(f.node)
 		if cn == nil {
@@ -634,10 +591,10 @@ func (h *harness) applyFault(r int, f fault) {
 		if _, taken := h.armedSites[fail.KVApply]; taken {
 			return
 		}
-		fail.Enable(fail.KVApply, fail.Spec{Mode: fail.ModeError, Tag: cn.id, Count: 1})
-		h.armedSites[fail.KVApply] = cn.id
+		fail.Enable(fail.KVApply, fail.Spec{Mode: fail.ModeError, Tag: cn.ID, Count: 1})
+		h.armedSites[fail.KVApply] = cn.ID
 		h.journalFault(cn, "storage", string(fail.KVApply))
-		h.eventf(r, "armed storage error kvstore/apply@%s", cn.id)
+		h.eventf(r, "armed storage error kvstore/apply@%s", cn.ID)
 	case faultPartition:
 		if h.healAt != 0 {
 			return
@@ -646,12 +603,12 @@ func (h *harness) applyFault(r int, f fault) {
 		if cn == nil {
 			return
 		}
-		h.minority = map[string]bool{cn.id: true}
-		h.net.Partition([]string{cn.id})
+		h.minority = map[string]bool{cn.ID: true}
+		h.c.Network().Partition([]string{cn.ID})
 		h.healAt = r + f.duration
 		h.journalFault(cn, "partition", "")
 		h.res.Partitions++
-		h.eventf(r, "partitioned %s away for %d rounds", cn.id, f.duration)
+		h.eventf(r, "partitioned %s away for %d rounds", cn.ID, f.duration)
 	case faultStall:
 		cn := h.pickAlive(f.node)
 		if cn == nil {
@@ -660,12 +617,12 @@ func (h *harness) applyFault(r int, f fault) {
 		if _, taken := h.armedSites[fail.P2PDrop]; taken {
 			return
 		}
-		fail.Enable(fail.P2PDrop, fail.Spec{Mode: fail.ModeDrop, Tag: cn.id, Prob: 0.8, Count: 20})
-		h.armedSites[fail.P2PDrop] = cn.id
+		fail.Enable(fail.P2PDrop, fail.Spec{Mode: fail.ModeDrop, Tag: cn.ID, Prob: 0.8, Count: 20})
+		h.armedSites[fail.P2PDrop] = cn.ID
 		cn.stalledUntil = r + f.duration
 		h.journalFault(cn, "stall", string(fail.P2PDrop))
 		h.res.Stalls++
-		h.eventf(r, "stalling deliveries to %s for %d rounds", cn.id, f.duration)
+		h.eventf(r, "stalling deliveries to %s for %d rounds", cn.ID, f.duration)
 	case faultMempool:
 		cn := h.pickAlive(f.node)
 		if cn == nil {
@@ -677,12 +634,12 @@ func (h *harness) applyFault(r int, f fault) {
 		// Probabilistic admission errors against one miner's pool: some of
 		// its fed transactions never enter a block. Convergence must hold
 		// anyway — admission shapes block content, never block execution.
-		fail.Enable(fail.MempoolAdmit, fail.Spec{Mode: fail.ModeError, Tag: cn.id, Prob: 0.5, Count: 10})
-		h.armedSites[fail.MempoolAdmit] = cn.id
+		fail.Enable(fail.MempoolAdmit, fail.Spec{Mode: fail.ModeError, Tag: cn.ID, Prob: 0.5, Count: 10})
+		h.armedSites[fail.MempoolAdmit] = cn.ID
 		cn.mpFaultUntil = r + f.duration
 		h.journalFault(cn, "mempool", string(fail.MempoolAdmit))
 		h.res.MempoolFaults++
-		h.eventf(r, "admission faults at %s for %d rounds", cn.id, f.duration)
+		h.eventf(r, "admission faults at %s for %d rounds", cn.ID, f.duration)
 	}
 }
 
@@ -714,33 +671,31 @@ func (h *harness) guard(r int, cn *chaosNode, op func() error) {
 	if cn.down || h.fail != nil {
 		return
 	}
-	var err error
-	crashed := false
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if !fail.IsCrash(rec) {
-					panic(rec)
-				}
-				crashed = true
-			}
-		}()
-		err = op()
-	}()
-	if crashed {
+	crashed, err := survive(op)
+	switch {
+	case crashed:
 		h.kill(r, cn, "crash failpoint fired")
-		return
-	}
-	if err == nil {
-		return
-	}
-	if errors.Is(err, fail.ErrInjected) {
+	case errors.Is(err, fail.ErrInjected):
 		h.res.StorageErrors++
 		delete(h.armedSites, "kvstore/apply")
-		h.eventf(r, "%s survived injected error: %v", cn.id, err)
-		return
+		h.eventf(r, "%s survived injected error: %v", cn.ID, err)
+	case err != nil:
+		h.failf(r, "%s: %v", cn.ID, err)
 	}
-	h.failf(r, "%s: %v", cn.id, err)
+}
+
+// survive runs op and reports whether an armed crash failpoint fired inside
+// it; any other panic is a real bug and propagates.
+func survive(op func() error) (crashed bool, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if !fail.IsCrash(rec) {
+				panic(rec)
+			}
+			crashed, err = true, nil
+		}
+	}()
+	return false, op()
 }
 
 // kill simulates SIGKILL: the node's in-memory state is abandoned (the
@@ -754,13 +709,13 @@ func (h *harness) kill(r int, cn *chaosNode, why string) {
 		downFor = cn.pending.downFor
 		cn.pending = nil
 	}
-	if h.armedSites["kvstore/apply"] == cn.id {
+	if h.armedSites["kvstore/apply"] == cn.ID {
 		// A dead node cannot observe its armed storage error; disarm so the
 		// site frees up for later faults.
 		fail.Disable("kvstore/apply")
 		delete(h.armedSites, "kvstore/apply")
 	}
-	if h.armedSites[fail.MempoolAdmit] == cn.id {
+	if h.armedSites[fail.MempoolAdmit] == cn.ID {
 		// Likewise its admission faults: the pool died with the miner.
 		fail.Disable(fail.MempoolAdmit)
 		delete(h.armedSites, fail.MempoolAdmit)
@@ -768,35 +723,27 @@ func (h *harness) kill(r int, cn *chaosNode, why string) {
 	}
 	cn.down = true
 	cn.restartAt = r + downFor
-	journal.For(cn.id).Emit(journal.ChaosKill, 0, journal.FS("why", why))
-	h.net.SetDown(cn.id, true)
-	cn.n, cn.store, cn.miner, cn.syncer = nil, nil, nil, nil
+	journal.For(cn.ID).Emit(journal.ChaosKill, 0, journal.FS("why", why))
+	h.c.Network().SetDown(cn.ID, true)
+	h.c.Crash(cn.Member)
 	h.res.CrashRestarts++
-	h.eventf(r, "%s crashed (%s), restart at round %d", cn.id, why, cn.restartAt)
+	h.eventf(r, "%s crashed (%s), restart at round %d", cn.ID, why, cn.restartAt)
 }
 
-// restart reopens a crashed node from its LSM directory and checks the
-// recovered state against everything the cluster has agreed on: a restored
-// root that differs from the agreed root for the same epoch means the
-// crash tore durability.
+// restart reopens a crashed node from its LSM directory. The next agreement
+// check compares every root it recovered with the live cluster's: a
+// restored root that differs means the crash tore durability.
 func (h *harness) restart(r int, cn *chaosNode) {
-	if err := h.open(cn); err != nil {
-		h.failf(r, "restart %s: %v", cn.id, err)
+	if err := h.c.Reopen(cn.Member); err != nil {
+		h.failf(r, "restart %s: %v", cn.ID, err)
 		return
 	}
-	for e, want := range h.agreed {
-		got, ok := cn.n.RootAt(e)
-		if ok && got != want {
-			h.failf(r, "restarted %s recovered root %s for epoch %d, cluster agreed on %s",
-				cn.id, got.Short(), e, want.Short())
-			return
-		}
-	}
-	cn.ep.Drain()
-	h.net.SetDown(cn.id, false)
+	h.newSyncer(cn)
+	cn.Endpoint.Drain()
+	h.c.Network().SetDown(cn.ID, false)
 	cn.down = false
-	journal.For(cn.id).Emit(journal.ChaosRestart, cn.n.NextEpoch())
-	h.eventf(r, "%s restarted at epoch %d", cn.id, cn.n.NextEpoch())
+	journal.For(cn.ID).Emit(journal.ChaosRestart, cn.Node.NextEpoch())
+	h.eventf(r, "%s restarted at epoch %d", cn.ID, cn.Node.NextEpoch())
 }
 
 // aliveMax returns the per-chain maximum height over live nodes — the
@@ -809,7 +756,7 @@ func (h *harness) aliveMax() []uint64 {
 			continue
 		}
 		for c := 0; c < h.cfg.Chains; c++ {
-			if hgt := cn.n.Ledger().Height(uint32(c)); hgt > max[c] {
+			if hgt := cn.Node.Ledger().Height(uint32(c)); hgt > max[c] {
 				max[c] = hgt
 			}
 		}
@@ -820,7 +767,7 @@ func (h *harness) aliveMax() []uint64 {
 // caughtUp reports whether a node holds every chain at the live maximum.
 func (h *harness) caughtUp(cn *chaosNode, max []uint64) bool {
 	for c := 0; c < h.cfg.Chains; c++ {
-		if cn.n.Ledger().Height(uint32(c)) < max[c] {
+		if cn.Node.Ledger().Height(uint32(c)) < max[c] {
 			return false
 		}
 	}
@@ -844,7 +791,7 @@ func (h *harness) mine(r int) {
 		var candidates []*chaosNode
 		majority := 0
 		for _, cn := range h.nodes {
-			if cn.down || h.minority[cn.id] || cn.stalledUntil != 0 {
+			if cn.down || h.minority[cn.ID] || cn.stalledUntil != 0 {
 				continue
 			}
 			majority++
@@ -865,7 +812,7 @@ func (h *harness) mine(r int) {
 			// which refuses some of the batch by design (count unchecked).
 			batch := h.txs[h.txCursor:end]
 			h.guard(r, cn, func() error {
-				cn.miner.AddTxs(batch)
+				cn.Miner.AddTxs(batch)
 				return nil
 			})
 			h.txCursor = end
@@ -873,14 +820,14 @@ func (h *harness) mine(r int) {
 				continue
 			}
 		}
-		b, err := cn.miner.Mine(context.Background())
+		b, err := cn.Miner.Mine(context.Background())
 		if err != nil {
-			h.failf(r, "%s mine: %v", cn.id, err)
+			h.failf(r, "%s mine: %v", cn.ID, err)
 			return
 		}
 		submitted := false
 		h.guard(r, cn, func() error {
-			if err := cn.n.SubmitBlock(b); err != nil {
+			if err := cn.Node.SubmitBlock(b); err != nil {
 				return err
 			}
 			submitted = true
@@ -889,7 +836,7 @@ func (h *harness) mine(r int) {
 		if !submitted || cn.down {
 			continue // crashed or failed on ingest: the block dies with it
 		}
-		cn.ep.Broadcast(p2p.Message{Type: p2p.MsgBlock, Block: b})
+		cn.Endpoint.Broadcast(p2p.Message{Type: p2p.MsgBlock, Block: b})
 		c := int(b.Header.ChainID)
 		if b.Header.Height != h.maxHeights[c]+1 && b.Header.Height > h.maxHeights[c] {
 			h.failf(r, "mined block skipped heights on chain %d: %d after %d",
@@ -903,58 +850,27 @@ func (h *harness) mine(r int) {
 	}
 }
 
-// pump drains every live inbox until two consecutive quiet sweeps — the
-// same quiescence rule the gossip convergence test uses, so in-flight
-// deliveries land before anyone processes.
+// pump delivers everything in flight before anyone processes
+// (cluster.Drain); a scenario failure stops it.
 func (h *harness) pump(r int) {
-	for quiet, sweeps := 0, 0; quiet < 2 && h.fail == nil; sweeps++ {
-		if sweeps > 400 {
-			// A healthy round quiesces in a handful of sweeps; hundreds mean
-			// a message livelock (e.g. a sync exchange that never terminates).
-			// Fail with state instead of hanging the harness.
-			if dbgHook != nil {
-				dbgHook(h)
-			}
-			h.failf(r, "network failed to quiesce after %d sweeps: %s", sweeps, h.describeNodes())
-			return
-		}
-		moved := 0
-		for _, cn := range h.nodes {
-			moved += h.drain(r, cn)
-			if h.fail != nil {
-				return
-			}
-		}
-		if moved == 0 {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		time.Sleep(2 * time.Millisecond)
+	if h.fail != nil {
+		return
 	}
-}
-
-// drain empties one node's inbox; a node crashing mid-drain keeps its
-// remaining messages queued (Drain discards them at restart).
-func (h *harness) drain(r int, cn *chaosNode) int {
-	moved := 0
-	for !cn.down && h.fail == nil {
-		select {
-		case msg := <-cn.ep.Inbox():
-			moved++
-			h.dispatch(r, cn, msg)
-		default:
-			return moved
+	err := h.c.Drain(func(i int, msg p2p.Message) error {
+		h.dispatch(r, h.nodes[i], msg)
+		if h.fail != nil {
+			return errors.New("scenario failed")
 		}
+		return nil
+	})
+	if err != nil && h.fail == nil {
+		// A message livelock (a sync exchange that never terminates, say):
+		// fail with state instead of hanging the harness.
+		if dbgHook != nil {
+			dbgHook(h)
+		}
+		h.failf(r, "%v: %s", err, h.describeNodes())
 	}
-	return moved
-}
-
-// benign reports ledger errors that gossip and sync tolerate by design.
-func benign(err error) bool {
-	return errors.Is(err, dag.ErrDuplicateBlock) ||
-		errors.Is(err, dag.ErrBelowFinal) ||
-		errors.Is(err, dag.ErrUnknownParent)
 }
 
 // journalFault records an armed fault in the target node's journal —
@@ -965,71 +881,39 @@ func (h *harness) journalFault(cn *chaosNode, kind, site string) {
 	if site != "" {
 		fields = append(fields, journal.FS("site", site))
 	}
-	journal.For(cn.id).Emit(journal.ChaosFault, 0, fields...)
+	journal.For(cn.ID).Emit(journal.ChaosFault, 0, fields...)
 }
 
 func (h *harness) dispatch(r int, cn *chaosNode, msg p2p.Message) {
 	// A delivered message carries the sender's logical clock: witnessing it
 	// makes cross-node journal timelines causally comparable.
 	if msg.From != "" && journal.Enabled() {
-		journal.For(cn.id).Witness(journal.For(msg.From).Clock())
+		journal.For(cn.ID).Witness(journal.For(msg.From).Clock())
 	}
-	switch msg.Type {
-	case p2p.MsgBlock:
-		h.guard(r, cn, func() error {
-			if err := cn.n.SubmitBlock(msg.Block); err != nil && !benign(err) {
-				return err
-			}
-			return nil
-		})
-	case p2p.MsgGetBlocks:
-		cn.n.HandleSyncRequest(cn.ep, msg)
-	case p2p.MsgBlocks:
-		h.guard(r, cn, func() error {
-			if _, err := cn.syncer.HandleBlocks(h.now, msg); err != nil && !benign(err) {
-				return err
-			}
-			return nil
-		})
-	}
+	h.guard(r, cn, func() error {
+		var err error
+		if msg.Type == p2p.MsgBlocks {
+			_, err = cn.syncer.HandleBlocks(h.now, msg)
+		} else {
+			_, err = cn.Node.HandleMessage(cn.Endpoint, msg)
+		}
+		return err
+	})
 }
 
-// process lets every live node fold its ready epochs and records the
-// resulting roots against the cluster agreement.
+// process lets every live node fold its ready epochs, then checks the
+// harness's core assertion: deterministic processing over an
+// eventually-identical block set yields identical roots, so every two live
+// nodes recorded the same root for every epoch both processed.
 func (h *harness) process(r int) {
 	for _, cn := range h.nodes {
-		if cn.down || h.fail != nil {
-			continue
-		}
-		var results []*node.EpochResult
 		h.guard(r, cn, func() error {
-			var err error
-			results, err = cn.n.ProcessReadyEpochs()
+			_, err := cn.Node.ProcessReadyEpochs()
 			return err
 		})
-		if cn.down || h.fail != nil {
-			continue
-		}
-		h.recordRoots(r, cn, results)
 	}
-}
-
-// recordRoots checks every processed epoch's root against the first root
-// any node reported for that epoch. Divergence here is the harness's core
-// assertion: deterministic processing over an eventually-identical block
-// set must yield identical roots.
-func (h *harness) recordRoots(r int, cn *chaosNode, results []*node.EpochResult) {
-	for _, res := range results {
-		if prev, ok := h.agreed[res.Epoch]; ok {
-			if prev != res.StateRoot {
-				h.failf(r, "state divergence at epoch %d: %s computed %s but %s computed %s",
-					res.Epoch, cn.id, res.StateRoot.Short(), h.agreedBy[res.Epoch], prev.Short())
-				return
-			}
-			continue
-		}
-		h.agreed[res.Epoch] = res.StateRoot
-		h.agreedBy[res.Epoch] = cn.id
+	if err := h.c.Agree(); err != nil && h.fail == nil {
+		h.failf(r, "state divergence: %v", err)
 	}
 }
 
@@ -1051,12 +935,12 @@ func (h *harness) syncStep() {
 
 // converge is the final phase: disarm everything, heal, restart the dead,
 // then drive pump/process/sync until every node holds the same chains and
-// the same watermark — or the timeout declares the cluster wedged. Then
-// every node must report identical roots for every processed epoch.
+// the same watermark — or the timeout declares the cluster wedged. The
+// last process has then checked every node's every root.
 func (h *harness) converge() {
 	fail.Reset()
 	h.armedSites = make(map[fail.Name]string)
-	h.net.Heal()
+	h.c.Network().Heal()
 	h.minority, h.healAt = nil, 0
 	r := h.cfg.Rounds
 	for _, cn := range h.nodes {
@@ -1078,20 +962,9 @@ func (h *harness) converge() {
 		if h.fail != nil {
 			return
 		}
-		max := h.aliveMax()
-		done := true
-		var epoch uint64
-		for i, cn := range h.nodes {
-			if !h.caughtUp(cn, max) {
-				done = false
-				break
-			}
-			if i == 0 {
-				epoch = cn.n.NextEpoch()
-			} else if cn.n.NextEpoch() != epoch {
-				done = false
-				break
-			}
+		max, done := h.aliveMax(), true
+		for _, cn := range h.nodes {
+			done = done && h.caughtUp(cn, max) && cn.Node.NextEpoch() == h.nodes[0].Node.NextEpoch()
 		}
 		if done {
 			break
@@ -1106,39 +979,15 @@ func (h *harness) converge() {
 		h.syncStep()
 	}
 
-	target := h.nodes[0].n.NextEpoch()
+	target := h.nodes[0].Node.NextEpoch()
 	if target-1 < minEpochs {
 		h.failf(r, "converged after only %d epochs; the scenario proved nothing", target-1)
 		return
 	}
 	h.res.Epochs = target - 1
-	for e := uint64(0); e < target; e++ {
-		ref, ok := h.nodes[0].n.RootAt(e)
-		if !ok {
-			h.failf(r, "%s has no root for epoch %d", h.nodes[0].id, e)
-			return
-		}
-		if agreed, ok := h.agreed[e]; ok && agreed != ref {
-			h.failf(r, "epoch %d final root %s contradicts the agreed root %s",
-				e, ref.Short(), agreed.Short())
-			return
-		}
-		for _, cn := range h.nodes[1:] {
-			got, ok := cn.n.RootAt(e)
-			if !ok {
-				h.failf(r, "%s has no root for epoch %d", cn.id, e)
-				return
-			}
-			if got != ref {
-				h.failf(r, "epoch %d: %s root %s != %s root %s",
-					e, cn.id, got.Short(), h.nodes[0].id, ref.Short())
-				return
-			}
-		}
-	}
 	for _, cn := range h.nodes {
 		width := 0
-		for _, es := range cn.n.Metrics().Epochs() {
+		for _, es := range cn.Node.Metrics().Epochs() {
 			for _, st := range es.Stages {
 				if st.Name == "commit" {
 					width = max(width, st.Workers)
@@ -1159,12 +1008,12 @@ func (h *harness) describeNodes() string {
 			s += "; "
 		}
 		if cn.down {
-			s += fmt.Sprintf("%s down", cn.id)
+			s += fmt.Sprintf("%s down", cn.ID)
 			continue
 		}
-		s += fmt.Sprintf("%s epoch %d heights", cn.id, cn.n.NextEpoch())
+		s += fmt.Sprintf("%s epoch %d heights", cn.ID, cn.Node.NextEpoch())
 		for c := 0; c < h.cfg.Chains; c++ {
-			s += fmt.Sprintf(" %d", cn.n.Ledger().Height(uint32(c)))
+			s += fmt.Sprintf(" %d", cn.Node.Ledger().Height(uint32(c)))
 		}
 	}
 	return s

@@ -7,7 +7,6 @@ import (
 
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/journal"
-	"github.com/nezha-dag/nezha/internal/types"
 )
 
 // TestCrashReplayResurrectionConverges is the deterministic regression
@@ -41,7 +40,7 @@ func TestCrashReplayResurrectionConverges(t *testing.T) {
 	cfg := Config{Seed: 3, Nodes: 4, Chains: 2, Dir: t.TempDir()}
 	cfg = cfg.withDefaults()
 	h := newScriptedHarness(t, cfg)
-	defer h.teardown()
+	defer h.c.Close()
 
 	r := 0
 	step := func() {
@@ -73,11 +72,11 @@ func TestCrashReplayResurrectionConverges(t *testing.T) {
 	n0, n1, n2, n3 := h.nodes[0], h.nodes[1], h.nodes[2], h.nodes[3]
 	h.kill(r, n3, "scripted crash")
 	n3.restartAt = 20
-	fail.Enable(fail.P2PDrop, fail.Spec{Mode: fail.ModeDrop, Tag: n0.id, Count: 1 << 20})
-	h.armedSites[fail.P2PDrop] = n0.id
+	fail.Enable(fail.P2PDrop, fail.Spec{Mode: fail.ModeDrop, Tag: n0.ID, Count: 1 << 20})
+	h.armedSites[fail.P2PDrop] = n0.ID
 	n0.stalledUntil = 14
-	h.minority = map[string]bool{n2.id: true}
-	h.net.Partition([]string{n2.id})
+	h.minority = map[string]bool{n2.ID: true}
+	h.c.Network().Partition([]string{n2.ID})
 	h.healAt = 14
 
 	// The window: under the pre-fix eligibility rule n1 passes the
@@ -92,8 +91,8 @@ func TestCrashReplayResurrectionConverges(t *testing.T) {
 	// seed-3 forensics implicated — then keep the cluster running: the
 	// heal at round 14 lets n0 and n2 mine those heights themselves while
 	// n1 is down, colliding with any roots n1 persisted and agreed.
-	fail.Enable(fail.NodeStageCommit, fail.Spec{Mode: fail.ModePanic, Tag: n1.id, Count: 1})
-	h.armedSites[fail.NodeStageCommit] = n1.id
+	fail.Enable(fail.NodeStageCommit, fail.Spec{Mode: fail.ModePanic, Tag: n1.ID, Count: 1})
+	h.armedSites[fail.NodeStageCommit] = n1.ID
 	n1.pending = &pendingCrash{site: fail.NodeStageCommit, forceAt: r + crashForceAfter, downFor: 6}
 	for i := 0; i < 12; i++ {
 		step()
@@ -121,8 +120,6 @@ func newScriptedHarness(t *testing.T, cfg Config) *harness {
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		maxHeights: make([]uint64, cfg.Chains),
-		agreed:     make(map[uint64]types.Hash),
-		agreedBy:   make(map[uint64]string),
 		armedSites: make(map[fail.Name]string),
 		now:        time.Unix(0, 0).Add(time.Hour),
 		res:        &Result{Seed: cfg.Seed},

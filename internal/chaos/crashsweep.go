@@ -24,14 +24,15 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/nezha-dag/nezha/internal/cluster"
 	"github.com/nezha-dag/nezha/internal/consensus"
 	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
-	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/node"
+	"github.com/nezha-dag/nezha/internal/p2p"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
@@ -262,10 +263,9 @@ func CrashSweep(cfg CrashSweepConfig) (*CrashSweepReport, error) {
 
 // crashTrial is the per-trial engine state.
 type crashTrial struct {
-	cfg     CrashSweepConfig
-	sp      crashTrialSpec
-	dir     string
-	nodeCfg node.Config
+	cfg CrashSweepConfig
+	sp  crashTrialSpec
+	dir string
 
 	txs    []*types.Transaction
 	cursor int
@@ -273,9 +273,9 @@ type crashTrial struct {
 	// resubmitted the full sequence (duplicates are benign).
 	mined []*types.Block
 
-	victim *node.Node
-	vstore *kvstore.LSM
-	vminer *node.Miner
+	// vc is the victim's one-member cluster over the trial directory.
+	vc     *cluster.Cluster
+	victim *cluster.Member
 	// tick stamps the victim's blocks across its incarnations: the stamp
 	// feeds the header hash and the hash picks the OHIE chain, so a wall
 	// clock would make the epochs a trial reaches vary from run to run.
@@ -298,7 +298,8 @@ func runCrashTrial(cfg CrashSweepConfig, root string, sp crashTrialSpec) CrashTr
 		res.Err = err.Error()
 		return res
 	}
-	defer c.teardown()
+	defer c.tstore.Close()
+	defer c.vc.Close()
 
 	done, err := c.run()
 	res.Crashes = c.crashes
@@ -345,10 +346,10 @@ func (c *crashTrial) setup() error {
 	if err != nil {
 		return err
 	}
-	c.nodeCfg = node.Config{
+	base := node.Config{
 		Consensus:     consensus.Params{Chains: c.cfg.Chains},
 		Workers:       workers,
-		Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
+		Contracts:     smallbank.Contracts(),
 		GenesisWrites: genesis,
 		ConfirmDepth:  confirmDepth,
 		Persist:       true,
@@ -356,21 +357,31 @@ func (c *crashTrial) setup() error {
 	}
 	if c.sp.evict {
 		// One tiny shard: admission pressure forces evictions every round.
-		c.nodeCfg.Mempool = mempool.Config{Shards: 1, ShardCap: 8}
+		base.Mempool = mempool.Config{Shards: 1, ShardCap: 8}
+	}
+	perMember := cluster.Nezha
+	if c.sp.serial {
+		perMember = func(int, *node.Config) {}
 	}
 
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
 	c.tstore = kvstore.NewMemory()
-	twin, err := node.New(sweepTwinID, c.tstore, c.nodeConfig())
-	if err != nil {
+	twinCfg := base
+	perMember(0, &twinCfg)
+	if c.twin, err = node.New(sweepTwinID, c.tstore, twinCfg); err != nil {
 		return err
 	}
-	c.twin = twin
-	if err := c.openVictim(); err != nil {
+	if c.vc, err = cluster.New(cluster.Config{
+		IDs:       []string{sweepVictimID},
+		Miners:    1,
+		BlockSize: blockTxs,
+		Node:      base,
+		PerMember: perMember,
+		Open:      c.openStore,
+	}); err != nil {
 		return err
 	}
+	c.victim = c.vc.Members[0]
+	c.victim.Miner.SetClock(c.clock)
 	if c.sp.site != "" && !c.sp.recovery {
 		fail.Enable(c.sp.site, fail.Spec{
 			Mode:  fail.ModePanic,
@@ -382,78 +393,8 @@ func (c *crashTrial) setup() error {
 	return nil
 }
 
-func (c *crashTrial) nodeConfig() node.Config {
-	cfg := c.nodeCfg
-	if !c.sp.serial {
-		cfg.Scheduler = core.MustNewScheduler(core.DefaultConfig())
-	}
-	return cfg
-}
-
-func (c *crashTrial) teardown() {
-	if c.vstore != nil {
-		c.vstore.Close()
-	}
-	if c.tstore != nil {
-		c.tstore.Close()
-	}
-}
-
-// guard runs a victim operation, converting an armed crash-failpoint
-// panic into a crashed=true return (mirroring harness.guard).
-func (c *crashTrial) guard(op func() error) (crashed bool, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if !fail.IsCrash(rec) {
-				panic(rec)
-			}
-			crashed, err = true, nil
-		}
-	}()
-	err = op()
-	return
-}
-
-// abandonVictim simulates SIGKILL: in-memory state is dropped and the
-// store is deliberately NOT closed — a crash does not flush.
-func (c *crashTrial) abandonVictim() {
-	c.victim, c.vstore, c.vminer = nil, nil, nil
-}
-
-// restartVictim records the crash and brings the victim back from its
-// directory, surviving crashes armed inside recovery itself.
-func (c *crashTrial) restartVictim() error {
-	c.crashes++
-	c.abandonVictim()
-	return c.openVictim()
-}
-
-// openVictim (re)opens the victim's store and node and resubmits the full
-// mined history. Recovery-armed trials crash inside this path (WAL replay
-// or metadata restore); the loop abandons the half-open incarnation and
-// tries again, exactly like a supervisor restarting a crash-looping
-// process whose fault was transient.
-func (c *crashTrial) openVictim() error {
-	for attempt := 0; attempt < 4; attempt++ {
-		crashed, err := c.guard(func() error {
-			if c.victim == nil {
-				if err := c.incarnateVictim(); err != nil {
-					return err
-				}
-			}
-			return c.resubmit()
-		})
-		if crashed {
-			c.crashes++
-			c.abandonVictim()
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("victim crashed on every recovery attempt")
-}
-
-func (c *crashTrial) incarnateVictim() error {
+// openStore opens the victim's LSM directory.
+func (c *crashTrial) openStore(string) (kvstore.Store, error) {
 	opts := kvstore.DefaultLSMOptions()
 	opts.FailTag = sweepVictimID
 	if c.sp.tiny {
@@ -463,42 +404,57 @@ func (c *crashTrial) incarnateVictim() error {
 		opts.MemtableBytes = 2 << 10
 		opts.CompactAt = 2
 	}
-	store, err := kvstore.OpenLSM(c.dir, opts)
-	if err != nil {
-		return err
-	}
-	n, err := node.New(sweepVictimID, store, c.nodeConfig())
-	if err != nil {
-		store.Close()
-		return err
-	}
-	c.vstore, c.victim = store, n
-	c.vminer = node.NewMiner(n, types.AddressFromUint64(0x51), blockTxs)
-	c.vminer.SetClock(func() uint64 {
-		c.tick++
-		return c.tick
-	})
-	return nil
+	return kvstore.OpenLSM(c.dir, opts)
 }
 
-// resubmit replays the full mined history into the victim and processes
-// whatever became ready. Already-known blocks are benign duplicates.
-func (c *crashTrial) resubmit() error {
-	for _, b := range c.mined {
-		if err := c.victim.SubmitBlock(b); err != nil && !benign(err) {
-			return fmt.Errorf("resubmit: %w", err)
+// clock is the victim miners' logical clock (see tick).
+func (c *crashTrial) clock() uint64 {
+	c.tick++
+	return c.tick
+}
+
+// openVictim reopens the victim over its directory (the crashed
+// incarnation's store is abandoned unclosed: a crash does not flush) and
+// resubmits the full mined history. Recovery-armed trials crash inside this
+// path (WAL replay or metadata restore); the loop abandons the half-open
+// incarnation and tries again, exactly like a supervisor restarting a
+// crash-looping process whose fault was transient.
+func (c *crashTrial) openVictim() error {
+	for attempt := 0; attempt < 4; attempt++ {
+		crashed, err := survive(func() error {
+			if err := c.vc.Reopen(c.victim); err != nil {
+				return err
+			}
+			c.victim.Miner.SetClock(c.clock)
+			return c.resubmit()
+		})
+		if !crashed {
+			return err
 		}
+		c.crashes++
+		c.vc.Crash(c.victim)
 	}
-	_, err := c.victim.ProcessReadyEpochs()
+	return fmt.Errorf("victim crashed on every recovery attempt")
+}
+
+// resubmit replays the full mined history into the victim, the way a sync
+// response does (already-known blocks are benign duplicates), and processes
+// whatever became ready.
+func (c *crashTrial) resubmit() error {
+	if _, err := c.victim.Node.HandleSyncResponse(p2p.Message{Blocks: c.mined}); err != nil {
+		return fmt.Errorf("resubmit: %w", err)
+	}
+	_, err := c.victim.Node.ProcessReadyEpochs()
 	return err
 }
 
 // victimOp runs op against the victim, crash-restarting it when the armed
 // site fires. Returns any non-crash error.
 func (c *crashTrial) victimOp(op func() error) error {
-	crashed, err := c.guard(op)
+	crashed, err := survive(op)
 	if crashed {
-		return c.restartVictim()
+		c.crashes++
+		return c.openVictim()
 	}
 	return err
 }
@@ -515,41 +471,36 @@ func (c *crashTrial) run() (done bool, err error) {
 		}
 		feed := c.txs[c.cursor : c.cursor+blocksPerRound*blockTxs]
 		c.cursor += len(feed)
-		if err := c.victimOp(func() error { c.vminer.AddTxs(feed); return nil }); err != nil {
+		if err := c.victimOp(func() error { c.victim.Miner.AddTxs(feed); return nil }); err != nil {
 			return false, fmt.Errorf("round %d: add txs: %w", r, err)
 		}
 		for i := 0; i < blocksPerRound; i++ {
 			var b *types.Block
-			crashed, err := c.guard(func() error {
-				var merr error
-				b, merr = c.vminer.Mine(context.Background())
-				return merr
-			})
-			if crashed {
-				if err := c.restartVictim(); err != nil {
-					return false, err
-				}
+			if err := c.victimOp(func() (err error) {
+				b, err = c.victim.Miner.Mine(context.Background())
+				return err
+			}); err != nil {
+				return false, fmt.Errorf("round %d: mine: %w", r, err)
+			}
+			if b == nil { // crashed mid-search and restarted: mine again
 				i--
 				continue
 			}
-			if err != nil {
-				return false, fmt.Errorf("round %d: mine: %w", r, err)
-			}
 			c.mined = append(c.mined, b)
-			if err := c.twin.SubmitBlock(b); err != nil && !benign(err) {
+			// Both ingest like a sync response: a stale block is benign.
+			mined := p2p.Message{Blocks: []*types.Block{b}}
+			if _, err := c.twin.HandleSyncResponse(mined); err != nil {
 				return false, fmt.Errorf("round %d: twin ingest: %w", r, err)
 			}
 			if err := c.victimOp(func() error {
-				if serr := c.victim.SubmitBlock(b); serr != nil && !benign(serr) {
-					return serr
-				}
-				return nil
+				_, err := c.victim.Node.HandleSyncResponse(mined)
+				return err
 			}); err != nil {
 				return false, fmt.Errorf("round %d: victim ingest: %w", r, err)
 			}
 		}
 		if err := c.victimOp(func() error {
-			_, perr := c.victim.ProcessReadyEpochs()
+			_, perr := c.victim.Node.ProcessReadyEpochs()
 			return perr
 		}); err != nil {
 			return false, fmt.Errorf("round %d: victim process: %w", r, err)
@@ -574,7 +525,7 @@ func (c *crashTrial) run() (done bool, err error) {
 // torn WAL tail, or planted mid-log corruption.
 func (c *crashTrial) scriptedRestart() (done bool, err error) {
 	c.crashes++
-	c.abandonVictim()
+	c.vc.Crash(c.victim)
 	walPath := filepath.Join(c.dir, "wal.log")
 	switch {
 	case c.sp.tornFrac > 0:
@@ -641,7 +592,7 @@ func (c *crashTrial) verify(res *CrashTrialResult) error {
 	if c.sp.site != "" && c.crashes == 0 {
 		return fmt.Errorf("armed site %s never fired — the sweep lost coverage", c.sp.site)
 	}
-	vnext, tnext := c.victim.NextEpoch(), c.twin.NextEpoch()
+	vnext, tnext := c.victim.Node.NextEpoch(), c.twin.NextEpoch()
 	res.Epochs = vnext - 1
 	if vnext != tnext {
 		return fmt.Errorf("watermark diverged: victim next epoch %d, twin %d", vnext, tnext)
@@ -649,18 +600,11 @@ func (c *crashTrial) verify(res *CrashTrialResult) error {
 	if vnext-1 < minSweepEpochs {
 		return fmt.Errorf("converged at only %d epochs; the trial proved nothing", vnext-1)
 	}
-	for e := uint64(0); e < vnext; e++ {
-		vr, vok := c.victim.RootAt(e)
-		tr, tok := c.twin.RootAt(e)
-		if !vok || !tok {
-			return fmt.Errorf("epoch %d: missing state root (victim %v, twin %v)", e, vok, tok)
-		}
-		if vr != tr {
-			return fmt.Errorf("epoch %d: state root diverged: victim %x twin %x", e, vr[:8], tr[:8])
-		}
+	if _, err := cluster.Compare(c.victim.Node, c.twin, 0); err != nil {
+		return err
 	}
 	for e := uint64(1); e < vnext; e++ {
-		vg, vok := c.victim.Ledger().EpochBlocks(e)
+		vg, vok := c.victim.Node.Ledger().EpochBlocks(e)
 		tg, tok := c.twin.Ledger().EpochBlocks(e)
 		if !vok || !tok {
 			return fmt.Errorf("epoch %d: ledger cannot serve committed epoch (victim %v, twin %v)", e, vok, tok)

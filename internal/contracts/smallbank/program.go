@@ -3,6 +3,7 @@ package smallbank
 import (
 	"sync"
 
+	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/vm"
 )
 
@@ -30,6 +31,11 @@ func Program() []byte {
 		programCode = assemble()
 	})
 	return programCode
+}
+
+// Contracts is a fresh contract map with the program at ContractAddress.
+func Contracts() map[types.Address][]byte {
+	return map[types.Address][]byte{ContractAddress: Program()}
 }
 
 func assemble() []byte {

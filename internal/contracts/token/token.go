@@ -136,6 +136,11 @@ func Program() []byte {
 	return programCode
 }
 
+// Contracts is a fresh contract map with the program at ContractAddress.
+func Contracts() map[types.Address][]byte {
+	return map[types.Address][]byte{ContractAddress: Program()}
+}
+
 func assemble() []byte {
 	a := vm.NewAssembler()
 

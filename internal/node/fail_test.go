@@ -37,7 +37,9 @@ func persistCrashNode(t *testing.T, dir string) (*Node, kvstore.Store, *workload
 	}
 	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
 	cfg.Persist = true
-	cfg.GenesisWrites = genesisFor(t, gen, gen.Txs(400))
+	if cfg.GenesisWrites, err = gen.GenesisWrites(gen.Txs(400)); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("crashnode", store, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,10 @@ func lookaheadScript(t *testing.T) (*scriptedLedger, []types.WriteEntry) {
 	}
 	const perBlock, epochs = 60, 11
 	txs := gen.Txs(2 * perBlock * epochs)
-	genesis := genesisFor(t, gen, txs)
+	genesis, err := gen.GenesisWrites(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every block carries the genesis root: validation accepts the root of
 	// any processed epoch below the block's height, so the whole ledger can
 	// be mined before a node has processed anything.

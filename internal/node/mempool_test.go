@@ -27,7 +27,9 @@ func TestMempoolFedMinerPipeline(t *testing.T) {
 	}
 	txs := gen.Txs(600)
 	cfg := testConfig(3, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	cfg.Mempool.StrictNonce = true
 	n, err := New("mp-full", kvstore.NewMemory(), cfg)
 	if err != nil {
@@ -70,7 +72,9 @@ func TestMempoolMinerConvergence(t *testing.T) {
 	txs := gen.Txs(400)
 	build := func(id string) *Node {
 		cfg := testConfig(4, core.MustNewScheduler(core.DefaultConfig()))
-		cfg.GenesisWrites = genesisFor(t, gen, txs)
+		if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+			t.Fatal(err)
+		}
 		cfg.Mempool.StrictNonce = true
 		n, err := New(id, kvstore.NewMemory(), cfg)
 		if err != nil {

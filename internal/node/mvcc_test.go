@@ -34,7 +34,9 @@ func refWorkload(t *testing.T, id string, count int) (*Node, []*types.Transactio
 	}
 	txs := gen.Txs(count)
 	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New(id, kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func testConfig(k int, sched types.Scheduler) Config {
 		Consensus:       consensus.Params{Chains: k, DifficultyBits: 0},
 		Scheduler:       sched,
 		Workers:         4,
-		Contracts:       map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
+		Contracts:       smallbank.Contracts(),
 		VerifySchedules: true,
 		Mempool:         mempool.Config{ShardCap: -1, SenderCap: -1},
 	}
@@ -38,20 +38,6 @@ func preload(t testing.TB, m *Miner, txs []*types.Transaction) {
 	if got := m.AddTxs(txs); got != len(txs) {
 		t.Fatalf("preload: the pool admitted %d of %d transactions", got, len(txs))
 	}
-}
-
-// genesisFor seeds every account the given transactions touch.
-func genesisFor(t *testing.T, gen *workload.Generator, txs []*types.Transaction) []types.WriteEntry {
-	t.Helper()
-	snap, err := gen.Snapshot(txs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writes := make([]types.WriteEntry, 0, len(snap))
-	for k, v := range snap {
-		writes = append(writes, types.WriteEntry{Key: k, Value: v})
-	}
-	return writes
 }
 
 // growEpochs mines and submits blocks (round-robin across the given
@@ -90,7 +76,9 @@ func TestSingleNodePipelineSmallBank(t *testing.T) {
 	}
 	txs := gen.Txs(600)
 	cfg := testConfig(3, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("full", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +138,9 @@ func TestNodesAgreeOnStateRoot(t *testing.T) {
 
 	build := func(id string) (*Node, error) {
 		cfg := testConfig(4, core.MustNewScheduler(core.DefaultConfig()))
-		cfg.GenesisWrites = genesisFor(t, gen, txs)
+		if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+			t.Fatal(err)
+		}
 		return New(id, kvstore.NewMemory(), cfg)
 	}
 	n1, err := build("n1")
@@ -211,7 +201,9 @@ func TestCGSchedulerInPipeline(t *testing.T) {
 	}
 	txs := gen.Txs(200)
 	cfg := testConfig(2, cg.NewScheduler(cg.DefaultConfig()))
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("cg", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +227,9 @@ func TestSerialBaselinePipeline(t *testing.T) {
 	}
 	txs := gen.Txs(150)
 	cfg := testConfig(2, nil)
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("serial", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -398,18 +392,14 @@ func BenchmarkPipelineEpoch(b *testing.B) {
 				b.Fatal(err)
 			}
 			txs := gen.Txs(conc * 200 * (b.N + 2))
-			snap, err := gen.Snapshot(txs)
+			genesis, err := gen.GenesisWrites(txs)
 			if err != nil {
 				b.Fatal(err)
-			}
-			var genesis []types.WriteEntry
-			for k, v := range snap {
-				genesis = append(genesis, types.WriteEntry{Key: k, Value: v})
 			}
 			cfg := Config{
 				Consensus:     consensus.Params{Chains: conc, DifficultyBits: 0},
 				Scheduler:     core.MustNewScheduler(core.DefaultConfig()),
-				Contracts:     map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()},
+				Contracts:     smallbank.Contracts(),
 				GenesisWrites: genesis,
 				Mempool:       mempool.Config{ShardCap: -1, SenderCap: -1},
 			}

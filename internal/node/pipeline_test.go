@@ -44,7 +44,9 @@ func TestStagesRecordedConcurrent(t *testing.T) {
 	}
 	txs := gen.Txs(150)
 	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("stages", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +105,9 @@ func TestStagesRecordedSerial(t *testing.T) {
 	txs := gen.Txs(40)
 	cfg := testConfig(1, nil) // nil scheduler selects the serial baseline
 	cfg.VerifySchedules = false
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("serial-stages", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +143,9 @@ func TestSerialEpochAllocationBudget(t *testing.T) {
 	txs := gen.Txs(perEpoch * (runs + 1)) // AllocsPerRun warms up with one extra call
 	cfg := testConfig(1, nil)
 	cfg.VerifySchedules = false
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("serial-allocs", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +184,9 @@ func TestPrevalidationOverlap(t *testing.T) {
 	mkNode := func(id string) (*Node, *Miner) {
 		cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
 		cfg.VerifySignatures = true
-		cfg.GenesisWrites = genesisFor(t, gen, txs)
+		if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+			t.Fatal(err)
+		}
 		n, err := New(id, kvstore.NewMemory(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +247,9 @@ func TestPrevalidationCatchesForgery(t *testing.T) {
 
 	cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
 	cfg.VerifySignatures = true
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("forged", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +289,9 @@ func TestPipelineCommitStageOccupancy(t *testing.T) {
 			}
 			txs := gen.Txs(2 * tc.perBlock)
 			cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
-			cfg.GenesisWrites = genesisFor(t, gen, txs)
+			if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+				t.Fatal(err)
+			}
 			n, err := New("occupancy-"+tc.name, kvstore.NewMemory(), cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -26,7 +26,10 @@ func signedPoolNode(t *testing.T, id string, gen *workload.Generator, txs []*typ
 	t.Helper()
 	cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
 	cfg.VerifySignatures = true
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	var err error
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	cfg.Mempool.StrictNonce = true
 	cfg.Mempool.VerifySignatures = true
 	n, err := New(id, kvstore.NewMemory(), cfg)

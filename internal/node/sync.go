@@ -107,14 +107,8 @@ func (n *Node) HandleSyncResponse(msg p2p.Message) (int, error) {
 	return accepted, nil
 }
 
-// RequestSync asks a peer for everything above this node's lowest fully-
-// synchronized height.
-func (n *Node) RequestSync(ep *p2p.Endpoint, peer string) {
-	ep.Send(peer, p2p.Message{Type: p2p.MsgGetBlocks, Height: n.MinHeight()})
-}
-
 // HandleMessage dispatches one network message to the appropriate handler;
-// the event loops of cmd/nezha-node and the examples route through it.
+// internal/cluster's round drains every inbox through it.
 // MsgTxs is returned to the caller (miner wiring is the caller's concern).
 func (n *Node) HandleMessage(ep *p2p.Endpoint, msg p2p.Message) ([]*types.Transaction, error) {
 	switch msg.Type {

@@ -14,9 +14,9 @@ import (
 )
 
 // TestLateJoinerSyncsToSameRoot grows a chain on one node, then has a
-// fresh node join, request the missing blocks, and process to the same
-// state root — the paper's "full node synchronizes the entire system
-// state" role.
+// fresh node join, fetch the missing blocks through its Syncer, and process
+// to the same state root — the paper's "full node synchronizes the entire
+// system state" role.
 func TestLateJoinerSyncsToSameRoot(t *testing.T) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Seed: 8, Accounts: 300, Skew: 0.5, InitialBalance: 1_000,
@@ -25,7 +25,10 @@ func TestLateJoinerSyncsToSameRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	txs := gen.Txs(600)
-	genesis := genesisFor(t, gen, txs)
+	genesis, err := gen.GenesisWrites(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	build := func(id string) *Node {
 		cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
@@ -57,23 +60,22 @@ func TestLateJoinerSyncsToSameRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	joiner.RequestSync(joinEp, "veteran")
-	// Serve the request on the veteran, deliver the response on the
-	// joiner.
+	sync := NewSyncer(joiner, joinEp, []string{"veteran"}, SyncConfig{})
+	if !sync.Kick(time.Now()) {
+		t.Fatal("the syncer sent no request")
+	}
+	// Serve the requests on the veteran, deliver the responses to the
+	// joiner's syncer until its exchange completes.
 	deadline := time.After(5 * time.Second)
-	synced := false
-	for !synced {
+	for sync.Inflight() {
 		select {
 		case msg := <-vetEp.Inbox():
 			if _, err := veteran.HandleMessage(vetEp, msg); err != nil {
 				t.Fatal(err)
 			}
 		case msg := <-joinEp.Inbox():
-			if _, err := joiner.HandleMessage(joinEp, msg); err != nil {
+			if _, err := sync.HandleBlocks(time.Now(), msg); err != nil {
 				t.Fatal(err)
-			}
-			if msg.Type == p2p.MsgBlocks {
-				synced = true
 			}
 		case <-deadline:
 			t.Fatal("sync never completed")
@@ -162,7 +164,9 @@ func TestNodeRestartFromPersistedStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.GenesisWrites = genesisFor(t, gen, gen.Txs(400))
+		if cfg.GenesisWrites, err = gen.GenesisWrites(gen.Txs(400)); err != nil {
+			t.Fatal(err)
+		}
 		n, err := New("durable", store, cfg)
 		if err != nil {
 			t.Fatal(err)

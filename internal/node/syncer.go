@@ -1,12 +1,13 @@
 package node
 
-// Self-healing block synchronization. The plain RequestSync/HandleSyncRequest
-// pair assumes the chosen peer answers; a real cluster has peers that crash,
-// stall, or sit on the wrong side of a partition. Syncer wraps the same
-// messages with the retry machinery a long-lived node needs: per-request
-// deadlines, exponential backoff with jitter, rotation to the next peer on
-// timeout, and a consecutive-failure health score that demotes unresponsive
-// peers so they are skipped until everyone else has failed too.
+// Self-healing block synchronization, the node's one sync client. A single
+// MsgGetBlocks to a chosen peer assumes the peer answers; a real cluster
+// has peers that crash, stall, or sit on the wrong side of a partition.
+// Syncer sends those requests (HandleSyncRequest serves them) with the
+// retry machinery a long-lived node needs: per-request deadlines,
+// exponential backoff with jitter, rotation to the next peer on timeout,
+// and a consecutive-failure health score that demotes unresponsive peers so
+// they are skipped until everyone else has failed too.
 //
 // Syncer is event-loop driven, like the rest of the node: the owner calls
 // Kick to start catching up, HandleBlocks when a MsgBlocks arrives, and Tick

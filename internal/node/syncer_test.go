@@ -22,7 +22,10 @@ func syncTestNodes(t *testing.T, syncBatch int) (veteran, joiner *Node, vetEp, j
 		t.Fatal(err)
 	}
 	txs := gen.Txs(600)
-	genesis := genesisFor(t, gen, txs)
+	genesis, err := gen.GenesisWrites(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	build := func(id string) *Node {
 		cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))

@@ -28,7 +28,9 @@ func TestNodeTracerSpans(t *testing.T) {
 	txs := gen.Txs(200)
 	cfg := testConfig(1, core.MustNewScheduler(core.DefaultConfig()))
 	cfg.VerifySignatures = true
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	n, err := New("traced", kvstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +106,9 @@ func TestNodeRegistrySeries(t *testing.T) {
 	}
 	txs := gen.Txs(80)
 	cfg := testConfig(2, core.MustNewScheduler(core.DefaultConfig()))
-	cfg.GenesisWrites = genesisFor(t, gen, txs)
+	if cfg.GenesisWrites, err = gen.GenesisWrites(txs); err != nil {
+		t.Fatal(err)
+	}
 	// A unique node id keeps this test's series disjoint from other tests
 	// sharing the default registry — and from its own earlier runs in the
 	// process (-count, -cpu 1,4).

@@ -122,11 +122,6 @@ type Config struct {
 	RetryDelay time.Duration
 }
 
-// DefaultConfig simulates a same-region LAN: 1 ms ± 1 ms, no loss.
-func DefaultConfig() Config {
-	return Config{Latency: time.Millisecond, Jitter: time.Millisecond, QueueLen: 1024}
-}
-
 // ErrDuplicateNode is returned when joining with a taken identifier.
 var ErrDuplicateNode = errors.New("p2p: duplicate node id")
 
@@ -187,17 +182,6 @@ func (n *Network) Join(id string) (*Endpoint, error) {
 	ep := &Endpoint{id: id, net: n, inbox: make(chan Message, n.cfg.QueueLen)}
 	n.nodes[id] = ep
 	return ep, nil
-}
-
-// Peers returns the ids of all joined nodes.
-func (n *Network) Peers() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Partition splits the network into isolated groups: nodes may only

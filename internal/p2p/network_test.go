@@ -18,8 +18,8 @@ func TestJoinAndDuplicate(t *testing.T) {
 	if _, err := n.Join("b"); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Peers()) != 2 {
-		t.Fatalf("peers = %v", n.Peers())
+	if len(n.nodes) != 2 {
+		t.Fatalf("%d endpoints joined, want 2", len(n.nodes))
 	}
 	n.Close()
 }

@@ -15,12 +15,12 @@
 //     transactions; a commit refills the submission budget. This finds
 //     the system's natural throughput without unbounded queue growth.
 //
-// The driver is also the soak oracle: every round it asserts that all
-// nodes at the same epoch agree on the state root, and that the commit
-// watermark keeps advancing (no stall longer than StallTimeout). Chaos
-// soaks arm failpoints (fail.Enable is permitted here by the repo's
-// failpoint analyzer, as in internal/chaos) and assert the same
-// invariants under injected faults.
+// Run is also the soak oracle: every round it asserts that every two
+// nodes recorded the same root for each epoch both processed
+// (cluster.Agree), and that the commit watermark keeps advancing (no stall
+// longer than StallTimeout). Chaos soaks arm failpoints (fail.Enable is
+// permitted here by the repo's failpoint analyzer, as in internal/chaos)
+// and assert the same invariants under injected faults.
 package stress
 
 import (
@@ -29,12 +29,11 @@ import (
 	"slices"
 	"time"
 
+	"github.com/nezha-dag/nezha/internal/cluster"
 	"github.com/nezha-dag/nezha/internal/consensus"
-	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/crypto"
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/journal"
-	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mempool"
 	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/node"
@@ -203,12 +202,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("stress: Config.Duration is required")
 	}
-	var sched func() types.Scheduler
+	var perMember func(int, *node.Config)
 	switch cfg.Scheduler {
 	case "nezha":
-		sched = func() types.Scheduler { return core.MustNewScheduler(core.DefaultConfig()) }
+		perMember = cluster.Nezha
 	case "serial":
-		sched = func() types.Scheduler { return nil }
 	default:
 		return nil, fmt.Errorf("stress: unknown scheduler %q (nezha | serial)", cfg.Scheduler)
 	}
@@ -232,24 +230,29 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	// Build the cluster. Every node runs the full pipeline over the same
 	// block set; node 0 is the measurement vantage point.
-	nodes := make([]*node.Node, cfg.Nodes)
-	miners := make([]*node.Miner, cfg.Nodes)
-	for i := range nodes {
-		n, err := node.New(fmt.Sprintf("stress-%d", i), kvstore.NewMemory(), node.Config{
+	ids := make([]string, cfg.Nodes)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("stress-%d", i)
+	}
+	c, err := cluster.New(cluster.Config{
+		IDs:       ids,
+		Miners:    cfg.Nodes,
+		BlockSize: cfg.BlockSize,
+		Node: node.Config{
 			Consensus:        consensus.Params{Chains: cfg.Chains, DifficultyBits: cfg.DifficultyBits},
-			Scheduler:        sched(),
 			Contracts:        cfg.Workload.Contracts(),
 			GenesisWrites:    cfg.Workload.Genesis(),
 			VerifySignatures: cfg.VerifySignatures,
 			RetainEpochStats: 64,
 			Mempool:          mpCfg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-		miners[i] = node.NewMiner(n, types.AddressFromUint64(uint64(i+1)), cfg.BlockSize)
+		},
+		PerMember: perMember,
+	})
+	if err != nil {
+		return nil, err
 	}
+	defer c.Close()
+	members, lead := c.Members, c.Members[0].Node
 	if cfg.JournalDir != "" {
 		defer func() {
 			if err := journal.DumpAll(cfg.JournalDir); err != nil {
@@ -304,7 +307,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			// Instant gossip: the batch reaches every miner's pool. Each
 			// pool admits independently; epoch assembly dedupes by hash.
-			for mi, m := range miners {
+			for mi, m := range members {
 				if cfg.VerifySignatures {
 					// This loop is the only admission in the process, so what
 					// reaches a pool without a verdict is what it verifies.
@@ -314,7 +317,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 						}
 					}
 				}
-				n, _ := m.Pool().AdmitBatch(batch)
+				n, _ := m.Miner.Pool().AdmitBatch(batch)
 				if mi == 0 {
 					rep.Admitted += n
 				}
@@ -328,9 +331,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 		// One mining round: every miner races a candidate; accepted
 		// blocks replicate to the whole cluster (stale forks are normal).
-		for i, m := range miners {
+		for i, m := range members {
 			mineCtx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
-			b, err := m.Mine(mineCtx)
+			b, err := m.Miner.Mine(mineCtx)
 			cancel()
 			if err != nil {
 				if ctx.Err() != nil {
@@ -338,14 +341,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				continue // cancelled search; next round
 			}
-			if err := nodes[i].SubmitBlock(b); err != nil {
+			if err := m.Node.SubmitBlock(b); err != nil {
 				continue // lost the fork race locally
 			}
-			for j, peer := range nodes {
+			for j, peer := range members {
 				if j == i {
 					continue
 				}
-				if err := peer.SubmitBlock(b); err == nil {
+				if err := peer.Node.SubmitBlock(b); err == nil {
 					// Optimistically advance the peer pool's floors past
 					// the replicated block's transactions, as a real
 					// mempool does on new-block import: without this,
@@ -353,19 +356,19 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					// and epochs commit near-duplicate blocks. A block
 					// that later loses its fork race strands its txs —
 					// the in-flight sweep below reclaims them.
-					miners[j].Pool().MarkIncluded(b.Txs)
+					peer.Miner.Pool().MarkIncluded(b.Txs)
 				}
 			}
 		}
 
 		// Processing round: every node advances; node 0 is measured.
-		for i, n := range nodes {
-			results, err := n.ProcessReadyEpochs()
+		for i, m := range members {
+			results, err := m.Node.ProcessReadyEpochs()
 			if err != nil {
-				return rep, fmt.Errorf("stress: %s: %w", n.ID(), err)
+				return rep, fmt.Errorf("stress: %s: %w", m.ID, err)
 			}
 			for _, r := range results {
-				blocks, ok := n.Ledger().EpochBlocks(r.Epoch)
+				blocks, ok := m.Node.Ledger().EpochBlocks(r.Epoch)
 				if !ok {
 					continue
 				}
@@ -378,7 +381,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				// inclusion floors past its transactions, so a tx one
 				// miner included stops being re-assembled by the others
 				// (each pool admitted the whole gossiped stream).
-				miners[i].Pool().MarkIncluded(etxs)
+				m.Miner.Pool().MarkIncluded(etxs)
 				if i != 0 {
 					continue
 				}
@@ -424,15 +427,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 		// Oracles: divergence is fatal immediately; so is a stalled
 		// commit watermark.
-		for _, n := range nodes[1:] {
-			if n.NextEpoch() == nodes[0].NextEpoch() && n.StateRoot() != nodes[0].StateRoot() {
-				return rep, fmt.Errorf("stress: state divergence at epoch %d: %s=%s %s=%s",
-					n.NextEpoch()-1, nodes[0].ID(), nodes[0].StateRoot().Short(), n.ID(), n.StateRoot().Short())
-			}
+		if err := c.Agree(); err != nil {
+			return rep, fmt.Errorf("stress: state divergence: %w", err)
 		}
 		if time.Since(lastCommit) > cfg.StallTimeout {
 			return rep, fmt.Errorf("stress: commit watermark stalled: no epoch in %v (next epoch %d)",
-				cfg.StallTimeout, nodes[0].NextEpoch())
+				cfg.StallTimeout, lead.NextEpoch())
 		}
 	}
 
@@ -444,8 +444,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rep.SigPipeline -= n
 		}
 	}
-	rep.FinalEpoch = nodes[0].NextEpoch() - 1
-	rep.FinalRoot = nodes[0].StateRoot()
+	rep.FinalEpoch = lead.NextEpoch() - 1
+	rep.FinalRoot = lead.StateRoot()
 	if rep.Duration > 0 {
 		rep.CommitTPS = float64(rep.Committed) / rep.Duration.Seconds()
 	}

@@ -74,18 +74,14 @@ func NewWorkload(name string, opts Options) (Workload, error) {
 
 type smallBankWorkload struct{ gen *workload.Generator }
 
-func (w *smallBankWorkload) Name() string                { return "smallbank" }
-func (w *smallBankWorkload) Genesis() []types.WriteEntry { return w.gen.GenesisAll() }
-func (w *smallBankWorkload) NextTx() *types.Transaction  { return w.gen.NextTx() }
-func (w *smallBankWorkload) Contracts() map[types.Address][]byte {
-	return map[types.Address][]byte{smallbank.ContractAddress: smallbank.Program()}
-}
+func (w *smallBankWorkload) Name() string                        { return "smallbank" }
+func (w *smallBankWorkload) Genesis() []types.WriteEntry         { return w.gen.GenesisAll() }
+func (w *smallBankWorkload) NextTx() *types.Transaction          { return w.gen.NextTx() }
+func (w *smallBankWorkload) Contracts() map[types.Address][]byte { return smallbank.Contracts() }
 
 type tokenWorkload struct{ gen *workload.TokenGenerator }
 
-func (w *tokenWorkload) Name() string                { return "token" }
-func (w *tokenWorkload) Genesis() []types.WriteEntry { return w.gen.GenesisAll() }
-func (w *tokenWorkload) NextTx() *types.Transaction  { return w.gen.NextTx() }
-func (w *tokenWorkload) Contracts() map[types.Address][]byte {
-	return map[types.Address][]byte{token.ContractAddress: token.Program()}
-}
+func (w *tokenWorkload) Name() string                        { return "token" }
+func (w *tokenWorkload) Genesis() []types.WriteEntry         { return w.gen.GenesisAll() }
+func (w *tokenWorkload) NextTx() *types.Transaction          { return w.gen.NextTx() }
+func (w *tokenWorkload) Contracts() map[types.Address][]byte { return token.Contracts() }
