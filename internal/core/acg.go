@@ -18,8 +18,8 @@ package core
 
 import (
 	"slices"
+	"sync"
 
-	"github.com/nezha-dag/nezha/internal/graph"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
@@ -44,9 +44,8 @@ type ACG struct {
 	// "subscript" for every deterministic tie-break.
 	Addrs []AddressSet
 	// Deps is the address-dependency graph over Addrs indices.
-	Deps *graph.Directed
+	Deps Deps
 
-	index map[types.Key]int
 	// sims is the dense transaction lookup: sims[id] is the simulation
 	// result of epoch-local transaction id (nil for gaps). Epoch-local ids
 	// are assigned consecutively from 0 (types.NewEpoch), so a slice beats
@@ -78,7 +77,6 @@ type ACG struct {
 func BuildACG(sims []*types.SimResult) *ACG {
 	n := denseSimLen(sims)
 	acg := &ACG{
-		index:   make(map[types.Key]int, 2*len(sims)),
 		sims:    make([]*types.SimResult, n),
 		unitOff: make([]int32, n+1),
 	}
@@ -95,16 +93,22 @@ func BuildACG(sims []*types.SimResult) *ACG {
 	// Pass 1: number every accessed key in first-occurrence order and
 	// record each unit under that provisional number — the only time a
 	// key is hashed.
-	keys := make([]types.Key, 0, len(sims)*2)
+	kx := keyIndexes.Get().(*keyIndex)
+	keys := kx.keys
+	defer func() {
+		clear(kx.index)
+		kx.keys = keys[:0]
+		keyIndexes.Put(kx)
+	}()
 	u := 0
 	intern := func(k types.Key) {
-		p, ok := acg.index[k]
+		p, ok := kx.index[k]
 		if !ok {
-			p = len(keys)
-			acg.index[k] = p
+			p = int32(len(keys))
+			kx.index[k] = p
 			keys = append(keys, k)
 		}
-		acg.unitAddr[u] = int32(p)
+		acg.unitAddr[u] = p
 		u++
 	}
 	for _, sim := range sims {
@@ -128,40 +132,51 @@ func BuildACG(sims []*types.SimResult) *ACG {
 	for v, p := range order {
 		perm[p] = int32(v)
 		acg.Addrs[v].Key = keys[p]
-		acg.index[keys[p]] = v
 	}
 	for i, p := range acg.unitAddr {
 		acg.unitAddr[i] = perm[p]
 	}
 
-	// Pass 2: count every address's units and carve its Reads and Writes
-	// out of one arena, each list empty with exactly its final capacity.
+	// Pass 2: count every address's units, and every address's outgoing
+	// dependencies (write address → read address of the same transaction;
+	// same-address read+write pairs add no edge, cf. T5 in the paper's
+	// Fig. 4) with repeats. Carve the Reads and Writes of all addresses
+	// out of one arena and their edges out of another, each list empty
+	// with exactly its final capacity.
 	v := len(keys)
 	nReads := make([]int32, v)
 	acg.addrOff = make([]int32, v+1)
+	d := &acg.Deps
+	d.off, d.in = make([]int32, v+1), make([]int32, v)
 	for _, sim := range sims {
 		reads, writes := acg.units(sim.Tx.ID)
 		for _, j := range reads {
 			nReads[j]++
 		}
-		for _, j := range writes {
-			acg.addrOff[j+1]++
+		for _, i := range writes {
+			acg.addrOff[i+1]++
+			for _, j := range reads {
+				if i != j {
+					d.off[i+1]++
+				}
+			}
 		}
 	}
 	for j := 0; j < v; j++ {
 		acg.addrOff[j+1] += acg.addrOff[j] + nReads[j]
+		d.off[j+1] += d.off[j]
 	}
 	arena := make([]types.TxID, acg.addrOff[v])
+	d.adj = make([]int32, d.off[v])
+	next := slices.Clone(d.off[:v])
 	for j := 0; j < v; j++ {
 		lo, mid, hi := acg.addrOff[j], acg.addrOff[j]+nReads[j], acg.addrOff[j+1]
 		acg.Addrs[j].Reads, acg.Addrs[j].Writes = arena[lo:lo:mid], arena[mid:mid:hi]
 	}
 
 	// Pass 3: fill the lists in place — ascending id order leaves each in
-	// ascending id order — and record address dependencies (write address
-	// → read address of the same transaction; same-address read+write
-	// pairs add no edge, cf. T5 in the paper's Fig. 4).
-	acg.Deps = graph.NewDirected(v)
+	// ascending id order — then keep each address's first edge to every
+	// successor.
 	for _, sim := range sims {
 		id := sim.Tx.ID
 		reads, writes := acg.units(id)
@@ -172,13 +187,68 @@ func BuildACG(sims []*types.SimResult) *ACG {
 			acg.Addrs[i].Writes = append(acg.Addrs[i].Writes, id)
 			for _, j := range reads {
 				if i != j {
-					acg.Deps.AddEdge(int(i), int(j))
+					d.adj[next[i]] = j
+					next[i]++
 				}
 			}
 		}
 	}
+	d.dedupe(nReads)
 	return acg
 }
+
+// keyIndex is BuildACG's key numbering. Its map and key list are the
+// graph's largest transients, so they are kept for the next call.
+type keyIndex struct {
+	index map[types.Key]int32
+	keys  []types.Key
+}
+
+var keyIndexes = sync.Pool{New: func() any { return &keyIndex{index: make(map[types.Key]int32)} }}
+
+// Deps is the address-dependency graph, frozen in compressed sparse row
+// form: vertex u's successors are adj[off[u]:off[u+1]], each listed once, in
+// the order BuildACG first met the edge.
+type Deps struct {
+	off, adj, in []int32
+}
+
+// dedupe compacts every vertex's successor list to first occurrences,
+// stamping each successor seen with the vertex's id + 1 in stamp (one int32
+// per vertex), and counts the in-degrees.
+func (d *Deps) dedupe(stamp []int32) {
+	clear(stamp)
+	n := int32(0)
+	for u := range d.in {
+		lo, hi := d.off[u], d.off[u+1]
+		d.off[u] = n
+		for _, j := range d.adj[lo:hi] {
+			if stamp[j] != int32(u)+1 {
+				stamp[j] = int32(u) + 1
+				d.adj[n] = j
+				d.in[j]++
+				n++
+			}
+		}
+	}
+	d.off[len(d.in)] = n
+	d.adj = d.adj[:n:n]
+}
+
+// N returns the number of vertices.
+func (d *Deps) N() int { return len(d.in) }
+
+// Out returns u's successors. The slice is owned by the graph.
+func (d *Deps) Out(u int) []int32 { return d.adj[d.off[u]:d.off[u+1]] }
+
+// OutDegree returns the number of u's successors.
+func (d *Deps) OutDegree(u int) int { return int(d.off[u+1] - d.off[u]) }
+
+// InDegree returns the number of u's predecessors.
+func (d *Deps) InDegree(u int) int { return int(d.in[u]) }
+
+// EdgeCount returns the number of edges.
+func (d *Deps) EdgeCount() int { return len(d.adj) }
 
 // units returns the vertex ids of a transaction's read units and of its
 // write units.
@@ -197,16 +267,6 @@ func (a *ACG) NumAddresses() int { return len(a.Addrs) }
 // NumUnits returns the total number of read/write units mapped into the
 // graph, the size measure behind the paper's O(u·N) construction bound.
 func (a *ACG) NumUnits() int { return len(a.unitAddr) }
-
-// AddressIndex returns the vertex id of a key, or -1 when the key was not
-// accessed this epoch.
-func (a *ACG) AddressIndex(k types.Key) int {
-	i, ok := a.index[k]
-	if !ok {
-		return -1
-	}
-	return i
-}
 
 // Sim returns the simulation result of a transaction id, or nil when the id
 // is not part of the epoch.

@@ -13,14 +13,26 @@ import (
 // dialect documented in internal/check/encode.go, shared with the checked-in
 // corpus under testdata/fuzz/ (regenerate with `nezha-check corpus`).
 
+// twoAddressPairs is an epoch whose schedule, under either rank heuristic,
+// leaves transactions 1 and 2 violating on two addresses: the sweep must
+// count that pair twice.
+var twoAddressPairs = []byte{
+	0x1, 0x8, 0x0, 0x1, 0x9, 0x1, 0x1, 0x0, 0xb, 0x0, 0x1, 0x1, 0x0, 0x1, 0x4, 0x0,
+	0x4, 0x1, 0xb, 0x0, 0x0, 0x1, 0x1, 0x1, 0x6, 0x0, 0x1, 0x0, 0xf, 0x0, 0x0, 0x1,
+	0x0, 0x0, 0x0, 0xd, 0x0, 0x1, 0x0, 0x0, 0x5, 0x0, 0x0, 0x2, 0x0, 0x1,
+}
+
 // FuzzSchedule drives arbitrary byte-derived epochs through the scheduler
-// and asserts the two load-bearing contracts on every input: scheduling the
+// and asserts the load-bearing contracts on every input: scheduling the
 // same epoch twice, with fresh schedulers, gives the same schedule (a map
-// iteration order leaking into the output breaks this), and every schedule
-// passes the serial-replay oracle. Both rank heuristics are exercised.
+// iteration order leaking into the output breaks this), every schedule
+// passes the serial-replay oracle, and the safety sweep picks its victims
+// in the order of the pair-list reference. Both rank heuristics are
+// exercised.
 func FuzzSchedule(f *testing.F) {
 	f.Add([]byte{3, 0x05, 1, 2, 0x0C, 3, 4})
 	f.Add([]byte{15, 0x0F, 0, 0, 1, 1, 0x0F, 1, 1, 0, 0})
+	f.Add(twoAddressPairs)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snapshot, sims := check.EpochFromBytes(data)
 		if len(sims) == 0 {
@@ -43,6 +55,33 @@ func FuzzSchedule(f *testing.F) {
 			if err := core.VerifySchedule(snapshot, sims, outs[0]); err != nil {
 				t.Fatalf("heur=%d: oracle: %v", heur, err)
 			}
+			if got, want, n := core.CoverOrders(t, sims, core.Config{Reorder: true, Heuristic: heur}); !slices.Equal(got, want) {
+				t.Fatalf("heur=%d: %d pairs, victim order %v, reference %v", heur, n, got, want)
+			}
+		}
+	})
+}
+
+// FuzzSweepCover targets the safety sweep in isolation: it hands a
+// byte-derived epoch byte-derived sequence numbers (seqs[i mod len], mod 8;
+// 0 aborts the transaction before the sweep), which reach violation shapes
+// a scheduled epoch reaches only by luck, and requires the victim order of
+// the pair-list reference.
+func FuzzSweepCover(f *testing.F) {
+	f.Add([]byte{3, 0x05, 1, 2, 0x0C, 3, 4}, []byte{2, 2})
+	f.Add([]byte{1, 0x0F, 0, 0, 1, 1, 0x0F, 1, 1, 0, 0, 0x05, 0, 1}, []byte{3, 3, 1})
+	f.Add(twoAddressPairs, []byte{1, 4, 4, 2, 0, 7})
+	f.Fuzz(func(t *testing.T, data, seqBytes []byte) {
+		_, sims := check.EpochFromBytes(data)
+		if len(sims) == 0 || len(seqBytes) == 0 {
+			return
+		}
+		seqs := make([]types.Seq, len(sims))
+		for i := range seqs {
+			seqs[i] = types.Seq(seqBytes[i%len(seqBytes)] % 8)
+		}
+		if got, want, n := core.CoverOrdersAt(t, sims, seqs); !slices.Equal(got, want) {
+			t.Fatalf("%d pairs, victim order %v, reference %v", n, got, want)
 		}
 	})
 }

@@ -1,62 +1,59 @@
 package core
 
-// lazyHeap is a binary heap whose entries record the key they were filed
-// under, with less's minimum on top. Both users — rank division's
-// cycle-blocked vertices and the safety sweep's victim candidates — have
-// keys that drift while an entry waits, and both repair that only at the
-// top: an entry whose key got worse is re-filed with fixTop, one that was
+// maxHeap is a binary max-heap of packed keys: its user folds the whole
+// ordering, tie-break included, into one uint64, so a comparison is one
+// integer compare. Rank division's cycle-blocked vertices have keys that
+// drift while an entry waits, and it repairs that only at the top: an entry
+// whose key got worse is rewritten and re-filed with down(0), one that was
 // superseded by a fresher entry is dropped with pop. A drifted entry deeper
 // down costs nothing until it surfaces, which is what keeps a key change
 // O(1) instead of a sift.
-type lazyHeap[E any] struct {
-	a    []E
-	less func(a, b E) bool
-}
+type maxHeap []uint64
 
-// init establishes heap order over h.a in O(len(h.a)).
-func (h *lazyHeap[E]) init() {
-	for i := len(h.a)/2 - 1; i >= 0; i-- {
+// init establishes heap order in O(len(h)).
+func (h maxHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
-func (h *lazyHeap[E]) push(e E) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
-	for i > 0 {
+func (h *maxHeap) push(k uint64) {
+	*h = append(*h, k)
+	a := *h
+	for i := len(a) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !h.less(h.a[i], h.a[p]) {
+		if a[i] <= a[p] {
 			break
 		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
+		a[i], a[p] = a[p], a[i]
 		i = p
 	}
 }
 
-// pop removes the top entry, h.a[0].
-func (h *lazyHeap[E]) pop() {
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
+// pop removes and returns the top key.
+func (h *maxHeap) pop() uint64 {
+	a := *h
+	top, last := a[0], len(a)-1
+	a[0] = a[last]
+	*h = a[:last]
 	h.down(0)
+	return top
 }
 
-// fixTop restores heap order after the caller rewrote h.a[0].
-func (h *lazyHeap[E]) fixTop() { h.down(0) }
-
-func (h *lazyHeap[E]) down(i int) {
+// down restores heap order below i after h[i] fell.
+func (h maxHeap) down(i int) {
 	for {
 		l := 2*i + 1
-		if l >= len(h.a) {
+		if l >= len(h) {
 			return
 		}
-		if r := l + 1; r < len(h.a) && h.less(h.a[r], h.a[l]) {
+		if r := l + 1; r < len(h) && h[r] > h[l] {
 			l = r
 		}
-		if !h.less(h.a[l], h.a[i]) {
+		if h[l] <= h[i] {
 			return
 		}
-		h.a[i], h.a[l] = h.a[l], h.a[i]
+		h[i], h[l] = h[l], h[i]
 		i = l
 	}
 }

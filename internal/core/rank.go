@@ -1,6 +1,6 @@
 package core
 
-import "github.com/nezha-dag/nezha/internal/graph"
+import "slices"
 
 // RankHeuristic selects how Algorithm 1 breaks out of cycles when no
 // zero-in-degree address remains.
@@ -34,30 +34,28 @@ const (
 //     first blocked round — an acyclic graph never pays for it — and from
 //     then on remove files one entry per in-degree change, so all blocked
 //     rounds together cost O((V+E)·log(V+E)) instead of two O(V) scans
-//     each.
+//     each. Its keys pack three vertex-sized fields into 64 bits, which
+//     caps an epoch at 2^21 - 1 addresses.
 func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
-	g := acg.Deps
+	g := &acg.Deps
 	n := g.N()
 	if n == 0 {
 		return nil
 	}
 
-	inDeg := make([]int32, n)
-	// outDeg tracks live out-degree (edges toward non-removed vertices),
-	// which the max-out-degree heuristic consults.
-	outDeg := make([]int32, n)
-	// Reverse adjacency (vertex v's predecessors are rev[revOff[v]:
-	// revOff[v+1]]) so removing a vertex can decrement the live
-	// out-degrees of its predecessors.
-	revOff := make([]int32, n+1)
+	// inDeg and outDeg track the live degrees (edges among non-removed
+	// vertices); the max-out-degree heuristic consults the latter. Vertex
+	// v's predecessors are rev[revOff[v]:revOff[v+1]], so removing a vertex
+	// can decrement the live out-degrees of its predecessors.
+	deg := make([]int32, 3*n+1)
+	inDeg, outDeg, revOff := deg[:n], deg[n:2*n], deg[2*n:]
+	copy(inDeg, g.in)
 	for v := 0; v < n; v++ {
-		inDeg[v] = int32(g.InDegree(v))
 		outDeg[v] = int32(g.OutDegree(v))
 		revOff[v+1] = revOff[v] + inDeg[v]
 	}
 	rev := make([]int32, revOff[n])
-	fill := make([]int32, n)
-	copy(fill, revOff)
+	fill := slices.Clone(revOff[:n])
 	for u := 0; u < n; u++ {
 		for _, v := range g.Out(u) {
 			rev[fill[v]] = int32(u)
@@ -65,28 +63,33 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 		}
 	}
 
-	var zero graph.IntMinHeap
+	// zero holds the zero-in-degree vertices, smallest subscript on top.
+	var zero maxHeap
 	for v := 0; v < n; v++ {
 		if inDeg[v] == 0 {
-			zero.Push(v)
+			zero.push(^uint64(v))
 		}
 	}
 
-	removed := make([]bool, n)
-	// blocked files every live vertex under (in-degree, out-degree) as of
-	// filing; it stays empty until the first cycle-blocked round.
-	type filed struct{ in, out, v int32 }
-	blocked := lazyHeap[filed]{less: func(a, b filed) bool {
-		if a.in != b.in {
-			return a.in < b.in
+	// blocked files every live vertex under (in-degree ↑, out-degree ↓,
+	// subscript ↑) as of filing, packed w bits a field with the ascending
+	// ones inverted; the min-subscript heuristic files out-degree 0. It
+	// stays empty until the first cycle-blocked round.
+	const w, mask = 21, 1<<21 - 1
+	if n > mask {
+		panic("core: rank division packs vertex keys in 64 bits; too many addresses")
+	}
+	file := func(v int) uint64 {
+		var out uint64
+		if heuristic == RankMaxOutDegree {
+			out = uint64(outDeg[v])
 		}
-		if heuristic == RankMaxOutDegree && a.out != b.out {
-			return a.out > b.out
-		}
-		return a.v < b.v
-	}}
+		return (mask-uint64(inDeg[v]))<<(2*w) | out<<w | (mask - uint64(v))
+	}
+	var blocked maxHeap
 	built := false
 
+	removed := make([]bool, n)
 	seq := make([]int, 0, n)
 	remove := func(u int) {
 		removed[u] = true
@@ -97,11 +100,11 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 			}
 			inDeg[v]--
 			if inDeg[v] == 0 {
-				zero.Push(v)
+				zero.push(^uint64(v))
 			} else if built {
 				// A lower in-degree is a better key, which cannot wait for
 				// the old entry to surface: file a fresh one.
-				blocked.push(filed{inDeg[v], outDeg[v], int32(v)})
+				blocked.push(file(int(v)))
 			}
 		}
 		for _, p := range rev[revOff[u]:revOff[u+1]] {
@@ -112,17 +115,17 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 	}
 
 	for len(seq) < n {
-		if zero.Len() > 0 {
-			remove(zero.Pop())
+		if len(zero) > 0 {
+			remove(int(^zero.pop()))
 			continue
 		}
 		// Cycles block every remaining vertex.
 		if !built {
 			built = true
-			blocked.a = make([]filed, 0, n-len(seq))
+			blocked = make(maxHeap, 0, n-len(seq))
 			for v := 0; v < n; v++ {
 				if !removed[v] {
-					blocked.a = append(blocked.a, filed{inDeg[v], outDeg[v], int32(v)})
+					blocked = append(blocked, file(v))
 				}
 			}
 			blocked.init()
@@ -132,15 +135,16 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 		// its filed key too good, so once the top is current it is the
 		// heuristic's pick.
 		for {
-			top := &blocked.a[0]
-			if v := top.v; removed[v] || top.in != inDeg[v] {
+			top := blocked[0]
+			v := int(mask - top&mask)
+			if removed[v] || top>>(2*w) != mask-uint64(inDeg[v]) {
 				blocked.pop()
-			} else if top.out != outDeg[v] {
-				top.out = outDeg[v]
-				blocked.fixTop()
+			} else if now := file(v); top != now {
+				blocked[0] = now
+				blocked.down(0)
 			} else {
 				blocked.pop()
-				remove(int(v))
+				remove(v)
 				break
 			}
 		}

@@ -40,7 +40,7 @@ func TestRankAddressesAcyclicIsTopological(t *testing.T) {
 		pos := rankedPositions(ranks)
 		for u := 0; u < acg.Deps.N(); u++ {
 			for _, v := range acg.Deps.Out(u) {
-				if pos[u] > pos[v] {
+				if pos[u] > pos[int(v)] {
 					t.Fatalf("heuristic %d: edge %d->%d violates rank order %v", h, u, v, ranks)
 				}
 			}

@@ -113,7 +113,7 @@ func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.Ph
 	srt := newSorter(acg, n.cfg.Reorder, n.cfg.InjectFault)
 	srt.run(ranks)
 	if !n.cfg.SkipSafetySweep {
-		srt.safetySweep(ranks)
+		srt.safetySweep()
 	}
 	srt.finish()
 

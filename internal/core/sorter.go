@@ -53,11 +53,13 @@ type sorter struct {
 	rescued int
 
 	// Safety-sweep scratch. live mirrors the ACG's unit arena: address j
-	// parks its live readers and writers, sorted, in its own range.
-	// incident[id] counts the uncovered violating pairs touching id and
-	// adjOff[id] locates id's incidence list (see coverAborts).
-	live             []types.TxID
-	incident, adjOff []int32
+	// parks its live readers and writers, sorted, at the front of its
+	// reads' and its writes' range, and liveEnd[2j], liveEnd[2j+1] mark
+	// where the two stop. pairs[id] counts the uncovered violating pairs
+	// touching id (see safetySweep).
+	live    []types.TxID
+	liveEnd []int32
+	pairs   []int32
 }
 
 func newSorter(acg *ACG, reorder bool, fault Fault) *sorter {
@@ -71,9 +73,9 @@ func newSorter(acg *ACG, reorder bool, fault Fault) *sorter {
 		used:        make([][]uint64, addrs),
 		maxAssigned: make([]types.Seq, addrs),
 	}
-	perTx := make([]int32, 4*txs)
-	s.readAt, s.bumpedAt = perTx[:txs], perTx[txs:2*txs]
-	s.incident, s.adjOff = perTx[2*txs:3*txs], perTx[3*txs:]
+	scratch := make([]int32, 3*txs+2*addrs)
+	s.readAt, s.bumpedAt, s.pairs = scratch[:txs], scratch[txs:2*txs], scratch[2*txs:3*txs]
+	s.liveEnd = scratch[3*txs:]
 	s.live = make([]types.TxID, len(acg.unitAddr))
 	words := make([]uint64, addrs)
 	for j := range s.used {
@@ -283,94 +285,153 @@ func (s *sorter) sortAddress(j int) {
 // sequence number than every committed read of a *different* transaction,
 // and committed writes must carry pairwise-distinct numbers. Cross-address
 // reassignments (the line-17 bump and the §IV-D reordering) can violate
-// these in rare interleavings. addrs lists every address, in any order.
-func (s *sorter) safetySweep(addrs []int) {
-	var sw sweeper
-	for _, victim := range s.coverAborts(s.collectViolations(addrs, &sw), &sw) {
-		s.abortTx(types.TxID(victim))
+// these in rare interleavings.
+//
+// The sweep aborts a greedy vertex cover of the violating pairs — the same
+// flavor of victim selection the CG baseline's cycle removal uses — because
+// one reassigned reader frequently conflicts with many writers, and
+// aborting the reader alone resolves all of those pairs at once. Aborting
+// can only remove constraints, never add them, so the loop terminates with
+// every pair covered, deterministically: the victim each round is the
+// transaction with the maximum (uncovered pairs, id), a total order, and a
+// pair counts once per address and relation it violates. The victims are
+// returned in the order chosen. No pair is ever listed: see countPairs and
+// abortVictim.
+func (s *sorter) safetySweep() []int32 {
+	top, txs := s.countPairs(), len(s.pairs)
+	if top == 0 {
+		return nil
+	}
+	// Bucket c chains, through next, the transactions filed under count
+	// c; 0 ends a chain, so entries are stored as id+1. Counts only fall,
+	// so once the cover reaches bucket c nothing can be filed there any
+	// more: it is drained in descending id order, and an entry whose count
+	// fell since it was filed moves down to its current bucket.
+	buf := make([]int32, int(top)+1+2*txs)
+	head := buf[:top+1]
+	bucket, victims := buf[top+1:top+1], buf[int(top)+1+txs:][:0]
+	next := s.bumpedAt // free once Algorithm 2 is done
+	for id, c := range s.pairs {
+		if c > 0 {
+			next[id], head[c] = head[c], int32(id)+1
+		}
+	}
+	for c := top; c > 0; c-- {
+		bucket = bucket[:0]
+		for e := head[c]; e != 0; e = next[e-1] {
+			bucket = append(bucket, e-1)
+		}
+		slices.Sort(bucket)
+		for i := len(bucket) - 1; i >= 0; i-- {
+			id := bucket[i]
+			switch now := s.pairs[id]; {
+			case now == c:
+				victims = append(victims, id)
+				s.abortVictim(types.TxID(id))
+			case now > 0:
+				next[id], head[now] = head[now], id+1
+			}
+		}
+	}
+	return victims
+}
+
+// countPairs sets s.pairs to every transaction's violating-pair count and
+// returns the highest. On one address, with the live units sorted by
+// sequence number, every violating pair lies inside a run of equal-number
+// writers (write-write: all of the run's pairs) or between such a run and
+// the readers at or above its number (read-write: all of those pairs except
+// a transaction with itself), so a count is a sum of group sizes.
+func (s *sorter) countPairs() (top int32) {
+	for j := range s.acg.Addrs {
+		readers, writers := s.sortLive(j)
+		// Walk the writers' runs with r at the first reader at or above
+		// the run's number and self at the first reader not below the
+		// writer in (sequence, id) order: the writer reads the address
+		// iff that reader is itself, and then sits in its own tail.
+		r, self := 0, 0
+		for i := 0; i < len(writers); {
+			q := s.seqOf[writers[i]]
+			end := i + 1
+			for end < len(writers) && s.seqOf[writers[end]] == q {
+				end++
+			}
+			for r < len(readers) && s.seqOf[readers[r]] < q {
+				r++
+			}
+			for _, w := range writers[i:end] {
+				for self < len(readers) && s.bySeq(readers[self], w) < 0 {
+					self++
+				}
+				c := int32(end - i - 1 + len(readers) - r)
+				if self < len(readers) && readers[self] == w {
+					c -= 2 // itself in its tail, and at or below itself as a reader
+				}
+				s.pairs[w] += c
+			}
+			i = end
+		}
+		// A reader pairs with every writer at or below its number.
+		below := 0
+		for _, x := range readers {
+			for below < len(writers) && s.seqOf[writers[below]] <= s.seqOf[x] {
+				below++
+			}
+			s.pairs[x] += int32(below)
+		}
+	}
+	for _, c := range s.pairs {
+		top = max(top, c)
+	}
+	return top
+}
+
+// abortVictim aborts the sweep's victim and walks its groups (see
+// countPairs), lowering each live partner's count once per pair.
+func (s *sorter) abortVictim(v types.TxID) {
+	s.abortTx(v)
+	s.pairs[v] = 0
+	drop := func(ids []types.TxID) {
+		for _, x := range ids {
+			if !s.aborted[x] { // v included
+				s.pairs[x]--
+			}
+		}
+	}
+	q := s.seqOf[v]
+	reads, writes := s.acg.units(v)
+	for _, j := range reads {
+		_, writers := s.liveUnits(int(j))
+		drop(writers[:s.seqBound(writers, q+1)])
+	}
+	for _, j := range writes {
+		readers, writers := s.liveUnits(int(j))
+		drop(writers[s.seqBound(writers, q):s.seqBound(writers, q+1)])
+		drop(readers[s.seqBound(readers, q):])
 	}
 }
 
-// sweeper is the safety sweep's working memory. Whatever is indexed by
-// transaction or address lives in the sorter instead.
-type sweeper struct {
-	contested  []contested
-	pairs      []violation
-	adj        []int32     // incidence lists, see coverAborts
-	candidates []candidate // the victim heap, see coverAborts
-	victims    []int32
+// sortLive parks address j's live readers and writers, each in ascending
+// (sequence, id) order, at the front of the address's reads' and writes'
+// ranges of s.live, records where they end, and returns them.
+func (s *sorter) sortLive(j int) (readers, writers []types.TxID) {
+	addr := &s.acg.Addrs[j]
+	lo := s.acg.addrOff[j]
+	mid := lo + int32(len(addr.Reads))
+	if len(addr.Writes) == 0 { // no writer, no pair
+		s.liveEnd[2*j], s.liveEnd[2*j+1] = lo, mid
+		return nil, nil
+	}
+	readers = s.liveBySeq(addr.Reads, s.live[lo:lo:mid])
+	writers = s.liveBySeq(addr.Writes, s.live[mid:mid:s.acg.addrOff[j+1]])
+	s.liveEnd[2*j], s.liveEnd[2*j+1] = lo+int32(len(readers)), mid+int32(len(writers))
+	return readers, writers
 }
 
-// candidate is a transaction on at least one violating pair, filed under
-// the number of uncovered pairs it had when last looked at.
-type candidate struct{ count, id int32 }
-
-// violation is one per-address pair of committed transactions whose
-// sequence numbers break a strict-serializability invariant.
-type violation struct{ a, b types.TxID }
-
-// contested is an address with at least one violating pair: its live
-// readers and its live writers, both in ascending (sequence, id) order.
-type contested struct{ readers, writers []types.TxID }
-
-// collectViolations gathers the violating pairs on the given addresses,
-// count-then-fill: the first pass sorts each address's live units into the
-// address's own range of s.live and bounds its pair count, the second
-// fills a buffer of that size from the addresses that had any.
-func (s *sorter) collectViolations(addrs []int, sw *sweeper) []violation {
-	sw.contested = sw.contested[:0]
-	bound := 0
-	for _, j := range addrs {
-		addr := &s.acg.Addrs[j]
-		if len(addr.Writes) == 0 {
-			continue
-		}
-		lo := int(s.acg.addrOff[j])
-		mid, hi := lo+len(addr.Reads), int(s.acg.addrOff[j+1])
-		a := contested{
-			readers: s.liveBySeq(addr.Reads, s.live[lo:lo:mid]),
-			writers: s.liveBySeq(addr.Writes, s.live[mid:mid:hi]),
-		}
-		before := bound
-		for i := 0; i < len(a.writers); {
-			end, tail := s.writeRun(a, i)
-			// The bound counts a read+write transaction against itself.
-			bound += (end-i)*(end-i-1)/2 + (end-i)*len(tail)
-			i = end
-		}
-		if bound > before {
-			sw.contested = append(sw.contested, a)
-		}
-	}
-
-	pairs := slices.Grow(sw.pairs[:0], bound)
-	for _, a := range sw.contested {
-		for i := 0; i < len(a.writers); {
-			end, tail := s.writeRun(a, i)
-			run := a.writers[i:end]
-			// Write-write: equal numbers collide. Every pair within an
-			// equal-seq run is violating (pairing only neighbors would let
-			// a middle-victim cover leave the outer two still colliding).
-			for x, w := range run {
-				for _, other := range run[x+1:] {
-					pairs = append(pairs, violation{w, other})
-				}
-			}
-			// Read-write: a write at or below a different transaction's
-			// read must follow it in some serial order — impossible
-			// without re-execution, so the pair is violating.
-			for _, w := range run {
-				for _, r := range tail {
-					if r != w {
-						pairs = append(pairs, violation{w, r})
-					}
-				}
-			}
-			i = end
-		}
-	}
-	sw.pairs = pairs
-	return pairs
+// liveUnits returns the lists sortLive parked for address j.
+func (s *sorter) liveUnits(j int) (readers, writers []types.TxID) {
+	lo, mid := s.acg.addrOff[j], s.acg.addrOff[j]+int32(len(s.acg.Addrs[j].Reads))
+	return s.live[lo:s.liveEnd[2*j]], s.live[mid:s.liveEnd[2*j+1]]
 }
 
 // liveBySeq appends the non-aborted ids to buf, which has the room, and
@@ -381,117 +442,28 @@ func (s *sorter) liveBySeq(ids, buf []types.TxID) []types.TxID {
 			buf = append(buf, id)
 		}
 	}
-	slices.SortFunc(buf, func(a, b types.TxID) int {
-		if c := cmp.Compare(s.seqOf[a], s.seqOf[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	slices.SortFunc(buf, s.bySeq)
 	return buf
 }
 
-// writeRun returns the end of the run of equal-sequence writers starting at
-// a.writers[i], and the readers the whole run conflicts with: readers are
-// sorted by sequence, so everything from the first one at or above the
-// run's number onward.
-func (s *sorter) writeRun(a contested, i int) (end int, tail []types.TxID) {
-	q := s.seqOf[a.writers[i]]
-	end = i + 1
-	for end < len(a.writers) && s.seqOf[a.writers[end]] == q {
-		end++
+// bySeq orders transactions by (sequence, id).
+func (s *sorter) bySeq(a, b types.TxID) int {
+	if c := cmp.Compare(s.seqOf[a], s.seqOf[b]); c != 0 {
+		return c
 	}
-	lo, hi := 0, len(a.readers)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.seqOf[a.readers[mid]] < q {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return end, a.readers[lo:]
+	return cmp.Compare(a, b)
 }
 
-// coverAborts picks the transactions the sweep aborts: a greedy vertex cover
-// of the violating pairs — the same flavor of victim selection the CG
-// baseline's cycle removal uses — because one reassigned reader frequently
-// conflicts with many writers, and aborting the reader alone resolves all
-// of those pairs at once. Aborting can only remove constraints, never add
-// them, so the loop terminates with every pair covered, deterministically:
-// the victim each round is the transaction with the maximum (uncovered
-// pairs, id), a total order. The victims are returned in the order chosen.
-//
-// Cost is O((txs + pairs)·log txs): the pairs are turned once into
-// per-transaction incidence lists (a pair collected twice is listed twice,
-// and counts twice) and the candidates sit in a max-heap keyed (count, id).
-// A victim only walks its own list, lowering each neighbour's count; the
-// neighbour's heap entry is left filed under the old, higher count and
-// re-filed when it reaches the top, so the top, once current, is the true
-// maximum.
-func (s *sorter) coverAborts(pairs []violation, sw *sweeper) []int32 {
-	if len(pairs) == 0 {
-		return nil
-	}
-	sw.victims = sw.victims[:0]
-	// s.incident is all zero between calls: every pair that raises two
-	// counts here lowers the same two when its first end is chosen.
-	heap := lazyHeap[candidate]{a: sw.candidates[:0], less: func(a, b candidate) bool {
-		if a.count != b.count {
-			return a.count > b.count
-		}
-		return a.id > b.id
-	}}
-	for _, p := range pairs {
-		for _, id := range [2]types.TxID{p.a, p.b} {
-			if s.incident[id] == 0 {
-				heap.a = append(heap.a, candidate{id: int32(id)})
-			}
-			s.incident[id]++
+// seqBound returns the number of ids, sorted by sequence, numbered below q.
+func (s *sorter) seqBound(ids []types.TxID, q types.Seq) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.seqOf[ids[m]] < q {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	// Lay the lists out back to back, each closed by -1, and fill them
-	// from the back, which leaves adjOff[id] at the front of id's list.
-	size := 2*len(pairs) + len(heap.a)
-	adj := slices.Grow(sw.adj[:0], size)[:size]
-	n := int32(0)
-	for i := range heap.a {
-		c := &heap.a[i]
-		c.count = s.incident[c.id]
-		n += c.count
-		adj[n] = -1
-		s.adjOff[c.id] = n
-		n++
-	}
-	for _, p := range pairs {
-		s.adjOff[p.a]--
-		adj[s.adjOff[p.a]] = int32(p.b)
-		s.adjOff[p.b]--
-		adj[s.adjOff[p.b]] = int32(p.a)
-	}
-
-	heap.init()
-	for len(heap.a) > 0 {
-		top := &heap.a[0]
-		if now := s.incident[top.id]; now < top.count {
-			top.count = now
-			heap.fixTop()
-			continue
-		}
-		if top.count == 0 {
-			break // nothing is filed higher: every pair is covered
-		}
-		victim := top.id
-		heap.pop()
-		sw.victims = append(sw.victims, victim)
-		// The victim's remaining pairs are the ones whose other end still
-		// counts them; an earlier victim's count is already zero.
-		s.incident[victim] = 0
-		for i := s.adjOff[victim]; adj[i] >= 0; i++ {
-			if other := adj[i]; s.incident[other] > 0 {
-				s.incident[other]--
-			}
-		}
-	}
-	sw.adj, sw.candidates = adj, heap.a
-	return sw.victims
+	return lo
 }

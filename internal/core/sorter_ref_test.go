@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,14 +10,70 @@ import (
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
-// The reference implementations below are the pre-heap production code,
-// kept only as oracles: the greedy cover and the rank scan are quadratic on
+// The reference implementations below are former production code, kept
+// only as oracles: the pair-list sweep and the rank scan are quadratic on
 // hot epochs, but short and obviously right. The production versions must
 // agree with them choice for choice, not just in the final set.
 
-// refCoverAborts is the former coverAborts body, verbatim except that a
-// victim is appended to the returned order instead of aborted, and that
-// tieBreakMinID — never set outside the meta-test — flips the id tie-break.
+// violation is one per-address pair of committed transactions whose
+// sequence numbers break a strict-serializability invariant.
+type violation struct{ a, b types.TxID }
+
+// refCollectViolations is the former collectViolations: every violating
+// pair on every address, listed once per occurrence — a pair violating on
+// two addresses, or as write-write and as read-write on one, is listed
+// twice.
+func refCollectViolations(s *sorter) []violation {
+	bySeq := func(a, b types.TxID) int {
+		if c := cmp.Compare(s.seqOf[a], s.seqOf[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	live := func(ids []types.TxID) []types.TxID {
+		var out []types.TxID
+		for _, id := range ids {
+			if !s.aborted[id] {
+				out = append(out, id)
+			}
+		}
+		slices.SortFunc(out, bySeq)
+		return out
+	}
+	var pairs []violation
+	for j := range s.acg.Addrs {
+		readers, writers := live(s.acg.Addrs[j].Reads), live(s.acg.Addrs[j].Writes)
+		for i := 0; i < len(writers); {
+			q := s.seqOf[writers[i]]
+			end := i + 1
+			for end < len(writers) && s.seqOf[writers[end]] == q {
+				end++
+			}
+			run := writers[i:end]
+			// Write-write: every pair within an equal-seq run.
+			for x, w := range run {
+				for _, other := range run[x+1:] {
+					pairs = append(pairs, violation{w, other})
+				}
+			}
+			// Read-write: a write at or below a different transaction's read.
+			for _, w := range run {
+				for _, r := range readers {
+					if s.seqOf[r] >= q && r != w {
+						pairs = append(pairs, violation{w, r})
+					}
+				}
+			}
+			i = end
+		}
+	}
+	return pairs
+}
+
+// refCoverAborts is the former greedy cover over an explicit pair list,
+// rescanning every count and every remaining pair once per victim. It
+// returns the victims in the order chosen; tieBreakMinID — never set
+// outside the meta-test — flips the id tie-break.
 func refCoverAborts(pairs []violation, tieBreakMinID bool) []types.TxID {
 	var order []types.TxID
 	if len(pairs) == 0 {
@@ -54,7 +111,7 @@ func refCoverAborts(pairs []violation, tieBreakMinID bool) []types.TxID {
 // refRankAddresses is the former RankAddresses, verbatim: the cycle path
 // scans every vertex twice per blocked round.
 func refRankAddresses(acg *ACG, heuristic RankHeuristic) []int {
-	g := acg.Deps
+	g := &acg.Deps
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -93,7 +150,7 @@ func refRankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 			}
 			inDeg[v]--
 			if inDeg[v] == 0 {
-				zero.Push(v)
+				zero.Push(int(v))
 			}
 		}
 		for _, p := range rev[u] {
@@ -134,113 +191,220 @@ func refRankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 	return seq
 }
 
-// coverOrder runs the production cover over a pair list and returns the
-// victims in the order chosen. txs bounds the ids in pairs.
-func coverOrder(t testing.TB, pairs []violation, txs int) []types.TxID {
+// sweepOrders runs the reference (pair list, then rescanning cover) and the
+// production sweep on one sorter state and returns both victim orders and
+// the pair count. The production sweep runs second: it aborts its victims.
+func sweepOrders(t testing.TB, s *sorter) (got, want []types.TxID, pairs int) {
 	t.Helper()
-	s := &sorter{incident: make([]int32, txs), adjOff: make([]int32, txs)}
-	var sw sweeper
-	var order []types.TxID
-	for _, v := range s.coverAborts(pairs, &sw) {
-		order = append(order, types.TxID(v))
+	p := refCollectViolations(s)
+	want = refCoverAborts(p, false)
+	for _, v := range s.safetySweep() {
+		got = append(got, types.TxID(v))
 	}
-	for id, c := range s.incident {
+	for id, c := range s.pairs {
 		if c != 0 {
-			t.Fatalf("incident[%d] = %d after the cover, want 0: a second cover would start from a wrong count", id, c)
+			t.Fatalf("pairs[%d] = %d after the cover, want 0: some pair is left uncovered or was counted wrong", id, c)
 		}
 	}
-	// A second cover on the same sweeper must not see the first one's
-	// leftovers.
-	again := s.coverAborts(pairs, &sw)
-	for i, v := range again {
-		if len(again) != len(order) || types.TxID(v) != order[i] {
-			t.Fatalf("cover on reused buffers diverges: %v then %v", order, again)
-		}
-	}
-	return order
+	return got, want, len(p)
 }
 
-// sweepPairs schedules an epoch up to the safety sweep and returns the
-// violating pairs the sweep would cover.
-func sweepPairs(sims []*types.SimResult, cfg Config) []violation {
+// sortedSorter schedules an epoch up to the safety sweep.
+func sortedSorter(sims []*types.SimResult, cfg Config) *sorter {
 	acg := BuildACG(sims)
-	ranks := RankAddresses(acg, cfg.Heuristic)
 	s := newSorter(acg, cfg.Reorder, FaultNone)
-	s.run(ranks)
-	var sw sweeper
-	return slices.Clone(s.collectViolations(ranks, &sw))
+	s.run(RankAddresses(acg, cfg.Heuristic))
+	return s
+}
+
+// seqSorter builds the epoch's ACG and hands every transaction the given
+// sequence number instead of sorting; 0 marks it aborted before the sweep.
+// Arbitrary numbers reach violation shapes a sorted epoch reaches only by
+// luck.
+func seqSorter(sims []*types.SimResult, seqs []types.Seq) *sorter {
+	s := newSorter(BuildACG(sims), false, FaultNone)
+	for _, sim := range sims {
+		if q := seqs[sim.Tx.ID]; q == 0 {
+			s.abortTx(sim.Tx.ID)
+		} else {
+			s.seqOf[sim.Tx.ID] = q
+		}
+	}
+	return s
 }
 
 // CoverOrders is the bridge for the external tests, which can import
-// internal/check's generators: the victim order of the production cover and
-// of the reference on one epoch's violating pairs, plus the pair count.
+// internal/check's generators: the victim order of the production sweep and
+// of the reference on one scheduled epoch, plus the pair count.
 func CoverOrders(t testing.TB, sims []*types.SimResult, cfg Config) (got, want []types.TxID, pairs int) {
-	p := sweepPairs(sims, cfg)
-	return coverOrder(t, p, denseSimLen(sims)), refCoverAborts(p, false), len(p)
+	return sweepOrders(t, sortedSorter(sims, cfg))
+}
+
+// CoverOrdersAt is CoverOrders with the sequence numbers given instead of
+// sorted (see seqSorter).
+func CoverOrdersAt(t testing.TB, sims []*types.SimResult, seqs []types.Seq) (got, want []types.TxID, pairs int) {
+	return sweepOrders(t, seqSorter(sims, seqs))
 }
 
 // RefRankAddresses exposes the reference rank division to FuzzRankDivision.
 var RefRankAddresses = refRankAddresses
 
-// handBuiltPairLists are the shapes collectViolations can emit that random
-// epochs reach only by luck: duplicate pairs and count ties.
-var handBuiltPairLists = map[string][]violation{
-	"single pair":                      {{3, 7}},
-	"same pair from two addresses":     {{1, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}},
-	"RW and WW on the same pair":       {{5, 9}, {9, 5}, {5, 6}, {6, 7}, {7, 9}},
-	"all counts tied (ring)":           {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}},
-	"tie after the first victim":       {{0, 9}, {1, 9}, {2, 9}, {0, 1}, {2, 3}, {4, 5}, {6, 7}},
-	"star, then tied leaves":           {{8, 0}, {8, 1}, {8, 2}, {8, 3}, {0, 1}, {2, 3}},
-	"two disjoint components, tied":    {{0, 1}, {0, 2}, {5, 6}, {5, 7}},
-	"duplicates decide the maximum":    {{0, 1}, {0, 1}, {0, 1}, {2, 3}, {2, 4}},
-	"clique of four":                   {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}},
-	"victim's neighbour drops to zero": {{0, 1}, {0, 2}, {0, 3}},
+// handTx is one transaction of a hand-built sweep input: the key bytes it
+// reads and writes and the sequence number it carries (0: aborted).
+type handTx struct {
+	reads, writes []byte
+	seq           types.Seq
+}
+
+// handBuiltSweeps are the violation shapes random epochs reach only by
+// luck: duplicate pairs, a pair that is both write-write and read-write,
+// transactions that read what they write, readers above several runs, and
+// count ties.
+var handBuiltSweeps = map[string][]handTx{
+	"single pair": {{writes: []byte{1}, seq: 2}, {reads: []byte{1}, seq: 2}},
+	"same pair from two addresses": {
+		{writes: []byte{1, 2}, seq: 3}, {writes: []byte{1, 2}, seq: 3},
+		{reads: []byte{3}, writes: []byte{4}, seq: 5}, {reads: []byte{4}, seq: 5},
+	},
+	"RW and WW on the same pair": {
+		{reads: []byte{1}, writes: []byte{1}, seq: 4}, {writes: []byte{1}, seq: 4},
+		{writes: []byte{1}, seq: 2},
+	},
+	"all counts tied (ring)": {
+		{writes: []byte{0, 4}, seq: 1}, {writes: []byte{0, 1}, seq: 1}, {writes: []byte{1, 2}, seq: 1},
+		{writes: []byte{2, 3}, seq: 1}, {writes: []byte{3, 4}, seq: 1},
+	},
+	"star, then tied leaves": {
+		{writes: []byte{9}, seq: 1},
+		{reads: []byte{9}, writes: []byte{1}, seq: 2}, {reads: []byte{9}, writes: []byte{1}, seq: 2},
+		{reads: []byte{9}, writes: []byte{2}, seq: 2}, {reads: []byte{9}, writes: []byte{2}, seq: 2},
+	},
+	"two disjoint components, tied": {
+		{writes: []byte{1}, seq: 1}, {reads: []byte{1}, seq: 1}, {reads: []byte{1}, seq: 2},
+		{writes: []byte{2}, seq: 1}, {reads: []byte{2}, seq: 1}, {reads: []byte{2}, seq: 2},
+	},
+	"clique of four": {
+		{writes: []byte{1}, seq: 5}, {writes: []byte{1}, seq: 5}, {writes: []byte{1}, seq: 5}, {writes: []byte{1}, seq: 5},
+	},
+	"reader above several runs": {
+		{writes: []byte{1}, seq: 1}, {writes: []byte{1}, seq: 1}, {writes: []byte{1}, seq: 2},
+		{writes: []byte{1}, seq: 3}, {reads: []byte{1}, seq: 9}, {reads: []byte{1}, seq: 2},
+	},
+	"readers that write what they read": {
+		{reads: []byte{1}, writes: []byte{1}, seq: 3}, {reads: []byte{1}, writes: []byte{1}, seq: 3},
+		{reads: []byte{1}, writes: []byte{1}, seq: 4}, {reads: []byte{1}, seq: 3},
+	},
+	"aborted before the sweep": {
+		{writes: []byte{1}, seq: 2}, {writes: []byte{1}, seq: 0}, {reads: []byte{1}, seq: 0},
+		{reads: []byte{1}, seq: 2},
+	},
+	"victim's neighbour drops to zero": {
+		{writes: []byte{1}, seq: 1}, {reads: []byte{1}, seq: 1}, {reads: []byte{1}, seq: 1}, {reads: []byte{1}, seq: 1},
+	},
+}
+
+// handSorter builds the sweep input of a hand-built case.
+func handSorter(txs []handTx) *sorter {
+	keys := func(bs []byte) []types.Key {
+		var out []types.Key
+		for _, b := range bs {
+			out = append(out, key(b))
+		}
+		return out
+	}
+	sims := make([]*types.SimResult, len(txs))
+	seqs := make([]types.Seq, len(txs))
+	for i, tx := range txs {
+		sims[i], seqs[i] = simRW(types.TxID(i), keys(tx.reads), keys(tx.writes)), tx.seq
+	}
+	return seqSorter(sims, seqs)
 }
 
 func TestCoverAbortsMatchesReferenceOnHandBuiltPairs(t *testing.T) {
-	for name, pairs := range handBuiltPairLists {
-		got, want := coverOrder(t, pairs, 10), refCoverAborts(pairs, false)
+	for name, txs := range handBuiltSweeps {
+		got, want, n := sweepOrders(t, handSorter(txs))
+		if n == 0 {
+			t.Errorf("%s: no violating pair, the case tests nothing", name)
+		}
 		if !slices.Equal(got, want) {
-			t.Errorf("%s: victim order %v, reference %v", name, got, want)
+			t.Errorf("%s: %d pairs, victim order %v, reference %v", name, n, got, want)
 		}
 	}
 }
 
-// TestCoverAbortsMatchesReferenceOnRandomPairs feeds random multigraphs —
-// small id spaces force duplicates and ties — through both covers.
+// TestCoverAbortsMatchesReferenceOnRandomPairs gives random small epochs
+// random sequence numbers — few addresses and few numbers force duplicate
+// pairs, long runs and count ties — and runs both sweeps on them.
 func TestCoverAbortsMatchesReferenceOnRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 2000; trial++ {
-		txs := 2 + rng.Intn(12)
-		pairs := make([]violation, 1+rng.Intn(40))
-		for i := range pairs {
-			a := rng.Intn(txs)
-			b := (a + 1 + rng.Intn(txs-1)) % txs
-			pairs[i] = violation{types.TxID(a), types.TxID(b)}
+		txs := 2 + rng.Intn(30)
+		_, sims := randomWorkload(rng, txs, 1+rng.Intn(8))
+		seqs := make([]types.Seq, txs)
+		for i := range seqs {
+			seqs[i] = types.Seq(rng.Intn(5))
 		}
-		got, want := coverOrder(t, pairs, txs), refCoverAborts(pairs, false)
+		got, want, n := CoverOrdersAt(t, sims, seqs)
 		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d, pairs %v: victim order %v, reference %v", trial, pairs, got, want)
+			t.Fatalf("trial %d: %d pairs, victim order %v, reference %v", trial, n, got, want)
 		}
 	}
 }
 
-// TestCoverOracleBites is the meta-test: a cover that breaks count ties
+// minIDSweep is a test-only copy of safetySweep whose cover breaks count
+// ties toward the lowest id instead of the highest: each bucket is drained
+// in ascending id order.
+func minIDSweep(s *sorter) []types.TxID {
+	var victims []types.TxID
+	top := s.countPairs()
+	if top == 0 {
+		return victims
+	}
+	head := make([]int32, top+1)
+	next := s.bumpedAt
+	for id, c := range s.pairs {
+		if c > 0 {
+			next[id], head[c] = head[c], int32(id)+1
+		}
+	}
+	var bucket []int32
+	for c := top; c > 0; c-- {
+		bucket = bucket[:0]
+		for e := head[c]; e != 0; e = next[e-1] {
+			bucket = append(bucket, e-1)
+		}
+		slices.Sort(bucket)
+		for _, id := range bucket {
+			switch now := s.pairs[id]; {
+			case now == c:
+				victims = append(victims, types.TxID(id))
+				s.abortVictim(types.TxID(id))
+			case now > 0:
+				next[id], head[now] = head[now], id+1
+			}
+		}
+	}
+	return victims
+}
+
+// TestCoverOracleBites is the meta-test: a sweep that breaks count ties
 // toward the lowest id instead of the highest must be told apart from the
-// production cover by the same comparison, on the hand-built lists and on
-// real epochs alike — otherwise the tests above pin nothing about ties.
+// reference by the same comparison, on the hand-built cases and on a real
+// epoch alike — otherwise the tests above pin nothing about ties.
 func TestCoverOracleBites(t *testing.T) {
 	caught := 0
-	for _, pairs := range handBuiltPairLists {
-		if !slices.Equal(coverOrder(t, pairs, 10), refCoverAborts(pairs, true)) {
+	for _, txs := range handBuiltSweeps {
+		want := refCoverAborts(refCollectViolations(handSorter(txs)), false)
+		if !slices.Equal(minIDSweep(handSorter(txs)), want) {
 			caught++
 		}
 	}
-	if caught < len(handBuiltPairLists)/2 {
-		t.Fatalf("the min-id tie-break differs on only %d of %d hand-built lists", caught, len(handBuiltPairLists))
+	if caught < len(handBuiltSweeps)/2 {
+		t.Fatalf("the min-id tie-break differs on only %d of %d hand-built cases", caught, len(handBuiltSweeps))
 	}
-	pairs := sweepPairs(smallBankSimsN(t, 1, 1600, 1.0, 10_000), DefaultConfig())
-	if slices.Equal(coverOrder(t, pairs, 1600), refCoverAborts(pairs, true)) {
+	sims := smallBankSimsN(t, 1, 1600, 1.0, 10_000)
+	want := refCoverAborts(refCollectViolations(sortedSorter(sims, DefaultConfig())), false)
+	if slices.Equal(minIDSweep(sortedSorter(sims, DefaultConfig())), want) {
 		t.Fatal("the min-id tie-break goes unnoticed on the 1600-tx hot epoch")
 	}
 }
@@ -252,13 +416,12 @@ func TestCoverAbortsMatchesReferenceOnSmallBank(t *testing.T) {
 		n    int
 		skew float64
 	}{{800, 0.2}, {800, 0.6}, {2400, 0.8}, {1600, 1.0}} {
-		pairs := sweepPairs(smallBankSimsN(t, 1, tc.n, tc.skew, 10_000), DefaultConfig())
-		if len(pairs) == 0 {
+		got, want, n := CoverOrders(t, smallBankSimsN(t, 1, tc.n, tc.skew, 10_000), DefaultConfig())
+		if n == 0 {
 			t.Fatalf("n=%d skew=%.1f: no violating pairs, the case tests nothing", tc.n, tc.skew)
 		}
-		got, want := coverOrder(t, pairs, tc.n), refCoverAborts(pairs, false)
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d skew=%.1f: %d pairs, victim orders diverge (%d vs %d victims)", tc.n, tc.skew, len(pairs), len(got), len(want))
+			t.Fatalf("n=%d skew=%.1f: %d pairs, victim orders diverge (%d vs %d victims)", tc.n, tc.skew, n, len(got), len(want))
 		}
 	}
 }

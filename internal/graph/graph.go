@@ -7,8 +7,7 @@
 //     detection step of Fabric++/FabricSharp that the paper's strawman
 //     (§III-D) inherits.
 //   - Kahn's topological sort, used by the CG baseline for the final serial
-//     order and (in optimized form, inside internal/core) by Nezha's
-//     sorting-rank division.
+//     order.
 //
 // Vertices are dense ints [0, n); callers maintain their own mapping to
 // transactions or addresses. All algorithms are deterministic: neighbors are
@@ -71,32 +70,6 @@ func (g *Directed) HasEdge(u, v int) bool {
 // by the graph; callers must not mutate it.
 func (g *Directed) Out(u int) []int { return g.adj[u] }
 
-// OutDegree returns the out-degree of u.
-func (g *Directed) OutDegree(u int) int { return len(g.adj[u]) }
-
-// InDegree returns the in-degree of u.
-func (g *Directed) InDegree(u int) int { return g.in[u] }
-
-// EdgeCount returns the total number of edges.
-func (g *Directed) EdgeCount() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Directed) Clone() *Directed {
-	c := NewDirected(g.n)
-	for u, outs := range g.adj {
-		for _, v := range outs {
-			c.AddEdge(u, v)
-		}
-	}
-	return c
-}
-
 // TopoSort returns a topological order of the graph using Kahn's algorithm,
 // breaking ties toward the smallest vertex id (a deterministic order is
 // required for cross-node schedule agreement). The second result is false if
@@ -126,16 +99,9 @@ func (g *Directed) TopoSort() ([]int, bool) {
 	return order, len(order) == g.n
 }
 
-// HasCycle reports whether the graph contains at least one cycle.
-func (g *Directed) HasCycle() bool {
-	_, ok := g.TopoSort()
-	return !ok
-}
-
 // IntMinHeap is a minimal binary min-heap of ints. It avoids
-// container/heap's interface indirection in the hot sorting paths of both
-// Kahn's algorithm here and Nezha's rank division. The zero value is an
-// empty heap ready for use.
+// container/heap's interface indirection in Kahn's algorithm. The zero
+// value is an empty heap ready for use.
 type IntMinHeap struct{ a []int }
 
 // Len returns the number of elements.
