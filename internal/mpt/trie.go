@@ -195,6 +195,14 @@ func (t *Trie) Get(key []byte) (value []byte, found bool, err error) {
 	return t.get(t.root, keyToNibbles(key))
 }
 
+// GetCommitted is Get at the root of the last successful Commit, whatever
+// has been updated since. No update writes a node reachable from that root,
+// so it may run beside Update, RootHash or Rollback — not beside Commit,
+// which moves the root.
+func (t *Trie) GetCommitted(key []byte) (value []byte, found bool, err error) {
+	return t.get(t.committed, keyToNibbles(key))
+}
+
 func (t *Trie) get(n node, path []byte) ([]byte, bool, error) {
 	switch n := n.(type) {
 	case nil:
@@ -293,7 +301,7 @@ func (t *Trie) update(batch []entry) error {
 		if n > 0 {
 			switch c := bytes.Compare(batch[n-1].key, e.key); {
 			case c > 0:
-				t.rollback()
+				t.Rollback()
 				return fmt.Errorf("mpt: update batch not sorted at entry %d", i)
 			case c == 0:
 				n--
@@ -304,7 +312,7 @@ func (t *Trie) update(batch []entry) error {
 	}
 	root, _, err := t.apply(t.root, 0, batch[:n])
 	if err != nil {
-		t.rollback()
+		t.Rollback()
 		return err
 	}
 	t.root = root
@@ -312,10 +320,11 @@ func (t *Trie) update(batch []entry) error {
 	return nil
 }
 
-// rollback abandons everything since the last Commit. Only nodes stamped
-// with the current generation were written to, and none of them is
-// reachable from the committed root.
-func (t *Trie) rollback() {
+// Rollback abandons every update since the last Commit: the trie is back at
+// the committed root with nothing pending. Only nodes stamped with the
+// current generation were written to, and none of them is reachable from
+// the committed root.
+func (t *Trie) Rollback() {
 	t.root = t.committed
 	t.dropPending()
 	t.gen++
@@ -734,7 +743,7 @@ func (t *Trie) Commit() (types.Hash, error) {
 		err := t.store.Apply(&t.flush)
 		t.flush.Reset()
 		if err != nil {
-			t.rollback()
+			t.Rollback()
 			return types.Hash{}, fmt.Errorf("mpt: commit: %w", err)
 		}
 		t.dropPending()

@@ -279,6 +279,56 @@ func TestCommitAndReload(t *testing.T) {
 	}
 }
 
+// TestGetCommittedAndRollback: GetCommitted reads the last committed root
+// whatever has been updated and hashed since, a Commit moves it, and
+// Rollback puts the working tree back on it with nothing left pending.
+func TestGetCommittedAndRollback(t *testing.T) {
+	tr := newTestTrie()
+	get := func(read func([]byte) ([]byte, bool, error), key string) string {
+		t.Helper()
+		v, _, err := read([]byte(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(v)
+	}
+	if err := tr.Put([]byte("a"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(tr.GetCommitted, "a"); got != "" {
+		t.Fatalf("GetCommitted before any Commit = %q", got)
+	}
+	committed, err := tr.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a", "b"} {
+		if err := tr.Put([]byte(key), []byte("2")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	staged := tr.RootHash()
+	if get(tr.Get, "a") != "2" || get(tr.GetCommitted, "a") != "1" || get(tr.GetCommitted, "b") != "" {
+		t.Fatal("GetCommitted reads the updated tree")
+	}
+	tr.Rollback()
+	if tr.RootHash() != committed || get(tr.Get, "a") != "1" || get(tr.Get, "b") != "" {
+		t.Fatal("Rollback left the updated tree in place")
+	}
+	if root, err := tr.Commit(); err != nil || root != committed {
+		t.Fatalf("commit after Rollback = %s, %v; want the committed root %s", root.Short(), err, committed.Short())
+	}
+	if err := tr.Put([]byte("b"), []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Put([]byte("a"), []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	if root, err := tr.Commit(); err != nil || root != staged || get(tr.GetCommitted, "b") != "2" {
+		t.Fatalf("commit = %s, %v; want %s and GetCommitted to follow it", root.Short(), err, staged.Short())
+	}
+}
+
 func TestMissingNodeError(t *testing.T) {
 	// A root pointing at a node the store does not contain must error, not
 	// silently read empty.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/core"
 	"github.com/nezha-dag/nezha/internal/fail"
 	"github.com/nezha-dag/nezha/internal/kvstore"
+	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/workload"
 )
@@ -288,11 +290,15 @@ func TestStageHandoffFailpoint(t *testing.T) {
 
 // TestRefusedSealDiscardsLookahead: a commit refused between publish and
 // seal (node/stage-seal as an error) has by then started the next epoch's
-// look-ahead run on versions that are about to be rolled back. The node
-// must unwind all of it — versions gone, the run stopped, waited for and
-// dropped, the version cache structurally sound — and the retried epoch and
-// the one after it, which now has no run to adopt, must reach the roots of a
-// twin whose seal was never refused.
+// look-ahead run on versions that are about to be rolled back, and holds
+// the batch its own run staged in the trie. The node must unwind all of it
+// — versions gone, staged batch rolled back, the run stopped, waited for
+// and dropped, the version cache structurally sound — and the retried
+// epoch and the one after it, which now has no run to adopt, must reach the
+// roots of a twin whose seal was never refused. The retry commits a
+// different composition (one of the epoch's two blocks), so a trie still
+// holding the refused batch would show in its root: retrying the same
+// writes would re-apply them over it and hide it.
 func TestRefusedSealDiscardsLookahead(t *testing.T) {
 	defer fail.Reset()
 	l, genesis := lookaheadScript(t)
@@ -311,6 +317,15 @@ func TestRefusedSealDiscardsLookahead(t *testing.T) {
 	}
 	versions := stats()
 	before := lookaheadOutcomes(n)
+	run := pendingRun(t, n)
+	if !run.staged.Staged || len(run.batch) == 0 {
+		t.Fatalf("the run for epoch 2 staged nothing (%d writes)", len(run.batch))
+	}
+	written := run.batch[0].Key
+	old, err := n.State().Get(written)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	fail.Enable("node/stage-seal", fail.Spec{Mode: fail.ModeError, Tag: "refused-seal", Count: 1})
 	if _, err := n.ProcessEpoch(2); !errors.Is(err, fail.ErrInjected) {
@@ -328,21 +343,36 @@ func TestRefusedSealDiscardsLookahead(t *testing.T) {
 		t.Fatalf("the refused seal moved the node: root %s (was %s), next epoch %d, %d live versions (were %d)",
 			n.StateRoot().Short(), root.Short(), n.NextEpoch(), stats(), versions)
 	}
+	for _, r := range []statedb.Reader{n.State(), n.State().View()} {
+		if v, err := r.Get(written); err != nil || !bytes.Equal(v, old) {
+			t.Fatalf("%T reads %x, %v for a key the refused epoch wrote; its value before was %x", r, v, err, old)
+		}
+	}
 	if err := n.State().CheckInvariants(); err != nil {
 		t.Fatalf("version cache after the rollback: %v", err)
 	}
 
 	for e := uint64(1); e <= 4; e++ {
-		want, err := twin.ProcessEpoch(e)
-		if err != nil {
-			t.Fatal(err)
+		var want, got *EpochResult
+		var err error
+		switch e {
+		case 1:
+			_, err = twin.ProcessEpoch(e)
+		case 2:
+			// One block of the two: different writes than the refused batch.
+			if want, err = twin.ProcessAssembledEpoch(l.epochs[1][:1]); err == nil {
+				got, err = n.ProcessAssembledEpoch(l.epochs[1][:1])
+			}
+		default:
+			if want, err = twin.ProcessEpoch(e); err == nil {
+				got, err = n.ProcessEpoch(e)
+			}
 		}
-		if e == 1 {
-			continue
-		}
-		got, err := n.ProcessEpoch(e)
 		if err != nil {
 			t.Fatalf("epoch %d after the refused seal: %v", e, err)
+		}
+		if got == nil {
+			continue
 		}
 		if err := sameEpoch(got, want); err != nil {
 			t.Fatal(err)

@@ -6,13 +6,18 @@ import (
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/mvcc"
+	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
-// The look-ahead run: epoch e+1 executed and scheduled in the background
-// against the state epoch e has published, while e's trie seals and, after
-// ProcessEpoch(e) has returned, while the caller does whatever it does
-// between epochs.
+// The look-ahead run: epoch e+1 executed, scheduled and staged in the
+// background against the state epoch e has published, while e's trie seals
+// and, after ProcessEpoch(e) has returned, while the caller does whatever
+// it does between epochs. Staging is the expensive half of e+1's seal done
+// early: once e's seal is over, the run builds e+1's write batch (the one
+// the commit stage would build) and has the StateDB apply it to the trie on
+// top of e's root and hash it (statedb.Stage), so that ProcessEpoch(e+1)
+// adopts a trie that only needs its flush.
 //
 // The run makes two assumptions it cannot check — that every block the
 // ledger holds for e+1 survives validation (validity depends on e's root,
@@ -25,15 +30,27 @@ import (
 // what the inline stages would have computed: same helpers (executeTxs,
 // controlTxs), same state, same transactions in the same order.
 //
-// The run only reads: the node's immutable config, the blocks (immutable
+// The run only reads — the node's immutable config, the blocks (immutable
 // once in the ledger), its own copies of their transactions, the view, and
-// the store through StateDB.Get. In particular it never writes a ledger
-// Transaction and never reads one's ID: in-process peers share those
-// objects, one object can recur in adjacent epochs, and every composition
-// renumbers them (types.NewEpoch), so the run numbers private field-wise
-// copies by its own dedupe instead. It takes no lock of the node; a cold
-// read parks on the StateDB's lock until the seal is over, which is why the
-// node never waits for a run while it holds that lock.
+// the store through StateDB.Get — with one exception, the staged batch. In
+// particular it never writes a ledger Transaction and never reads one's ID:
+// in-process peers share those objects, one object can recur in adjacent
+// epochs, and every composition renumbers them (types.NewEpoch), so the run
+// numbers private field-wise copies by its own dedupe instead. It takes no
+// lock of the node. A cold read parks on the StateDB's lock while a commit
+// publishes and flushes, and staging waits on the trie's lock for that
+// commit's seal, which is why the node never waits for a run while it holds
+// either lock.
+//
+// The staged batch is written but never read: the StateDB keeps it off
+// every read path (Get, Iterate, views and the commit's pre-flush loads
+// read the committed root) and out of the journal. The run does not stage
+// once it is stopped, nor when the state it read was rolled back (a refused
+// seal), and a commit adopts the staged trie only for exactly the batch it
+// commits, on exactly the root it was staged on. Every way a run can fail
+// unstages: the owner that abandons a run, adopted or not, unstages after
+// waiting for it, and a commit that fails rolls its staged batch back with
+// the rest.
 
 // lookahead is one background run. blocks and view are fixed before the
 // goroutine starts; it writes each group of result fields strictly before
@@ -44,18 +61,25 @@ type lookahead struct {
 	view   *mvcc.View     // the state the previous epoch published
 	stop   atomic.Bool    // set by the owner to abandon the run
 
+	// beforeStage, when set (tests only), runs between schedule and stage,
+	// before the schedule is handed over.
+	beforeStage func(*lookahead)
+
 	flattened chan struct{} // guards txs
 	executed  chan struct{} // guards exec, execTime
-	done      chan struct{} // guards the rest
+	scheduled chan struct{} // guards sched, breakdown, err, schedTime, elapsed
+	done      chan struct{} // guards batch, staged, stageTime
 
 	started   time.Time
 	txs       []*types.Transaction // the ledger's objects in dedupe order; the run only reads them
 	exec      execution            // over private copies of txs, numbered by position
 	sched     *types.Schedule
 	breakdown types.PhaseBreakdown
-	err       error // the scheduler's; the adopting schedule stage returns it
+	err       error              // the scheduler's; the adopting schedule stage returns it
+	batch     []types.WriteEntry // the epoch's write batch, built once for the commit
+	staged    statedb.SealStats  // how the StateDB staged batch, if it did
 
-	execTime, schedTime, elapsed time.Duration
+	execTime, schedTime, elapsed, stageTime time.Duration
 }
 
 // nextLookahead prepares, without starting, the run for epoch e when the
@@ -71,7 +95,8 @@ func (n *Node) nextLookahead(e uint64) *lookahead {
 	}
 	return &lookahead{
 		epoch: e, blocks: blocks,
-		flattened: make(chan struct{}), executed: make(chan struct{}), done: make(chan struct{}),
+		flattened: make(chan struct{}), executed: make(chan struct{}),
+		scheduled: make(chan struct{}), done: make(chan struct{}),
 	}
 }
 
@@ -101,12 +126,25 @@ func (la *lookahead) run(n *Node) {
 	la.exec = n.executeTxs(txs, la.view, &la.stop)
 	la.execTime = time.Since(la.started)
 	close(la.executed)
-	if !la.stop.Load() {
-		start := time.Now()
-		la.sched, la.breakdown, la.err = n.controlTxs(la.exec.sims, la.exec.failed)
-		la.schedTime = time.Since(start)
+	if la.stop.Load() {
+		close(la.scheduled)
+		return
+	}
+	start := time.Now()
+	la.sched, la.breakdown, la.err = n.controlTxs(la.exec.sims, la.exec.failed)
+	la.schedTime = time.Since(start)
+	if la.beforeStage != nil && la.err == nil {
+		la.beforeStage(la)
 	}
 	la.elapsed = time.Since(la.started)
+	close(la.scheduled)
+	if la.err != nil {
+		return
+	}
+	start = time.Now()
+	la.batch = writeBatch(la.exec.sims, la.sched, n.cfg.Workers)
+	la.staged = n.state.Stage(la.view, la.batch, n.cfg.Workers, &la.stop) //nezha:dettaint-ok the batch is built from the run's simulations and schedule alone; its wall-clock fields only feed the ledger and the tracer
+	la.stageTime = time.Since(start)
 }
 
 // flattenedTxs waits for the run's dedupe and returns the epoch's
@@ -138,18 +176,20 @@ func (n *Node) adoptLookahead(er *epochRun, valid []*types.Block) bool {
 	return true
 }
 
-// abandon stops the run, waits for its goroutine to exit and lets go of what
-// it computed. The caller must not hold the StateDB's commit lock: a worker
-// of the run may be parked on it.
-func (la *lookahead) abandon() {
+// abandonLookahead stops the run, waits for its goroutine to exit, lets go
+// of what it computed and unstages its batch, so the trie is at the
+// committed root when it returns. The caller must not hold the StateDB's
+// locks: a worker of the run may be parked on one.
+func (n *Node) abandonLookahead(la *lookahead) {
 	la.stop.Store(true)
 	<-la.done
-	la.exec = execution{}
+	n.state.Unstage()
+	la.exec, la.batch = execution{}, nil
 }
 
 // discardLookahead abandons a run no epoch adopted.
 func (n *Node) discardLookahead(la *lookahead) {
-	la.abandon()
+	n.abandonLookahead(la)
 	n.recordLookahead("discarded")
 }
 

@@ -34,6 +34,12 @@ func (o outcomes) sub(p outcomes) outcomes {
 	return outcomes{o.adopted - p.adopted, o.discarded - p.discarded, o.none - p.none}
 }
 
+// stagedCommits is one node's nezha_node_lookahead_staged_total.
+func stagedCommits(n *Node) int {
+	return int(metrics.Default().Counter("nezha_node_lookahead_staged_total", "",
+		metrics.Label{Name: "node", Value: n.id}).Value())
+}
+
 // scriptedLedger mines a two-chain ledger whose every epoch is written out
 // by the test: exactly one block per chain, carrying the transactions and
 // the state root the test says. Every node of a test is fed the same block
@@ -188,7 +194,10 @@ func sameEpoch(got, want *EpochResult) error {
 // epoch in the ledger and starts a run for it; the third is fed epoch by
 // epoch, never has the next epoch at publish time, and runs every stage
 // inline. Epoch for epoch the three must report the same root, schedule,
-// stage task counts and deterministic journal events. The inline node
+// stage task counts and deterministic journal events, and every adopted
+// epoch that moved the root must have committed the batch its run staged —
+// a staging step skipped in silence would pass every other check. The
+// inline node
 // processes epoch e+1 — composing it, numbering the shared transactions,
 // discarding epoch 5's bad block — while the others' runs for e+1 are still
 // going: under -race that is the witness that a run neither writes a shared
@@ -207,6 +216,7 @@ func TestLookaheadMatchesInline(t *testing.T) {
 			}
 			inline := lookaheadNode(t, "inline", workers, genesis, true)
 			before := []outcomes{lookaheadOutcomes(ahead[0]), lookaheadOutcomes(ahead[1]), lookaheadOutcomes(inline)}
+			inlineStaged := stagedCommits(inline)
 
 			process := func(n *Node, e uint64) *EpochResult {
 				res, err := n.ProcessEpoch(e)
@@ -224,7 +234,16 @@ func TestLookaheadMatchesInline(t *testing.T) {
 			for e := uint64(1); e <= last; e++ {
 				var got []*EpochResult
 				for _, n := range ahead {
-					got = append(got, process(n, e)) // starts the run for e+1
+					prev, _ := n.RootAt(e - 1)
+					o, st := lookaheadOutcomes(n), stagedCommits(n)
+					res := process(n, e) // starts the run for e+1
+					adopted := lookaheadOutcomes(n).sub(o).adopted == 1
+					staged := stagedCommits(n) - st
+					if adopted && res.StateRoot != prev && staged != 1 || !adopted && staged != 0 {
+						t.Fatalf("node %s: epoch %d (adopted %v, root moved %v) committed %d staged batches",
+							n.id, e, adopted, res.StateRoot != prev, staged)
+					}
+					got = append(got, res)
 				}
 				if e < last {
 					l.submit(inline, e+1)
@@ -259,6 +278,9 @@ func TestLookaheadMatchesInline(t *testing.T) {
 			if got := lookaheadOutcomes(inline).sub(before[2]); got != (outcomes{none: int(last)}) {
 				t.Fatalf("the inline twin saw look-ahead runs: %+v", got)
 			}
+			if got := stagedCommits(inline) - inlineStaged; got != 0 {
+				t.Fatalf("the inline twin committed %d staged batches", got)
+			}
 		})
 	}
 }
@@ -278,15 +300,17 @@ func pendingRun(t *testing.T, n *Node) *lookahead {
 }
 
 // TestLookaheadOracleBites proves the two checks on an adopted run can
-// fail. A run that read one stale value — planted here in a finished
-// pending run, the read and the write computed from it — is adopted, since
-// nothing about its label is wrong; the twin comparison must then see a
-// different root, and a node that verifies schedules must refuse the epoch.
-// The same damage is then done the two ways the adoption rule exists to
-// stop: a run that read a state the node is no longer at, and a run over
-// part of the epoch's blocks, both labelled honestly. Those must be
-// discarded and the epoch must match the twin — which is exactly what fails
-// if adoption skips its generation or block-list check.
+// fail. A run that read one stale value — planted here between the run's
+// schedule and its stage, the read and the write computed from it, so the
+// staged batch carries the damage — is adopted, since nothing about its
+// label is wrong; the twin comparison must then see a different root, and a
+// node that verifies schedules must refuse the epoch, unstage the run's
+// batch and reach the twin's result when it retries the epoch inline. The
+// same damage is then done the two ways the adoption rule exists to stop: a
+// run that read a state the node is no longer at, and a run over part of
+// the epoch's blocks, both labelled honestly. Those must be discarded and
+// the epoch must match the twin — which is exactly what fails if adoption
+// skips its generation or block-list check.
 func TestLookaheadOracleBites(t *testing.T) {
 	l, genesis := lookaheadScript(t)
 	const upTo = 2 // epochs processed before the plant; the plant hits epoch 3
@@ -314,39 +338,6 @@ func TestLookaheadOracleBites(t *testing.T) {
 		}
 		return n
 	}
-	plant := func(la *lookahead) {
-		for _, sim := range la.exec.sims {
-			if la.sched.IsCommitted(sim.Tx.ID) && len(sim.Reads) > 0 && len(sim.Writes) > 0 {
-				sim.Reads[0].Value = append([]byte{0x5a}, sim.Reads[0].Value...)
-				sim.Writes[0].Value = append([]byte{0x5a}, sim.Writes[0].Value...)
-				return
-			}
-		}
-		t.Fatal("the pending run committed nothing that reads and writes")
-	}
-
-	t.Run("twin comparison", func(t *testing.T) {
-		n := ready("bites-trusting", false)
-		plant(pendingRun(t, n))
-		before := lookaheadOutcomes(n)
-		res, err := n.ProcessEpoch(upTo + 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := lookaheadOutcomes(n).sub(before); got.adopted != 1 {
-			t.Fatalf("the planted run was not adopted: %+v", got)
-		}
-		if err := sameEpoch(res, want); err == nil || !strings.Contains(err.Error(), "root") {
-			t.Fatalf("a stale read in an adopted run goes unnoticed by the twin comparison: %v", err)
-		}
-	})
-	t.Run("schedule verification", func(t *testing.T) {
-		n := ready("bites-verifying", true)
-		plant(pendingRun(t, n))
-		if _, err := n.ProcessEpoch(upTo + 1); err == nil || !strings.Contains(err.Error(), "unsound") {
-			t.Fatalf("a stale read in an adopted run passes VerifySchedules: %v", err)
-		}
-	})
 	// restart swaps the node's pending run for one the test prepared, on
 	// the given state.
 	restart := func(n *Node, state *mvcc.View, prepare func(*lookahead)) {
@@ -360,6 +351,67 @@ func TestLookaheadOracleBites(t *testing.T) {
 		prepare(la)
 		n.startLookahead(la, state)
 	}
+	// plant restarts the node's pending run with a stale read planted
+	// before it stages; the returned flag says, once the epoch has waited
+	// for the run's schedule, whether there was a transaction to plant in.
+	plant := func(n *Node) *bool {
+		planted := new(bool)
+		restart(n, nil, func(la *lookahead) {
+			la.beforeStage = func(la *lookahead) {
+				for _, sim := range la.exec.sims {
+					if la.sched.IsCommitted(sim.Tx.ID) && len(sim.Reads) > 0 && len(sim.Writes) > 0 {
+						sim.Reads[0].Value = append([]byte{0x5a}, sim.Reads[0].Value...)
+						sim.Writes[0].Value = append([]byte{0x5a}, sim.Writes[0].Value...)
+						*planted = true
+						return
+					}
+				}
+			}
+		})
+		return planted
+	}
+
+	t.Run("twin comparison", func(t *testing.T) {
+		n := ready("bites-trusting", false)
+		planted := plant(n)
+		before := lookaheadOutcomes(n)
+		res, err := n.ProcessEpoch(upTo + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !*planted {
+			t.Fatal("the pending run committed nothing that reads and writes")
+		}
+		if got := lookaheadOutcomes(n).sub(before); got.adopted != 1 {
+			t.Fatalf("the planted run was not adopted: %+v", got)
+		}
+		if err := sameEpoch(res, want); err == nil || !strings.Contains(err.Error(), "root") {
+			t.Fatalf("a stale read in an adopted run goes unnoticed by the twin comparison: %v", err)
+		}
+	})
+	t.Run("schedule verification", func(t *testing.T) {
+		n := ready("bites-verifying", true)
+		planted := plant(n)
+		if _, err := n.ProcessEpoch(upTo + 1); err == nil || !strings.Contains(err.Error(), "unsound") {
+			t.Fatalf("a stale read in an adopted run passes VerifySchedules: %v", err)
+		}
+		if !*planted {
+			t.Fatal("the pending run committed nothing that reads and writes")
+		}
+		// The refused epoch unstaged the planted batch; the retry has no
+		// run to adopt and must not find it either.
+		before := lookaheadOutcomes(n)
+		res, err := n.ProcessEpoch(upTo + 1)
+		if err != nil {
+			t.Fatalf("the inline retry of the refused epoch: %v", err)
+		}
+		if err := sameEpoch(res, want); err != nil {
+			t.Fatalf("the inline retry of the refused epoch: %v", err)
+		}
+		if got := lookaheadOutcomes(n).sub(before); got != (outcomes{none: 1}) {
+			t.Fatalf("the retry of the refused epoch found a run: %+v", got)
+		}
+	})
 	mustDiscard := func(t *testing.T, n *Node) {
 		before := lookaheadOutcomes(n)
 		res, err := n.ProcessEpoch(upTo + 1)

@@ -414,7 +414,7 @@ func (n *Node) processBlocksLocked(e uint64, blocks []*types.Block) (*EpochResul
 	err := n.runStages(er, stages)
 	if err != nil {
 		if er.ahead != nil {
-			er.ahead.abandon() // adopted, then the epoch failed: the retry runs inline
+			n.abandonLookahead(er.ahead) // adopted, then the epoch failed: the retry runs inline
 		}
 		return nil, err
 	}
@@ -466,24 +466,23 @@ func (n *Node) validStateRootLocked(b *types.Block) bool {
 }
 
 // CommitSchedule is the commitment phase (§III-B) as a reusable function:
-// commit groups apply their writes concurrently (workers-wide) to a sharded
-// in-memory overlay in increasing sequence order, and the updated cells
-// then flush to the state trie in one batch. The benchmark harness calls it
-// directly to measure commit latency per scheme.
+// the schedule's write batch (writeBatch) flushed to the state trie in one
+// commit. The benchmark harness calls it directly to measure commit latency
+// per scheme.
 func CommitSchedule(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int) (types.Hash, error) {
-	root, _, err := commitScheduleInto(db, sims, sched, workers, newOverlay(), nil)
-	return root, err
-}
-
-// commitScheduleInto is CommitSchedule writing through a caller-supplied
-// (possibly pooled) overlay, which must be empty; the flush gets the same
-// workers, and how the trie used them is reported. published is
-// statedb.PublishAndSeal's: it runs once the cells are readable, before
-// they are sealed.
-func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int, ov *overlay, published func(*mvcc.View) error) (types.Hash, mpt.FanStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	root, _, err := db.PublishAndSeal(writeBatch(sims, sched, workers), workers, nil)
+	return root, err
+}
+
+// writeBatch is what the commitment phase writes: commit groups apply their
+// writes concurrently (workers-wide) to a sharded in-memory overlay in
+// increasing sequence order, and the updated cells come out flattened in
+// key order. The commit stage builds it, or the look-ahead run builds it
+// early to stage it; either way it is built once per epoch.
+func writeBatch(sims []*types.SimResult, sched *types.Schedule, workers int) []types.WriteEntry {
 	// Transaction ids are dense within an epoch: index, don't hash.
 	var top types.TxID
 	for _, sim := range sims {
@@ -493,10 +492,14 @@ func commitScheduleInto(db *statedb.StateDB, sims []*types.SimResult, sched *typ
 	for _, sim := range sims {
 		byID[sim.Tx.ID] = sim
 	}
+	ov := overlayPool.Get().(*overlay)
 	for _, group := range sched.Groups() {
 		applyGroup(ov, group, byID, workers)
 	}
-	return db.PublishAndSeal(ov.entries(), workers, published)
+	writes := ov.entries()
+	ov.reset()
+	overlayPool.Put(ov)
+	return writes
 }
 
 // simulate executes one transaction against a state reader (the epoch's

@@ -34,11 +34,14 @@ import (
 // is not verified again (crypto.VerifyTxOnce; DESIGN.md §18). The
 // look-ahead run (lookahead.go) starts the moment e's writes are published
 // as an MVCC generation, executes and schedules e+1 against a view pinned
-// there while e's trie seals, and is adopted by ProcessEpoch(e+1) when it
-// turns out to have run on exactly the blocks and the state that epoch
-// validates; anything else joins it, drops it and runs the stages inline.
-// What an epoch still waits for is the seal before it: ProcessEpoch(e)
-// returns e's sealed, persisted root.
+// there while e's trie seals, then stages e+1's write batch — the trie
+// update and hashing of e+1's seal — on top of e's root, and is adopted by
+// ProcessEpoch(e+1) when it turns out to have run on exactly the blocks and
+// the state that epoch validates; anything else joins it, drops it,
+// unstages it and runs the stages inline. What an adopted epoch still pays
+// inside ProcessEpoch is its publish and the flush of the staged encodings
+// (merge and store batch); ProcessEpoch(e) returns e's sealed, persisted
+// root.
 
 // stage is one named step of the epoch pipeline. run receives the stage's
 // StageStat with Name and Workers pre-filled and may refine Tasks, Busy,
@@ -331,7 +334,7 @@ func (n *Node) scheduleStage(er *epochRun, ss *metrics.StageStat) error {
 		err       error
 	)
 	if la := er.ahead; la != nil {
-		<-la.done
+		<-la.scheduled
 		ss.Overlap = la.schedTime
 		sched, breakdown, err = la.sched, la.breakdown, la.err
 		n.tracer.Span(n.id+"/background", "lookahead", la.started, la.elapsed,
@@ -396,19 +399,32 @@ func groupDigest(groups [][]types.TxID) uint64 {
 	return h
 }
 
-// commitStage applies the commit groups concurrently to a pooled overlay,
-// publishes the updated cells as the next MVCC generation and seals them
-// into the trie and the store. Before the commit starts it kicks the
-// background signature prevalidation of the NEXT epoch, and between publish
-// and seal the look-ahead run for it, so that work rides under this epoch's
-// MPT/LSM commit.
+// commitStage publishes the epoch's write batch as the next MVCC generation
+// and seals it into the trie and the store. An epoch that adopted a
+// look-ahead run waits for the run to stage and commits the batch the run
+// built, whose trie update and hashing are then already done — the wait is
+// in the stage's Duration, the staging time is its Overlap; any other epoch
+// builds the batch itself (writeBatch) and the seal does the whole work.
+// Before the commit starts it kicks the background signature prevalidation
+// of the NEXT epoch, and between publish and seal the look-ahead run for
+// it, so that work rides under this epoch's commit.
 func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 	n.kickPrevalidation(er.number + 1)
 	next := n.nextLookahead(er.number + 1)
 	ss.Tasks = er.sched.CommittedCount()
 	start := time.Now()
-	ov := overlayPool.Get().(*overlay)
-	_, fan, err := commitScheduleInto(n.state, er.sims, er.sched, n.cfg.Workers, ov, func(view *mvcc.View) error {
+	var writes []types.WriteEntry
+	if la := er.ahead; la != nil {
+		<-la.done
+		start = time.Now() // waiting is not busy
+		ss.Overlap = la.stageTime
+		writes = la.batch
+		n.tracer.Span(n.id+"/background", "stage", la.started.Add(la.elapsed), la.stageTime,
+			map[string]any{"epoch": er.number, "writes": len(writes), "staged": la.staged.Staged})
+	} else {
+		writes = writeBatch(er.sims, er.sched, n.cfg.Workers)
+	}
+	_, seal, err := n.state.PublishAndSeal(writes, n.cfg.Workers, func(view *mvcc.View) error {
 		n.startLookahead(next, view)
 		// Failpoint: the epoch's writes are readable but not yet in the
 		// trie. An injected error is a refused seal; an injected panic is a
@@ -419,19 +435,26 @@ func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 		return nil
 	})
 	if err != nil {
-		// The versions are rolled back and the StateDB's lock is free again:
-		// only now can the run — perhaps parked on that lock for a cold key,
-		// perhaps holding values of the generation that no longer exists —
-		// be stopped, waited for and dropped, so the retried epoch finds none.
+		// The versions are rolled back, the trie is at the previous root and
+		// the StateDB's locks are free again: only now can the run — perhaps
+		// parked on a lock, perhaps holding values of the generation that no
+		// longer exists — be stopped, waited for and dropped, so the retried
+		// epoch finds none.
 		n.dropLookahead()
 		return fmt.Errorf("node: commit epoch %d: %w", er.number, err)
 	}
-	// The width the trie's flush actually used; busy is this goroutine
-	// throughout plus what the other workers did beside it.
-	ss.Workers = fan.Workers
-	ss.Busy = time.Since(start) + fan.Beside
-	ov.reset()
-	overlayPool.Put(ov)
+	// The width the trie's work actually used; busy is this goroutine
+	// throughout plus what the other workers did beside it — and, when the
+	// seal adopted a staged batch, the same of the staging, as the adopted
+	// execute stage reports the run's execution.
+	ss.Workers = seal.Workers
+	ss.Busy = time.Since(start) + seal.Beside
+	if seal.Staged {
+		n.recordStaged()
+		st := er.ahead.staged
+		ss.Workers = max(ss.Workers, st.Workers)
+		ss.Busy += er.ahead.stageTime + st.Beside
+	}
 	return nil
 }
 

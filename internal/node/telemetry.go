@@ -29,7 +29,7 @@ func (n *Node) recordStageMetrics(stage string, ss metrics.StageStat) {
 		"Summed (duration+overlap)*workers per stage (the occupancy denominator).",
 		nl, sl).Add(ss.CapacitySpan().Seconds())
 	reg.Counter("nezha_stage_overlap_seconds_total",
-		"Stage work that ran in the background before the epoch was processed (signature prevalidation, the look-ahead run's execution and scheduling).",
+		"Stage work that ran in the background before the epoch was processed (signature prevalidation, the look-ahead run's execution, scheduling and staging).",
 		nl, sl).Add(ss.Overlap.Seconds())
 	reg.Gauge("nezha_stage_occupancy",
 		"Worker-pool occupancy of the stage in the last processed epoch.",
@@ -42,6 +42,14 @@ func (n *Node) recordLookahead(outcome string) {
 	metrics.Default().Counter("nezha_node_lookahead_total",
 		"Epochs by the fate of the look-ahead run started for them under the previous commit: adopted, discarded (blocks or state differed from what it assumed, or the epoch around it failed), none (first epoch, lagging ledger, assembled epoch).",
 		metrics.Label{Name: "node", Value: n.id}, metrics.Label{Name: "outcome", Value: outcome}).Inc()
+}
+
+// recordStaged counts an epoch whose commit adopted the batch its
+// look-ahead run staged, and so only flushed.
+func (n *Node) recordStaged() {
+	metrics.Default().Counter("nezha_node_lookahead_staged_total",
+		"Epochs whose commit adopted the write batch the look-ahead run had already applied to the trie and hashed, leaving the seal only the flush.",
+		metrics.Label{Name: "node", Value: n.id}).Inc()
 }
 
 // recordEpochMetrics exports epoch-level counters after the epoch

@@ -7,9 +7,11 @@
 package statedb
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/kvstore"
@@ -26,13 +28,24 @@ type Reader interface {
 }
 
 // StateDB is the mutable head state. A single writer (the commit phase)
-// calls Commit; any number of readers use Snapshots or Views. StateDB
-// itself is safe for concurrent use.
+// calls Commit, and may Stage the next batch ahead of it; any number of
+// readers use Snapshots or Views. StateDB itself is safe for concurrent use.
+//
+// Two locks: mu guards the committed state — the root, the version cache,
+// the reads at the trie's committed root — and trieMu the trie's working
+// tree, which Stage edits without mu, so that no reader of the committed
+// state waits for it. A commit takes both, mu first; root changes only
+// then, so either lock is enough to read it.
 type StateDB struct {
-	mu    sync.RWMutex
-	store kvstore.Store
-	trie  *mpt.Trie
-	root  types.Hash
+	mu     sync.RWMutex
+	trieMu sync.Mutex
+	store  kvstore.Store
+	trie   *mpt.Trie
+	root   types.Hash
+	// staged is the batch Stage applied to the trie and hashed ahead of its
+	// commit; nil when the trie's working tree is its committed root.
+	// Guarded by trieMu.
+	staged *stagedBatch
 	// mv is the multi-version cache in front of the trie, created on the
 	// first View call (snapshot-only users never pay for it). Once it
 	// exists, every Commit threads its writes through it so views stay
@@ -66,11 +79,11 @@ func (s *StateDB) Root() types.Hash {
 	return s.root
 }
 
-// Get reads a key from the head state.
+// Get reads a key from the head state (never from a staged batch).
 func (s *StateDB) Get(k types.Key) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, _, err := s.trie.Get(k[:])
+	v, _, err := s.trie.GetCommitted(k[:])
 	return v, err
 }
 
@@ -213,35 +226,56 @@ func (s *StateDB) Commit(writes []types.WriteEntry) (types.Hash, error) {
 // large enough to pay for it (0 means GOMAXPROCS; the result does not depend
 // on the width). It also reports how the trie used them.
 func (s *StateDB) CommitWide(writes []types.WriteEntry, workers int) (types.Hash, mpt.FanStats, error) {
-	return s.PublishAndSeal(writes, workers, nil)
+	root, st, err := s.PublishAndSeal(writes, workers, nil)
+	return root, st.FanStats, err
+}
+
+// SealStats reports how one PublishAndSeal or Stage used the trie.
+type SealStats struct {
+	mpt.FanStats // how the trie used its workers in the call
+	// Staged is set when the batch's trie update and hashing are Stage's:
+	// by Stage when it staged the batch, by PublishAndSeal when it adopted
+	// the staged batch and so only flushed it.
+	Staged bool
+}
+
+// stagedBatch is a batch Stage applied to the trie: on is the committed
+// root it went on top of, writes the batch as applied, sorted by key.
+type stagedBatch struct {
+	on     types.Hash
+	writes []types.WriteEntry
 }
 
 // PublishAndSeal is the commit in its two halves, with the caller let in
 // between them. Publish makes the writes readable — reservations, then the
 // new versions appended as the next MVCC generation, the point from which
 // the next epoch can execute. Seal makes them authenticated and durable:
-// trie descent, hashing, the store batch, then the reservations released.
-// published, when non-nil, runs between the two with a view pinned at the
-// just-published generation (the current one when writes is empty); the
-// view is built from the version store directly, so handing it out takes no
-// lock of the StateDB.
+// trie descent and hashing (or, when Stage did those ahead for exactly this
+// batch on the current root, nothing), the store batch, then the
+// reservations released. published, when non-nil, runs between the two with
+// a view pinned at the just-published generation (the current one when
+// writes is empty); the view is built from the version store directly, so
+// handing it out takes no lock of the StateDB.
 //
 // published runs under the commit lock: it must not call back into the
 // StateDB, and a reader it starts whose key is cold parks until the seal is
 // over. An error from it, like a flush the store refuses, leaves the trie
-// and the root where they were and rolls the published versions back. A
-// reader started on the view may by then have seen them, so its owner stops
-// it, waits for it and drops what it computed — after this call returns,
-// never inside published, where the wait would be for a reader parked on the
-// lock this call holds (see mvcc.RollbackEpoch).
-func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, published func(*mvcc.View) error) (types.Hash, mpt.FanStats, error) {
+// and the root where they were — a staged batch rolled back with the rest —
+// and rolls the published versions back. A reader started on the view may
+// by then have seen them, so its owner stops it, waits for it and drops
+// what it computed — after this call returns, never inside published, where
+// the wait would be for a reader parked on the lock this call holds (see
+// mvcc.RollbackEpoch).
+func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, published func(*mvcc.View) error) (types.Hash, SealStats, error) {
 	s.mu.Lock()
+	s.trieMu.Lock() // a Stage in progress finishes first
+	s.trie.SetWorkers(workers)
 	mv := s.mv
 	if published != nil {
 		mv = s.ensureMVCCLocked()
 	}
-	staged := mv != nil && len(writes) > 0
-	if staged {
+	versioned := mv != nil && len(writes) > 0
+	if versioned {
 		keys := make([]types.Key, len(writes))
 		for i, w := range writes {
 			keys[i] = w.Key
@@ -251,48 +285,51 @@ func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, publish
 		s.jr.Emit(journal.StateReserve, mv.Gen(), journal.F("keys", uint64(len(keys))))
 	}
 	defer s.mu.Unlock()
-	if staged {
-		// Pre-flush trie reads, under the already-held write lock.
+	defer s.trieMu.Unlock()
+	// A refused seal must also unwind the versions published below: the
+	// writes never reached the trie, and a retried epoch reading a view
+	// would otherwise see phantom state no other node computed.
+	unwind := func(err error) (types.Hash, SealStats, error) {
+		s.unstageLocked()
+		if versioned {
+			mv.RollbackEpoch(writes)
+			s.jr.Emit(journal.StateRollback, mv.Gen(), journal.F("writes", uint64(len(writes))))
+		}
+		return types.Hash{}, SealStats{FanStats: s.trie.Stats()}, err
+	}
+	if versioned {
+		// Pre-flush reads at the committed root, under the held write lock.
 		load := func(k types.Key) ([]byte, error) {
-			v, _, err := s.trie.Get(k[:])
+			v, _, err := s.trie.GetCommitted(k[:])
 			return v, err
 		}
 		if _, err := mv.CommitEpoch(writes, load); err != nil {
-			return types.Hash{}, mpt.FanStats{}, err
-		}
-	}
-	// A refused seal must also unwind the versions staged above: the
-	// writes never reached the trie, and a retried epoch reading a view
-	// would otherwise see phantom state no other node computed.
-	rollback := func() {
-		if staged {
-			mv.RollbackEpoch(writes)
-			s.jr.Emit(journal.StateRollback, mv.Gen(), journal.F("writes", uint64(len(writes))))
+			s.unstageLocked()
+			return types.Hash{}, SealStats{}, err
 		}
 	}
 	if published != nil {
 		if err := published(mv.Head()); err != nil {
-			rollback()
-			return types.Hash{}, mpt.FanStats{}, err
+			return unwind(err)
 		}
 	}
-	byKey := func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) }
-	if !slices.IsSortedFunc(writes, byKey) {
-		writes = slices.Clone(writes)
-		slices.SortStableFunc(writes, byKey)
+	writes = sortedByKey(writes)
+	st := SealStats{Staged: s.staged != nil && s.staged.on == s.root && sameBatch(s.staged.writes, writes)}
+	var err error
+	if !st.Staged {
+		s.unstageLocked()
+		err = s.hashLocked(writes)
 	}
-	s.trie.SetWorkers(workers)
-	err := s.trie.Update(writes)
+	s.staged = nil
 	var root types.Hash
 	if err == nil {
 		root, err = s.trie.Commit()
 	}
-	fan := s.trie.Stats()
 	if err != nil {
 		// The trie is back at s.root by itself; unwind the versions.
-		rollback()
-		return types.Hash{}, fan, fmt.Errorf("statedb: commit: %w", err)
+		return unwind(fmt.Errorf("statedb: commit: %w", err))
 	}
+	st.FanStats = s.trie.Stats()
 	s.root = root
 	gen := uint64(0)
 	if mv != nil {
@@ -300,14 +337,100 @@ func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, publish
 	}
 	s.jr.Emit(journal.StateCommit, gen,
 		journal.F("writes", uint64(len(writes))), journal.F("root", journal.FoldBytes(root[:])))
-	return root, fan, nil
+	return root, st, nil
 }
 
-// Iterate walks the head state in key order (test and tooling support).
+// Stage is the expensive half of the next seal, done ahead of its commit:
+// writes applied to the trie on top of the committed root and hashed, the
+// encodings left pending. A PublishAndSeal of exactly this batch on this
+// root then only flushes; a commit of anything else rolls the staged batch
+// back first, as do Unstage and a failed commit. Nothing reads a staged
+// batch: Get, Iterate, views and the commits' pre-flush loads all read the
+// committed root, and staging emits no journal event.
+//
+// Stage does its work under the trie's lock alone (mu is read-locked only
+// to fetch the version store), so Root, View, Get and MVCCStats never wait
+// for it; it waits for a commit in progress. It stages nothing
+// (Staged false) for an empty batch, once stop (which may be nil) is
+// set, when the head generation is no longer pinned's — the state the
+// batch was computed from was rolled back — or when the trie fails to read.
+// The caller must not modify writes after staging them.
+func (s *StateDB) Stage(pinned *mvcc.View, writes []types.WriteEntry, workers int, stop *atomic.Bool) SealStats {
+	if len(writes) == 0 {
+		return SealStats{}
+	}
+	s.mu.RLock()
+	mv := s.mv
+	s.mu.RUnlock()
+	s.trieMu.Lock()
+	defer s.trieMu.Unlock()
+	if stop != nil && stop.Load() || mv == nil || mv.Gen() != pinned.Gen() {
+		return SealStats{}
+	}
+	s.unstageLocked()
+	writes = sortedByKey(writes)
+	s.trie.SetWorkers(workers)
+	if s.hashLocked(writes) != nil {
+		return SealStats{} // the trie rolled itself back; the commit meets the error again
+	}
+	s.staged = &stagedBatch{on: s.root, writes: writes}
+	return SealStats{FanStats: s.trie.Stats(), Staged: true}
+}
+
+// Unstage rolls a staged batch back, if there is one: when it returns the
+// trie's working tree is its committed root.
+func (s *StateDB) Unstage() {
+	s.trieMu.Lock()
+	s.unstageLocked()
+	s.trieMu.Unlock()
+}
+
+func (s *StateDB) unstageLocked() {
+	if s.staged != nil {
+		s.trie.Rollback()
+		s.staged = nil
+	}
+}
+
+// hashLocked applies a sorted batch to the trie at its committed root and
+// hashes the result, leaving the encodings for Commit — the same call
+// whether a commit makes it or Stage makes it ahead. On an error the trie
+// is back at the committed root. Caller holds trieMu.
+func (s *StateDB) hashLocked(writes []types.WriteEntry) error {
+	if err := s.trie.Update(writes); err != nil {
+		return err
+	}
+	s.trie.RootHash()
+	return nil
+}
+
+// sortedByKey returns writes in ascending key order, the order the trie's
+// batch descent requires: writes itself when it already is (the commit
+// overlay's case), a stably sorted copy otherwise, so the last writer of a
+// key still wins.
+func sortedByKey(writes []types.WriteEntry) []types.WriteEntry {
+	byKey := func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) }
+	if !slices.IsSortedFunc(writes, byKey) {
+		writes = slices.Clone(writes)
+		slices.SortStableFunc(writes, byKey)
+	}
+	return writes
+}
+
+// sameBatch reports whether two sorted batches write the same values to the
+// same keys (an empty value deletes, however it is spelled).
+func sameBatch(a, b []types.WriteEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y types.WriteEntry) bool {
+		return x.Key == y.Key && bytes.Equal(x.Value, y.Value)
+	})
+}
+
+// Iterate walks the head state in key order (test and tooling support),
+// from the committed root: a staged batch is not part of it.
 func (s *StateDB) Iterate(fn func(k types.Key, v []byte) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.trie.Iterate(func(key, value []byte) bool {
+	return mpt.New(s.root, s.store).Iterate(func(key, value []byte) bool {
 		var k types.Key
 		if len(key) != types.KeyLen {
 			// Foreign entries (non-state keys) are skipped.

@@ -261,11 +261,13 @@ func (s *flakyStore) Apply(b *kvstore.Batch) error {
 // the refused flush is a merge of several workers' queues.
 func TestFailedFlushLeavesNoPhantomWrites(t *testing.T) {
 	for _, workers := range []int{1, 2, 16} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { failedFlushLeavesNoPhantomWrites(t, workers) })
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { failedFlushLeavesNoPhantomWrites(t, workers, false) })
 	}
 }
 
-func failedFlushLeavesNoPhantomWrites(t *testing.T, workers int) {
+// failedFlushLeavesNoPhantomWrites is TestFailedFlushLeavesNoPhantomWrites,
+// with the epoch staged ahead of the refused commit when staged is set.
+func failedFlushLeavesNoPhantomWrites(t *testing.T, workers int, staged bool) {
 	store := &flakyStore{Store: kvstore.NewMemory()}
 	db, twin := Open(store, mpt.EmptyRoot), Open(kvstore.NewMemory(), mpt.EmptyRoot)
 	var genesis, epoch []types.WriteEntry
@@ -284,10 +286,15 @@ func failedFlushLeavesNoPhantomWrites(t *testing.T, workers int) {
 	}
 	root := db.Root()
 
+	if staged {
+		if st := db.Stage(db.View(), epoch, workers, nil); !st.Staged || st.Workers != workers {
+			t.Fatalf("staging the epoch: %+v, want it staged %d wide", st, workers)
+		}
+	}
 	store.failures = 1
 	if _, fan, err := db.CommitWide(epoch, workers); err == nil {
 		t.Fatal("commit over a failing store succeeded")
-	} else if fan.Workers != workers {
+	} else if !staged && fan.Workers != workers {
 		t.Fatalf("the refused commit ran %d wide, want %d", fan.Workers, workers)
 	}
 	if db.Root() != root {
@@ -304,9 +311,13 @@ func failedFlushLeavesNoPhantomWrites(t *testing.T, workers int) {
 		}
 	}
 
-	got, _, err := db.CommitWide(epoch, workers)
+	// The refusal rolled a staged epoch back: the retry does the whole seal.
+	got, st, err := db.PublishAndSeal(epoch, workers, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Staged {
+		t.Fatal("the retry adopted a staged batch the refused flush should have rolled back")
 	}
 	want, _, err := twin.CommitWide(epoch, 1)
 	if err != nil {
