@@ -222,7 +222,7 @@ func BenchmarkVMExecute(b *testing.B) {
 // commitFixture is the state-commit micro-benchmark's input: a 20 000-cell
 // genesis (the repo benchmark's state size) behind a StateDB with a live
 // MVCC view, and a cycle of epoch-sized write sets — 950 distinct cells,
-// 8-byte values, sorted by key the way the commit overlay hands them over.
+// 8-byte values, sorted by key the way the node's write batch hands them over.
 func commitFixture(tb testing.TB) (*statedb.StateDB, [][]types.WriteEntry) {
 	const cells, perCommit, batches = 20_000, 950, 32
 	genesis := make([]types.WriteEntry, cells)

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/nezha-dag/nezha/internal/fail"
 )
@@ -102,6 +103,78 @@ func TestStoreBatch(t *testing.T) {
 				t.Fatal("reset failed")
 			}
 		})
+	}
+}
+
+// TestBatchRetained: Memory copies what it applies — the batch's key and
+// value buffers can be scribbled over once Apply returns, Get still reads the
+// originals, and the batch reads as not retained, so Reset carves the next
+// keys from the start of the same chunk. The LSM's memtable keeps the
+// slices: its Apply reports the batch retained, and the chunk is then never
+// rewound, not even after a later Apply that kept nothing.
+func TestBatchRetained(t *testing.T) {
+	fill := func(b *Batch, n int) {
+		for i := 0; i < n; i++ {
+			b.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte(fmt.Sprintf("value-%03d", i)))
+		}
+	}
+	m := NewMemory()
+	var b Batch
+	fill(&b, 100)
+	if err := m.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Retained() {
+		t.Fatal("Memory.Apply retained the batch")
+	}
+	for _, op := range b.ops {
+		for _, buf := range [][]byte{op.key, op.value} {
+			for i := range buf {
+				buf[i] = 0xff
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if v, ok, err := m.Get([]byte(fmt.Sprintf("key-%03d", i))); err != nil || !ok || string(v) != fmt.Sprintf("value-%03d", i) {
+			t.Fatalf("key %d reads %q (%v, %v) after the batch's buffers were overwritten", i, v, ok, err)
+		}
+	}
+	b.Reset()
+	chunk := unsafe.SliceData(b.keys)
+	fill(&b, 50)
+	if unsafe.SliceData(b.keys) != chunk || len(b.keys) != b.carved {
+		t.Fatal("a batch Memory applied did not carve its next keys from its one chunk")
+	}
+
+	lsm, err := OpenLSM(t.TempDir(), LSMOptions{MemtableBytes: 1 << 30, CompactAt: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lsm.Close()
+	if err := lsm.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !b.Retained() {
+		t.Fatal("LSM.Apply did not retain the batch")
+	}
+	held := len(b.keys)
+	b.Reset()
+	fill(&b, 1)
+	if unsafe.SliceData(b.keys) != chunk || len(b.keys) <= held {
+		t.Fatal("a batch the LSM retained did not carve on past the keys it holds")
+	}
+	if err := m.Apply(&b); err != nil { // kept nothing, but the chunk's front is the memtable's
+		t.Fatal(err)
+	}
+	b.Reset()
+	fill(&b, 1)
+	if unsafe.SliceData(b.keys) == chunk && len(b.keys) <= held {
+		t.Fatal("a batch rewound a key chunk the LSM still reads")
+	}
+	for i := 0; i < 50; i++ {
+		if v, ok, err := lsm.Get([]byte(fmt.Sprintf("key-%03d", i))); err != nil || !ok || string(v) != fmt.Sprintf("value-%03d", i) {
+			t.Fatalf("LSM key %d reads %q (%v, %v)", i, v, ok, err)
+		}
 	}
 }
 

@@ -286,6 +286,7 @@ func (s *LSM) Apply(b *Batch) error {
 	if err := s.log.sync(); err != nil {
 		return err
 	}
+	b.retained = true // the memtable holds the key and value slices until its table is flushed
 	for _, op := range b.ops {
 		s.mem.put(op.key, op.value, op.delete)
 	}

@@ -26,7 +26,8 @@ var EmptyRoot = types.ZeroHash
 
 // Trie is a Merkle Patricia Trie over a node store. It is NOT safe for
 // concurrent mutation; the statedb layer serializes writers and opens
-// separate tries for snapshot readers.
+// separate tries for snapshot readers. GetCommitted is the exception: it
+// may run beside anything, a Commit included.
 //
 // Updates are all-or-nothing between Commits: Update, Put and Delete edit
 // the in-memory tree, Commit flushes it, and an error from any of them
@@ -41,9 +42,10 @@ var EmptyRoot = types.ZeroHash
 type Trie struct {
 	store kvstore.Store
 	root  node
-	// committed is the root as of the last successful Commit (or New);
-	// no update ever writes to a node reachable from it.
-	committed node
+	// committed is the root as of the last successful Commit (or New),
+	// published for GetCommitted, which loads it without a lock; no update
+	// ever writes to a node reachable from it.
+	committed atomic.Pointer[node]
 	// gen stamps the nodes created or copied since then. An update copies
 	// a node carrying an older stamp before changing it and mutates one
 	// carrying this stamp in place, so a commit copies each node it
@@ -67,12 +69,15 @@ type Trie struct {
 
 // hasher is one worker's share of the hashing: the encodings it produced
 // since the last Commit, in hashing order, and the scratch it reuses — the
-// payload of the node being encoded, the tail of the chunk encodings are
-// carved from, the sort keys of the flush and the merge's position in them.
+// payload of the node being encoded, the chunk encodings are carved from
+// (see recycle), the sort keys of the flush and the merge's position in
+// them.
 type hasher struct {
 	pending []encodedNode
 	payload []byte
-	arena   []byte
+	arena   []byte // the open chunk, carved up to its length
+	carved  int    // arena bytes carved since the last flush
+	kept    bool   // a store keeps encodings carved from the open chunk
 	order   []sortKey
 	next    int
 }
@@ -104,10 +109,19 @@ func New(root types.Hash, store kvstore.Store) *Trie {
 	t.SetWorkers(0)
 	if root != EmptyRoot {
 		t.root = hashNode(root)
-		t.committed = t.root
 	}
+	t.publishRoot()
 	return t
 }
+
+// publishRoot makes the working root the committed one.
+func (t *Trie) publishRoot() {
+	root := t.root
+	t.committed.Store(&root)
+}
+
+// committedRoot is the root GetCommitted reads and Rollback returns to.
+func (t *Trie) committedRoot() node { return *t.committed.Load() }
 
 // fanOutMin is the smallest batch cut across workers, measured with
 // BenchmarkTrieCommitFanOut on the two-core reference box (EXPERIMENTS.md,
@@ -196,11 +210,13 @@ func (t *Trie) Get(key []byte) (value []byte, found bool, err error) {
 }
 
 // GetCommitted is Get at the root of the last successful Commit, whatever
-// has been updated since. No update writes a node reachable from that root,
-// so it may run beside Update, RootHash or Rollback — not beside Commit,
-// which moves the root.
+// has been updated since. It may run beside any other call, Commit
+// included: it loads the committed root once, atomically, and no update
+// writes a node reachable from a root once it was committed, so a read that
+// a Commit overtakes finishes on the root it started from. The store never
+// drops a node, so that root stays resolvable.
 func (t *Trie) GetCommitted(key []byte) (value []byte, found bool, err error) {
-	return t.get(t.committed, keyToNibbles(key))
+	return t.get(t.committedRoot(), keyToNibbles(key))
 }
 
 func (t *Trie) get(n node, path []byte) ([]byte, bool, error) {
@@ -325,7 +341,7 @@ func (t *Trie) update(batch []entry) error {
 // current generation were written to, and none of them is reachable from
 // the committed root.
 func (t *Trie) Rollback() {
-	t.root = t.committed
+	t.root = t.committedRoot()
 	t.dropPending()
 	t.gen++
 }
@@ -631,10 +647,7 @@ func (h *hasher) hash(n node) types.Hash {
 	}
 }
 
-// arenaChunk is the size of the buffers node encodings are carved from.
-// The store keeps the encodings (kvstore.Batch.Put), so a chunk lives as
-// long as any node in it; the open chunk carries over between commits and
-// only the few bytes left at the end of a full one are wasted.
+// arenaChunk is the smallest buffer node encodings are carved from.
 const arenaChunk = 64 << 10
 
 // encode writes n's encoding into the arena, hashes it, queues it for the
@@ -642,10 +655,11 @@ const arenaChunk = 64 << 10
 func (h *hasher) encode(n node) types.Hash {
 	h.payload = appendPayload(h.payload[:0], n)
 	if need := len(h.payload) + 9; cap(h.arena)-len(h.arena) < need {
-		h.arena = make([]byte, 0, max(arenaChunk, need))
+		h.arena, h.kept = make([]byte, 0, max(arenaChunk, need)), false
 	}
 	start := len(h.arena)
 	h.arena = append(rlp.AppendListHeader(h.arena, len(h.payload)), h.payload...)
+	h.carved += len(h.arena) - start
 	enc := h.arena[start:len(h.arena):len(h.arena)]
 	sum := types.HashBytes(enc)
 	h.pending = append(h.pending, encodedNode{hash: sum, enc: enc})
@@ -741,16 +755,40 @@ func (t *Trie) Commit() (types.Hash, error) {
 			}
 		}
 		err := t.store.Apply(&t.flush)
+		kept := t.flush.Retained()
 		t.flush.Reset()
+		t.dropPending()
+		for _, h := range t.hashers {
+			h.recycle(kept)
+		}
 		if err != nil {
 			t.Rollback()
 			return types.Hash{}, fmt.Errorf("mpt: commit: %w", err)
 		}
-		t.dropPending()
 	}
-	t.committed = t.root
+	t.publishRoot()
 	t.gen++
 	return root, nil
+}
+
+// recycle readies the arena for the next commit's encodings once the store
+// has applied this one's. A store that kept them (kvstore.Batch.Retained)
+// owns what was carved, so the next encodings follow it in the open chunk,
+// which is never rewritten. A store that copied them leaves the chunk free
+// to be carved again from its start, or, when this commit's encodings
+// overflowed it (or a store still keeps its front), a chunk sized to all of
+// them takes its place: a steady stream of commits into a copying store
+// allocates no chunk at all.
+func (h *hasher) recycle(kept bool) {
+	switch {
+	case kept:
+		h.kept = true
+	case h.kept || h.carved > cap(h.arena):
+		h.arena, h.kept = make([]byte, 0, max(arenaChunk, h.carved)), false
+	default:
+		h.arena = h.arena[:0]
+	}
+	h.carved = 0
 }
 
 // sort orders the queue's sort keys by hash. Sorting pointer-free (first

@@ -121,7 +121,7 @@ func TestFanOutOracleBites(t *testing.T) {
 			return types.Hash{}, err
 		}
 		tr.dropPending()
-		tr.committed = tr.root
+		tr.publishRoot()
 		tr.gen++
 		return root, nil
 	}
@@ -229,7 +229,7 @@ func TestFanOutSubtreeFailureRollsBack(t *testing.T) {
 			} else if err.Error() != text {
 				t.Fatalf("width %d reports %q, width %d reported %q", width, err, oracleWidths[0], text)
 			}
-			if tr.root != tr.committed || tr.RootHash() != root || tr.unhashed != 0 {
+			if tr.root != tr.committedRoot() || tr.RootHash() != root || tr.unhashed != 0 {
 				t.Fatalf("width %d: trie not back at the committed root", width)
 			}
 			for i, h := range tr.hashers {

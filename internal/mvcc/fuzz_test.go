@@ -72,7 +72,7 @@ func FuzzVersionChain(f *testing.F) {
 						break
 					}
 					k := key(kb % numKeys)
-					if seen[k] { // commit overlays write each key once
+					if seen[k] { // a write batch writes each key once
 						continue
 					}
 					seen[k] = true

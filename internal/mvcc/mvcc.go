@@ -7,7 +7,7 @@
 // # Layout
 //
 // The store shards keys sixteen ways (same discipline as the statedb
-// snapshot and the commit overlay). Each key maps to a chain:
+// snapshot). Each key maps to a chain:
 //
 //	base     copy-on-read cache of the backend (trie) value, valid for
 //	         every generation up to the chain's oldest version
@@ -52,9 +52,10 @@
 // flush only follows. A view at that generation is consistent from that
 // moment, flush or no flush: a key the commit wrote resolves from its chain
 // (rule 1), and a key it did not write has the same backend value before,
-// during and after the flush (rule 2) — the load merely waits if the
-// backend serializes it behind the flush. The node's look-ahead run reads
-// such a view to execute the next epoch while the trie seals. The one
+// during and after the flush (rule 2), so the load need not wait for the
+// flush: statedb's loader reads the trie's committed root without a lock,
+// before or after the flush moves it. The node's look-ahead run reads such
+// a view to execute the next epoch while the trie seals. The one
 // thing that can take the generation away again is RollbackEpoch, and it
 // puts an obligation on the view's owner; see there.
 //
@@ -93,7 +94,7 @@ var ErrBelowWatermark = errors.New("mvcc: view generation below gc watermark")
 // Missing keys return (nil, nil), matching the trie's read contract.
 type Loader func(k types.Key) ([]byte, error)
 
-// numShards matches the statedb snapshot and commit overlay sharding.
+// numShards matches the statedb snapshot's sharding.
 const numShards = 16
 
 // DepthBuckets are the chain-depth histogram bounds GC records into
@@ -348,7 +349,7 @@ func (st *Store) ReleaseEpoch() {
 // trie reader it already holds the commit lock for): any written chain
 // without a loaded base gets one here, while the old value is still
 // readable, preserving the versions-imply-base invariant. Writes may list
-// a key at most once (the commit overlay guarantees that).
+// a key at most once (the node's write batch guarantees that).
 func (st *Store) CommitEpoch(writes []types.WriteEntry, load Loader) (uint64, error) {
 	if load == nil {
 		load = st.load

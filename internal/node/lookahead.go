@@ -37,10 +37,10 @@ import (
 // in-process peers share those objects, one object can recur in adjacent
 // epochs, and every composition renumbers them (types.NewEpoch), so the run
 // numbers private field-wise copies by its own dedupe instead. It takes no
-// lock of the node. A cold read parks on the StateDB's lock while a commit
-// publishes and flushes, and staging waits on the trie's lock for that
-// commit's seal, which is why the node never waits for a run while it holds
-// either lock.
+// lock of the node, and its reads take none of the StateDB's: a cold read
+// loads the trie's committed root beside a commit's flush. Staging does
+// wait on the StateDB's locks for a commit's seal, which is why the node
+// never waits for a run while it holds either lock.
 //
 // The staged batch is written but never read: the StateDB keeps it off
 // every read path (Get, Iterate, views and the commit's pre-flush loads
@@ -142,9 +142,21 @@ func (la *lookahead) run(n *Node) {
 		return
 	}
 	start = time.Now()
-	la.batch = writeBatch(la.exec.sims, la.sched, n.cfg.Workers)
+	la.batch = writeBatch(la.exec.sims, la.sched)
 	la.staged = n.state.Stage(la.view, la.batch, n.cfg.Workers, &la.stop) //nezha:dettaint-ok the batch is built from the run's simulations and schedule alone; its wall-clock fields only feed the ledger and the tracer
 	la.stageTime = time.Since(start)
+}
+
+// awaitLookahead blocks one stage of the epoch that adopted the run until
+// the run closes ch, the channel guarding what the stage takes over, and
+// records the wait: the nezha_node_lookahead_wait_seconds histogram by stage
+// and a lookahead-wait span on the node's track.
+func (n *Node) awaitLookahead(er *epochRun, stage string, ch <-chan struct{}) {
+	start := time.Now()
+	<-ch
+	wait := time.Since(start)
+	n.recordLookaheadWait(stage, wait)
+	n.tracer.Span(n.id, "lookahead-wait", start, wait, map[string]any{"epoch": er.number, "stage": stage})
 }
 
 // flattenedTxs waits for the run's dedupe and returns the epoch's
@@ -179,7 +191,7 @@ func (n *Node) adoptLookahead(er *epochRun, valid []*types.Block) bool {
 // abandonLookahead stops the run, waits for its goroutine to exit, lets go
 // of what it computed and unstages its batch, so the trie is at the
 // committed root when it returns. The caller must not hold the StateDB's
-// locks: a worker of the run may be parked on one.
+// locks: the run's staging may be parked on one.
 func (n *Node) abandonLookahead(la *lookahead) {
 	la.stop.Store(true)
 	<-la.done

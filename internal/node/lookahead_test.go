@@ -40,6 +40,17 @@ func stagedCommits(n *Node) int {
 		metrics.Label{Name: "node", Value: n.id}).Value())
 }
 
+// lookaheadWaits is one node's nezha_node_lookahead_wait_seconds count by
+// stage: execute, schedule, commit.
+func lookaheadWaits(n *Node) [3]uint64 {
+	var out [3]uint64
+	for i, stage := range []string{"execute", "schedule", "commit"} {
+		out[i] = metrics.Default().Histogram("nezha_node_lookahead_wait_seconds", "", nil,
+			metrics.Label{Name: "node", Value: n.id}, metrics.Label{Name: "stage", Value: stage}).Count()
+	}
+	return out
+}
+
 // scriptedLedger mines a two-chain ledger whose every epoch is written out
 // by the test: exactly one block per chain, carrying the transactions and
 // the state root the test says. Every node of a test is fed the same block
@@ -235,13 +246,21 @@ func TestLookaheadMatchesInline(t *testing.T) {
 				var got []*EpochResult
 				for _, n := range ahead {
 					prev, _ := n.RootAt(e - 1)
-					o, st := lookaheadOutcomes(n), stagedCommits(n)
+					o, st, w := lookaheadOutcomes(n), stagedCommits(n), lookaheadWaits(n)
 					res := process(n, e) // starts the run for e+1
 					adopted := lookaheadOutcomes(n).sub(o).adopted == 1
 					staged := stagedCommits(n) - st
 					if adopted && res.StateRoot != prev && staged != 1 || !adopted && staged != 0 {
 						t.Fatalf("node %s: epoch %d (adopted %v, root moved %v) committed %d staged batches",
 							n.id, e, adopted, res.StateRoot != prev, staged)
+					}
+					// Each stage of an adopting epoch waits on the run once.
+					waited, now := [3]uint64{}, lookaheadWaits(n)
+					for i := range now {
+						waited[i] = now[i] - w[i]
+					}
+					if adopted && waited != [3]uint64{1, 1, 1} || !adopted && waited != [3]uint64{} {
+						t.Fatalf("node %s: epoch %d (adopted %v) observed look-ahead waits %v", n.id, e, adopted, waited)
 					}
 					got = append(got, res)
 				}

@@ -473,16 +473,22 @@ func CommitSchedule(db *statedb.StateDB, sims []*types.SimResult, sched *types.S
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	root, _, err := db.PublishAndSeal(writeBatch(sims, sched, workers), workers, nil)
+	root, _, err := db.PublishAndSeal(writeBatch(sims, sched), workers, nil)
 	return root, err
 }
 
-// writeBatch is what the commitment phase writes: commit groups apply their
-// writes concurrently (workers-wide) to a sharded in-memory overlay in
-// increasing sequence order, and the updated cells come out flattened in
-// key order. The commit stage builds it, or the look-ahead run builds it
-// early to stage it; either way it is built once per epoch.
-func writeBatch(sims []*types.SimResult, sched *types.Schedule, workers int) []types.WriteEntry {
+// writeBatch is what the commitment phase writes ("applies the write values
+// … to an in-memory state", §III-B): every committed transaction's writes
+// in commit-group order, sorted stably by key, and of each run of writes to
+// one cell the last — the latest group's, as applying the groups in
+// sequence order would leave it. Transactions inside a group write
+// pairwise-distinct keys (scheduler invariant), so the order within a
+// group does not matter. The result is in ascending key order, the order
+// the state trie's batch descent takes and the one that makes every replica
+// hand the trie the same batch. The commit stage builds it, or the
+// look-ahead run builds it early to stage it; either way it is built once
+// per epoch.
+func writeBatch(sims []*types.SimResult, sched *types.Schedule) []types.WriteEntry {
 	// Transaction ids are dense within an epoch: index, don't hash.
 	var top types.TxID
 	for _, sim := range sims {
@@ -492,14 +498,28 @@ func writeBatch(sims []*types.SimResult, sched *types.Schedule, workers int) []t
 	for _, sim := range sims {
 		byID[sim.Tx.ID] = sim
 	}
-	ov := overlayPool.Get().(*overlay)
-	for _, group := range sched.Groups() {
-		applyGroup(ov, group, byID, workers)
+	groups := sched.Groups()
+	n := 0
+	for _, group := range groups {
+		for _, id := range group {
+			n += len(byID[id].Writes)
+		}
 	}
-	writes := ov.entries()
-	ov.reset()
-	overlayPool.Put(ov)
-	return writes
+	writes := make([]types.WriteEntry, 0, n)
+	for _, group := range groups {
+		for _, id := range group {
+			writes = append(writes, byID[id].Writes...)
+		}
+	}
+	slices.SortStableFunc(writes, func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) })
+	out := writes[:0]
+	for i, w := range writes {
+		if i+1 < len(writes) && writes[i+1].Key == w.Key {
+			continue // a later write to the cell wins
+		}
+		out = append(out, w)
+	}
+	return out
 }
 
 // simulate executes one transaction against a state reader (the epoch's
@@ -557,38 +577,6 @@ func (n *Node) simulateTransfer(tx *types.Transaction, state statedb.Reader, sim
 	sim.Writes[second] = types.WriteEntry{Key: toKey, Value: encodeU64(to + amount)}
 }
 
-// applyGroup installs one commit group's writes. Transactions inside a
-// group touch pairwise-distinct keys (scheduler invariant), so the workers
-// can write shards concurrently without ordering.
-func applyGroup(ov *overlay, group []types.TxID, byID []*types.SimResult, workers int) {
-	if len(group) < 2*workers {
-		for _, id := range group {
-			for _, w := range byID[id].Writes {
-				ov.put(w.Key, w.Value)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(group) + workers - 1) / workers
-	for start := 0; start < len(group); start += chunk {
-		end := start + chunk
-		if end > len(group) {
-			end = len(group)
-		}
-		wg.Add(1)
-		go func(ids []types.TxID) {
-			defer wg.Done()
-			for _, id := range ids {
-				for _, w := range byID[id].Writes {
-					ov.put(w.Key, w.Value)
-				}
-			}
-		}(group[start:end])
-	}
-	wg.Wait()
-}
-
 // verifyAgainstState adapts the epoch's state reader to
 // core.VerifySchedule's map interface.
 func verifyAgainstState(state statedb.Reader, sims []*types.SimResult, sched *types.Schedule) error {
@@ -608,52 +596,6 @@ func verifyAgainstState(state statedb.Reader, sims []*types.SimResult, sched *ty
 		}
 	}
 	return core.VerifySchedule(values, sims, sched)
-}
-
-// overlay is the sharded in-memory state the commitment phase writes into
-// before flushing ("applies the write values … to an in-memory state",
-// §III-B). Sharding lets same-group transactions commit concurrently.
-type overlay struct {
-	shards [16]overlayShard
-}
-
-type overlayShard struct {
-	mu sync.Mutex
-	m  map[types.Key][]byte
-}
-
-func newOverlay() *overlay {
-	ov := &overlay{}
-	for i := range ov.shards {
-		ov.shards[i].m = make(map[types.Key][]byte)
-	}
-	return ov
-}
-
-func (ov *overlay) put(k types.Key, v []byte) {
-	s := &ov.shards[k[0]&0x0f]
-	s.mu.Lock()
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
-// entries flattens the overlay in ascending key order — the order the
-// state trie's batch update descends in (statedb.Commit would otherwise
-// sort a copy), and the one that makes every replica hand the trie the
-// same batch.
-func (ov *overlay) entries() []types.WriteEntry {
-	n := 0
-	for i := range ov.shards {
-		n += len(ov.shards[i].m)
-	}
-	out := make([]types.WriteEntry, 0, n)
-	for i := range ov.shards {
-		for k, v := range ov.shards[i].m {
-			out = append(out, types.WriteEntry{Key: k, Value: v})
-		}
-	}
-	slices.SortFunc(out, func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) })
-	return out
 }
 
 func encodeU64(v uint64) []byte {

@@ -310,7 +310,7 @@ func (n *Node) controlTxs(sims []*types.SimResult, failed []types.TxID) (*types.
 func (n *Node) executeStage(er *epochRun, ss *metrics.StageStat) error {
 	var ex execution
 	if la := er.ahead; la != nil {
-		<-la.executed
+		n.awaitLookahead(er, "execute", la.executed)
 		ss.Overlap = la.execTime
 		ex = la.exec
 	} else {
@@ -334,7 +334,7 @@ func (n *Node) scheduleStage(er *epochRun, ss *metrics.StageStat) error {
 		err       error
 	)
 	if la := er.ahead; la != nil {
-		<-la.scheduled
+		n.awaitLookahead(er, "schedule", la.scheduled)
 		ss.Overlap = la.schedTime
 		sched, breakdown, err = la.sched, la.breakdown, la.err
 		n.tracer.Span(n.id+"/background", "lookahead", la.started, la.elapsed,
@@ -415,14 +415,14 @@ func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 	start := time.Now()
 	var writes []types.WriteEntry
 	if la := er.ahead; la != nil {
-		<-la.done
+		n.awaitLookahead(er, "commit", la.done)
 		start = time.Now() // waiting is not busy
 		ss.Overlap = la.stageTime
 		writes = la.batch
 		n.tracer.Span(n.id+"/background", "stage", la.started.Add(la.elapsed), la.stageTime,
 			map[string]any{"epoch": er.number, "writes": len(writes), "staged": la.staged.Staged})
 	} else {
-		writes = writeBatch(er.sims, er.sched, n.cfg.Workers)
+		writes = writeBatch(er.sims, er.sched)
 	}
 	_, seal, err := n.state.PublishAndSeal(writes, n.cfg.Workers, func(view *mvcc.View) error {
 		n.startLookahead(next, view)
@@ -437,9 +437,9 @@ func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 	if err != nil {
 		// The versions are rolled back, the trie is at the previous root and
 		// the StateDB's locks are free again: only now can the run — perhaps
-		// parked on a lock, perhaps holding values of the generation that no
-		// longer exists — be stopped, waited for and dropped, so the retried
-		// epoch finds none.
+		// staging, parked on a lock, perhaps holding values of the generation
+		// that no longer exists — be stopped, waited for and dropped, so the
+		// retried epoch finds none.
 		n.dropLookahead()
 		return fmt.Errorf("node: commit epoch %d: %w", er.number, err)
 	}
@@ -562,15 +562,4 @@ func checkSignatures(blocks []*types.Block, workers int, ok map[types.Hash]bool)
 		errs = errs[len(b.Txs):]
 	}
 	return ok
-}
-
-// overlayPool recycles the 16-shard commit overlay across epochs (and across
-// nodes: the pool is package-level, and an overlay carries no node identity).
-var overlayPool = sync.Pool{New: func() any { return newOverlay() }}
-
-// reset clears the overlay's shard maps for reuse.
-func (ov *overlay) reset() {
-	for i := range ov.shards {
-		clear(ov.shards[i].m)
-	}
 }

@@ -7,6 +7,8 @@ package node
 // several nodes in one process; a production deployment has one.
 
 import (
+	"time"
+
 	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/mvcc"
 )
@@ -42,6 +44,14 @@ func (n *Node) recordLookahead(outcome string) {
 	metrics.Default().Counter("nezha_node_lookahead_total",
 		"Epochs by the fate of the look-ahead run started for them under the previous commit: adopted, discarded (blocks or state differed from what it assumed, or the epoch around it failed), none (first epoch, lagging ledger, assembled epoch).",
 		metrics.Label{Name: "node", Value: n.id}, metrics.Label{Name: "outcome", Value: outcome}).Inc()
+}
+
+// recordLookaheadWait observes how long one stage of an adopting epoch
+// blocked on the look-ahead run.
+func (n *Node) recordLookaheadWait(stage string, wait time.Duration) {
+	metrics.Default().Histogram("nezha_node_lookahead_wait_seconds",
+		"Time a stage of an epoch that adopted its look-ahead run blocked waiting for the part of the run it takes over (execute: the execution, schedule: the schedule, commit: the staging).",
+		nil, metrics.Label{Name: "node", Value: n.id}, metrics.Label{Name: "stage", Value: stage}).ObserveDuration(wait)
 }
 
 // recordStaged counts an epoch whose commit adopted the batch its

@@ -31,11 +31,12 @@ type Reader interface {
 // calls Commit, and may Stage the next batch ahead of it; any number of
 // readers use Snapshots or Views. StateDB itself is safe for concurrent use.
 //
-// Two locks: mu guards the committed state — the root, the version cache,
-// the reads at the trie's committed root — and trieMu the trie's working
-// tree, which Stage edits without mu, so that no reader of the committed
-// state waits for it. A commit takes both, mu first; root changes only
-// then, so either lock is enough to read it.
+// Two locks: mu guards the committed state — the root and the version
+// cache — and trieMu the trie's working tree, which Stage edits without mu,
+// so that no reader of the committed state waits for it. A commit takes
+// both, mu first; root changes only then, so either lock is enough to read
+// it. Get takes neither: the trie publishes its committed root atomically
+// (mpt.Trie.GetCommitted), so a cold read runs beside a commit's flush.
 type StateDB struct {
 	mu     sync.RWMutex
 	trieMu sync.Mutex
@@ -79,10 +80,10 @@ func (s *StateDB) Root() types.Hash {
 	return s.root
 }
 
-// Get reads a key from the head state (never from a staged batch).
+// Get reads a key from the head state (never from a staged batch). It takes
+// no lock: beside a commit it reads the trie's committed root from before
+// or from after the flush, whichever it loads (see mpt.Trie.GetCommitted).
 func (s *StateDB) Get(k types.Key) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	v, _, err := s.trie.GetCommitted(k[:])
 	return v, err
 }
@@ -122,9 +123,10 @@ func (s *StateDB) View() *mvcc.View {
 }
 
 // ensureMVCC creates the multi-version store on first use. The backend
-// loader reads through StateDB.Get, whose read lock serializes it against
-// the trie flush; the mvcc read path discards loads that straddle a
-// commit (see the mvcc package comment).
+// loader reads through StateDB.Get, which takes no lock and so may load a
+// key while a commit flushes; the mvcc read path makes that safe — a key
+// the commit writes is shadowed by its chain before the flush, and a load
+// that straddles the commit is discarded (see the mvcc package comment).
 func (s *StateDB) ensureMVCC() *mvcc.Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,8 +205,8 @@ func (s *StateDB) CheckInvariants() error {
 // Commit applies the writes of one epoch to the trie as one batch, persists
 // the new nodes, and returns the new root. Writes must already be
 // conflict-free (distinct keys or intentional last-writer-wins order); the
-// concurrency-control layer guarantees that. The commit overlay hands them
-// over sorted by key, which the trie's batch descent requires; any other
+// concurrency-control layer guarantees that. The node's write batch hands
+// them over sorted by key, which the trie's batch descent requires; any other
 // order is sorted here first (stably, so the last writer still wins).
 //
 // The commit is all-or-nothing: when the store refuses the flush, the
@@ -258,14 +260,14 @@ type stagedBatch struct {
 // handing it out takes no lock of the StateDB.
 //
 // published runs under the commit lock: it must not call back into the
-// StateDB, and a reader it starts whose key is cold parks until the seal is
-// over. An error from it, like a flush the store refuses, leaves the trie
+// StateDB but Get. A reader it starts on the view does not wait for the
+// seal: a cold key loads through Get, beside the flush. An error from it, like a flush the store refuses, leaves the trie
 // and the root where they were — a staged batch rolled back with the rest —
 // and rolls the published versions back. A reader started on the view may
 // by then have seen them, so its owner stops it, waits for it and drops
 // what it computed — after this call returns, never inside published, where
-// the wait would be for a reader parked on the lock this call holds (see
-// mvcc.RollbackEpoch).
+// the wait could be for a reader parked on the lock this call holds (the
+// look-ahead run's Stage takes it; see mvcc.RollbackEpoch).
 func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, published func(*mvcc.View) error) (types.Hash, SealStats, error) {
 	s.mu.Lock()
 	s.trieMu.Lock() // a Stage in progress finishes first
@@ -298,12 +300,8 @@ func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, publish
 		return types.Hash{}, SealStats{FanStats: s.trie.Stats()}, err
 	}
 	if versioned {
-		// Pre-flush reads at the committed root, under the held write lock.
-		load := func(k types.Key) ([]byte, error) {
-			v, _, err := s.trie.GetCommitted(k[:])
-			return v, err
-		}
-		if _, err := mv.CommitEpoch(writes, load); err != nil {
+		// Pre-flush reads: the committed root moves only in the Commit below.
+		if _, err := mv.CommitEpoch(writes, s.Get); err != nil {
 			s.unstageLocked()
 			return types.Hash{}, SealStats{}, err
 		}
@@ -405,8 +403,8 @@ func (s *StateDB) hashLocked(writes []types.WriteEntry) error {
 }
 
 // sortedByKey returns writes in ascending key order, the order the trie's
-// batch descent requires: writes itself when it already is (the commit
-// overlay's case), a stably sorted copy otherwise, so the last writer of a
+// batch descent requires: writes itself when it already is (the node's
+// write batch's case), a stably sorted copy otherwise, so the last writer of a
 // key still wins.
 func sortedByKey(writes []types.WriteEntry) []types.WriteEntry {
 	byKey := func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) }

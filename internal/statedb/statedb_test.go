@@ -339,7 +339,7 @@ func failedFlushLeavesNoPhantomWrites(t *testing.T, workers int, staged bool) {
 
 // TestPublishAndSealBetweenTheHalves: the view PublishAndSeal hands out
 // reads the epoch's writes before the trie has them, a reader started on it
-// whose key is cold parks until the seal is over and then reads on, and a
+// whose key is cold reads the value all live generations share, and a
 // refusal from between the halves unwinds the publication — root, Get and
 // fresh views where they were, the version cache sound once the reader has
 // been waited for — after which the retry reaches a never-refused twin's root.
@@ -361,7 +361,7 @@ func TestPublishAndSealBetweenTheHalves(t *testing.T) {
 
 	// between starts a reader on the published view: a written key (warm by
 	// construction) on the spot, a cold unwritten one from a goroutine that
-	// can only finish once the commit lock is free again.
+	// may load it beside the seal.
 	type read struct {
 		val []byte
 		err error
@@ -389,7 +389,7 @@ func TestPublishAndSealBetweenTheHalves(t *testing.T) {
 		t.Fatalf("refused commit returned %v", err)
 	}
 	if got := <-cold; got.err != nil || string(got.val) != "old-7" {
-		t.Fatalf("reader parked across the refusal read %q, %v", got.val, got.err)
+		t.Fatalf("cold reader started before the refusal read %q, %v", got.val, got.err)
 	}
 	if db.Root() != root || db.View().Gen() != gen {
 		t.Fatalf("the refusal left root %s at generation %d, was %s at %d", db.Root().Short(), db.View().Gen(), root.Short(), gen)
@@ -409,7 +409,7 @@ func TestPublishAndSealBetweenTheHalves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r := <-cold; r.err != nil || string(r.val) != "old-8" {
-		t.Fatalf("reader parked across the seal read %q, %v", r.val, r.err)
+		t.Fatalf("cold reader started before the seal read %q, %v", r.val, r.err)
 	}
 	want, err := twin.Commit(epoch)
 	if err != nil {
