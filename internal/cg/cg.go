@@ -159,7 +159,8 @@ func buildConflictGraph(sims []*types.SimResult) (*graph.Directed, []types.TxID)
 	// Iterate keys in sorted order: the edge set is order-insensitive, but
 	// adjacency-list ORDER is not — it steers cycle enumeration and the
 	// sampling budget, so map order here would make the baseline's abort
-	// set differ across replicas (found by nezha-vet's detmap).
+	// set differ across replicas (found by nezha-vet's dettaint, whose
+	// zero-hop case flags unsorted map ranges in critical packages).
 	keys := make([]types.Key, 0, len(byKey))
 	for k := range byKey {
 		keys = append(keys, k)

@@ -222,8 +222,8 @@ func diffCheck(cfg TrialConfig, snapshot map[types.Key][]byte, sims []*types.Sim
 
 // scheduleTwice schedules the epoch with two fresh schedulers and fails
 // unless both give the same schedule: the dynamic guard behind nezha-vet's
-// detmap and detsource, which a map iteration order or a wall-clock read
-// reaching the output trips. mutate, when set, post-processes each schedule
+// dettaint, which a map iteration order or a wall-clock read reaching the
+// output trips. mutate, when set, post-processes each schedule
 // (see TrialConfig.Mutate).
 func scheduleTwice(cfg core.Config, sims []*types.SimResult, mutate func(*types.Schedule, []*types.SimResult)) (*types.Schedule, types.PhaseBreakdown, *Failure) {
 	var outs [2]*types.Schedule

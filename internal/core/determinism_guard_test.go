@@ -34,8 +34,8 @@ func scheduleFingerprint(s *types.Schedule) string {
 	return out
 }
 
-// TestScheduleGOMAXPROCSInvariance is the guard nezha-vet's detmap and
-// detsource analyzers back up dynamically: the machine's core count must
+// TestScheduleGOMAXPROCSInvariance is the guard nezha-vet's dettaint
+// analyzer backs up dynamically: the machine's core count must
 // never leak into a schedule. Each epoch is scheduled under GOMAXPROCS=1
 // and GOMAXPROCS=8 and the results must match byte for byte — both the
 // commit groups/aborts and the PhaseBreakdown with its wall-clock

@@ -2,8 +2,8 @@ package fail
 
 // Name identifies a failpoint site. Sites are named "<package>/<site>" in
 // lower-case (hyphens inside a segment), and every name used anywhere in
-// the tree must be one of the constants below: nezha-vet's failpoint
-// analyzer (internal/lint/failpoint) rejects call sites whose name is not
+// the tree must be one of the constants below: nezha-vet's registry
+// analyzer (internal/lint/registry) rejects call sites whose name is not
 // a registered constant, duplicate registrations, and Name constants
 // declared outside this file. Keeping the full inventory in one block is
 // the point — it is the reviewable surface of "what can chaos break".

@@ -20,7 +20,7 @@
 //     -race, and a seqlock's unsynchronized reads would light it up.
 //   - The observer must not perturb determinism-critical ordering: Emit
 //     is forbidden inside lint.CriticalPackages (enforced by nezha-vet's
-//     journalhygiene analyzer); instrumentation lives at the call sites
+//     registry analyzer); instrumentation lives at the call sites
 //     around those packages instead.
 //
 // Clocks: every event carries the ring sequence (per-node total order),

@@ -3,7 +3,7 @@ package journal
 // Kind identifies a journal event type. Kinds are named "<area>/<event>"
 // in lower-case (hyphens inside a segment), and every kind emitted
 // anywhere in the tree must be one of the constants below: nezha-vet's
-// journalhygiene analyzer (internal/lint/journalhygiene) rejects Emit
+// registry analyzer (internal/lint/registry) rejects Emit
 // calls whose kind is not a registered constant, duplicate registrations,
 // and Kind constants declared outside this file. The inventory doubles as
 // the reviewable surface of "what the flight recorder can see".

@@ -28,7 +28,7 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name is the short command-line identifier ("detmap").
+	// Name is the short command-line identifier ("dettaint").
 	Name string
 	// Doc is the one-paragraph description shown by nezha-vet -list; the
 	// full invariant lives in the analyzer package's doc.go.

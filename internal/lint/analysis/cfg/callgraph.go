@@ -99,6 +99,23 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn.Origin()
 }
 
+// RecvTypeName names a method's receiver type, through a pointer ("" for
+// a plain function or an unnamed receiver).
+func RecvTypeName(fn *types.Func) string {
+	r := fn.Type().(*types.Signature).Recv()
+	if r == nil {
+		return ""
+	}
+	t := r.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
 // CallsIn returns the static callees invoked anywhere in the function's
 // body (FuncLits included: a closure defined here runs with this
 // function's call obligations from the analyses' point of view — both

@@ -438,6 +438,34 @@ func (g *CFG) RPO() []*Block {
 	return post
 }
 
+// Forward solves a forward dataflow problem over g: it sweeps the
+// reachable blocks in reverse postorder, each from join of its
+// predecessors' out-states (indexed by Block.Index), until no out-state
+// changes or 32 sweeps have run. Then it calls settled and sweeps once
+// more, so a transfer function that reports only once settled has run
+// sees every block exactly once, in its final in-state.
+func Forward[S any](g *CFG, join func(b *Block, out []S) S, transfer func(b *Block, in S) S, equal func(x, y S) bool, settled func()) {
+	rpo := g.RPO()
+	out := make([]S, len(g.Blocks))
+	for iter := 0; iter < 32; iter++ {
+		changed := false
+		for _, b := range rpo {
+			st := transfer(b, join(b, out))
+			if !equal(out[b.Index], st) {
+				out[b.Index] = st
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	settled()
+	for _, b := range rpo {
+		transfer(b, join(b, out))
+	}
+}
+
 // Dump renders the graph for tests: one line per block, in index order,
 // with node sketches and successor indices.
 func (g *CFG) Dump(fset *token.FileSet) string {

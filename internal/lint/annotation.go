@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
+
+	"github.com/nezha-dag/nezha/internal/lint/analysis"
 )
 
 // Annotation is the parsed state of a `//nezha:<check>-ok <reason>` escape
@@ -50,4 +52,23 @@ func FindAnnotation(fset *token.FileSet, file *ast.File, pos token.Pos, check st
 		}
 	}
 	return Annotation{}
+}
+
+// reasonlessKey marks, in Pass.Shared, an annotation already reported for
+// its missing reason.
+type reasonlessKey struct{ pos token.Pos }
+
+// Suppressed reports whether a //nezha:<check>-ok annotation covers the
+// statement at pos. An annotation without a reason still suppresses the
+// finding, but is itself reported, once however many findings it covers.
+func Suppressed(pass *analysis.Pass, pos token.Pos, check string) bool {
+	ann := FindAnnotation(pass.Fset, pass.FileFor(pos), pos, check)
+	if !ann.Found {
+		return false
+	}
+	if k := (reasonlessKey{ann.Pos}); ann.Reason == "" && pass.Shared[k] == nil {
+		pass.Shared[k] = true
+		pass.Reportf(ann.Pos, "nezha:%s-ok annotation needs a reason", check)
+	}
+	return true
 }

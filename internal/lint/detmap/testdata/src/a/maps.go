@@ -1,6 +1,6 @@
-// Package a is detmap's positive corpus: it is appended to
-// lint.CriticalPackages by the test, so every unordered iteration here
-// must be flagged unless it feeds a sort or carries an annotation.
+// Package a is the zero-hop corpus: the test appends it to
+// lint.CriticalPackages, so every unordered iteration here must be
+// flagged unless it feeds a sort or carries an annotation.
 package a
 
 import (

@@ -1,5 +1,5 @@
-// Package b is detmap's negative corpus: the same shapes as package a,
-// but b is not in lint.CriticalPackages, so nothing here is flagged.
+// Package b is the zero-hop negative corpus: the same shapes as package
+// a, but b is not in lint.CriticalPackages, so nothing here is flagged.
 package b
 
 func plain(m map[string]int) {

@@ -4,9 +4,10 @@ import "strings"
 
 // CriticalPackages are the determinism-critical packages: every replica
 // must derive byte-identical results from them given the same input, so
-// the detmap and detsource analyzers hold them to a stricter standard
-// (no unordered iteration, no ambient entropy). Entries are import-path
-// suffixes matched on a path-segment boundary.
+// dettaint holds them to a stricter standard: every source is reported
+// where it occurs (no unordered iteration, no ambient entropy), not only
+// where it reaches a sink. Entries are import-path suffixes matched on a
+// path-segment boundary (PathIs).
 //
 // internal/check is here because the differential harness's generator and
 // driver must replay bit-exactly from a seed — a nondeterministic test
@@ -34,9 +35,16 @@ var CriticalPackages = []string{
 // package.
 func IsCritical(path string) bool {
 	for _, s := range CriticalPackages {
-		if path == s || strings.HasSuffix(path, "/"+s) {
+		if PathIs(path, s) {
 			return true
 		}
 	}
 	return false
+}
+
+// PathIs reports whether the import path is suffix or ends in "/"+suffix:
+// how the analyzers recognise a package by name in the tree and in their
+// hermetic testdata stubs alike.
+func PathIs(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

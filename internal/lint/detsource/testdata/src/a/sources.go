@@ -1,5 +1,5 @@
-// Package a is detsource's positive corpus: appended to
-// lint.CriticalPackages by the test, so ambient entropy here is flagged.
+// Ambient entropy in the zero-hop corpus: clock, global rand and
+// environment reads are flagged where they occur.
 package a
 
 import (
@@ -28,6 +28,6 @@ func fixedTime() time.Time {
 	return time.Unix(42, 0) // not a clock read
 }
 
-func annotated() time.Time {
+func annotatedClock() time.Time {
 	return time.Now() //nezha:nondeterminism-ok wall clock only feeds local timing stats, never the schedule
 }

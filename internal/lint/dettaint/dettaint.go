@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"path"
 
 	"github.com/nezha-dag/nezha/internal/lint"
 	"github.com/nezha-dag/nezha/internal/lint/analysis"
@@ -14,11 +16,12 @@ import (
 // Analyzer tracks nondeterminism taint interprocedurally from sources
 // (map iteration order, select winners, wall-clock reads, unseeded
 // rand, channel receive order) into consensus-critical sinks (RLP
-// encoding, trie writes, journal events, mempool assembly order). See
+// encoding, trie writes, journal events, mempool assembly order), and
+// in determinism-critical packages reports the sources themselves. See
 // doc.go for the taint domain, the sanitizer set, and the limits.
 var Analyzer = &analysis.Analyzer{
 	Name:      "dettaint",
-	Doc:       "flag nondeterministic values and orderings flowing into consensus-critical sinks, across function and package boundaries",
+	Doc:       "flag nondeterministic values and orderings flowing into consensus-critical sinks, and any such source in a determinism-critical package",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*FnFact)(nil)},
 }
@@ -140,6 +143,7 @@ var orderedResults = []sinkSpec{
 func run(pass *analysis.Pass) (any, error) {
 	info := pass.TypesInfo
 	fns := cfg.PackageFuncsInfo(info, pass.Files)
+	sorted := map[token.Pos]bool{}
 	for _, group := range cfg.BottomUp(info, fns) {
 		// Recursive groups iterate to let summaries stabilize before the
 		// reporting pass; everything else converges in one.
@@ -154,7 +158,7 @@ func run(pass *analysis.Pass) (any, error) {
 		if recursive {
 			for i := 0; i < 3; i++ {
 				for _, fn := range group {
-					fact := analyzeFunc(pass, fn, false)
+					fact := analyzeFunc(pass, fn, false, sorted)
 					if fn.Obj != nil {
 						pass.ExportObjectFact(fn.Obj, fact)
 					}
@@ -162,20 +166,75 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 		}
 		for _, fn := range group {
-			fact := analyzeFunc(pass, fn, true)
+			fact := analyzeFunc(pass, fn, true, sorted)
 			if fn.Obj != nil {
 				pass.ExportObjectFact(fn.Obj, fact)
 			}
 		}
 	}
+	if lint.IsCritical(pass.Pkg.Path()) {
+		checkSources(pass, sorted)
+	}
 	return nil, nil
+}
+
+// checkSources is the zero-hop case, run in determinism-critical
+// packages only: each source is reported where it occurs, whether or not
+// it reaches a sink. A map range whose ordering an in-place sort later
+// killed (collect, sort, then use) is the sanctioned idiom and passes.
+func checkSources(pass *analysis.Pass, sorted map[token.Pos]bool) {
+	info := pass.TypesInfo
+	report := func(pos token.Pos, what, cure string) {
+		if !lint.Suppressed(pass, pos, "nondeterminism") {
+			pass.Reportf(pos, "%s in determinism-critical package %s; %s, or justify with //nezha:nondeterminism-ok <reason>", what, pass.Pkg.Path(), cure)
+		}
+	}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if src := mapOrderSource(info, n); src.IsValid() && !sorted[src] {
+					report(n.Pos(), "unordered map iteration", "collect and sort the keys")
+				}
+			case *ast.SelectStmt:
+				if k := len(commCases(n)); k >= 2 {
+					report(n.Pos(), fmt.Sprintf("select with %d communication cases picks one at random", k), "use a deterministic drain order")
+				}
+			case *ast.SelectorExpr:
+				// A package-level function, called or taken as a value.
+				if fn, ok := info.Uses[n.Sel].(*types.Func); ok {
+					if k, _ := sourceDesc(fn); k == valueKind {
+						report(n.Pos(), fn.Pkg().Name()+"."+fn.Name(), "thread a seeded source or clock through config")
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// mapOrderSource returns where the flow analysis sources a range's
+// map-iteration ordering taint: the range itself for a map operand, the
+// call for a maps.Keys/Values/All operand. NoPos means the range has no
+// map order (a slice's order is fixed; a channel's is a flow-only source).
+func mapOrderSource(info *types.Info, rs *ast.RangeStmt) token.Pos {
+	if _, isMap := unorderedOperand(info, rs.X); isMap {
+		return rs.Pos()
+	}
+	if call, ok := ast.Unparen(rs.X).(*ast.CallExpr); ok {
+		if fn := cfg.StaticCallee(info, call); fn != nil {
+			if k, _ := sourceDesc(fn); k == orderKind {
+				return call.Pos()
+			}
+		}
+	}
+	return token.NoPos
 }
 
 // funcAnalysis is the per-function dataflow run.
 type funcAnalysis struct {
 	pass    *analysis.Pass
 	fn      *cfg.FuncInfo
-	file    *ast.File
 	seedSt  state
 	paramOf map[types.Object]int
 	results []types.Object // named results, read by bare returns
@@ -184,6 +243,9 @@ type funcAnalysis struct {
 	selectRecv map[ast.Node]bool
 	contract   *sinkSpec
 	fact       *FnFact
+	// sorted collects the sources of ordering taint an in-place sort
+	// killed, for checkSources.
+	sorted map[token.Pos]bool
 	// recording gates fact/report emission: off during the fixpoint
 	// iterations, on for the single post-fixpoint sweep.
 	recording bool
@@ -191,38 +253,20 @@ type funcAnalysis struct {
 	seen      map[string]bool
 }
 
-func analyzeFunc(pass *analysis.Pass, fn *cfg.FuncInfo, report bool) *FnFact {
+func analyzeFunc(pass *analysis.Pass, fn *cfg.FuncInfo, report bool, sorted map[token.Pos]bool) *FnFact {
 	fa := &funcAnalysis{
 		pass:       pass,
 		fn:         fn,
-		file:       pass.FileFor(fn.Body().Pos()),
 		paramOf:    map[types.Object]int{},
 		selectRecv: map[ast.Node]bool{},
 		fact:       &FnFact{},
+		sorted:     sorted,
 		report:     report,
 		seen:       map[string]bool{},
 	}
 	fa.setup()
-	g := fn.G
-	rpo := g.RPO()
-	out := make([]state, len(g.Blocks))
-	for iter := 0; iter < 32; iter++ {
-		changed := false
-		for _, b := range rpo {
-			st := fa.transfer(b, fa.inState(b, out))
-			if !statesEqual(out[b.Index], st) {
-				out[b.Index] = st
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	fa.recording = true
-	for _, b := range rpo {
-		fa.transfer(b, fa.inState(b, out))
-	}
+	sameState := func(a, b state) bool { return maps.EqualFunc(a, b, sameTaints) }
+	cfg.Forward(fn.G, fa.inState, fa.transfer, sameState, func() { fa.recording = true })
 	return fa.fact
 }
 
@@ -275,18 +319,9 @@ func (fa *funcAnalysis) setup() {
 		case *ast.FuncLit:
 			return false
 		case *ast.SelectStmt:
-			ready := 0
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					ready++
-				}
-			}
-			if ready < 2 {
-				return true
-			}
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					fa.selectRecv[cc.Comm] = true
+			if comms := commCases(n); len(comms) >= 2 {
+				for _, c := range comms {
+					fa.selectRecv[c] = true
 				}
 			}
 		}
@@ -301,6 +336,19 @@ func (fa *funcAnalysis) setup() {
 	}
 }
 
+// commCases returns a select's communication statements (the default
+// clause has none). With two or more, the runtime picks a ready one at
+// random.
+func commCases(s *ast.SelectStmt) []ast.Stmt {
+	var out []ast.Stmt
+	for _, c := range s.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+			out = append(out, cc.Comm)
+		}
+	}
+	return out
+}
+
 func (fa *funcAnalysis) inState(b *cfg.Block, out []state) state {
 	if b == fa.fn.G.Entry {
 		return cloneState(fa.seedSt)
@@ -308,11 +356,7 @@ func (fa *funcAnalysis) inState(b *cfg.Block, out []state) state {
 	st := state{}
 	for _, p := range b.Preds {
 		for obj, ts := range out[p.Index] {
-			merged := st[obj]
-			for _, t := range ts {
-				merged = addTaint(merged, t)
-			}
-			st[obj] = merged
+			st[obj] = unionTaints(st[obj], ts)
 		}
 	}
 	return st
@@ -439,11 +483,7 @@ func (fa *funcAnalysis) weakAssign(l ast.Expr, ts []taint, st state) {
 	if obj == nil {
 		return
 	}
-	merged := st[obj]
-	for _, t := range ts {
-		merged = addTaint(merged, t)
-	}
-	st[obj] = merged
+	st[obj] = unionTaints(st[obj], ts)
 }
 
 // rangeHead transfers the range header: the loop variables inherit the
@@ -451,7 +491,7 @@ func (fa *funcAnalysis) weakAssign(l ast.Expr, ts []taint, st state) {
 // in nondeterministic order (map, channel).
 func (fa *funcAnalysis) rangeHead(rs *ast.RangeStmt, st state) {
 	ts := fa.exprTaint(rs.X, st)
-	if msg := unorderedOperand(fa.pass.TypesInfo, rs.X); msg != "" {
+	if msg, _ := unorderedOperand(fa.pass.TypesInfo, rs.X); msg != "" {
 		ts = addTaint(ts, taint{k: orderKind, param: -1, steps: []Step{{Pos: rs.Pos(), Msg: msg}}})
 	}
 	if rs.Key != nil {
@@ -463,20 +503,21 @@ func (fa *funcAnalysis) rangeHead(rs *ast.RangeStmt, st state) {
 }
 
 // unorderedOperand reports why ranging the operand is order-
-// nondeterministic ("" when it is not). maps.Keys/Values/All come back
-// as call sources from exprTaint instead.
-func unorderedOperand(info *types.Info, x ast.Expr) string {
+// nondeterministic ("" when it is not), and whether the operand is a map
+// (rather than a channel). maps.Keys/Values/All come back as call sources
+// from exprTaint instead.
+func unorderedOperand(info *types.Info, x ast.Expr) (msg string, isMap bool) {
 	t := info.TypeOf(x)
 	if t == nil {
-		return ""
+		return "", false
 	}
 	switch t.Underlying().(type) {
 	case *types.Map:
-		return "iterates a map in randomized order"
+		return "iterates a map in randomized order", true
 	case *types.Chan:
-		return "receives in goroutine-completion order"
+		return "receives in goroutine-completion order", false
 	}
-	return ""
+	return "", false
 }
 
 // ret records result taints into the summary and enforces the ordered-
@@ -596,12 +637,7 @@ func (fa *funcAnalysis) reportAt(pos token.Pos, t taint, msg string, steps []Ste
 		return
 	}
 	fa.seen[key] = true
-	ann := lint.FindAnnotation(fa.pass.Fset, fa.file, pos, "dettaint")
-	if ann.Found {
-		if ann.Reason == "" && !fa.seen["ann|"+fmt.Sprint(ann.Pos)] {
-			fa.seen["ann|"+fmt.Sprint(ann.Pos)] = true
-			fa.pass.Reportf(ann.Pos, "nezha:dettaint-ok annotation needs a reason")
-		}
+	if lint.Suppressed(fa.pass, pos, "dettaint") {
 		return
 	}
 	path := make([]analysis.PathStep, len(steps))
@@ -681,11 +717,7 @@ func (fa *funcAnalysis) callTaint(call *ast.CallExpr, st state) []taint {
 			case "len", "cap":
 				return nil // a count is order-insensitive
 			case "append", "min", "max", "copy":
-				var out []taint
-				for _, a := range call.Args {
-					out = unionTaints(out, fa.exprTaint(a, st))
-				}
-				return out
+				return fa.argsTaint(call, st)
 			default:
 				return nil
 			}
@@ -697,11 +729,7 @@ func (fa *funcAnalysis) callTaint(call *ast.CallExpr, st state) []taint {
 			return []taint{{k: k, param: -1, steps: []Step{{Pos: call.Pos(), Msg: desc}}}}
 		}
 		if exprSanitizer(callee) {
-			var out []taint
-			for _, a := range call.Args {
-				out = unionTaints(out, fa.exprTaint(a, st))
-			}
-			return dropKind(out, orderKind)
+			return dropKind(fa.argsTaint(call, st), orderKind)
 		}
 		var f FnFact
 		if fa.pass.ImportObjectFact(callee, &f) {
@@ -731,14 +759,20 @@ func (fa *funcAnalysis) callTaint(call *ast.CallExpr, st state) []taint {
 	// Unresolved or summary-less callee (stdlib, interface method,
 	// function value): assume it passes its inputs through. That keeps
 	// fmt.Sprintf / strings.Join / slices.Collect chains tainted.
-	var out []taint
-	for _, a := range call.Args {
-		out = unionTaints(out, fa.exprTaint(a, st))
-	}
+	out := fa.argsTaint(call, st)
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if id, ok := sel.X.(*ast.Ident); !ok || !isPkgName(info, id) {
 			out = unionTaints(out, fa.exprTaint(sel.X, st))
 		}
+	}
+	return out
+}
+
+// argsTaint is the union of the call's argument taints.
+func (fa *funcAnalysis) argsTaint(call *ast.CallExpr, st state) []taint {
+	var out []taint
+	for _, a := range call.Args {
+		out = unionTaints(out, fa.exprTaint(a, st))
 	}
 	return out
 }
@@ -766,7 +800,17 @@ func (fa *funcAnalysis) stmtSanitize(call *ast.CallExpr, st state) {
 	if !ok {
 		return
 	}
-	if obj := fa.rootObj(call.Args[0]); obj != nil {
+	arg := call.Args[0]
+	// sort.Sort(byKey(keys)) sorts keys in place through the conversion.
+	if conv, ok := ast.Unparen(arg).(*ast.CallExpr); ok && len(conv.Args) == 1 && fa.pass.TypesInfo.Types[conv.Fun].IsType() {
+		arg = conv.Args[0]
+	}
+	if obj := fa.rootObj(arg); obj != nil {
+		for _, t := range st[obj] {
+			if t.k == orderKind && t.param < 0 && len(t.steps) > 0 {
+				fa.sorted[t.steps[0].Pos] = true
+			}
+		}
 		st[obj] = dropKind(st[obj], orderKind)
 	}
 }
@@ -824,8 +868,8 @@ func matchSpec(specs []sinkSpec, fn *types.Func) *sinkSpec {
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
-	seg := lastSegment(fn.Pkg().Path())
-	recv := recvTypeName(fn)
+	seg := path.Base(fn.Pkg().Path())
+	recv := cfg.RecvTypeName(fn)
 	for i := range specs {
 		s := &specs[i]
 		if s.pkg == seg && s.name == fn.Name() && s.recv == recv {
@@ -833,30 +877,6 @@ func matchSpec(specs []sinkSpec, fn *types.Func) *sinkSpec {
 		}
 	}
 	return nil
-}
-
-func lastSegment(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
-}
-
-func recvTypeName(fn *types.Func) string {
-	r := fn.Type().(*types.Signature).Recv()
-	if r == nil {
-		return ""
-	}
-	t := r.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // effectiveArgs aligns call arguments with the callee's parameter
@@ -1023,23 +1043,19 @@ func cloneState(st state) state {
 	return out
 }
 
-func statesEqual(a, b state) bool {
+// sameTaints reports whether two taint lists hold the same taints, in
+// any order.
+func sameTaints(a, b []taint) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for obj, ts := range a {
-		bs, ok := b[obj]
-		if !ok || len(bs) != len(ts) {
+	ids := map[string]bool{}
+	for _, t := range b {
+		ids[t.id()] = true
+	}
+	for _, t := range a {
+		if !ids[t.id()] {
 			return false
-		}
-		ids := map[string]bool{}
-		for _, t := range bs {
-			ids[t.id()] = true
-		}
-		for _, t := range ts {
-			if !ids[t.id()] {
-				return false
-			}
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 // Package dettaint implements the nezha-vet flow analyzer that tracks
 // nondeterminism interprocedurally from its sources to the sinks where
-// it becomes consensus divergence.
+// it becomes consensus divergence, and reports the sources themselves
+// inside the determinism-critical packages.
 //
 // # Invariant
 //
@@ -9,10 +10,26 @@
 // ordered result of mempool assembly — must be a pure function of
 // replicated inputs. Nondeterminism is fine while it stays local
 // (scheduling, caches, metrics); the bug is the flow that carries it
-// into replicated state. detsource and detmap flag the sources
-// syntactically inside the critical packages; dettaint closes the
-// remaining gap: a source in ANY package whose value is laundered
-// through helpers, struct fields, and call chains into a sink.
+// into replicated state: a source in ANY package whose value is
+// laundered through helpers, struct fields, and call chains into a sink.
+//
+// Nezha's safety argument is stricter still for the packages that derive
+// the schedule (lint.CriticalPackages): every replica must compute a
+// byte-identical result from the same snapshot (Algorithms 1–2 of the
+// paper), so there a source is a finding where it occurs — the zero-hop
+// case of the flow, whether or not a sink is in sight:
+//
+//   - a map range, or a range over maps.Keys/Values/All, unless an
+//     in-place sort later kills the ordering it produced (collect, sort,
+//     then use — the sanitizer below, read off the same dataflow);
+//   - a select with two or more communication cases (the runtime picks
+//     a ready one at random);
+//   - time.Now/Since/Until, a package-level math/rand function (a seeded
+//     *rand.Rand threaded from config passes), os.Getenv/LookupEnv/
+//     Environ — referenced, not only called.
+//
+// A channel range stays a flow-only source: its goroutine-completion
+// order is reported when it reaches a sink.
 //
 // # Taint domain
 //
@@ -53,13 +70,19 @@
 // source→sink trail attached (Diagnostic.Path, printed indented by
 // nezha-vet and carried in -json output).
 //
-// # Escape hatch
+// # Escape hatches
 //
 //	stateRoot := r.emitDigest(parts) //nezha:dettaint-ok parts is a canonical singleton
 //
-// on the flagged line (or the line above) suppresses the finding; an
-// annotation without a reason is itself reported. Cross-package flows
-// are annotated at the call site in the reporting package.
+// on the flagged line (or the line above) suppresses a flow finding;
+// cross-package flows are annotated at the call site in the reporting
+// package. A zero-hop finding takes the nondeterminism family instead,
+// for a source that provably never feeds the schedule:
+//
+//	start := time.Now() //nezha:nondeterminism-ok timing only feeds PhaseBreakdown
+//	for _, v := range m { //nezha:nondeterminism-ok sum is commutative
+//
+// Either way an annotation without a reason is itself reported.
 //
 // # Limits
 //
@@ -68,6 +91,8 @@
 // comparisons as untainted (implicit/control-dependence flows are out
 // of scope), and resolves only static callees — an interface call or
 // function value conservatively passes its inputs through to its
-// result. These are the standard precision/cost trades for a linter
-// that must sweep the whole tree in seconds.
+// result. Because captured variables are not modeled, a map range inside
+// a closure counts as sorted only if the closure itself sorts. These are
+// the standard precision/cost trades for a linter that must sweep the
+// whole tree in seconds.
 package dettaint

@@ -1,4 +1,4 @@
-package a
+package flow
 
 import (
 	"sort"
@@ -146,4 +146,24 @@ func appendKeysUnsorted(m map[string]int) []byte {
 		out = rlp.AppendString(out, []byte(k)) // want `nondeterministic ordering .* flows into canonical RLP encoding`
 	}
 	return out
+}
+
+type byKey []string
+
+func (b byKey) Len() int           { return len(b) }
+func (b byKey) Less(i, j int) bool { return b[i] < b[j] }
+func (b byKey) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+// sort.Sort through a named slice type sorts the collector in place too.
+func encodeKeysSortedByType(m map[string]int) []byte {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Sort(byKey(keys))
+	it := rlp.Item{}
+	for _, k := range keys {
+		it.S += k
+	}
+	return rlp.Encode(it)
 }

@@ -1,6 +1,6 @@
-// Package a is a production-shaped consumer of the fail stub: site names
+// Package hits is a production-shaped consumer of the fail stub: site names
 // must be registered constants and arming helpers are off limits.
-package a
+package hits
 
 import "fail"
 

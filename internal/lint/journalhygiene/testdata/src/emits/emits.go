@@ -1,6 +1,6 @@
-// Package a is a production-shaped consumer of the journal stub: event
+// Package emits is a production-shaped consumer of the journal stub: event
 // kinds must be registered constants.
-package a
+package emits
 
 import "journal"
 

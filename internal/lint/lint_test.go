@@ -5,6 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"testing"
+
+	"github.com/nezha-dag/nezha/internal/lint/analysis"
 )
 
 const annotSrc = `package p
@@ -72,6 +74,41 @@ func TestFindAnnotation(t *testing.T) {
 	// Two lines above the statement is out of range.
 	if ann := FindAnnotation(fset, file, ranges[4].Pos(), "nondeterminism"); ann.Found {
 		t.Errorf("distant annotation matched: %+v", ann)
+	}
+}
+
+// TestSuppressed pins the shared escape hatch: any annotation of the
+// family suppresses, and a reasonless one is reported once, however many
+// findings it covers.
+func TestSuppressed(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", annotSrc, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranges []*ast.RangeStmt
+	ast.Inspect(file, func(n ast.Node) bool {
+		if rs, ok := n.(*ast.RangeStmt); ok {
+			ranges = append(ranges, rs)
+		}
+		return true
+	})
+	var got []analysis.Diagnostic
+	pass := analysis.NewTestRunner(&analysis.Analyzer{Name: "t"}).Pass(fset, []*ast.File{file}, nil, nil,
+		func(d analysis.Diagnostic) { got = append(got, d) })
+	if !Suppressed(pass, ranges[0].Pos(), "nondeterminism") || len(got) != 0 {
+		t.Errorf("annotation with a reason: suppressed=false or reported %v", got)
+	}
+	for i := 0; i < 2; i++ {
+		if !Suppressed(pass, ranges[1].Pos(), "nondeterminism") {
+			t.Errorf("reasonless annotation did not suppress")
+		}
+	}
+	if len(got) != 1 || got[0].Message != "nezha:nondeterminism-ok annotation needs a reason" {
+		t.Errorf("reasonless annotation: got %v, want one needs-a-reason report", got)
+	}
+	if Suppressed(pass, ranges[3].Pos(), "nondeterminism") {
+		t.Errorf("locksafe annotation suppressed a nondeterminism finding")
 	}
 }
 

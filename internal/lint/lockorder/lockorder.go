@@ -5,7 +5,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
+	"strings"
 
 	"github.com/nezha-dag/nezha/internal/lint"
 	"github.com/nezha-dag/nezha/internal/lint/analysis"
@@ -15,10 +17,11 @@ import (
 // Analyzer builds the global mutex-acquisition-order graph and reports
 // cycles (potential ABBA deadlocks) plus same-family nested
 // acquisitions (self-deadlock, or shard aliasing under the per-shard
-// collapse). See doc.go.
+// collapse), and flags channel sends and failpoint hits made while a
+// lock is held. See doc.go.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "detect lock-order cycles and same-family nested acquisitions across the whole program",
+	Doc:       "detect lock-order cycles, same-family nested acquisitions, and locks held across failpoint sites or channel sends",
 	Run:       run,
 	Finish:    finish,
 	FactTypes: []analysis.Fact{(*LockFact)(nil)},
@@ -136,48 +139,28 @@ func summarize(pass *analysis.Pass, fn *cfg.FuncInfo) *LockFact {
 type heldInfo struct {
 	pos  token.Pos
 	excl bool
+	expr string // the locked expression as written ("s.mu"), for messages
 }
 
 type state map[string]heldInfo
 
+// failSites are the internal/fail entry points a production path hits.
+var failSites = map[string]bool{"Hit": true, "HitTag": true, "Drop": true}
+
 // checkHeld runs the held-set dataflow over the function's CFG: lock
 // operations update the set, every acquisition while something is held
-// records an order edge, and same-family reacquisition reports. The
-// defer chain blocks apply deferred unlocks at exit, which is what
-// keeps `mu.Lock(); defer mu.Unlock()` held through the whole body.
+// records an order edge, same-family reacquisition reports, and so does
+// a channel send or failpoint hit while the set is non-empty. The defer
+// chain blocks apply deferred unlocks at exit, which is what keeps
+// `mu.Lock(); defer mu.Unlock()` held through the whole body.
 func checkHeld(pass *analysis.Pass, fn *cfg.FuncInfo) {
-	fa := &heldAnalysis{
-		pass: pass,
-		fn:   fn,
-		file: pass.FileFor(fn.Body().Pos()),
-		seen: map[string]bool{},
-	}
-	g := fn.G
-	rpo := g.RPO()
-	out := make([]state, len(g.Blocks))
-	for iter := 0; iter < 32; iter++ {
-		changed := false
-		for _, b := range rpo {
-			st := fa.transfer(b, fa.inState(b, out))
-			if !statesEqual(out[b.Index], st) {
-				out[b.Index] = st
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	fa.recording = true
-	for _, b := range rpo {
-		fa.transfer(b, fa.inState(b, out))
-	}
+	fa := &heldAnalysis{pass: pass, fn: fn, seen: map[string]bool{}}
+	cfg.Forward(fn.G, fa.inState, fa.transfer, maps.Equal[state], func() { fa.recording = true })
 }
 
 type heldAnalysis struct {
 	pass      *analysis.Pass
 	fn        *cfg.FuncInfo
-	file      *ast.File
 	recording bool
 	seen      map[string]bool
 }
@@ -209,6 +192,8 @@ func (fa *heldAnalysis) transfer(b *cfg.Block, st state) state {
 			switch m := m.(type) {
 			case *ast.FuncLit, *ast.GoStmt:
 				return false
+			case *ast.SendStmt:
+				fa.heldAcross(m, "channel send", st)
 			case *ast.CallExpr:
 				fa.call(m, st)
 			}
@@ -216,6 +201,29 @@ func (fa *heldAnalysis) transfer(b *cfg.Block, st state) state {
 		})
 	}
 	return st
+}
+
+// heldAcross reports a channel send or failpoint hit made while st holds
+// a lock: an armed delay spec (or a slow receiver) stalls everyone queued
+// on the lock, and a panic spec abandons it. The fail package manages its
+// own mutex around its own sites.
+func (fa *heldAnalysis) heldAcross(n ast.Node, what string, st state) {
+	if !fa.recording || len(st) == 0 || lint.PathIs(fa.pass.Pkg.Path(), "fail") ||
+		lint.Suppressed(fa.pass, n.Pos(), "locksafe") {
+		return
+	}
+	held := make([]heldInfo, 0, len(st))
+	for _, h := range st {
+		held = append(held, h)
+	}
+	sort.Slice(held, func(i, j int) bool { return held[i].pos < held[j].pos })
+	exprs := make([]string, len(held))
+	for i, h := range held {
+		exprs[i] = h.expr
+	}
+	fa.reportOnce(n.Pos(), fmt.Sprintf(
+		"%s while holding %s; an armed delay spec stalls the lock and a panic spec abandons it — release first, or justify with //nezha:locksafe-ok <reason>",
+		what, strings.Join(exprs, ", ")), nil)
 }
 
 // call applies one call's lock effects to the held set.
@@ -239,12 +247,15 @@ func (fa *heldAnalysis) call(call *ast.CallExpr, st state) {
 		for fam, h := range st {
 			fa.recordEdge(fam, op.family, h.pos, call.Pos(), "")
 		}
-		st[op.family] = heldInfo{pos: call.Pos(), excl: op.excl}
+		st[op.family] = heldInfo{pos: call.Pos(), excl: op.excl, expr: op.expr}
 		return
 	}
 	callee := cfg.StaticCallee(info, call)
 	if callee == nil || callee == fa.fn.Obj {
 		return
+	}
+	if failSites[callee.Name()] && lint.PathIs(callee.Pkg().Path(), "fail") {
+		fa.heldAcross(call, "failpoint fail."+callee.Name()+" hit", st)
 	}
 	var f LockFact
 	if !fa.pass.ImportObjectFact(callee, &f) {
@@ -277,10 +288,7 @@ func (fa *heldAnalysis) recordEdge(from, to string, fromPos, toPos token.Pos, vi
 	if _, ok := es[k]; ok {
 		return
 	}
-	if ann := lint.FindAnnotation(fa.pass.Fset, fa.file, toPos, "lockorder"); ann.Found {
-		if ann.Reason == "" {
-			fa.reportOnce(ann.Pos, "nezha:lockorder-ok annotation needs a reason", nil)
-		}
+	if lint.Suppressed(fa.pass, toPos, "lockorder") {
 		return
 	}
 	es[k] = edgeVal{fromPos: fromPos, toPos: toPos, via: via}
@@ -304,13 +312,7 @@ func (fa *heldAnalysis) reportNestedCall(pos token.Pos, callee string, a AcqSite
 }
 
 func (fa *heldAnalysis) reportAnnotated(pos token.Pos, msg string, path []analysis.PathStep) {
-	if !fa.recording {
-		return
-	}
-	if ann := lint.FindAnnotation(fa.pass.Fset, fa.file, pos, "lockorder"); ann.Found {
-		if ann.Reason == "" {
-			fa.reportOnce(ann.Pos, "nezha:lockorder-ok annotation needs a reason", nil)
-		}
+	if !fa.recording || lint.Suppressed(fa.pass, pos, "lockorder") {
 		return
 	}
 	fa.reportOnce(pos, msg, path)
@@ -377,7 +379,7 @@ func finish(pass *analysis.Pass) (any, error) {
 			Pos: first.toPos,
 			Message: fmt.Sprintf(
 				"lock-order cycle: %s; acquire lock families in one global order, or justify an edge site with //nezha:lockorder-ok <reason>",
-				joinArrow(names)),
+				strings.Join(names, " -> ")),
 			Path: path,
 		})
 	}
@@ -468,20 +470,10 @@ func findCycle(scc []string, adj map[string][]string) []string {
 	return nil
 }
 
-func joinArrow(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " -> "
-		}
-		out += n
-	}
-	return out
-}
-
 // lockOp is one classified sync.Mutex/RWMutex operation.
 type lockOp struct {
 	family  string
+	expr    string
 	acquire bool
 	excl    bool
 }
@@ -499,11 +491,11 @@ func classify(info *types.Info, fn *cfg.FuncInfo, call *ast.CallExpr) (lockOp, b
 	if !ok || mfn.Pkg() == nil || mfn.Pkg().Path() != "sync" {
 		return lockOp{}, false
 	}
-	recv := recvTypeName(mfn)
+	recv := cfg.RecvTypeName(mfn)
 	if recv != "Mutex" && recv != "RWMutex" {
 		return lockOp{}, false
 	}
-	op := lockOp{}
+	op := lockOp{expr: types.ExprString(sel.X)}
 	switch mfn.Name() {
 	case "Lock":
 		op.acquire, op.excl = true, true
@@ -595,32 +587,4 @@ func typeFamily(n *types.Named) string {
 		return pkg.Path() + "." + n.Obj().Name()
 	}
 	return n.Obj().Name()
-}
-
-func recvTypeName(fn *types.Func) string {
-	r := fn.Type().(*types.Signature).Recv()
-	if r == nil {
-		return ""
-	}
-	t := r.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-func statesEqual(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for fam, h := range a {
-		bh, ok := b[fam]
-		if !ok || bh != h {
-			return false
-		}
-	}
-	return true
 }

@@ -10,3 +10,9 @@ import (
 func TestLockorder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "ab", "rw")
 }
+
+// TestLocksafe covers the locksafe family: channel sends and failpoint
+// hits while the held set is non-empty.
+func TestLocksafe(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), lockorder.Analyzer, "fail", "a")
+}

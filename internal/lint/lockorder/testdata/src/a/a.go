@@ -1,6 +1,6 @@
-// Package a exercises locksafe: failpoint sites and channel sends under a
-// held mutex are flagged; release-first, annotated, and closure-local
-// sites are not.
+// Package a exercises the locksafe family: failpoint sites and channel
+// sends under a held mutex are flagged; release-first, annotated, and
+// closure-local sites are not.
 package a
 
 import (
@@ -54,4 +54,14 @@ func (s *S) closure() {
 func (s *S) unlocked() {
 	_ = fail.Hit(fail.Registered) // no lock anywhere: fine
 	s.ch <- 1
+}
+
+func (s *S) earlyUnlock(cond bool) {
+	s.mu.Lock()
+	if cond {
+		s.mu.Unlock()
+		return
+	}
+	_ = fail.Hit(fail.Registered) // want `failpoint fail\.Hit hit while holding s\.mu`
+	s.mu.Unlock()
 }

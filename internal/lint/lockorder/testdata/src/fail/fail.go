@@ -1,5 +1,5 @@
-// Package fail is a hermetic stub of internal/fail for locksafe's tests:
-// the site functions the analyzer keys on, with no behavior.
+// Package fail is a hermetic stub of internal/fail for the locksafe
+// family's tests: the site functions lockorder keys on, with no behavior.
 package fail
 
 type Name string

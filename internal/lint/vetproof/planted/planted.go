@@ -1,15 +1,16 @@
 // Package planted holds one deliberate instance of each bug class the
-// nezha-vet CI gate exists to catch. This module is OUTSIDE the parent
-// module (its own go.mod), so `go run ./cmd/nezha-vet ./...` at the repo
-// root never sees it; the CI meta-step runs the built binary in this
-// directory and requires a nonzero exit naming both analyzers. If an
-// analyzer regression ever lets these through, the gate — not the tree —
-// fails loudly.
+// nezha-vet CI gate exists to catch (with internal/core's unordered map
+// range). This module is OUTSIDE the parent module (its own go.mod), so
+// `go run ./cmd/nezha-vet ./...` at the repo root never sees it; the CI
+// meta-step runs the built binary in this directory and requires a
+// nonzero exit naming every planted class. If an analyzer regression
+// ever lets these through, the gate — not the tree — fails loudly.
 package planted
 
 import (
 	"sync"
 
+	"nezha.invalid/vetproof/fail"
 	"nezha.invalid/vetproof/rlp"
 )
 
@@ -41,4 +42,12 @@ func LockBA(x *a, y *b) {
 	defer y.mu.Unlock()
 	x.mu.Lock()
 	defer x.mu.Unlock()
+}
+
+// HitHeld hits a failpoint while holding x.mu: the locksafe planted bug
+// (armed with a delay spec, the site would stall every waiter on x.mu).
+func HitHeld(x *a, site fail.Name) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	_ = fail.Hit(site)
 }

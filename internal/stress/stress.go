@@ -19,7 +19,7 @@
 // nodes recorded the same root for each epoch both processed
 // (cluster.Agree), and that the commit watermark keeps advancing (no stall
 // longer than StallTimeout). Chaos soaks arm failpoints (fail.Enable is
-// permitted here by the repo's failpoint analyzer, as in internal/chaos)
+// permitted here by nezha-vet's registry analyzer, as in internal/chaos)
 // and assert the same invariants under injected faults.
 package stress
 
