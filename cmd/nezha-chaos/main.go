@@ -87,14 +87,24 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	return finish(rep)
+}
+
+// finish prints a sweep's summary and every failure with the command that
+// reproduces it, and errs when any run failed.
+func finish(rep *chaos.Report) error {
 	fmt.Println(rep.Summary())
-	if rep.Failed() {
-		for _, f := range rep.Failures {
-			fmt.Printf("reproduce: nezha-chaos replay -seed %d\n", f.Seed)
-		}
-		return fmt.Errorf("nezha-chaos: %d of %d scenarios failed", len(rep.Failures), rep.Trials)
+	failures := rep.Failures()
+	if len(failures) == 0 {
+		return nil
 	}
-	return nil
+	for _, f := range failures {
+		fmt.Println("FAIL", f.Error())
+	}
+	if rep.Dir != "" {
+		fmt.Printf("trial stores kept for forensics: %s\n", rep.Dir)
+	}
+	return fmt.Errorf("nezha-chaos: %d of %d runs failed", len(failures), len(rep.Trials))
 }
 
 func cmdReplay(args []string) error {
@@ -158,19 +168,5 @@ func cmdSweepCrash(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(rep.Summary())
-	failures := 0
-	for _, t := range rep.Trials {
-		if t.Err != "" {
-			failures++
-			fmt.Printf("FAIL %s: %s\n", t.Name, t.Err)
-		}
-	}
-	if failures > 0 {
-		if rep.Dir != "" {
-			fmt.Printf("trial stores kept for forensics: %s\n", rep.Dir)
-		}
-		return fmt.Errorf("sweep-crash: %d of %d trials failed", failures, len(rep.Trials))
-	}
-	return nil
+	return finish(rep)
 }

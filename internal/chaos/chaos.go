@@ -1,39 +1,34 @@
-// Package chaos is the fault-injection convergence harness: an in-process
-// multi-node cluster (real Node, Miner, Syncer, LSM store, and simulated
-// p2p fabric, built by internal/cluster) driven by a seeded workload while
-// a seeded fault scheduler crash-restarts nodes, partitions and heals the
-// network, injects storage errors, and stalls peers. After the fault rounds
-// every failpoint is disarmed, the network heals, crashed nodes restart
-// from their on-disk state, and the cluster must CONVERGE: every node
-// reaches the same epoch watermark and reports byte-for-byte identical
-// state roots for every processed epoch, with each restarted node's
-// recovered roots matching what the cluster had already agreed on.
+// Package chaos is the fault-injection convergence harness: one round
+// engine drives an in-process cluster (real Node, Miner, Syncer and LSM
+// store, built by internal/cluster) through a seeded workload and a fault
+// schedule, and the cluster must CONVERGE — every member reaches the same
+// epoch watermark, and every two members recorded the same state root and
+// re-derive the same assembly digests for every epoch both processed
+// (cluster.Agree), a restarted member's recovered epochs included.
 //
-// Determinism and replay: the workload, the fault schedule, and every
-// probabilistic failpoint draw from the scenario seed, so a failing seed
-// re-runs the same faults (goroutine interleaving — hence exact message
-// timing — may vary, but convergence is required under EVERY
-// interleaving; a seed that fails intermittently is still a real bug).
-// Every Failure message embeds the nezha-chaos replay command.
+// Run (and Sweep over seeds) is a chaos scenario: four miners on one
+// simulated fabric under a seeded schedule of crash-restarts, partitions,
+// storage and admission errors and peer stalls; at the end every fault is
+// disarmed, the network heals and the dead restart from their stores.
+// CrashSweep (crashsweep.go) runs one two-member trial per failpoint site
+// and WAL mutation, each with exactly one fault.
 //
-// The harness deliberately keeps block production fork-free: only nodes
-// that hold every block any live node holds may mine, and every mined
-// block must be holdable by at least two non-stalled majority-side nodes,
-// so the block DAG grows linearly and any state divergence is attributable
-// to the injected faults rather than to probabilistic fork-choice finality
-// (fork convergence under concurrent mining is
-// cluster.TestGossipNetworkConvergesOnRoots' job). The two-holder rule
-// counts only nodes that can actually receive the broadcast — a stalled
-// node's armed delivery-drop makes it a holder on paper only (see mine) —
-// otherwise a solo miner can persist a private lineage whose crash-replay
-// later collides with the cluster's re-mined history (the seed-3
-// divergence, ROADMAP item 6). Faults still create real disagreement —
-// crashed nodes lose their unpersisted ledger tail, partitioned and
-// stalled nodes miss broadcasts — which the self-healing sync layer must
-// repair.
+// The workload, the schedule, every probabilistic failpoint and the miners'
+// logical clock draw from the seed, so a failing seed re-runs the same
+// faults over the same blocks; message timing may vary, but a seed that
+// fails intermittently is still a real bug. Every Failure embeds the
+// nezha-chaos command that reproduces it.
 //
-// Failpoints are process-global, so scenarios must not run concurrently;
-// Run executes its seed sweep sequentially.
+// Block production is deliberately fork-free: only caught-up members may
+// mine, and every block must be holdable by two non-stalled majority-side
+// members (see pickMiner), so any state divergence is attributable to the
+// injected faults rather than to fork-choice finality (fork convergence
+// under concurrent mining is cluster.TestGossipNetworkConvergesOnRoots'
+// job). Faults still create real disagreement — crashed members lose their
+// unpersisted ledger tail, partitioned and stalled members miss broadcasts
+// — which the self-healing sync layer must repair.
+//
+// Failpoints are process-global: runs must not overlap.
 package chaos
 
 import (
@@ -60,7 +55,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/workload"
 )
 
-// Scenario shape. Small fixed knobs live here rather than in Config: the
+// Run shape. Small fixed knobs live here rather than in Config: the
 // harness's value is reproducibility, not tunability.
 const (
 	blocksPerRound  = 2
@@ -69,14 +64,15 @@ const (
 	syncBatch       = 16
 	workers         = 2
 	crashForceAfter = 3 // rounds before an unfired crash failpoint becomes a hard kill
+	restartAttempts = 4 // reopens a crash-looping member gets before the run fails
 	syncRoundStep   = 25 * time.Millisecond
 	convergeTimeout = 90 * time.Second
 	minEpochs       = 3 // a converged run processing fewer epochs proved nothing
 )
 
-// crashSites are the failpoints a crash fault may arm; all sit on paths a
-// live node exercises every round or two, so an armed ModePanic fires
-// quickly (crashForceAfter is the backstop).
+// crashSites are the failpoints a scenario's crash fault may arm; all sit
+// on paths a live member exercises every round or two, so an armed
+// ModePanic fires quickly (crashForceAfter is the backstop).
 var crashSites = []fail.Name{
 	fail.NodePersist,
 	fail.NodeSubmit,
@@ -122,6 +118,8 @@ type Config struct {
 	// different number of workers must still agree on every root
 	// (TestScenarioMixedWorkers).
 	wide bool
+	// trial, when set, makes the run a crash-sweep trial (crashsweep.go).
+	trial *crashTrialSpec
 }
 
 // The wide scenario's shape.
@@ -160,8 +158,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Failure is one scenario's verdict when the cluster misbehaved. Its
-// message embeds everything needed to re-run the scenario.
+// name identifies the run in reports: its seed, or a crash trial's name.
+func (c Config) name() string {
+	if c.trial != nil {
+		return c.trial.name
+	}
+	return fmt.Sprintf("seed %d", c.Seed)
+}
+
+// failure is the run's verdict at round r, with the command that
+// reproduces it.
+func (c Config) failure(r int, msg string) *Failure {
+	replay := fmt.Sprintf("nezha-chaos replay -seed %d", c.Seed)
+	if c.trial != nil {
+		replay = fmt.Sprintf("nezha-chaos sweep-crash -seed %d -rounds %d -chains %d -v", c.Seed, c.Rounds, c.Chains)
+	}
+	return &Failure{Seed: c.Seed, Round: r, Msg: msg, name: c.name(), replay: replay}
+}
+
+// Failure is one run's verdict when the cluster misbehaved. Its message
+// embeds everything needed to re-run it.
 type Failure struct {
 	Seed  int64
 	Round int
@@ -174,13 +190,14 @@ type Failure struct {
 	// different deterministic events. Empty when the journals agree (the
 	// failure was a wedge or timeout, not a state split).
 	Divergence string
+
+	name, replay string
 }
 
 // Error implements error with the replay command inline, mirroring
 // internal/check's replayable failures.
 func (f *Failure) Error() string {
-	s := fmt.Sprintf("chaos: seed %d round %d: %s (reproduce: nezha-chaos replay -seed %d)",
-		f.Seed, f.Round, f.Msg, f.Seed)
+	s := fmt.Sprintf("chaos: %s round %d: %s (reproduce: %s)", f.name, f.Round, f.Msg, f.replay)
 	if f.JournalDir != "" {
 		s += "; journals: " + f.JournalDir
 	}
@@ -190,15 +207,19 @@ func (f *Failure) Error() string {
 	return s
 }
 
-// Result reports one scenario.
+// Result is the record of one run: a scenario or a crash trial.
 type Result struct {
+	// Name is "seed <n>" for a scenario and the trial's name for a crash
+	// trial: "site:<fail.Name>", "torn-wal:<frac>" or "corrupt-wal".
+	Name string
 	Seed int64
 	// Epochs is how many epochs the converged cluster processed.
 	Epochs uint64
-	// Blocks is how many blocks were mined and broadcast.
+	// Blocks is how many blocks were mined and delivered.
 	Blocks int
-	// CrashRestarts counts nodes killed (failpoint panic or forced) and
-	// later restarted from their on-disk state.
+	// CrashRestarts counts kills — a failpoint panic, a forced or scripted
+	// kill, a crash inside a restart — each followed by a restart from the
+	// member's on-disk state.
 	CrashRestarts int
 	// Partitions counts partition/heal cycles.
 	Partitions int
@@ -212,13 +233,16 @@ type Result struct {
 	// CommitWidths is, per node, the widest commit-stage fan-out it
 	// recorded since it last (re)started; 0 if it processed nothing since.
 	CommitWidths []int
-	// Events is the scenario's fault/recovery log.
+	// Events is the run's fault/recovery log.
 	Events []string
 	// Failure is nil when the cluster converged.
 	Failure *Failure
+
+	// schedule is the fault schedule the run was built with.
+	schedule []fault
 }
 
-// faultKind enumerates the scheduler's fault repertoire.
+// faultKind enumerates the engine's fault repertoire.
 type faultKind int
 
 const (
@@ -227,22 +251,39 @@ const (
 	faultStorage
 	faultStall
 	faultMempool
+	// A crash trial's scripted restarts: kill the victim, then reopen it
+	// through an armed recovery site, after cutting its WAL short, or after
+	// flipping a mid-log WAL byte, which the reopen must refuse.
+	faultRecovery
+	faultTornWAL
+	faultCorruptWAL
 )
 
-// fault is one scheduled fault: a preferred target (resolved to a live
-// node at apply time) plus kind-specific parameters.
-type fault struct {
-	kind     faultKind
-	node     int
-	site     fail.Name // crash failpoint site
-	duration int       // rounds down / partitioned / stalled
+func (k faultKind) String() string {
+	return [...]string{"crash", "partition", "storage", "stall", "mempool", "recovery", "torn-wal", "corrupt-wal"}[k]
 }
 
-// pendingCrash tracks an armed crash failpoint that has not fired yet.
-type pendingCrash struct {
-	site    fail.Name
-	forceAt int // round at which the arm becomes a hard kill
-	downFor int
+// fault is one scheduled fault: a round, a preferred target (resolved to a
+// live member when applied) and kind-specific parameters.
+type fault struct {
+	round    int
+	kind     faultKind
+	node     int
+	site     fail.Name // crash or recovery failpoint
+	after    int       // hits the site lets pass before it fires
+	duration int       // rounds down / partitioned / stalled / admission-faulted
+	frac     float64   // torn-WAL cut, as a fraction of the log
+}
+
+// arm is one fault in force. beginRound expires it at round until (0
+// means never; an expiring crash arm becomes a hard kill), kill disarms
+// its member's arms, and converge clears the list.
+type arm struct {
+	kind    faultKind
+	site    fail.Name // the failpoint it enabled; "" for a partition
+	node    *chaosNode
+	until   int
+	downFor int // a crash arm: rounds its member stays down once killed
 }
 
 // chaosNode is one cluster member plus its harness bookkeeping.
@@ -250,48 +291,43 @@ type chaosNode struct {
 	*cluster.Member
 	idx    int
 	peers  []string
-	syncer *node.Syncer
+	syncer *node.Syncer // nil without a fabric
 
-	down         bool
-	restartAt    int
-	pending      *pendingCrash
-	stalledUntil int
-	mpFaultUntil int
+	down      bool
+	restartAt int
 }
 
-// harness drives one scenario.
+// harness is the round engine: one run's cluster, workload and faults.
 type harness struct {
 	cfg      Config
+	root     string
 	rng      *rand.Rand
 	c        *cluster.Cluster
 	nodes    []*chaosNode
 	txs      []*types.Transaction
 	txCursor int
-	schedule map[int][]fault
+	schedule []fault
+	armed    []arm
 
+	// mined is every delivered block in mining order; without a fabric a
+	// restarted member is handed it as its missing history.
+	mined []*types.Block
 	// maxHeights[c] is the height of chain c in the authoritative mined
-	// history (every broadcast block). Mining eligibility and the
-	// convergence target both derive from it.
+	// history (every delivered block).
 	maxHeights []uint64
-	// armedSites maps failpoint name -> target node id while armed, so two
-	// faults never fight over one site (Enable replaces).
-	armedSites map[fail.Name]string
-	// now is the virtual clock the syncer runs on; it advances a fixed
+	// now is the virtual clock the syncers run on; it advances a fixed
 	// step per round so deadlines and backoff replay deterministically.
 	now time.Time
-
-	minority map[string]bool
-	healAt   int
+	// tick is the miners' logical clock (see clock).
+	tick uint64
+	// stop ends a crash trial whose story finishes before convergence.
+	stop bool
 
 	res  *Result
 	fail *Failure
 }
 
-// dbgHook, when non-nil, is invoked just before a convergence-timeout
-// failure. Test-only diagnostics.
-var dbgHook func(*harness)
-
-// armHook, when non-nil, runs right after Run seeds the failpoint
+// armHook, when non-nil, runs right after newHarness seeds the failpoint
 // substrate (which resets it first). Test-only: forensics meta-tests use
 // it to arm failpoints the fault schedule does not know about.
 var armHook func()
@@ -310,59 +346,198 @@ func Run(cfg Config) (*Result, error) {
 		defer os.RemoveAll(tmp)
 		root = tmp
 	}
+	h, err := newHarness(cfg, root)
+	if err != nil {
+		return nil, err
+	}
+	defer h.close()
+	h.schedule = h.buildSchedule()
+	return h.run(), nil
+}
 
+// newHarness builds one run under root: a reset failpoint substrate seeded
+// with cfg.Seed, fresh flight recorders (every member journals from block
+// zero, and a failure dumps them all), the workload and its genesis, and
+// the cluster — cfg.Nodes miners on one fabric, or a crash trial's victim
+// and twin. close undoes it.
+func newHarness(cfg Config, root string) (_ *harness, err error) {
 	fail.Reset()
 	fail.Seed(cfg.Seed)
-	defer fail.Reset()
 	if armHook != nil {
 		armHook()
 	}
-
-	// Fresh flight recorders for the scenario: every node journals from
-	// block zero, and a failure dumps them all (see dumpJournals).
-	journal.Reset()
-	journal.Enable()
-	defer journal.Disable()
-
 	h := &harness{
 		cfg:        cfg,
+		root:       root,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		maxHeights: make([]uint64, cfg.Chains),
-		armedSites: make(map[fail.Name]string),
 		now:        time.Unix(0, 0).Add(time.Hour),
-		res:        &Result{Seed: cfg.Seed},
+		res:        &Result{Name: cfg.name(), Seed: cfg.Seed},
 	}
-	if err := h.setup(root); err != nil {
+	journal.Reset()
+	journal.Enable()
+	defer func() {
+		if err != nil {
+			h.close()
+		}
+	}()
+	gen, err := workload.NewGenerator(workload.Config{
+		Seed:     cfg.Seed,
+		Accounts: uint64(cfg.Accounts),
+		Skew:     0.5, InitialBalance: 1_000,
+		Sign: cfg.signed,
+	})
+	if err != nil {
 		return nil, err
 	}
-	defer h.c.Close()
-
-	h.schedule = h.buildSchedule()
-	for r := 0; r < cfg.Rounds && h.fail == nil; r++ {
-		h.beginRound(r)
-		for _, f := range h.schedule[r] {
-			h.applyFault(r, f)
-		}
-		h.pump(r)
-		h.mine(r)
-		h.pump(r)
-		h.process(r)
-		h.syncStep()
-		h.pump(r)
+	h.txs = gen.Txs(cfg.Rounds * blocksPerRound * cfg.txsPerBlock())
+	genesis, err := gen.GenesisWrites(h.txs)
+	if err != nil {
+		return nil, err
 	}
-	if h.fail == nil {
+	ids := make([]string, cfg.Nodes)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("n%d", i)
+	}
+	cc := cluster.Config{
+		IDs:       ids,
+		Miners:    len(ids),
+		BlockSize: cfg.txsPerBlock(),
+		Node: node.Config{
+			Consensus:        consensus.Params{Chains: cfg.Chains},
+			Workers:          workers,
+			Contracts:        smallbank.Contracts(),
+			GenesisWrites:    genesis,
+			ConfirmDepth:     confirmDepth,
+			Persist:          true,
+			SyncBatch:        syncBatch,
+			VerifySignatures: cfg.signed,
+			// Caps lifted: what a lost block leaves queued waits, never
+			// refused. The generator's global nonce counter is sparse per
+			// sender, so StrictNonce stays off.
+			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1, VerifySignatures: cfg.signed},
+		},
+		PerMember: func(i int, nc *node.Config) {
+			cluster.Nezha(i, nc)
+			if cfg.wide {
+				nc.Workers = wideWorkers[i%len(wideWorkers)]
+			}
+		},
+		// Each member's LSM directory; a crash restart reopens it and
+		// node.New restores whatever the member persisted.
+		Open: func(id string) (kvstore.Store, error) {
+			opts := kvstore.DefaultLSMOptions()
+			opts.FailTag = id
+			if cfg.trial != nil && cfg.trial.tiny {
+				// Flushes and compactions inside the trial window, so the
+				// kvstore/flush, kvstore/compact and kvstore/table-write
+				// sites actually fire.
+				opts.MemtableBytes = 2 << 10
+				opts.CompactAt = 2
+			}
+			return kvstore.OpenLSM(h.storeDir(id), opts)
+		},
+		Fabric: &p2p.Config{QueueLen: 512, Seed: cfg.Seed},
+	}
+	if cfg.trial != nil {
+		cfg.trial.shape(&cc)
+	}
+	if h.c, err = cluster.New(cc); err != nil {
+		return nil, err
+	}
+	for i, m := range h.c.Members {
+		cn := &chaosNode{Member: m, idx: i, peers: slices.Delete(slices.Clone(cc.IDs), i, i+1)}
+		h.nodes = append(h.nodes, cn)
+		if err := h.rejoin(cn); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
+}
+
+// close closes the cluster and resets the substrate newHarness set up.
+func (h *harness) close() {
+	if h.c != nil {
+		h.c.Close()
+	}
+	fail.Reset()
+	journal.Disable()
+}
+
+// storeDir is member id's LSM directory.
+func (h *harness) storeDir(id string) string {
+	return filepath.Join(h.root, fmt.Sprintf("seed%d-%s", h.cfg.Seed, id))
+}
+
+// clock stamps every miner's blocks. The stamp feeds the header hash and
+// the hash picks the OHIE chain, so a wall clock would make chain
+// assignment — and with it the epochs a run reaches — vary between runs.
+func (h *harness) clock() uint64 {
+	h.tick++
+	return h.tick
+}
+
+// rejoin wires a member that just opened into the run: its miner onto the
+// logical clock and, with a fabric, a fresh syncer (sync state dies with
+// the process) behind a drained endpoint; without one, the mined history
+// handed over as a sync response (blocks it kept are benign duplicates).
+func (h *harness) rejoin(cn *chaosNode) error {
+	if cn.Miner != nil {
+		cn.Miner.SetClock(h.clock)
+	}
+	net := h.c.Network()
+	if net == nil {
+		_, err := cn.Node.HandleSyncResponse(p2p.Message{Blocks: h.mined})
+		return err
+	}
+	cn.syncer = node.NewSyncer(cn.Node, cn.Endpoint, cn.peers, node.SyncConfig{
+		RequestTimeout: 40 * time.Millisecond,
+		BackoffBase:    15 * time.Millisecond,
+		BackoffMax:     120 * time.Millisecond,
+		DemoteAfter:    2,
+		Seed:           h.cfg.Seed + int64(cn.idx),
+	})
+	cn.Endpoint.Drain()
+	net.SetDown(cn.ID, false)
+	return nil
+}
+
+// run drives the fault rounds, then converges (unless a crash trial's
+// story ended first), dumps the journals, and returns the record.
+func (h *harness) run() *Result {
+	h.res.schedule = h.schedule
+	next := 0
+	for r := 0; r < h.cfg.Rounds && h.fail == nil && !h.stop; r++ {
+		h.beginRound(r)
+		for ; next < len(h.schedule) && h.schedule[next].round <= r; next++ {
+			h.applyFault(r, h.schedule[next])
+		}
+		h.step(r)
+	}
+	if h.fail == nil && !h.stop {
 		h.converge()
 	}
 	h.dumpJournals()
 	h.res.Failure = h.fail
-	return h.res, nil
+	return h.res
+}
+
+// step is a round past its faults: deliver what is in flight, mine, deliver,
+// process and check agreement, tick the syncers, deliver.
+func (h *harness) step(r int) {
+	h.pump(r)
+	h.mine(r)
+	h.pump(r)
+	h.process(r)
+	h.syncStep()
+	h.pump(r)
 }
 
 // dumpJournals writes every node's flight recorder to disk — always when
-// the scenario asked for a journal directory, and on failure otherwise
-// (into a preserved temp directory) — then runs pairwise diffs and embeds
-// the earliest divergence in the Failure. Dump problems are reported as
-// events, never as scenario failures: forensics must not mask the verdict.
+// the run asked for a journal directory, and on failure otherwise (into a
+// preserved temp directory) — then runs pairwise diffs and embeds the
+// earliest divergence in the Failure. Dump problems are reported as
+// events, never as run failures: forensics must not mask the verdict.
 func (h *harness) dumpJournals() {
 	dir := h.cfg.JournalDir
 	if dir == "" {
@@ -403,97 +578,27 @@ func (h *harness) dumpJournals() {
 	}
 }
 
-// setup builds the workload, the network, and the initial cluster.
-func (h *harness) setup(root string) error {
-	gen, err := workload.NewGenerator(workload.Config{
-		Seed:     h.cfg.Seed,
-		Accounts: uint64(h.cfg.Accounts),
-		Skew:     0.5, InitialBalance: 1_000,
-		Sign: h.cfg.signed,
-	})
-	if err != nil {
-		return err
+// buildSchedule precomputes a scenario's fault plan in round order: one
+// mandatory fault of every kind (crash-restart, partition/heal, storage
+// error and peer stall in disjoint round windows, an admission-fault
+// window anywhere), plus seeded extras.
+func (h *harness) buildSchedule() []fault {
+	var sched []fault
+	add := func(r int, f fault) {
+		f.round = r
+		sched = append(sched, f)
 	}
-	h.txs = gen.Txs(h.cfg.Rounds * blocksPerRound * h.cfg.txsPerBlock())
-	genesis, err := gen.GenesisWrites(h.txs)
-	if err != nil {
-		return err
-	}
-	ids := make([]string, h.cfg.Nodes)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("n%d", i)
-	}
-	h.c, err = cluster.New(cluster.Config{
-		IDs:       ids,
-		Miners:    len(ids),
-		BlockSize: h.cfg.txsPerBlock(),
-		Node: node.Config{
-			Consensus:        consensus.Params{Chains: h.cfg.Chains},
-			Workers:          workers,
-			Contracts:        smallbank.Contracts(),
-			GenesisWrites:    genesis,
-			ConfirmDepth:     confirmDepth,
-			Persist:          true,
-			SyncBatch:        syncBatch,
-			VerifySignatures: h.cfg.signed,
-			// Caps lifted: what a lost block leaves queued waits, never
-			// refused. The generator's global nonce counter is sparse per
-			// sender, so StrictNonce stays off.
-			Mempool: mempool.Config{ShardCap: -1, SenderCap: -1, VerifySignatures: h.cfg.signed},
-		},
-		PerMember: func(i int, cfg *node.Config) {
-			cluster.Nezha(i, cfg)
-			if h.cfg.wide {
-				cfg.Workers = wideWorkers[i%len(wideWorkers)]
-			}
-		},
-		// Each node's LSM directory; a crash restart reopens it and node.New
-		// restores whatever the node persisted.
-		Open: func(id string) (kvstore.Store, error) {
-			opts := kvstore.DefaultLSMOptions()
-			opts.FailTag = id
-			return kvstore.OpenLSM(filepath.Join(root, fmt.Sprintf("seed%d-%s", h.cfg.Seed, id)), opts)
-		},
-		Fabric: &p2p.Config{QueueLen: 512, Seed: h.cfg.Seed},
-	})
-	if err != nil {
-		return err
-	}
-	for i, m := range h.c.Members {
-		cn := &chaosNode{Member: m, idx: i, peers: slices.Delete(slices.Clone(ids), i, i+1)}
-		h.newSyncer(cn)
-		h.nodes = append(h.nodes, cn)
-	}
-	return nil
-}
-
-// newSyncer gives a node that just opened a fresh syncer: sync state dies
-// with the process.
-func (h *harness) newSyncer(cn *chaosNode) {
-	cn.syncer = node.NewSyncer(cn.Node, cn.Endpoint, cn.peers, node.SyncConfig{
-		RequestTimeout: 40 * time.Millisecond,
-		BackoffBase:    15 * time.Millisecond,
-		BackoffMax:     120 * time.Millisecond,
-		DemoteAfter:    2,
-		Seed:           h.cfg.Seed + int64(cn.idx),
-	})
-}
-
-// buildSchedule precomputes the fault plan: one mandatory fault of every
-// kind (crash-restart, partition/heal, storage error and peer stall in
-// disjoint round windows, an admission-fault window anywhere), plus seeded
-// extras.
-func (h *harness) buildSchedule() map[int][]fault {
-	sched := make(map[int][]fault)
-	add := func(r int, f fault) { sched[r] = append(sched[r], f) }
 	pick := func(lo, hi int) int { return lo + h.rng.Intn(hi-lo) }
+	crash := func() fault {
+		return fault{
+			kind: faultCrash, node: h.rng.Intn(h.cfg.Nodes),
+			site: crashSites[h.rng.Intn(len(crashSites))], duration: 2 + h.rng.Intn(3),
+		}
+	}
 	R := h.cfg.Rounds
 
 	add(pick(2, R/4), fault{kind: faultStorage, node: h.rng.Intn(h.cfg.Nodes)})
-	add(pick(R/4, R/2), fault{
-		kind: faultCrash, node: h.rng.Intn(h.cfg.Nodes),
-		site: crashSites[h.rng.Intn(len(crashSites))], duration: 2 + h.rng.Intn(3),
-	})
+	add(pick(R/4, R/2), crash())
 	add(pick(R/2, 3*R/4), fault{
 		kind: faultPartition, node: h.rng.Intn(h.cfg.Nodes), duration: 3 + h.rng.Intn(3),
 	})
@@ -504,10 +609,7 @@ func (h *harness) buildSchedule() map[int][]fault {
 
 	for r := 2; r < R-2; r++ {
 		if h.rng.Float64() < 0.05 {
-			add(r, fault{
-				kind: faultCrash, node: h.rng.Intn(h.cfg.Nodes),
-				site: crashSites[h.rng.Intn(len(crashSites))], duration: 2 + h.rng.Intn(3),
-			})
+			add(r, crash())
 		}
 		if h.rng.Float64() < 0.08 {
 			add(r, fault{kind: faultStorage, node: h.rng.Intn(h.cfg.Nodes)})
@@ -522,125 +624,118 @@ func (h *harness) buildSchedule() map[int][]fault {
 			add(r, fault{kind: faultMempool, node: h.rng.Intn(h.cfg.Nodes), duration: 2})
 		}
 	}
+	// Stable: a round's mandatory faults apply before its extras.
+	slices.SortStableFunc(sched, func(a, b fault) int { return a.round - b.round })
 	return sched
 }
 
-// beginRound expires round-scoped conditions: heals due partitions,
-// restarts due nodes, force-kills overdue crash arms, clears expired
-// stalls.
+// beginRound expires the arms due this round, then restarts the members
+// due back.
 func (h *harness) beginRound(r int) {
-	if h.healAt != 0 && r >= h.healAt {
-		h.c.Network().Heal()
-		h.minority, h.healAt = nil, 0
-		h.eventf(r, "partition healed")
+	for _, a := range slices.Clone(h.armed) {
+		switch {
+		case a.until == 0 || r < a.until:
+		case a.kind == faultCrash:
+			// The armed site was never hit (the member idled); crash it the
+			// blunt way so the schedule's kill still happens.
+			h.kill(r, a.node, "forced kill, failpoint "+string(a.site)+" never fired")
+		default:
+			h.disarm(r, func(b arm) bool { return b == a })
+		}
 	}
 	for _, cn := range h.nodes {
-		if cn.down && r >= cn.restartAt {
+		if cn.down && r >= cn.restartAt && h.fail == nil {
 			h.restart(r, cn)
-			if h.fail != nil {
-				return
-			}
-		}
-		if !cn.down && cn.pending != nil && r >= cn.pending.forceAt {
-			// The armed site was never hit (the node idled); crash it the
-			// blunt way so the schedule's kill still happens.
-			h.kill(r, cn, "forced kill, failpoint "+string(cn.pending.site)+" never fired")
-		}
-		if cn.stalledUntil != 0 && r >= cn.stalledUntil {
-			if h.armedSites[fail.P2PDrop] == cn.ID {
-				fail.Disable(fail.P2PDrop)
-				delete(h.armedSites, fail.P2PDrop)
-			}
-			cn.stalledUntil = 0
-		}
-		if cn.mpFaultUntil != 0 && r >= cn.mpFaultUntil {
-			if h.armedSites[fail.MempoolAdmit] == cn.ID {
-				fail.Disable(fail.MempoolAdmit)
-				delete(h.armedSites, fail.MempoolAdmit)
-			}
-			cn.mpFaultUntil = 0
 		}
 	}
 }
 
 // applyFault arms one scheduled fault, retargeting or skipping when the
-// cluster state makes it unsafe (someone already down, site already armed).
+// cluster state makes it unsafe: one fault of a kind in force at a time
+// (each kind owns its failpoint, and Enable replaces), and one crash in
+// flight — nobody down — keeps every block replicated.
 func (h *harness) applyFault(r int, f fault) {
+	cn := h.pickAlive(f.node)
+	if cn == nil || h.armedOn(f.kind, nil) {
+		return
+	}
 	switch f.kind {
 	case faultCrash:
-		if h.anyDownOrPending() {
-			return // one crash in flight at a time keeps every block replicated
-		}
-		cn := h.pickAlive(f.node)
-		if cn == nil {
+		if slices.ContainsFunc(h.nodes, func(n *chaosNode) bool { return n.down }) {
 			return
 		}
-		if _, taken := h.armedSites[f.site]; taken {
-			return
+		until := r + crashForceAfter
+		if h.cfg.trial != nil {
+			until = 0 // a trial waits for its own site to fire (converge checks it did)
 		}
-		fail.Enable(f.site, fail.Spec{Mode: fail.ModePanic, Tag: cn.ID, Count: 1})
-		h.armedSites[f.site] = cn.ID
-		cn.pending = &pendingCrash{site: f.site, forceAt: r + crashForceAfter, downFor: f.duration}
-		h.journalFault(cn, "crash", string(f.site))
+		h.arm(arm{kind: f.kind, site: f.site, node: cn, until: until, downFor: f.duration},
+			fail.Spec{Mode: fail.ModePanic, After: f.after, Count: 1})
 		h.eventf(r, "armed crash failpoint %s@%s", f.site, cn.ID)
 	case faultStorage:
-		cn := h.pickAlive(f.node)
-		if cn == nil {
-			return
-		}
-		if _, taken := h.armedSites[fail.KVApply]; taken {
-			return
-		}
-		fail.Enable(fail.KVApply, fail.Spec{Mode: fail.ModeError, Tag: cn.ID, Count: 1})
-		h.armedSites[fail.KVApply] = cn.ID
-		h.journalFault(cn, "storage", string(fail.KVApply))
-		h.eventf(r, "armed storage error kvstore/apply@%s", cn.ID)
+		h.arm(arm{kind: f.kind, site: fail.KVApply, node: cn}, fail.Spec{Mode: fail.ModeError, Count: 1})
+		h.eventf(r, "armed storage error %s@%s", fail.KVApply, cn.ID)
 	case faultPartition:
-		if h.healAt != 0 {
-			return
-		}
-		cn := h.pickAlive(f.node)
-		if cn == nil {
-			return
-		}
-		h.minority = map[string]bool{cn.ID: true}
-		h.c.Network().Partition([]string{cn.ID})
-		h.healAt = r + f.duration
-		h.journalFault(cn, "partition", "")
+		h.arm(arm{kind: f.kind, node: cn, until: r + f.duration}, fail.Spec{})
 		h.res.Partitions++
 		h.eventf(r, "partitioned %s away for %d rounds", cn.ID, f.duration)
 	case faultStall:
-		cn := h.pickAlive(f.node)
-		if cn == nil {
-			return
-		}
-		if _, taken := h.armedSites[fail.P2PDrop]; taken {
-			return
-		}
-		fail.Enable(fail.P2PDrop, fail.Spec{Mode: fail.ModeDrop, Tag: cn.ID, Prob: 0.8, Count: 20})
-		h.armedSites[fail.P2PDrop] = cn.ID
-		cn.stalledUntil = r + f.duration
-		h.journalFault(cn, "stall", string(fail.P2PDrop))
+		h.arm(arm{kind: f.kind, site: fail.P2PDrop, node: cn, until: r + f.duration},
+			fail.Spec{Mode: fail.ModeDrop, Prob: 0.8, Count: 20})
 		h.res.Stalls++
 		h.eventf(r, "stalling deliveries to %s for %d rounds", cn.ID, f.duration)
 	case faultMempool:
-		cn := h.pickAlive(f.node)
-		if cn == nil {
-			return
-		}
-		if _, taken := h.armedSites[fail.MempoolAdmit]; taken {
-			return
-		}
 		// Probabilistic admission errors against one miner's pool: some of
 		// its fed transactions never enter a block. Convergence must hold
 		// anyway — admission shapes block content, never block execution.
-		fail.Enable(fail.MempoolAdmit, fail.Spec{Mode: fail.ModeError, Tag: cn.ID, Prob: 0.5, Count: 10})
-		h.armedSites[fail.MempoolAdmit] = cn.ID
-		cn.mpFaultUntil = r + f.duration
-		h.journalFault(cn, "mempool", string(fail.MempoolAdmit))
+		h.arm(arm{kind: f.kind, site: fail.MempoolAdmit, node: cn, until: r + f.duration},
+			fail.Spec{Mode: fail.ModeError, Prob: 0.5, Count: 10})
 		h.res.MempoolFaults++
 		h.eventf(r, "admission faults at %s for %d rounds", cn.ID, f.duration)
+	default:
+		h.scriptedRestart(r, cn, f)
 	}
+}
+
+// arm puts a in force — its failpoint enabled per spec, tagged to its
+// member, or its member partitioned away — and records it in the target's
+// journal: chaos/* events are forensic context, tying what the harness did
+// to what the member subsequently recorded.
+func (h *harness) arm(a arm, spec fail.Spec) {
+	fields := []journal.Field{journal.FS("kind", a.kind.String())}
+	if a.kind == faultPartition {
+		h.c.Network().Partition([]string{a.node.ID})
+	} else {
+		spec.Tag = a.node.ID
+		fail.Enable(a.site, spec)
+		fields = append(fields, journal.FS("site", string(a.site)))
+	}
+	h.armed = append(h.armed, a)
+	journal.For(a.node.ID).Emit(journal.ChaosFault, 0, fields...)
+}
+
+// disarm takes the arms match selects out of force: their failpoints are
+// disabled, a partition heals.
+func (h *harness) disarm(r int, match func(arm) bool) {
+	h.armed = slices.DeleteFunc(h.armed, func(a arm) bool {
+		if !match(a) {
+			return false
+		}
+		if a.kind == faultPartition {
+			h.c.Network().Heal()
+			h.eventf(r, "partition healed")
+		} else {
+			fail.Disable(a.site)
+		}
+		return true
+	})
+}
+
+// armedOn reports whether an arm of kind is in force on cn, or on any
+// member when cn is nil.
+func (h *harness) armedOn(kind faultKind, cn *chaosNode) bool {
+	return slices.ContainsFunc(h.armed, func(a arm) bool {
+		return a.kind == kind && (cn == nil || a.node == cn)
+	})
 }
 
 // pickAlive resolves a preferred node index to a live node, scanning
@@ -655,18 +750,9 @@ func (h *harness) pickAlive(idx int) *chaosNode {
 	return nil
 }
 
-func (h *harness) anyDownOrPending() bool {
-	for _, cn := range h.nodes {
-		if cn.down || cn.pending != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// guard runs op on a live node, translating an injected crash panic into a
-// kill, an injected error into a survived storage fault, and anything else
-// into a scenario failure.
+// guard runs op on a live member: an injected crash panic kills it (and
+// restarts it at once when its crash arm says so), an injected error is a
+// survived storage fault, anything else fails the run.
 func (h *harness) guard(r int, cn *chaosNode, op func() error) {
 	if cn.down || h.fail != nil {
 		return
@@ -675,9 +761,12 @@ func (h *harness) guard(r int, cn *chaosNode, op func() error) {
 	switch {
 	case crashed:
 		h.kill(r, cn, "crash failpoint fired")
+		if cn.restartAt <= r {
+			h.restart(r, cn)
+		}
 	case errors.Is(err, fail.ErrInjected):
 		h.res.StorageErrors++
-		delete(h.armedSites, "kvstore/apply")
+		h.disarm(r, func(a arm) bool { return a.kind == faultStorage })
 		h.eventf(r, "%s survived injected error: %v", cn.ID, err)
 	case err != nil:
 		h.failf(r, "%s: %v", cn.ID, err)
@@ -698,52 +787,83 @@ func survive(op func() error) (crashed bool, err error) {
 	return false, op()
 }
 
-// kill simulates SIGKILL: the node's in-memory state is abandoned (the
-// store is deliberately NOT closed — a crash does not flush), the endpoint
-// goes down, and a restart is scheduled.
+// kill simulates SIGKILL: the member's in-memory state is abandoned (the
+// store is deliberately NOT closed — a crash does not flush), its arms are
+// disarmed (a dead member observes none of them, and their sites free up
+// for later faults), the endpoint goes down, and a restart is due after
+// its crash arm's downtime.
 func (h *harness) kill(r int, cn *chaosNode, why string) {
 	downFor := 3
-	if cn.pending != nil {
-		fail.Disable(cn.pending.site)
-		delete(h.armedSites, cn.pending.site)
-		downFor = cn.pending.downFor
-		cn.pending = nil
+	for _, a := range h.armed {
+		if a.node == cn && a.kind == faultCrash {
+			downFor = a.downFor
+		}
 	}
-	if h.armedSites["kvstore/apply"] == cn.ID {
-		// A dead node cannot observe its armed storage error; disarm so the
-		// site frees up for later faults.
-		fail.Disable("kvstore/apply")
-		delete(h.armedSites, "kvstore/apply")
-	}
-	if h.armedSites[fail.MempoolAdmit] == cn.ID {
-		// Likewise its admission faults: the pool died with the miner.
-		fail.Disable(fail.MempoolAdmit)
-		delete(h.armedSites, fail.MempoolAdmit)
-		cn.mpFaultUntil = 0
-	}
+	h.disarm(r, func(a arm) bool { return a.node == cn })
 	cn.down = true
 	cn.restartAt = r + downFor
 	journal.For(cn.ID).Emit(journal.ChaosKill, 0, journal.FS("why", why))
-	h.c.Network().SetDown(cn.ID, true)
+	if net := h.c.Network(); net != nil {
+		net.SetDown(cn.ID, true)
+	}
 	h.c.Crash(cn.Member)
 	h.res.CrashRestarts++
 	h.eventf(r, "%s crashed (%s), restart at round %d", cn.ID, why, cn.restartAt)
 }
 
-// restart reopens a crashed node from its LSM directory. The next agreement
-// check compares every root it recovered with the live cluster's: a
-// restored root that differs means the crash tore durability.
+// restart reopens a crashed member over its store (cluster.Reopen) and
+// rejoins it; when a recovery site crashes the reopen, it retries like a
+// supervisor restarting a crash-looping process whose fault was transient.
+// The next agreement check compares every root and assembly the member
+// recovered with the live cluster's: a difference means the crash tore
+// durability.
 func (h *harness) restart(r int, cn *chaosNode) {
-	if err := h.c.Reopen(cn.Member); err != nil {
-		h.failf(r, "restart %s: %v", cn.ID, err)
-		return
+	for attempt := 0; attempt < restartAttempts; attempt++ {
+		crashed, err := survive(func() error {
+			if err := h.c.Reopen(cn.Member); err != nil {
+				return err
+			}
+			return h.rejoin(cn)
+		})
+		switch {
+		case crashed:
+			h.kill(r, cn, "crash failpoint fired during restart")
+		case err != nil:
+			h.failf(r, "restart %s: %v", cn.ID, err)
+			return
+		default:
+			cn.down = false
+			journal.For(cn.ID).Emit(journal.ChaosRestart, cn.Node.NextEpoch())
+			h.eventf(r, "%s restarted at epoch %d", cn.ID, cn.Node.NextEpoch())
+			return
+		}
 	}
-	h.newSyncer(cn)
-	cn.Endpoint.Drain()
-	h.c.Network().SetDown(cn.ID, false)
-	cn.down = false
-	journal.For(cn.ID).Emit(journal.ChaosRestart, cn.Node.NextEpoch())
-	h.eventf(r, "%s restarted at epoch %d", cn.ID, cn.Node.NextEpoch())
+	h.failf(r, "%s crashed on every restart attempt", cn.ID)
+}
+
+// scriptedRestart is a crash trial's restart through its recovery hazard:
+// the victim is killed, then reopened into an armed recovery site or over
+// a torn WAL tail — or over planted mid-log corruption, which the reopen
+// must refuse loudly, ending the trial.
+func (h *harness) scriptedRestart(r int, cn *chaosNode, f fault) {
+	h.kill(r, cn, "scripted crash")
+	wal := filepath.Join(h.storeDir(cn.ID), "wal.log")
+	var err error
+	switch f.kind {
+	case faultRecovery:
+		h.arm(arm{kind: faultCrash, site: f.site, node: cn}, fail.Spec{Mode: fail.ModePanic, After: f.after, Count: 1})
+	case faultTornWAL:
+		err = tearWAL(wal, f.frac)
+	case faultCorruptWAL:
+		h.stop = true // no recovered member to converge
+		err = h.refuseCorruptWAL(cn, wal)
+	}
+	switch {
+	case err != nil:
+		h.failf(r, "%s: %v", f.kind, err)
+	case !h.stop:
+		h.restart(r, cn)
+	}
 }
 
 // aliveMax returns the per-chain maximum height over live nodes — the
@@ -774,69 +894,65 @@ func (h *harness) caughtUp(cn *chaosNode, max []uint64) bool {
 	return true
 }
 
-// mine produces this round's blocks. Only fully-caught-up majority-side
-// nodes are eligible — the fork-free discipline documented in the package
-// comment — and at least two such nodes must be able to HOLD the block so
-// no mined block can ever have a single holder. Stalled nodes are excluded
-// from that holder count, not just from candidacy: a stalled node's armed
-// delivery-drop makes it a holder on paper only, and a sole candidate
-// mining into stalled and partitioned peers builds a private lineage that
-// it alone persists — which a later crash-replay resurrects against the
-// cluster's re-mined history of those heights. That resurrection was the
-// seed-3 divergence (ROADMAP item 6; regression-tested in
-// TestCrashReplayResurrectionConverges).
+// pickMiner picks the next block's miner among the fully caught-up,
+// majority-side members that mine — the fork-free discipline in the
+// package comment — or nil when fewer than two members could HOLD the
+// block, so no mined block can ever have a single holder. Stalled members
+// are excluded from that holder count, not just from candidacy: a stalled
+// member's armed delivery-drop makes it a holder on paper only, and a sole
+// candidate mining into stalled and partitioned peers builds a private
+// lineage that it alone persists — which a later crash-replay resurrects
+// against the cluster's re-mined history of those heights. That
+// resurrection was the seed-3 divergence (ROADMAP item 6;
+// regression-tested in TestCrashReplayResurrectionConverges).
+func (h *harness) pickMiner() *chaosNode {
+	max := h.aliveMax()
+	var candidates []*chaosNode
+	holders := 0
+	for _, cn := range h.nodes {
+		if cn.down || h.armedOn(faultPartition, cn) || h.armedOn(faultStall, cn) {
+			continue
+		}
+		holders++
+		if cn.Miner != nil && h.caughtUp(cn, max) {
+			candidates = append(candidates, cn)
+		}
+	}
+	if holders < 2 || len(candidates) == 0 {
+		return nil
+	}
+	return candidates[h.rng.Intn(len(candidates))]
+}
+
+// mine produces this round's blocks: each one's miner is fed the next
+// batch of the workload (admission runs its failpoint, which refuses some
+// of the batch by design, so the count goes unchecked), mines, submits the
+// block to its own node and delivers it.
 func (h *harness) mine(r int) {
 	for i := 0; i < blocksPerRound && h.fail == nil; i++ {
-		max := h.aliveMax()
-		var candidates []*chaosNode
-		majority := 0
-		for _, cn := range h.nodes {
-			if cn.down || h.minority[cn.ID] || cn.stalledUntil != 0 {
-				continue
-			}
-			majority++
-			if h.caughtUp(cn, max) {
-				candidates = append(candidates, cn)
-			}
-		}
-		if majority < 2 || len(candidates) == 0 {
+		cn := h.pickMiner()
+		if cn == nil {
 			return // nobody can safely mine this round; sync will catch up
 		}
-		cn := candidates[h.rng.Intn(len(candidates))]
-		if h.txCursor < len(h.txs) {
-			end := h.txCursor + h.cfg.txsPerBlock()
-			if end > len(h.txs) {
-				end = len(h.txs)
-			}
-			// Guarded: feeding the pool runs admission and its failpoint,
-			// which refuses some of the batch by design (count unchecked).
-			batch := h.txs[h.txCursor:end]
-			h.guard(r, cn, func() error {
-				cn.Miner.AddTxs(batch)
-				return nil
-			})
-			h.txCursor = end
-			if cn.down {
-				continue
-			}
-		}
-		b, err := cn.Miner.Mine(context.Background())
-		if err != nil {
-			h.failf(r, "%s mine: %v", cn.ID, err)
-			return
-		}
-		submitted := false
+		var b *types.Block
 		h.guard(r, cn, func() error {
-			if err := cn.Node.SubmitBlock(b); err != nil {
-				return err
+			end := min(h.txCursor+h.cfg.txsPerBlock(), len(h.txs))
+			batch := h.txs[h.txCursor:end]
+			h.txCursor = end
+			cn.Miner.AddTxs(batch)
+			mined, err := cn.Miner.Mine(context.Background())
+			if err == nil {
+				err = cn.Node.SubmitBlock(mined)
 			}
-			submitted = true
-			return nil
+			if err == nil {
+				b = mined
+			}
+			return err
 		})
-		if !submitted || cn.down {
+		if b == nil {
 			continue // crashed or failed on ingest: the block dies with it
 		}
-		cn.Endpoint.Broadcast(p2p.Message{Type: p2p.MsgBlock, Block: b})
+		h.deliver(r, cn, b)
 		c := int(b.Header.ChainID)
 		if b.Header.Height != h.maxHeights[c]+1 && b.Header.Height > h.maxHeights[c] {
 			h.failf(r, "mined block skipped heights on chain %d: %d after %d",
@@ -850,8 +966,26 @@ func (h *harness) mine(r int) {
 	}
 }
 
-// pump delivers everything in flight before anyone processes
-// (cluster.Drain); a scenario failure stops it.
+// deliver gets a mined block to the other members: broadcast on the
+// fabric, or without one handed to every live member as a sync response.
+func (h *harness) deliver(r int, from *chaosNode, b *types.Block) {
+	h.mined = append(h.mined, b)
+	if h.c.Network() != nil {
+		from.Endpoint.Broadcast(p2p.Message{Type: p2p.MsgBlock, Block: b})
+		return
+	}
+	for _, cn := range h.nodes {
+		if cn != from {
+			h.guard(r, cn, func() error {
+				_, err := cn.Node.HandleSyncResponse(p2p.Message{Blocks: []*types.Block{b}})
+				return err
+			})
+		}
+	}
+}
+
+// pump delivers everything in flight on the fabric before anyone processes
+// (cluster.Drain; nothing without a fabric); a run failure stops it.
 func (h *harness) pump(r int) {
 	if h.fail != nil {
 		return
@@ -859,29 +993,15 @@ func (h *harness) pump(r int) {
 	err := h.c.Drain(func(i int, msg p2p.Message) error {
 		h.dispatch(r, h.nodes[i], msg)
 		if h.fail != nil {
-			return errors.New("scenario failed")
+			return errors.New("run failed")
 		}
 		return nil
 	})
 	if err != nil && h.fail == nil {
 		// A message livelock (a sync exchange that never terminates, say):
 		// fail with state instead of hanging the harness.
-		if dbgHook != nil {
-			dbgHook(h)
-		}
 		h.failf(r, "%v: %s", err, h.describeNodes())
 	}
-}
-
-// journalFault records an armed fault in the target node's journal —
-// chaos/* events are forensic context, tying what the harness did to
-// what the node subsequently recorded.
-func (h *harness) journalFault(cn *chaosNode, kind, site string) {
-	fields := []journal.Field{journal.FS("kind", kind)}
-	if site != "" {
-		fields = append(fields, journal.FS("site", site))
-	}
-	journal.For(cn.ID).Emit(journal.ChaosFault, 0, fields...)
 }
 
 func (h *harness) dispatch(r int, cn *chaosNode, msg p2p.Message) {
@@ -901,10 +1021,11 @@ func (h *harness) dispatch(r int, cn *chaosNode, msg p2p.Message) {
 	})
 }
 
-// process lets every live node fold its ready epochs, then checks the
+// process lets every live member fold its ready epochs, then checks the
 // harness's core assertion: deterministic processing over an
-// eventually-identical block set yields identical roots, so every two live
-// nodes recorded the same root for every epoch both processed.
+// eventually-identical block set yields identical epochs, so every two
+// live members recorded the same root, and re-derive the same assembly,
+// for every epoch both processed.
 func (h *harness) process(r int) {
 	for _, cn := range h.nodes {
 		h.guard(r, cn, func() error {
@@ -918,35 +1039,38 @@ func (h *harness) process(r int) {
 }
 
 // syncStep advances the virtual clock one round and ticks the syncer of
-// every live node that is behind the live maximum: deadlines expire,
+// every live member that is behind the live maximum: deadlines expire,
 // backoff elapses, rotation and pagination proceed.
 func (h *harness) syncStep() {
 	h.now = h.now.Add(syncRoundStep)
 	max := h.aliveMax()
 	for _, cn := range h.nodes {
-		if cn.down {
-			continue
-		}
-		if !h.caughtUp(cn, max) {
+		if !cn.down && cn.syncer != nil && !h.caughtUp(cn, max) {
 			cn.syncer.Tick(h.now)
 		}
 	}
 }
 
-// converge is the final phase: disarm everything, heal, restart the dead,
-// then drive pump/process/sync until every node holds the same chains and
-// the same watermark — or the timeout declares the cluster wedged. The
-// last process has then checked every node's every root.
+// converge is the final phase: every arm cleared (first failing a trial
+// whose crash site never fired — it lost its coverage), the network
+// healed, the dead restarted, then deliver/process/sync until every member
+// holds the same chains and the same watermark — or the timeout, and
+// without a fabric the first pass that falls short, declares the cluster
+// wedged. The last process has then checked every member's every epoch.
 func (h *harness) converge() {
-	fail.Reset()
-	h.armedSites = make(map[fail.Name]string)
-	h.c.Network().Heal()
-	h.minority, h.healAt = nil, 0
 	r := h.cfg.Rounds
+	for _, a := range h.armed {
+		if a.kind == faultCrash && a.until == 0 {
+			h.failf(r, "armed site %s never fired — the sweep lost coverage", a.site)
+			return
+		}
+	}
+	fail.Reset()
+	h.armed = nil
+	if net := h.c.Network(); net != nil {
+		net.Heal()
+	}
 	for _, cn := range h.nodes {
-		cn.pending = nil
-		cn.stalledUntil = 0
-		cn.mpFaultUntil = 0
 		if cn.down {
 			h.restart(r, cn)
 			if h.fail != nil {
@@ -969,10 +1093,7 @@ func (h *harness) converge() {
 		if done {
 			break
 		}
-		if time.Now().After(deadline) {
-			if dbgHook != nil {
-				dbgHook(h)
-			}
+		if h.c.Network() == nil || time.Now().After(deadline) {
 			h.failf(r, "no convergence: %s", h.describeNodes())
 			return
 		}
@@ -981,7 +1102,7 @@ func (h *harness) converge() {
 
 	target := h.nodes[0].Node.NextEpoch()
 	if target-1 < minEpochs {
-		h.failf(r, "converged after only %d epochs; the scenario proved nothing", target-1)
+		h.failf(r, "converged after only %d epochs; the run proved nothing", target-1)
 		return
 	}
 	h.res.Epochs = target - 1
@@ -996,7 +1117,7 @@ func (h *harness) converge() {
 		}
 		h.res.CommitWidths = append(h.res.CommitWidths, width)
 	}
-	h.eventf(r, "converged: %d epochs, %d blocks, roots identical on all %d nodes",
+	h.eventf(r, "converged: %d epochs, %d blocks, roots and assemblies identical on all %d nodes",
 		h.res.Epochs, h.res.Blocks, len(h.nodes))
 }
 
@@ -1027,13 +1148,13 @@ func (h *harness) eventf(r int, format string, args ...any) {
 	}
 }
 
-// failf records the scenario's first failure; later faults and assertions
-// are moot once the cluster is known bad.
+// failf records the run's first failure; later faults and assertions are
+// moot once the cluster is known bad.
 func (h *harness) failf(r int, format string, args ...any) {
 	if h.fail != nil {
 		return
 	}
-	h.fail = &Failure{Seed: h.cfg.Seed, Round: r, Msg: fmt.Sprintf(format, args...)}
+	h.fail = h.cfg.failure(r, fmt.Sprintf(format, args...))
 	if h.cfg.Verbose != nil {
 		fmt.Fprintln(h.cfg.Verbose, "FAIL:", h.fail.Error())
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,9 +40,10 @@ func TestScenarioConverges(t *testing.T) {
 }
 
 // TestScenarioReplaysDeterministically: the same seed must produce the
-// same fault schedule and the same converged chain — the property the
-// replay CLI relies on. Message timing may vary between runs, so only
-// seed-derived quantities are compared.
+// same fault schedule — every fault's round, kind, target, site and
+// duration — and converge both times: the property the replay CLI relies
+// on. Message timing may vary between runs, so only seed-derived
+// quantities are compared.
 func TestScenarioReplaysDeterministically(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node chaos scenario")
@@ -57,8 +59,11 @@ func TestScenarioReplaysDeterministically(t *testing.T) {
 	if a.Failure != nil || b.Failure != nil {
 		t.Fatalf("seed 7 failed: %v / %v", a.Failure, b.Failure)
 	}
-	if a.Partitions != b.Partitions || a.Stalls != b.Stalls {
-		t.Fatalf("fault schedule diverged between identical seeds: %+v vs %+v", a, b)
+	if len(a.schedule) == 0 {
+		t.Fatal("seed 7 built an empty fault schedule")
+	}
+	if !slices.Equal(a.schedule, b.schedule) {
+		t.Fatalf("fault schedule diverged between identical seeds:\n%+v\n%+v", a.schedule, b.schedule)
 	}
 }
 
@@ -76,12 +81,12 @@ func TestSweepAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Failed() {
-		for _, f := range rep.Failures {
+		for _, f := range rep.Failures() {
 			t.Error(f.Error())
 		}
 		t.FailNow()
 	}
-	if rep.Trials != 2 || rep.Epochs == 0 {
+	if len(rep.Trials) != 2 || rep.Trials[0].Epochs == 0 || rep.Trials[1].Epochs == 0 {
 		t.Fatalf("sweep under-reported: %s", rep.Summary())
 	}
 }

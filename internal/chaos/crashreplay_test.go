@@ -1,16 +1,13 @@
 package chaos
 
 import (
-	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/nezha-dag/nezha/internal/fail"
-	"github.com/nezha-dag/nezha/internal/journal"
 )
 
 // TestCrashReplayResurrectionConverges is the deterministic regression
-// test for ROADMAP item 6, the chaos seed-3 flake. The bug: mine()'s
+// test for ROADMAP item 6, the chaos seed-3 flake. The bug: the miner pick's
 // two-holder majority rule counted stalled nodes, although an armed
 // delivery-drop means a stalled node never actually holds the broadcast.
 // Under the right fault alignment — one node down, one stalled, one
@@ -23,24 +20,21 @@ import (
 // Loaded CI runs hit that alignment ~1 in 25 times through probabilistic
 // drop draws. This test forces it directly with failpoints and scripted
 // harness state: the drop spec uses Prob 0 (always fire), so the window is
-// exercised on every run regardless of scheduling. With the mine() fix the
+// exercised on every run regardless of scheduling. With the pickMiner fix the
 // lone node is no longer eligible (a stalled peer does not count as a
 // holder), nothing private is ever persisted, and the cluster converges.
 func TestCrashReplayResurrectionConverges(t *testing.T) {
-	fail.Reset()
-	fail.Seed(3)
-	defer fail.Reset()
-	journal.Reset()
-	journal.Enable()
-	defer journal.Disable()
-
 	// Two chains keep the solo-mining window short: the forced window must
 	// mine deep enough past the pre-window heights for a private epoch to
 	// clear confirmDepth on every chain.
-	cfg := Config{Seed: 3, Nodes: 4, Chains: 2, Dir: t.TempDir()}
-	cfg = cfg.withDefaults()
-	h := newScriptedHarness(t, cfg)
-	defer h.c.Close()
+	cfg := Config{Seed: 3, Nodes: 4, Chains: 2, Dir: t.TempDir()}.withDefaults()
+	// Built the way Run builds it, minus the seeded fault schedule: the
+	// test drives rounds and arms faults itself.
+	h, err := newHarness(cfg, cfg.Dir)
+	if err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	defer h.close()
 
 	r := 0
 	step := func() {
@@ -48,12 +42,7 @@ func TestCrashReplayResurrectionConverges(t *testing.T) {
 			return
 		}
 		h.beginRound(r)
-		h.pump(r)
-		h.mine(r)
-		h.pump(r)
-		h.process(r)
-		h.syncStep()
-		h.pump(r)
+		h.step(r)
 		r++
 	}
 
@@ -72,12 +61,9 @@ func TestCrashReplayResurrectionConverges(t *testing.T) {
 	n0, n1, n2, n3 := h.nodes[0], h.nodes[1], h.nodes[2], h.nodes[3]
 	h.kill(r, n3, "scripted crash")
 	n3.restartAt = 20
-	fail.Enable(fail.P2PDrop, fail.Spec{Mode: fail.ModeDrop, Tag: n0.ID, Count: 1 << 20})
-	h.armedSites[fail.P2PDrop] = n0.ID
-	n0.stalledUntil = 14
-	h.minority = map[string]bool{n2.ID: true}
-	h.c.Network().Partition([]string{n2.ID})
-	h.healAt = 14
+	h.arm(arm{kind: faultStall, site: fail.P2PDrop, node: n0, until: 14},
+		fail.Spec{Mode: fail.ModeDrop, Count: 1 << 20})
+	h.arm(arm{kind: faultPartition, node: n2, until: 14}, fail.Spec{})
 
 	// The window: under the pre-fix eligibility rule n1 passes the
 	// majority check alone here (stalled n0 still counted as a holder),
@@ -91,9 +77,8 @@ func TestCrashReplayResurrectionConverges(t *testing.T) {
 	// seed-3 forensics implicated — then keep the cluster running: the
 	// heal at round 14 lets n0 and n2 mine those heights themselves while
 	// n1 is down, colliding with any roots n1 persisted and agreed.
-	fail.Enable(fail.NodeStageCommit, fail.Spec{Mode: fail.ModePanic, Tag: n1.ID, Count: 1})
-	h.armedSites[fail.NodeStageCommit] = n1.ID
-	n1.pending = &pendingCrash{site: fail.NodeStageCommit, forceAt: r + crashForceAfter, downFor: 6}
+	h.arm(arm{kind: faultCrash, site: fail.NodeStageCommit, node: n1, until: r + crashForceAfter, downFor: 6},
+		fail.Spec{Mode: fail.ModePanic, Count: 1})
 	for i := 0; i < 12; i++ {
 		step()
 	}
@@ -110,22 +95,4 @@ func TestCrashReplayResurrectionConverges(t *testing.T) {
 	if h.res.CrashRestarts < 2 {
 		t.Fatalf("expected both scripted crash-restarts, got %d", h.res.CrashRestarts)
 	}
-}
-
-// newScriptedHarness builds a harness the way Run does, minus the seeded
-// fault schedule — scripted tests drive rounds and arm faults themselves.
-func newScriptedHarness(t *testing.T, cfg Config) *harness {
-	t.Helper()
-	h := &harness{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		maxHeights: make([]uint64, cfg.Chains),
-		armedSites: make(map[fail.Name]string),
-		now:        time.Unix(0, 0).Add(time.Hour),
-		res:        &Result{Seed: cfg.Seed},
-	}
-	if err := h.setup(cfg.Dir); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	return h
 }

@@ -1,22 +1,26 @@
 package chaos
 
 // The crash-point sweep: for every registered failpoint site (fail.AllNames)
-// and a set of injected torn-WAL offsets, run a two-node trial — a "victim"
-// over a real LSM directory that is crashed and restarted at exactly that
-// point, and a never-crashed in-memory "twin" fed the same mined blocks —
-// and assert the recovered victim converges to the twin on every recovery
-// invariant: identical processed-epoch watermark, identical state root for
-// every epoch, and identical re-derived assembly digests for every epoch.
+// and a set of injected torn-WAL offsets, run one trial on the round engine
+// over a two-member cluster without a fabric — a "victim" over a real LSM
+// directory, the only miner, and a never-crashed "twin" over
+// kvstore.Memory that does not mine and is handed every mined block — whose
+// schedule holds exactly one fault: a crash at that site, a recovery site
+// armed at a scripted mid-run restart, a torn WAL tail, or planted WAL
+// corruption that recovery must refuse. The recovered victim must converge
+// to the twin on every recovery invariant the engine checks: identical
+// processed-epoch watermark, and for every epoch an identical state root and
+// identical re-derived assembly digests (cluster.Agree).
 //
 // The sweep is what makes the failpoint registry honest: a crash site that
 // exists but is never exercised proves nothing, so every name in the
 // registry must either appear in a trial here or carry an explicit
-// exemption with a reason (TestCrashSweepCoversRegistry enforces this).
-// Failpoints are process-global, so the sweep must not run concurrently
-// with chaos scenarios or other failpoint users.
+// exemption with a reason (TestCrashSweepCoversRegistry enforces this), and
+// a trial whose armed site never fired fails. Failpoints are process-global,
+// so the sweep must not run concurrently with chaos scenarios or other
+// failpoint users.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -25,16 +29,9 @@ import (
 	"strings"
 
 	"github.com/nezha-dag/nezha/internal/cluster"
-	"github.com/nezha-dag/nezha/internal/consensus"
-	"github.com/nezha-dag/nezha/internal/contracts/smallbank"
 	"github.com/nezha-dag/nezha/internal/fail"
-	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/kvstore"
 	"github.com/nezha-dag/nezha/internal/mempool"
-	"github.com/nezha-dag/nezha/internal/node"
-	"github.com/nezha-dag/nezha/internal/p2p"
-	"github.com/nezha-dag/nezha/internal/types"
-	"github.com/nezha-dag/nezha/internal/workload"
 )
 
 const (
@@ -47,10 +44,10 @@ const (
 	// than on the first record (any mid-run restart replays far more
 	// records than this).
 	sweepReplayAfter = 8
-	// minSweepEpochs is the least committed-epoch watermark a trial must
-	// reach for its convergence check to mean anything.
-	minSweepEpochs = 3
 )
+
+// trialDir names a trial's directory after the trial.
+var trialDir = strings.NewReplacer(":", "-", "/", "-", ".", "-")
 
 // sweepExemptions lists the registered sites the sweep deliberately does
 // not crash at, with the reason. Every fail.Name must be swept or listed
@@ -100,88 +97,63 @@ func (c CrashSweepConfig) withDefaults() CrashSweepConfig {
 	return c
 }
 
-// CrashTrialResult is one crash-and-recover trial's outcome.
-type CrashTrialResult struct {
-	// Name identifies the trial: "site:<fail.Name>", "torn-wal:<frac>",
-	// or "corrupt-wal".
-	Name string
-	// Crashes counts how many times the victim was crash-restarted.
-	Crashes int
-	// Epochs is the converged processed-epoch watermark.
-	Epochs uint64
-	// Err is empty on success.
-	Err string
-}
-
-// CrashSweepReport aggregates a crash-point sweep.
-type CrashSweepReport struct {
-	Trials []CrashTrialResult
-	// Exempt maps the registered-but-unswept site names to their reasons.
-	Exempt map[string]string
-	// Dir is where the per-trial stores live; retained on failure for
-	// forensics.
-	Dir string
-}
-
-// Failed reports whether any trial failed.
-func (r *CrashSweepReport) Failed() bool {
-	for _, t := range r.Trials {
-		if t.Err != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// Summary renders the sweep outcome as one line.
-func (r *CrashSweepReport) Summary() string {
-	failures, crashes := 0, 0
-	var epochs uint64
-	for _, t := range r.Trials {
-		if t.Err != "" {
-			failures++
-		}
-		crashes += t.Crashes
-		epochs += t.Epochs
-	}
-	return fmt.Sprintf(
-		"crash sweep: %d trials, %d failures | %d forced crashes, %d recovered epochs | %d sites exempt",
-		len(r.Trials), failures, crashes, epochs, len(r.Exempt))
-}
-
-// crashTrialSpec selects what a single trial crashes and how the victim
-// is configured so the site actually fires.
+// crashTrialSpec is one trial: its one fault, and how the cluster is
+// shaped so the fault's site actually fires.
 type crashTrialSpec struct {
-	name     string
-	site     fail.Name // runtime or recovery crash site; "" for WAL-mutation trials
-	recovery bool      // arm the site at a scripted mid-run restart instead of at runtime
-	serial   bool      // run both nodes on the serial pipeline (node/stage-serial)
-	tiny     bool      // tiny memtable + aggressive compaction (kvstore/flush, kvstore/compact, kvstore/table-write)
-	evict    bool      // tiny mempool caps so eviction decisions fire
-	tornFrac float64   // >0: truncate the WAL to this fraction at a scripted restart
-	corrupt  bool      // flip a mid-log WAL byte; recovery must reject loudly
+	name string
+	fault
+	serial bool // run both members on the serial pipeline (node/stage-serial)
+	tiny   bool // tiny memtable + aggressive compaction (kvstore/flush, kvstore/compact, kvstore/table-write)
+	evict  bool // tiny mempool caps so eviction decisions fire
 }
 
-func (sp crashTrialSpec) scripted() bool {
-	return sp.recovery || sp.tornFrac > 0 || sp.corrupt
+// shape turns a scenario's cluster into the trial's: the victim over its
+// LSM directory as the only miner, the twin over kvstore.Memory, and no
+// fabric.
+func (sp *crashTrialSpec) shape(cc *cluster.Config) {
+	lsm := cc.Open
+	cc.IDs, cc.Miners, cc.Fabric = []string{sweepVictimID, sweepTwinID}, 1, nil
+	cc.Open = func(id string) (kvstore.Store, error) {
+		if id == sweepTwinID {
+			return kvstore.NewMemory(), nil
+		}
+		return lsm(id)
+	}
+	if sp.evict {
+		// One tiny shard: admission pressure forces evictions every block.
+		cc.Node.Mempool = mempool.Config{Shards: 1, ShardCap: 8}
+	}
+	if sp.serial {
+		cc.PerMember = nil
+	}
 }
 
 // crashSweepSpecs expands the failpoint registry plus the WAL-mutation
 // trials into the full trial list. It errors on any registered site that
 // is neither swept nor exempted — adding a failpoint without deciding its
 // crash-recovery story is exactly what the sweep exists to prevent.
+// Runtime sites are armed from the first round; the scripted restarts
+// happen half-way, so they have history on both sides.
 func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
+	mid := cfg.Rounds / 2
 	var specs []crashTrialSpec
 	for _, name := range fail.AllNames() {
 		if _, ok := sweepExemptions[name]; ok {
 			continue
 		}
-		sp := crashTrialSpec{name: "site:" + string(name), site: name}
+		sp := crashTrialSpec{name: "site:" + string(name), fault: fault{kind: faultCrash, site: name, after: sweepCrashAfter}}
 		switch name {
-		case fail.KVFlush, fail.KVCompact, fail.KVTableWrite:
+		case fail.KVFlush, fail.KVTableWrite:
 			sp.tiny = true
-		case fail.KVWALReplay, fail.NodeRestore:
-			sp.recovery = true
+		case fail.KVCompact:
+			// A tiny store compacts only once tables pile up in size
+			// tiers — about every third flush, so only a few times a
+			// trial — and its first compaction already lands mid-history.
+			sp.tiny, sp.after = true, 0
+		case fail.KVWALReplay:
+			sp.fault = fault{round: mid, kind: faultRecovery, site: name, after: sweepReplayAfter}
+		case fail.NodeRestore:
+			sp.fault = fault{round: mid, kind: faultRecovery, site: name}
 		case fail.NodeStageSerial:
 			sp.serial = true
 		case fail.MempoolEvict:
@@ -199,60 +171,36 @@ func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 	for i := 0; i < cfg.TornOffsets; i++ {
 		frac := float64(i+1) / float64(cfg.TornOffsets+1)
 		specs = append(specs, crashTrialSpec{
-			name:     fmt.Sprintf("torn-wal:%.2f", frac),
-			tornFrac: frac,
+			name:  fmt.Sprintf("torn-wal:%.2f", frac),
+			fault: fault{round: mid, kind: faultTornWAL, frac: frac},
 		})
 	}
-	specs = append(specs, crashTrialSpec{name: "corrupt-wal", corrupt: true})
+	specs = append(specs, crashTrialSpec{name: "corrupt-wal", fault: fault{round: mid, kind: faultCorruptWAL}})
 	return specs, nil
 }
 
 // CrashSweep runs one trial per spec sequentially (failpoints are
 // process-global) and reports per-trial outcomes. The error reports
 // harness setup problems only; recovery misbehavior lands in the report.
-func CrashSweep(cfg CrashSweepConfig) (*CrashSweepReport, error) {
+func CrashSweep(cfg CrashSweepConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
 	specs, err := crashSweepSpecs(cfg)
 	if err != nil {
 		return nil, err
 	}
 	root := cfg.Dir
-	ephemeral := false
-	if root == "" {
-		root, err = os.MkdirTemp("", "nezha-crashsweep-")
-		if err != nil {
+	ephemeral := root == ""
+	if ephemeral {
+		if root, err = os.MkdirTemp("", "nezha-crashsweep-"); err != nil {
 			return nil, err
 		}
-		ephemeral = true
 	}
-	rep := &CrashSweepReport{Exempt: map[string]string{}, Dir: root}
+	rep := &Report{label: "crash sweep", Exempt: map[string]string{}, Dir: root}
 	for name, why := range sweepExemptions {
 		rep.Exempt[string(name)] = why
 	}
-
-	// The recovery self-audit's digest cross-check only runs with the
-	// journal on (restarted nodes compare re-derived assembly digests
-	// against the ring's pre-crash events), so every trial doubles as an
-	// audit exercise.
-	wasEnabled := journal.Enabled()
-	journal.Enable()
-	defer func() {
-		if !wasEnabled {
-			journal.Disable()
-		}
-	}()
-
 	for _, sp := range specs {
-		res := runCrashTrial(cfg, root, sp)
-		rep.Trials = append(rep.Trials, res)
-		if cfg.Verbose != nil {
-			status := "ok"
-			if res.Err != "" {
-				status = "FAIL: " + res.Err
-			}
-			fmt.Fprintf(cfg.Verbose, "%-28s %d crashes, %d epochs: %s\n",
-				res.Name, res.Crashes, res.Epochs, status)
-		}
+		rep.add(runCrashTrial(cfg, root, sp), cfg.Verbose)
 	}
 	if ephemeral && !rep.Failed() {
 		os.RemoveAll(root)
@@ -261,360 +209,54 @@ func CrashSweep(cfg CrashSweepConfig) (*CrashSweepReport, error) {
 	return rep, nil
 }
 
-// crashTrial is the per-trial engine state.
-type crashTrial struct {
-	cfg CrashSweepConfig
-	sp  crashTrialSpec
-	dir string
-
-	txs    []*types.Transaction
-	cursor int
-	// mined holds every block in mining order; a restarted victim is
-	// resubmitted the full sequence (duplicates are benign).
-	mined []*types.Block
-
-	// vc is the victim's one-member cluster over the trial directory.
-	vc     *cluster.Cluster
-	victim *cluster.Member
-	// tick stamps the victim's blocks across its incarnations: the stamp
-	// feeds the header hash and the hash picks the OHIE chain, so a wall
-	// clock would make the epochs a trial reaches vary from run to run.
-	tick    uint64
-	twin    *node.Node
-	tstore  *kvstore.Memory
-	crashes int
-}
-
-func runCrashTrial(cfg CrashSweepConfig, root string, sp crashTrialSpec) CrashTrialResult {
-	res := CrashTrialResult{Name: sp.name}
-	fail.Reset()
-	defer fail.Reset()
-	// Each trial reuses the victim's journal id; clear the rings so the
-	// recovery audit never cross-checks against a previous trial's epochs.
-	journal.Reset()
-
-	c := &crashTrial{cfg: cfg, sp: sp, dir: filepath.Join(root, sanitizeTrialName(sp.name))}
-	if err := c.setup(); err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	defer c.tstore.Close()
-	defer c.vc.Close()
-
-	done, err := c.run()
-	res.Crashes = c.crashes
+// runCrashTrial runs one trial on the engine under its own directory.
+func runCrashTrial(cfg CrashSweepConfig, root string, sp crashTrialSpec) *Result {
+	tc := Config{Seed: cfg.Seed, Nodes: 2, Chains: cfg.Chains, Rounds: cfg.Rounds, Accounts: 200, trial: &sp}
+	h, err := newHarness(tc, filepath.Join(root, trialDir.Replace(sp.name)))
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return &Result{Name: sp.name, Seed: cfg.Seed, Failure: tc.failure(0, "setup: "+err.Error())}
 	}
-	if done {
-		// WAL-corruption trials end at the loud rejection; there is no
-		// recovered node to converge.
-		return res
-	}
-	if err := c.verify(&res); err != nil {
-		res.Err = err.Error()
-	}
-	return res
+	defer h.close()
+	h.schedule = []fault{sp.fault}
+	return h.run()
 }
 
-func sanitizeTrialName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-			return r
-		default:
-			return '-'
-		}
-	}, name)
-}
-
-// setup builds the deterministic workload, the shared node config, the
-// in-memory twin, and the first incarnation of the victim; runtime trials
-// then arm their crash site tagged to the victim.
-func (c *crashTrial) setup() error {
-	gen, err := workload.NewGenerator(workload.Config{
-		Seed:     c.cfg.Seed,
-		Accounts: 200,
-		Skew:     0.5, InitialBalance: 1_000,
-	})
+// tearWAL cuts the log at frac of its length: a torn tail recovery must
+// truncate away.
+func tearWAL(path string, frac float64) error {
+	fi, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	c.txs = gen.Txs(c.cfg.Rounds * blocksPerRound * blockTxs)
-	genesis, err := gen.GenesisWrites(c.txs)
-	if err != nil {
-		return err
-	}
-	base := node.Config{
-		Consensus:     consensus.Params{Chains: c.cfg.Chains},
-		Workers:       workers,
-		Contracts:     smallbank.Contracts(),
-		GenesisWrites: genesis,
-		ConfirmDepth:  confirmDepth,
-		Persist:       true,
-		Mempool:       mempool.Config{ShardCap: -1, SenderCap: -1},
-	}
-	if c.sp.evict {
-		// One tiny shard: admission pressure forces evictions every round.
-		base.Mempool = mempool.Config{Shards: 1, ShardCap: 8}
-	}
-	perMember := cluster.Nezha
-	if c.sp.serial {
-		perMember = func(int, *node.Config) {}
-	}
-
-	c.tstore = kvstore.NewMemory()
-	twinCfg := base
-	perMember(0, &twinCfg)
-	if c.twin, err = node.New(sweepTwinID, c.tstore, twinCfg); err != nil {
-		return err
-	}
-	if c.vc, err = cluster.New(cluster.Config{
-		IDs:       []string{sweepVictimID},
-		Miners:    1,
-		BlockSize: blockTxs,
-		Node:      base,
-		PerMember: perMember,
-		Open:      c.openStore,
-	}); err != nil {
-		return err
-	}
-	c.victim = c.vc.Members[0]
-	c.victim.Miner.SetClock(c.clock)
-	if c.sp.site != "" && !c.sp.recovery {
-		fail.Enable(c.sp.site, fail.Spec{
-			Mode:  fail.ModePanic,
-			Tag:   sweepVictimID,
-			After: sweepCrashAfter,
-			Count: 1,
-		})
-	}
-	return nil
+	return os.Truncate(path, min(int64(float64(fi.Size())*frac), fi.Size()-1))
 }
 
-// openStore opens the victim's LSM directory.
-func (c *crashTrial) openStore(string) (kvstore.Store, error) {
-	opts := kvstore.DefaultLSMOptions()
-	opts.FailTag = sweepVictimID
-	if c.sp.tiny {
-		// Force flushes and compactions inside the trial window so the
-		// kvstore/flush, kvstore/compact and kvstore/table-write sites
-		// actually fire.
-		opts.MemtableBytes = 2 << 10
-		opts.CompactAt = 2
-	}
-	return kvstore.OpenLSM(c.dir, opts)
-}
-
-// clock is the victim miners' logical clock (see tick).
-func (c *crashTrial) clock() uint64 {
-	c.tick++
-	return c.tick
-}
-
-// openVictim reopens the victim over its directory (the crashed
-// incarnation's store is abandoned unclosed: a crash does not flush) and
-// resubmits the full mined history. Recovery-armed trials crash inside this
-// path (WAL replay or metadata restore); the loop abandons the half-open
-// incarnation and tries again, exactly like a supervisor restarting a
-// crash-looping process whose fault was transient.
-func (c *crashTrial) openVictim() error {
-	for attempt := 0; attempt < 4; attempt++ {
-		crashed, err := survive(func() error {
-			if err := c.vc.Reopen(c.victim); err != nil {
-				return err
-			}
-			c.victim.Miner.SetClock(c.clock)
-			return c.resubmit()
-		})
-		if !crashed {
-			return err
-		}
-		c.crashes++
-		c.vc.Crash(c.victim)
-	}
-	return fmt.Errorf("victim crashed on every recovery attempt")
-}
-
-// resubmit replays the full mined history into the victim, the way a sync
-// response does (already-known blocks are benign duplicates), and processes
-// whatever became ready.
-func (c *crashTrial) resubmit() error {
-	if _, err := c.victim.Node.HandleSyncResponse(p2p.Message{Blocks: c.mined}); err != nil {
-		return fmt.Errorf("resubmit: %w", err)
-	}
-	_, err := c.victim.Node.ProcessReadyEpochs()
-	return err
-}
-
-// victimOp runs op against the victim, crash-restarting it when the armed
-// site fires. Returns any non-crash error.
-func (c *crashTrial) victimOp(op func() error) error {
-	crashed, err := survive(op)
-	if crashed {
-		c.crashes++
-		return c.openVictim()
-	}
-	return err
-}
-
-// run drives the mining rounds. Returns done=true when the trial's story
-// ends before convergence checks (the corrupt-WAL rejection trial).
-func (c *crashTrial) run() (done bool, err error) {
-	for r := 0; r < c.cfg.Rounds; r++ {
-		if c.sp.scripted() && r == c.cfg.Rounds/2 {
-			done, err := c.scriptedRestart()
-			if done || err != nil {
-				return done, err
-			}
-		}
-		feed := c.txs[c.cursor : c.cursor+blocksPerRound*blockTxs]
-		c.cursor += len(feed)
-		if err := c.victimOp(func() error { c.victim.Miner.AddTxs(feed); return nil }); err != nil {
-			return false, fmt.Errorf("round %d: add txs: %w", r, err)
-		}
-		for i := 0; i < blocksPerRound; i++ {
-			var b *types.Block
-			if err := c.victimOp(func() (err error) {
-				b, err = c.victim.Miner.Mine(context.Background())
-				return err
-			}); err != nil {
-				return false, fmt.Errorf("round %d: mine: %w", r, err)
-			}
-			if b == nil { // crashed mid-search and restarted: mine again
-				i--
-				continue
-			}
-			c.mined = append(c.mined, b)
-			// Both ingest like a sync response: a stale block is benign.
-			mined := p2p.Message{Blocks: []*types.Block{b}}
-			if _, err := c.twin.HandleSyncResponse(mined); err != nil {
-				return false, fmt.Errorf("round %d: twin ingest: %w", r, err)
-			}
-			if err := c.victimOp(func() error {
-				_, err := c.victim.Node.HandleSyncResponse(mined)
-				return err
-			}); err != nil {
-				return false, fmt.Errorf("round %d: victim ingest: %w", r, err)
-			}
-		}
-		if err := c.victimOp(func() error {
-			_, perr := c.victim.Node.ProcessReadyEpochs()
-			return perr
-		}); err != nil {
-			return false, fmt.Errorf("round %d: victim process: %w", r, err)
-		}
-		if _, err := c.twin.ProcessReadyEpochs(); err != nil {
-			return false, fmt.Errorf("round %d: twin process: %w", r, err)
-		}
-	}
-	// Drain: one more restart-free pass so buffered orphans and the last
-	// confirmable epochs land on both sides.
-	if err := c.victimOp(func() error { return c.resubmit() }); err != nil {
-		return false, err
-	}
-	if _, err := c.twin.ProcessReadyEpochs(); err != nil {
-		return false, err
-	}
-	return false, nil
-}
-
-// scriptedRestart crash-abandons the victim mid-run and brings it back
-// through the trial's recovery hazard: an armed recovery failpoint, a
-// torn WAL tail, or planted mid-log corruption.
-func (c *crashTrial) scriptedRestart() (done bool, err error) {
-	c.crashes++
-	c.vc.Crash(c.victim)
-	walPath := filepath.Join(c.dir, "wal.log")
-	switch {
-	case c.sp.tornFrac > 0:
-		fi, err := os.Stat(walPath)
-		if err != nil {
-			return false, err
-		}
-		cut := int64(float64(fi.Size()) * c.sp.tornFrac)
-		if cut >= fi.Size() {
-			cut = fi.Size() - 1
-		}
-		if err := os.Truncate(walPath, cut); err != nil {
-			return false, err
-		}
-	case c.sp.corrupt:
-		return true, c.runCorruptTrial(walPath)
-	case c.sp.recovery:
-		spec := fail.Spec{Mode: fail.ModePanic, Tag: sweepVictimID, Count: 1}
-		if c.sp.site == fail.KVWALReplay {
-			spec.After = sweepReplayAfter
-		}
-		fail.Enable(c.sp.site, spec)
-	}
-	return false, c.openVictim()
-}
-
-// runCorruptTrial flips one byte in the middle of the log (intact records
+// refuseCorruptWAL flips one byte in the middle of the log (intact records
 // follow it, so this is corruption, not a torn tail) and requires the
-// reopen to fail loudly with the typed error and a counter increment —
-// never a silent truncation to the prefix.
-func (c *crashTrial) runCorruptTrial(walPath string) error {
-	raw, err := os.ReadFile(walPath)
+// member's reopen to fail loudly with the typed error and a counter
+// increment — never a silent truncation to the prefix.
+func (h *harness) refuseCorruptWAL(cn *chaosNode, path string) error {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	if len(raw) < 16 {
-		return fmt.Errorf("corrupt-wal: log too short to plant corruption (%d bytes)", len(raw))
+		return fmt.Errorf("log too short to plant corruption (%d bytes)", len(raw))
 	}
 	raw[len(raw)/4] ^= 0xFF
-	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		return err
 	}
 	before := kvstore.WALCorruptions()
-	opts := kvstore.DefaultLSMOptions()
-	opts.FailTag = sweepVictimID
-	store, err := kvstore.OpenLSM(c.dir, opts)
-	if err == nil {
-		store.Close()
-		return fmt.Errorf("corrupt-wal: recovery accepted a log with planted mid-record corruption")
-	}
-	if !errors.Is(err, kvstore.ErrWALCorrupt) {
-		return fmt.Errorf("corrupt-wal: recovery failed with %v, want ErrWALCorrupt", err)
+	err = h.c.Reopen(cn.Member)
+	switch {
+	case err == nil:
+		return fmt.Errorf("recovery accepted a log with planted mid-record corruption")
+	case !errors.Is(err, kvstore.ErrWALCorrupt):
+		return fmt.Errorf("recovery failed with %v, want ErrWALCorrupt", err)
 	}
 	if after := kvstore.WALCorruptions(); after <= before {
-		return fmt.Errorf("corrupt-wal: nezha_wal_corruption_total did not increment (%.0f -> %.0f)", before, after)
-	}
-	return nil
-}
-
-// verify asserts the recovered victim converged to the never-crashed twin
-// on every recovery invariant, and that the trial actually exercised its
-// crash point.
-func (c *crashTrial) verify(res *CrashTrialResult) error {
-	if c.sp.site != "" && c.crashes == 0 {
-		return fmt.Errorf("armed site %s never fired — the sweep lost coverage", c.sp.site)
-	}
-	vnext, tnext := c.victim.Node.NextEpoch(), c.twin.NextEpoch()
-	res.Epochs = vnext - 1
-	if vnext != tnext {
-		return fmt.Errorf("watermark diverged: victim next epoch %d, twin %d", vnext, tnext)
-	}
-	if vnext-1 < minSweepEpochs {
-		return fmt.Errorf("converged at only %d epochs; the trial proved nothing", vnext-1)
-	}
-	if _, err := cluster.Compare(c.victim.Node, c.twin, 0); err != nil {
-		return err
-	}
-	for e := uint64(1); e < vnext; e++ {
-		vg, vok := c.victim.Node.Ledger().EpochBlocks(e)
-		tg, tok := c.twin.Ledger().EpochBlocks(e)
-		if !vok || !tok {
-			return fmt.Errorf("epoch %d: ledger cannot serve committed epoch (victim %v, twin %v)", e, vok, tok)
-		}
-		vbd, vtd := node.AssemblyDigests(e, vg)
-		tbd, ttd := node.AssemblyDigests(e, tg)
-		if vbd != tbd || vtd != ttd {
-			return fmt.Errorf("epoch %d: assembly digests diverged: victim (%#x, %#x) twin (%#x, %#x)",
-				e, vbd, vtd, tbd, ttd)
-		}
+		return fmt.Errorf("nezha_wal_corruption_total did not increment (%.0f -> %.0f)", before, after)
 	}
 	return nil
 }

@@ -27,8 +27,8 @@ func TestCrashSweepAllSites(t *testing.T) {
 		t.Errorf("torn-WAL trials never tripped nezha_wal_torn_tail_total (delta %.0f)", delta)
 	}
 	for _, tr := range rep.Trials {
-		if tr.Err != "" {
-			t.Errorf("trial %s: %s", tr.Name, tr.Err)
+		if errOf(tr) != "" {
+			t.Errorf("trial %s: %s", tr.Name, errOf(tr))
 		}
 	}
 	t.Log(rep.Summary())
@@ -41,7 +41,7 @@ func TestCrashSweepAllSites(t *testing.T) {
 		switch {
 		case strings.HasPrefix(tr.Name, "site:"):
 			sites++
-			if tr.Crashes == 0 && tr.Err == "" {
+			if tr.CrashRestarts == 0 && errOf(tr) == "" {
 				t.Errorf("trial %s reported success without a single crash", tr.Name)
 			}
 		case strings.HasPrefix(tr.Name, "torn-wal:"):
@@ -63,7 +63,7 @@ func TestCrashSweepAllSites(t *testing.T) {
 		t.Errorf("got %d corrupt-wal trials, want 1", corrupt)
 	}
 
-	// The victim's blocks are stamped by a logical clock, so the epochs a
+	// Every miner's blocks are stamped by a logical clock, so the epochs a
 	// trial reaches are a function of the seed and its crash point, not of
 	// how busy the box is: a second sweep must reach the same ones. The
 	// three sites that crash the store's worker goroutine are left out —
@@ -78,9 +78,9 @@ func TestCrashSweepAllSites(t *testing.T) {
 		case fail.KVFlush, fail.KVCompact, fail.KVTableWrite:
 			continue
 		}
-		if got := again.Trials[i]; got.Name != tr.Name || got.Epochs != tr.Epochs || got.Err != tr.Err {
+		if got := again.Trials[i]; got.Name != tr.Name || got.Epochs != tr.Epochs || errOf(got) != errOf(tr) {
 			t.Errorf("trial %s reached %d epochs (%q), then %s reached %d (%q) on the same seed",
-				tr.Name, tr.Epochs, tr.Err, got.Name, got.Epochs, got.Err)
+				tr.Name, tr.Epochs, errOf(tr), got.Name, got.Epochs, errOf(got))
 		}
 	}
 }
@@ -111,4 +111,12 @@ func TestCrashSweepCoversRegistry(t *testing.T) {
 			t.Errorf("site %s is neither swept nor exempted", name)
 		}
 	}
+}
+
+// errOf is a run's failure message, "" when it converged.
+func errOf(r *Result) string {
+	if r.Failure == nil {
+		return ""
+	}
+	return r.Failure.Msg
 }

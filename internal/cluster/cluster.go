@@ -231,10 +231,11 @@ func (c *Cluster) Drain(deliver func(i int, msg p2p.Message) error) error {
 	return nil
 }
 
-// Agree checks that every two live members recorded the same root for
-// every epoch both have processed, resuming each pair where the last call
-// left it. Head roots would not do: a member that recorded a wrong root for
-// an epoch and moved past it can still hold the right head.
+// Agree checks that every two live members recorded the same root, and
+// assembled the same blocks and transactions in the same order, for every
+// epoch both have processed, resuming each pair where the last call left
+// it. Head roots would not do: a member that recorded a wrong root for an
+// epoch and moved past it can still hold the right head.
 func (c *Cluster) Agree() error {
 	n := len(c.Members)
 	for i, a := range c.Members {
@@ -252,7 +253,11 @@ func (c *Cluster) Agree() error {
 }
 
 // Compare checks that a and b recorded the same root for every epoch from
-// `from` up to the last both have processed, and returns the epoch after it.
+// `from` up to the last both have processed, and that they re-derive the
+// same assembly digests for it from their ledgers (node.AssemblyDigests:
+// which blocks, in what order, carrying which transactions) — equal roots
+// over different blocks are two DAG orders that happen to agree on state,
+// as when both execute nothing. It returns the epoch after the last.
 func Compare(a, b *node.Node, from uint64) (uint64, error) {
 	upTo := min(a.NextEpoch(), b.NextEpoch())
 	for e := from; e < upTo; e++ {
@@ -260,6 +265,20 @@ func Compare(a, b *node.Node, from uint64) (uint64, error) {
 		if rb, _ := b.RootAt(e); ra != rb {
 			return from, fmt.Errorf("cluster: epoch %d: %s recorded root %s, %s recorded %s",
 				e, a.ID(), ra.Short(), b.ID(), rb.Short())
+		}
+		if e == 0 {
+			continue // genesis: nothing was assembled
+		}
+		ga, oka := a.Ledger().EpochBlocks(e)
+		gb, okb := b.Ledger().EpochBlocks(e)
+		if !oka || !okb {
+			return from, fmt.Errorf("cluster: epoch %d: a ledger cannot serve a processed epoch (%s %v, %s %v)",
+				e, a.ID(), oka, b.ID(), okb)
+		}
+		abd, atd := node.AssemblyDigests(ga)
+		if bbd, btd := node.AssemblyDigests(gb); abd != bbd || atd != btd {
+			return from, fmt.Errorf("cluster: epoch %d: assembly digests diverged: %s (%#x, %#x), %s (%#x, %#x)",
+				e, a.ID(), abd, atd, b.ID(), bbd, btd)
 		}
 	}
 	return upTo, nil

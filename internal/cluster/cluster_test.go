@@ -132,6 +132,47 @@ func TestAgreeNamesARecordedDivergence(t *testing.T) {
 	}
 }
 
+// TestAgreeComparesAssemblies: two members without a fabric mine with
+// addresses 1 and 2 from empty pools, so each processes its own empty
+// blocks. Every recorded root is the genesis root on both, so a root
+// comparison passes; the blocks differ, so the assembly digests do, and
+// Agree must name the epoch and the digests.
+func TestAgreeComparesAssemblies(t *testing.T) {
+	c, err := New(Config{
+		IDs:       []string{"a", "b"},
+		Miners:    2,
+		BlockSize: 10,
+		Node: node.Config{
+			Consensus:    consensus.Params{Chains: 1},
+			ConfirmDepth: 1,
+		},
+		PerMember: Nezha,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a, b := c.Members[0].Node, c.Members[1].Node
+	for a.NextEpoch() <= 2 || b.NextEpoch() <= 2 {
+		if _, err := c.Round(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := uint64(0); e <= 2; e++ {
+		ra, _ := a.RootAt(e)
+		if rb, _ := b.RootAt(e); ra != rb {
+			t.Fatalf("epoch %d: roots differ: the case no longer isolates the assembly", e)
+		}
+	}
+	err = c.Agree()
+	if err == nil {
+		t.Fatal("Agree passed over two members that assembled different blocks")
+	}
+	if !strings.Contains(err.Error(), "epoch 1: assembly digests diverged") {
+		t.Fatalf("Agree error %q does not name epoch 1's assembly digests", err)
+	}
+}
+
 // TestPreloadIsLoud: a pool that refuses part of a preload (here, every
 // transaction of a second identical preload) fails the preload.
 func TestPreloadIsLoud(t *testing.T) {

@@ -213,7 +213,7 @@ func (n *Node) auditRecovery(blocks []*types.Block) error {
 		if !ok {
 			return fmt.Errorf("node: recovery audit: restored ledger cannot serve epoch %d below watermark %d", e, last)
 		}
-		bd, td := AssemblyDigests(e, group)
+		bd, td := AssemblyDigests(group)
 		if p, ok := prior[e]; ok && (p[0] != bd || p[1] != td) {
 			return fmt.Errorf("node: recovery audit: epoch %d re-assembly digests (%#x, %#x) differ from pre-restart assembly (%#x, %#x)",
 				e, bd, td, p[0], p[1])

@@ -214,17 +214,17 @@ func assemblyDigests(blocks []*types.Block, txs []*types.Transaction) (uint64, u
 	return bd, td
 }
 
-// AssemblyDigests re-derives the node/epoch-assembly digests for an epoch
+// AssemblyDigests re-derives the node/epoch-assembly digests of an epoch
 // from its canonical blocks — the forensic hook the recovery self-audit
-// and the crash-point sweep use to compare composition across a crash
-// boundary. Epoch assembly is deterministic in the block sequence:
-// types.NewEpoch assigns transaction IDs in block order, so two nodes (or
-// one node before and after a restart) holding the same blocks in the same
-// order must produce identical digests. Re-assigning IDs here is
-// idempotent for blocks taken in their canonical epoch order.
-func AssemblyDigests(epoch uint64, blocks []*types.Block) (blockDigest, txDigest uint64) {
-	ep := types.NewEpoch(epoch, blocks)
-	return assemblyDigests(blocks, ep.Txs)
+// and cluster.Compare use to compare composition across a crash boundary
+// and across replicas. Epoch assembly is deterministic in the block
+// sequence: the epoch's transaction order is types.DedupeTxs's, so two
+// nodes (or one node before and after a restart) holding the same blocks
+// in the same order must produce identical digests. It writes nothing the
+// blocks reach, so it may run beside a pipeline numbering the same
+// transactions for another epoch.
+func AssemblyDigests(blocks []*types.Block) (blockDigest, txDigest uint64) {
+	return assemblyDigests(blocks, types.DedupeTxs(blocks))
 }
 
 // execution is what speculative execution of one epoch produced.
