@@ -6,7 +6,6 @@
 //	nezha-bench -exp all                # every experiment, paper parameters
 //	nezha-bench -exp fig9 -quick        # one experiment, shrunk for a fast pass
 //	nezha-bench -exp fig11 -csv         # CSV instead of a text table
-//	nezha-bench -exp stages             # staged-pipeline profile
 //	nezha-bench -list                   # list experiment names
 //
 // -workers sizes the execution and commit pools; the scheduler itself runs

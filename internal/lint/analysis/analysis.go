@@ -16,7 +16,9 @@
 // Loading is done by shelling out to `go list -export` and type-checking
 // each target package from source against the build cache's export data
 // (see Load); `go list -deps` emits dependencies before dependents, so
-// passes run in dependency order and facts flow bottom-up.
+// passes run in dependency order and facts flow bottom-up. The
+// analyzers' tests (analysistest) load and run through the same Load and
+// Run, with testdata as a GOPATH.
 package analysis
 
 import (

@@ -6,29 +6,22 @@
 //
 // A want comment holds one or more backquoted regexps and applies to
 // diagnostics reported on its own line. Test packages live under
-// testdata/src/<importpath>/ and may import each other (resolved from
-// source) or anything the surrounding module can build — stdlib and
-// module-internal packages resolve through `go list -export`, so tests
-// need no network and no vendored dependencies.
+// testdata/src/<importpath>/ and may import each other or the standard
+// library. They load and run exactly as nezha-vet loads and runs the
+// tree — analysis.Load (`go list -export -deps` in GOPATH mode, with
+// testdata as the GOPATH) and analysis.Run — so a sibling package
+// arrives through export data, facts cross packages by their canonical
+// key, packages run in dependency order whatever order a test lists
+// them in, and Finish findings are checked like any other.
 package analysistest
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/lint/analysis"
@@ -44,74 +37,46 @@ func TestData() string {
 	return d
 }
 
-// Run loads each testdata package, applies the analyzer, and reports any
+// Run loads the testdata packages, applies the analyzer, and reports any
 // mismatch between diagnostics and `// want` expectations through t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	run(t, testdata, a, false, pkgPaths...)
 }
 
-// RunWithSuggestedFixes is Run plus golden-file checking: after the
-// expectation pass, every file that received suggested fixes is patched
-// in memory and compared byte-for-byte against <file>.golden.
+// RunWithSuggestedFixes is Run plus golden-file checking: every file that
+// received suggested fixes is patched in memory, as nezha-vet -fix would
+// patch it, and compared byte-for-byte against <file>.golden.
 func RunWithSuggestedFixes(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	run(t, testdata, a, true, pkgPaths...)
 }
 
-// run drives one analyzer over the named packages in order (list
-// dependency packages before their dependents, as the real checker's
-// `go list -deps` ordering does, so exported facts flow bottom-up), then
-// runs the analyzer's Finish hook. Finish-phase diagnostics are checked
-// against the want comments of whichever listed package's files they
-// land in.
-func run(t *testing.T, testdata string, a *analysis.Analyzer, fixes bool, pkgPaths ...string) {
+func run(t testing.TB, testdata string, a *analysis.Analyzer, fixes bool, pkgPaths ...string) {
 	t.Helper()
-	r := newResolver(testdata)
-	runner := analysis.NewTestRunner(a)
-	type loaded struct {
-		pkg   *sourcePkg
-		diags []analysis.Diagnostic
+	env := []string{"GO111MODULE=off", "GOPATH=" + testdata, "GOFLAGS="}
+	pkgs, err := analysis.Load(testdata, env, pkgPaths...)
+	if err != nil {
+		t.Fatalf("loading %v: %v", pkgPaths, err)
 	}
-	pkgs := make([]*loaded, 0, len(pkgPaths))
-	for _, path := range pkgPaths {
-		pkg, err := r.loadSource(path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		l := &loaded{pkg: pkg}
-		pass := runner.Pass(r.fset, pkg.files, pkg.types, pkg.info,
-			func(d analysis.Diagnostic) { l.diags = append(l.diags, d) })
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("%s: analyzer failed: %v", path, err)
-		}
-		pkgs = append(pkgs, l)
+	findings, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Finish != nil {
-		// Whole-program diagnostics attach to the loaded package whose
-		// files contain their position (falling back to the last one).
-		finishPass := runner.FinishPass(r.fset, func(d analysis.Diagnostic) {
-			for _, l := range pkgs {
-				for _, f := range l.pkg.files {
-					if f.FileStart <= d.Pos && d.Pos < f.FileEnd {
-						l.diags = append(l.diags, d)
-						return
-					}
-				}
-			}
-			if len(pkgs) > 0 {
-				pkgs[len(pkgs)-1].diags = append(pkgs[len(pkgs)-1].diags, d)
-			}
-		})
-		if _, err := a.Finish(finishPass); err != nil {
-			t.Fatalf("finish failed: %v", err)
+	wants := expectations(t, pkgs)
+	for _, f := range findings {
+		pos := f.Fset.Position(f.Pos)
+		if !match(wants, pos, f.Message) {
+			t.Errorf("%s: unexpected diagnostic: %s", pos, f.Message)
 		}
 	}
-	for _, l := range pkgs {
-		checkExpectations(t, r.fset, l.pkg.files, l.diags)
-		if fixes {
-			checkGolden(t, r.fset, l.diags)
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.rx)
 		}
+	}
+	if fixes {
+		checkGolden(t, findings)
 	}
 }
 
@@ -125,82 +90,58 @@ type expectation struct {
 
 var wantRE = regexp.MustCompile("`([^`]*)`")
 
-// checkExpectations diffs diagnostics against want comments.
-func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+// expectations collects the want patterns of every loaded file.
+func expectations(t testing.TB, pkgs []*analysis.Package) []*expectation {
 	t.Helper()
 	var wants []*expectation
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//")
-				if !ok {
-					continue
-				}
-				text = strings.TrimSpace(text)
-				rest, ok := strings.CutPrefix(text, "want ")
-				if !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				for _, m := range wantRE.FindAllStringSubmatch(rest, -1) {
-					rx, err := regexp.Compile(m[1])
-					if err != nil {
-						t.Errorf("%s: bad want pattern %q: %v", pos, m[1], err)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(c.Text, "//")
+					if !ok {
 						continue
 					}
-					wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, rx: rx})
+					rest, ok := strings.CutPrefix(strings.TrimSpace(text), "want ")
+					if !ok {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					for _, m := range wantRE.FindAllStringSubmatch(rest, -1) {
+						rx, err := regexp.Compile(m[1])
+						if err != nil {
+							t.Errorf("%s: bad want pattern %q: %v", pos, m[1], err)
+							continue
+						}
+						wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, rx: rx})
+					}
 				}
 			}
 		}
 	}
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		found := false
-		for _, w := range wants {
-			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.rx.MatchString(d.Message) {
-				w.matched = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.rx)
-		}
-	}
+	return wants
 }
 
-// checkGolden applies each file's suggested fixes and compares the result
-// with its .golden sibling.
-func checkGolden(t *testing.T, fset *token.FileSet, diags []analysis.Diagnostic) {
+// match marks the first unmatched want on pos's line whose pattern
+// matches msg, reporting whether there was one.
+func match(wants []*expectation, pos token.Position, msg string) bool {
+	for _, w := range wants {
+		if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.rx.MatchString(msg) {
+			w.matched = true
+			return true
+		}
+	}
+	return false
+}
+
+// checkGolden compares each fixed file with its .golden sibling.
+func checkGolden(t testing.TB, findings []analysis.Finding) {
 	t.Helper()
-	type edit struct {
-		start, end int
-		text       []byte
+	fixed, err := analysis.Fixed(findings)
+	if err != nil {
+		t.Fatal(err)
 	}
-	byFile := map[string][]edit{}
-	for _, d := range diags {
-		for _, sf := range d.SuggestedFixes {
-			for _, te := range sf.TextEdits {
-				p := fset.Position(te.Pos)
-				byFile[p.Filename] = append(byFile[p.Filename], edit{p.Offset, fset.Position(te.End).Offset, te.NewText})
-			}
-		}
-	}
-	for name, edits := range byFile {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Errorf("reading %s: %v", name, err)
-			continue
-		}
-		sort.Slice(edits, func(i, j int) bool { return edits[i].start > edits[j].start })
-		for _, e := range edits {
-			src = append(src[:e.start], append(append([]byte{}, e.text...), src[e.end:]...)...)
-		}
+	for name, src := range fixed {
 		golden, err := os.ReadFile(name + ".golden")
 		if err != nil {
 			t.Errorf("%s has suggested fixes but no golden file: %v", name, err)
@@ -210,139 +151,4 @@ func checkGolden(t *testing.T, fset *token.FileSet, diags []analysis.Diagnostic)
 			t.Errorf("%s: fixed output differs from %s.golden:\n-- got --\n%s\n-- want --\n%s", name, name, src, golden)
 		}
 	}
-}
-
-// resolver loads testdata packages from source and everything else from
-// the surrounding module's build cache via `go list -export`.
-type resolver struct {
-	testdata string
-	fset     *token.FileSet
-	gc       types.Importer
-
-	mu      sync.Mutex
-	exports map[string]string // import path -> export data file
-	source  map[string]*sourcePkg
-}
-
-type sourcePkg struct {
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
-}
-
-func newResolver(testdata string) *resolver {
-	r := &resolver{
-		testdata: testdata,
-		fset:     token.NewFileSet(),
-		exports:  map[string]string{},
-		source:   map[string]*sourcePkg{},
-	}
-	r.gc = importer.ForCompiler(r.fset, "gc", func(path string) (io.ReadCloser, error) {
-		r.mu.Lock()
-		p, ok := r.exports[path]
-		r.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(p)
-	})
-	return r
-}
-
-// Import implements types.Importer for the package under test: sibling
-// testdata packages come from source, the rest from export data.
-func (r *resolver) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(r.testdata, "src", path); isDir(dir) {
-		p, err := r.loadSource(path)
-		if err != nil {
-			return nil, err
-		}
-		return p.types, nil
-	}
-	if err := r.ensureExport(path); err != nil {
-		return nil, err
-	}
-	return r.gc.Import(path)
-}
-
-// ensureExport makes sure export data for path (and its dependencies) is
-// in the lookup map, shelling out to go list on first need.
-func (r *resolver) ensureExport(path string) error {
-	r.mu.Lock()
-	_, ok := r.exports[path]
-	r.mu.Unlock()
-	if ok {
-		return nil
-	}
-	cmd := exec.Command("go", "list", "-export", "-json=ImportPath,Export", "-deps", path)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("go list -export %s: %v\n%s", path, err, stderr.String())
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var lp struct{ ImportPath, Export string }
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		if lp.Export != "" {
-			r.exports[lp.ImportPath] = lp.Export
-		}
-	}
-	if _, ok := r.exports[path]; !ok {
-		return fmt.Errorf("go list produced no export data for %q", path)
-	}
-	return nil
-}
-
-// loadSource parses and type-checks testdata/src/<path> (cached).
-func (r *resolver) loadSource(path string) (*sourcePkg, error) {
-	r.mu.Lock()
-	cached, ok := r.source[path]
-	r.mu.Unlock()
-	if ok {
-		return cached, nil
-	}
-	dir := filepath.Join(r.testdata, "src", path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(r.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	info := analysis.NewTypesInfo()
-	conf := types.Config{Importer: r}
-	tpkg, err := conf.Check(path, r.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("%s: typecheck: %v", path, err)
-	}
-	p := &sourcePkg{files: files, types: tpkg, info: info}
-	r.mu.Lock()
-	r.source[path] = p
-	r.mu.Unlock()
-	return p, nil
-}
-
-func isDir(p string) bool {
-	fi, err := os.Stat(p)
-	return err == nil && fi.IsDir()
 }

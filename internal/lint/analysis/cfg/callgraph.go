@@ -42,18 +42,9 @@ func (f *FuncInfo) Body() *ast.BlockStmt {
 
 // PackageFuncs returns every function body in the files — declared
 // functions first (source order), then function literals (source order)
-// — each with its CFG built. Bodiless declarations are skipped.
-func PackageFuncs(files []*ast.File) []*FuncInfo {
-	return packageFuncs(files, nil)
-}
-
-// PackageFuncsInfo is PackageFuncs resolving each declaration's object
-// through info (needed for summaries and the call graph).
-func PackageFuncsInfo(info *types.Info, files []*ast.File) []*FuncInfo {
-	return packageFuncs(files, info)
-}
-
-func packageFuncs(files []*ast.File, info *types.Info) []*FuncInfo {
+// — each with its CFG built and each declaration's object resolved
+// through info. Bodiless declarations are skipped.
+func PackageFuncs(info *types.Info, files []*ast.File) []*FuncInfo {
 	var decls, lits []*FuncInfo
 	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -62,13 +53,8 @@ func packageFuncs(files []*ast.File, info *types.Info) []*FuncInfo {
 				if n.Body == nil {
 					return true
 				}
-				fi := &FuncInfo{Decl: n, G: New(n.Body)}
-				if info != nil {
-					if obj, ok := info.Defs[n.Name].(*types.Func); ok {
-						fi.Obj = obj
-					}
-				}
-				decls = append(decls, fi)
+				obj, _ := info.Defs[n.Name].(*types.Func)
+				decls = append(decls, &FuncInfo{Decl: n, Obj: obj, G: New(n.Body)})
 			case *ast.FuncLit:
 				lits = append(lits, &FuncInfo{Lit: n, G: New(n.Body)})
 			}
@@ -139,13 +125,37 @@ func CallsIn(info *types.Info, fi *FuncInfo) []*types.Func {
 	return out
 }
 
+// Summarize is the bottom-up summary driver of the flow analyzers: it
+// visits the BottomUp groups callees-first, so a function's visit sees
+// the summaries of every callee outside its group. A recursive group
+// (mutually recursive functions, or one that calls itself) first runs
+// rounds non-final passes to let its members' summaries settle; then
+// every group runs one final pass, the one that records and reports.
+func Summarize(info *types.Info, fns []*FuncInfo, rounds int, visit func(fn *FuncInfo, final bool)) {
+	for _, group := range BottomUp(info, fns) {
+		recursive := len(group) > 1
+		if !recursive && group[0].Obj != nil {
+			for _, callee := range CallsIn(info, group[0]) {
+				recursive = recursive || callee == group[0].Obj
+			}
+		}
+		for i := 0; recursive && i < rounds; i++ {
+			for _, fn := range group {
+				visit(fn, false)
+			}
+		}
+		for _, fn := range group {
+			visit(fn, true)
+		}
+	}
+}
+
 // BottomUp groups the declared functions into strongly connected
 // components of the intra-package call graph and returns the groups
 // callees-first: by the time a group is visited, every function it
 // calls outside the group has already been visited. Mutually recursive
-// functions share a group; the analyzers iterate a group to a fixpoint.
-// Function literals (Obj == nil) are appended as singleton groups at
-// the end.
+// functions share a group. Function literals (Obj == nil) have no call
+// edges, so each is a singleton group, after the declarations as in fns.
 func BottomUp(info *types.Info, fns []*FuncInfo) [][]*FuncInfo {
 	byObj := map[*types.Func]int{}
 	for i, f := range fns {
@@ -165,17 +175,32 @@ func BottomUp(info *types.Info, fns []*FuncInfo) [][]*FuncInfo {
 			}
 		}
 	}
-	// Tarjan: SCCs pop in reverse topological order — callees' components
-	// complete before their callers' — which is exactly bottom-up.
+	var groups [][]*FuncInfo
+	for _, comp := range SCC(len(fns), func(v int) []int { return adj[v] }) {
+		group := make([]*FuncInfo, len(comp))
+		for i, v := range comp {
+			group[i] = fns[v]
+		}
+		groups = append(groups, group)
+	}
+	return groups
+}
+
+// SCC is Tarjan's algorithm over the nodes 0..n-1 with successors succ,
+// searching from each unvisited node in index order. Components come
+// out in the order they complete — reverse topological, so every
+// component a component reaches comes before it — each in stack-pop
+// order.
+func SCC(n int, succ func(int) []int) [][]int {
 	const unvisited = -1
-	index := make([]int, len(fns))
-	low := make([]int, len(fns))
-	onStack := make([]bool, len(fns))
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = unvisited
 	}
 	var stack []int
-	var groups [][]*FuncInfo
+	var comps [][]int
 	next := 0
 	var strong func(int)
 	strong = func(v int) {
@@ -183,39 +208,32 @@ func BottomUp(info *types.Info, fns []*FuncInfo) [][]*FuncInfo {
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range adj[v] {
+		for _, w := range succ(v) {
 			if index[w] == unvisited {
 				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
-			var group []*FuncInfo
+			var comp []int
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				group = append(group, fns[w])
+				comp = append(comp, w)
 				if w == v {
 					break
 				}
 			}
-			groups = append(groups, group)
+			comps = append(comps, comp)
 		}
 	}
-	for i, f := range fns {
-		if f.Obj != nil && index[i] == unvisited {
-			strong(i)
+	for v := 0; v < n; v++ {
+		if index[v] == unvisited {
+			strong(v)
 		}
 	}
-	for _, f := range fns {
-		if f.Obj == nil {
-			groups = append(groups, []*FuncInfo{f})
-		}
-	}
-	return groups
+	return comps
 }

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -374,5 +375,16 @@ func f() {
 		if p.Kind == "unreachable" {
 			t.Errorf("literal's return leaked into outer CFG:\n%s", dump(g))
 		}
+	}
+}
+
+// TestSCCOrder pins what both callers rely on: a cycle is one component,
+// and components complete callees-first (0 calls into the 1-2 cycle,
+// which calls 3; 4 stands alone).
+func TestSCCOrder(t *testing.T) {
+	succ := [][]int{{1}, {2}, {1, 3}, {}, {}}
+	got := fmt.Sprint(SCC(len(succ), func(v int) []int { return succ[v] }))
+	if want := "[[3] [2 1] [0] [4]]"; got != want {
+		t.Errorf("SCC = %s, want %s", got, want)
 	}
 }

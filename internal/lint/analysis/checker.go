@@ -163,7 +163,7 @@ func Main(analyzers ...*Analyzer) {
 		analyzers = sel
 	}
 
-	pkgs, err := Load("", fs.Args()...)
+	pkgs, err := Load("", nil, fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nezha-vet: %v\n", err)
 		os.Exit(2)
@@ -190,9 +190,17 @@ func Main(analyzers ...*Analyzer) {
 		}
 	}
 	if *fix {
-		if err := applyFixes(findings); err != nil {
+		fixed, err := Fixed(findings)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "nezha-vet: applying fixes: %v\n", err)
 			os.Exit(2)
+		}
+		for name, src := range fixed {
+			if err := os.WriteFile(name, src, 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "nezha-vet: applying fixes: %v\n", err)
+				os.Exit(2)
+			}
+			fmt.Printf("%s: fixed\n", name)
 		}
 	}
 	if len(findings) > 0 {
@@ -200,48 +208,47 @@ func Main(analyzers ...*Analyzer) {
 	}
 }
 
-// applyFixes applies the first suggested fix of every finding, rightmost
-// edit first so earlier offsets stay valid. Overlapping edits abort.
-func applyFixes(findings []Finding) error {
+// Fixed splices the first suggested fix of every finding into its file
+// and returns each touched file's new contents, rightmost edit first so
+// earlier offsets stay valid. Overlapping edits are an error. nezha-vet
+// -fix writes the result back; analysistest compares it with the
+// .golden files.
+func Fixed(findings []Finding) (map[string][]byte, error) {
 	type edit struct {
 		start, end int
 		text       []byte
 	}
 	byFile := map[string][]edit{}
-	var fset *token.FileSet
 	for _, f := range findings {
 		if len(f.SuggestedFixes) == 0 {
 			continue
 		}
-		fset = f.Fset
 		for _, te := range f.SuggestedFixes[0].TextEdits {
-			start, end := fset.Position(te.Pos), fset.Position(te.End)
+			start, end := f.Fset.Position(te.Pos), f.Fset.Position(te.End)
 			if start.Filename != end.Filename {
-				return fmt.Errorf("edit spans files (%s, %s)", start.Filename, end.Filename)
+				return nil, fmt.Errorf("edit spans files (%s, %s)", start.Filename, end.Filename)
 			}
 			byFile[start.Filename] = append(byFile[start.Filename], edit{start.Offset, end.Offset, te.NewText})
 		}
 	}
+	fixed := make(map[string][]byte, len(byFile))
 	for name, edits := range byFile {
 		sort.Slice(edits, func(i, j int) bool { return edits[i].start > edits[j].start })
 		src, err := os.ReadFile(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		prev := len(src) + 1
 		for _, e := range edits {
 			if e.end > prev {
-				return fmt.Errorf("%s: overlapping suggested fixes", name)
+				return nil, fmt.Errorf("%s: overlapping suggested fixes", name)
 			}
 			prev = e.start
 			src = append(src[:e.start], append(append([]byte{}, e.text...), src[e.end:]...)...)
 		}
-		if err := os.WriteFile(name, src, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("%s: fixed\n", name)
+		fixed[name] = src
 	}
-	return nil
+	return fixed, nil
 }
 
 func firstLine(s string) string {

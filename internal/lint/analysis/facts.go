@@ -21,8 +21,6 @@ package analysis
 // why the CI gate runs `./...`.
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
 	"reflect"
 )
@@ -79,42 +77,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 		return
 	}
 	p.facts.m[factKey{obj: ObjectKey(obj), typ: reflect.TypeOf(fact)}] = fact
-}
-
-// TestRunner builds passes that share one fact store and one Shared map
-// — the per-run state the checker wires up internally — for external
-// drivers, i.e. the analysistest harness. Each TestRunner is one
-// logical Run: facts exported while analyzing an earlier package are
-// importable while analyzing a later one, and FinishPass sees the
-// accumulated Shared state.
-type TestRunner struct {
-	analyzer *Analyzer
-	facts    *factStore
-	shared   map[any]any
-}
-
-// NewTestRunner starts a fresh run for the analyzer.
-func NewTestRunner(a *Analyzer) *TestRunner {
-	return &TestRunner{analyzer: a, facts: newFactStore(), shared: map[any]any{}}
-}
-
-// Pass builds a per-package pass wired into the run's fact store.
-func (r *TestRunner) Pass(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
-	return &Pass{
-		Analyzer:  r.analyzer,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Report:    report,
-		Shared:    r.shared,
-		facts:     r.facts,
-	}
-}
-
-// FinishPass builds the whole-program pass handed to Analyzer.Finish.
-func (r *TestRunner) FinishPass(fset *token.FileSet, report func(Diagnostic)) *Pass {
-	return &Pass{Analyzer: r.analyzer, Fset: fset, Report: report, Shared: r.shared, facts: r.facts}
 }
 
 // ImportObjectFact copies the fact of fact's concrete type previously

@@ -40,12 +40,13 @@ type listedPackage struct {
 }
 
 // Load resolves patterns with `go list -export -deps` (run in dir; "" means
-// the current directory) and returns a Package for every pattern-matched
-// package, parsed with comments and type-checked from source. Imports —
-// including the target packages' imports of each other — resolve through
-// the build cache's export data, so Load needs the tree to compile but
-// never re-type-checks a dependency.
-func Load(dir string, patterns ...string) ([]*Package, error) {
+// the current directory, and env is added to the go command's
+// environment) and returns a Package for every pattern-matched package,
+// parsed with comments and type-checked from source, in dependency order.
+// Imports — including the target packages' imports of each other —
+// resolve through the build cache's export data, so Load needs the tree
+// to compile but never re-type-checks a dependency.
+func Load(dir string, env []string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -56,6 +57,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -128,7 +130,15 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 		}
 		files = append(files, f)
 	}
-	info := NewTypesInfo()
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
@@ -142,18 +152,4 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
-}
-
-// NewTypesInfo returns a types.Info with every map analyzers read
-// populated (shared with the analysistest loader).
-func NewTypesInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
 }

@@ -5,7 +5,7 @@ import "testing"
 // TestLoad exercises the go list + export-data pipeline against a real
 // module package: full type information with zero network access.
 func TestLoad(t *testing.T) {
-	pkgs, err := Load("", "github.com/nezha-dag/nezha/internal/fail")
+	pkgs, err := Load("", nil, "github.com/nezha-dag/nezha/internal/fail")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,37 +141,15 @@ var orderedResults = []sinkSpec{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	info := pass.TypesInfo
-	fns := cfg.PackageFuncsInfo(info, pass.Files)
 	sorted := map[token.Pos]bool{}
-	for _, group := range cfg.BottomUp(info, fns) {
-		// Recursive groups iterate to let summaries stabilize before the
-		// reporting pass; everything else converges in one.
-		recursive := len(group) > 1
-		if !recursive && group[0].Obj != nil {
-			for _, callee := range cfg.CallsIn(info, group[0]) {
-				if callee == group[0].Obj {
-					recursive = true
-				}
-			}
+	// Recursive groups take three rounds to let summaries stabilize
+	// before the reporting pass; everything else converges in one.
+	cfg.Summarize(pass.TypesInfo, cfg.PackageFuncs(pass.TypesInfo, pass.Files), 3, func(fn *cfg.FuncInfo, final bool) {
+		fact := analyzeFunc(pass, fn, final, sorted)
+		if fn.Obj != nil {
+			pass.ExportObjectFact(fn.Obj, fact)
 		}
-		if recursive {
-			for i := 0; i < 3; i++ {
-				for _, fn := range group {
-					fact := analyzeFunc(pass, fn, false, sorted)
-					if fn.Obj != nil {
-						pass.ExportObjectFact(fn.Obj, fact)
-					}
-				}
-			}
-		}
-		for _, fn := range group {
-			fact := analyzeFunc(pass, fn, true, sorted)
-			if fn.Obj != nil {
-				pass.ExportObjectFact(fn.Obj, fact)
-			}
-		}
-	}
+	})
 	if lint.IsCritical(pass.Pkg.Path()) {
 		checkSources(pass, sorted)
 	}

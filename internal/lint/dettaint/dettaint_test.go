@@ -8,8 +8,14 @@ import (
 )
 
 func TestDettaint(t *testing.T) {
-	// Dependency packages listed first, as the real checker's `go list
-	// -deps` ordering does, so summaries flow bottom-up.
 	analysistest.Run(t, analysistest.TestData(), dettaint.Analyzer,
 		"rlp", "journal", "mpt", "helper", "flow", "mempool", "ok/mempool")
+}
+
+// TestDettaintDependentsFirst lists the corpus dependents-first. The
+// packages still run in dependency order, as under nezha-vet ./..., so
+// every cross-package finding arrives.
+func TestDettaintDependentsFirst(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), dettaint.Analyzer,
+		"ok/mempool", "mempool", "flow", "helper", "mpt", "journal", "rlp")
 }

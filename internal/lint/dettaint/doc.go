@@ -57,7 +57,9 @@
 // # Interprocedural summaries
 //
 // Each function is analyzed over its CFG (internal/lint/analysis/cfg)
-// bottom-up in SCC order, producing a summary exported as an object
+// bottom-up in SCC order (cfg.Summarize; a recursive group takes three
+// settling rounds before its reporting pass), producing a summary
+// exported as an object
 // fact (FnFact): unconditional result taints with their traces, which
 // parameters flow into results, and which parameters reach a sink
 // inside the function or deeper. `go list -deps` ordering runs

@@ -26,8 +26,9 @@
 //	                in loops
 //
 // dettaint and lockorder run on the CFG/dataflow layer
-// (internal/lint/analysis/cfg, whose Forward is their one fixpoint
-// driver) and compose across packages through facts (DESIGN.md §16);
+// (internal/lint/analysis/cfg, whose Summarize is their one bottom-up
+// summary driver and Forward their one fixpoint driver) and compose
+// across packages through facts (DESIGN.md §16);
 // the other two are single-pass syntactic walks.
 //
 // Four test-only packages hold corpora of the merged analyzers, each in
@@ -87,16 +88,21 @@
 //	                //     <name>.Analyzer, "a")
 //
 // 2. Put positive and negative cases under testdata/src/<pkg>/ with
-// `// want `+"`regexp`"+` comments on the lines that must be flagged;
-// stub any nezha package the analyzer keys on (fail, metrics) as a
-// sibling testdata package so the test is hermetic. A test that appends
+// `// want `+"`regexp`"+` comments on the lines that must be flagged.
+// The corpus loads like the tree: analysistest runs analysis.Load with
+// testdata as a GOPATH (module mode off), then analysis.Run, so the
+// corpus must compile, may import the standard library and its sibling
+// testdata packages (which arrive through export data, their facts
+// keyed as in nezha-vet ./...), and runs in dependency order whatever
+// order the test lists it in. Stub any nezha package the analyzer keys
+// on (fail, metrics) as a sibling testdata package. A test that appends
 // to CriticalPackages marks that name for the whole test binary, so give
 // every corpus its own package name.
 //
 // 3. Add the Analyzer to the analyzers list in cmd/nezha-vet/main.go and
 // list it in this file, TESTING.md (tier 0), and README.md. Flow
-// analyzers solve their dataflow with cfg.Forward; escape hatches go
-// through Suppressed.
+// analyzers order their summaries with cfg.Summarize and solve their
+// dataflow with cfg.Forward; escape hatches go through Suppressed.
 //
 // Keep analyzers pass-pure (no globals mutated across packages), report
 // through pass.Report/Reportf only, and prefer a types.Info lookup over a

@@ -94,8 +94,13 @@ func TestSuppressed(t *testing.T) {
 		return true
 	})
 	var got []analysis.Diagnostic
-	pass := analysis.NewTestRunner(&analysis.Analyzer{Name: "t"}).Pass(fset, []*ast.File{file}, nil, nil,
-		func(d analysis.Diagnostic) { got = append(got, d) })
+	pass := &analysis.Pass{
+		Analyzer: &analysis.Analyzer{Name: "t"},
+		Fset:     fset,
+		Files:    []*ast.File{file},
+		Report:   func(d analysis.Diagnostic) { got = append(got, d) },
+		Shared:   map[any]any{},
+	}
 	if !Suppressed(pass, ranges[0].Pos(), "nondeterminism") || len(got) != 0 {
 		t.Errorf("annotation with a reason: suppressed=false or reported %v", got)
 	}

@@ -45,9 +45,10 @@
 // RUnlock update a held-set dataflow over the function's CFG
 // (internal/lint/analysis/cfg). The defer chain applies deferred
 // unlocks at exit, so `mu.Lock(); defer mu.Unlock()` holds mu through
-// the whole body, including early returns. Each function also exports a
-// summary fact (LockFact) of every family it may acquire, transitively
-// through static callees; a call made while holding H contributes
+// the whole body, including early returns. The same sweep collects the
+// summary fact each function exports (LockFact): every family it may
+// acquire, transitively through static callees, which cfg.Summarize
+// has summarized first; a call made while holding H contributes
 // H -> (callee's acquisitions) edges, which is what makes the graph
 // interprocedural and cross-package. `go` statements and FuncLit bodies
 // contribute nothing to the spawning function (a goroutine starts with

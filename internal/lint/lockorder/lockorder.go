@@ -69,70 +69,17 @@ func edgeSet(pass *analysis.Pass) map[edgeKey]edgeVal {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	info := pass.TypesInfo
-	fns := cfg.PackageFuncsInfo(info, pass.Files)
-	// Summaries first, bottom-up, so the held-set pass below sees every
-	// local callee's acquisitions (cross-package callees were summarized
-	// when their package ran). Recursive groups iterate once more: the
-	// union is monotone and capped, so twice reaches the fixpoint we keep.
-	for _, group := range cfg.BottomUp(info, fns) {
-		iters := 1
-		if len(group) > 1 {
-			iters = 2
+	// Callees first, so each held-set sweep sees every local callee's
+	// acquisitions (cross-package callees were summarized when their
+	// package ran). A recursive group sweeps once more: the union is
+	// monotone and capped, so twice reaches the fixpoint we keep.
+	cfg.Summarize(pass.TypesInfo, cfg.PackageFuncs(pass.TypesInfo, pass.Files), 1, func(fn *cfg.FuncInfo, final bool) {
+		fact := checkHeld(pass, fn, final)
+		if fn.Obj != nil {
+			pass.ExportObjectFact(fn.Obj, fact)
 		}
-		for i := 0; i < iters; i++ {
-			for _, fn := range group {
-				fact := summarize(pass, fn)
-				if fn.Obj != nil {
-					pass.ExportObjectFact(fn.Obj, fact)
-				}
-			}
-		}
-	}
-	for _, fn := range fns {
-		checkHeld(pass, fn)
-	}
-	return nil, nil
-}
-
-// summarize walks one function body collecting the lock families it may
-// acquire: direct Lock/RLock calls plus its static callees' summaries.
-// Goroutine bodies and `go` calls are excluded — a spawned goroutine is
-// its own thread and starts with nothing held.
-func summarize(pass *analysis.Pass, fn *cfg.FuncInfo) *LockFact {
-	fact := &LockFact{}
-	seen := map[string]bool{}
-	add := func(a AcqSite) {
-		key := a.Family + "|" + fmt.Sprint(a.Excl)
-		if seen[key] || len(fact.Acquires) >= maxAcquires {
-			return
-		}
-		seen[key] = true
-		fact.Acquires = append(fact.Acquires, a)
-	}
-	ast.Inspect(fn.Body(), func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			if op, ok := classify(pass.TypesInfo, fn, n); ok {
-				if op.acquire {
-					add(AcqSite{Family: op.family, Pos: n.Pos(), Excl: op.excl})
-				}
-				return true
-			}
-			if callee := cfg.StaticCallee(pass.TypesInfo, n); callee != nil && callee != fn.Obj {
-				var f LockFact
-				if pass.ImportObjectFact(callee, &f) {
-					for _, a := range f.Acquires {
-						add(a)
-					}
-				}
-			}
-		}
-		return true
 	})
-	return fact
+	return nil, nil
 }
 
 // heldInfo is one currently-held lock family.
@@ -147,22 +94,43 @@ type state map[string]heldInfo
 // failSites are the internal/fail entry points a production path hits.
 var failSites = map[string]bool{"Hit": true, "HitTag": true, "Drop": true}
 
-// checkHeld runs the held-set dataflow over the function's CFG: lock
-// operations update the set, every acquisition while something is held
-// records an order edge, same-family reacquisition reports, and so does
-// a channel send or failpoint hit while the set is non-empty. The defer
-// chain blocks apply deferred unlocks at exit, which is what keeps
-// `mu.Lock(); defer mu.Unlock()` held through the whole body.
-func checkHeld(pass *analysis.Pass, fn *cfg.FuncInfo) {
-	fa := &heldAnalysis{pass: pass, fn: fn, seen: map[string]bool{}}
-	cfg.Forward(fn.G, fa.inState, fa.transfer, maps.Equal[state], func() { fa.recording = true })
+// checkHeld runs the held-set dataflow over the function's CFG and
+// returns the function's acquisition summary: every lock it takes,
+// directly or through a callee. In the final pass, every acquisition
+// while something is held also records an order edge, same-family
+// reacquisition reports, and so does a channel send or failpoint hit
+// while the set is non-empty. The defer chain blocks apply deferred
+// unlocks at exit, which is what keeps `mu.Lock(); defer mu.Unlock()`
+// held through the whole body. Goroutine bodies and `go` calls are
+// skipped — a spawned goroutine is its own thread and starts with
+// nothing held.
+func checkHeld(pass *analysis.Pass, fn *cfg.FuncInfo, final bool) *LockFact {
+	fa := &heldAnalysis{pass: pass, fn: fn, fact: &LockFact{}, acquired: map[string]bool{}, seen: map[string]bool{}}
+	cfg.Forward(fn.G, fa.inState, fa.transfer, maps.Equal[state], func() { fa.settled, fa.recording = true, final })
+	return fa.fact
 }
 
 type heldAnalysis struct {
-	pass      *analysis.Pass
-	fn        *cfg.FuncInfo
-	recording bool
-	seen      map[string]bool
+	pass *analysis.Pass
+	fn   *cfg.FuncInfo
+	// settled marks the one sweep after the fixpoint, which collects the
+	// summary; recording additionally records edges and reports, in the
+	// final pass only.
+	settled, recording bool
+	fact               *LockFact
+	acquired           map[string]bool
+	seen               map[string]bool
+}
+
+// acquire adds one acquisition to the summary, first site per family
+// and mode, up to maxAcquires.
+func (fa *heldAnalysis) acquire(a AcqSite) {
+	key := a.Family + "|" + fmt.Sprint(a.Excl)
+	if !fa.settled || fa.acquired[key] || len(fa.fact.Acquires) >= maxAcquires {
+		return
+	}
+	fa.acquired[key] = true
+	fa.fact.Acquires = append(fa.fact.Acquires, a)
 }
 
 func (fa *heldAnalysis) inState(b *cfg.Block, out []state) state {
@@ -234,6 +202,7 @@ func (fa *heldAnalysis) call(call *ast.CallExpr, st state) {
 			delete(st, op.family)
 			return
 		}
+		fa.acquire(AcqSite{Family: op.family, Pos: call.Pos(), Excl: op.excl})
 		if have, held := st[op.family]; held {
 			// RLock-after-RLock is shared-compatible; anything involving
 			// an exclusive side can self-deadlock — and under the
@@ -262,6 +231,7 @@ func (fa *heldAnalysis) call(call *ast.CallExpr, st state) {
 		return
 	}
 	for _, a := range f.Acquires {
+		fa.acquire(a)
 		if have, held := st[a.Family]; held {
 			if a.Excl || have.excl {
 				fa.reportNestedCall(call.Pos(), callee.Name(), a, have)
@@ -350,12 +320,27 @@ func finish(pass *analysis.Pass) (any, error) {
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
-	for _, succs := range adj {
-		sort.Strings(succs)
+	idx := map[string]int{}
+	for i, n := range nodes {
+		idx[n] = i
 	}
-	for _, scc := range sccs(nodes, adj) {
-		if len(scc) < 2 {
+	succ := make([][]int, len(nodes))
+	for from, tos := range adj {
+		sort.Strings(tos)
+		for _, to := range tos {
+			succ[idx[from]] = append(succ[idx[from]], idx[to])
+		}
+	}
+	// Components come out reverse topological, tie-broken by the sorted
+	// roots; each is reported from its smallest member.
+	for _, comp := range cfg.SCC(len(nodes), func(v int) []int { return succ[v] }) {
+		if len(comp) < 2 {
 			continue // self-edges are never recorded, so singletons are acyclic
+		}
+		sort.Ints(comp)
+		scc := make([]string, len(comp))
+		for i, v := range comp {
+			scc[i] = nodes[v]
 		}
 		cycle := findCycle(scc, adj)
 		if len(cycle) == 0 {
@@ -386,54 +371,6 @@ func finish(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// sccs is Tarjan's algorithm over the family graph, components in
-// deterministic (reverse topological, tie-broken by sorted roots) order.
-func sccs(nodes []string, adj map[string][]string) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var out [][]string
-	next := 0
-	var strong func(string)
-	strong = func(v string) {
-		index[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(comp)
-			out = append(out, comp)
-		}
-	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			strong(n)
-		}
-	}
-	return out
-}
-
 // findCycle returns a concrete edge cycle within the component,
 // starting at its smallest member (for deterministic reports).
 func findCycle(scc []string, adj map[string][]string) []string {
@@ -441,7 +378,7 @@ func findCycle(scc []string, adj map[string][]string) []string {
 	for _, n := range scc {
 		in[n] = true
 	}
-	start := scc[0] // sccs sorted each component
+	start := scc[0] // finish sorted each component
 	var path []string
 	visited := map[string]bool{}
 	var dfs func(string) bool

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"nezha.invalid/vetproof/fail"
+	"nezha.invalid/vetproof/helper"
 	"nezha.invalid/vetproof/rlp"
 )
 
@@ -22,6 +23,13 @@ func Leak(m map[string]int) []byte {
 		keys = append(keys, k)
 	}
 	return rlp.Encode(keys)
+}
+
+// LeakVia encodes keys that another package ranged out of a map: the
+// cross-package dettaint planted bug, visible only through helper.Keys's
+// summary fact.
+func LeakVia(m map[string]int) []byte {
+	return rlp.Encode(helper.Keys(m))
 }
 
 type a struct{ mu sync.Mutex }

@@ -9,15 +9,15 @@ import (
 
 // FuzzVersionChain decodes fuzz input into an interleaved op sequence —
 // epoch commits (through the full reserve/commit/flush/release protocol),
-// reads pinned at arbitrary live generations, prefetches, and watermark
-// advances — and checks every read against a flat shadow-map oracle: one
+// reads pinned at arbitrary live generations, cold reads at the head, and
+// watermark advances — and checks every read against a flat shadow-map oracle: one
 // plain map copied per committed generation, the semantics the version
 // chains compress. Structural invariants (versions ascending, folds never
 // lose the newest at-or-below-watermark value, versions imply base) are
 // re-checked after every watermark move and at the end.
 func FuzzVersionChain(f *testing.F) {
 	// Seeds: a commit+read round trip, a GC fold under live readers, a
-	// prefetch racing a reservation, and a multi-key commit batch.
+	// cold head read after a commit, and a multi-key commit batch.
 	f.Add([]byte{0, 2, 1, 10, 2, 20, 1, 1, 0, 3, 0})
 	f.Add([]byte{0, 1, 1, 7, 0, 1, 1, 8, 0, 1, 1, 9, 2, 1, 1, 1, 1, 0})
 	f.Add([]byte{3, 4, 0, 2, 4, 40, 5, 50, 1, 4, 1, 3, 2})
@@ -125,22 +125,19 @@ func FuzzVersionChain(f *testing.F) {
 				if err := st.CheckInvariants(); err != nil {
 					t.Fatalf("after gc: %v", err)
 				}
-			case 3: // prefetch a key, then verify a read still agrees
+			case 3: // read a key at the head generation
 				kb, ok1 := next()
 				if !ok1 {
 					break
 				}
 				k := key(kb % numKeys)
-				if err := st.Prefetch(k); err != nil {
-					t.Fatalf("prefetch: %v", err)
-				}
 				gen := st.Gen()
-				got, err := st.View(gen).Get(k)
+				got, err := st.Head().Get(k)
 				if err != nil {
-					t.Fatalf("post-prefetch read: %v", err)
+					t.Fatalf("head read: %v", err)
 				}
 				if want := history[gen][k]; !bytes.Equal(got, want) {
-					t.Fatalf("post-prefetch read key %d = %x, oracle says %x", kb%numKeys, got, want)
+					t.Fatalf("head read key %d = %x, oracle says %x", kb%numKeys, got, want)
 				}
 			}
 		}

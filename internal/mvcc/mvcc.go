@@ -41,10 +41,8 @@
 //     value is discarded in favour of the chain.
 //
 // Epoch-scoped write reservations (ReserveEpoch/ReleaseEpoch) mark the
-// keys a commit is about to write. They are a cheap go-away signal for
-// Prefetch — loading a reserved key would be wasted work, its chain is
-// about to be warmed by CommitEpoch itself — and a defensive guard on the
-// copy-on-read path, which refuses to cache a reserved key.
+// keys a commit is about to write: a defensive guard on the copy-on-read
+// path, which refuses to cache a reserved key.
 //
 // # Reading a generation before its flush
 //
@@ -114,16 +112,10 @@ type Stats struct {
 	Hits uint64
 	// Misses counts reads that had to fall through to the backend.
 	Misses uint64
-	// Prefetched counts keys Prefetch pulled cold into the cache. The node
-	// no longer calls Prefetch (its look-ahead run warms the cache by
-	// executing), so on a node the three Prefetch* counters read 0; they and
-	// Prefetch stay while benchmark/ names them (ROADMAP item 2(a)).
-	Prefetched uint64
-	// PrefetchHits counts prefetched keys a later read actually used.
-	PrefetchHits uint64
-	// PrefetchSkipped counts prefetch requests dropped because the key
-	// was already warm or reserved by an in-flight commit.
-	PrefetchSkipped uint64
+	// Prefetched and PrefetchHits are always zero: the read-set prefetch
+	// they counted is gone (the node's look-ahead run warms the cache by
+	// executing). They stay while benchmark/ reads them (ROADMAP 4(c)).
+	Prefetched, PrefetchHits uint64
 	// GCVersions counts versions dropped (folded) by SetWatermark.
 	GCVersions uint64
 	// DepthBuckets histograms the depth (version count) of the chains GC
@@ -148,9 +140,6 @@ type chain struct {
 	versions   []version // ascending by gen
 	base       []byte
 	baseLoaded bool
-	// prefetched marks a base Prefetch loaded; the first read through it
-	// clears the mark and counts a prefetch hit.
-	prefetched bool
 	// listed marks a chain on its shard's written list.
 	listed bool
 }
@@ -177,15 +166,12 @@ type Store struct {
 	nextGV    atomic.Uint64 // global version id allocator
 	watermark atomic.Uint64
 
-	hits            atomic.Uint64
-	misses          atomic.Uint64
-	prefetched      atomic.Uint64
-	prefetchHits    atomic.Uint64
-	prefetchSkipped atomic.Uint64
-	gcVersions      atomic.Uint64
-	depthBuckets    [numDepthBuckets]atomic.Uint64
-	chains          atomic.Uint64 // live chains
-	versions        atomic.Int64  // live versions
+	hits         atomic.Uint64
+	misses       atomic.Uint64
+	gcVersions   atomic.Uint64
+	depthBuckets [numDepthBuckets]atomic.Uint64
+	chains       atomic.Uint64 // live chains
+	versions     atomic.Int64  // live versions
 
 	shards [numShards]shard
 }
@@ -242,25 +228,12 @@ func (v *View) Get(k types.Key) ([]byte, error) {
 func (st *Store) readAt(k types.Key, gen uint64) ([]byte, error) {
 	sh := st.shardOf(k)
 	sh.mu.RLock()
-	c := sh.chains[k]
-	if val, ok, upgrade := c.resolve(gen); ok {
-		if upgrade {
-			// Re-take the lock exclusively to clear the prefetch mark;
-			// rare (first touch of a prefetched key only).
-			sh.mu.RUnlock()
-			sh.mu.Lock()
-			if c.prefetched {
-				c.prefetched = false
-				st.prefetchHits.Add(1)
-			}
-			sh.mu.Unlock()
-		} else {
-			sh.mu.RUnlock()
-		}
+	val, ok := sh.chains[k].resolve(gen)
+	sh.mu.RUnlock()
+	if ok {
 		st.hits.Add(1)
 		return val, nil
 	}
-	sh.mu.RUnlock()
 
 	// Miss: load from the backend outside the lock, then re-check the
 	// chain before caching (rule 2 of the package comment).
@@ -271,14 +244,10 @@ func (st *Store) readAt(k types.Key, gen uint64) ([]byte, error) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c = sh.chains[k]
-	if cached, ok, _ := c.resolve(gen); ok {
+	c := sh.chains[k]
+	if cached, ok := c.resolve(gen); ok {
 		// A commit or a racing reader populated the chain meanwhile; its
 		// value is authoritative (ours may straddle the flush).
-		if c.prefetched {
-			c.prefetched = false
-			st.prefetchHits.Add(1)
-		}
 		return cached, nil
 	}
 	if _, res := sh.reserved[k]; res {
@@ -303,27 +272,26 @@ func (st *Store) newChain(sh *shard, k types.Key) *chain {
 	return c
 }
 
-// resolve returns the chain's value at generation gen, whether the chain
-// could answer, and whether the answer came from a prefetched base (the
-// caller then upgrades the lock to clear the mark). Nil-receiver safe.
-func (c *chain) resolve(gen uint64) (val []byte, ok, prefetchHit bool) {
+// resolve returns the chain's value at generation gen and whether the
+// chain could answer. Nil-receiver safe.
+func (c *chain) resolve(gen uint64) (val []byte, ok bool) {
 	if c == nil {
-		return nil, false, false
+		return nil, false
 	}
 	for i := len(c.versions) - 1; i >= 0; i-- {
 		if c.versions[i].gen <= gen {
-			return c.versions[i].val, true, false
+			return c.versions[i].val, true
 		}
 	}
 	if c.baseLoaded {
-		return c.base, true, c.prefetched
+		return c.base, true
 	}
-	return nil, false, false
+	return nil, false
 }
 
-// ReserveEpoch marks the keys the next CommitEpoch will write. Prefetch
-// requests for reserved keys are dropped and the copy-on-read path will
-// not cache them. Call ReleaseEpoch after the backend flush completes.
+// ReserveEpoch marks the keys the next CommitEpoch will write. The
+// copy-on-read path will not cache them. Call ReleaseEpoch after the
+// backend flush completes.
 func (st *Store) ReserveEpoch(keys []types.Key) {
 	for _, k := range keys {
 		sh := st.shardOf(k)
@@ -429,42 +397,6 @@ func (st *Store) dropVersionsAt(gen uint64, writes []types.WriteEntry) {
 	st.versions.Add(-int64(dropped))
 }
 
-// Prefetch pulls a cold key's value into the cache so a later read finds it
-// warm. Keys already chained or reserved by the in-flight commit are
-// skipped. Safe to run concurrently with CommitEpoch and the backend flush.
-// Nothing in the node calls it any more (see Stats.Prefetched).
-func (st *Store) Prefetch(k types.Key) error {
-	sh := st.shardOf(k)
-	sh.mu.RLock()
-	_, reserved := sh.reserved[k]
-	c := sh.chains[k]
-	warm := c != nil && (c.baseLoaded || len(c.versions) > 0)
-	sh.mu.RUnlock()
-	if warm || reserved {
-		st.prefetchSkipped.Add(1)
-		return nil
-	}
-	val, err := st.load(k)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c = sh.chains[k]
-	if _, res := sh.reserved[k]; res || (c != nil && (c.baseLoaded || len(c.versions) > 0)) {
-		st.prefetchSkipped.Add(1)
-		return nil
-	}
-	if c == nil {
-		c = st.newChain(sh, k)
-	}
-	c.base = val
-	c.baseLoaded = true
-	c.prefetched = true
-	st.prefetched.Add(1)
-	return nil
-}
-
 // SetWatermark advances the GC watermark to w and folds every chain that
 // holds versions: the newest version at or below w becomes the chain's
 // base and versions at or below w are dropped. Lowering the watermark is a
@@ -525,7 +457,6 @@ func (c *chain) fold(w uint64) int {
 	}
 	c.base = c.versions[cut-1].val
 	c.baseLoaded = true
-	c.prefetched = false
 	c.versions = append(c.versions[:0], c.versions[cut:]...)
 	return cut
 }
@@ -544,14 +475,11 @@ func depthBucket(depth int) int {
 // Stats snapshots the store's counters.
 func (st *Store) Stats() Stats {
 	s := Stats{
-		Hits:            st.hits.Load(),
-		Misses:          st.misses.Load(),
-		Prefetched:      st.prefetched.Load(),
-		PrefetchHits:    st.prefetchHits.Load(),
-		PrefetchSkipped: st.prefetchSkipped.Load(),
-		GCVersions:      st.gcVersions.Load(),
-		Chains:          st.chains.Load(),
-		Versions:        uint64(st.versions.Load()),
+		Hits:       st.hits.Load(),
+		Misses:     st.misses.Load(),
+		GCVersions: st.gcVersions.Load(),
+		Chains:     st.chains.Load(),
+		Versions:   uint64(st.versions.Load()),
 	}
 	for i := range st.depthBuckets {
 		s.DepthBuckets[i] = st.depthBuckets[i].Load()

@@ -172,46 +172,6 @@ func TestReservedKeyNotCached(t *testing.T) {
 	}
 }
 
-func TestPrefetch(t *testing.T) {
-	b := newBackend()
-	b.set(key(1), []byte("v1"))
-	b.set(key(2), []byte("v2"))
-	st := New(0, b.load)
-
-	if err := st.Prefetch(key(1)); err != nil {
-		t.Fatal(err)
-	}
-	st.ReserveEpoch([]types.Key{key(2)})
-	if err := st.Prefetch(key(2)); err != nil {
-		t.Fatal(err)
-	}
-	st.ReleaseEpoch()
-	if err := st.Prefetch(key(1)); err != nil { // already warm
-		t.Fatal(err)
-	}
-
-	s := st.Stats()
-	if s.Prefetched != 1 || s.PrefetchSkipped != 2 {
-		t.Fatalf("prefetched=%d skipped=%d, want 1/2", s.Prefetched, s.PrefetchSkipped)
-	}
-
-	// Reading the prefetched key is a cache hit and counts toward the
-	// prefetch hit-rate exactly once.
-	if got, err := st.Head().Get(key(1)); err != nil || string(got) != "v1" {
-		t.Fatalf("read = %q, %v", got, err)
-	}
-	if _, err := st.Head().Get(key(1)); err != nil {
-		t.Fatal(err)
-	}
-	s = st.Stats()
-	if s.PrefetchHits != 1 {
-		t.Fatalf("prefetch hits = %d, want 1", s.PrefetchHits)
-	}
-	if s.Misses != 0 {
-		t.Fatalf("misses = %d, want 0 (prefetch warmed the key)", s.Misses)
-	}
-}
-
 func TestWatermarkFoldsChains(t *testing.T) {
 	b := newBackend()
 	st := New(0, b.load)
@@ -249,7 +209,7 @@ func TestWatermarkFoldsChains(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringCommit hammers old- and new-generation reads
-// while commits and prefetches run; run with -race.
+// while commits run; run with -race.
 func TestConcurrentReadersDuringCommit(t *testing.T) {
 	b := newBackend()
 	const keys = 32
@@ -262,7 +222,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -293,9 +253,8 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 						return
 					}
 				}
-				_ = st.Prefetch(key(byte(r)))
 			}
-		}(r)
+		}()
 	}
 	for g := byte(1); g <= 40; g++ {
 		writes := make([]types.WriteEntry, 0, keys/2)
@@ -390,9 +349,6 @@ func TestLoaderErrorPropagates(t *testing.T) {
 	st := New(0, func(types.Key) ([]byte, error) { return nil, boom })
 	if _, err := st.Head().Get(key(1)); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want loader error", err)
-	}
-	if err := st.Prefetch(key(1)); !errors.Is(err, boom) {
-		t.Fatalf("prefetch err = %v, want loader error", err)
 	}
 	if _, err := st.CommitEpoch([]types.WriteEntry{{Key: key(1)}}, nil); !errors.Is(err, boom) {
 		t.Fatalf("commit err = %v, want loader error", err)

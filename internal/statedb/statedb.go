@@ -140,21 +140,6 @@ func (s *StateDB) ensureMVCCLocked() *mvcc.Store {
 	return s.mv
 }
 
-// Prefetch pulls a cold key into the version cache. The node no longer
-// consults it — the look-ahead run that executes the next epoch early warms
-// the cache with the reads it really makes — and it stays, with
-// mvcc.Store.Prefetch, while benchmark/ names the counters it feeds
-// (ROADMAP item 2(a)).
-func (s *StateDB) Prefetch(k types.Key) error {
-	s.mu.RLock()
-	mv := s.mv
-	s.mu.RUnlock()
-	if mv == nil {
-		mv = s.ensureMVCC()
-	}
-	return mv.Prefetch(k)
-}
-
 // AdvanceWatermark moves the MVCC garbage-collection watermark up to the
 // current committed generation — the caller's promise that no view older
 // than the present state is still being read (the node makes it once an

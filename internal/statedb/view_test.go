@@ -100,26 +100,6 @@ func TestAdvanceWatermarkInvalidatesOldViews(t *testing.T) {
 	}
 }
 
-func TestPrefetchWarmsView(t *testing.T) {
-	db := Open(kvstore.NewMemory(), mpt.EmptyRoot)
-	if _, err := db.Commit([]types.WriteEntry{{Key: keyN(7), Value: []byte("warm")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Prefetch(keyN(7)); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := db.View().Get(keyN(7)); err != nil || string(v) != "warm" {
-		t.Fatalf("view read = %q, %v", v, err)
-	}
-	stats, ok := db.MVCCStats()
-	if !ok {
-		t.Fatal("stats missing after prefetch")
-	}
-	if stats.Prefetched != 1 || stats.PrefetchHits != 1 || stats.Misses != 0 {
-		t.Fatalf("stats = %+v; want 1 prefetched, 1 hit, 0 misses", stats)
-	}
-}
-
 func TestMVCCStatsAbsentWithoutViews(t *testing.T) {
 	db := Open(kvstore.NewMemory(), mpt.EmptyRoot)
 	if _, err := db.Commit([]types.WriteEntry{{Key: keyN(1), Value: []byte("a")}}); err != nil {
@@ -134,7 +114,7 @@ func TestMVCCStatsAbsentWithoutViews(t *testing.T) {
 }
 
 // TestFannedOutCommitUnderReaders runs epoch-sized commits, fanned out
-// across workers, under View.Get, Prefetch and Root readers (run with
+// across workers, under View.Get and Root readers (run with
 // -race). Every commit rewrites every cell with its round number, so the
 // cells a view reads must all carry one round, between the last commit
 // finished before the view was taken and the last one started since; Root
@@ -202,7 +182,6 @@ func TestFannedOutCommitUnderReaders(t *testing.T) {
 			return nil
 		})
 	}
-	reader(func(rng *rand.Rand) error { return db.Prefetch(keyN(uint64(rng.Intn(cells)))) })
 	reader(func(*rand.Rand) error {
 		if root := db.Root(); !roots[root] {
 			return fmt.Errorf("root %s is no round's root", root.Short())
