@@ -153,7 +153,7 @@ func cmdReplay(args []string) error {
 func cmdSweepCrash(args []string) error {
 	fs := flag.NewFlagSet("sweep-crash", flag.ExitOnError)
 	cfg := chaos.CrashSweepConfig{}
-	fs.IntVar(&cfg.Rounds, "rounds", 0, "mining rounds per trial (0 = default 12)")
+	fs.IntVar(&cfg.Rounds, "rounds", 0, "mining rounds per trial (0 = default 12; a trial runs on, up to 4x, until its crash has history on both sides)")
 	fs.IntVar(&cfg.Chains, "chains", 0, "parallel chains per trial (0 = default 2)")
 	fs.IntVar(&cfg.TornOffsets, "torn", 0, "torn-WAL truncation offsets to sweep (0 = default 4)")
 	fs.Int64Var(&cfg.Seed, "seed", 0, "workload seed (0 = default 11)")

@@ -158,6 +158,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxRounds is the most fault rounds the run may take: its Rounds, or for a
+// crash trial sweepRoundsCap times as many (harness.more).
+func (c Config) maxRounds() int {
+	if c.trial != nil {
+		return sweepRoundsCap * c.Rounds
+	}
+	return c.Rounds
+}
+
 // name identifies the run in reports: its seed, or a crash trial's name.
 func (c Config) name() string {
 	if c.trial != nil {
@@ -267,6 +276,7 @@ func (k faultKind) String() string {
 // live member when applied) and kind-specific parameters.
 type fault struct {
 	round    int
+	epochs   uint64 // and no earlier than the twin has processed this many epochs (crash trials)
 	kind     faultKind
 	node     int
 	site     fail.Name // crash or recovery failpoint
@@ -322,6 +332,9 @@ type harness struct {
 	tick uint64
 	// stop ends a crash trial whose story finishes before convergence.
 	stop bool
+	// struckAt is the twin's processed-epoch watermark when a crash trial's
+	// fault first killed the victim.
+	struckAt uint64
 
 	res  *Result
 	fail *Failure
@@ -390,11 +403,16 @@ func newHarness(cfg Config, root string) (_ *harness, err error) {
 	if err != nil {
 		return nil, err
 	}
-	h.txs = gen.Txs(cfg.Rounds * blocksPerRound * cfg.txsPerBlock())
+	perRound := blocksPerRound * cfg.txsPerBlock()
+	h.txs = gen.Txs(cfg.Rounds * perRound)
 	genesis, err := gen.GenesisWrites(h.txs)
 	if err != nil {
 		return nil, err
 	}
+	// A crash trial that runs past its Rounds (harness.more) mines on with
+	// transactions drawn after the genesis, so its first Rounds replay
+	// exactly as a trial of fixed length would.
+	h.txs = append(h.txs, gen.Txs((cfg.maxRounds()-cfg.Rounds)*perRound)...)
 	ids := make([]string, cfg.Nodes)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("n%d", i)
@@ -507,9 +525,9 @@ func (h *harness) rejoin(cn *chaosNode) error {
 func (h *harness) run() *Result {
 	h.res.schedule = h.schedule
 	next := 0
-	for r := 0; r < h.cfg.Rounds && h.fail == nil && !h.stop; r++ {
+	for r := 0; h.more(r) && h.fail == nil && !h.stop; r++ {
 		h.beginRound(r)
-		for ; next < len(h.schedule) && h.schedule[next].round <= r; next++ {
+		for ; next < len(h.schedule) && h.due(r, h.schedule[next]); next++ {
 			h.applyFault(r, h.schedule[next])
 		}
 		h.step(r)
@@ -520,6 +538,34 @@ func (h *harness) run() *Result {
 	h.dumpJournals()
 	h.res.Failure = h.fail
 	return h.res
+}
+
+// more reports whether the fault rounds go on at round r. A scenario runs
+// its Rounds. A crash trial runs at least as many, and then on until its
+// fault has struck and the twin has processed sweepHistory epochs past the
+// strike — history on both sides of the crash, however the draw of blocks
+// over chains paced the epochs — but never past maxRounds.
+func (h *harness) more(r int) bool {
+	if r < h.cfg.Rounds {
+		return true
+	}
+	if h.cfg.trial == nil || r >= h.cfg.maxRounds() {
+		return false
+	}
+	return h.res.CrashRestarts == 0 || h.history() < h.struckAt+sweepHistory
+}
+
+// due reports whether fault f applies at round r.
+func (h *harness) due(r int, f fault) bool {
+	return f.round <= r && (f.epochs == 0 || h.history() >= f.epochs)
+}
+
+// history is a crash trial's watermark: the epochs the twin, which never
+// crashes and is handed every mined block, has processed. An epoch needs a
+// block at its height on every chain, so it counts the history all chains
+// share.
+func (h *harness) history() uint64 {
+	return h.nodes[len(h.nodes)-1].Node.NextEpoch() - 1
 }
 
 // step is a round past its faults: deliver what is in flight, mine, deliver,
@@ -805,6 +851,9 @@ func (h *harness) kill(r int, cn *chaosNode, why string) {
 	journal.For(cn.ID).Emit(journal.ChaosKill, 0, journal.FS("why", why))
 	if net := h.c.Network(); net != nil {
 		net.SetDown(cn.ID, true)
+	}
+	if h.cfg.trial != nil && h.res.CrashRestarts == 0 {
+		h.struckAt = h.history()
 	}
 	h.c.Crash(cn.Member)
 	h.res.CrashRestarts++

@@ -44,6 +44,13 @@ const (
 	// than on the first record (any mid-run restart replays far more
 	// records than this).
 	sweepReplayAfter = 8
+	// sweepHistory is the history a trial's crash needs on each side: a
+	// scripted restart waits until the twin has processed this many
+	// epochs, and every trial runs on until this many more follow its
+	// crash (harness.more).
+	sweepHistory = minEpochs
+	// sweepRoundsCap bounds a trial at this many times its Rounds.
+	sweepRoundsCap = 4
 )
 
 // trialDir names a trial's directory after the trial.
@@ -64,8 +71,10 @@ type CrashSweepConfig struct {
 	// temp directory, removed when every trial passes and kept (with its
 	// path in the report) when any fails.
 	Dir string
-	// Rounds is the mining rounds per trial; 0 means 12 (minimum 8, so
-	// scripted mid-run restarts have history on both sides).
+	// Rounds is the mining rounds per trial; 0 means 12 (minimum 8). A
+	// trial whose draw of blocks over chains paces its epochs slowly runs
+	// on past it, up to sweepRoundsCap times as many, until its crash has
+	// sweepHistory epochs on both sides.
 	Rounds int
 	// Chains is the OHIE chain count per trial; 0 means 2.
 	Chains int
@@ -133,7 +142,8 @@ func (sp *crashTrialSpec) shape(cc *cluster.Config) {
 // is neither swept nor exempted — adding a failpoint without deciding its
 // crash-recovery story is exactly what the sweep exists to prevent.
 // Runtime sites are armed from the first round; the scripted restarts
-// happen half-way, so they have history on both sides.
+// happen half-way, and no earlier than the twin has processed sweepHistory
+// epochs, so they have history on both sides.
 func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 	mid := cfg.Rounds / 2
 	var specs []crashTrialSpec
@@ -151,9 +161,9 @@ func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 			// trial — and its first compaction already lands mid-history.
 			sp.tiny, sp.after = true, 0
 		case fail.KVWALReplay:
-			sp.fault = fault{round: mid, kind: faultRecovery, site: name, after: sweepReplayAfter}
+			sp.fault = fault{round: mid, epochs: sweepHistory, kind: faultRecovery, site: name, after: sweepReplayAfter}
 		case fail.NodeRestore:
-			sp.fault = fault{round: mid, kind: faultRecovery, site: name}
+			sp.fault = fault{round: mid, epochs: sweepHistory, kind: faultRecovery, site: name}
 		case fail.NodeStageSerial:
 			sp.serial = true
 		case fail.MempoolEvict:
@@ -172,10 +182,10 @@ func crashSweepSpecs(cfg CrashSweepConfig) ([]crashTrialSpec, error) {
 		frac := float64(i+1) / float64(cfg.TornOffsets+1)
 		specs = append(specs, crashTrialSpec{
 			name:  fmt.Sprintf("torn-wal:%.2f", frac),
-			fault: fault{round: mid, kind: faultTornWAL, frac: frac},
+			fault: fault{round: mid, epochs: sweepHistory, kind: faultTornWAL, frac: frac},
 		})
 	}
-	specs = append(specs, crashTrialSpec{name: "corrupt-wal", fault: fault{round: mid, kind: faultCorruptWAL}})
+	specs = append(specs, crashTrialSpec{name: "corrupt-wal", fault: fault{round: mid, epochs: sweepHistory, kind: faultCorruptWAL}})
 	return specs, nil
 }
 

@@ -87,6 +87,34 @@ func TestCrashSweepAllSites(t *testing.T) {
 
 // TestCrashSweepCoversRegistry pins the sweep's exhaustiveness without
 // running trials: every registered failpoint name must either produce a
+// TestCrashSweepSlowDraw: at seed 8 the first twelve blocks of a trial land
+// ten on one chain and two on the other, so a twelve-round trial reaches two
+// epochs, and a restart scripted at round six had next to no history. The
+// scripted restarts wait for the history watermark instead, every trial runs
+// on until its crash has that history after it too, and the whole sweep
+// passes — some trials only by mining past their twelve rounds.
+func TestCrashSweepSlowDraw(t *testing.T) {
+	fail.Reset()
+	defer fail.Reset()
+	cfg := CrashSweepConfig{Dir: t.TempDir(), Seed: 8}
+	rep, err := CrashSweep(cfg)
+	if err != nil {
+		t.Fatalf("sweep setup: %v", err)
+	}
+	longer := 0
+	for _, tr := range rep.Trials {
+		if errOf(tr) != "" {
+			t.Errorf("trial %s: %s", tr.Name, errOf(tr))
+		}
+		if tr.Blocks > cfg.withDefaults().Rounds*blocksPerRound {
+			longer++
+		}
+	}
+	if longer == 0 {
+		t.Error("no trial ran past its rounds: the seed no longer draws a slow start, and this test proves nothing")
+	}
+}
+
 // trial spec or carry an explicit exemption with a reason.
 func TestCrashSweepCoversRegistry(t *testing.T) {
 	cfg := CrashSweepConfig{}.withDefaults()

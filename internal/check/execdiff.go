@@ -183,11 +183,11 @@ func RunExecDiff(cfg ExecDiffConfig) *Failure {
 				Detail: fmt.Sprintf("epoch %d commit groups: %s", e, diffSchedules(sched, snapSched))}
 		}
 
-		mvccRoot, err := node.CommitSchedule(mvccEx.db, mvccSims, sched, cfg.Workers)
+		mvccRoot, err := node.CommitSchedule(mvccEx.db, mvccSims, sched, cfg.Workers) //nezha:dettaint-ok the write batch orders the simulations' writes by sched's sequence numbers; sched is tainted only by the wall-clock PhaseBreakdown core.Schedule returns beside it, which scheduleEpoch drops
 		if err != nil {
 			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen, Detail: fmt.Sprintf("epoch %d mvcc commit: %v", e, err)}
 		}
-		snapRoot, err := node.CommitSchedule(snapEx.db, snapSims, sched, cfg.Workers)
+		snapRoot, err := node.CommitSchedule(snapEx.db, snapSims, sched, cfg.Workers) //nezha:dettaint-ok the write batch orders the simulations' writes by sched's sequence numbers; sched is tainted only by the wall-clock PhaseBreakdown core.Schedule returns beside it, which scheduleEpoch drops
 		if err != nil {
 			return &Failure{Kind: FailExecDiff, Gen: cfg.Gen, Detail: fmt.Sprintf("epoch %d snapshot commit: %v", e, err)}
 		}

@@ -62,6 +62,11 @@ type ACG struct {
 	// Reads/Writes slices of all addresses are carved from (reads, then
 	// writes); the sorter sizes its per-address scratch by it.
 	addrOff []int32
+	arena   []types.TxID
+
+	// order, perm, nReads and next are construction scratch, kept with
+	// everything else for the next build into the same graph.
+	order, perm, nReads, next []int32
 }
 
 // BuildACG constructs the ACG from one epoch's simulation results in
@@ -75,11 +80,19 @@ type ACG struct {
 // Transaction ids must be epoch-local (consecutive from 0, as types.NewEpoch
 // assigns them): the graph indexes transactions densely by id.
 func BuildACG(sims []*types.SimResult) *ACG {
+	kx := keyIndexes.Get().(*keyIndex)
+	defer keyIndexes.Put(kx)
+	acg := new(ACG)
+	acg.build(sims, kx)
+	return acg
+}
+
+// build is BuildACG into acg, reusing every array acg already holds, with
+// kx numbering the keys; it leaves kx empty again.
+func (acg *ACG) build(sims []*types.SimResult, kx *keyIndex) {
 	n := denseSimLen(sims)
-	acg := &ACG{
-		sims:    make([]*types.SimResult, n),
-		unitOff: make([]int32, n+1),
-	}
+	acg.sims = reuse(acg.sims, n)
+	acg.unitOff = reuse(acg.unitOff, n+1)
 	// Unit offsets per transaction; gaps in the id space own no units.
 	for _, sim := range sims {
 		acg.sims[sim.Tx.ID] = sim
@@ -88,17 +101,18 @@ func BuildACG(sims []*types.SimResult) *ACG {
 	for id := 0; id < n; id++ {
 		acg.unitOff[id+1] += acg.unitOff[id]
 	}
-	acg.unitAddr = make([]int32, acg.unitOff[n])
+	acg.unitAddr = reuse(acg.unitAddr, int(acg.unitOff[n]))
 
 	// Pass 1: number every accessed key in first-occurrence order and
 	// record each unit under that provisional number — the only time a
 	// key is hashed.
-	kx := keyIndexes.Get().(*keyIndex)
+	if kx.index == nil {
+		kx.index = make(map[types.Key]int32)
+	}
 	keys := kx.keys
 	defer func() {
 		clear(kx.index)
 		kx.keys = keys[:0]
-		keyIndexes.Put(kx)
 	}()
 	u := 0
 	intern := func(k types.Key) {
@@ -122,13 +136,14 @@ func BuildACG(sims []*types.SimResult) *ACG {
 
 	// Vertices are numbered in key order, which gives each address its
 	// deterministic subscript; the units follow.
-	order := make([]int32, len(keys))
+	order := reuse(acg.order, len(keys))
 	for p := range order {
 		order[p] = int32(p)
 	}
 	slices.SortFunc(order, func(p, q int32) int { return keys[p].Compare(keys[q]) })
-	perm := make([]int32, len(keys))
-	acg.Addrs = make([]AddressSet, len(keys))
+	perm := reuse(acg.perm, len(keys))
+	acg.order, acg.perm = order, perm
+	acg.Addrs = reuse(acg.Addrs, len(keys))
 	for v, p := range order {
 		perm[p] = int32(v)
 		acg.Addrs[v].Key = keys[p]
@@ -144,10 +159,11 @@ func BuildACG(sims []*types.SimResult) *ACG {
 	// out of one arena and their edges out of another, each list empty
 	// with exactly its final capacity.
 	v := len(keys)
-	nReads := make([]int32, v)
-	acg.addrOff = make([]int32, v+1)
+	nReads := reuse(acg.nReads, v)
+	acg.nReads = nReads
+	acg.addrOff = reuse(acg.addrOff, v+1)
 	d := &acg.Deps
-	d.off, d.in = make([]int32, v+1), make([]int32, v)
+	d.off, d.in = reuse(d.off, v+1), reuse(d.in, v)
 	for _, sim := range sims {
 		reads, writes := acg.units(sim.Tx.ID)
 		for _, j := range reads {
@@ -166,9 +182,11 @@ func BuildACG(sims []*types.SimResult) *ACG {
 		acg.addrOff[j+1] += acg.addrOff[j] + nReads[j]
 		d.off[j+1] += d.off[j]
 	}
-	arena := make([]types.TxID, acg.addrOff[v])
-	d.adj = make([]int32, d.off[v])
-	next := slices.Clone(d.off[:v])
+	arena := reuse(acg.arena, int(acg.addrOff[v]))
+	acg.arena = arena
+	d.adj = reuse(d.adj, int(d.off[v]))
+	next := append(acg.next[:0], d.off[:v]...)
+	acg.next = next
 	for j := 0; j < v; j++ {
 		lo, mid, hi := acg.addrOff[j], acg.addrOff[j]+nReads[j], acg.addrOff[j+1]
 		acg.Addrs[j].Reads, acg.Addrs[j].Writes = arena[lo:lo:mid], arena[mid:mid:hi]
@@ -194,11 +212,24 @@ func BuildACG(sims []*types.SimResult) *ACG {
 		}
 	}
 	d.dedupe(nReads)
-	return acg
 }
 
-// keyIndex is BuildACG's key numbering. Its map and key list are the
-// graph's largest transients, so they are kept for the next call.
+// reuse returns buf resized to n zero elements, keeping its array when it
+// holds n; a new array gets a quarter's headroom, so an epoch a little
+// larger than the last does not allocate again.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// keyIndex is the graph construction's key numbering. Its map and key list
+// are the graph's largest transients, so they are kept for the next build:
+// a Scheduler keeps one per working state, BuildACG borrows one from
+// keyIndexes.
 type keyIndex struct {
 	index map[types.Key]int32
 	keys  []types.Key
@@ -232,7 +263,7 @@ func (d *Deps) dedupe(stamp []int32) {
 		}
 	}
 	d.off[len(d.in)] = n
-	d.adj = d.adj[:n:n]
+	d.adj = d.adj[:n]
 }
 
 // N returns the number of vertices.

@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // RankHeuristic selects how Algorithm 1 breaks out of cycles when no
 // zero-in-degree address remains.
 type RankHeuristic int
@@ -37,6 +35,21 @@ const (
 //     each. Its keys pack three vertex-sized fields into 64 bits, which
 //     caps an epoch at 2^21 - 1 addresses.
 func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
+	return new(ranker).rank(acg, heuristic)
+}
+
+// ranker holds rank division's arrays between calls: a Scheduler keeps one
+// per working state, so an epoch reuses the last one's. The returned order
+// is one of them, valid until the next call.
+type ranker struct {
+	deg, rev, fill []int32
+	zero, blocked  maxHeap
+	removed        []bool
+	seq            []int
+}
+
+// rank is RankAddresses on r's arrays.
+func (r *ranker) rank(acg *ACG, heuristic RankHeuristic) []int {
 	g := &acg.Deps
 	n := g.N()
 	if n == 0 {
@@ -47,15 +60,17 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 	// vertices); the max-out-degree heuristic consults the latter. Vertex
 	// v's predecessors are rev[revOff[v]:revOff[v+1]], so removing a vertex
 	// can decrement the live out-degrees of its predecessors.
-	deg := make([]int32, 3*n+1)
+	deg := reuse(r.deg, 3*n+1)
+	r.deg = deg
 	inDeg, outDeg, revOff := deg[:n], deg[n:2*n], deg[2*n:]
 	copy(inDeg, g.in)
 	for v := 0; v < n; v++ {
 		outDeg[v] = int32(g.OutDegree(v))
 		revOff[v+1] = revOff[v] + inDeg[v]
 	}
-	rev := make([]int32, revOff[n])
-	fill := slices.Clone(revOff[:n])
+	rev := reuse(r.rev, int(revOff[n]))
+	fill := append(r.fill[:0], revOff[:n]...)
+	r.rev, r.fill = rev, fill
 	for u := 0; u < n; u++ {
 		for _, v := range g.Out(u) {
 			rev[fill[v]] = int32(u)
@@ -64,7 +79,7 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 	}
 
 	// zero holds the zero-in-degree vertices, smallest subscript on top.
-	var zero maxHeap
+	zero := r.zero[:0]
 	for v := 0; v < n; v++ {
 		if inDeg[v] == 0 {
 			zero.push(^uint64(v))
@@ -86,11 +101,12 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 		}
 		return (mask-uint64(inDeg[v]))<<(2*w) | out<<w | (mask - uint64(v))
 	}
-	var blocked maxHeap
+	blocked := r.blocked[:0]
 	built := false
 
-	removed := make([]bool, n)
-	seq := make([]int, 0, n)
+	removed := reuse(r.removed, n)
+	seq := reuse(r.seq, n)[:0]
+	r.removed, r.seq = removed, seq
 	remove := func(u int) {
 		removed[u] = true
 		seq = append(seq, u)
@@ -122,7 +138,6 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 		// Cycles block every remaining vertex.
 		if !built {
 			built = true
-			blocked = make(maxHeap, 0, n-len(seq))
 			for v := 0; v < n; v++ {
 				if !removed[v] {
 					blocked = append(blocked, file(v))
@@ -149,5 +164,6 @@ func RankAddresses(acg *ACG, heuristic RankHeuristic) []int {
 			}
 		}
 	}
+	r.zero, r.blocked = zero[:0], blocked[:0]
 	return seq
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/nezha-dag/nezha/internal/metrics"
@@ -57,11 +58,26 @@ func DefaultConfig() Config {
 	return Config{Reorder: true, Heuristic: RankMaxOutDegree}
 }
 
-// Scheduler is the Nezha concurrency-control scheme (§IV). It is stateless
-// across epochs and safe for concurrent use by multiple goroutines (each
-// Schedule call builds its own working state).
+// Scheduler is the Nezha concurrency-control scheme (§IV). It is safe for
+// concurrent use by multiple goroutines: each Schedule call works in a
+// working state of its own, taken from the instance's free list (or built,
+// when every one is in use) and returned to it when the call returns, so an
+// epoch sorts in the arrays an earlier epoch grew. Nothing a call returns
+// points into its working state, and two instances share none.
 type Scheduler struct {
 	cfg Config
+
+	mu   sync.Mutex
+	free []*workspace
+}
+
+// workspace is one Schedule call's working state: the graph with its key
+// numbering, rank division's arrays and the sorter's.
+type workspace struct {
+	acg ACG
+	kx  keyIndex
+	rk  ranker
+	srt sorter
 }
 
 var _ types.Scheduler = (*Scheduler)(nil)
@@ -100,24 +116,37 @@ func (n *Scheduler) Name() string { return "nezha" }
 // returned breakdown maps onto the paper's Fig. 10 phases.
 func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.PhaseBreakdown, error) {
 	var pb types.PhaseBreakdown
+	ws := n.take()
+	defer n.give(ws)
 
 	start := time.Now() //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
-	acg := BuildACG(sims)
+	acg := &ws.acg
+	acg.build(sims, &ws.kx)
 	pb.Graph = time.Since(start) //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
 
 	start = time.Now() //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
-	ranks := RankAddresses(acg, n.cfg.Heuristic)
+	ranks := ws.rk.rank(acg, n.cfg.Heuristic)
 	pb.Cycle = time.Since(start) //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
 
 	start = time.Now() //nezha:nondeterminism-ok wall-clock only feeds the local PhaseBreakdown timings, never the schedule
-	srt := newSorter(acg, n.cfg.Reorder, n.cfg.InjectFault)
+	srt := &ws.srt
+	srt.reset(acg, n.cfg.Reorder, n.cfg.InjectFault)
 	srt.run(ranks)
 	if !n.cfg.SkipSafetySweep {
 		srt.safetySweep()
 	}
 	srt.finish()
 
-	sched := types.NewSchedule()
+	aborts := 0
+	for _, sim := range sims {
+		if srt.aborted[sim.Tx.ID] {
+			aborts++
+		}
+	}
+	sched := &types.Schedule{
+		Seqs:    make(map[types.TxID]types.Seq, len(sims)-aborts),
+		Aborted: make([]types.Abort, 0, aborts),
+	}
 	for _, sim := range sims {
 		id := sim.Tx.ID
 		if srt.aborted[id] {
@@ -137,4 +166,25 @@ func (n *Scheduler) Schedule(sims []*types.SimResult) (*types.Schedule, types.Ph
 	schedRescues.Add(float64(pb.Rescued))
 
 	return sched, pb, nil
+}
+
+// take hands a call a working state nobody else holds.
+func (n *Scheduler) take() *workspace {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if k := len(n.free); k > 0 {
+		ws := n.free[k-1]
+		n.free = n.free[:k-1]
+		return ws
+	}
+	return new(workspace)
+}
+
+// give returns a call's working state to the free list, letting go of the
+// epoch's results the graph points to.
+func (n *Scheduler) give(ws *workspace) {
+	clear(ws.acg.sims)
+	n.mu.Lock()
+	n.free = append(n.free, ws)
+	n.mu.Unlock()
 }

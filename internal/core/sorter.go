@@ -15,8 +15,9 @@ const initialSeq types.Seq = 1
 // sorter carries the mutable state of hierarchical sorting across the
 // addresses of one epoch. All of it — per-transaction state, per-address
 // state and the scratch of every pass — is held in dense slices indexed by
-// epoch-local id or by vertex id and allocated once per Schedule: maps
-// dominated the scheduler's allocation profile.
+// epoch-local id or by vertex id, which reset keeps from one epoch to the
+// next: maps, then per-call arrays, dominated the scheduler's allocation
+// profile.
 type sorter struct {
 	acg     *ACG
 	reorder bool
@@ -37,7 +38,7 @@ type sorter struct {
 	// writes on one address must never share a number. Every address
 	// starts with one word carved from a shared array — enough for the
 	// numbers below 64, all a low-contention epoch hands out — and grows
-	// its own copy on demand.
+	// a copy on demand, carved from the spill chunk.
 	used [][]uint64
 	// maxAssigned[j] is the highest sequence number present on address j,
 	// consulted by the reordering enhancement (§IV-D: "find the maximum
@@ -60,28 +61,40 @@ type sorter struct {
 	live    []types.TxID
 	liveEnd []int32
 	pairs   []int32
+
+	// scratch backs readAt, bumpedAt, pairs and liveEnd; words backs every
+	// address's first used word, spill the bitsets that outgrow it; sweep
+	// backs the safety sweep's buckets.
+	scratch      []int32
+	words, spill []uint64
+	sweep        []int32
 }
 
 func newSorter(acg *ACG, reorder bool, fault Fault) *sorter {
-	txs, addrs := len(acg.sims), len(acg.Addrs)
-	s := &sorter{
-		acg:         acg,
-		reorder:     reorder,
-		fault:       fault,
-		seqOf:       make([]types.Seq, txs),
-		aborted:     make([]bool, txs),
-		used:        make([][]uint64, addrs),
-		maxAssigned: make([]types.Seq, addrs),
-	}
-	scratch := make([]int32, 3*txs+2*addrs)
-	s.readAt, s.bumpedAt, s.pairs = scratch[:txs], scratch[txs:2*txs], scratch[2*txs:3*txs]
-	s.liveEnd = scratch[3*txs:]
-	s.live = make([]types.TxID, len(acg.unitAddr))
-	words := make([]uint64, addrs)
-	for j := range s.used {
-		s.used[j] = words[j : j+1 : j+1]
-	}
+	s := new(sorter)
+	s.reset(acg, reorder, fault)
 	return s
+}
+
+// reset readies s for sorting acg, reusing the arrays a previous epoch's
+// sort left: every one is zeroed, the stamps included — a stamp of the last
+// epoch would read as this one's.
+func (s *sorter) reset(acg *ACG, reorder bool, fault Fault) {
+	txs, addrs := len(acg.sims), len(acg.Addrs)
+	s.acg, s.reorder, s.fault, s.rescued = acg, reorder, fault, 0
+	s.seqOf = reuse(s.seqOf, txs)
+	s.aborted = reuse(s.aborted, txs)
+	s.used = reuse(s.used, addrs)
+	s.maxAssigned = reuse(s.maxAssigned, addrs)
+	s.scratch = reuse(s.scratch, 3*txs+2*addrs)
+	s.readAt, s.bumpedAt, s.pairs = s.scratch[:txs], s.scratch[txs:2*txs], s.scratch[2*txs:3*txs]
+	s.liveEnd = s.scratch[3*txs:]
+	s.live = reuse(s.live, len(acg.unitAddr))
+	s.words = reuse(s.words, addrs)
+	s.spill = s.spill[:0]
+	for j := range s.used {
+		s.used[j] = s.words[j : j+1 : j+1]
+	}
 }
 
 // assign gives tx the sequence number seq and propagates it to every
@@ -95,9 +108,9 @@ func (s *sorter) assign(id types.TxID, seq types.Seq) {
 		u := s.used[j]
 		if word >= len(u) {
 			if word >= cap(u) {
-				u = append(make([]uint64, 0, max(word+1, 2*len(u))), u...)
+				u = append(s.spillWords(max(word+1, 2*len(u))), u...)
 			}
-			u = u[:word+1] // make zeroed the words this uncovers
+			u = u[:word+1] // the words this uncovers are zero
 			s.used[j] = u
 		}
 		u[word] |= bit
@@ -105,6 +118,19 @@ func (s *sorter) assign(id types.TxID, seq types.Seq) {
 			s.maxAssigned[j] = seq
 		}
 	}
+}
+
+// spillWords returns an empty bitset with room for n zero words, carved
+// from the spill chunk reset rewinds; a short chunk is replaced by one twice
+// as large, and the bitsets already carved keep the old one.
+func (s *sorter) spillWords(n int) []uint64 {
+	if cap(s.spill)-len(s.spill) < n {
+		s.spill = make([]uint64, 0, max(2*cap(s.spill), n, 256))
+	}
+	l := len(s.spill)
+	s.spill = s.spill[:l+n]
+	clear(s.spill[l:])
+	return s.spill[l : l : l+n]
 }
 
 // isUsed reports whether some unit on address j carries (or carried) seq.
@@ -307,7 +333,8 @@ func (s *sorter) safetySweep() []int32 {
 	// so once the cover reaches bucket c nothing can be filed there any
 	// more: it is drained in descending id order, and an entry whose count
 	// fell since it was filed moves down to its current bucket.
-	buf := make([]int32, int(top)+1+2*txs)
+	buf := reuse(s.sweep, int(top)+1+2*txs)
+	s.sweep = buf
 	head := buf[:top+1]
 	bucket, victims := buf[top+1:top+1], buf[int(top)+1+txs:][:0]
 	next := s.bumpedAt // free once Algorithm 2 is done

@@ -8,6 +8,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/mpt"
 	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
+	"github.com/nezha-dag/nezha/internal/vm"
 )
 
 // execRef is the node-level executor reference: the way an epoch ran before
@@ -87,10 +88,11 @@ func (r *execRef) process(n *Node, blocks []*types.Block) error {
 	return nil
 }
 
-// simulated is one transaction's execution in a result of its own.
+// simulated is one transaction's execution in a result and an arena of its
+// own.
 func simulated(n *Node, tx *types.Transaction, state statedb.Reader) *types.SimResult {
 	sim := new(types.SimResult)
-	n.simulate(tx, state, sim)
+	n.simulate(new(vm.Arena), tx, state, sim)
 	return sim
 }
 

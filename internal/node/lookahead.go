@@ -115,15 +115,11 @@ func (n *Node) startLookahead(la *lookahead, view *mvcc.View) {
 func (la *lookahead) run(n *Node) {
 	defer close(la.done)
 	la.started = time.Now()
-	la.txs = types.DedupeTxs(la.blocks)
-	own := make([]types.Transaction, len(la.txs))
-	txs := make([]*types.Transaction, len(la.txs))
-	for i, tx := range la.txs {
-		own[i] = tx.DetachedCopy(types.TxID(i))
-		txs[i] = &own[i]
-	}
+	s := n.takeScratch(la.epoch)
+	la.txs = s.dedupe(la.blocks)
+	txs := s.detach(la.txs)
 	close(la.flattened)
-	la.exec = n.executeTxs(txs, la.view, &la.stop)
+	la.exec = n.executeTxs(s, txs, la.view, &la.stop)
 	la.execTime = time.Since(la.started)
 	close(la.executed)
 	if la.stop.Load() {
@@ -142,7 +138,7 @@ func (la *lookahead) run(n *Node) {
 		return
 	}
 	start = time.Now()
-	la.batch = writeBatch(la.exec.sims, la.sched)
+	la.batch = s.writeBatch(la.exec.sims, la.sched)
 	la.staged = n.state.Stage(la.view, la.batch, n.cfg.Workers, &la.stop) //nezha:dettaint-ok the batch is built from the run's simulations and schedule alone; its wall-clock fields only feed the ledger and the tracer
 	la.stageTime = time.Since(start)
 }

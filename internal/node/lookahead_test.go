@@ -51,9 +51,9 @@ func lookaheadWaits(n *Node) [3]uint64 {
 	return out
 }
 
-// scriptedLedger mines a two-chain ledger whose every epoch is written out
-// by the test: exactly one block per chain, carrying the transactions and
-// the state root the test says. Every node of a test is fed the same block
+// scriptedLedger mines a ledger whose every epoch is written out by the
+// test: exactly one block per chain, carrying the transactions and the
+// state root the test says. Every node of a test is fed the same block
 // and transaction OBJECTS, as in-process clusters do.
 type scriptedLedger struct {
 	t      *testing.T
@@ -63,19 +63,20 @@ type scriptedLedger struct {
 	tick   uint64
 }
 
-func newScriptedLedger(t *testing.T) *scriptedLedger {
-	src, err := dag.NewLedger(2)
+func newScriptedLedger(t *testing.T, chains int) *scriptedLedger {
+	src, err := dag.NewLedger(chains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &scriptedLedger{t: t, params: consensus.Params{Chains: 2}, src: src}
+	return &scriptedLedger{t: t, params: consensus.Params{Chains: chains}, src: src}
 }
 
-// epoch mines the next epoch: block c lands on chain c.
-func (l *scriptedLedger) epoch(roots [2]types.Hash, txs [2][]*types.Transaction) {
+// epoch mines the next epoch: block c lands on chain c, with roots[c] and
+// txs[c].
+func (l *scriptedLedger) epoch(roots []types.Hash, txs [][]*types.Transaction) {
 	l.t.Helper()
 	var blocks []*types.Block
-	for c := uint32(0); c < 2; c++ {
+	for c := uint32(0); c < uint32(l.params.Chains); c++ {
 		for attempt := 0; ; attempt++ {
 			if attempt > 1_000 {
 				l.t.Fatal("cannot steer a block onto its chain")
@@ -139,11 +140,11 @@ func lookaheadScript(t *testing.T) (*scriptedLedger, []types.WriteEntry) {
 	// any processed epoch below the block's height, so the whole ledger can
 	// be mined before a node has processed anything.
 	root := lookaheadNode(t, "genesis-root", 1, genesis, false).StateRoot()
-	l := newScriptedLedger(t)
+	l := newScriptedLedger(t, 2)
 	for e := 1; e <= epochs; e++ {
 		cut := txs[2*perBlock*(e-1):]
-		blocks := [2][]*types.Transaction{cut[:perBlock:perBlock], cut[perBlock : 2*perBlock : 2*perBlock]}
-		roots := [2]types.Hash{root, root}
+		blocks := [][]*types.Transaction{cut[:perBlock:perBlock], cut[perBlock : 2*perBlock : 2*perBlock]}
+		roots := []types.Hash{root, root}
 		switch e {
 		case 3:
 			blocks[1] = append(blocks[1], &types.Transaction{
@@ -154,7 +155,7 @@ func lookaheadScript(t *testing.T) (*scriptedLedger, []types.WriteEntry) {
 		case 6:
 			blocks[0] = append(blocks[0], txs[2*perBlock*4]) // first of epoch 5, chain 0
 		case 8:
-			blocks = [2][]*types.Transaction{}
+			blocks = make([][]*types.Transaction, 2)
 		}
 		l.epoch(roots, blocks)
 	}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"github.com/nezha-dag/nezha/internal/consensus"
@@ -137,6 +136,8 @@ type Node struct {
 	// epoch, if any (see lookahead.go). Whoever clears the field stops and
 	// waits for the run unless an epoch adopts it.
 	ahead *lookahead
+	// scratch is the epoch scratch ring, slot e&1 epoch e's (scratch.go).
+	scratch [2]epochScratch
 	// prevMVCC is the last-exported MVCC stats snapshot; the telemetry
 	// hook diffs against it so registry counters stay monotonic.
 	prevMVCC mvcc.Stats
@@ -466,89 +467,42 @@ func (n *Node) validStateRootLocked(b *types.Block) bool {
 }
 
 // CommitSchedule is the commitment phase (§III-B) as a reusable function:
-// the schedule's write batch (writeBatch) flushed to the state trie in one
-// commit. The benchmark harness calls it directly to measure commit latency
-// per scheme.
+// the schedule's write batch (epochScratch.writeBatch) flushed to the state
+// trie in one commit. The benchmark harness calls it directly to measure
+// commit latency per scheme.
 func CommitSchedule(db *statedb.StateDB, sims []*types.SimResult, sched *types.Schedule, workers int) (types.Hash, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	root, _, err := db.PublishAndSeal(writeBatch(sims, sched), workers, nil)
+	root, _, err := db.PublishAndSeal(new(epochScratch).writeBatch(sims, sched), workers, nil)
 	return root, err
-}
-
-// writeBatch is what the commitment phase writes ("applies the write values
-// … to an in-memory state", §III-B): every committed transaction's writes
-// in commit-group order, sorted stably by key, and of each run of writes to
-// one cell the last — the latest group's, as applying the groups in
-// sequence order would leave it. Transactions inside a group write
-// pairwise-distinct keys (scheduler invariant), so the order within a
-// group does not matter. The result is in ascending key order, the order
-// the state trie's batch descent takes and the one that makes every replica
-// hand the trie the same batch. The commit stage builds it, or the
-// look-ahead run builds it early to stage it; either way it is built once
-// per epoch.
-func writeBatch(sims []*types.SimResult, sched *types.Schedule) []types.WriteEntry {
-	// Transaction ids are dense within an epoch: index, don't hash.
-	var top types.TxID
-	for _, sim := range sims {
-		top = max(top, sim.Tx.ID)
-	}
-	byID := make([]*types.SimResult, int(top)+1)
-	for _, sim := range sims {
-		byID[sim.Tx.ID] = sim
-	}
-	groups := sched.Groups()
-	n := 0
-	for _, group := range groups {
-		for _, id := range group {
-			n += len(byID[id].Writes)
-		}
-	}
-	writes := make([]types.WriteEntry, 0, n)
-	for _, group := range groups {
-		for _, id := range group {
-			writes = append(writes, byID[id].Writes...)
-		}
-	}
-	slices.SortStableFunc(writes, func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) })
-	out := writes[:0]
-	for i, w := range writes {
-		if i+1 < len(writes) && writes[i+1].Key == w.Key {
-			continue // a later write to the cell wins
-		}
-		out = append(out, w)
-	}
-	return out
 }
 
 // simulate executes one transaction against a state reader (the epoch's
 // MVCC view, or the live StateDB in the serial baseline) into sim, which
-// must be zero.
-func (n *Node) simulate(tx *types.Transaction, state statedb.Reader, sim *types.SimResult) {
+// must be zero, carving its read and write sets from a.
+func (n *Node) simulate(a *vm.Arena, tx *types.Transaction, state statedb.Reader, sim *types.SimResult) {
 	sim.Tx = tx
 	code, isContract := n.cfg.Contracts[tx.To]
 	if !isContract {
-		n.simulateTransfer(tx, state, sim)
+		n.simulateTransfer(a, tx, state, sim)
 		return
 	}
-	res, err := vm.Execute(code, vm.Context{
+	res, err := vm.ExecuteIn(a, code, vm.Context{
 		Contract: tx.To,
 		Caller:   tx.From,
 		Payload:  tx.Payload,
 		GasLimit: tx.Gas,
 	}, state)
 	sim.Err = err
-	if res != nil {
-		sim.Reads = res.Reads
-		sim.Writes = res.Writes
-		sim.GasUsed = res.GasUsed
-	}
+	sim.Reads = res.Reads
+	sim.Writes = res.Writes
+	sim.GasUsed = res.GasUsed
 }
 
 // simulateTransfer is the native value-transfer path: move tx.Value from
 // the sender's to the recipient's balance cell, saturating at zero.
-func (n *Node) simulateTransfer(tx *types.Transaction, state statedb.Reader, sim *types.SimResult) {
+func (n *Node) simulateTransfer(a *vm.Arena, tx *types.Transaction, state statedb.Reader, sim *types.SimResult) {
 	fromKey, toKey := types.BalanceKey(tx.From), types.BalanceKey(tx.To)
 	fromRaw, err := state.Get(fromKey)
 	if err != nil {
@@ -570,11 +524,12 @@ func (n *Node) simulateTransfer(tx *types.Transaction, state statedb.Reader, sim
 	if toKey.Less(fromKey) {
 		first, second = 1, 0
 	}
-	sim.Reads, sim.Writes = make([]types.ReadEntry, 2), make([]types.WriteEntry, 2)
+	reads, writes := a.Sets(2, 2)
+	sim.Reads, sim.Writes = reads[:2], writes[:2]
 	sim.Reads[first] = types.ReadEntry{Key: fromKey, Value: fromRaw}
 	sim.Reads[second] = types.ReadEntry{Key: toKey, Value: toRaw}
-	sim.Writes[first] = types.WriteEntry{Key: fromKey, Value: encodeU64(from - amount)}
-	sim.Writes[second] = types.WriteEntry{Key: toKey, Value: encodeU64(to + amount)}
+	sim.Writes[first] = types.WriteEntry{Key: fromKey, Value: a.Word(from - amount)}
+	sim.Writes[second] = types.WriteEntry{Key: toKey, Value: a.Word(to + amount)}
 }
 
 // verifyAgainstState adapts the epoch's state reader to
@@ -596,15 +551,6 @@ func verifyAgainstState(state statedb.Reader, sims []*types.SimResult, sched *ty
 		}
 	}
 	return core.VerifySchedule(values, sims, sched)
-}
-
-func encodeU64(v uint64) []byte {
-	out := make([]byte, 8)
-	for i := 7; i >= 0; i-- {
-		out[i] = byte(v)
-		v >>= 8
-	}
-	return out
 }
 
 func decodeU64(raw []byte) uint64 {

@@ -67,6 +67,9 @@ type epochRun struct {
 
 	// ahead is the look-ahead run the validate stage adopted, if it did.
 	ahead *lookahead
+	// scratch is the epoch's slot of the scratch ring when it runs inline;
+	// an adopted epoch's buffers are the run's, in the same slot.
+	scratch *epochScratch
 
 	stats *metrics.EpochStats
 	res   *EpochResult
@@ -164,7 +167,8 @@ func (n *Node) validateStage(er *epochRun, ss *metrics.StageStat) error {
 	if n.adoptLookahead(er, valid) {
 		er.epoch = types.NewEpochFrom(er.number, valid, er.ahead.flattenedTxs())
 	} else {
-		er.epoch = types.NewEpoch(er.number, valid)
+		er.scratch = n.takeScratch(er.number)
+		er.epoch = types.NewEpochFrom(er.number, valid, er.scratch.dedupe(valid))
 	}
 	er.stats.Txs = len(er.epoch.Txs)
 	// The assembled composition — which blocks survived validation, in
@@ -238,18 +242,21 @@ type execution struct {
 // executeTxs speculatively executes txs against state on the worker pool —
 // the execute stage's body, and the look-ahead run's. Workers pull indices
 // from an atomic counter (cheaper than a channel at this fan-out) and fill
-// disjoint slots of one slab of results, which lives as long as sims points
-// into it; per-worker busy spans feed the stage's occupancy counters. It
-// touches nothing n.mu guards. A set stop (the look-ahead's owner giving up;
-// nil in the stage) ends the workers at their next transaction and leaves
-// sims and failed unbuilt.
-func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *atomic.Bool) execution {
+// disjoint slots of the slot's result slab, each carving read and write
+// sets from an arena of its own; per-worker busy spans feed the stage's
+// occupancy counters. sims and failed are the slot's too. It touches
+// nothing n.mu guards. A set stop (the look-ahead's owner giving up; nil in
+// the stage) ends the workers at their next transaction and leaves sims and
+// failed unbuilt.
+func (n *Node) executeTxs(s *epochScratch, txs []*types.Transaction, state statedb.Reader, stop *atomic.Bool) execution {
 	ex := execution{workers: n.cfg.Workers}
-	results := make([]types.SimResult, len(txs))
+	s.results = reuse(s.results, len(txs))
+	results := s.results
 	if ex.workers > len(txs) && len(txs) > 0 {
 		ex.workers = len(txs)
 	}
-	busy := make([]time.Duration, ex.workers)
+	s.busy = reuse(s.busy, ex.workers)
+	busy := s.busy
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < ex.workers; w++ {
@@ -262,7 +269,7 @@ func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *
 				if i >= len(txs) {
 					break
 				}
-				n.simulate(txs[i], state, &results[i])
+				n.simulate(&s.arenas[w], txs[i], state, &results[i])
 			}
 			busy[w] = time.Since(t0)
 		}(w)
@@ -274,7 +281,7 @@ func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *
 	if stop != nil && stop.Load() {
 		return ex
 	}
-	ex.sims = make([]*types.SimResult, 0, len(results))
+	ex.sims, ex.failed = s.sims[:0], s.failed[:0]
 	for i := range results {
 		r := &results[i]
 		if r.Err != nil {
@@ -283,6 +290,7 @@ func (n *Node) executeTxs(txs []*types.Transaction, state statedb.Reader, stop *
 		}
 		ex.sims = append(ex.sims, r)
 	}
+	s.sims, s.failed = ex.sims, ex.failed
 	return ex
 }
 
@@ -315,7 +323,7 @@ func (n *Node) executeStage(er *epochRun, ss *metrics.StageStat) error {
 		ex = la.exec
 	} else {
 		er.state = n.state.View()
-		ex = n.executeTxs(er.epoch.Txs, er.state, nil)
+		ex = n.executeTxs(er.scratch, er.epoch.Txs, er.state, nil)
 	}
 	er.sims, er.execFailed = ex.sims, ex.failed
 	er.stats.ExecutionFailed = len(ex.failed)
@@ -404,7 +412,8 @@ func groupDigest(groups [][]types.TxID) uint64 {
 // look-ahead run waits for the run to stage and commits the batch the run
 // built, whose trie update and hashing are then already done — the wait is
 // in the stage's Duration, the staging time is its Overlap; any other epoch
-// builds the batch itself (writeBatch) and the seal does the whole work.
+// builds the batch itself (epochScratch.writeBatch) and the seal does the
+// whole work.
 // Before the commit starts it kicks the background signature prevalidation
 // of the NEXT epoch, and between publish and seal the look-ahead run for
 // it, so that work rides under this epoch's commit.
@@ -422,7 +431,7 @@ func (n *Node) commitStage(er *epochRun, ss *metrics.StageStat) error {
 		n.tracer.Span(n.id+"/background", "stage", la.started.Add(la.elapsed), la.stageTime,
 			map[string]any{"epoch": er.number, "writes": len(writes), "staged": la.staged.Staged})
 	} else {
-		writes = writeBatch(er.sims, er.sched)
+		writes = er.scratch.writeBatch(er.sims, er.sched)
 	}
 	_, seal, err := n.state.PublishAndSeal(writes, n.cfg.Workers, func(view *mvcc.View) error {
 		n.startLookahead(next, view)
@@ -467,7 +476,7 @@ func (n *Node) serialStage(er *epochRun, ss *metrics.StageStat) error {
 	seq := types.Seq(1)
 	for _, tx := range er.epoch.Txs {
 		var sim types.SimResult
-		n.simulate(tx, n.state, &sim)
+		n.simulate(&er.scratch.arenas[0], tx, n.state, &sim)
 		if sim.Err != nil {
 			sched.Abort(tx.ID, types.AbortExecution)
 			er.stats.ExecutionFailed++

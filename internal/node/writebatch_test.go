@@ -15,9 +15,12 @@ import (
 // order, flattened in key order. The schedules are random: few keys, so
 // later groups rewrite what earlier groups wrote, some writes delete, a
 // transaction may write one key twice, and aborted transactions' writes
-// must not appear.
+// must not appear. One scratch slot builds every round's batch, as the
+// ring's slots do epoch after epoch, so a buffer that keeps a stale entry
+// shows too.
 func TestWriteBatchMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var s epochScratch
 	for round := 0; round < 300; round++ {
 		keys := 1 + rng.Intn(24)
 		sims, sched := randomSchedule(rng, keys)
@@ -36,7 +39,7 @@ func TestWriteBatchMatchesMapModel(t *testing.T) {
 		slices.SortFunc(want, func(a, b types.WriteEntry) int { return a.Key.Compare(b.Key) })
 
 		rng.Shuffle(len(sims), func(i, j int) { sims[i], sims[j] = sims[j], sims[i] })
-		got := writeBatch(sims, sched)
+		got := s.writeBatch(sims, sched)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: batch of %d writes, model %d", round, len(got), len(want))
 		}
@@ -83,4 +86,13 @@ func randomSchedule(rng *rand.Rand, keys int) ([]*types.SimResult, *types.Schedu
 		}
 	}
 	return sims, sched
+}
+
+func encodeU64(v uint64) []byte {
+	out := make([]byte, 8)
+	for i := 7; i >= 0; i-- {
+		out[i] = byte(v)
+		v >>= 8
+	}
+	return out
 }

@@ -56,8 +56,13 @@ type Config struct {
 	// mining): the stress target is the ingestion and pipeline path, not
 	// the hash race.
 	DifficultyBits int
-	// Duration bounds the run (required).
+	// Duration bounds the run. Required unless Epochs is set.
 	Duration time.Duration
+	// Epochs, when positive, ends the run once the measured node has
+	// committed this many epochs (and at Duration, if that is set too): a
+	// run sized by work done rather than by wall time, whatever the host's
+	// speed.
+	Epochs uint64
 	// TargetTPS selects open-loop pacing when positive; 0 runs closed
 	// loop.
 	TargetTPS float64
@@ -199,8 +204,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("stress: Config.Workload is required")
 	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("stress: Config.Duration is required")
+	if cfg.Duration <= 0 && cfg.Epochs == 0 {
+		return nil, fmt.Errorf("stress: Config.Duration or Config.Epochs is required")
 	}
 	var perMember func(int, *node.Config)
 	switch cfg.Scheduler {
@@ -280,8 +285,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	lastCommit := start
 	lastSweep := start
 	deadline := start.Add(cfg.Duration)
+	running := func(now time.Time) bool {
+		return (cfg.Duration <= 0 || now.Before(deadline)) && (cfg.Epochs == 0 || rep.Epochs < cfg.Epochs)
+	}
 
-	for now := start; now.Before(deadline); now = time.Now() {
+	for now := start; running(now); now = time.Now() {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
@@ -457,7 +465,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		rep.P50, rep.P95, rep.P99 = quantile(0.50), quantile(0.95), quantile(0.99)
 	}
 	if rep.Epochs == 0 {
-		return rep, fmt.Errorf("stress: no epoch committed in %v", cfg.Duration)
+		return rep, fmt.Errorf("stress: no epoch committed in %v", rep.Duration.Round(time.Millisecond))
 	}
 	return rep, nil
 }

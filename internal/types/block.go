@@ -108,23 +108,36 @@ func (b *Block) AssignedChain(k int) uint32 {
 
 // ComputeTxRoot returns the Merkle root over the block's transaction
 // hashes. An empty block has the zero root. Odd levels duplicate the last
-// node, the conventional Bitcoin-style construction. The leaf slice is the
-// only allocation: every level is folded into the front of the one below.
+// node, the conventional Bitcoin-style construction. Every level is folded
+// into the front of the leaves, which sit in a stack array for blocks of up
+// to stackLeaves transactions and in one heap slice above that.
 func ComputeTxRoot(txs []*Transaction) Hash {
 	if len(txs) == 0 {
 		return ZeroHash
 	}
-	level := txLeaves(txs)
+	var stack [stackLeaves]Hash
+	level := stack[:0]
+	if len(txs) > len(stack) {
+		level = make([]Hash, 0, len(txs))
+	}
+	level = appendLeaves(level, txs)
 	for len(level) > 1 {
 		level = foldLevel(level)
 	}
 	return level[0]
 }
 
+// stackLeaves is the largest block whose Merkle fold needs no heap: 8 KiB
+// of stack, above the benchmark's and the examples' block sizes.
+const stackLeaves = 256
+
 func txLeaves(txs []*Transaction) []Hash {
-	leaves := make([]Hash, len(txs))
-	for i, tx := range txs {
-		leaves[i] = tx.Hash()
+	return appendLeaves(make([]Hash, 0, len(txs)), txs)
+}
+
+func appendLeaves(leaves []Hash, txs []*Transaction) []Hash {
+	for _, tx := range txs {
+		leaves = append(leaves, tx.Hash())
 	}
 	return leaves
 }
@@ -188,8 +201,14 @@ func DedupeTxs(blocks []*Block) []*Transaction {
 	for _, b := range blocks {
 		total += len(b.Txs)
 	}
-	seen := make(map[Hash]struct{}, total)
-	txs := make([]*Transaction, 0, total)
+	return AppendDedupedTxs(make([]*Transaction, 0, total), make(map[Hash]struct{}, total), blocks)
+}
+
+// AppendDedupedTxs is DedupeTxs appending to dst, with seen (cleared first)
+// as the set of hashes met so far: a caller that keeps both from one epoch
+// to the next dedupes without allocating.
+func AppendDedupedTxs(dst []*Transaction, seen map[Hash]struct{}, blocks []*Block) []*Transaction {
+	clear(seen)
 	for _, b := range blocks {
 		for _, tx := range b.Txs {
 			h := tx.Hash()
@@ -197,10 +216,10 @@ func DedupeTxs(blocks []*Block) []*Transaction {
 				continue
 			}
 			seen[h] = struct{}{}
-			txs = append(txs, tx)
+			dst = append(dst, tx)
 		}
 	}
-	return txs
+	return dst
 }
 
 // BlockConcurrency returns ω_e, the number of concurrent blocks in the

@@ -80,15 +80,16 @@ func TestComputeTxRootMatchesReference(t *testing.T) {
 	}
 }
 
-// TestComputeTxRootAllocs: the leaf slice, and the memoized hash of each
-// transaction nobody hashed before — Mine pays those, SubmitBlock's
-// recomputation of the same block pays the slice alone.
+// TestComputeTxRootAllocs: a block of up to 256 transactions folds on the
+// stack, so only the memoized hash of each transaction nobody hashed before
+// allocates — Mine pays those, SubmitBlock's recomputation of the same block
+// pays nothing. A larger block pays one leaf slice.
 func TestComputeTxRootAllocs(t *testing.T) {
 	const n = 200
 	txs := makeTxs(n)
 	ComputeTxRoot(txs)
-	if got := testing.AllocsPerRun(20, func() { ComputeTxRoot(txs) }); got != 1 {
-		t.Errorf("hashed transactions: %.0f allocations, want 1", got)
+	if got := testing.AllocsPerRun(20, func() { ComputeTxRoot(txs) }); got != 0 {
+		t.Errorf("hashed transactions: %.0f allocations, want 0", got)
 	}
 	fresh := testing.AllocsPerRun(5, func() {
 		for _, tx := range txs {
@@ -96,7 +97,12 @@ func TestComputeTxRootAllocs(t *testing.T) {
 		}
 		ComputeTxRoot(txs)
 	})
-	if fresh != 1+n {
-		t.Errorf("unhashed transactions: %.0f allocations, want %d", fresh, 1+n)
+	if fresh != n {
+		t.Errorf("unhashed transactions: %.0f allocations, want %d", fresh, n)
+	}
+	big := makeTxs(stackLeaves + 1)
+	ComputeTxRoot(big)
+	if got := testing.AllocsPerRun(20, func() { ComputeTxRoot(big) }); got != 1 {
+		t.Errorf("%d hashed transactions: %.0f allocations, want 1", len(big), got)
 	}
 }

@@ -43,9 +43,10 @@ func (p *PhaseBreakdown) Add(o PhaseBreakdown) {
 // A node calls Schedule from its pipeline goroutine or from the background
 // goroutine of a look-ahead run, one call at a time per node; nodes that
 // share one Scheduler value (in-process clusters do) call it concurrently.
-// Implementations therefore keep no per-instance scratch: core, cg, occ and
-// occda hold nothing but immutable configuration and build their working
-// state per call.
+// Implementations therefore never share working state between two calls in
+// flight: cg, occ and occda build theirs per call; core keeps a free list of
+// working states on the instance, so a call reuses what an earlier one grew
+// and concurrent calls each get their own.
 type Scheduler interface {
 	// Name identifies the scheme in benchmark output ("nezha", "cg", ...).
 	Name() string

@@ -58,3 +58,37 @@ func TestExecuteAllocationBudget(t *testing.T) {
 		t.Errorf("%d bytes allocated per call over the six operations, budget %d", got, maxBytes)
 	}
 }
+
+// TestExecuteInAllocationBudget: calls that carve their results from an
+// arena allocate nothing of their own. A worker's epoch — Reset, then a
+// hundred calls of the SmallBank mix — costs one allocation, the fresh value
+// slab (sized by the previous epoch's use), once the arena's entry chunks
+// have grown to the epoch.
+func TestExecuteInAllocationBudget(t *testing.T) {
+	state := vm.MapReader{}
+	cells, _ := smallbank.Footprint(smallbank.OpAmalgamate, 3, 9)
+	for _, k := range cells {
+		state[k] = workload.EncodeBalance(1_000)
+	}
+	var ctxs []vm.Context
+	for op := smallbank.OpTransactSavings; op <= smallbank.OpGetBalance; op++ {
+		ctxs = append(ctxs, vm.Context{
+			Contract: smallbank.ContractAddress,
+			Payload:  workload.EncodeCall(workload.Call{Op: op, Acct1: 3, Acct2: 9, Amount: 17}),
+			GasLimit: 100_000,
+		})
+	}
+	var a vm.Arena
+	epoch := func() {
+		a.Reset()
+		for i := 0; i < 100; i++ {
+			if _, err := vm.ExecuteIn(&a, smallbank.Program(), ctxs[i%len(ctxs)], state); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	epoch()
+	if allocs := testing.AllocsPerRun(20, epoch); allocs > 1 {
+		t.Errorf("%.0f allocations per hundred arena calls, budget 1 (the value slab)", allocs)
+	}
+}

@@ -593,10 +593,13 @@ func TestExecReferenceBites(t *testing.T) {
 }
 
 // TestExecuteResultsDoNotAlias: a result is the caller's alone. Four
-// goroutines each keep one result per case while a thousand further
-// executions recycle the machine state it was built from, and find it
+// goroutines each keep, per case, one result of Execute and one carved from
+// an arena, while a thousand further executions recycle the machine state
+// both were built from and carve on from the same arena, and find both
 // unchanged afterwards; under -race a result that still pointed into a
-// pooled state would also be a reported race.
+// pooled state would also be a reported race. A third arena is Reset after
+// every call, and the write values of the first result carved from it must
+// survive the thousand Resets too: the caller keeps values for good.
 func TestExecuteResultsDoNotAlias(t *testing.T) {
 	cases := execCases()
 	var wg sync.WaitGroup
@@ -604,24 +607,70 @@ func TestExecuteResultsDoNotAlias(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var own, churn vm.Arena
 			for i := g; i < len(cases); i += 4 {
 				c := cases[i]
 				kept, _ := vm.Execute(c.program, c.ctx, c.state)
-				want := cloneResult(kept)
+				carved, _ := vm.ExecuteIn(&own, c.program, c.ctx, c.state)
+				first, _ := vm.ExecuteIn(&churn, c.program, c.ctx, c.state)
+				want, wantCarved := cloneResult(kept), cloneResult(&carved)
+				// The entries die at the next Reset, the values they point to
+				// do not: keep the values themselves.
+				var values, wantValues [][]byte
+				for _, w := range first.Writes {
+					values, wantValues = append(values, w.Value), append(wantValues, bytes.Clone(w.Value))
+				}
 				for j := 0; j < 1000; j++ {
+					churn.Reset()
 					o := cases[(i+j)%len(cases)]
-					res, _ := vm.Execute(o.program, o.ctx, o.state)
-					for _, w := range res.Writes {
-						w.Value[0] ^= 0xff // the caller owns these bytes too
+					for _, a := range []*vm.Arena{nil, &own, &churn} {
+						res, _ := vm.ExecuteIn(a, o.program, o.ctx, o.state)
+						for _, w := range res.Writes {
+							w.Value[0] ^= 0xff // the caller owns these bytes too
+						}
 					}
 				}
 				if !reflect.DeepEqual(kept, want) {
 					t.Errorf("%s: result changed under later executions: %+v, was %+v", c.name, kept, want)
 				}
+				if !reflect.DeepEqual(&carved, wantCarved) {
+					t.Errorf("%s: arena result changed under later executions: %+v, was %+v", c.name, carved, *wantCarved)
+				}
+				for k, v := range values {
+					if !bytes.Equal(v, wantValues[k]) {
+						t.Errorf("%s: write value %d changed across arena Resets: %x, was %x", c.name, k, v, wantValues[k])
+					}
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestArenaRecycledValuesAreCaught is the meta-test of the values half of
+// TestExecuteResultsDoNotAlias: an arena that rewinds its value slab at
+// Reset hands a kept value's bytes to the next call.
+func TestArenaRecycledValuesAreCaught(t *testing.T) {
+	state := vm.MapReader{}
+	ctx := vm.Context{
+		Contract: smallbank.ContractAddress,
+		Payload:  workload.EncodeCall(workload.Call{Op: smallbank.OpDepositChecking, Acct1: 3, Amount: 17}),
+		GasLimit: 100_000,
+	}
+	a := vm.Arena{RecycleValues: true}
+	kept, err := vm.ExecuteIn(&a, smallbank.Program(), ctx, state)
+	if err != nil || len(kept.Writes) == 0 {
+		t.Fatalf("deposit wrote nothing: %v", err)
+	}
+	was := bytes.Clone(kept.Writes[0].Value)
+	a.Reset()
+	ctx.Payload = workload.EncodeCall(workload.Call{Op: smallbank.OpDepositChecking, Acct1: 3, Amount: 99})
+	if _, err := vm.ExecuteIn(&a, smallbank.Program(), ctx, state); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(kept.Writes[0].Value, was) {
+		t.Fatal("a recycled value slab left the kept value alone: the aliasing check cannot see it")
+	}
 }
 
 func cloneResult(r *vm.Result) *vm.Result {

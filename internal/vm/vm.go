@@ -116,19 +116,101 @@ type Result struct {
 }
 
 // Execute runs the program to completion. An error return of ErrRevert or
-// ErrOutOfGas still carries a valid GasUsed in the result.
+// ErrOutOfGas still carries a valid GasUsed in the result. The result's sets
+// and write values are allocated for it alone: ExecuteIn without an arena.
+func Execute(program []byte, ctx Context, state StateReader) (*Result, error) {
+	res, err := ExecuteIn(nil, program, ctx, state)
+	return &res, err
+}
+
+// ExecuteIn is Execute with the result's read and write sets carved from a,
+// which the caller owns (nil allocates them, exactly sized, as Execute does).
 //
 // The machine state is pooled and nothing in the Result points into it: the
-// result outlives the call (the node's look-ahead run keeps results for an
-// epoch), the state is another call's the moment this one returns.
-func Execute(program []byte, ctx Context, state StateReader) (*Result, error) {
+// result outlives the call (the node keeps an epoch's results until its
+// commit), the state is another call's the moment this one returns. What the
+// sets point into is the arena's until its next Reset; the write values are
+// the caller's for good (see Arena).
+func ExecuteIn(a *Arena, program []byte, ctx Context, state StateReader) (Result, error) {
 	ex := execPool.Get().(*execution)
 	ex.program, ex.payload, ex.contract = program, ctx.Payload, ctx.Contract
 	ex.state, ex.gas = state, ctx.GasLimit
 	err := ex.run()
-	res := ex.result(ctx.GasLimit)
+	res := ex.result(ctx.GasLimit, a)
 	ex.release()
 	return res, err
+}
+
+// Arena is caller-owned memory that ExecuteIn carves results from: an
+// epoch's worth of calls on one worker takes its read and write entries
+// from a few chunks instead of two slices per call. Reset rewinds the
+// entries, so every result carved since the previous Reset must be dead by
+// then. The write values are different: whoever commits a result keeps its
+// values (the MVCC version store holds them by reference), so they come from
+// a slab Reset never rewinds — it lets the slab go to the collector, and the
+// first value after it opens a fresh one sized by what the last period used.
+type Arena struct {
+	reads  []types.ReadEntry
+	writes []types.WriteEntry
+	values []byte
+	// used counts the value bytes carved since Reset; at Reset it becomes
+	// hint, which sizes the next period's first slab.
+	used, hint int
+
+	// RecycleValues makes Reset rewind the value slab with the entries: a
+	// deliberate bug, for the meta-test that proves the node's aliasing
+	// test catches a recycled value. Leave it false everywhere else.
+	RecycleValues bool
+}
+
+// minChunk is the fewest entries or value bytes a chunk is opened with.
+const minChunk = 256
+
+// Sets returns an empty read set and an empty write set with room for
+// exactly reads and writes entries (nil for none), carved from the arena.
+func (a *Arena) Sets(reads, writes int) ([]types.ReadEntry, []types.WriteEntry) {
+	return carve(&a.reads, reads), carve(&a.writes, writes)
+}
+
+// Word returns v as an 8-byte big-endian value carved from the value slab.
+func (a *Arena) Word(v uint64) []byte {
+	if cap(a.values)-len(a.values) < 8 {
+		a.values = make([]byte, 0, max(a.hint+a.hint/4, 2*cap(a.values), minChunk))
+	}
+	n := len(a.values)
+	a.values = binary.BigEndian.AppendUint64(a.values, v)
+	a.used += 8
+	return a.values[n : n+8 : n+8]
+}
+
+// Reset rewinds the read and write entries, dropping what they pointed to,
+// and lets the value slab go (see Arena).
+func (a *Arena) Reset() {
+	clear(a.reads)
+	clear(a.writes)
+	a.reads, a.writes = a.reads[:0], a.writes[:0]
+	if a.RecycleValues {
+		a.values = a.values[:0]
+	} else {
+		a.values = nil
+	}
+	a.hint, a.used = a.used, 0
+}
+
+// carve returns an empty slice with room for exactly n elements from the
+// chunk, opening a larger chunk when the current one is short; the old one
+// stays with the slices already carved from it.
+func carve[T any](chunk *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(2*cap(c), n, minChunk))
+	}
+	l := len(c)
+	*chunk = c[:l+n]
+	return c[l : l : l+n]
 }
 
 // execPool recycles machine states, and with them the array behind cells. A
@@ -181,10 +263,11 @@ type cell struct {
 	word    uint64
 }
 
-// result copies the outcome out of the machine state: one allocation per
-// non-empty set plus one buffer all write values are carved from.
-func (ex *execution) result(gasLimit uint64) *Result {
-	res := &Result{
+// result copies the outcome out of the machine state into sets carved from
+// a; a nil a is a one-call arena sized exactly: one allocation per non-empty
+// set plus one buffer all write values are carved from.
+func (ex *execution) result(gasLimit uint64, a *Arena) Result {
+	res := Result{
 		GasUsed:    gasLimit - ex.gas,
 		ReturnWord: ex.returnWord,
 		Returned:   ex.returned,
@@ -198,23 +281,21 @@ func (ex *execution) result(gasLimit uint64) *Result {
 			writes++
 		}
 	}
-	if reads > 0 {
-		res.Reads = make([]types.ReadEntry, 0, reads)
+	if a == nil {
+		a = &Arena{
+			reads:  make([]types.ReadEntry, 0, reads),
+			writes: make([]types.WriteEntry, 0, writes),
+			values: make([]byte, 0, 8*writes),
+		}
 	}
-	var words []byte
-	if writes > 0 {
-		res.Writes = make([]types.WriteEntry, 0, writes)
-		words = make([]byte, 8*writes)
-	}
+	res.Reads, res.Writes = a.Sets(reads, writes)
 	for i := range ex.cells {
 		c := &ex.cells[i]
 		if c.read {
 			res.Reads = append(res.Reads, types.ReadEntry{Key: c.sk, Value: c.val})
 		}
 		if c.written {
-			binary.BigEndian.PutUint64(words, c.word)
-			res.Writes = append(res.Writes, types.WriteEntry{Key: c.sk, Value: words[:8:8]})
-			words = words[8:]
+			res.Writes = append(res.Writes, types.WriteEntry{Key: c.sk, Value: a.Word(c.word)})
 		}
 	}
 	return res
