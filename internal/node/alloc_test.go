@@ -26,8 +26,10 @@ import (
 // look-ahead run for e+1 it starts — dedupe, execute, schedule, write
 // batch, stage — waited for to the end. The figure is the total over ten
 // such windows after four of warm-up, per transaction, bounded at the
-// measured value ×1.25 (hot read 650–745 bytes and 3.15 objects, uniform
-// 1 580–1 730 and 8.53; the parent read 1 658 / 7.72 and 2 820 / 12.68). (The store's index doubles inside the window on
+// measured value ×1.25: the medians of 60 runs at -cpu 1, 2 and 4 are 690
+// bytes and 3.15 objects on hot, 1 620 and 8.53 on uniform (single runs
+// read 640–770 and 1 570–1 840 bytes; the parent reads 1 658 / 7.72 and
+// 2 820 / 12.68). (The store's index doubles inside the window on
 // both shapes, and the trie's and the flush batch's arenas re-size on some
 // epochs and not on others, so a single epoch reads between 0.8× and 2×.)
 //
@@ -46,8 +48,8 @@ func TestEpochAllocationBudget(t *testing.T) {
 		skew           float64
 		bytes, objects float64 // per transaction
 	}{
-		{"hot", 8, 1.0, 900, 3.95},
-		{"uniform", 4, 0.2, 2_040, 10.7},
+		{"hot", 8, 1.0, 865, 3.95},
+		{"uniform", 4, 0.2, 2_030, 10.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bytes, objects := epochAllocations(t, tc.chains, tc.skew)
