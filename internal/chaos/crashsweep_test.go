@@ -87,6 +87,32 @@ func TestCrashSweepAllSites(t *testing.T) {
 
 // TestCrashSweepCoversRegistry pins the sweep's exhaustiveness without
 // running trials: every registered failpoint name must either produce a
+// trial spec or carry an explicit exemption with a reason.
+func TestCrashSweepCoversRegistry(t *testing.T) {
+	cfg := CrashSweepConfig{}.withDefaults()
+	specs, err := crashSweepSpecs(cfg)
+	if err != nil {
+		t.Fatalf("crashSweepSpecs: %v", err)
+	}
+	swept := map[string]bool{}
+	for _, sp := range specs {
+		if sp.site != "" {
+			swept[string(sp.site)] = true
+		}
+	}
+	for _, name := range fail.AllNames() {
+		reason, exempt := sweepExemptions[name]
+		switch {
+		case exempt && swept[string(name)]:
+			t.Errorf("site %s is both swept and exempted (%q)", name, reason)
+		case exempt && reason == "":
+			t.Errorf("site %s is exempted without a reason", name)
+		case !exempt && !swept[string(name)]:
+			t.Errorf("site %s is neither swept nor exempted", name)
+		}
+	}
+}
+
 // TestCrashSweepSlowDraw: at seed 8 the first twelve blocks of a trial land
 // ten on one chain and two on the other, so a twelve-round trial reaches two
 // epochs, and a restart scripted at round six had next to no history. The
@@ -112,32 +138,6 @@ func TestCrashSweepSlowDraw(t *testing.T) {
 	}
 	if longer == 0 {
 		t.Error("no trial ran past its rounds: the seed no longer draws a slow start, and this test proves nothing")
-	}
-}
-
-// trial spec or carry an explicit exemption with a reason.
-func TestCrashSweepCoversRegistry(t *testing.T) {
-	cfg := CrashSweepConfig{}.withDefaults()
-	specs, err := crashSweepSpecs(cfg)
-	if err != nil {
-		t.Fatalf("crashSweepSpecs: %v", err)
-	}
-	swept := map[string]bool{}
-	for _, sp := range specs {
-		if sp.site != "" {
-			swept[string(sp.site)] = true
-		}
-	}
-	for _, name := range fail.AllNames() {
-		reason, exempt := sweepExemptions[name]
-		switch {
-		case exempt && swept[string(name)]:
-			t.Errorf("site %s is both swept and exempted (%q)", name, reason)
-		case exempt && reason == "":
-			t.Errorf("site %s is exempted without a reason", name)
-		case !exempt && !swept[string(name)]:
-			t.Errorf("site %s is neither swept nor exempted", name)
-		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/nezha-dag/nezha/internal/slab"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
@@ -91,8 +92,8 @@ func BuildACG(sims []*types.SimResult) *ACG {
 // kx numbering the keys; it leaves kx empty again.
 func (acg *ACG) build(sims []*types.SimResult, kx *keyIndex) {
 	n := denseSimLen(sims)
-	acg.sims = reuse(acg.sims, n)
-	acg.unitOff = reuse(acg.unitOff, n+1)
+	acg.sims = slab.Reuse(acg.sims, n)
+	acg.unitOff = slab.Reuse(acg.unitOff, n+1)
 	// Unit offsets per transaction; gaps in the id space own no units.
 	for _, sim := range sims {
 		acg.sims[sim.Tx.ID] = sim
@@ -101,7 +102,7 @@ func (acg *ACG) build(sims []*types.SimResult, kx *keyIndex) {
 	for id := 0; id < n; id++ {
 		acg.unitOff[id+1] += acg.unitOff[id]
 	}
-	acg.unitAddr = reuse(acg.unitAddr, int(acg.unitOff[n]))
+	acg.unitAddr = slab.Reuse(acg.unitAddr, int(acg.unitOff[n]))
 
 	// Pass 1: number every accessed key in first-occurrence order and
 	// record each unit under that provisional number — the only time a
@@ -136,14 +137,14 @@ func (acg *ACG) build(sims []*types.SimResult, kx *keyIndex) {
 
 	// Vertices are numbered in key order, which gives each address its
 	// deterministic subscript; the units follow.
-	order := reuse(acg.order, len(keys))
+	order := slab.Reuse(acg.order, len(keys))
 	for p := range order {
 		order[p] = int32(p)
 	}
 	slices.SortFunc(order, func(p, q int32) int { return keys[p].Compare(keys[q]) })
-	perm := reuse(acg.perm, len(keys))
+	perm := slab.Reuse(acg.perm, len(keys))
 	acg.order, acg.perm = order, perm
-	acg.Addrs = reuse(acg.Addrs, len(keys))
+	acg.Addrs = slab.Reuse(acg.Addrs, len(keys))
 	for v, p := range order {
 		perm[p] = int32(v)
 		acg.Addrs[v].Key = keys[p]
@@ -159,11 +160,11 @@ func (acg *ACG) build(sims []*types.SimResult, kx *keyIndex) {
 	// out of one arena and their edges out of another, each list empty
 	// with exactly its final capacity.
 	v := len(keys)
-	nReads := reuse(acg.nReads, v)
+	nReads := slab.Reuse(acg.nReads, v)
 	acg.nReads = nReads
-	acg.addrOff = reuse(acg.addrOff, v+1)
+	acg.addrOff = slab.Reuse(acg.addrOff, v+1)
 	d := &acg.Deps
-	d.off, d.in = reuse(d.off, v+1), reuse(d.in, v)
+	d.off, d.in = slab.Reuse(d.off, v+1), slab.Reuse(d.in, v)
 	for _, sim := range sims {
 		reads, writes := acg.units(sim.Tx.ID)
 		for _, j := range reads {
@@ -182,9 +183,9 @@ func (acg *ACG) build(sims []*types.SimResult, kx *keyIndex) {
 		acg.addrOff[j+1] += acg.addrOff[j] + nReads[j]
 		d.off[j+1] += d.off[j]
 	}
-	arena := reuse(acg.arena, int(acg.addrOff[v]))
+	arena := slab.Reuse(acg.arena, int(acg.addrOff[v]))
 	acg.arena = arena
-	d.adj = reuse(d.adj, int(d.off[v]))
+	d.adj = slab.Reuse(d.adj, int(d.off[v]))
 	next := append(acg.next[:0], d.off[:v]...)
 	acg.next = next
 	for j := 0; j < v; j++ {
@@ -212,18 +213,6 @@ func (acg *ACG) build(sims []*types.SimResult, kx *keyIndex) {
 		}
 	}
 	d.dedupe(nReads)
-}
-
-// reuse returns buf resized to n zero elements, keeping its array when it
-// holds n; a new array gets a quarter's headroom, so an epoch a little
-// larger than the last does not allocate again.
-func reuse[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n, n+n/4)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // keyIndex is the graph construction's key numbering. Its map and key list

@@ -1,5 +1,7 @@
 package core
 
+import "github.com/nezha-dag/nezha/internal/slab"
+
 // RankHeuristic selects how Algorithm 1 breaks out of cycles when no
 // zero-in-degree address remains.
 type RankHeuristic int
@@ -60,7 +62,7 @@ func (r *ranker) rank(acg *ACG, heuristic RankHeuristic) []int {
 	// vertices); the max-out-degree heuristic consults the latter. Vertex
 	// v's predecessors are rev[revOff[v]:revOff[v+1]], so removing a vertex
 	// can decrement the live out-degrees of its predecessors.
-	deg := reuse(r.deg, 3*n+1)
+	deg := slab.Reuse(r.deg, 3*n+1)
 	r.deg = deg
 	inDeg, outDeg, revOff := deg[:n], deg[n:2*n], deg[2*n:]
 	copy(inDeg, g.in)
@@ -68,7 +70,7 @@ func (r *ranker) rank(acg *ACG, heuristic RankHeuristic) []int {
 		outDeg[v] = int32(g.OutDegree(v))
 		revOff[v+1] = revOff[v] + inDeg[v]
 	}
-	rev := reuse(r.rev, int(revOff[n]))
+	rev := slab.Reuse(r.rev, int(revOff[n]))
 	fill := append(r.fill[:0], revOff[:n]...)
 	r.rev, r.fill = rev, fill
 	for u := 0; u < n; u++ {
@@ -104,8 +106,8 @@ func (r *ranker) rank(acg *ACG, heuristic RankHeuristic) []int {
 	blocked := r.blocked[:0]
 	built := false
 
-	removed := reuse(r.removed, n)
-	seq := reuse(r.seq, n)[:0]
+	removed := slab.Reuse(r.removed, n)
+	seq := slab.Reuse(r.seq, n)[:0]
 	r.removed, r.seq = removed, seq
 	remove := func(u int) {
 		removed[u] = true

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"github.com/nezha-dag/nezha/internal/slab"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
@@ -82,15 +83,15 @@ func newSorter(acg *ACG, reorder bool, fault Fault) *sorter {
 func (s *sorter) reset(acg *ACG, reorder bool, fault Fault) {
 	txs, addrs := len(acg.sims), len(acg.Addrs)
 	s.acg, s.reorder, s.fault, s.rescued = acg, reorder, fault, 0
-	s.seqOf = reuse(s.seqOf, txs)
-	s.aborted = reuse(s.aborted, txs)
-	s.used = reuse(s.used, addrs)
-	s.maxAssigned = reuse(s.maxAssigned, addrs)
-	s.scratch = reuse(s.scratch, 3*txs+2*addrs)
+	s.seqOf = slab.Reuse(s.seqOf, txs)
+	s.aborted = slab.Reuse(s.aborted, txs)
+	s.used = slab.Reuse(s.used, addrs)
+	s.maxAssigned = slab.Reuse(s.maxAssigned, addrs)
+	s.scratch = slab.Reuse(s.scratch, 3*txs+2*addrs)
 	s.readAt, s.bumpedAt, s.pairs = s.scratch[:txs], s.scratch[txs:2*txs], s.scratch[2*txs:3*txs]
 	s.liveEnd = s.scratch[3*txs:]
-	s.live = reuse(s.live, len(acg.unitAddr))
-	s.words = reuse(s.words, addrs)
+	s.live = slab.Reuse(s.live, len(acg.unitAddr))
+	s.words = slab.Reuse(s.words, addrs)
 	s.spill = s.spill[:0]
 	for j := range s.used {
 		s.used[j] = s.words[j : j+1 : j+1]
@@ -108,7 +109,7 @@ func (s *sorter) assign(id types.TxID, seq types.Seq) {
 		u := s.used[j]
 		if word >= len(u) {
 			if word >= cap(u) {
-				u = append(s.spillWords(max(word+1, 2*len(u))), u...)
+				u = append(slab.Carve(&s.spill, max(word+1, 2*len(u))), u...)
 			}
 			u = u[:word+1] // the words this uncovers are zero
 			s.used[j] = u
@@ -118,19 +119,6 @@ func (s *sorter) assign(id types.TxID, seq types.Seq) {
 			s.maxAssigned[j] = seq
 		}
 	}
-}
-
-// spillWords returns an empty bitset with room for n zero words, carved
-// from the spill chunk reset rewinds; a short chunk is replaced by one twice
-// as large, and the bitsets already carved keep the old one.
-func (s *sorter) spillWords(n int) []uint64 {
-	if cap(s.spill)-len(s.spill) < n {
-		s.spill = make([]uint64, 0, max(2*cap(s.spill), n, 256))
-	}
-	l := len(s.spill)
-	s.spill = s.spill[:l+n]
-	clear(s.spill[l:])
-	return s.spill[l : l : l+n]
 }
 
 // isUsed reports whether some unit on address j carries (or carried) seq.
@@ -333,7 +321,7 @@ func (s *sorter) safetySweep() []int32 {
 	// so once the cover reaches bucket c nothing can be filed there any
 	// more: it is drained in descending id order, and an entry whose count
 	// fell since it was filed moves down to its current bucket.
-	buf := reuse(s.sweep, int(top)+1+2*txs)
+	buf := slab.Reuse(s.sweep, int(top)+1+2*txs)
 	s.sweep = buf
 	head := buf[:top+1]
 	bucket, victims := buf[top+1:top+1], buf[int(top)+1+txs:][:0]

@@ -26,10 +26,13 @@ import (
 // look-ahead run for e+1 it starts — dedupe, execute, schedule, write
 // batch, stage — waited for to the end. The figure is the total over ten
 // such windows after four of warm-up, per transaction, bounded at the
-// measured value ×1.25: the medians of 60 runs at -cpu 1, 2 and 4 are 690
+// measured value ×1.25: the medians of 60 runs at -cpu 1, 2 and 4 were 690
 // bytes and 3.15 objects on hot, 1 620 and 8.53 on uniform (single runs
 // read 640–770 and 1 570–1 840 bytes; the parent reads 1 658 / 7.72 and
-// 2 820 / 12.68). (The store's index doubles inside the window on
+// 2 820 / 12.68). Fixed-size value slabs (vm.Arena) moved the medians of
+// 39 further runs to 667 bytes and 3.20 objects on hot, 1 627 and 8.58 on
+// uniform; the bounds were kept, and still clear those by ×1.23 or more.
+// (The store's index doubles inside the window on
 // both shapes, and the trie's and the flush batch's arenas re-size on some
 // epochs and not on others, so a single epoch reads between 0.8× and 2×.)
 //

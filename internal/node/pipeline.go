@@ -11,6 +11,7 @@ import (
 	"github.com/nezha-dag/nezha/internal/journal"
 	"github.com/nezha-dag/nezha/internal/metrics"
 	"github.com/nezha-dag/nezha/internal/mvcc"
+	"github.com/nezha-dag/nezha/internal/slab"
 	"github.com/nezha-dag/nezha/internal/statedb"
 	"github.com/nezha-dag/nezha/internal/types"
 )
@@ -250,12 +251,12 @@ type execution struct {
 // failed unbuilt.
 func (n *Node) executeTxs(s *epochScratch, txs []*types.Transaction, state statedb.Reader, stop *atomic.Bool) execution {
 	ex := execution{workers: n.cfg.Workers}
-	s.results = reuse(s.results, len(txs))
+	s.results = slab.Reuse(s.results, len(txs))
 	results := s.results
 	if ex.workers > len(txs) && len(txs) > 0 {
 		ex.workers = len(txs)
 	}
-	s.busy = reuse(s.busy, ex.workers)
+	s.busy = slab.Reuse(s.busy, ex.workers)
 	busy := s.busy
 	var next atomic.Int64
 	var wg sync.WaitGroup

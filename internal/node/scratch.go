@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/nezha-dag/nezha/internal/slab"
 	"github.com/nezha-dag/nezha/internal/types"
 	"github.com/nezha-dag/nezha/internal/vm"
 )
@@ -30,8 +31,8 @@ import (
 //   - what ProcessEpoch returns: the Schedule is built fresh by the
 //     scheduler, which keeps its own working state on its instance;
 //   - the write values: the MVCC version store keeps them by reference
-//     (mvcc.CommitEpoch stores WriteEntry.Value), so an arena's value slab is
-//     let go at every reset and the next epoch carves from a fresh one;
+//     (mvcc.CommitEpoch stores WriteEntry.Value), so an arena never
+//     rewinds its value slabs, and a reset leaves them alone;
 //   - a staged batch until its seal: it is the batch of the slot's own
 //     epoch, sealed (or unstaged) before the slot is taken again.
 type epochScratch struct {
@@ -79,8 +80,8 @@ func (s *epochScratch) dedupe(blocks []*types.Block) []*types.Transaction {
 
 // detach returns private field-wise copies of txs, numbered by position.
 func (s *epochScratch) detach(txs []*types.Transaction) []*types.Transaction {
-	s.own = reuse(s.own, len(txs))
-	s.ptrs = reuse(s.ptrs, len(txs))
+	s.own = slab.Reuse(s.own, len(txs))
+	s.ptrs = slab.Reuse(s.ptrs, len(txs))
 	for i, tx := range txs {
 		s.own[i] = tx.DetachedCopy(types.TxID(i))
 		s.ptrs[i] = &s.own[i]
@@ -123,16 +124,4 @@ func (s *epochScratch) writeBatch(sims []*types.SimResult, sched *types.Schedule
 	clear(tagged) // do not pin the values
 	s.tagged, s.batch = tagged[:0], batch
 	return batch
-}
-
-// reuse returns buf resized to n zero elements, keeping its array when it
-// holds n; a new array gets a quarter's headroom, so an epoch a little
-// larger than the last does not allocate again.
-func reuse[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n, n+n/4)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }

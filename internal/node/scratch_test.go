@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/nezha-dag/nezha/internal/types"
-	"github.com/nezha-dag/nezha/internal/vm"
 )
 
 // TestEpochScratchDoesNotAlias: nothing an epoch hands out lives in the
@@ -28,6 +27,20 @@ func TestEpochScratchDoesNotAlias(t *testing.T) {
 	}
 }
 
+// TestEpochScratchAliasingBites is TestEpochScratchDoesNotAlias's meta-test.
+// It plants what a value slab recycled with the ring would do: once epoch 2
+// has returned and its look-ahead successor has finished, the write values
+// its slot's results point to are overwritten, as the run that takes the
+// slot next would overwrite them by carving its own values from the same
+// bytes. The kept bytes must change.
+func TestEpochScratchAliasingBites(t *testing.T) {
+	err := scratchAliasing(t, true)
+	if err == nil {
+		t.Fatal("write values recycled with the ring go unnoticed")
+	}
+	t.Logf("caught: %v", err)
+}
+
 // scratchAliasing runs the scenario of TestEpochScratchDoesNotAlias and
 // returns the first thing kept from epoch 2 that changed, if any.
 // recycleValues plants the fault.
@@ -36,12 +49,6 @@ func scratchAliasing(t *testing.T, recycleValues bool) error {
 	const workers = 2
 	n := lookaheadNode(t, "scribbled", workers, genesis, false)
 	twin := lookaheadNode(t, "clean", workers, genesis, false)
-	for i := range n.scratch {
-		n.scratch[i].arenas = make([]vm.Arena, workers)
-		for w := range n.scratch[i].arenas {
-			n.scratch[i].arenas[w].RecycleValues = recycleValues
-		}
-	}
 	process := func(n *Node, e uint64) *EpochResult {
 		t.Helper()
 		res, err := n.ProcessEpoch(e)
@@ -80,6 +87,14 @@ func scratchAliasing(t *testing.T, recycleValues bool) error {
 				}
 				values, want = append(values, v), append(want, bytes.Clone(v))
 			}
+			if recycleValues {
+				pendingRun(t, n)
+				for _, r := range n.scratch[e&1].results {
+					for _, w := range r.Writes {
+						copy(w.Value, junk)
+					}
+				}
+			}
 		}
 		if got := process(twin, e); e >= 6 && !recycleValues && got.StateRoot != res.StateRoot {
 			t.Fatalf("epoch %d after the scribble: root %s, the clean twin's %s", e, res.StateRoot.Short(), got.StateRoot.Short())
@@ -105,7 +120,6 @@ func scratchAliasing(t *testing.T, recycleValues bool) error {
 // and one value at a time until well past its chunks, so whatever it
 // recycles is overwritten too.
 func scribble(n *Node) {
-	junk := []byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef}
 	tx := &types.Transaction{ID: 1 << 40, Payload: junk}
 	write := types.WriteEntry{Key: types.KeyFromUint64(1 << 60), Value: junk}
 	for i := range n.scratch {
@@ -134,6 +148,8 @@ func scribble(n *Node) {
 		}
 	}
 }
+
+var junk = []byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef}
 
 // fill sets every element of buf's array, up to its capacity, to v.
 func fill[T any](buf []T, v T) {

@@ -56,12 +56,11 @@ type Config struct {
 	// mining): the stress target is the ingestion and pipeline path, not
 	// the hash race.
 	DifficultyBits int
-	// Duration bounds the run. Required unless Epochs is set.
+	// Duration bounds the run (required).
 	Duration time.Duration
-	// Epochs, when positive, ends the run once the measured node has
-	// committed this many epochs (and at Duration, if that is set too): a
-	// run sized by work done rather than by wall time, whatever the host's
-	// speed.
+	// Epochs, when positive, ends the run early once the measured node has
+	// committed this many epochs: a run sized by work done rather than by
+	// wall time, whatever the host's speed, with Duration as its cap.
 	Epochs uint64
 	// TargetTPS selects open-loop pacing when positive; 0 runs closed
 	// loop.
@@ -204,8 +203,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("stress: Config.Workload is required")
 	}
-	if cfg.Duration <= 0 && cfg.Epochs == 0 {
-		return nil, fmt.Errorf("stress: Config.Duration or Config.Epochs is required")
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("stress: Config.Duration is required")
 	}
 	var perMember func(int, *node.Config)
 	switch cfg.Scheduler {
@@ -286,7 +285,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	lastSweep := start
 	deadline := start.Add(cfg.Duration)
 	running := func(now time.Time) bool {
-		return (cfg.Duration <= 0 || now.Before(deadline)) && (cfg.Epochs == 0 || rep.Epochs < cfg.Epochs)
+		return now.Before(deadline) && (cfg.Epochs == 0 || rep.Epochs < cfg.Epochs)
 	}
 
 	for now := start; running(now); now = time.Now() {

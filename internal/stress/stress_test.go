@@ -19,7 +19,7 @@ func shortRun(t *testing.T, cfg Config) *Report {
 		}
 		cfg.Workload = w
 	}
-	if cfg.Duration == 0 && cfg.Epochs == 0 {
+	if cfg.Duration == 0 {
 		cfg.Duration = 1500 * time.Millisecond
 	}
 	rep, err := Run(context.Background(), cfg)
@@ -148,13 +148,14 @@ func TestAccountingIdentityUnderAborts(t *testing.T) {
 // the other pools, every pipeline — carries the verdict. The run is sized
 // by epochs, not by wall time: under -race an Ed25519 verify costs about
 // eight times as much, and on a loaded two-core host one second did not
-// reach the first epoch.
+// reach the first epoch. The cap is far above that, so a pipeline that
+// stops committing still fails the run instead of hanging the test.
 func TestSignedRunReportsVerifiesPerNode(t *testing.T) {
 	w, err := NewWorkload("smallbank", Options{Seed: 4, Accounts: 300, Skew: 0.3, Sign: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := shortRun(t, Config{Workload: w, Nodes: 2, BlockSize: 100, VerifySignatures: true, Epochs: 3})
+	rep := shortRun(t, Config{Workload: w, Nodes: 2, BlockSize: 100, VerifySignatures: true, Epochs: 3, Duration: 30 * time.Second})
 	if rep.Committed == 0 {
 		t.Fatalf("nothing committed: %v", rep)
 	}

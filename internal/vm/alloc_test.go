@@ -61,9 +61,9 @@ func TestExecuteAllocationBudget(t *testing.T) {
 
 // TestExecuteInAllocationBudget: calls that carve their results from an
 // arena allocate nothing of their own. A worker's epoch — Reset, then a
-// hundred calls of the SmallBank mix — costs one allocation, the fresh value
-// slab (sized by the previous epoch's use), once the arena's entry chunks
-// have grown to the epoch.
+// hundred calls of the SmallBank mix — costs only the value slabs its
+// writes fill, one per vm.ValueSlab bytes of values, once the arena's entry
+// chunks have grown to the epoch.
 func TestExecuteInAllocationBudget(t *testing.T) {
 	state := vm.MapReader{}
 	cells, _ := smallbank.Footprint(smallbank.OpAmalgamate, 3, 9)
@@ -79,16 +79,21 @@ func TestExecuteInAllocationBudget(t *testing.T) {
 		})
 	}
 	var a vm.Arena
+	writes := 0
 	epoch := func() {
 		a.Reset()
+		writes = 0
 		for i := 0; i < 100; i++ {
-			if _, err := vm.ExecuteIn(&a, smallbank.Program(), ctxs[i%len(ctxs)], state); err != nil {
+			res, err := vm.ExecuteIn(&a, smallbank.Program(), ctxs[i%len(ctxs)], state)
+			if err != nil {
 				t.Fatal(err)
 			}
+			writes += len(res.Writes)
 		}
 	}
 	epoch()
-	if allocs := testing.AllocsPerRun(20, epoch); allocs > 1 {
-		t.Errorf("%.0f allocations per hundred arena calls, budget 1 (the value slab)", allocs)
+	slabs := float64((8*writes + vm.ValueSlab - 1) / vm.ValueSlab)
+	if allocs := testing.AllocsPerRun(20, epoch); allocs > slabs {
+		t.Errorf("%.0f allocations per hundred arena calls, budget %.0f (the value slabs for %d writes)", allocs, slabs, writes)
 	}
 }

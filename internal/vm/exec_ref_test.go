@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -648,8 +649,9 @@ func TestExecuteResultsDoNotAlias(t *testing.T) {
 }
 
 // TestArenaRecycledValuesAreCaught is the meta-test of the values half of
-// TestExecuteResultsDoNotAlias: an arena that rewinds its value slab at
-// Reset hands a kept value's bytes to the next call.
+// TestExecuteResultsDoNotAlias: an arena whose Reset rewinds its value slab
+// (the planted ResetRecyclingValues) hands a kept value's bytes to the next
+// call.
 func TestArenaRecycledValuesAreCaught(t *testing.T) {
 	state := vm.MapReader{}
 	ctx := vm.Context{
@@ -657,13 +659,13 @@ func TestArenaRecycledValuesAreCaught(t *testing.T) {
 		Payload:  workload.EncodeCall(workload.Call{Op: smallbank.OpDepositChecking, Acct1: 3, Amount: 17}),
 		GasLimit: 100_000,
 	}
-	a := vm.Arena{RecycleValues: true}
+	var a vm.Arena
 	kept, err := vm.ExecuteIn(&a, smallbank.Program(), ctx, state)
 	if err != nil || len(kept.Writes) == 0 {
 		t.Fatalf("deposit wrote nothing: %v", err)
 	}
 	was := bytes.Clone(kept.Writes[0].Value)
-	a.Reset()
+	vm.ResetRecyclingValues(&a)
 	ctx.Payload = workload.EncodeCall(workload.Call{Op: smallbank.OpDepositChecking, Acct1: 3, Amount: 99})
 	if _, err := vm.ExecuteIn(&a, smallbank.Program(), ctx, state); err != nil {
 		t.Fatal(err)
@@ -671,6 +673,70 @@ func TestArenaRecycledValuesAreCaught(t *testing.T) {
 	if bytes.Equal(kept.Writes[0].Value, was) {
 		t.Fatal("a recycled value slab left the kept value alone: the aliasing check cannot see it")
 	}
+}
+
+// TestArenaRetainsOnlyLiveValues: what a kept write value holds on to is
+// bounded, not the epoch it was written in. Each of 200 epochs on one arena
+// runs 400 deposits over 50 hot accounts and one into an account no later
+// epoch touches, and a map keeps every account's latest value by reference,
+// as the MVCC version store does. The hot values are superseded every epoch;
+// the cold ones stay. The heap may grow by what each cold value pins — its
+// value slab — and not by the 3.2 KB of values its epoch wrote: a slab sized
+// to the epoch grows it by that much per epoch.
+func TestArenaRetainsOnlyLiveValues(t *testing.T) {
+	const epochs, hot, calls = 200, 50, 400
+	state := vm.MapReader{}
+	deposit := func(acct uint64) vm.Context {
+		return vm.Context{
+			Contract: smallbank.ContractAddress,
+			Payload:  workload.EncodeCall(workload.Call{Op: smallbank.OpDepositChecking, Acct1: acct, Amount: 1}),
+			GasLimit: 100_000,
+		}
+	}
+	var hotCtxs []vm.Context
+	for acct := uint64(0); acct < hot; acct++ {
+		hotCtxs = append(hotCtxs, deposit(acct))
+	}
+	kept := make(map[types.Key][]byte, 2*(hot+epochs+5))
+	var a vm.Arena
+	epoch := func(e int) {
+		a.Reset()
+		for i := 0; i <= calls; i++ {
+			ctx := deposit(1_000_000 + uint64(e))
+			if i < calls {
+				ctx = hotCtxs[i%hot]
+			}
+			res, err := vm.ExecuteIn(&a, smallbank.Program(), ctx, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range res.Writes {
+				kept[w.Key] = w.Value
+			}
+		}
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the first only moves the pooled machine states aside
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const warm = 5 // the arena's entry chunks grow to the epoch
+	for e := 0; e < warm; e++ {
+		epoch(e)
+	}
+	before := heap()
+	for e := warm; e < warm+epochs; e++ {
+		epoch(e)
+	}
+	grown := int64(heap()) - int64(before)
+	t.Logf("heap grew %d bytes over %d epochs, %d per cold value", grown, epochs, grown/epochs)
+	if limit := int64(epochs * 2 * vm.ValueSlab); grown > limit {
+		t.Errorf("heap grew %d bytes over %d epochs, limit %d: kept values pin more than their own slabs", grown, epochs, limit)
+	}
+	runtime.KeepAlive(kept)
+	runtime.KeepAlive(&a) // its entry chunks were in before
 }
 
 func cloneResult(r *vm.Result) *vm.Result {

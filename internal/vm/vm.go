@@ -24,6 +24,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/nezha-dag/nezha/internal/slab"
 	"github.com/nezha-dag/nezha/internal/types"
 )
 
@@ -146,71 +147,44 @@ func ExecuteIn(a *Arena, program []byte, ctx Context, state StateReader) (Result
 // from a few chunks instead of two slices per call. Reset rewinds the
 // entries, so every result carved since the previous Reset must be dead by
 // then. The write values are different: whoever commits a result keeps its
-// values (the MVCC version store holds them by reference), so they come from
-// a slab Reset never rewinds — it lets the slab go to the collector, and the
-// first value after it opens a fresh one sized by what the last period used.
+// values (the MVCC version store holds them by reference, for as long as
+// they are a cell's latest), so they come from value slabs that are never
+// rewound. A slab is valueSlab bytes, carved to its end and then left to the
+// holders of its values: one live value keeps at most that much reachable,
+// however large the epoch it was written in.
 type Arena struct {
 	reads  []types.ReadEntry
 	writes []types.WriteEntry
 	values []byte
-	// used counts the value bytes carved since Reset; at Reset it becomes
-	// hint, which sizes the next period's first slab.
-	used, hint int
-
-	// RecycleValues makes Reset rewind the value slab with the entries: a
-	// deliberate bug, for the meta-test that proves the node's aliasing
-	// test catches a recycled value. Leave it false everywhere else.
-	RecycleValues bool
 }
 
-// minChunk is the fewest entries or value bytes a chunk is opened with.
-const minChunk = 256
+// valueSlab is the size of a value slab: 32 words, so opening one costs a
+// few hundredths of an allocation per value while a value that outlives
+// all of its slab's neighbours pins no more than 256 bytes.
+const valueSlab = 256
 
 // Sets returns an empty read set and an empty write set with room for
 // exactly reads and writes entries (nil for none), carved from the arena.
 func (a *Arena) Sets(reads, writes int) ([]types.ReadEntry, []types.WriteEntry) {
-	return carve(&a.reads, reads), carve(&a.writes, writes)
+	return slab.Carve(&a.reads, reads), slab.Carve(&a.writes, writes)
 }
 
 // Word returns v as an 8-byte big-endian value carved from the value slab.
 func (a *Arena) Word(v uint64) []byte {
 	if cap(a.values)-len(a.values) < 8 {
-		a.values = make([]byte, 0, max(a.hint+a.hint/4, 2*cap(a.values), minChunk))
+		a.values = make([]byte, 0, valueSlab)
 	}
 	n := len(a.values)
 	a.values = binary.BigEndian.AppendUint64(a.values, v)
-	a.used += 8
 	return a.values[n : n+8 : n+8]
 }
 
-// Reset rewinds the read and write entries, dropping what they pointed to,
-// and lets the value slab go (see Arena).
+// Reset rewinds the read and write entries, dropping what they pointed to.
+// The value slab is left as it is (see Arena).
 func (a *Arena) Reset() {
 	clear(a.reads)
 	clear(a.writes)
 	a.reads, a.writes = a.reads[:0], a.writes[:0]
-	if a.RecycleValues {
-		a.values = a.values[:0]
-	} else {
-		a.values = nil
-	}
-	a.hint, a.used = a.used, 0
-}
-
-// carve returns an empty slice with room for exactly n elements from the
-// chunk, opening a larger chunk when the current one is short; the old one
-// stays with the slices already carved from it.
-func carve[T any](chunk *[]T, n int) []T {
-	if n == 0 {
-		return nil
-	}
-	c := *chunk
-	if cap(c)-len(c) < n {
-		c = make([]T, 0, max(2*cap(c), n, minChunk))
-	}
-	l := len(c)
-	*chunk = c[:l+n]
-	return c[l : l : l+n]
 }
 
 // execPool recycles machine states, and with them the array behind cells. A
