@@ -24,17 +24,18 @@ import (
 // (uniform), 10 000 accounts. The node is kept an epoch ahead, so each
 // measured window is ProcessEpoch(e) — adopt, publish, flush — plus the
 // look-ahead run for e+1 it starts — dedupe, execute, schedule, write
-// batch, stage — waited for to the end. The figure is the total over ten
-// such windows after four of warm-up, per transaction, bounded at the
-// measured value ×1.25: the medians of 60 runs at -cpu 1, 2 and 4 were 690
-// bytes and 3.15 objects on hot, 1 620 and 8.53 on uniform (single runs
-// read 640–770 and 1 570–1 840 bytes; the parent reads 1 658 / 7.72 and
-// 2 820 / 12.68). Fixed-size value slabs (vm.Arena) moved the medians of
-// 39 further runs to 667 bytes and 3.20 objects on hot, 1 627 and 8.58 on
-// uniform; the bounds were kept, and still clear those by ×1.23 or more.
-// (The store's index doubles inside the window on
-// both shapes, and the trie's and the flush batch's arenas re-size on some
-// epochs and not on others, so a single epoch reads between 0.8× and 2×.)
+// batch, stage — waited for to the end. A measurement is the total over ten
+// such windows after four of warm-up, per transaction, and the figure is the
+// least of three: the trie's commit fan-out hands subtrees to whichever
+// hasher is free, so which hasher's arena outgrows its chunk in a window
+// depends on scheduling, and a loaded host only adds to it (one measurement,
+// with three test packages running at once on two cores, read 2 087 bytes
+// on uniform; the least of three read at most 757 on hot and 1 749 on
+// uniform that way). The object counts do not move. Bounded at the measured
+// value ×1.25: the medians of 21 runs at -cpu 1, 2 and 4 are 660 bytes and
+// 3.20 objects on hot, 1 606 and 8.58 on uniform (the parent reads 1 658 /
+// 7.72 and 2 820 / 12.68); hot's object bound, 3.95, was set at ×1.25 of
+// 3.15 before the value slabs became fixed-size and is kept.
 //
 // What is left is what an epoch hands on: its Schedule, its write values
 // (kept by the MVCC version store), the version chains' growth, the trie's
@@ -51,11 +52,15 @@ func TestEpochAllocationBudget(t *testing.T) {
 		skew           float64
 		bytes, objects float64 // per transaction
 	}{
-		{"hot", 8, 1.0, 865, 3.95},
-		{"uniform", 4, 0.2, 2_030, 10.7},
+		{"hot", 8, 1.0, 825, 3.95},
+		{"uniform", 4, 0.2, 2_008, 10.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bytes, objects := epochAllocations(t, tc.chains, tc.skew)
+			for range 2 {
+				b, o := epochAllocations(t, tc.chains, tc.skew)
+				bytes, objects = min(bytes, b), min(objects, o)
+			}
 			t.Logf("%s: %.0f bytes, %.2f objects per transaction", tc.name, bytes, objects)
 			if bytes > tc.bytes {
 				t.Errorf("%.0f bytes allocated per transaction, budget %.0f", bytes, tc.bytes)
