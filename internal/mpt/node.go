@@ -15,10 +15,12 @@
 // time it touches it after a Commit and mutates that copy in place from
 // then on (generation stamps tell the two apart), so the nodes of the last
 // committed root are never written to and a failed update or flush falls
-// back to that root by restoring one pointer. Snapshots of older epochs do
-// not share in-memory nodes at all — they reopen their root by hash over
-// the append-only node store, which is what deferred execution needs
-// (§III-B).
+// back to that root by restoring one pointer. The copies are made from the
+// nodes earlier commits replaced, once no reader can still be on them
+// (Trie.settle), so a steady stream of commits allocates no nodes.
+// Snapshots of older epochs do not share in-memory nodes at all — they
+// reopen their root by hash over the append-only node store, which is what
+// deferred execution needs (§III-B).
 package mpt
 
 import (

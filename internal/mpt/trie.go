@@ -46,6 +46,20 @@ type Trie struct {
 	// published for GetCommitted, which loads it without a lock; no update
 	// ever writes to a node reachable from it.
 	committed atomic.Pointer[node]
+	// readers counts the GetCommitted calls in flight. grace holds the
+	// nodes the last Commit replaced until no such call can be on them,
+	// and idle says whether the readers' check at that Commit passed;
+	// freed is the batch that Commit let go of the grace stage, on its way
+	// to the free lists (see settle).
+	readers readerCount
+	grace   nodeList
+	idle    bool
+	freed   nodeList
+	// free is where updates make their nodes from.
+	free struct {
+		shorts   freeList[shortNode]
+		branches freeList[branchNode]
+	}
 	// gen stamps the nodes created or copied since then. An update copies
 	// a node carrying an older stamp before changing it and mutates one
 	// carrying this stamp in place, so a commit copies each node it
@@ -67,19 +81,23 @@ type Trie struct {
 	flush kvstore.Batch
 }
 
-// hasher is one worker's share of the hashing: the encodings it produced
-// since the last Commit, in hashing order, and the scratch it reuses — the
-// payload of the node being encoded, the chunk encodings are carved from
-// (see recycle), the sort keys of the flush and the merge's position in
-// them.
+// hasher is one worker's share of a commit. For the update: its claims on
+// the free nodes and the committed nodes its copies replaced (see settle).
+// For the hashing: the encodings it produced since the last Commit, in
+// hashing order, and the scratch it reuses — the payload of the node being
+// encoded, the chunk encodings are carved from (see recycle), the sort keys
+// of the flush and the merge's position in them.
 type hasher struct {
-	pending []encodedNode
-	payload []byte
-	arena   []byte // the open chunk, carved up to its length
-	carved  int    // arena bytes carved since the last flush
-	kept    bool   // a store keeps encodings carved from the open chunk
-	order   []sortKey
-	next    int
+	shorts   claim[shortNode]
+	branches claim[branchNode]
+	retired  nodeList
+	pending  []encodedNode
+	payload  []byte
+	arena    []byte // the open chunk, carved up to its length
+	carved   int    // arena bytes carved since the last flush
+	kept     bool   // a store keeps encodings carved from the open chunk
+	order    []sortKey
+	next     int
 }
 
 // FanStats reports how the trie used its workers since the last SetWorkers.
@@ -206,20 +224,25 @@ func (t *Trie) resolve(n node) (node, error) {
 
 // Get returns the value stored at key; found is false when absent.
 func (t *Trie) Get(key []byte) (value []byte, found bool, err error) {
-	return t.get(t.root, keyToNibbles(key))
+	return t.get(t.root, entry{key: key}, 0)
 }
 
 // GetCommitted is Get at the root of the last successful Commit, whatever
 // has been updated since. It may run beside any other call, Commit
 // included: it loads the committed root once, atomically, and no update
 // writes a node reachable from a root once it was committed, so a read that
-// a Commit overtakes finishes on the root it started from. The store never
-// drops a node, so that root stays resolvable.
+// a Commit overtakes finishes on the root it started from. The nodes a
+// Commit replaces are rewritten only once every GetCommitted that could
+// have loaded a root holding them has returned (readerCount), and the store
+// never drops a node, so that root stays resolvable.
 func (t *Trie) GetCommitted(key []byte) (value []byte, found bool, err error) {
-	return t.get(t.committedRoot(), keyToNibbles(key))
+	in := t.readers.enter()
+	defer in.Add(-1)
+	return t.get(t.committedRoot(), entry{key: key}, 0)
 }
 
-func (t *Trie) get(n node, path []byte) ([]byte, bool, error) {
+// get reads the key's value below n, which sits depth nibbles down its path.
+func (t *Trie) get(n node, key entry, depth int) ([]byte, bool, error) {
 	switch n := n.(type) {
 	case nil:
 		return nil, false, nil
@@ -228,27 +251,27 @@ func (t *Trie) get(n node, path []byte) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return t.get(resolved, path)
+		return t.get(resolved, key, depth)
 	case *shortNode:
-		if len(path) < len(n.key) || !bytes.Equal(n.key, path[:len(n.key)]) {
+		if !key.follows(n.key, depth) {
 			return nil, false, nil
 		}
-		rest := path[len(n.key):]
+		depth += len(n.key)
 		if v, isLeaf := n.val.(valueNode); isLeaf {
-			if len(rest) != 0 {
+			if depth != key.nibbles() {
 				return nil, false, nil
 			}
 			return append([]byte(nil), v...), true, nil
 		}
-		return t.get(n.val, rest)
+		return t.get(n.val, key, depth)
 	case *branchNode:
-		if len(path) == 0 {
+		if depth == key.nibbles() {
 			if n.value == nil {
 				return nil, false, nil
 			}
 			return append([]byte(nil), n.value...), true, nil
 		}
-		return t.get(n.children[path[0]], path[1:])
+		return t.get(n.children[key.nibble(depth)], key, depth+1)
 	case valueNode:
 		return nil, false, fmt.Errorf("mpt: dangling value node")
 	default:
@@ -269,6 +292,28 @@ func (e entry) nibble(d int) byte {
 		return e.key[d>>1] >> 4
 	}
 	return e.key[d>>1] & 0x0f
+}
+
+// follows reports whether the entry's path runs on with nibs from depth. It
+// compares a byte of the key, two nibbles, at a time.
+func (e entry) follows(nibs []byte, depth int) bool {
+	if len(nibs) > e.nibbles()-depth {
+		return false
+	}
+	if depth&1 == 1 && len(nibs) > 0 {
+		if e.key[depth>>1]&0x0f != nibs[0] {
+			return false
+		}
+		nibs, depth = nibs[1:], depth+1
+	}
+	key := e.key[depth>>1:]
+	for len(nibs) >= 2 {
+		if key[0] != nibs[0]<<4|nibs[1] {
+			return false
+		}
+		key, nibs = key[1:], nibs[2:]
+	}
+	return len(nibs) == 0 || key[0]>>4 == nibs[0]
 }
 
 // matchLen is how many nibbles of key the entry's path follows from depth.
@@ -326,7 +371,9 @@ func (t *Trie) update(batch []entry) error {
 		batch[n] = e
 		n++
 	}
-	root, _, err := t.apply(t.root, 0, batch[:n])
+	t.admitFreed()
+	root, _, err := t.apply(t.hashers[0], t.root, 0, batch[:n])
+	t.compactFree()
 	if err != nil {
 		t.Rollback()
 		return err
@@ -339,10 +386,14 @@ func (t *Trie) update(batch []entry) error {
 // Rollback abandons every update since the last Commit: the trie is back at
 // the committed root with nothing pending. Only nodes stamped with the
 // current generation were written to, and none of them is reachable from
-// the committed root.
+// the committed root. The nodes the update replaced are part of that root
+// again, so they are not retired.
 func (t *Trie) Rollback() {
 	t.root = t.committedRoot()
 	t.dropPending()
+	for _, h := range t.hashers {
+		h.retired.drop()
+	}
 	t.gen++
 }
 
@@ -358,8 +409,10 @@ func (t *Trie) dropPending() {
 // apply rewrites the subtree n, which sits depth nibbles down a path every
 // entry of the sorted batch shares, and returns its replacement and whether
 // anything changed. An unchanged subtree is returned as it came, so a
-// delete of an absent key dirties nothing.
-func (t *Trie) apply(n node, depth int, batch []entry) (node, bool, error) {
+// delete of an absent key dirties nothing. h is the worker it runs on: the
+// nodes it makes come from h's claims on the free lists, and h lists the
+// committed nodes it replaces.
+func (t *Trie) apply(h *hasher, n node, depth int, batch []entry) (node, bool, error) {
 	if len(batch) == 0 {
 		return n, false, nil
 	}
@@ -378,8 +431,8 @@ func (t *Trie) apply(n node, depth int, batch []entry) (node, bool, error) {
 			for j := range key {
 				key[j] = e.nibble(depth + j)
 			}
-			leaf := &shortNode{key: key, val: valueNode(bytes.Clone(e.value)), gen: t.gen}
-			out, _, err := t.applyShort(leaf, depth, batch[i+1:])
+			leaf := t.newShort(h, key, valueNode(bytes.Clone(e.value)))
+			out, _, err := t.applyShort(h, leaf, depth, batch[i+1:])
 			return out, true, err
 		}
 		return nil, false, nil
@@ -388,21 +441,21 @@ func (t *Trie) apply(n node, depth int, batch []entry) (node, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		out, changed, err := t.apply(resolved, depth, batch)
+		out, changed, err := t.apply(h, resolved, depth, batch)
 		if err != nil || !changed {
 			return n, false, err
 		}
 		return out, true, nil
 	case *shortNode:
-		return t.applyShort(n, depth, batch)
+		return t.applyShort(h, n, depth, batch)
 	case *branchNode:
-		return t.applyBranch(n, depth, batch)
+		return t.applyBranch(h, n, depth, batch)
 	default:
 		return nil, false, fmt.Errorf("mpt: update of %T", n)
 	}
 }
 
-func (t *Trie) applyShort(n *shortNode, depth int, batch []entry) (node, bool, error) {
+func (t *Trie) applyShort(h *hasher, n *shortNode, depth int, batch []entry) (node, bool, error) {
 	if len(batch) == 0 {
 		return n, false, nil
 	}
@@ -415,14 +468,14 @@ func (t *Trie) applyShort(n *shortNode, depth int, batch []entry) (node, bool, e
 	value, isLeaf := n.val.(valueNode)
 	if m == len(n.key) {
 		if !isLeaf {
-			child, changed, err := t.apply(n.val, depth+m, batch)
+			child, changed, err := t.apply(h, n.val, depth+m, batch)
 			if err != nil || !changed {
 				return n, false, err
 			}
 			if _, ok := child.(*branchNode); !ok {
-				return t.prefixed(n.key, child), true, nil // the branch below collapsed
+				return t.prefixed(h, n.key, child), true, nil // the branch below collapsed
 			}
-			c := t.ownShort(n)
+			c := t.ownShort(h, n)
 			c.val = child
 			return c, true, nil
 		}
@@ -430,7 +483,7 @@ func (t *Trie) applyShort(n *shortNode, depth int, batch []entry) (node, bool, e
 			if len(e.value) == 0 {
 				return nil, true, nil
 			}
-			c := t.ownShort(n)
+			c := t.ownShort(h, n)
 			c.val = valueNode(bytes.Clone(e.value))
 			return c, true, nil
 		}
@@ -438,27 +491,27 @@ func (t *Trie) applyShort(n *shortNode, depth int, batch []entry) (node, bool, e
 	// The batch leaves n's path after m nibbles (or runs on below a
 	// leaf): stand the branch that belongs there, holding what n holds
 	// beyond that point, and let the batch apply to it.
-	b := &branchNode{gen: t.gen}
+	b := t.newBranch(h)
 	switch rest := n.key[m:]; {
 	case len(rest) == 0:
 		b.value = value
 	case len(rest) == 1 && !isLeaf:
 		b.children[rest[0]] = n.val
 	default:
-		b.children[rest[0]] = &shortNode{key: rest[1:], val: n.val, gen: t.gen}
+		b.children[rest[0]] = t.newShort(h, rest[1:], n.val)
 	}
-	out, changed, err := t.applyBranch(b, depth+m, batch)
+	out, changed, err := t.applyBranch(h, b, depth+m, batch)
 	if err != nil || !changed {
 		return n, false, err
 	}
-	return t.prefixed(n.key[:m], out), true, nil
+	return t.prefixed(h, n.key[:m], out), true, nil
 }
 
-func (t *Trie) applyBranch(n *branchNode, depth int, batch []entry) (node, bool, error) {
+func (t *Trie) applyBranch(h *hasher, n *branchNode, depth int, batch []entry) (node, bool, error) {
 	b, changed := n, false
 	if e := batch[0]; e.nibbles() == depth {
 		if len(e.value) > 0 || b.value != nil {
-			b, changed = t.ownBranch(b), true
+			b, changed = t.ownBranch(h, b), true
 			b.value = nil
 			if len(e.value) > 0 {
 				b.value = bytes.Clone(e.value)
@@ -479,13 +532,13 @@ func (t *Trie) applyBranch(n *branchNode, depth int, batch []entry) (node, bool,
 		if fanned != nil {
 			s = fanned[nib]
 		} else {
-			s.node, s.changed, s.err = t.apply(b.children[nib], depth+1, batch[:end])
+			s.node, s.changed, s.err = t.apply(h, b.children[nib], depth+1, batch[:end])
 		}
 		if s.err != nil {
 			return nil, false, s.err
 		}
 		if s.changed {
-			b, changed = t.ownBranch(b), true
+			b, changed = t.ownBranch(h, b), true
 			b.children[nib] = s.node
 		}
 		batch = batch[end:]
@@ -493,7 +546,7 @@ func (t *Trie) applyBranch(n *branchNode, depth int, batch []entry) (node, bool,
 	if !changed {
 		return n, false, nil
 	}
-	out, err := t.collapse(b)
+	out, err := t.collapse(h, b)
 	return out, true, err
 }
 
@@ -525,51 +578,70 @@ func (t *Trie) applyFanned(b *branchNode, batch []entry) *[16]subtree {
 		cuts[nib], batch = batch[:end], batch[end:]
 	}
 	subs := new([16]subtree)
-	t.fan(width, len(subs), func(_ *hasher, i int) {
-		subs[i].node, subs[i].changed, subs[i].err = t.apply(b.children[i], 1, cuts[i])
+	t.fan(width, len(subs), func(h *hasher, i int) {
+		subs[i].node, subs[i].changed, subs[i].err = t.apply(h, b.children[i], 1, cuts[i])
 	})
 	return subs
 }
 
 // ownShort returns n if this commit already owns it, a copy stamped with
-// the commit's generation otherwise; either way the hash cache is cleared,
-// the caller is about to change the node.
-func (t *Trie) ownShort(n *shortNode) *shortNode {
+// the commit's generation otherwise, made from a free node; the copy
+// retires n. Either way the hash cache is cleared, the caller is about to
+// change the node.
+func (t *Trie) ownShort(h *hasher, n *shortNode) *shortNode {
 	if n.gen != t.gen {
-		c := *n
+		c := t.free.shorts.take(&h.shorts)
+		*c = *n
 		c.gen = t.gen
-		n = &c
+		h.retired.shorts = append(h.retired.shorts, n)
+		n = c
 	}
 	n.hasHash = false
 	return n
 }
 
 // ownBranch is ownShort for branches.
-func (t *Trie) ownBranch(n *branchNode) *branchNode {
+func (t *Trie) ownBranch(h *hasher, n *branchNode) *branchNode {
 	if n.gen != t.gen {
-		c := *n
+		c := t.free.branches.take(&h.branches)
+		*c = *n
 		c.gen = t.gen
-		n = &c
+		h.retired.branches = append(h.retired.branches, n)
+		n = c
 	}
 	n.hasHash = false
 	return n
 }
 
+// newShort makes a short node of this commit's generation.
+func (t *Trie) newShort(h *hasher, key []byte, val node) *shortNode {
+	s := t.free.shorts.take(&h.shorts)
+	s.key, s.val, s.gen = key, val, t.gen
+	return s
+}
+
+// newBranch makes an empty branch of this commit's generation.
+func (t *Trie) newBranch(h *hasher) *branchNode {
+	b := t.free.branches.take(&h.branches)
+	b.gen = t.gen
+	return b
+}
+
 // prefixed returns child under a run of nibbles, merging two short nodes
 // into one so the tree keeps its canonical form.
-func (t *Trie) prefixed(prefix []byte, child node) node {
+func (t *Trie) prefixed(h *hasher, prefix []byte, child node) node {
 	if len(prefix) == 0 || child == nil {
 		return child
 	}
 	if s, ok := child.(*shortNode); ok {
-		return &shortNode{key: slices.Concat(prefix, s.key), val: s.val, gen: t.gen}
+		return t.newShort(h, slices.Concat(prefix, s.key), s.val)
 	}
-	return &shortNode{key: prefix, val: child, gen: t.gen}
+	return t.newShort(h, prefix, child)
 }
 
 // collapse simplifies a branch an update may have left with fewer than two
 // occupants.
-func (t *Trie) collapse(b *branchNode) (node, error) {
+func (t *Trie) collapse(h *hasher, b *branchNode) (node, error) {
 	live, idx := 0, 0
 	for i, c := range b.children {
 		if c != nil {
@@ -584,7 +656,7 @@ func (t *Trie) collapse(b *branchNode) (node, error) {
 	case live == 0:
 		// Value-only branch collapses to an empty-key leaf (canonical
 		// form; see apply).
-		return &shortNode{val: valueNode(b.value), gen: t.gen}, nil
+		return t.newShort(h, nil, valueNode(b.value)), nil
 	}
 	// Merge the lone child upward. A child that is itself a branch stays
 	// behind its hash reference: it did not change.
@@ -596,7 +668,7 @@ func (t *Trie) collapse(b *branchNode) (node, error) {
 	if s, ok := resolved.(*shortNode); ok {
 		child = s
 	}
-	return t.prefixed([]byte{byte(idx)}, child), nil
+	return t.prefixed(h, []byte{byte(idx)}, child), nil
 }
 
 // RootHash computes (and caches) the current root hash, buffering freshly
@@ -767,8 +839,184 @@ func (t *Trie) Commit() (types.Hash, error) {
 		}
 	}
 	t.publishRoot()
+	t.settle()
 	t.gen++
 	return root, nil
+}
+
+// settle follows every successful Commit, once its root is published. The
+// nodes the commit's copies replaced are on no later root, but a
+// GetCommitted that loaded an earlier root may still be on them, so they
+// wait out a grace period before they are rewritten:
+//
+//   - They enter the grace stage, and each worker's list of them empties.
+//   - The batch already there, the previous commit's, is freed if both
+//     reader counts have read zero since that commit published its root:
+//     here, and at that commit (idle). A reader that was on the batch's
+//     nodes loaded its root before that publication, so it had entered
+//     before either check and had left by the later one. A reader that
+//     entered after a check loaded a root without the batch.
+//   - Otherwise the batch is left to the collector; it is never rewritten,
+//     so the grace stage holds one commit's nodes however long a reader
+//     takes.
+//
+// A freed batch joins the free lists when the next update starts
+// (admitFreed), so zeroing it is not part of the commit.
+func (t *Trie) settle() {
+	idle := t.readers.advance()
+	t.admitFreed() // freed at the last commit, and no update since
+	if idle && t.idle {
+		t.freed, t.grace = t.grace, t.freed
+	}
+	t.grace.drop()
+	t.idle = idle
+	for _, h := range t.hashers {
+		t.grace.shorts = append(t.grace.shorts, h.retired.shorts...)
+		t.grace.branches = append(t.grace.branches, h.retired.branches...)
+		h.retired.drop()
+	}
+}
+
+// admitFreed zeroes the freed batch, so that it keeps nothing alive, and
+// adds it to the free lists. The lists keep at most as many nodes left
+// over from earlier commits as they admit, which absorbs the difference
+// between one commit's copies and the next's without letting them grow
+// past two commits' worth (and the spares take makes).
+func (t *Trie) admitFreed() {
+	t.free.shorts.admit(t.freed.shorts)
+	t.free.branches.admit(t.freed.branches)
+	t.freed.drop()
+}
+
+// nodeList is a list of trie nodes by kind.
+type nodeList struct {
+	shorts   []*shortNode
+	branches []*branchNode
+}
+
+// drop empties the list, keeping its storage.
+func (l *nodeList) drop() {
+	clear(l.shorts)
+	clear(l.branches)
+	l.shorts, l.branches = l.shorts[:0], l.branches[:0]
+}
+
+// freeList holds zeroed nodes no reader can reach. The workers of an update
+// claim them in chunks, so any worker can draw on all of them; between
+// updates the list is compacted and nothing is claimed.
+type freeList[T any] struct {
+	nodes   []*T
+	claimed atomic.Int64 // nodes[:claimed] are claimed, as far as there are nodes
+}
+
+// claimChunk is how many free nodes a worker claims, or makes, at a time.
+const claimChunk = 32
+
+// claim is the part of a free list one worker has claimed and not used yet,
+// nodes[next:end]; dry marks a list with nothing left to claim, and spare
+// holds the nodes the worker made since.
+type claim[T any] struct {
+	next, end int
+	dry       bool
+	spare     []*T
+}
+
+// take returns a node from the worker's claim on the list, claiming another
+// chunk when the claim is used up. Once the list is, the update needs more
+// nodes than earlier commits replaced: the worker makes a chunk at a time,
+// and what the update leaves of it joins the list, so the list gains a
+// margin for the next larger commit.
+func (f *freeList[T]) take(c *claim[T]) *T {
+	if c.next == c.end && !c.dry {
+		end := int(f.claimed.Add(claimChunk))
+		c.next, c.end = min(end-claimChunk, len(f.nodes)), min(end, len(f.nodes))
+		c.dry = c.next == c.end
+	}
+	if !c.dry {
+		n := f.nodes[c.next]
+		f.nodes[c.next] = nil
+		c.next++
+		return n
+	}
+	if len(c.spare) == 0 {
+		for range claimChunk {
+			c.spare = append(c.spare, new(T))
+		}
+	}
+	n := c.spare[len(c.spare)-1]
+	c.spare[len(c.spare)-1] = nil
+	c.spare = c.spare[:len(c.spare)-1]
+	return n
+}
+
+// compact drops what the last update took from the list.
+func (f *freeList[T]) compact() {
+	if f.claimed.Load() > 0 {
+		f.nodes = slices.DeleteFunc(f.nodes, func(n *T) bool { return n == nil })
+		f.claimed.Store(0)
+	}
+}
+
+// end ends a worker's claim, adding the nodes it made and did not use.
+func (f *freeList[T]) end(c *claim[T]) {
+	f.nodes = append(f.nodes, c.spare...)
+	clear(c.spare)
+	*c = claim[T]{spare: c.spare[:0]}
+}
+
+// admit zeroes the nodes of batch and adds them to the list, keeping at most
+// as many of the nodes it held before. An empty batch — a commit that
+// replaced nothing — leaves the list as it is.
+func (f *freeList[T]) admit(batch []*T) {
+	if len(batch) == 0 {
+		return
+	}
+	if len(f.nodes) > len(batch) {
+		clear(f.nodes[len(batch):])
+		f.nodes = f.nodes[:len(batch)]
+	}
+	for _, n := range batch {
+		var zero T
+		*n = zero
+	}
+	f.nodes = append(f.nodes, batch...)
+}
+
+// compactFree ends the update's claims on the free lists.
+func (t *Trie) compactFree() {
+	t.free.shorts.compact()
+	t.free.branches.compact()
+	for _, h := range t.hashers {
+		t.free.shorts.end(&h.shorts)
+		t.free.branches.end(&h.branches)
+	}
+}
+
+// readerCount counts the GetCommitted calls in flight by the parity of the
+// era they entered in; each settle starts a new era. A reader enters before
+// it loads the committed root and leaves when it is done with the tree: two
+// atomic adds, no lock.
+type readerCount struct {
+	era atomic.Uint64
+	in  [2]atomic.Int64
+}
+
+// enter counts a reader in and returns the count to leave by.
+func (r *readerCount) enter() *atomic.Int64 {
+	in := &r.in[r.era.Load()&1]
+	in.Add(1)
+	return in
+}
+
+// advance reports whether the count of the era before the current one is
+// zero — no reader that entered then is still in — and starts a new era,
+// which counts its readers there. The count of the era just ended drains
+// until the next advance reads it. Only the writer calls advance.
+func (r *readerCount) advance() bool {
+	era := r.era.Load()
+	idle := r.in[(era+1)&1].Load() == 0
+	r.era.Store(era + 1)
+	return idle
 }
 
 // recycle readies the arena for the next commit's encodings once the store

@@ -208,6 +208,9 @@ func runBatchOracle(program []byte, width int, ops trieOps) error {
 		if got, want := storeContents(store.Memory), storeContents(refStore.Memory); !maps.Equal(got, want) {
 			return fmt.Errorf("step %d: store holds %d nodes, reference %d (or different ones)", i, len(got), len(want))
 		}
+		if err := checkRecycled(tr); err != nil {
+			return fmt.Errorf("step %d: %w", i, err)
+		}
 		insertOnly = true
 		if step.then == 3 {
 			tr, ref = newOracleTrie(root, store, width), newRefTrie(root, refStore)
@@ -216,8 +219,8 @@ func runBatchOracle(program []byte, width int, ops trieOps) error {
 	return nil
 }
 
-// checkContents compares Iterate with the shadow map and proves every key
-// of the oracle's key space, present or absent, against root.
+// checkContents compares Iterate with the shadow map, and reads and proves
+// every key of the oracle's key space, present or absent, against root.
 func checkContents(tr *Trie, root types.Hash, shadow map[string]string) error {
 	var keys []string
 	err := tr.Iterate(func(k, v []byte) bool {
@@ -239,12 +242,15 @@ func checkContents(tr *Trie, root types.Hash, shadow map[string]string) error {
 			continue // the unused high bits only repeat a shorter key
 		}
 		key := oracleKey(byte(b))
+		want, wantFound := shadow[string(key)]
+		if got, found, err := tr.Get(key); err != nil || found != wantFound || string(got) != want {
+			return fmt.Errorf("get %x = %x, %v, %v; want %x, %v", key, got, found, err, want, wantFound)
+		}
 		proof, err := tr.Prove(key)
 		if err != nil {
 			return fmt.Errorf("prove %x: %w", key, err)
 		}
 		value, found, err := VerifyProof(root, key, proof)
-		want, wantFound := shadow[string(key)]
 		if err != nil || found != wantFound || string(value) != want {
 			return fmt.Errorf("proof of %x = %x, %v, %v; want %x, %v", key, value, found, err, want, wantFound)
 		}

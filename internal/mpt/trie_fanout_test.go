@@ -122,6 +122,7 @@ func TestFanOutOracleBites(t *testing.T) {
 		}
 		tr.dropPending()
 		tr.publishRoot()
+		tr.settle()
 		tr.gen++
 		return root, nil
 	}

@@ -32,14 +32,16 @@ import (
 // with three test packages running at once on two cores, read 2 087 bytes
 // on uniform; the least of three read at most 757 on hot and 1 749 on
 // uniform that way). The object counts do not move. Bounded at the measured
-// value ×1.25: the medians of 21 runs at -cpu 1, 2 and 4 are 660 bytes and
-// 3.20 objects on hot, 1 606 and 8.58 on uniform (the parent reads 1 658 /
-// 7.72 and 2 820 / 12.68); hot's object bound, 3.95, was set at ×1.25 of
-// 3.15 before the value slabs became fixed-size and is kept.
+// value ×1.25: the medians of 21 runs at -cpu 1, 2 and 4 are 391 bytes and
+// 1.87 objects on hot, 823 and 4.95 on uniform (before the trie reused the
+// nodes its commits replace: 660 / 3.20 and 1 606 / 8.58).
 //
 // What is left is what an epoch hands on: its Schedule, its write values
-// (kept by the MVCC version store), the version chains' growth, the trie's
-// new nodes and the store's records. Read and write sets allocated per call
+// (kept by the MVCC version store and by the trie's leaves), the version
+// chains' growth and the store's records. Trie nodes allocated per commit
+// again, instead of reused, break both bounds: a copy whose free lists
+// never hand out a node reads 615 bytes and 3.01 objects on hot, 1 528 and
+// 8.04 on uniform. Read and write sets allocated per call
 // again break the object bound (6.2 per transaction on hot), and the
 // scheduler's arrays rebuilt per call break the byte bound (1 270 on hot).
 // One per-epoch slab on its own — the result slab, the dedupe set, the run's
@@ -52,8 +54,8 @@ func TestEpochAllocationBudget(t *testing.T) {
 		skew           float64
 		bytes, objects float64 // per transaction
 	}{
-		{"hot", 8, 1.0, 825, 3.95},
-		{"uniform", 4, 0.2, 2_008, 10.7},
+		{"hot", 8, 1.0, 489, 2.34},
+		{"uniform", 4, 0.2, 1_029, 6.19},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bytes, objects := epochAllocations(t, tc.chains, tc.skew)

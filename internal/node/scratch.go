@@ -49,9 +49,11 @@ type epochScratch struct {
 	batch   []types.WriteEntry
 }
 
-// taggedWrite is one committed write with its transaction's sequence number.
+// taggedWrite is one committed write with its transaction's sequence number
+// and its position in the epoch's list of writes.
 type taggedWrite struct {
 	seq types.Seq
+	pos int
 	types.WriteEntry
 }
 
@@ -91,9 +93,9 @@ func (s *epochScratch) detach(txs []*types.Transaction) []*types.Transaction {
 
 // writeBatch is what the commitment phase writes ("applies the write values
 // … to an in-memory state", §III-B): every committed transaction's writes,
-// sorted stably by key and then by commit group, and of each run of writes
-// to one cell the last — the latest group's, as applying the groups in
-// sequence order would leave it. Transactions inside a group write
+// sorted by key, then by commit group, then by position, and of each run of
+// writes to one cell the last — the latest group's, as applying the groups
+// in sequence order would leave it. Transactions inside a group write
 // pairwise-distinct keys (scheduler invariant), so two writes of one cell in
 // one group are one transaction's, in its own order. The result is in
 // ascending key order, the order the state trie's batch descent takes and
@@ -108,11 +110,13 @@ func (s *epochScratch) writeBatch(sims []*types.SimResult, sched *types.Schedule
 			continue
 		}
 		for _, w := range sim.Writes {
-			tagged = append(tagged, taggedWrite{seq, w})
+			tagged = append(tagged, taggedWrite{seq, len(tagged), w})
 		}
 	}
-	slices.SortStableFunc(tagged, func(a, b taggedWrite) int {
-		return cmp.Or(a.Key.Compare(b.Key), cmp.Compare(a.seq, b.seq))
+	// The position breaks the ties a stable sort would keep in order, so
+	// an unstable sort builds the same batch.
+	slices.SortFunc(tagged, func(a, b taggedWrite) int {
+		return cmp.Or(a.Key.Compare(b.Key), cmp.Compare(a.seq, b.seq), cmp.Compare(a.pos, b.pos))
 	})
 	batch := s.batch[:0]
 	for i, w := range tagged {

@@ -131,7 +131,7 @@ func scribble(n *Node) {
 		fill(s.sims, &types.SimResult{Tx: tx})
 		fill(s.failed, tx.ID)
 		fill(s.busy, -1)
-		fill(s.tagged, taggedWrite{1 << 40, write})
+		fill(s.tagged, taggedWrite{seq: 1 << 40, WriteEntry: write})
 		fill(s.batch, write)
 		if s.seen != nil {
 			s.seen[types.HashBytes(junk)] = struct{}{}

@@ -36,7 +36,9 @@ type Reader interface {
 // so that no reader of the committed state waits for it. A commit takes
 // both, mu first; root changes only then, so either lock is enough to read
 // it. Get takes neither: the trie publishes its committed root atomically
-// (mpt.Trie.GetCommitted), so a cold read runs beside a commit's flush.
+// (mpt.Trie.GetCommitted), so a cold read runs beside a commit's flush, and
+// the trie reuses the nodes a commit replaces only once no such read can
+// still be on them.
 type StateDB struct {
 	mu     sync.RWMutex
 	trieMu sync.Mutex
@@ -52,6 +54,8 @@ type StateDB struct {
 	// exists, every Commit threads its writes through it so views stay
 	// consistent with the trie.
 	mv *mvcc.Store
+	// keys is the commit's buffer for the keys it reserves. Guarded by mu.
+	keys []types.Key
 	// jr, when set, receives state/* journal events at the MVCC epoch
 	// boundaries (reserve, commit, rollback, watermark). The mvcc package
 	// itself is determinism-critical code the flight recorder must stay
@@ -82,7 +86,8 @@ func (s *StateDB) Root() types.Hash {
 
 // Get reads a key from the head state (never from a staged batch). It takes
 // no lock: beside a commit it reads the trie's committed root from before
-// or from after the flush, whichever it loads (see mpt.Trie.GetCommitted).
+// or from after the flush, whichever it loads, and the nodes of the one it
+// loaded stay as they were until it returns (see mpt.Trie.GetCommitted).
 func (s *StateDB) Get(k types.Key) ([]byte, error) {
 	v, _, err := s.trie.GetCommitted(k[:])
 	return v, err
@@ -263,13 +268,13 @@ func (s *StateDB) PublishAndSeal(writes []types.WriteEntry, workers int, publish
 	}
 	versioned := mv != nil && len(writes) > 0
 	if versioned {
-		keys := make([]types.Key, len(writes))
-		for i, w := range writes {
-			keys[i] = w.Key
+		s.keys = s.keys[:0]
+		for _, w := range writes {
+			s.keys = append(s.keys, w.Key)
 		}
-		mv.ReserveEpoch(keys)
+		mv.ReserveEpoch(s.keys)
 		defer mv.ReleaseEpoch()
-		s.jr.Emit(journal.StateReserve, mv.Gen(), journal.F("keys", uint64(len(keys))))
+		s.jr.Emit(journal.StateReserve, mv.Gen(), journal.F("keys", uint64(len(s.keys))))
 	}
 	defer s.mu.Unlock()
 	defer s.trieMu.Unlock()
